@@ -17,10 +17,10 @@ kappa_i >= 0 gives an infinite tower of levels, while kappa_1 < 0 with
 gives a ladder on exactly d = 1 - 1/kappa_1 levels that closes by itself
 because F(d) = 0.  Any other sign pattern is rejected at construction.
 
-Scalar quantities (F, G, generalized factorials) are exact ``Fraction``
-values; matrix representations are complex double precision, with the
-raising matrix built as the exact conjugate transpose of the lowering
-matrix.  All values are immutable after construction.
+Scalars that feed decisions (F, G, generalized factorials, classification)
+are exact ``Fraction`` values; every float consumer reads F, G and log F(n)!
+from one float64 `ladder_table`.  Matrices are complex doubles, raising the
+exact conjugate transpose of lowering; all values are immutable.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -38,10 +39,12 @@ __all__ = [
     "AlgebraParams",
     "RepDimension",
     "LadderRep",
+    "LadderTable",
     "structure_function",
     "commutator_gap",
     "classify",
     "generalized_factorial",
+    "ladder_table",
     "build_rep",
     "build_truncated_rep",
     "reciprocal_ells",
@@ -156,6 +159,49 @@ def generalized_factorial(params: AlgebraParams, n: int) -> Fraction:
     return out
 
 
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class LadderTable:
+    """F(n), G(n) and log F(n)! for n = 0, ..., size-1, as read-only float64 arrays."""
+
+    f: np.ndarray
+    g: np.ndarray
+
+    @cached_property
+    def log_factorial(self) -> np.ndarray:
+        """cumsum(log F), on first use: the series tables never need it."""
+        return _freeze(np.concatenate(([0.0], np.cumsum(np.log(self.f[1:]))))[: len(self.f)])
+
+    def kernel(self, phi: float) -> np.ndarray:
+        """e^{-i F(n) phi} / sqrt(F(n)!): the lowering-eigenstate coefficients at z = 1."""
+        roots = np.sqrt(self.f)
+        roots[:1] = 1.0  # the running quotient starts from 1/sqrt(F(0)!) = 1
+        return np.divide.accumulate(roots) * np.exp(-1j * self.f * phi)
+
+
+def ladder_table(params: AlgebraParams, size: int) -> LadderTable:
+    """F, G and log F(n)! in bulk from the integer polynomial F(n) prod_i q_i =
+    n prod_i (q_i + p_i (n-1)), kappa_i = p_i/q_i, whose float64 products are
+    exact below 2**53: one division then gives float(structure_function) and
+    float(commutator_gap), and a few ulp past that.  Stops at d if finite."""
+    dim = classify(params)
+    if size < 0 or (dim.is_finite and size > dim.d):
+        raise ValueError(f"no ladder table of size {size} for the {dim} ladder")
+    n_minus_1 = np.arange(-1.0, size)
+    scaled = n_minus_1 + 1.0
+    for kappa in params.kappas:
+        scaled *= kappa.denominator + kappa.numerator * n_minus_1
+    scaled[0] = 0.0  # F(0) = 0; a negative factor at n = 0 would leave -0.0
+    scale = float(math.prod(kappa.denominator for kappa in params.kappas))
+    g = np.diff(scaled) / scale
+    scaled /= scale
+    return LadderTable(_freeze(scaled[:-1]), _freeze(g))
+
+
 @dataclass(frozen=True)
 class LadderRep:
     """Matrix representation on the number basis |0>, ..., |m-1>.
@@ -172,11 +218,6 @@ class LadderRep:
     raising: np.ndarray
     number: np.ndarray
     truncation_order: int | None = None
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def build_rep(params: AlgebraParams, window: int | None = None) -> LadderRep:
@@ -201,11 +242,8 @@ def build_rep(params: AlgebraParams, window: int | None = None) -> LadderRep:
     m = int(window)
     if m < 1:
         raise ValueError("window must be a positive integer")
-    f = [structure_function(params, n) for n in range(m)]
-    lowering = np.zeros((m, m), dtype=complex)
-    for n in range(1, m):
-        gap = float(f[n] - f[n - 1])
-        lowering[n - 1, n] = math.sqrt(float(f[n])) * np.exp(1j * gap * params.phi)
+    table = ladder_table(params, m)
+    lowering = np.diag(np.sqrt(table.f[1:]) * np.exp(1j * table.g[:-1] * params.phi), 1)
     raising = lowering.conj().T.copy()
     number = np.diag(np.arange(m, dtype=float))
     return LadderRep(params, m, _freeze(lowering), _freeze(raising), _freeze(number))

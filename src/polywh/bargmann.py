@@ -32,9 +32,8 @@ from .algebra import (
     AlgebraParams,
     _freeze,
     classify,
-    commutator_gap,
+    ladder_table,
     reciprocal_ells,
-    structure_function,
 )
 from .coherent import bg_normalization
 from .errors import DomainError
@@ -82,12 +81,7 @@ class EntireSeries:
         """The eigenstate kernel 1/sqrt(F(n)!), accumulated in log space."""
         if classify(params).is_finite:
             raise DomainError("the kernel series needs an infinite ladder")
-        logs = np.empty(n_max + 1)
-        logs[0] = 0.0
-        acc = 0.0  # log F(n)!
-        for n in range(1, n_max + 1):
-            acc += math.log(float(structure_function(params, n)))
-            logs[n] = -0.5 * acc
+        logs = -0.5 * ladder_table(params, n_max + 1).log_factorial
         return cls(_freeze(logs), meta=f"bg kernel, r = {params.r}")
 
     def __len__(self) -> int:
@@ -114,19 +108,13 @@ class GrowthEstimate:
     sigma_raw: float
 
 
-def bargmann_eval(params: AlgebraParams, f_coeffs, z) -> complex:
-    """sum_n f_n z^n e^{-i F(n) phi} / sqrt(F(n)!) for a finite vector f."""
+def bargmann_eval(params: AlgebraParams, f_coeffs, z) -> complex | np.ndarray:
+    """sum_n f_n z^n e^{-i F(n) phi} / sqrt(F(n)!) for a finite vector f, at z or a z-array."""
     reciprocal_ells(params)  # the transform is set up for the reciprocal-integer family
-    z = complex(z)
-    total = 0j
-    g = 1.0 + 0j  # kernel term z^n e^{-i F(n) phi} / sqrt(F(n)!)
-    for n, fn in enumerate(f_coeffs):
-        if n > 0:
-            f_n = float(structure_function(params, n))
-            gap = float(commutator_gap(params, n - 1))
-            g *= z / math.sqrt(f_n) * np.exp(-1j * gap * params.phi)
-        total += complex(fn) * g
-    return complex(total)
+    f = np.asarray(f_coeffs, dtype=complex)
+    kernel = ladder_table(params, len(f)).kernel(params.phi)
+    values = np.polyval((f * kernel)[::-1], np.asarray(z, dtype=complex))  # Horner
+    return complex(values) if values.ndim == 0 else values
 
 
 def schwarz_check(params: AlgebraParams, f_coeffs, z_grid) -> float:
@@ -138,11 +126,9 @@ def schwarz_check(params: AlgebraParams, f_coeffs, z_grid) -> float:
     nrm2 = float(np.sum(np.abs(f) ** 2))
     if abs(nrm2 - 1.0) > 1e-12:
         raise ValueError(f"f must be normalized: sum |f_n|^2 = {nrm2!r}")
-    worst = -math.inf
-    for z in z_grid:
-        excess = abs(bargmann_eval(params, f, z)) - bg_normalization(params, z)
-        worst = max(worst, excess)
-    return worst
+    values = bargmann_eval(params, f, np.asarray(z_grid, dtype=complex))
+    excess = (abs(complex(v)) - bg_normalization(params, z) for z, v in zip(z_grid, values))
+    return max(excess, default=-math.inf)
 
 
 def estimate_growth(series: EntireSeries) -> GrowthEstimate:

@@ -28,6 +28,7 @@ from .algebra import (
     build_truncated_rep,
     classify,
     commutator_gap,
+    ladder_table,
     reciprocal_ells,
     structure_function,
 )
@@ -246,13 +247,12 @@ def cmd_rep_check(args):
     params = resolve_params(args)
     rep = build_rep(params, args.window)
     m = rep.dim_window
-    f = [float(structure_function(params, n)) for n in range(m)]
-    g = [float(commutator_gap(params, n)) for n in range(m - 1)]
-    prod_dev = float(np.max(np.abs(rep.raising @ rep.lowering - np.diag(f))))
+    table = ladder_table(params, m)
+    prod_dev = float(np.max(np.abs(rep.raising @ rep.lowering - np.diag(table.f))))
     comm = rep.lowering @ rep.raising - rep.raising @ rep.lowering
     expected = np.zeros((m, m), dtype=complex)
-    expected[: m - 1, : m - 1] = np.diag(g[: m - 1])
-    expected[m - 1, m - 1] = -f[m - 1]  # exact value in the finite case, cutoff artifact otherwise
+    expected[: m - 1, : m - 1] = np.diag(table.g[: m - 1])
+    expected[m - 1, m - 1] = -table.f[m - 1]  # exact when finite, a cutoff artifact otherwise
     comm_dev = float(np.max(np.abs(comm - expected)))
     payload = {"command": "rep-check"}
     payload.update(params_payload(params))
@@ -287,10 +287,10 @@ def cmd_truncate(args):
     rep = build_truncated_rep(params, args.window, args.s)
     m, s = rep.dim_window, args.s
     comm = rep.lowering @ rep.raising - rep.raising @ rep.lowering
+    table = ladder_table(params, m)
     expected = np.zeros((m, m), dtype=complex)
-    for n in range(s):
-        expected[n, n] = float(commutator_gap(params, n))
-    expected[s - 1, s - 1] -= float(structure_function(params, s))
+    expected[:s, :s] = np.diag(table.g[:s])
+    expected[s - 1, s - 1] -= table.f[s]
     dev = float(np.max(np.abs(comm - expected)))
     payload = {"command": "truncate"}
     payload.update(params_payload(params))
@@ -356,10 +356,6 @@ def cmd_measure(args):
     kind = StateKind(args.kind if args.kind is not None else "perelomov")
     moments = moments_for(params, kind, count=args.levels)
     measure = solve_measure(moments)
-    match_err = 0.0
-    for n, m_n in enumerate(moments.values):
-        approx = float(np.sum(measure.weights * measure.nodes**n))
-        match_err = max(match_err, abs(approx - float(m_n)) / float(m_n))
     payload = {"command": "measure", "kind": kind.value}
     payload.update(params_payload(params))
     payload.update(
@@ -370,7 +366,7 @@ def cmd_measure(args):
             "nodes": [float(t) for t in measure.nodes],
             "weights": [float(w) for w in measure.weights],
             "n_matched": measure.n_matched,
-            "moment_match_max_rel_err": match_err,
+            "moment_match_max_rel_err": measure.max_rel_err,
             "identity_deviation": verify_identity(params, kind, measure),
         }
     )
@@ -523,7 +519,7 @@ def emit(args: argparse.Namespace, payload: dict, table) -> None:
         writer.writerows(table[1])
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:

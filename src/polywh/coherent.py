@@ -35,7 +35,7 @@ from .algebra import (
     LadderRep,
     _freeze,
     classify,
-    commutator_gap,
+    ladder_table,
     reciprocal_ells,
     structure_function,
 )
@@ -96,32 +96,50 @@ class CoherentState:
         return float(np.linalg.norm(self.coeffs))
 
 
-def _truncate_series(step, ratio_sup, tail_tol, max_terms):
-    """Accumulate c_0 = 1, c_n = c_{n-1} * step(n) until the l2 tail is
-    provably below tail_tol times the partial norm.
+def _truncate_series(kind, params, z, ratio_sup, tail_tol, max_terms):
+    """Accumulate c_0 = 1, c_n = c_{n-1} * step(n) (`_steps`) until
+    the l2 tail is provably below tail_tol times the partial norm.
 
     ratio_sup(j) must bound |c_{m+1}/c_m| for every m >= j; once it drops
     under 1 the tail is dominated by a geometric series, giving
-    tail^2 <= |c_next|^2 / (1 - q^2).
+    tail^2 <= |c_next|^2 / (1 - q^2).  Blocks of doubling length are
+    accumulated from the previous carry, in the order of a term-by-term
+    loop; as tail^2 >= |c_next|^2, the bound is evaluated only where the
+    term alone is under the tolerance.
     """
-    coeffs = [1.0 + 0.0j]
+    tol2 = tail_tol * tail_tol
+    coeffs = np.ones(1, dtype=complex)
     norm2 = 1.0
-    n = 0
     while True:
-        c_next = coeffs[-1] * step(n + 1)
-        q = ratio_sup(n + 1)
-        if q < 1.0:
-            tail2 = abs(c_next) ** 2 / (1.0 - q * q)
-            if tail2 <= tail_tol * tail_tol * norm2:
-                bound = math.sqrt(tail2 / norm2)
-                return np.array(coeffs, dtype=complex), bound
-        n += 1
-        if n >= max_terms:
+        lo = len(coeffs)
+        hi = min(max(2 * lo, 64), max_terms + 1)
+        block = np.cumprod(np.concatenate((coeffs[-1:], _steps(kind, params, z, lo, hi))))[1:]
+        abs2 = np.abs(block) ** 2
+        norms = np.cumsum(np.concatenate(([norm2], abs2)))  # norms[i]: before block[i]
+        for i in np.flatnonzero(abs2 <= tol2 * norms[:-1]):
+            q = ratio_sup(lo + int(i))
+            if q < 1.0:
+                tail2 = float(abs2[i]) / (1.0 - q * q)
+                if tail2 <= tol2 * norms[i]:
+                    return np.concatenate((coeffs, block[:i])), math.sqrt(tail2 / norms[i])
+        if hi > max_terms:
             raise DomainError(
                 f"series did not reach tail tolerance {tail_tol:g} within {max_terms} terms"
             )
-        coeffs.append(c_next)
-        norm2 += abs(c_next) ** 2
+        coeffs = np.concatenate((coeffs, block))
+        norm2 = norms[-1]
+        del block, abs2, norms  # not held while the next block is built
+
+
+def _steps(kind, params, z, lo, hi):
+    """c_n / c_{n-1} for lo <= n < hi: z e^{-i G(n-1) phi} times sqrt(F(n)) / n
+    (perelomov) or 1 / sqrt(F(n)) (barut-girardello)."""
+    table = ladder_table(params, hi)
+    roots = np.sqrt(table.f[lo:])
+    steps = z * roots / np.arange(lo, hi) if kind is StateKind.PERELOMOV else z / roots
+    phase = 1j * (table.g[lo - 1 : hi - 1] * -params.phi)
+    steps *= np.exp(phase, out=phase)
+    return steps
 
 
 def _finish(kind, params, z, coeffs, normalize, meta) -> CoherentState:
@@ -146,14 +164,8 @@ def perelomov_state(
     """
     z = complex(z)
     dim = classify(params)
-    phi = params.phi
     if dim.is_finite:
-        f = [structure_function(params, n) for n in range(dim.d)]
-        coeffs = np.empty(dim.d, dtype=complex)
-        coeffs[0] = 1.0
-        for n in range(1, dim.d):
-            gap = float(f[n] - f[n - 1])
-            coeffs[n] = coeffs[n - 1] * z * math.sqrt(float(f[n])) / n * np.exp(-1j * gap * phi)
+        coeffs = np.cumprod(np.r_[1.0, _steps(StateKind.PERELOMOV, params, z, 1, dim.d)])
         meta = CutoffMeta(exact=True, n_terms=dim.d)
         return _finish(StateKind.PERELOMOV, params, z, coeffs, normalize, meta)
 
@@ -169,18 +181,13 @@ def perelomov_state(
             f"{1.0 / math.sqrt(k1):.6g}, got |z| = {abs(z):.6g}"
         )
 
-    def step(n):
-        f_n = float(structure_function(params, n))
-        gap = float(commutator_gap(params, n - 1))
-        return z * math.sqrt(f_n) / n * np.exp(-1j * gap * phi)
-
     def ratio_sup(j):
         # |c_{m+1}/c_m| = |z| sqrt((1 + k1 m)/(m + 1)) is monotone toward
         # sqrt(k1), so the sup over m >= j is attained at m = j or in the limit
         g = (1.0 + k1 * j) / (j + 1.0)
         return abs(z) * math.sqrt(max(g, k1))
 
-    coeffs, bound = _truncate_series(step, ratio_sup, tail_tol, max_terms)
+    coeffs, bound = _truncate_series(StateKind.PERELOMOV, params, z, ratio_sup, tail_tol, max_terms)
     meta = CutoffMeta(exact=False, n_terms=len(coeffs), tail_bound=bound, tail_tol=tail_tol)
     return _finish(StateKind.PERELOMOV, params, z, coeffs, normalize, meta)
 
@@ -238,20 +245,15 @@ def bg_state(
             "no lowering-operator eigenstate exists for complex z on a finite ladder "
             f"(d = {dim.d}); use bg_grassmann_state for the nilpotent-variable construction"
         )
-    phi = params.phi
-
-    def step(n):
-        f_n = float(structure_function(params, n))
-        gap = float(commutator_gap(params, n - 1))
-        return z / math.sqrt(f_n) * np.exp(-1j * gap * phi)
 
     def ratio_sup(j):
         # F is nondecreasing on the infinite ladder, so the first ratio dominates
         return abs(z) / math.sqrt(float(structure_function(params, j + 1)))
 
-    coeffs, bound = _truncate_series(step, ratio_sup, tail_tol, max_terms)
+    kind = StateKind.BARUT_GIRARDELLO
+    coeffs, bound = _truncate_series(kind, params, z, ratio_sup, tail_tol, max_terms)
     meta = CutoffMeta(exact=False, n_terms=len(coeffs), tail_bound=bound, tail_tol=tail_tol)
-    return _finish(StateKind.BARUT_GIRARDELLO, params, z, coeffs, normalize, meta)
+    return _finish(kind, params, z, coeffs, normalize, meta)
 
 
 def check_bg_eigen(state: CoherentState, rep: LadderRep) -> float:
@@ -295,10 +297,7 @@ def time_evolve(state: CoherentState, t: float) -> CoherentState:
     carries over unchanged).
     """
     t = float(t)
-    fvals = np.array(
-        [float(structure_function(state.params, n)) for n in range(len(state.coeffs))]
-    )
-    coeffs = state.coeffs * np.exp(-1j * fvals * t)
+    coeffs = state.coeffs * np.exp(-1j * ladder_table(state.params, len(state.coeffs)).f * t)
     return CoherentState(
         state.kind,
         state.params.with_phi(state.phi + t),
@@ -366,15 +365,7 @@ def perelomov_log_partial_norms(params: AlgebraParams, z, n_terms: int) -> np.nd
     if classify(params).is_finite:
         raise DomainError("the divergence diagnostic applies to the infinite ladder")
     z = complex(z)
-    log_term = 0.0  # log |c_n|^2
-    log_sum = 0.0
-    out = np.empty(n_terms)
-    out[0] = 0.0
-    for n in range(1, n_terms):
-        f_n = float(structure_function(params, n))
-        log_term += math.log(abs(z) ** 2 * f_n / n**2) if z != 0 else -math.inf
-        # log-sum-exp accumulation of the partial norm
-        hi, lo = max(log_sum, log_term), min(log_sum, log_term)
-        log_sum = hi + math.log1p(math.exp(lo - hi))
-        out[n] = log_sum
-    return out
+    f = ladder_table(params, n_terms).f
+    with np.errstate(divide="ignore"):  # z = 0: log |c_n|^2 = -inf past c_0
+        log_ratios = np.log(abs(z) ** 2 * f[1:] / np.arange(1, n_terms) ** 2)
+    return np.logaddexp.accumulate(np.concatenate(([0.0], np.cumsum(log_ratios))))

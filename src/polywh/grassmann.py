@@ -9,12 +9,11 @@ annihilated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, LadderRep, build_rep, classify, structure_function
+from .algebra import AlgebraParams, LadderRep, build_rep, classify, ladder_table
 from .errors import DomainError
 
 __all__ = [
@@ -135,15 +134,8 @@ def bg_grassmann_state(params: AlgebraParams, dim: int | None = None) -> Grassma
     dim = int(dim)
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    coeffs = []
-    amp = 1.0  # 1 / sqrt(F(n)!)
-    for n in range(dim):
-        if n > 0:
-            amp /= math.sqrt(float(structure_function(params, n)))
-        comps = [0j] * dim
-        comps[n] = amp * np.exp(-1j * float(structure_function(params, n)) * params.phi)
-        coeffs.append(GrassmannElement(dim, tuple(comps)))
-    return GrassmannState(params, dim, tuple(coeffs))
+    kernel = ladder_table(params, dim).kernel(params.phi)
+    return GrassmannState(params, dim, tuple(GrassmannElement(dim, c) for c in np.diag(kernel)))
 
 
 def check_bg_grassmann_eigen(state: GrassmannState, rep: LadderRep) -> float:
@@ -184,11 +176,6 @@ def complex_z_bg_residual(params: AlgebraParams, z) -> float:
         raise DomainError("the nonexistence diagnostic applies to finite ladders")
     z = complex(z)
     rep = build_rep(params)
-    f = [structure_function(params, n) for n in range(dim.d)]
-    c = np.empty(dim.d, dtype=complex)
-    c[0] = 1.0
-    for n in range(1, dim.d):
-        gap = float(f[n] - f[n - 1])
-        c[n] = c[n - 1] * z / math.sqrt(float(f[n])) * np.exp(-1j * gap * params.phi)
+    c = z ** np.arange(dim.d) * ladder_table(params, dim.d).kernel(params.phi)
     resid = rep.lowering @ c - z * c
     return float(np.linalg.norm(resid) / np.linalg.norm(c))

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraParams, _freeze, classify, generalized_factorial
+from .algebra import AlgebraParams, _freeze, classify, structure_function
 from .coherent import StateKind, bg_state, perelomov_state
 from .errors import DomainError
 
@@ -63,11 +63,12 @@ class DiscreteMeasure:
     """Positive nodes/weights in the t = |z|^2 variable.
 
     ``n_matched`` records how many leading moments the rule reproduces
-    (all of the supplied ones)."""
+    (all of the supplied ones), ``max_rel_err`` how closely."""
 
     nodes: np.ndarray
     weights: np.ndarray
     n_matched: int
+    max_rel_err: float
 
 
 def moments_for(params: AlgebraParams, kind, count: int | None = None) -> MomentSequence:
@@ -87,7 +88,6 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
             )
         if count is None:
             raise ValueError("infinite ladder needs an explicit moment count")
-        values = tuple(generalized_factorial(params, n) for n in range(count))
     else:
         if dim.is_finite:
             if count is None:
@@ -101,10 +101,12 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
                 )
             if count is None:
                 raise ValueError("infinite ladder needs an explicit moment count")
-        values = tuple(
-            Fraction(math.factorial(n)) ** 2 / generalized_factorial(params, n)
-            for n in range(count)
-        )
+    factorials = [Fraction(1)]  # F(n)!, as one running product
+    for n in range(1, count):
+        factorials.append(factorials[-1] * structure_function(params, n))
+    values = tuple(factorials[:count])
+    if kind is StateKind.PERELOMOV:
+        values = tuple(Fraction(math.factorial(n)) ** 2 / v for n, v in enumerate(values))
     if any(v <= 0 for v in values):
         raise DomainError("moment sequence has a nonpositive entry")
     return MomentSequence(values, kind)
@@ -247,7 +249,7 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
             "numerically unstable recurrence: the solved rule reproduces the supplied "
             f"moments only to relative error {worst:g}"
         )
-    return DiscreteMeasure(_freeze(nodes), _freeze(weights), count)
+    return DiscreteMeasure(_freeze(nodes), _freeze(weights), count, worst)
 
 
 def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> float:

@@ -4,11 +4,12 @@ Everything here is written from the defining formulas, separately from
 the library code paths it cross-checks.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from polywh import AlgebraParams
+from polywh import AlgebraParams, DomainError
 
 
 def brute_structure(kappas, n) -> Fraction:
@@ -24,6 +25,66 @@ def brute_factorial(kappas, n) -> Fraction:
     for k in range(1, n + 1):
         total *= brute_structure(kappas, k)
     return total
+
+
+def bg_kernel_log_moduli(kappas, n_max) -> np.ndarray:
+    """log 1/sqrt(F(n)!), summed term by term over the exact F(n)."""
+    logs = [0.0]
+    acc = 0.0
+    for n in range(1, n_max + 1):
+        acc += math.log(float(brute_structure(kappas, n)))
+        logs.append(-0.5 * acc)
+    return np.array(logs)
+
+
+def truncate_series(step, ratio_sup, tail_tol, max_terms):
+    """Term-by-term series cutoff: c_0 = 1, c_n = c_{n-1} * step(n), stopped
+    once the geometric bound puts the l2 tail below tail_tol of the norm."""
+    coeffs = [1.0 + 0.0j]
+    norm2 = 1.0
+    n = 0
+    while True:
+        c_next = coeffs[-1] * step(n + 1)
+        q = ratio_sup(n + 1)
+        if q < 1.0:
+            tail2 = abs(c_next) ** 2 / (1.0 - q * q)
+            if tail2 <= tail_tol * tail_tol * norm2:
+                return np.array(coeffs, dtype=complex), math.sqrt(tail2 / norm2)
+        n += 1
+        if n >= max_terms:
+            raise DomainError(f"no tail tolerance {tail_tol:g} within {max_terms} terms")
+        coeffs.append(c_next)
+        norm2 += abs(c_next) ** 2
+
+
+def series_reference(params: AlgebraParams, kind: str, z, tail_tol=1e-14, max_terms=200_000):
+    """(coeffs, tail bound) of an infinite-ladder perelomov or
+    barut-girardello series, one exact F(n) per step."""
+    z = complex(z)
+
+    def fval(n):
+        return float(brute_structure(params.kappas, n))
+
+    def gap(n):
+        return float(brute_structure(params.kappas, n + 1) - brute_structure(params.kappas, n))
+
+    if kind == "perelomov":
+        k1 = float(params.kappas[0])
+
+        def step(n):
+            return z * math.sqrt(fval(n)) / n * np.exp(-1j * gap(n - 1) * params.phi)
+
+        def ratio_sup(j):
+            return abs(z) * math.sqrt(max((1.0 + k1 * j) / (j + 1.0), k1))
+    else:
+
+        def step(n):
+            return z / math.sqrt(fval(n)) * np.exp(-1j * gap(n - 1) * params.phi)
+
+        def ratio_sup(j):
+            return abs(z) / math.sqrt(fval(j + 1))
+
+    return truncate_series(step, ratio_sup, tail_tol, max_terms)
 
 
 def dense_poly_mul_trunc(a_comps, b_comps, dim):

@@ -17,6 +17,7 @@ from polywh import (
     reciprocal_ells,
     structure_function,
 )
+from polywh.algebra import ladder_table
 
 from oracles import brute_factorial, brute_structure
 
@@ -109,6 +110,32 @@ def test_scalars_match_brute_oracle_finite():
         for n in range(d):
             assert structure_function(params, n) == brute_structure(kappas, n)
             assert generalized_factorial(params, n) == brute_factorial(kappas, n)
+
+
+_KAPPA = st.fractions(min_value=0, max_value=9, max_denominator=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    first=st.one_of(_KAPPA, st.integers(min_value=1, max_value=39).map(lambda k: Fraction(-1, k))),
+    rest=st.lists(_KAPPA, max_size=2),
+    far=st.integers(min_value=0, max_value=200_000),
+)
+def test_ladder_table_is_the_exact_values_rounded(first, rest, far):
+    # bit for bit (hex tells -0.0 from 0.0) wherever F(n+1) prod q_i < 2**53
+    params = AlgebraParams([first, *rest])
+    dim = classify(params)
+    size = min(far, dim.d - 1) + 1 if dim.is_finite else far + 1
+    table = ladder_table(params, size)
+    scale = math.prod(k.denominator for k in params.kappas)
+    for n in sorted({*range(min(size, 40)), size - 1}):
+        if abs(structure_function(params, n + 1)) * scale >= 2**53:
+            continue
+        assert table.f[n].hex() == float(structure_function(params, n)).hex()
+        assert table.g[n].hex() == float(commutator_gap(params, n)).hex()
+    if dim.is_finite:
+        with pytest.raises(ValueError):
+            ladder_table(params, dim.d + 1)
 
 
 # --------------------------------------------------------- representations

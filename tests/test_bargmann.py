@@ -16,6 +16,8 @@ from polywh import (
     schwarz_check,
 )
 
+from oracles import bg_kernel_log_moduli
+
 
 def factorial_series(n_max, power=1.0, scale=1.0):
     """log |c_n| for c_n = scale / (n!)^power, safe for any n_max."""
@@ -137,6 +139,15 @@ def test_kernel_estimate_matches_closed_form_quickly():
     assert (rho, sigma) == (1.0, 1.0)
     assert est.rho_hat == pytest.approx(rho, rel=0.05)
     assert est.sigma_hat == pytest.approx(sigma, rel=0.10)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kernel_matches_term_by_term_sum(r):
+    # (7/2)(5/3)(9/4) n^4 passes 2**53 near n = 2300, so r = 3 runs past the exact range
+    kappas = [Fraction(7, 2), Fraction(5, 3), Fraction(9, 4)][:r]
+    series = EntireSeries.bg_kernel(AlgebraParams(kappas), 5000)
+    ref = bg_kernel_log_moduli(kappas, 5000)
+    np.testing.assert_allclose(series.log_moduli, ref, rtol=1e-15, atol=0)
 
 
 def test_kernel_needs_infinite_ladder():

@@ -83,6 +83,14 @@ def test_io_error_exit_code(capsys, tmp_path):
     assert "cannot write" in err
 
 
+def test_non_finite_artifact_is_refused(capsys):
+    # the kappa = 0 eigenstate norm overflows past |z| ~ 27
+    code, out, err = run_cli(capsys, "cs-bg", "--kappa", "0", "--z", "30")
+    assert code == 2
+    assert out == ""
+    assert "JSON" in err
+
+
 def test_csv_unsupported_for_state_dump(capsys):
     code, _, err = run_cli(capsys, "cs-bg", "--kappa", "1/2", "--z", "1", "--format", "csv")
     assert code == 2

@@ -29,6 +29,7 @@ from oracles import (
     random_finite_params,
     random_infinite_params,
     random_z,
+    series_reference,
 )
 
 OSC = AlgebraParams([0])
@@ -75,6 +76,31 @@ def test_perelomov_series_diverges_for_r2():
     logs = perelomov_log_partial_norms(params, 0.5, 400)
     assert logs[-1] > 100  # partial norms blow past e^100
     assert np.all(np.diff(logs[1:]) >= 0)
+
+
+@pytest.mark.parametrize(
+    "kind, kappas, phi, z",
+    [
+        ("barut-girardello", [0], 0.0, 3 - 1j),
+        ("barut-girardello", ["1/2"], 0.3, 1 + 0.5j),
+        ("barut-girardello", ["1/3", "2"], -0.8, 9 + 4j),
+        ("barut-girardello", [0], 1.1, 25.0),
+        ("perelomov", [0], 0.5, 3 - 2j),
+        ("perelomov", ["1/2"], 0.2, 1.4),
+        ("perelomov", ["1/4"], -1.3, 1.99j),
+    ],
+)
+def test_block_series_matches_term_by_term_cutoff(kind, kappas, phi, z):
+    params = AlgebraParams(kappas, phi)
+    build = perelomov_state if kind == "perelomov" else bg_state
+    state = build(params, z)
+    ref, bound = series_reference(params, kind, z)
+    assert state.cutoff_meta.n_terms == len(ref)
+    assert state.cutoff_meta.tail_bound == pytest.approx(bound, rel=1e-12)
+    assert np.max(np.abs(state.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert build(params, z, max_terms=len(ref)).cutoff_meta.n_terms == len(ref)
+    with pytest.raises(DomainError):
+        build(params, z, max_terms=len(ref) - 1)
 
 
 def test_via_exponential_d2():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,7 +7,6 @@ import pytest
 
 from polywh import (
     AlgebraParams,
-    DiscreteMeasure,
     DomainError,
     MomentSequence,
     StateKind,
@@ -149,13 +149,13 @@ def test_perturbed_weights_are_detected():
     measure = solve_measure(moments_for(params, "perelomov"))
     clean = verify_identity(params, "perelomov", measure)
     assert clean <= 1e-10
-    broken = DiscreteMeasure(measure.nodes, measure.weights + 1e-3, measure.n_matched)
+    broken = dataclasses.replace(measure, weights=measure.weights + 1e-3)
     assert verify_identity(params, "perelomov", broken) >= 1e-4
 
 
 def test_identity_range_mismatch():
     params = AlgebraParams([-1])  # d = 2
     measure = solve_measure(moments_for(params, "perelomov"))
-    oversized = DiscreteMeasure(measure.nodes, measure.weights, 5)
+    oversized = dataclasses.replace(measure, n_matched=5)
     with pytest.raises(ValueError):
         verify_identity(params, "perelomov", oversized)
