@@ -126,9 +126,11 @@ def schwarz_check(params: AlgebraParams, f_coeffs, z_grid) -> float:
     nrm2 = float(np.sum(np.abs(f) ** 2))
     if abs(nrm2 - 1.0) > 1e-12:
         raise ValueError(f"f must be normalized: sum |f_n|^2 = {nrm2!r}")
-    values = bargmann_eval(params, f, np.asarray(z_grid, dtype=complex))
-    excess = (abs(complex(v)) - bg_normalization(params, z) for z, v in zip(z_grid, values))
-    return max(excess, default=-math.inf)
+    z_grid = np.asarray(z_grid, dtype=complex)
+    if not z_grid.size:
+        return -math.inf
+    excess = np.abs(bargmann_eval(params, f, z_grid)) - bg_normalization(params, z_grid)
+    return float(np.max(excess))
 
 
 def estimate_growth(series: EntireSeries) -> GrowthEstimate:

@@ -325,12 +325,14 @@ def overlap(s1: CoherentState, s2: CoherentState, *, unchecked: bool = False) ->
     return complex(np.vdot(s1.coeffs[:length], s2.coeffs[:length]))
 
 
-def hyper_0f(ells, x: float, *, rel_tol: float = 1e-16, max_terms: int = 100_000) -> float:
-    """Generalized hypergeometric series 0F_q(ell_1, ..., ell_q; x).
+def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
+    """Generalized hypergeometric series 0F_q(ell_1, ..., ell_q; x), at x or an x-array.
 
     Summed term by term, t_{k+1} = t_k * x / ((k+1) prod_i (ell_i + k)),
     until the relative term drops below ``rel_tol``.
     """
+    if np.ndim(x):
+        return _hyper_0f_array(ells, np.asarray(x, dtype=float), rel_tol, max_terms)
     term = 1.0
     total = 1.0
     k = 0
@@ -343,16 +345,42 @@ def hyper_0f(ells, x: float, *, rel_tol: float = 1e-16, max_terms: int = 100_000
     return total
 
 
-def bg_normalization(params: AlgebraParams, z) -> float:
-    """|N(z)| with |N|^2 = 0F_q(ells; prod(ells) |z|^2).
+def _hyper_0f_array(ells, x: np.ndarray, rel_tol: float, max_terms: int) -> np.ndarray:
+    """The scalar sum of `hyper_0f` at every entry of x at once.  Each entry
+    stops at its own term, so it equals the scalar sum bit for bit; a plain
+    float loop stays faster for one x."""
+    out = np.ones(x.shape)
+    live = np.arange(x.size)  # flat indices still summing
+    xs, term, total = x.ravel(), np.ones(x.size), np.ones(x.size)
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # as the float sum: inf, no warning
+        while True:
+            going = np.abs(term) > rel_tol * np.abs(total)
+            if not going.all():
+                out.flat[live[~going]] = total[~going]
+                live, xs, term, total = live[going], xs[going], term[going], total[going]
+            if not live.size:
+                return out
+            term *= xs / ((k + 1) * math.prod(ell + k for ell in ells))
+            total += term
+            k += 1
+            if k >= max_terms:
+                raise DomainError("hypergeometric series did not converge")
+
+
+def bg_normalization(params: AlgebraParams, z):
+    """|N(z)| with |N|^2 = 0F_q(ells; prod(ells) |z|^2), at z or a z-array.
 
     Valid for kappas of the reciprocal-integer form 1/ell (zero kappas
     drop out).  Agrees with the l2 norm of the unnormalized
     lowering-eigenstate coefficient vector at the same z.
     """
     ells = reciprocal_ells(params)
-    x = math.prod(ells) * abs(complex(z)) ** 2
-    return math.sqrt(hyper_0f(ells, x))
+    if np.ndim(z) == 0:
+        return math.sqrt(hyper_0f(ells, math.prod(ells) * abs(complex(z)) ** 2))
+    z = np.asarray(z, dtype=complex)
+    x = math.prod(ells) * np.hypot(z.real, z.imag) ** 2  # hypot: bit-equal to abs(complex)
+    return np.sqrt(hyper_0f(ells, x))
 
 
 def perelomov_log_partial_norms(params: AlgebraParams, z, n_terms: int) -> np.ndarray:

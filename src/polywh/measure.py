@@ -11,13 +11,23 @@ radial measure in t = |z|^2 must reproduce the moments
 for every populated level n.  A discrete positive measure with those
 moments is produced by the classical chain
 
-    moments -> three-term recurrence (Chebyshev algorithm)
-            -> Jacobi matrix -> Gauss nodes and weights,
+    moments -> Chebyshev table (exact)  -> Hankel minors H_k, H'_k
+            -> recurrence alpha_j, beta_j read off the minors (exact)
+            -> Jacobi matrix -> Gauss nodes and weights (float).
 
-run in exact rational arithmetic all the way to the final symmetric
-eigensolve.  Raw-moment recurrences are notoriously ill-conditioned in
-floating point; exact arithmetic sidesteps that entirely, and makes the
-Hankel positivity checks decisive rather than heuristic.
+One pass of the Chebyshev algorithm in exact rationals, O(M^2) operations
+for M moments, gives both positivity certificates: the plain and shifted
+Hankel minors, which decide exactly whether a measure on (0, inf) exists.
+The recurrence coefficients follow from the minors in O(M) divisions.
+Raw-moment recurrences are notoriously ill-conditioned in floating point;
+exact arithmetic sidesteps that and makes the checks decisive rather than
+heuristic.  The float endgame takes the nodes from ``eigvalsh`` of the
+Jacobi matrix, polishes them by Newton steps on the orthogonal polynomial,
+and takes the weights as Christoffel numbers from the orthonormal
+three-term recurrence, which keeps the small tail weights accurate to a few
+ulp where eigenvector weights lose them (Gautschi, Orthogonal Polynomials:
+Computation and Approximation, OUP 2004, sections 2.1 and 3.1).  The rule
+is accepted only if it reproduces every supplied moment to 1e-8.
 
 With an odd number of supplied moments the last diagonal recurrence
 coefficient is not pinned down; it is completed just above the exact
@@ -38,6 +48,8 @@ import numpy as np
 from .algebra import AlgebraParams, _freeze, classify, structure_function
 from .coherent import StateKind, bg_state, perelomov_state
 from .errors import DomainError
+
+NEWTON_STEPS = 3  # on eigvalsh nodes, which are already close
 
 __all__ = [
     "MomentSequence",
@@ -112,70 +124,97 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
     return MomentSequence(values, kind)
 
 
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-preserving Gaussian elimination."""
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    return det
-
-
 def hankel_minors(values) -> tuple[list[Fraction], list[Fraction]]:
     """Leading principal minors of H = [m_{i+j}] and of the shifted
-    H' = [m_{i+j+1}], every size the supplied moments allow."""
-    values = list(values)
-    count = len(values)
-    plain = [
-        _fraction_det([[values[i + j] for j in range(k)] for i in range(k)])
-        for k in range(1, (count + 1) // 2 + 1)
-    ]
-    shifted = [
-        _fraction_det([[values[i + j + 1] for j in range(k)] for i in range(k)])
-        for k in range(1, count // 2 + 1)
-    ]
+    H' = [m_{i+j+1}], every size the supplied moments allow.
+
+    One pass of the Chebyshev algorithm gives them in O(M^2) exact
+    operations: sigma_{j,l} = <pi_j, t^l> for the monic orthogonal
+    polynomials pi_j, so det H_{j+1} = det H_j * sigma_{j,j}, and
+    det H'_k = det H_k * D_k with D_k = det J_k = (-1)^k pi_k(0) from
+    D_k = alpha_{k-1} D_{k-1} - beta_{k-1} D_{k-2}.  The table divides by
+    sigma_{j,j}, so it stops at an exact zero minor: the lists then end
+    with that zero (a prefix of the full ones).
+    """
+    values = [Fraction(v) for v in values]
+    plain, shifted = [], []
+    row, prev = values, [Fraction(0)] * (len(values) + 2)  # sigma_{j,j+i}, sigma_{j-1,j-1+i}
+    det, d, d_prev = Fraction(1), Fraction(1), Fraction(0)  # det H_j, D_j, D_{j-1}
+    alpha = beta = ratio = Fraction(0)
+    for j in range((len(values) + 1) // 2):
+        if j:
+            step = zip(row[2:], row[1:], prev[2:])
+            row, prev = [a - alpha * b - beta * c for a, b, c in step], row
+        sigma = row[0]
+        det *= sigma
+        plain.append(det)
+        if sigma == 0:
+            break
+        beta = sigma / prev[0] if j else sigma
+        if len(row) < 2:
+            break
+        next_ratio = row[1] / sigma  # sigma_{j,j+1} / sigma_{j,j}
+        alpha, ratio = next_ratio - ratio, next_ratio
+        d, d_prev = alpha * d - beta * d_prev, d
+        shifted.append(det * d)
     return plain, shifted
 
 
-def _moment_recurrence(values: list[Fraction], k: int):
-    """Chebyshev moment-to-recurrence table in exact rationals.
+def _gauss_rule(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rule of a Jacobi matrix.
 
-    Returns (alphas, betas) of the monic three-term recurrence.  With
-    2k moments all k alphas are determined; with 2k-1 the last alpha is
-    missing (it would need one more moment) and the caller completes it.
+    The eigenvalues are polished by Newton steps on the degree-k
+    orthogonal polynomial, and the weights are the Christoffel numbers
+    1/sum_{n<k} p_n(t)^2 of the orthonormal polynomials p_n, all evaluated
+    by the three-term recurrence (Gautschi 2004, sections 2.1 and 3.1).
+    Weights from the eigenvectors (Golub-Welsch) lose the relative accuracy
+    of the small weights far out in the tail.
     """
-    count = len(values)
-    alphas = [values[1] / values[0]] if count >= 2 else []
-    betas = [values[0]]
-    sigma_old = list(values)  # row j-1,  sigma_{j-1, l}
-    sigma_older = [Fraction(0)] * count  # row j-2
-    for j in range(1, k):
-        row = [Fraction(0)] * count
-        for l in range(j, count - j):
-            row[l] = sigma_old[l + 1] - alphas[j - 1] * sigma_old[l] - betas[j - 1] * sigma_older[l]
-        if sigma_old[j - 1] <= 0 or row[j] <= 0:
-            raise DomainError(
-                f"moment sequence is not positive-definite at recurrence stage {j}"
-            )
-        betas.append(row[j] / sigma_old[j - 1])
-        if j + 1 <= count - 1 - j:
-            alphas.append(row[j + 1] / row[j] - sigma_old[j] / sigma_old[j - 1])
-        sigma_older, sigma_old = sigma_old, row
-    return alphas, betas
+    off = np.sqrt(betas)
+    nodes = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
+    for _ in range(NEWTON_STEPS):
+        value, slope, _ = _orthonormal_values(alphas, off, nodes)
+        nodes = nodes - value / slope
+    *_, squares = _orthonormal_values(alphas, off, nodes)
+    return nodes, 1.0 / squares
+
+
+def _orthonormal_values(alphas, off, t):
+    """sqrt(beta_k) p_k(t), its derivative in t, and sum_{n<k} p_n(t)^2.
+
+    The p_n are orthonormal for the mass beta_0 = off[0]^2:
+    sqrt(beta_{n+1}) p_{n+1} = (t - alpha_n) p_n - sqrt(beta_n) p_{n-1}."""
+    p_prev, p = np.zeros_like(t), np.full_like(t, 1.0 / off[0])
+    dp_prev, dp = np.zeros_like(t), np.zeros_like(t)
+    squares = p * p
+    for n, alpha in enumerate(alphas):
+        p_next = (t - alpha) * p - off[n] * p_prev
+        dp_next = p + (t - alpha) * dp - off[n] * dp_prev
+        if n + 1 < len(alphas):
+            p_prev, p = p, p_next / off[n + 1]
+            dp_prev, dp = dp, dp_next / off[n + 1]
+            squares += p * p
+    return p_next, dp_next, squares
+
+
+def _moment_match(values, nodes: np.ndarray, weights: np.ndarray) -> float:
+    """Largest relative error of sum_j w_j t_j^n against the exact m_n.
+
+    Both sides are divided by s^n, s the largest node, so that no power of
+    a node leaves the double range however large the moments grow."""
+    scale = float(nodes.max())
+    approx = ((nodes / scale) ** np.arange(len(values))[:, None]) @ weights
+    worst, power, exact_scale = 0.0, Fraction(1), Fraction(scale)
+    for m_n, a_n in zip(values, approx):
+        try:
+            target = float(m_n / power)
+        except OverflowError:
+            return math.inf
+        if target == 0.0:
+            return math.inf
+        worst = max(worst, abs(a_n - target) / target)
+        power *= exact_scale
+    return worst
 
 
 def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
@@ -183,7 +222,9 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
 
     Uses ceil(M/2) nodes for M supplied moments.  Positivity of the plain
     and shifted Hankel minors is checked exactly first; a failure names
-    the offending minor.
+    the offending minor.  The recurrence coefficients are then read off the
+    minors: beta_j = H_{j+1} H_{j-1} / H_j^2 and, with D_k = H'_k / H_k,
+    alpha_{k-1} = (D_k + beta_{k-1} D_{k-2}) / D_{k-1}.
     """
     values = list(moments.values)
     count = len(values)
@@ -202,21 +243,18 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
             )
 
     k = (count + 1) // 2
-    alphas, betas = _moment_recurrence(values, k)
+    sigmas = [h / h_prev for h, h_prev in zip(plain, [Fraction(1), *plain])]  # H_{j+1} / H_j
+    betas = [s / s_prev for s, s_prev in zip(sigmas, [Fraction(1), *sigmas])]
+    dets = [Fraction(0), Fraction(1), *(s / h for s, h in zip(shifted, plain))]  # D_{-1}, D_0, ...
+    alphas = [(dets[j + 2] + betas[j] * dets[j]) / dets[j + 1] for j in range(len(shifted))]
     if len(alphas) < k:
         # The last diagonal entry of the Jacobi matrix is unconstrained by
-        # the supplied moments.  det(J_m) = alpha_{m-1} det(J_{m-1}) -
-        # beta_{m-1} det(J_{m-2}) is rational, so the exact positivity
-        # threshold tau (Schur complement of the leading block) is
-        # available; anything above it keeps every node strictly positive.
-        if k == 1:
-            alphas.append(Fraction(1))
-        else:
-            dets = [Fraction(1), alphas[0]]
-            for j in range(2, k):
-                dets.append(alphas[j - 1] * dets[j - 1] - betas[j - 1] * dets[j - 2])
-            tau = betas[k - 1] * dets[k - 2] / dets[k - 1]
-            alphas.append(2 * tau + 1)
+        # the supplied moments.  det(J_k) = alpha_{k-1} D_{k-1} - beta_{k-1}
+        # D_{k-2} is linear in it, so the exact positivity threshold tau
+        # (Schur complement of the leading block) is available; anything
+        # above it keeps every node strictly positive.
+        tau = betas[k - 1] * dets[k - 1] / dets[k]
+        alphas.append(2 * tau + 1)
 
     alpha_f = np.array([float(a) for a in alphas])
     beta_f = np.array([float(b) for b in betas])
@@ -226,24 +264,13 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
             "recurrence coefficients overflow double precision; "
             f"beta spread (condition estimate) = {float(spread):g}"
         )
-    jacobi = np.diag(alpha_f)
-    if k > 1:
-        off = np.sqrt(beta_f[1:])
-        jacobi += np.diag(off, 1) + np.diag(off, -1)
-    nodes, vecs = np.linalg.eigh(jacobi)
-    weights = beta_f[0] * vecs[0, :] ** 2
+    nodes, weights = _gauss_rule(alpha_f, beta_f)
     if np.any(nodes <= 0) or np.any(weights <= 0):
         raise DomainError(
             "numerically unstable recurrence: solved rule has a nonpositive node or weight "
             f"(min node {nodes.min():g}, min weight {weights.min():g})"
         )
-    worst = 0.0
-    for n, m_n in enumerate(values):
-        target = float(m_n)
-        if not math.isfinite(target):
-            break
-        approx = float(np.sum(weights * nodes**n))
-        worst = max(worst, abs(approx - target) / target)
+    worst = _moment_match(values, nodes, weights)
     if worst > 1e-8:
         raise DomainError(
             "numerically unstable recurrence: the solved rule reproduces the supplied "

@@ -125,6 +125,45 @@ def gauss_rule_from_moments_direct(moments, k):
     return nodes, weights
 
 
+def fraction_det(rows) -> Fraction:
+    """Exact determinant by fraction-preserving Gaussian elimination."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] * inv
+            if factor == 0:
+                continue
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    return det
+
+
+def hankel_minors_by_elimination(values):
+    """Every leading minor of H = [m_{i+j}] and H' = [m_{i+j+1}], each
+    by its own elimination (O(M^4) in all)."""
+    values = list(values)
+    count = len(values)
+    plain = [
+        fraction_det([[values[i + j] for j in range(k)] for i in range(k)])
+        for k in range(1, (count + 1) // 2 + 1)
+    ]
+    shifted = [
+        fraction_det([[values[i + j + 1] for j in range(k)] for i in range(k)])
+        for k in range(1, count // 2 + 1)
+    ]
+    return plain, shifted
+
+
 _EXTRA_KAPPAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2))
 _INFINITE_KAPPAS = (
     Fraction(0),

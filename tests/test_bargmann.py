@@ -9,6 +9,7 @@ from polywh import (
     DomainError,
     EntireSeries,
     bargmann_eval,
+    bg_normalization,
     bg_state,
     closed_form_growth,
     estimate_growth,
@@ -83,6 +84,16 @@ def test_schwarz_random_vectors():
         f = rng.normal(size=12) + 1j * rng.normal(size=12)
         f /= np.linalg.norm(f)
         assert schwarz_check(params, f, grid) <= 1e-10
+
+
+def test_schwarz_grid_equals_the_pointwise_excess():
+    params = AlgebraParams(["1/2", "1/3"], 0.5)
+    f = np.arange(1, 9) * (1 - 0.5j)
+    f /= np.linalg.norm(f)
+    grid = [complex(x, y) for x in np.linspace(-4, 4, 9) for y in np.linspace(-4, 4, 9)]
+    pointwise = max(abs(bargmann_eval(params, f, z)) - bg_normalization(params, z) for z in grid)
+    assert schwarz_check(params, f, grid) == pointwise
+    assert schwarz_check(params, f, []) == -math.inf
 
 
 def test_schwarz_requires_normalization():

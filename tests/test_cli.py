@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,3 +174,16 @@ def test_tail_tol_env_default(capsys, monkeypatch):
     tight = json.loads(out)
     assert tight["tail_tol"] == 1e-14
     assert tight["n_terms"] > loose["n_terms"]
+
+
+def test_measure_at_64_levels_raises_no_runtime_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            capsys, "measure", "--kappa", "0", "--kind", "barut-girardello", "--levels", "64"
+        )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert len(payload["nodes"]) == 32
+    assert payload["moment_match_max_rel_err"] <= 1e-8
+    assert payload["identity_deviation"] <= 1e-8

@@ -337,6 +337,24 @@ def test_bg_normalization_rejects_non_reciprocal():
         bg_normalization(AlgebraParams(["2/3"]), 1.0)
 
 
+def test_bg_normalization_on_an_array_equals_the_scalar_values():
+    grid = np.linspace(-6, 6, 13)
+    z = (grid[:, None] + 1j * grid[None, :]).T
+    for kappas in (["0"], ["1/2"], ["1/3", "1/5"], [1, 1, 1]):
+        params = AlgebraParams(kappas)
+        values = bg_normalization(params, z)
+        assert values.shape == z.shape
+        assert values.tolist() == [[bg_normalization(params, v) for v in row] for row in z]
+    assert bg_normalization(OSC, np.array([])).shape == (0,)
+
+
+def test_hyper_0f_on_an_array_stops_each_entry_at_its_own_term():
+    xs = [-40.0, 0.0, 1e-3, 2.5, 300.0]
+    assert hyper_0f((2, 3), np.array(xs)).tolist() == [hyper_0f((2, 3), x) for x in xs]
+    with pytest.raises(DomainError):
+        hyper_0f((1,), np.array([0.5, 1e6]), max_terms=50)
+
+
 def test_hyper_0f_against_mpmath():
     for ells, x in [((2,), 1.7), ((1, 3), 4.0), ((2, 2, 5), 9.0)]:
         ours = hyper_0f(ells, x)
