@@ -1,7 +1,7 @@
 """Polynomial ladder algebras, their coherent states, and diagnostics.
 
 The structure function F(n) = n * prod_i (1 + kappa_i (n-1)) drives
-everything: ladder matrices and their truncations (`algebra`), the two
+everything: ladder operators and their truncations (`algebra`), the two
 coherent-state families and their existence domains (`coherent`), the
 nilpotent-variable eigenstates of the finite case (`grassmann`), discrete
 measures resolving the identity (`measure`), and order/type growth of the

@@ -19,8 +19,10 @@ because F(d) = 0.  Any other sign pattern is rejected at construction.
 
 Scalars that feed decisions (F, G, generalized factorials, classification)
 are exact ``Fraction`` values; every float consumer reads F, G and log F(n)!
-from one float64 `ladder_table`.  Matrices are complex doubles, raising the
-exact conjugate transpose of lowering; all values are immutable.
+from one float64 `ladder_table`.  A representation stores the one complex
+band the lowering operator has; its dense matrices (raising the exact
+conjugate transpose of lowering) are views built on first access.  All
+values are immutable.
 """
 
 from __future__ import annotations
@@ -204,24 +206,37 @@ def ladder_table(params: AlgebraParams, size: int) -> LadderTable:
 
 @dataclass(frozen=True)
 class LadderRep:
-    """Matrix representation on the number basis |0>, ..., |m-1>.
+    """The ladder operators on the number basis |0>, ..., |m-1>.
 
-    ``lowering`` is nonzero only on the first superdiagonal, ``raising``
-    is its exact entrywise conjugate transpose, and ``number`` is
-    diag(0, ..., m-1).  When ``truncation_order`` is set to s, every
+    Lowering is nonzero only on its first superdiagonal, so the
+    representation stores just that band, ``band[n] = <n|lowering|n+1> =
+    sqrt(F(n+1)) e^{i G(n) phi}`` (length m-1, read-only); consumers apply it
+    in O(m).  ``lowering``, ``raising`` (its exact entrywise conjugate
+    transpose) and ``number`` = diag(0, ..., m-1) are dense m x m views
+    built on first access.  When ``truncation_order`` is set to s, every
     transition touching level s or above has been removed.
     """
 
     params: AlgebraParams
     dim_window: int
-    lowering: np.ndarray
-    raising: np.ndarray
-    number: np.ndarray
+    band: np.ndarray
     truncation_order: int | None = None
+
+    @cached_property
+    def lowering(self) -> np.ndarray:
+        return _freeze(np.diag(self.band, 1))
+
+    @cached_property
+    def raising(self) -> np.ndarray:
+        return _freeze(np.diag(self.band.conj(), -1))
+
+    @cached_property
+    def number(self) -> np.ndarray:
+        return _freeze(np.diag(np.arange(self.dim_window, dtype=float)))
 
 
 def build_rep(params: AlgebraParams, window: int | None = None) -> LadderRep:
-    """Materialize the ladder matrices on an m-dimensional basis window.
+    """The ladder representation on an m-dimensional basis window.
 
     Finite case: m is forced to d, and since F(d) = 0 the commutation
     identity holds exactly on the whole matrix (the top of the ladder
@@ -243,10 +258,8 @@ def build_rep(params: AlgebraParams, window: int | None = None) -> LadderRep:
     if m < 1:
         raise ValueError("window must be a positive integer")
     table = ladder_table(params, m)
-    lowering = np.diag(np.sqrt(table.f[1:]) * np.exp(1j * table.g[:-1] * params.phi), 1)
-    raising = lowering.conj().T.copy()
-    number = np.diag(np.arange(m, dtype=float))
-    return LadderRep(params, m, _freeze(lowering), _freeze(raising), _freeze(number))
+    band = np.sqrt(table.f[1:]) * np.exp(1j * table.g[:-1] * params.phi)
+    return LadderRep(params, m, _freeze(band))
 
 
 def build_truncated_rep(params: AlgebraParams, window: int, s: int) -> LadderRep:
@@ -260,13 +273,9 @@ def build_truncated_rep(params: AlgebraParams, window: int, s: int) -> LadderRep
         raise DomainError("level truncation applies to infinite-dimensional parameters only")
     if not 1 <= s < window:
         raise ValueError(f"need 1 <= s < window, got s = {s} with window = {window}")
-    full = build_rep(params, window)
-    lowering = full.lowering.copy()
-    lowering[:, s:] = 0.0  # kills the sqrt(F(n)) |n-1><n| transitions with n >= s
-    raising = lowering.conj().T.copy()
-    return LadderRep(
-        params, window, _freeze(lowering), _freeze(raising), full.number, truncation_order=s
-    )
+    band = build_rep(params, window).band.copy()
+    band[s - 1 :] = 0.0  # kills the sqrt(F(n)) |n-1><n| transitions with n >= s
+    return LadderRep(params, window, _freeze(band), truncation_order=s)
 
 
 def reciprocal_ells(params: AlgebraParams) -> tuple[int, ...]:

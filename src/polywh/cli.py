@@ -3,7 +3,10 @@
 Every computation in the library is reachable through a subcommand, with
 JSON output by default (CSV for tabular results).  Identical
 configurations produce byte-identical artifacts: no timestamps, fixed key
-order, floats emitted through repr.
+order, floats emitted through repr.  Payloads carry coefficient vectors as
+complex ndarrays; `json_text` writes each straight into the artifact as
+nested lists of ``{"re", "im"}`` objects.  The argument parser is built
+once per process.
 
 Exit codes: 0 success, 1 domain errors (the violated condition is named
 on stderr), 2 I/O and usage errors.
@@ -176,10 +179,6 @@ def cnum(value: complex) -> dict:
     return {"re": float(value.real), "im": float(value.imag)}
 
 
-def coeff_list(coeffs) -> list[dict]:
-    return [cnum(complex(c)) for c in coeffs]
-
-
 def params_payload(params: AlgebraParams) -> dict:
     dim = classify(params)
     return {
@@ -201,7 +200,7 @@ def state_payload(command: str, state: CoherentState) -> dict:
             "tail_bound": state.cutoff_meta.tail_bound,
             "tail_tol": state.cutoff_meta.tail_tol,
             "norm": state.norm(),
-            "coeffs": coeff_list(state.coeffs),
+            "coeffs": state.coeffs,
         }
     )
     return payload
@@ -345,7 +344,7 @@ def cmd_cs_grassmann(args):
         {
             "dim": state.dim,
             "eigen_residual": check_bg_grassmann_eigen(state, rep),
-            "levels": [coeff_list(elem.comps) for elem in state.coeffs],
+            "levels": np.array([elem.comps for elem in state.coeffs]),
         }
     )
     return payload, None
@@ -362,7 +361,7 @@ def cmd_measure(args):
         {
             "levels": len(moments.values),
             "moments": [str(v) for v in moments.values],
-            "moments_float": [float(v) for v in moments.values],
+            "moments_float": [_float_or_none(v) for v in moments.values],
             "nodes": [float(t) for t in measure.nodes],
             "weights": [float(w) for w in measure.weights],
             "n_matched": measure.n_matched,
@@ -375,6 +374,14 @@ def cmd_measure(args):
         [[repr(float(t)), repr(float(w))] for t, w in zip(measure.nodes, measure.weights)],
     )
     return payload, table
+
+
+def _float_or_none(value):
+    """float(value), or None past the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
 
 
 def cmd_bargmann_growth(args):
@@ -508,6 +515,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _complex_array_text(a: np.ndarray, level: int) -> str:
+    """The ``json.dumps(indent=2)`` text of a complex array as nested lists
+    of {"re", "im"} objects, for an array opening at indent ``level``."""
+    inner = "\n" + "  " * (level + 1)
+    if a.ndim > 1:
+        items = [_complex_array_text(row, level + 1) for row in a]
+    else:
+        key = inner + "  "
+        item = "{" + key + '"re": %r,' + key + '"im": %r' + inner + "}"
+        items = [item % pair for pair in zip(a.real.tolist(), a.imag.tolist())]
+    if not items:
+        return "[]"
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+
+
+def json_text(payload: dict) -> str:
+    """Strict JSON (no NaN or Infinity) of a payload, indented by 2.
+
+    The top-level complex ndarrays are written by `_complex_array_text`,
+    byte for byte as json.dumps writes the same lists of dicts, and a
+    non-finite entry raises the same ValueError."""
+    arrays = {key: value for key, value in payload.items() if isinstance(value, np.ndarray)}
+    for a in arrays.values():
+        parts = np.stack((a.real, a.imag), axis=-1).ravel()
+        bad = np.flatnonzero(~np.isfinite(parts))
+        if bad.size:
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {float(parts[bad[0]])!r}"
+            )
+    marks = {key: f"@array:{key}@" for key in arrays}
+    text = json.dumps({**payload, **marks}, indent=2, allow_nan=False)
+    for key, a in arrays.items():
+        text = text.replace(json.dumps(marks[key]), _complex_array_text(a, 1), 1)
+    return text + "\n"
+
+
 def emit(args: argparse.Namespace, payload: dict, table) -> None:
     fmt = args.format if args.format is not None else "json"
     if fmt == "csv":
@@ -519,7 +562,7 @@ def emit(args: argparse.Namespace, payload: dict, table) -> None:
         writer.writerows(table[1])
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        text = json_text(payload)
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -549,11 +592,13 @@ def _join_flag_values(argv):
     return out
 
 
+_PARSER = build_parser()  # argparse keeps no state between parse_args calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_flag_values(list(argv)))
+    args = _PARSER.parse_args(_join_flag_values(list(argv)))
     if args.config:
         try:
             cfg = load_config(args.config)

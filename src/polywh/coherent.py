@@ -143,8 +143,14 @@ def _steps(kind, params, z, lo, hi):
 
 
 def _finish(kind, params, z, coeffs, normalize, meta) -> CoherentState:
+    norm = np.linalg.norm(coeffs)  # inf or nan if any coefficient is
+    if not math.isfinite(norm):
+        raise DomainError(
+            f"{kind.value} state at z = {z} overflows double precision: its "
+            f"coefficients or their norm are not finite ({meta.n_terms} terms)"
+        )
     if normalize:
-        coeffs = coeffs / np.linalg.norm(coeffs)
+        coeffs = coeffs / norm
     return CoherentState(kind, params, z, _freeze(coeffs), bool(normalize), meta)
 
 
@@ -198,8 +204,9 @@ def perelomov_via_exponential(
     """exp(z * raising)|0> summed as the exact nilpotent polynomial.
 
     Independent of the series construction: on a finite ladder the raising
-    matrix is nilpotent, so the exponential is a finite sum of d vector
-    terms.  Agrees with `perelomov_state` entrywise.
+    operator is nilpotent, so the exponential is a finite sum of d vector
+    terms, each the last one raised by the band of ``rep``.  Agrees with
+    `perelomov_state` entrywise.
     """
     z = complex(z)
     dim = classify(params)
@@ -213,11 +220,12 @@ def perelomov_via_exponential(
         raise ValueError("need the untruncated representation")
     if rep.dim_window != dim.d:
         raise ValueError(f"representation window {rep.dim_window} != d = {dim.d}")
+    raising = rep.band.conj()  # <n+1|raising|n>
     v = np.zeros(dim.d, dtype=complex)
     v[0] = 1.0
     term = v.copy()
     for k in range(1, dim.d):
-        term = (rep.raising @ term) * (z / k)
+        term = np.concatenate(([0j], raising * term[:-1])) * (z / k)
         v = v + term
     meta = CutoffMeta(exact=True, n_terms=dim.d)
     return _finish(StateKind.PERELOMOV, params, z, v, normalize, meta)
@@ -268,25 +276,21 @@ def check_bg_eigen(state: CoherentState, rep: LadderRep) -> float:
     """
     if rep.params != state.params:
         raise ValueError("state and representation parameters differ")
-    length = len(state.coeffs)
-    if state.cutoff_meta.exact:
-        if rep.dim_window != length:
-            raise ValueError(
-                f"window {rep.dim_window} does not match the exact state length {length}"
-            )
-        c = state.coeffs
-        rows = slice(0, length)
-    else:
-        if rep.dim_window < length + 1:
-            raise ValueError(
-                f"window too small: need >= {length + 1} rows to apply the lowering "
-                f"matrix past the cutoff, got {rep.dim_window}"
-            )
-        c = np.zeros(rep.dim_window, dtype=complex)
-        c[:length] = state.coeffs
-        rows = slice(0, length - 1)
-    resid = (rep.lowering @ c - state.z * c)[rows]
-    return float(np.linalg.norm(resid) / np.linalg.norm(state.coeffs))
+    c = state.coeffs
+    length = len(c)
+    exact = state.cutoff_meta.exact
+    if exact and rep.dim_window != length:
+        raise ValueError(f"window {rep.dim_window} does not match the exact state length {length}")
+    if not exact and rep.dim_window < length + 1:
+        raise ValueError(
+            f"window too small: need >= {length + 1} rows to apply the lowering "
+            f"matrix past the cutoff, got {rep.dim_window}"
+        )
+    # row n of lowering @ c - z c is band[n] c[n+1] - z c[n]
+    resid = rep.band[: length - 1] * c[1:] - state.z * c[:-1]
+    if exact:
+        resid = np.append(resid, -state.z * c[-1])  # lowering kills the top level
+    return float(np.linalg.norm(resid) / np.linalg.norm(c))
 
 
 def time_evolve(state: CoherentState, t: float) -> CoherentState:

@@ -4,12 +4,14 @@ Everything here is written from the defining formulas, separately from
 the library code paths it cross-checks.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from polywh import AlgebraParams, DomainError
+from polywh.grassmann import GrassmannElement
 
 
 def brute_structure(kappas, n) -> Fraction:
@@ -85,6 +87,82 @@ def series_reference(params: AlgebraParams, kind: str, z, tail_tol=1e-14, max_te
             return abs(z) / math.sqrt(fval(j + 1))
 
     return truncate_series(step, ratio_sup, tail_tol, max_terms)
+
+
+def dense_lowering(params: AlgebraParams, m: int) -> np.ndarray:
+    """The m x m lowering matrix, <n|lowering|n+1> = sqrt(F(n+1)) e^{i G(n) phi},
+    from the exact F and G rounded to double."""
+    f = np.array([float(brute_structure(params.kappas, n)) for n in range(1, m)])
+    g = np.array([float(brute_structure(params.kappas, n + 1) - brute_structure(params.kappas, n))
+                  for n in range(m - 1)])
+    return np.diag(np.sqrt(f) * np.exp(1j * g * params.phi), 1)
+
+
+def bg_eigen_residual_dense(state, lowering: np.ndarray) -> float:
+    """Relative residual of lowering @ c = z c by a dense matvec; a truncated
+    series leaves out its last row, which reads the first dropped term."""
+    length = len(state.coeffs)
+    c = np.zeros(len(lowering), dtype=complex)
+    c[:length] = state.coeffs
+    rows = slice(0, length if state.cutoff_meta.exact else length - 1)
+    resid = (lowering @ c - state.z * c)[rows]
+    return float(np.linalg.norm(resid) / np.linalg.norm(state.coeffs))
+
+
+def nilpotent_exponential_dense(raising: np.ndarray, z) -> np.ndarray:
+    """exp(z * raising)|0> as the finite sum of dense matvec terms."""
+    v = np.zeros(len(raising), dtype=complex)
+    v[0] = 1.0
+    term = v.copy()
+    for k in range(1, len(raising)):
+        term = (raising @ term) * (z / k)
+        v = v + term
+    return v
+
+
+def grassmann_eigen_residual_dense(state, lowering: np.ndarray) -> float:
+    """Largest component of (lowering acting on the state) - theta * (state),
+    one algebra element at a time."""
+    theta = GrassmannElement.theta(state.dim)
+    worst = 0.0
+    for n in range(state.dim):
+        if n < state.dim - 1:
+            lhs = complex(lowering[n, n + 1]) * state.coeffs[n + 1]
+        else:
+            lhs = GrassmannElement.zero(state.dim)
+        worst = max(worst, (lhs - theta * state.coeffs[n]).max_abs())
+    return worst
+
+
+def complex_z_residual_dense(params: AlgebraParams, z) -> float:
+    """Relative residual of lowering @ c = z c for c_n = z^n e^{-i F(n) phi} /
+    sqrt(F(n)!) on a finite ladder, by a dense matvec."""
+    z = complex(z)
+    d = int(1 - 1 / Fraction(params.kappas[0]))
+    c = np.array([
+        z**n * np.exp(-1j * float(brute_structure(params.kappas, n)) * params.phi)
+        / math.sqrt(float(brute_factorial(params.kappas, n)))
+        for n in range(d)
+    ])
+    resid = dense_lowering(params, d) @ c - z * c
+    return float(np.linalg.norm(resid) / np.linalg.norm(c))
+
+
+def coeff_list(coeffs) -> list[dict]:
+    """A complex vector as the artifact writes it: one {"re", "im"} dict per entry."""
+    return [{"re": float(complex(c).real), "im": float(complex(c).imag)} for c in coeffs]
+
+
+def json_text_by_dicts(payload: dict) -> str:
+    """Artifact text with every 1-D or 2-D complex ndarray turned into
+    (lists of) `coeff_list` dicts and the whole dumped by json.dumps."""
+
+    def plain(value):
+        if not isinstance(value, np.ndarray):
+            return value
+        return [coeff_list(row) for row in value] if value.ndim == 2 else coeff_list(value)
+
+    return json.dumps({k: plain(v) for k, v in payload.items()}, indent=2, allow_nan=False) + "\n"
 
 
 def dense_poly_mul_trunc(a_comps, b_comps, dim):

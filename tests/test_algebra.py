@@ -19,7 +19,7 @@ from polywh import (
 )
 from polywh.algebra import ladder_table
 
-from oracles import brute_factorial, brute_structure
+from oracles import brute_factorial, brute_structure, dense_lowering
 
 
 # ------------------------------------------------------------ construction
@@ -167,6 +167,43 @@ def test_build_rep_number_and_hermiticity():
     rep = build_rep(params, window=9)
     assert np.array_equal(rep.number, np.diag(np.arange(9.0)))
     assert np.array_equal(rep.raising, rep.lowering.conj().T)
+
+
+@pytest.mark.parametrize(
+    "kappas, phi, window",
+    [
+        (["-1/3"], 0.7, None),
+        (["-1/30", "1/2", "2"], -2.1, None),
+        (["-1"], 0.4, None),
+        (["0"], 0.0, 1),
+        (["1/2"], 1.3, 40),
+        (["1/3", "3/2"], -0.6, 25),
+    ],
+)
+def test_band_is_the_dense_superdiagonal(kappas, phi, window):
+    params = AlgebraParams(kappas, phi)
+    rep = build_rep(params, window)
+    m = rep.dim_window
+    dense = dense_lowering(params, m)
+    assert rep.band.shape == (m - 1,)
+    assert not rep.band.flags.writeable
+    assert np.array_equal(rep.band, np.diag(dense, 1))
+    assert np.array_equal(rep.lowering, dense)
+    assert np.array_equal(rep.raising, dense.conj().T)
+    assert np.array_equal(rep.number, np.diag(np.arange(m, dtype=float)))
+    assert rep.lowering is rep.lowering  # built once, on first access
+    assert not rep.lowering.flags.writeable
+
+
+def test_truncated_band_is_the_dense_superdiagonal():
+    params = AlgebraParams(["1/2", "1/5"], 0.9)
+    for s in (1, 4, 11):
+        rep = build_truncated_rep(params, 12, s)
+        dense = dense_lowering(params, 12)
+        dense[:, s:] = 0.0
+        assert np.array_equal(rep.band, np.diag(dense, 1))
+        assert np.array_equal(rep.lowering, dense)
+        assert np.array_equal(rep.raising, dense.conj().T)
 
 
 def test_build_rep_window_errors():

@@ -1,12 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from polywh import AlgebraParams, bg_state
-from polywh.cli import main, state_from_payload
+import polywh
+from polywh import AlgebraParams, StateKind, bg_state, moments_for
+from polywh.cli import json_text, main, state_from_payload
+
+from oracles import json_text_by_dicts
 
 
 def run_cli(capsys, *argv):
@@ -85,11 +96,14 @@ def test_io_error_exit_code(capsys, tmp_path):
 
 
 def test_non_finite_artifact_is_refused(capsys):
-    # the kappa = 0 eigenstate norm overflows past |z| ~ 27
-    code, out, err = run_cli(capsys, "cs-bg", "--kappa", "0", "--z", "30")
-    assert code == 2
+    # the kappa = 0 eigenstate norm overflows past |z| ~ 27: a domain error
+    # before any artifact is built (json_text refuses NaN and Infinity as well)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself warns
+        code, out, err = run_cli(capsys, "cs-bg", "--kappa", "0", "--z", "30")
+    assert code == 1
     assert out == ""
-    assert "JSON" in err
+    assert "barut-girardello state at z = (30+0j) overflows double precision" in err
 
 
 def test_csv_unsupported_for_state_dump(capsys):
@@ -176,14 +190,124 @@ def test_tail_tol_env_default(capsys, monkeypatch):
     assert tight["n_terms"] > loose["n_terms"]
 
 
+# one in-range command per states subcommand, each at the large end of its range
+_IN_RANGE = [
+    ("spectrum", "--kappa", "-1/3,1/2", "--nmax", "200"),
+    ("rep-check", "--kappa", "-1/199,1/3", "--phi", "0.7"),
+    ("rep-check", "--kappa", "1/2", "--window", "200", "--phi", "-1.3"),
+    ("truncate", "--kappa", "1/2,2/3", "--window", "120", "--s", "77"),
+    ("cs-perelomov", "--kappa", "-1/199,1/5", "--z", "5-0.3i", "--phi", "2.1"),
+    ("cs-perelomov", "--kappa", "1/4", "--z", "1.99i", "--normalize"),
+    ("cs-bg", "--kappa", "0", "--z", "-12+16i", "--phi", "0.3"),
+    ("cs-bg", "--kappa", "0", "--z", "20", "--normalize"),
+    ("cs-grassmann", "--kappa", "-1/199,1/2", "--phi", "1.1"),
+    ("cs-grassmann", "--kappa", "0", "--dim", "60", "--phi", "1.1"),
+]
+
+
 def test_measure_at_64_levels_raises_no_runtime_warning(capsys):
+    """The measure solve at 64 levels, and one in-range command of every
+    states subcommand, under RuntimeWarning-as-error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(
             capsys, "measure", "--kappa", "0", "--kind", "barut-girardello", "--levels", "64"
         )
+        runs = [(argv, run_cli(capsys, *argv)) for argv in _IN_RANGE]
     assert code == 0, err
     payload = json.loads(out)
     assert len(payload["nodes"]) == 32
     assert payload["moment_match_max_rel_err"] <= 1e-8
     assert payload["identity_deviation"] <= 1e-8
+    for argv, (code, out, err) in runs:
+        assert code == 0, (argv, err)
+        assert json.loads(out)["command"] == argv[0]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_measure_moments_past_the_double_range_are_null(capsys):
+    code, out, err = run_cli(
+        capsys, "measure", "--ell", "1,1,1", "--kind", "barut-girardello", "--levels", "64"
+    )
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    exact = moments_for(AlgebraParams([Fraction(1)] * 3), StateKind.BARUT_GIRARDELLO, count=64)
+    floats = payload["moments_float"]
+    assert len(floats) == 64
+    assert floats[0] == 1.0 and floats[-1] is None
+    for value, moment in zip(floats, exact.values):
+        assert value == (float(moment) if moment < 2**1024 else None)
+    assert payload["moment_match_max_rel_err"] <= 1e-8
+
+
+# ----------------------------------------------------------- artifact writer
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
+_ARRAYS = st.one_of(
+    hnp.arrays(complex, st.integers(0, 12), elements=_COMPLEX),
+    hnp.arrays(complex, st.tuples(st.integers(0, 4), st.integers(0, 4)), elements=_COMPLEX),
+)
+
+
+def _payload(array):
+    key = "coeffs" if array.ndim == 1 else "levels"
+    return {"command": "cs-test", "z": {"re": 0.5, "im": -0.0}, key: array, "after": None}
+
+
+@settings(max_examples=200, deadline=None)
+@given(array=_ARRAYS)
+def test_json_text_equals_the_dict_dump(array):
+    assert json_text(_payload(array)) == json_text_by_dicts(_payload(array))
+
+
+@settings(max_examples=100, deadline=None)
+@given(array=_ARRAYS.filter(lambda a: a.size > 0), data=st.data())
+def test_json_text_refuses_non_finite_entries(array, data):
+    array = array.copy()
+    index = data.draw(st.integers(0, array.size - 1))
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    part = data.draw(st.sampled_from(["real", "imag"]))
+    getattr(array.reshape(-1), part)[index] = bad
+    assert not np.isfinite(array).all()
+    with pytest.raises(ValueError) as expected:
+        json_text_by_dicts(_payload(array))
+    with pytest.raises(ValueError) as refused:
+        json_text(_payload(array))
+    assert str(refused.value) == str(expected.value)
+
+
+def _first_call(argv):
+    """stdout and exit code of `argv` in a fresh interpreter."""
+    src = str(Path(polywh.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("POLYWH_TAIL_TOL", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "polywh", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout
+
+
+def test_repeated_main_calls_share_no_options(capsys, monkeypatch):
+    monkeypatch.delenv("POLYWH_TAIL_TOL", raising=False)
+    first = ["cs-bg", "--kappa", "1/2", "--z", "1+0.5i", "--phi", "0.3", "--normalize",
+             "--tail-tol", "1e-8"]
+    usage = ["cs-bg", "--kappa", "1/2", "--bogus"]
+    plain = ["cs-bg", "--kappa", "1/2", "--z", "1+0.5i"]
+    outputs = [run_cli(capsys, *first)[:2]]
+    with pytest.raises(SystemExit) as exc:
+        main(usage)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    outputs.append(run_cli(capsys, *plain)[:2])
+    outputs.append(run_cli(capsys, *first)[:2])
+    expected = _first_call(first)
+    assert outputs == [expected, _first_call(plain), expected]
+    normalized, unnormalized = (json.loads(out) for _, out in outputs[:2])
+    assert normalized["normalized"] and not unnormalized["normalized"]
+    assert (normalized["tail_tol"], unnormalized["tail_tol"]) == (1e-8, 1e-14)

@@ -24,8 +24,11 @@ from polywh import (
 from polywh.coherent import perelomov_log_partial_norms
 
 from oracles import (
+    bg_eigen_residual_dense,
+    dense_lowering,
     glauber_overlap,
     inverse_square_factorial_sum,
+    nilpotent_exponential_dense,
     random_finite_params,
     random_infinite_params,
     random_z,
@@ -153,6 +156,16 @@ def test_equivalence_of_constructions_property(d, extra, z_re, z_im, phi):
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
 
 
+def test_via_exponential_matches_dense_raising():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        params = random_finite_params(rng)
+        z = random_z(rng, radius=3.0)
+        banded = perelomov_via_exponential(params, z, build_rep(params)).coeffs
+        dense = nilpotent_exponential_dense(dense_lowering(params, len(banded)).conj().T, z)
+        assert np.all(np.abs(banded - dense) <= 1e-15 * np.abs(dense))
+
+
 # -------------------------------------------------------- barut-girardello
 
 def test_bg_at_origin():
@@ -213,6 +226,47 @@ def test_bg_eigen_property(data):
     state = bg_state(params, z)
     rep = build_rep(params, window=len(state) + 1)
     assert check_bg_eigen(state, rep) <= 1e-10
+
+
+def test_bg_eigen_matches_dense_lowering():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        params = random_infinite_params(rng)
+        state = bg_state(params, random_z(rng, radius=3.0), normalize=bool(rng.integers(2)))
+        for window in (len(state) + 1, len(state) + 3):
+            dense = bg_eigen_residual_dense(state, dense_lowering(params, window))
+            banded = check_bg_eigen(state, build_rep(params, window))
+            assert banded == pytest.approx(dense, rel=1e-15, abs=1e-15)
+    for _ in range(40):  # exact states, every row checked; O(1) residuals
+        params = random_finite_params(rng)
+        state = perelomov_state(params, random_z(rng))
+        dense = bg_eigen_residual_dense(state, dense_lowering(params, len(state)))
+        banded = check_bg_eigen(state, build_rep(params))
+        assert banded == pytest.approx(dense, rel=1e-15, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "build, params, z",
+    [
+        (bg_state, AlgebraParams([0]), 30),
+        (bg_state, AlgebraParams([0], 0.4), -20 + 25j),
+        (perelomov_state, AlgebraParams([Fraction(-1, 299)]), 1e3),
+    ],
+)
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
+def test_overflowing_state_is_a_domain_error(build, params, z, normalize):
+    with pytest.raises(DomainError, match="overflows double precision") as exc:
+        build(params, z, normalize=normalize)
+    assert str(complex(z)) in str(exc.value)
+    kind = "perelomov" if build is perelomov_state else "barut-girardello"
+    assert str(exc.value).startswith(kind)
+
+
+def test_largest_kappa0_state_below_the_overflow_is_finite():
+    state = bg_state(AlgebraParams([0]), 26, normalize=True)
+    assert np.isfinite(state.coeffs).all()
+    assert abs(overlap(state, state) - 1) <= 1e-12
 
 
 # --------------------------------------------------------------- evolution

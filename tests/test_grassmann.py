@@ -17,7 +17,15 @@ from polywh import (
     complex_z_bg_residual,
 )
 
-from oracles import dense_poly_mul_trunc, random_finite_params
+from oracles import (
+    complex_z_residual_dense,
+    dense_lowering,
+    dense_poly_mul_trunc,
+    grassmann_eigen_residual_dense,
+    random_finite_params,
+    random_infinite_params,
+    random_z,
+)
 
 
 def elem(dim, *comps):
@@ -154,6 +162,26 @@ def test_eigen_truncated_infinite_algebra():
     state = bg_grassmann_state(params, dim=6)
     rep = build_rep(params, window=6)
     assert check_bg_grassmann_eigen(state, rep) <= 1e-12
+
+
+def test_eigen_residual_matches_dense_lowering():
+    rng = np.random.default_rng(13)
+    cases = [(random_finite_params(rng, d_max=40), None) for _ in range(30)]
+    cases += [(random_infinite_params(rng), int(rng.integers(1, 30))) for _ in range(30)]
+    for params, dim in cases:
+        state = bg_grassmann_state(params, dim)
+        rep = build_rep(params, window=state.dim)
+        dense = grassmann_eigen_residual_dense(state, dense_lowering(params, state.dim))
+        assert abs(check_bg_grassmann_eigen(state, rep) - dense) <= 1e-15
+
+
+def test_complex_z_residual_matches_dense_lowering():
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        params = random_finite_params(rng)
+        z = random_z(rng)
+        dense = complex_z_residual_dense(params, z)
+        assert complex_z_bg_residual(params, z) == pytest.approx(dense, rel=1e-15, abs=1e-15)
 
 
 def test_eigen_dim_mismatch():
