@@ -21,8 +21,10 @@ Scalars that feed decisions (F, G, generalized factorials, classification)
 are exact ``Fraction`` values; every float consumer reads F, G and log F(n)!
 from one float64 `ladder_table`.  A representation stores the one complex
 band the lowering operator has; its dense matrices (raising the exact
-conjugate transpose of lowering) are views built on first access.  All
-values are immutable.
+conjugate transpose of lowering) are views built on first access.
+`identity_deviations` checks the three defining identities (product,
+commutator, nilpotency) from the band in O(m), with no matrix product.
+All values are immutable.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ __all__ = [
     "ladder_table",
     "build_rep",
     "build_truncated_rep",
+    "IdentityDeviations",
+    "identity_deviations",
     "reciprocal_ells",
 ]
 
@@ -276,6 +280,51 @@ def build_truncated_rep(params: AlgebraParams, window: int, s: int) -> LadderRep
     band = build_rep(params, window).band.copy()
     band[s - 1 :] = 0.0  # kills the sqrt(F(n)) |n-1><n| transitions with n >= s
     return LadderRep(params, window, _freeze(band), truncation_order=s)
+
+
+@dataclass(frozen=True)
+class IdentityDeviations:
+    """Largest entrywise deviations of raising @ lowering from F~(N), of
+    [lowering, raising] from G~(N) and, on a finite ladder, of lowering^d
+    (and raising^d) from 0; ``nilpotency`` is ``None`` otherwise."""
+
+    product: float
+    commutator: float
+    nilpotency: float | None
+
+
+def identity_deviations(rep: LadderRep) -> IdentityDeviations:
+    """The three defining identities, read off the band in O(m) (O(d^2) for
+    nilpotency).
+
+    Both products of a one-band operator are diagonal:
+    <n|raising lowering|n> = |band[n-1]|^2 and <n|lowering raising|n> =
+    |band[n]|^2, zero past either end of the band.  They are compared with
+    F~(n) = F(n) below the cut c (the truncation order, else the window m)
+    and 0 from c on, and with G~(n) = F~(n+1) - F~(n).  That one sequence
+    gives the corner term of a cut window: G~(c-1) = -F(c-1), exact on a
+    finite ladder (F(d) = 0), a cutoff artifact otherwise.
+    """
+    m = rep.dim_window
+    cut = rep.truncation_order or m
+    expected = np.zeros(m + 1)  # F~(0..m)
+    expected[:cut] = ladder_table(rep.params, cut).f
+    diag = np.zeros(m + 1)  # <n|raising lowering|n> for n = 0..m
+    diag[1:m] = rep.band.real**2 + rep.band.imag**2
+    nilpotency = None
+    if classify(rep.params).is_finite:
+        # row n of lowering^k holds one entry, prod |band[n..n+k-1]|; a power
+        # past the double range holds inf, but no inf ever meets a zero
+        moduli, power = np.abs(rep.band), np.ones(m)
+        with np.errstate(over="ignore"):
+            for _ in range(m):
+                power = np.append(moduli * power[1:], 0.0)
+        nilpotency = float(np.max(power))
+    return IdentityDeviations(
+        product=float(np.max(np.abs(diag[:m] - expected[:m]))),
+        commutator=float(np.max(np.abs(np.diff(diag) - np.diff(expected)))),
+        nilpotency=nilpotency,
+    )
 
 
 def reciprocal_ells(params: AlgebraParams) -> tuple[int, ...]:

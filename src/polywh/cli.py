@@ -30,8 +30,7 @@ from .algebra import (
     build_rep,
     build_truncated_rep,
     classify,
-    commutator_gap,
-    ladder_table,
+    identity_deviations,
     reciprocal_ells,
     structure_function,
 )
@@ -225,10 +224,10 @@ def state_from_payload(payload: dict) -> CoherentState:
 def cmd_spectrum(args):
     params = resolve_params(args)
     nmax = args.nmax if args.nmax is not None else 10
+    f = [structure_function(params, n) for n in range(nmax + 2)]
     rows = []
     for n in range(nmax + 1):
-        fval = structure_function(params, n)
-        gval = commutator_gap(params, n)
+        fval, gval = f[n], f[n + 1] - f[n]
         rows.append(
             {"n": n, "F": str(fval), "G": str(gval), "F_float": float(fval), "G_float": float(gval)}
         )
@@ -245,37 +244,21 @@ def cmd_spectrum(args):
 def cmd_rep_check(args):
     params = resolve_params(args)
     rep = build_rep(params, args.window)
-    m = rep.dim_window
-    table = ladder_table(params, m)
-    prod_dev = float(np.max(np.abs(rep.raising @ rep.lowering - np.diag(table.f))))
-    comm = rep.lowering @ rep.raising - rep.raising @ rep.lowering
-    expected = np.zeros((m, m), dtype=complex)
-    expected[: m - 1, : m - 1] = np.diag(table.g[: m - 1])
-    expected[m - 1, m - 1] = -table.f[m - 1]  # exact when finite, a cutoff artifact otherwise
-    comm_dev = float(np.max(np.abs(comm - expected)))
+    dev = identity_deviations(rep)
     payload = {"command": "rep-check"}
     payload.update(params_payload(params))
     payload.update(
         {
-            "window": m,
+            "window": rep.dim_window,
             "hermiticity_exact": bool(np.array_equal(rep.raising, rep.lowering.conj().T)),
-            "max_abs_dev_product_identity": prod_dev,
-            "max_abs_dev_commutator": comm_dev,
+            "max_abs_dev_product_identity": dev.product,
+            "max_abs_dev_commutator": dev.commutator,
+            "nilpotency_max_abs": dev.nilpotency,
+            "top_level_annihilation_max_abs": (  # raising applied to |d-1>
+                None if dev.nilpotency is None else float(np.max(np.abs(rep.raising[:, -1])))
+            ),
         }
     )
-    dim = classify(params)
-    if dim.is_finite:
-        nil = max(
-            float(np.max(np.abs(np.linalg.matrix_power(rep.lowering, dim.d)))),
-            float(np.max(np.abs(np.linalg.matrix_power(rep.raising, dim.d)))),
-        )
-        top = np.zeros(m)
-        top[m - 1] = 1.0
-        payload["nilpotency_max_abs"] = nil
-        payload["top_level_annihilation_max_abs"] = float(np.max(np.abs(rep.raising @ top)))
-    else:
-        payload["nilpotency_max_abs"] = None
-        payload["top_level_annihilation_max_abs"] = None
     return payload, None
 
 
@@ -284,20 +267,13 @@ def cmd_truncate(args):
     if args.window is None or args.s is None:
         raise ValueError("truncate needs --window and --s")
     rep = build_truncated_rep(params, args.window, args.s)
-    m, s = rep.dim_window, args.s
-    comm = rep.lowering @ rep.raising - rep.raising @ rep.lowering
-    table = ladder_table(params, m)
-    expected = np.zeros((m, m), dtype=complex)
-    expected[:s, :s] = np.diag(table.g[:s])
-    expected[s - 1, s - 1] -= table.f[s]
-    dev = float(np.max(np.abs(comm - expected)))
     payload = {"command": "truncate"}
     payload.update(params_payload(params))
     payload.update(
         {
-            "window": m,
-            "truncation_order": s,
-            "max_abs_dev_truncated_commutator": dev,
+            "window": rep.dim_window,
+            "truncation_order": rep.truncation_order,
+            "max_abs_dev_truncated_commutator": identity_deviations(rep).commutator,
         }
     )
     return payload, None
@@ -544,7 +520,7 @@ def json_text(payload: dict) -> str:
             raise ValueError(
                 f"Out of range float values are not JSON compliant: {float(parts[bad[0]])!r}"
             )
-    marks = {key: f"@array:{key}@" for key in arrays}
+    marks = {key: f"<array:{key}>" for key in arrays}
     text = json.dumps({**payload, **marks}, indent=2, allow_nan=False)
     for key, a in arrays.items():
         text = text.replace(json.dumps(marks[key]), _complex_array_text(a, 1), 1)

@@ -96,6 +96,7 @@ class CoherentState:
         return float(np.linalg.norm(self.coeffs))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in _finish's DomainError
 def _truncate_series(kind, params, z, ratio_sup, tail_tol, max_terms):
     """Accumulate c_0 = 1, c_n = c_{n-1} * step(n) (`_steps`) until
     the l2 tail is provably below tail_tol times the partial norm.
@@ -143,7 +144,8 @@ def _steps(kind, params, z, lo, hi):
 
 
 def _finish(kind, params, z, coeffs, normalize, meta) -> CoherentState:
-    norm = np.linalg.norm(coeffs)  # inf or nan if any coefficient is
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(coeffs)  # inf or nan if it overflows or any coefficient is
     if not math.isfinite(norm):
         raise DomainError(
             f"{kind.value} state at z = {z} overflows double precision: its "
@@ -171,7 +173,8 @@ def perelomov_state(
     z = complex(z)
     dim = classify(params)
     if dim.is_finite:
-        coeffs = np.cumprod(np.r_[1.0, _steps(StateKind.PERELOMOV, params, z, 1, dim.d)])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by _finish
+            coeffs = np.cumprod(np.r_[1.0, _steps(StateKind.PERELOMOV, params, z, 1, dim.d)])
         meta = CutoffMeta(exact=True, n_terms=dim.d)
         return _finish(StateKind.PERELOMOV, params, z, coeffs, normalize, meta)
 

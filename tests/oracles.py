@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from polywh import AlgebraParams, DomainError
+from polywh import AlgebraParams, DomainError, classify
+from polywh.algebra import ladder_table
 from polywh.grassmann import GrassmannElement
 
 
@@ -96,6 +97,34 @@ def dense_lowering(params: AlgebraParams, m: int) -> np.ndarray:
     g = np.array([float(brute_structure(params.kappas, n + 1) - brute_structure(params.kappas, n))
                   for n in range(m - 1)])
     return np.diag(np.sqrt(f) * np.exp(1j * g * params.phi), 1)
+
+
+def identity_deviations_dense(rep):
+    """(product, commutator, nilpotency) deviations of a representation by
+    dense matrix products and powers, each corner term written out: the
+    reference for `algebra.identity_deviations`.  Nilpotency is None unless
+    the ladder is finite, the product deviation None for a truncated rep."""
+    m = rep.dim_window
+    table = ladder_table(rep.params, m)
+    comm = rep.lowering @ rep.raising - rep.raising @ rep.lowering
+    expected = np.zeros((m, m), dtype=complex)
+    s = rep.truncation_order
+    if s is not None:
+        expected[:s, :s] = np.diag(table.g[:s])
+        expected[s - 1, s - 1] -= table.f[s]
+        return None, float(np.max(np.abs(comm - expected))), None
+    prod_dev = float(np.max(np.abs(rep.raising @ rep.lowering - np.diag(table.f))))
+    expected[: m - 1, : m - 1] = np.diag(table.g[: m - 1])
+    expected[m - 1, m - 1] = -table.f[m - 1]  # exact when finite, a cutoff artifact otherwise
+    comm_dev = float(np.max(np.abs(comm - expected)))
+    dim = classify(rep.params)
+    nil = None
+    if dim.is_finite:
+        nil = max(
+            float(np.max(np.abs(np.linalg.matrix_power(rep.lowering, dim.d)))),
+            float(np.max(np.abs(np.linalg.matrix_power(rep.raising, dim.d)))),
+        )
+    return prod_dev, comm_dev, nil
 
 
 def bg_eigen_residual_dense(state, lowering: np.ndarray) -> float:

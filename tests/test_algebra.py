@@ -17,9 +17,9 @@ from polywh import (
     reciprocal_ells,
     structure_function,
 )
-from polywh.algebra import ladder_table
+from polywh.algebra import identity_deviations, ladder_table
 
-from oracles import brute_factorial, brute_structure, dense_lowering
+from oracles import brute_factorial, brute_structure, dense_lowering, identity_deviations_dense
 
 
 # ------------------------------------------------------------ construction
@@ -238,6 +238,46 @@ def test_nilpotency_range_of_dims():
         assert np.all(np.linalg.matrix_power(rep.lowering, d) == 0)
         assert np.all(np.linalg.matrix_power(rep.raising, d) == 0)
         assert np.any(np.linalg.matrix_power(rep.raising, d - 1) != 0)
+
+
+_PHI = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@st.composite
+def _reps(draw):
+    """Finite ladders up to d = 200 (at most one extra kappa, so the dense
+    powers stay inside the double range), infinite windows up to 200, and
+    truncations 1 <= s < window."""
+    kind = draw(st.sampled_from(["finite", "infinite", "truncated"]))
+    if kind == "finite":
+        d = draw(st.integers(min_value=2, max_value=200))
+        kappas = [Fraction(-1, d - 1), *draw(st.lists(_KAPPA, max_size=1))]
+        return build_rep(AlgebraParams(kappas, draw(_PHI)))
+    params = AlgebraParams(draw(st.lists(_KAPPA, min_size=1, max_size=3)), draw(_PHI))
+    if kind == "infinite":
+        return build_rep(params, draw(st.integers(min_value=1, max_value=200)))
+    window = draw(st.integers(min_value=2, max_value=200))
+    return build_truncated_rep(params, window, draw(st.integers(min_value=1, max_value=window - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=_reps())
+def test_identity_deviations_match_the_dense_products(rep):
+    dev = identity_deviations(rep)
+    product, commutator, nilpotency = identity_deviations_dense(rep)
+    f_max = max(1.0, float(np.max(np.abs(ladder_table(rep.params, rep.dim_window).f))))
+    assert abs(dev.commutator - commutator) <= 2e-15 * f_max
+    if product is not None:  # the dense route takes no product identity of a truncation
+        assert abs(dev.product - product) <= 2e-15 * f_max
+    assert dev.nilpotency == nilpotency
+
+
+def test_band_nilpotency_is_exact_past_the_double_range():
+    # the dense powers of this d = 200 ladder overflow and turn into NaN
+    rep = build_rep(AlgebraParams(["-1/199", "1", "1"], 0.3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(np.linalg.matrix_power(rep.lowering, 200)).any()
+    assert identity_deviations(rep).nilpotency == 0.0
 
 
 # ------------------------------------------------------------- truncations

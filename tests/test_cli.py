@@ -99,7 +99,7 @@ def test_non_finite_artifact_is_refused(capsys):
     # the kappa = 0 eigenstate norm overflows past |z| ~ 27: a domain error
     # before any artifact is built (json_text refuses NaN and Infinity as well)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself warns
+        warnings.simplefilter("error", RuntimeWarning)  # the overflow is silent
         code, out, err = run_cli(capsys, "cs-bg", "--kappa", "0", "--z", "30")
     assert code == 1
     assert out == ""

@@ -254,7 +254,7 @@ def test_bg_eigen_matches_dense_lowering():
     ],
 )
 @pytest.mark.parametrize("normalize", [False, True])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow is silent
 def test_overflowing_state_is_a_domain_error(build, params, z, normalize):
     with pytest.raises(DomainError, match="overflows double precision") as exc:
         build(params, z, normalize=normalize)
