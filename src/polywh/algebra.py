@@ -23,7 +23,8 @@ from one float64 `ladder_table`.  A representation stores the one complex
 band the lowering operator has; its dense matrices (raising the exact
 conjugate transpose of lowering) are views built on first access.
 `identity_deviations` checks the three defining identities (product,
-commutator, nilpotency) from the band in O(m), with no matrix product.
+commutator, nilpotency) from the band in O(m), with no matrix product;
+nilpotency is the exact decision F(d) = 0.
 All values are immutable.
 """
 
@@ -294,8 +295,7 @@ class IdentityDeviations:
 
 
 def identity_deviations(rep: LadderRep) -> IdentityDeviations:
-    """The three defining identities, read off the band in O(m) (O(d^2) for
-    nilpotency).
+    """The three defining identities, read off the band in O(m).
 
     Both products of a one-band operator are diagonal:
     <n|raising lowering|n> = |band[n-1]|^2 and <n|lowering raising|n> =
@@ -303,7 +303,8 @@ def identity_deviations(rep: LadderRep) -> IdentityDeviations:
     F~(n) = F(n) below the cut c (the truncation order, else the window m)
     and 0 from c on, and with G~(n) = F~(n+1) - F~(n).  That one sequence
     gives the corner term of a cut window: G~(c-1) = -F(c-1), exact on a
-    finite ladder (F(d) = 0), a cutoff artifact otherwise.
+    finite ladder (F(d) = 0), a cutoff artifact otherwise.  Nilpotency is
+    decided exactly: 0.0 when F(d) = 0 in `Fraction`.
     """
     m = rep.dim_window
     cut = rep.truncation_order or m
@@ -312,14 +313,15 @@ def identity_deviations(rep: LadderRep) -> IdentityDeviations:
     diag = np.zeros(m + 1)  # <n|raising lowering|n> for n = 0..m
     diag[1:m] = rep.band.real**2 + rep.band.imag**2
     nilpotency = None
-    if classify(rep.params).is_finite:
-        # row n of lowering^k holds one entry, prod |band[n..n+k-1]|; a power
-        # past the double range holds inf, but no inf ever meets a zero
-        moduli, power = np.abs(rep.band), np.ones(m)
-        with np.errstate(over="ignore"):
-            for _ in range(m):
-                power = np.append(moduli * power[1:], 0.0)
-        nilpotency = float(np.max(power))
+    dim = classify(rep.params)
+    if dim.is_finite:
+        # lowering^d maps |n> to a multiple of |n-d|, which is no level of a
+        # band of length d-1: the power is exactly 0, and F(d) = 0 is the
+        # exact statement that the ladder closes there
+        top = structure_function(rep.params, dim.d)
+        if top != 0:
+            raise DomainError(f"the finite ladder does not close: F(d) = F({dim.d}) = {top}")
+        nilpotency = 0.0
     return IdentityDeviations(
         product=float(np.max(np.abs(diag[:m] - expected[:m]))),
         commutator=float(np.max(np.abs(np.diff(diag) - np.diff(expected)))),

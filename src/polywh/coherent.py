@@ -58,6 +58,7 @@ __all__ = [
 
 DEFAULT_TAIL_TOL = 1e-14
 MAX_SERIES_TERMS = 200_000
+RESCALE_BITS = 512  # power of two taken out of a hypergeometric sum about to overflow
 
 
 class StateKind(str, enum.Enum):
@@ -336,10 +337,31 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
     """Generalized hypergeometric series 0F_q(ell_1, ..., ell_q; x), at x or an x-array.
 
     Summed term by term, t_{k+1} = t_k * x / ((k+1) prod_i (ell_i + k)),
-    until the relative term drops below ``rel_tol``.
+    until the relative term drops below ``rel_tol``.  A value past the
+    double range is a `DomainError`.
     """
-    if np.ndim(x):
-        return _hyper_0f_array(ells, np.asarray(x, dtype=float), rel_tol, max_terms)
+    return _ldexp_or_raise(*_hyper_0f_scaled(ells, x, rel_tol, max_terms), "hypergeometric sum")
+
+
+def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
+    """0F_q as (mantissa, exponent), the value mantissa * 2**exponent.
+
+    The plain float sum runs first, at every entry of an array at once, and
+    a sum it overflows is summed again by `_rescaled_sum`: wherever the
+    plain sum is finite the exponent is 0 and the mantissa is that sum.
+    """
+    if not np.ndim(x):
+        total = _plain_sum(ells, x, rel_tol, max_terms)
+        return _rescaled_sum(ells, x, rel_tol, max_terms) if math.isinf(total) else (total, 0)
+    x = np.asarray(x, dtype=float)
+    total, exponent = _hyper_0f_array(ells, x, rel_tol, max_terms), np.zeros(x.shape, dtype=int)
+    for i in np.flatnonzero(np.isinf(total)):
+        total.flat[i], exponent.flat[i] = _rescaled_sum(ells, float(x.flat[i]), rel_tol, max_terms)
+    return total, exponent
+
+
+def _plain_sum(ells, x: float, rel_tol: float, max_terms: int) -> float:
+    """The term-by-term float sum; inf once a step overflows."""
     term = 1.0
     total = 1.0
     k = 0
@@ -352,10 +374,33 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
     return total
 
 
+def _rescaled_sum(ells, x: float, rel_tol: float, max_terms: int) -> tuple[float, int]:
+    """The sum of `_plain_sum` as (mantissa, exponent): before a step that
+    would overflow, the term and the total are divided by 2**RESCALE_BITS
+    (exactly) and the exponent grows by as much."""
+    term = total = 1.0
+    exponent = k = 0
+    while abs(term) > rel_tol * abs(total):
+        factor = x / ((k + 1) * math.prod(ell + k for ell in ells))
+        step = term * factor
+        summed = total + step
+        if math.isinf(summed):
+            if math.isinf(factor):
+                raise DomainError(f"hypergeometric series term ratio overflows at x = {x:g}")
+            term, total = math.ldexp(term, -RESCALE_BITS), math.ldexp(total, -RESCALE_BITS)
+            exponent += RESCALE_BITS
+            continue
+        term, total = step, summed
+        k += 1
+        if k >= max_terms:
+            raise DomainError("hypergeometric series did not converge")
+    return total, exponent
+
+
 def _hyper_0f_array(ells, x: np.ndarray, rel_tol: float, max_terms: int) -> np.ndarray:
-    """The scalar sum of `hyper_0f` at every entry of x at once.  Each entry
-    stops at its own term, so it equals the scalar sum bit for bit; a plain
-    float loop stays faster for one x."""
+    """`_plain_sum` at every entry of x at once.  Each entry stops at its own
+    term, so it equals the scalar sum bit for bit; a plain float loop stays
+    faster for one x."""
     out = np.ones(x.shape)
     live = np.arange(x.size)  # flat indices still summing
     xs, term, total = x.ravel(), np.ones(x.size), np.ones(x.size)
@@ -375,19 +420,36 @@ def _hyper_0f_array(ells, x: np.ndarray, rel_tol: float, max_terms: int) -> np.n
                 raise DomainError("hypergeometric series did not converge")
 
 
+def _ldexp_or_raise(mantissa, exponent, what: str):
+    """mantissa * 2**exponent (a float, or an array of them), or a
+    `DomainError` naming ``what`` when a value leaves the double range."""
+    with np.errstate(over="ignore"):
+        value = np.ldexp(mantissa, exponent)
+    if np.isinf(value).any():
+        with np.errstate(divide="ignore"):  # a zero mantissa elsewhere in the array
+            bits = np.max(np.log2(np.abs(mantissa)) + exponent)
+        raise DomainError(f"{what} overflows double precision: it is about 2^{bits:.1f}")
+    return value if np.ndim(value) else float(value)
+
+
 def bg_normalization(params: AlgebraParams, z):
     """|N(z)| with |N|^2 = 0F_q(ells; prod(ells) |z|^2), at z or a z-array.
 
     Valid for kappas of the reciprocal-integer form 1/ell (zero kappas
     drop out).  Agrees with the l2 norm of the unnormalized
-    lowering-eigenstate coefficient vector at the same z.
+    lowering-eigenstate coefficient vector at the same z.  |N|^2 may pass
+    the double range where |N| does not: the root is taken of the scaled
+    sum, sqrt(m 2^e) = sqrt(m) 2^(e/2), and only an |N| past the double
+    range is a `DomainError`.
     """
     ells = reciprocal_ells(params)
     if np.ndim(z) == 0:
-        return math.sqrt(hyper_0f(ells, math.prod(ells) * abs(complex(z)) ** 2))
-    z = np.asarray(z, dtype=complex)
-    x = math.prod(ells) * np.hypot(z.real, z.imag) ** 2  # hypot: bit-equal to abs(complex)
-    return np.sqrt(hyper_0f(ells, x))
+        x = math.prod(ells) * abs(complex(z)) ** 2
+    else:
+        z = np.asarray(z, dtype=complex)
+        x = math.prod(ells) * np.hypot(z.real, z.imag) ** 2  # hypot: bit-equal to abs(complex)
+    mantissa, exponent = _hyper_0f_scaled(ells, x)  # exponent: a multiple of RESCALE_BITS, even
+    return _ldexp_or_raise(np.sqrt(mantissa), exponent // 2, "normalization |N(z)|")
 
 
 def perelomov_log_partial_norms(params: AlgebraParams, z, n_terms: int) -> np.ndarray:

@@ -15,19 +15,28 @@ moments is produced by the classical chain
             -> recurrence alpha_j, beta_j read off the minors (exact)
             -> Jacobi matrix -> Gauss nodes and weights (float).
 
-One pass of the Chebyshev algorithm in exact rationals, O(M^2) operations
-for M moments, gives both positivity certificates: the plain and shifted
-Hankel minors, which decide exactly whether a measure on (0, inf) exists.
-The recurrence coefficients follow from the minors in O(M) divisions.
-Raw-moment recurrences are notoriously ill-conditioned in floating point;
-exact arithmetic sidesteps that and makes the checks decisive rather than
-heuristic.  The float endgame takes the nodes from ``eigvalsh`` of the
-Jacobi matrix, polishes them by Newton steps on the orthogonal polynomial,
-and takes the weights as Christoffel numbers from the orthonormal
-three-term recurrence, which keeps the small tail weights accurate to a few
-ulp where eigenvector weights lose them (Gautschi, Orthogonal Polynomials:
-Computation and Approximation, OUP 2004, sections 2.1 and 3.1).  The rule
-is accepted only if it reproduces every supplied moment to 1e-8.
+One exact pass of the Chebyshev algorithm, O(M^2) operations for M
+moments, gives both positivity certificates: the plain and shifted Hankel
+minors, which decide exactly whether a measure on (0, inf) exists.  The
+pass runs on Python integers, not Fractions: each row of the table is a
+list of integers over one common denominator, and after each update one
+gcd takes the content out of the row, which keeps its integers as small
+as the reduced fractions would be (a gcd on every Fraction operation was
+most of the cost).  Plain fraction-free elimination (Bareiss 1968), with
+one exact division per update and no content gcd, loses here: its
+unreduced integers grow with every row and come out slower than Fractions
+on the kappa = p/q families.  The recurrence coefficients follow from the
+minors in O(M) operations: two reduced quotients per level, the rest
+integer products.  Raw-moment recurrences are notoriously ill-conditioned
+in floating point; exact arithmetic sidesteps that and makes the checks
+decisive rather than heuristic.  The float endgame takes the nodes from
+``eigvalsh`` of the Jacobi matrix, polishes them by Newton steps on the
+orthogonal polynomial, and takes the weights as Christoffel numbers from
+the orthonormal three-term recurrence, which keeps the small tail weights
+accurate to a few ulp where eigenvector weights lose them (Gautschi,
+Orthogonal Polynomials: Computation and Approximation, OUP 2004, sections
+2.1 and 3.1).  The rule is accepted only if it reproduces every supplied
+moment to 1e-8.
 
 With an odd number of supplied moments the last diagonal recurrence
 coefficient is not pinned down; it is completed just above the exact
@@ -131,32 +140,56 @@ def hankel_minors(values) -> tuple[list[Fraction], list[Fraction]]:
     One pass of the Chebyshev algorithm gives them in O(M^2) exact
     operations: sigma_{j,l} = <pi_j, t^l> for the monic orthogonal
     polynomials pi_j, so det H_{j+1} = det H_j * sigma_{j,j}, and
-    det H'_k = det H_k * D_k with D_k = det J_k = (-1)^k pi_k(0) from
-    D_k = alpha_{k-1} D_{k-1} - beta_{k-1} D_{k-2}.  The table divides by
-    sigma_{j,j}, so it stops at an exact zero minor: the lists then end
-    with that zero (a prefix of the full ones).
+    det H'_k = det H_k * D_k with D_k = det J_k = (-1)^k pi_k(0).  From
+    D_{j+1} = alpha_j D_j - beta_j D_{j-1} and beta_j = sigma_{j,j} /
+    sigma_{j-1,j-1} that is det H'_{j+1} = sigma_{j,j} (alpha_j det H'_j -
+    sigma_{j,j} det H'_{j-1}).  The table divides by sigma_{j,j}, so it
+    stops at an exact zero minor: the lists then end with that zero (a
+    prefix of the full ones).
+
+    The table holds no Fraction.  Row j is a list of integers N_j[i] =
+    den_j sigma_{j,j+i} over one positive integer den_j, and alpha_j =
+    N_j[1]/N_j[0] - N_{j-1}[1]/N_{j-1}[0].  Cleared of fractions, the update
+    sigma_{j+1,l} = sigma_{j,l+1} - alpha_j sigma_{j,l} - beta_j sigma_{j-1,l}
+    reads
+
+        N_{j+1}[i] = a N_j[i+2] - b N_j[i+1] - N_j[0]^2 N_{j-1}[i+2]
+
+    over den_j a, with a = N_j[0] N_{j-1}[0] and b = N_j[1] N_{j-1}[0] -
+    N_{j-1}[1] N_j[0] (den_{j-1} cancels).  One gcd then takes the content
+    out of the new row and its denominator; it is what keeps the integers
+    as small as the reduced fractions.  Only the two minors per row are
+    built as Fractions.
     """
     values = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    row = [v.numerator * (den // v.denominator) for v in values]  # N_0
+    prev = [1] + [0] * (len(row) + 1)  # N_{-1}: pi_{-1} = 0, with a unit pivot
     plain, shifted = [], []
-    row, prev = values, [Fraction(0)] * (len(values) + 2)  # sigma_{j,j+i}, sigma_{j-1,j-1+i}
-    det, d, d_prev = Fraction(1), Fraction(1), Fraction(0)  # det H_j, D_j, D_{j-1}
-    alpha = beta = ratio = Fraction(0)
-    for j in range((len(values) + 1) // 2):
-        if j:
-            step = zip(row[2:], row[1:], prev[2:])
-            row, prev = [a - alpha * b - beta * c for a, b, c in step], row
-        sigma = row[0]
-        det *= sigma
+    det, minor, minor_prev = Fraction(1), Fraction(1), Fraction(0)  # H_j, H'_j, H'_{j-1}
+    for _ in range((len(values) + 1) // 2):
+        sigma = row[0]  # den * sigma_{j,j}
+        det = Fraction(det.numerator * sigma, det.denominator * den)
         plain.append(det)
-        if sigma == 0:
+        if not sigma or len(row) < 2:
             break
-        beta = sigma / prev[0] if j else sigma
-        if len(row) < 2:
-            break
-        next_ratio = row[1] / sigma  # sigma_{j,j+1} / sigma_{j,j}
-        alpha, ratio = next_ratio - ratio, next_ratio
-        d, d_prev = alpha * d - beta * d_prev, d
-        shifted.append(det * d)
+        pivot = sigma * prev[0]
+        slope = row[1] * prev[0] - prev[1] * sigma  # alpha_j = slope / pivot
+        (a, b), (c, e) = minor.as_integer_ratio(), minor_prev.as_integer_ratio()
+        minor, minor_prev = Fraction(
+            sigma * (slope * den * a * e - pivot * sigma * c * b), den * den * pivot * b * e
+        ), minor
+        shifted.append(minor)
+        square = sigma * sigma
+        step = zip(row[2:], row[1:], prev[2:])
+        row, prev = [pivot * n2 - slope * n1 - square * n0 for n2, n1, n0 in step], row
+        den *= pivot
+        content = math.gcd(den, *row)
+        if pivot < 0:
+            content = -content
+        if content != 1:
+            row = [n // content for n in row]
+            den //= content
     return plain, shifted
 
 
@@ -204,17 +237,55 @@ def _moment_match(values, nodes: np.ndarray, weights: np.ndarray) -> float:
     a node leaves the double range however large the moments grow."""
     scale = float(nodes.max())
     approx = ((nodes / scale) ** np.arange(len(values))[:, None]) @ weights
-    worst, power, exact_scale = 0.0, Fraction(1), Fraction(scale)
-    for m_n, a_n in zip(values, approx):
+    worst = 0.0
+    scale_num, scale_den = scale.as_integer_ratio()
+    power_num = power_den = 1  # s^n = power_num / power_den
+    for m_n, a_n in zip(values, approx.tolist()):  # floats: an overflow is inf, silently
+        num, den = m_n.as_integer_ratio()
         try:
-            target = float(m_n / power)
+            target = (num * power_den) / (den * power_num)  # m_n / s^n, correctly rounded
         except OverflowError:
             return math.inf
         if target == 0.0:
             return math.inf
         worst = max(worst, abs(a_n - target) / target)
-        power *= exact_scale
+        power_num *= scale_num
+        power_den *= scale_den
     return worst
+
+
+def _recurrence(plain, shifted, count: int):
+    """alpha_j and beta_j, j < ceil(count/2), read off the positive minors,
+    each as one unreduced integer ratio (num, den) with den > 0.
+
+    With sigma_j = H_{j+1} / H_j and D_j = H'_j / H_j (D_{-1} = 0, D_0 = 1),
+    beta_j = sigma_j / sigma_{j-1} (sigma_{-1} = 1) and alpha_j = (D_{j+1} +
+    beta_j D_{j-1}) / D_j.  The minors grow quadratically with j, but sigma_j
+    and D_j do not: one reduced quotient each brings them down to the size
+    of a moment, and the rest is integer products of those.
+
+    With an odd count the last diagonal entry of the Jacobi matrix is
+    unconstrained by the supplied moments.  det(J_k) = alpha_{k-1} D_{k-1} -
+    beta_{k-1} D_{k-2} is linear in it, so the exact positivity threshold
+    tau = beta_{k-1} D_{k-2} / D_{k-1} (Schur complement of the leading
+    block) is available; anything above it keeps every node strictly
+    positive, and alpha_{k-1} is completed to 2 tau + 1.
+    """
+    k = (count + 1) // 2
+    sigmas = [(det / det_prev).as_integer_ratio() for det, det_prev in zip(plain, [1, *plain])]
+    dets = [(0, 1), (1, 1), *((s / h).as_integer_ratio() for s, h in zip(shifted, plain))]
+    dets += [(0, 1)] * (k + 2 - len(dets))  # odd count: D_k = 0 turns alpha_{k-1} into tau
+    alphas, betas = [], []
+    for (s0, t0), (s1, t1), (p, q), (p0, q0), (p1, q1) in zip(
+        [(1, 1), *sigmas], sigmas, dets, dets[1:], dets[2:]
+    ):
+        num, den = s1 * t0, t1 * s0
+        betas.append((num, den))
+        alphas.append(((p1 * den * q + num * p * q1) * q0, q1 * den * q * p0))
+    if len(shifted) < k:
+        num, den = alphas[-1]
+        alphas[-1] = (2 * num + den, den)
+    return alphas, betas
 
 
 def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
@@ -223,8 +294,8 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
     Uses ceil(M/2) nodes for M supplied moments.  Positivity of the plain
     and shifted Hankel minors is checked exactly first; a failure names
     the offending minor.  The recurrence coefficients are then read off the
-    minors: beta_j = H_{j+1} H_{j-1} / H_j^2 and, with D_k = H'_k / H_k,
-    alpha_{k-1} = (D_k + beta_{k-1} D_{k-2}) / D_{k-1}.
+    minors in integer arithmetic (`_recurrence`); the true division of each
+    integer ratio rounds it exactly as float(Fraction) would.
     """
     values = list(moments.values)
     count = len(values)
@@ -242,28 +313,17 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
                 f"moments admit no measure on (0, inf): shifted Hankel minor H'_{idx} = {det}"
             )
 
-    k = (count + 1) // 2
-    sigmas = [h / h_prev for h, h_prev in zip(plain, [Fraction(1), *plain])]  # H_{j+1} / H_j
-    betas = [s / s_prev for s, s_prev in zip(sigmas, [Fraction(1), *sigmas])]
-    dets = [Fraction(0), Fraction(1), *(s / h for s, h in zip(shifted, plain))]  # D_{-1}, D_0, ...
-    alphas = [(dets[j + 2] + betas[j] * dets[j]) / dets[j + 1] for j in range(len(shifted))]
-    if len(alphas) < k:
-        # The last diagonal entry of the Jacobi matrix is unconstrained by
-        # the supplied moments.  det(J_k) = alpha_{k-1} D_{k-1} - beta_{k-1}
-        # D_{k-2} is linear in it, so the exact positivity threshold tau
-        # (Schur complement of the leading block) is available; anything
-        # above it keeps every node strictly positive.
-        tau = betas[k - 1] * dets[k - 1] / dets[k]
-        alphas.append(2 * tau + 1)
-
-    alpha_f = np.array([float(a) for a in alphas])
-    beta_f = np.array([float(b) for b in betas])
-    if not (np.all(np.isfinite(alpha_f)) and np.all(np.isfinite(beta_f))):
-        spread = max(abs(b) for b in betas) / min(abs(b) for b in betas if b != 0)
+    alphas, betas = _recurrence(plain, shifted, count)
+    try:
+        alpha_f = np.array([num / den for num, den in alphas])
+        beta_f = np.array([num / den for num, den in betas])
+    except OverflowError:
+        spread = max(Fraction(*beta) for beta in betas) / min(Fraction(*beta) for beta in betas)
+        bits = spread.numerator.bit_length() - spread.denominator.bit_length()
         raise DomainError(
             "recurrence coefficients overflow double precision; "
-            f"beta spread (condition estimate) = {float(spread):g}"
-        )
+            f"beta spread (condition estimate) ~ 2^{bits}"
+        ) from None
     nodes, weights = _gauss_rule(alpha_f, beta_f)
     if np.any(nodes <= 0) or np.any(weights <= 0):
         raise DomainError(

@@ -216,6 +216,17 @@ def inverse_square_factorial_sum(x: float, terms: int = 60) -> float:
     return total
 
 
+def hyper_0f_unscaled(ells, x, rel_tol=1e-16):
+    """0F_q(ells; x) as one plain float loop, inf once a partial sum overflows."""
+    term = total = 1.0
+    k = 0
+    while abs(term) > rel_tol * abs(total):
+        term *= x / ((k + 1) * math.prod(ell + k for ell in ells))
+        total += term
+        k += 1
+    return total
+
+
 def gauss_rule_from_moments_direct(moments, k):
     """Classical alternative route to a k-node rule from 2k moments:
     orthogonal-polynomial coefficients from the Hankel linear system,
@@ -269,6 +280,75 @@ def hankel_minors_by_elimination(values):
         for k in range(1, count // 2 + 1)
     ]
     return plain, shifted
+
+
+def hankel_minors_by_fractions(values) -> tuple[list[Fraction], list[Fraction]]:
+    """Leading minors of H = [m_{i+j}] and H' = [m_{i+j+1}] by the Chebyshev
+    algorithm with every table entry a `Fraction`: the reference for the
+    integer rows of `measure.hankel_minors`, which must return equal lists.
+
+    One pass of the Chebyshev algorithm gives them in O(M^2) exact
+    operations: sigma_{j,l} = <pi_j, t^l> for the monic orthogonal
+    polynomials pi_j, so det H_{j+1} = det H_j * sigma_{j,j}, and
+    det H'_k = det H_k * D_k with D_k = det J_k = (-1)^k pi_k(0) from
+    D_k = alpha_{k-1} D_{k-1} - beta_{k-1} D_{k-2}.  The table divides by
+    sigma_{j,j}, so it stops at an exact zero minor: the lists then end
+    with that zero (a prefix of the full ones).
+    """
+    values = [Fraction(v) for v in values]
+    plain, shifted = [], []
+    row, prev = values, [Fraction(0)] * (len(values) + 2)  # sigma_{j,j+i}, sigma_{j-1,j-1+i}
+    det, d, d_prev = Fraction(1), Fraction(1), Fraction(0)  # det H_j, D_j, D_{j-1}
+    alpha = beta = ratio = Fraction(0)
+    for j in range((len(values) + 1) // 2):
+        if j:
+            step = zip(row[2:], row[1:], prev[2:])
+            row, prev = [a - alpha * b - beta * c for a, b, c in step], row
+        sigma = row[0]
+        det *= sigma
+        plain.append(det)
+        if sigma == 0:
+            break
+        beta = sigma / prev[0] if j else sigma
+        if len(row) < 2:
+            break
+        next_ratio = row[1] / sigma  # sigma_{j,j+1} / sigma_{j,j}
+        alpha, ratio = next_ratio - ratio, next_ratio
+        d, d_prev = alpha * d - beta * d_prev, d
+        shifted.append(det * d)
+    return plain, shifted
+
+
+def recurrence_by_fractions(plain, shifted, count):
+    """(alphas, betas) of the Jacobi matrix read off positive minors in
+    `Fraction`s, the odd-count last alpha completed to 2 tau + 1: the
+    reference for `measure._recurrence`."""
+    k = (count + 1) // 2
+    sigmas = [h / h_prev for h, h_prev in zip(plain, [Fraction(1), *plain])]  # H_{j+1} / H_j
+    betas = [s / s_prev for s, s_prev in zip(sigmas, [Fraction(1), *sigmas])]
+    dets = [Fraction(0), Fraction(1), *(s / h for s, h in zip(shifted, plain))]  # D_{-1}, D_0, ...
+    alphas = [(dets[j + 2] + betas[j] * dets[j]) / dets[j + 1] for j in range(len(shifted))]
+    if len(alphas) < k:
+        tau = betas[k - 1] * dets[k - 1] / dets[k]
+        alphas.append(2 * tau + 1)
+    return alphas, betas
+
+
+def moment_match_by_fractions(values, nodes, weights):
+    """`measure._moment_match` with each target m_n / s^n a `Fraction`."""
+    scale = float(nodes.max())
+    approx = ((nodes / scale) ** np.arange(len(values))[:, None]) @ weights
+    worst, power, exact_scale = 0.0, Fraction(1), Fraction(scale)
+    for m_n, a_n in zip(values, approx.tolist()):  # floats: an overflow is inf, silently
+        try:
+            target = float(m_n / power)
+        except OverflowError:
+            return math.inf
+        if target == 0.0:
+            return math.inf
+        worst = max(worst, abs(a_n - target) / target)
+        power *= exact_scale
+    return worst
 
 
 _EXTRA_KAPPAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2))

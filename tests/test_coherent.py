@@ -27,6 +27,7 @@ from oracles import (
     bg_eigen_residual_dense,
     dense_lowering,
     glauber_overlap,
+    hyper_0f_unscaled,
     inverse_square_factorial_sum,
     nilpotent_exponential_dense,
     random_finite_params,
@@ -407,6 +408,42 @@ def test_hyper_0f_on_an_array_stops_each_entry_at_its_own_term():
     assert hyper_0f((2, 3), np.array(xs)).tolist() == [hyper_0f((2, 3), x) for x in xs]
     with pytest.raises(DomainError):
         hyper_0f((1,), np.array([0.5, 1e6]), max_terms=50)
+
+
+def test_bg_normalization_past_the_double_range_of_its_square():
+    # |N|^2 = e^900 overflows; |N| = e^450 does not
+    assert bg_normalization(OSC, 30) == pytest.approx(math.exp(450), rel=1e-13)
+    params = AlgebraParams(["1/2", "1/3"])
+    for z in (2000.0, 1600 + 1200j):  # |N|^2 = 0F_2(;2,3;6|z|^2) = e^841.0
+        x = 6 * abs(z) ** 2
+        with mpmath.workdps(30):
+            ref = float(mpmath.sqrt(mpmath.hyper([], [2, 3], x)))
+        assert bg_normalization(params, z) == pytest.approx(ref, rel=1e-13)
+    zs = np.array([[30.0, 1.0], [0.0, 26.0]])
+    scalars = [[bg_normalization(OSC, z) for z in row] for row in zs]
+    assert bg_normalization(OSC, zs).tolist() == scalars
+    with pytest.raises(DomainError, match=r"normalization \|N\(z\)\| overflows double precision"):
+        bg_normalization(OSC, 40)  # |N| = e^800
+    with pytest.raises(DomainError, match="overflows double precision"):
+        bg_normalization(OSC, np.array([1.0, 40.0]))
+    with pytest.raises(DomainError, match="hypergeometric sum overflows double precision"):
+        hyper_0f((), 900.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ells=st.lists(st.integers(min_value=1, max_value=9), max_size=3),
+    x=st.floats(min_value=0, max_value=2000),
+)
+def test_hyper_0f_is_the_plain_float_sum_wherever_that_is_finite(ells, x):
+    plain = hyper_0f_unscaled(ells, x)
+    if math.isfinite(plain):
+        assert hyper_0f(ells, x) == plain
+        assert hyper_0f(ells, np.array([x])).tolist() == [plain]
+        params = AlgebraParams([Fraction(1, ell) for ell in ells] or [0])
+        z = math.sqrt(x / math.prod(ells))
+        exact_x = math.prod(ells) * abs(complex(z)) ** 2
+        assert bg_normalization(params, z) == math.sqrt(hyper_0f_unscaled(ells, exact_x))
 
 
 def test_hyper_0f_against_mpmath():

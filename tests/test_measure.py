@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -20,7 +21,15 @@ from polywh import (
     verify_identity,
 )
 
-from oracles import gauss_rule_from_moments_direct, hankel_minors_by_elimination
+from polywh.measure import _moment_match, _recurrence
+
+from oracles import (
+    gauss_rule_from_moments_direct,
+    hankel_minors_by_elimination,
+    hankel_minors_by_fractions,
+    moment_match_by_fractions,
+    recurrence_by_fractions,
+)
 
 OSC = AlgebraParams([0])
 
@@ -154,6 +163,99 @@ def test_hankel_minors_match_elimination(values):
 def test_hankel_minors_stop_at_an_exact_zero():
     assert hankel_minors([1, 1, 1, 1]) == ([1, 0], [1])
     assert hankel_minors_by_elimination([1, 1, 1, 1]) == ([1, 0], [1, 0])
+
+
+_WIDE_RATIONAL = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
+)
+
+
+@st.composite
+def _rational_sequences(draw):
+    """Rationals with large, mixed denominators and either sign, or the
+    moments of a few signed atoms, whose minors past the atom count are
+    exactly 0."""
+    count = draw(st.integers(min_value=1, max_value=24))
+    if draw(st.booleans()):
+        return draw(st.lists(_WIDE_RATIONAL, min_size=count, max_size=count))
+    atoms = draw(st.lists(st.tuples(_WIDE_RATIONAL, _WIDE_RATIONAL), min_size=1, max_size=5))
+    return [sum(w * t**n for t, w in atoms) for n in range(count)]
+
+
+@st.composite
+def _family_moments(draw):
+    """moments_for over the measure families: kappa = p/q (q <= 29), 1/ell
+    tuples with r <= 3, kappa = 0 and finite ladders, up to 64 levels."""
+    ratio = st.builds(
+        Fraction, st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=29)
+    )
+    ell = st.builds(Fraction, st.just(1), st.integers(min_value=1, max_value=9))
+    shape = draw(st.sampled_from(["ratio", "ell", "zero", "finite"]))
+    if shape == "finite":
+        d = draw(st.integers(min_value=2, max_value=64))
+        extra = draw(st.lists(ratio, max_size=2))
+        return moments_for(AlgebraParams([Fraction(-1, d - 1), *extra]), "perelomov")
+    kind = draw(st.sampled_from(["perelomov", "barut-girardello"]))
+    r = 1 if kind == "perelomov" else draw(st.integers(min_value=1, max_value=3))
+    kappa = {"ratio": ratio, "ell": ell, "zero": st.just(Fraction(0))}[shape]
+    kappas = draw(st.lists(kappa, min_size=r, max_size=r))
+    count = draw(st.integers(min_value=1, max_value=64))
+    return moments_for(AlgebraParams(kappas), kind, count=count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_rational_sequences())
+def test_hankel_minors_match_the_fraction_table_on_wide_rationals(values):
+    plain, shifted = hankel_minors(values)
+    assert (plain, shifted) == hankel_minors_by_fractions(values)
+    assert 0 not in plain[:-1]  # a zero minor ends the lists
+
+
+@settings(max_examples=100, deadline=None)
+@given(moments=_family_moments())
+def test_hankel_minors_match_the_fraction_table_on_the_families(moments):
+    assert hankel_minors(moments.values) == hankel_minors_by_fractions(moments.values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(moments=_family_moments(), data=st.data())
+def test_recurrence_and_moment_targets_match_fractions(moments, data):
+    values = moments.values
+    plain, shifted = hankel_minors(values)
+    if all(det > 0 for det in plain + shifted):
+        alphas, betas = _recurrence(plain, shifted, len(values))
+        ref_alphas, ref_betas = recurrence_by_fractions(plain, shifted, len(values))
+        assert [Fraction(*a) for a in alphas] == ref_alphas
+        assert [Fraction(*b) for b in betas] == ref_betas
+        assert [n / d for n, d in alphas + betas] == [float(x) for x in ref_alphas + ref_betas]
+    k = (len(values) + 1) // 2
+    positive = st.floats(min_value=1e-3, max_value=1e3)
+    nodes = np.array(data.draw(st.lists(positive, min_size=k, max_size=k)))
+    weights = np.array(data.draw(st.lists(positive, min_size=k, max_size=k)))
+    worst = _moment_match(values, nodes, weights)
+    assert worst == moment_match_by_fractions(values, nodes, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_rational_sequences())
+def test_minor_failures_name_the_first_nonpositive_minor(values):
+    plain, shifted = hankel_minors_by_fractions(values)
+    named = [(f"Hankel minor H_{i}", det) for i, det in enumerate(plain, start=1)]
+    named += [(f"shifted Hankel minor H'_{i}", det) for i, det in enumerate(shifted, start=1)]
+    failures = [f"{name} = {det}" for name, det in named if det <= 0]
+    if failures:
+        moments = MomentSequence(tuple(map(Fraction, values)), StateKind.BARUT_GIRARDELLO)
+        with pytest.raises(DomainError, match=re.escape(failures[0]) + "$"):
+            solve_measure(moments)
+
+
+def test_overflowing_recurrence_is_a_domain_error():
+    # H_1 = 1, H_2 = 10^800, alpha_0 = 10^400: past the double range
+    moments = MomentSequence((Fraction(1), Fraction(10**400), Fraction(2 * 10**800)),
+                             StateKind.BARUT_GIRARDELLO)
+    with pytest.raises(DomainError, match=r"overflow double precision; beta spread .* 2\^2657$"):
+        solve_measure(moments)
 
 
 def test_shifted_minor_failures_name_the_minor():
