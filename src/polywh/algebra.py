@@ -24,7 +24,7 @@ band the lowering operator has; its dense matrices (raising the exact
 conjugate transpose of lowering) are views built on first access.
 `identity_deviations` checks the three defining identities (product,
 commutator, nilpotency) from the band in O(m), with no matrix product;
-nilpotency is the exact decision F(d) = 0.
+on a finite ladder the band's length d-1 makes nilpotency exactly 0.
 All values are immutable.
 """
 
@@ -312,16 +312,10 @@ def identity_deviations(rep: LadderRep) -> IdentityDeviations:
     expected[:cut] = ladder_table(rep.params, cut).f
     diag = np.zeros(m + 1)  # <n|raising lowering|n> for n = 0..m
     diag[1:m] = rep.band.real**2 + rep.band.imag**2
-    nilpotency = None
-    dim = classify(rep.params)
-    if dim.is_finite:
-        # lowering^d maps |n> to a multiple of |n-d|, which is no level of a
-        # band of length d-1: the power is exactly 0, and F(d) = 0 is the
-        # exact statement that the ladder closes there
-        top = structure_function(rep.params, dim.d)
-        if top != 0:
-            raise DomainError(f"the finite ladder does not close: F(d) = F({dim.d}) = {top}")
-        nilpotency = 0.0
+    # lowering^d maps |n> to a multiple of |n-d|, which is no level of a band
+    # of length d-1: the power is exactly 0.  F(d) = 0 closes the ladder
+    # there, as AlgebraParams checks when it takes kappa_1 = -1/(d-1).
+    nilpotency = 0.0 if classify(rep.params).is_finite else None
     return IdentityDeviations(
         product=float(np.max(np.abs(diag[:m] - expected[:m]))),
         commutator=float(np.max(np.abs(np.diff(diag) - np.diff(expected)))),

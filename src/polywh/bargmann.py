@@ -35,7 +35,7 @@ from .algebra import (
     ladder_table,
     reciprocal_ells,
 )
-from .coherent import bg_normalization
+from .coherent import _bg_normalization_scaled
 from .errors import DomainError
 
 __all__ = [
@@ -121,7 +121,8 @@ def schwarz_check(params: AlgebraParams, f_coeffs, z_grid) -> float:
     """max over the grid of |f_phi(z)| - |N(z)| for a normalized f.
 
     Cauchy-Schwarz against the kernel makes this nonpositive; numerically
-    it never exceeds zero by more than rounding (<= 1e-10)."""
+    it never exceeds zero by more than rounding (<= 1e-10).  A point where
+    |N| passes the double range has excess -inf: the bound holds there."""
     f = np.asarray(f_coeffs, dtype=complex)
     nrm2 = float(np.sum(np.abs(f) ** 2))
     if abs(nrm2 - 1.0) > 1e-12:
@@ -129,7 +130,10 @@ def schwarz_check(params: AlgebraParams, f_coeffs, z_grid) -> float:
     z_grid = np.asarray(z_grid, dtype=complex)
     if not z_grid.size:
         return -math.inf
-    excess = np.abs(bargmann_eval(params, f, z_grid)) - bg_normalization(params, z_grid)
+    mantissa, exponent = _bg_normalization_scaled(params, z_grid)
+    with np.errstate(over="ignore"):  # |N| past the double range: inf, and the bound holds there
+        bound = np.ldexp(mantissa, exponent)
+    excess = np.abs(bargmann_eval(params, f, z_grid)) - bound
     return float(np.max(excess))
 
 

@@ -340,44 +340,20 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
     until the relative term drops below ``rel_tol``.  A value past the
     double range is a `DomainError`.
     """
-    return _ldexp_or_raise(*_hyper_0f_scaled(ells, x, rel_tol, max_terms), "hypergeometric sum")
-
-
-def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
-    """0F_q as (mantissa, exponent), the value mantissa * 2**exponent.
-
-    The plain float sum runs first, at every entry of an array at once, and
-    a sum it overflows is summed again by `_rescaled_sum`: wherever the
-    plain sum is finite the exponent is 0 and the mantissa is that sum.
-    """
     if not np.ndim(x):
-        total = _plain_sum(ells, x, rel_tol, max_terms)
-        return _rescaled_sum(ells, x, rel_tol, max_terms) if math.isinf(total) else (total, 0)
-    x = np.asarray(x, dtype=float)
-    total, exponent = _hyper_0f_array(ells, x, rel_tol, max_terms), np.zeros(x.shape, dtype=int)
-    for i in np.flatnonzero(np.isinf(total)):
-        total.flat[i], exponent.flat[i] = _rescaled_sum(ells, float(x.flat[i]), rel_tol, max_terms)
-    return total, exponent
+        total, exponent = _rescaled_sum(ells, x, rel_tol, max_terms)
+        return _ldexp_scalar(total, exponent, "hypergeometric sum")
+    return _ldexp_array(*_hyper_0f_scaled(ells, x, rel_tol, max_terms), "hypergeometric sum")
 
 
-def _plain_sum(ells, x: float, rel_tol: float, max_terms: int) -> float:
-    """The term-by-term float sum; inf once a step overflows."""
-    term = 1.0
-    total = 1.0
-    k = 0
-    while abs(term) > rel_tol * abs(total):
-        term *= x / ((k + 1) * math.prod(ell + k for ell in ells))
-        total += term
-        k += 1
-        if k >= max_terms:
-            raise DomainError("hypergeometric series did not converge")
-    return total
-
-
-def _rescaled_sum(ells, x: float, rel_tol: float, max_terms: int) -> tuple[float, int]:
-    """The sum of `_plain_sum` as (mantissa, exponent): before a step that
-    would overflow, the term and the total are divided by 2**RESCALE_BITS
-    (exactly) and the exponent grows by as much."""
+def _rescaled_sum(
+    ells, x: float, rel_tol: float = 1e-16, max_terms: int = 100_000
+) -> tuple[float, int]:
+    """The term-by-term float sum as (mantissa, exponent), the value
+    mantissa * 2**exponent.  Before a step that would overflow, the term and
+    the total are divided by 2**RESCALE_BITS (exactly) and the exponent grows
+    by as much; wherever the plain float sum stays finite the exponent is 0
+    and the mantissa is that sum."""
     term = total = 1.0
     exponent = k = 0
     while abs(term) > rel_tol * abs(total):
@@ -397,10 +373,22 @@ def _rescaled_sum(ells, x: float, rel_tol: float, max_terms: int) -> tuple[float
     return total, exponent
 
 
+def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
+    """0F_q at every entry of an x-array as (mantissa, exponent) arrays.
+
+    The plain float sum runs at every entry at once, and an entry it
+    overflows is summed again by `_rescaled_sum`."""
+    x = np.asarray(x, dtype=float)
+    total, exponent = _hyper_0f_array(ells, x, rel_tol, max_terms), np.zeros(x.shape, dtype=int)
+    for i in np.flatnonzero(np.isinf(total)):
+        total.flat[i], exponent.flat[i] = _rescaled_sum(ells, float(x.flat[i]), rel_tol, max_terms)
+    return total, exponent
+
+
 def _hyper_0f_array(ells, x: np.ndarray, rel_tol: float, max_terms: int) -> np.ndarray:
-    """`_plain_sum` at every entry of x at once.  Each entry stops at its own
-    term, so it equals the scalar sum bit for bit; a plain float loop stays
-    faster for one x."""
+    """The plain float sum at every entry of x at once, inf where it
+    overflows.  Each entry stops at its own term, so it equals the scalar
+    sum bit for bit; a plain float loop stays faster for one x."""
     out = np.ones(x.shape)
     live = np.arange(x.size)  # flat indices still summing
     xs, term, total = x.ravel(), np.ones(x.size), np.ones(x.size)
@@ -420,16 +408,28 @@ def _hyper_0f_array(ells, x: np.ndarray, rel_tol: float, max_terms: int) -> np.n
                 raise DomainError("hypergeometric series did not converge")
 
 
-def _ldexp_or_raise(mantissa, exponent, what: str):
-    """mantissa * 2**exponent (a float, or an array of them), or a
-    `DomainError` naming ``what`` when a value leaves the double range."""
+def _overflow(what: str, bits: float) -> DomainError:
+    return DomainError(f"{what} overflows double precision: it is about 2^{bits:.1f}")
+
+
+def _ldexp_scalar(mantissa: float, exponent: int, what: str) -> float:
+    """mantissa * 2**exponent, or a `DomainError` naming ``what`` past the double range."""
+    if not exponent:
+        return mantissa
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        raise _overflow(what, math.log2(abs(mantissa)) + exponent) from None
+
+
+def _ldexp_array(mantissa: np.ndarray, exponent: np.ndarray, what: str) -> np.ndarray:
+    """`_ldexp_scalar` at every entry of an array."""
     with np.errstate(over="ignore"):
         value = np.ldexp(mantissa, exponent)
     if np.isinf(value).any():
         with np.errstate(divide="ignore"):  # a zero mantissa elsewhere in the array
-            bits = np.max(np.log2(np.abs(mantissa)) + exponent)
-        raise DomainError(f"{what} overflows double precision: it is about 2^{bits:.1f}")
-    return value if np.ndim(value) else float(value)
+            raise _overflow(what, np.max(np.log2(np.abs(mantissa)) + exponent))
+    return value
 
 
 def bg_normalization(params: AlgebraParams, z):
@@ -444,12 +444,19 @@ def bg_normalization(params: AlgebraParams, z):
     """
     ells = reciprocal_ells(params)
     if np.ndim(z) == 0:
-        x = math.prod(ells) * abs(complex(z)) ** 2
-    else:
-        z = np.asarray(z, dtype=complex)
-        x = math.prod(ells) * np.hypot(z.real, z.imag) ** 2  # hypot: bit-equal to abs(complex)
+        total, exponent = _rescaled_sum(ells, math.prod(ells) * abs(complex(z)) ** 2)
+        return _ldexp_scalar(math.sqrt(total), exponent // 2, "normalization |N(z)|")
+    return _ldexp_array(*_bg_normalization_scaled(params, z), "normalization |N(z)|")
+
+
+def _bg_normalization_scaled(params: AlgebraParams, z_grid) -> tuple[np.ndarray, np.ndarray]:
+    """|N(z)| at every point of a z-array as (mantissa, exponent) arrays,
+    the value mantissa * 2**exponent, which need not fit a double."""
+    ells = reciprocal_ells(params)
+    z = np.asarray(z_grid, dtype=complex)
+    x = math.prod(ells) * np.hypot(z.real, z.imag) ** 2  # hypot: bit-equal to abs(complex)
     mantissa, exponent = _hyper_0f_scaled(ells, x)  # exponent: a multiple of RESCALE_BITS, even
-    return _ldexp_or_raise(np.sqrt(mantissa), exponent // 2, "normalization |N(z)|")
+    return np.sqrt(mantissa), exponent // 2
 
 
 def perelomov_log_partial_norms(params: AlgebraParams, z, n_terms: int) -> np.ndarray:

@@ -96,6 +96,19 @@ def test_schwarz_grid_equals_the_pointwise_excess():
     assert schwarz_check(params, f, []) == -math.inf
 
 
+def test_schwarz_holds_where_the_normalization_passes_the_double_range():
+    # kappa = 0: |N(z)| = e^{|z|^2/2}, past the double range at the corners
+    # |z|^2 = 1800 of a radius-30 grid while |f_phi(z)| stays finite there
+    params = AlgebraParams([0])
+    f = bg_state(params, 0.5, normalize=True).coeffs
+    axis = np.linspace(-30, 30, 9)
+    grid = [complex(x, y) for x in axis for y in axis]
+    inner = [z for z in grid if abs(z) ** 2 / 2 < 709]  # |N| = e^{|z|^2/2} fits a double
+    pointwise = max(abs(bargmann_eval(params, f, z)) - bg_normalization(params, z) for z in inner)
+    assert schwarz_check(params, f, grid) == pointwise
+    assert schwarz_check(params, f, [30 + 30j]) == -math.inf
+
+
 def test_schwarz_requires_normalization():
     with pytest.raises(ValueError):
         schwarz_check(AlgebraParams([1]), [1.0, 1.0], [0.5])
