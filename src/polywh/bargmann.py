@@ -109,11 +109,20 @@ class GrowthEstimate:
 
 
 def bargmann_eval(params: AlgebraParams, f_coeffs, z) -> complex | np.ndarray:
-    """sum_n f_n z^n e^{-i F(n) phi} / sqrt(F(n)!) for a finite vector f, at z or a z-array."""
+    """sum_n f_n z^n e^{-i F(n) phi} / sqrt(F(n)!) for a finite vector f, at z or a z-array.
+
+    A value past the double range is a `DomainError`."""
     reciprocal_ells(params)  # the transform is set up for the reciprocal-integer family
     f = np.asarray(f_coeffs, dtype=complex)
     kernel = ladder_table(params, len(f)).kernel(params.phi)
-    values = np.polyval((f * kernel)[::-1], np.asarray(z, dtype=complex))  # Horner
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused below
+        values = np.polyval((f * kernel)[::-1], z)  # Horner
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DomainError(
+            f"Bargmann transform overflows double precision at z = {complex(z.flat[bad[0]]):g}"
+        )
     return complex(values) if values.ndim == 0 else values
 
 

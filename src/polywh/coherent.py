@@ -338,12 +338,44 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
 
     Summed term by term, t_{k+1} = t_k * x / ((k+1) prod_i (ell_i + k)),
     until the relative term drops below ``rel_tol``.  A value past the
-    double range is a `DomainError`.
+    double range is a `DomainError`.  So is a sum lost to cancellation at
+    x < 0: its rounding error is bounded by eps * S, S = 0F_q(ells; |x|) the
+    sum of the term moduli, and the sum is refused where that bound passes
+    1e-8 of the value or S passes the double range.
     """
+    negative = np.asarray(x) < 0
+    if negative.any():
+        return _alternating_0f(ells, x, negative, rel_tol, max_terms)
+    return _plain_0f(ells, x, rel_tol, max_terms)
+
+
+def _plain_0f(ells, x, rel_tol: float, max_terms: int):
     if not np.ndim(x):
         total, exponent = _rescaled_sum(ells, x, rel_tol, max_terms)
         return _ldexp_scalar(total, exponent, "hypergeometric sum")
     return _ldexp_array(*_hyper_0f_scaled(ells, x, rel_tol, max_terms), "hypergeometric sum")
+
+
+def _alternating_0f(ells, x, negative, rel_tol: float, max_terms: int):
+    """`_plain_0f` where every x < 0 keeps its digits, else the cancellation
+    `DomainError`.  S is summed first: it bounds the partial sums too, so
+    with S in range the signed sum cannot overflow."""
+    x_negative = np.asarray(x, dtype=float)[negative]
+    moduli, exponent = _hyper_0f_scaled(ells, -x_negative, rel_tol, max_terms)
+    if exponent.any():
+        i, detail = np.flatnonzero(exponent)[0], "past the double range"
+    else:
+        value = _plain_0f(ells, x, rel_tol, max_terms)
+        signed = np.asarray(value)[negative]
+        lost = np.flatnonzero(np.finfo(float).eps * moduli > 1e-8 * np.abs(signed))
+        if not lost.size:
+            return value
+        i = lost[0]
+        detail = f"to {moduli[i]:.3g} against a value of {signed[i]:.3g}"
+    raise DomainError(
+        f"hypergeometric sum at x = {x_negative[i]:g} is lost to cancellation: "
+        f"its term moduli sum {detail}"
+    )
 
 
 def _rescaled_sum(

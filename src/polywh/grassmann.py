@@ -5,15 +5,21 @@ construction needs, so elements are plain length-``dim`` coefficient
 tuples (g_0 + g_1 theta + ... + g_{dim-1} theta^{dim-1}) multiplied by
 truncated convolution: every product term of combined degree >= dim is
 annihilated.
+
+The eigenstate's coefficient of |n> is k_n theta^n, one complex number
+per level, so a `GrassmannState` stores the vector k and checks the
+eigenvalue equation on it in O(dim); its coefficients as algebra
+elements are built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraParams, LadderRep, build_rep, classify, ladder_table
+from .algebra import AlgebraParams, LadderRep, _freeze, build_rep, classify, ladder_table
 from .errors import DomainError
 
 __all__ = [
@@ -104,11 +110,18 @@ class GrassmannElement:
 
 @dataclass(frozen=True)
 class GrassmannState:
-    """Eigenstate whose coefficient of |n> is an algebra element (degree n)."""
+    """Eigenstate whose coefficient of |n> is kernel[n] theta^n; ``coeffs`` on first access."""
 
     params: AlgebraParams
-    dim: int
-    coeffs: tuple[GrassmannElement, ...]
+    kernel: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.kernel)
+
+    @cached_property
+    def coeffs(self) -> tuple[GrassmannElement, ...]:
+        return tuple(GrassmannElement(self.dim, c) for c in np.diag(self.kernel))
 
 
 def bg_grassmann_state(params: AlgebraParams, dim: int | None = None) -> GrassmannState:
@@ -134,31 +147,24 @@ def bg_grassmann_state(params: AlgebraParams, dim: int | None = None) -> Grassma
     dim = int(dim)
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    kernel = ladder_table(params, dim).kernel(params.phi)
-    return GrassmannState(params, dim, tuple(GrassmannElement(dim, c) for c in np.diag(kernel)))
+    return GrassmannState(params, _freeze(ladder_table(params, dim).kernel(params.phi)))
 
 
 def check_bg_grassmann_eigen(state: GrassmannState, rep: LadderRep) -> float:
     """Largest component deviation between (lowering acting on the state)
     and (left multiplication of every coefficient by theta).
 
-    The lowering band scales the algebra-valued coefficients; exact
+    Row n is nonzero only in its theta^{n+1} component, band[n] k_{n+1} - k_n; exact
     eigenstates come out at rounding level (<= 1e-12).
     """
     if rep.dim_window != state.dim:
         raise ValueError(f"window {rep.dim_window} does not match the state dim {state.dim}")
     if rep.params != state.params:
         raise ValueError("state and representation parameters differ")
-    comps = np.array([c.comps for c in state.coeffs])  # row n: the coefficient of |n>
-    band, above = rep.band[:, None], comps[1:]
-    lowered = np.zeros_like(comps)  # lowering kills the top level
-    # band[n] * comps[n+1], rounded as Python's complex product (numpy's may fuse)
-    lowered.real[:-1] = band.real * above.real - band.imag * above.imag
-    lowered.imag[:-1] = band.real * above.imag + band.imag * above.real
-    theta_times = np.zeros_like(comps)
-    theta_times[:, 1:] = comps[:, :-1]  # theta raises every degree by one; theta^dim = 0
-    dev = lowered - theta_times
-    return float(np.max(np.hypot(dev.real, dev.imag)))  # hypot: bit-equal to abs(complex)
+    band, k = rep.band, state.kernel  # band[n] k[n+1] rounded as Python's (numpy's may fuse)
+    re = band.real * k.real[1:] - band.imag * k.imag[1:] - k.real[:-1]
+    im = band.real * k.imag[1:] + band.imag * k.real[1:] - k.imag[:-1]
+    return float(np.max(np.hypot(re, im), initial=0.0))  # hypot: bit-equal to abs(complex)
 
 
 def complex_z_bg_residual(params: AlgebraParams, z) -> float:

@@ -1,11 +1,14 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polywh
 from polywh import (
     AlgebraParams,
     DomainError,
@@ -270,6 +273,10 @@ def test_identity_deviations_match_the_dense_products(rep):
     if product is not None:  # the dense route takes no product identity of a truncation
         assert abs(dev.product - product) <= 2e-15 * f_max
     assert dev.nilpotency == nilpotency
+    # the facts rep-check writes as constants: hermiticity_exact, top_level_annihilation_max_abs
+    assert np.array_equal(rep.raising, rep.lowering.conj().T)
+    if classify(rep.params).is_finite:
+        assert not rep.raising[:, -1].any()
 
 
 def test_band_nilpotency_is_exact_past_the_double_range():
@@ -278,6 +285,19 @@ def test_band_nilpotency_is_exact_past_the_double_range():
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(np.linalg.matrix_power(rep.lowering, 200)).any()
     assert identity_deviations(rep).nilpotency == 0.0
+
+
+def test_no_module_but_algebra_reads_the_dense_views():
+    # the dense m x m views are O(m^2): every other module applies the band
+    names = {"lowering", "raising", "number"}
+    readers = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(Path(polywh.__file__).parent.glob("*.py"))
+        if path.name != "algebra.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in names
+    ]
+    assert readers == []
 
 
 # ------------------------------------------------------------- truncations

@@ -56,6 +56,16 @@ def test_eval_rejects_non_reciprocal_kappas():
         bargmann_eval(AlgebraParams(["2/3"]), [1.0], 1.0)
 
 
+def test_eval_past_the_double_range_is_a_domain_error():
+    # 400 levels at |z| = 1e4: Horner overflows where a plain evaluation gives nan
+    params, f = AlgebraParams(["1/2"]), np.full(400, 1 / 20)
+    with pytest.raises(DomainError, match="overflows double precision at z = 10000"):
+        bargmann_eval(params, f, 1e4)
+    with pytest.raises(DomainError, match="at z = 0\\+10000j"):
+        bargmann_eval(params, f, np.array([[1.0, 1e4j]]))
+    assert np.isfinite(bargmann_eval(params, f, np.array([1.0, 30.0]))).all()
+
+
 # ------------------------------------------------------------ schwarz bound
 
 def test_schwarz_basis_vector():

@@ -446,6 +446,37 @@ def test_hyper_0f_is_the_plain_float_sum_wherever_that_is_finite(ells, x):
         assert bg_normalization(params, z) == math.sqrt(hyper_0f_unscaled(ells, exact_x))
 
 
+def test_hyper_0f_refuses_a_sum_lost_to_cancellation():
+    # e^-40 = 4.2e-18, but the alternating float sum ends at 0.31
+    with pytest.raises(DomainError, match="x = -40 is lost to cancellation"):
+        hyper_0f((), -40.0)
+    with pytest.raises(DomainError, match="x = -40 is lost to cancellation"):
+        hyper_0f((), np.array([[1.0], [-40.0]]))
+    for x in (-2000.0, np.array([3.0, -2000.0])):  # before the partial sums overflow
+        with pytest.raises(DomainError, match="term moduli sum past the double range"):
+            hyper_0f((), x)
+    with mpmath.workdps(30):
+        ref = float(mpmath.hyper([], [2, 3], -40))
+    assert abs(hyper_0f((2, 3), -40.0) - ref) <= 5e-15  # moduli sum 29.2: nothing lost
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ells=st.lists(st.integers(min_value=1, max_value=9), max_size=3),
+    x=st.floats(min_value=-400, max_value=-1e-3),
+)
+def test_hyper_0f_at_negative_x_keeps_its_digits_or_refuses(ells, x):
+    with mpmath.workdps(40):
+        ref = mpmath.hyper([], ells, x)
+        moduli = float(mpmath.hyper([], ells, -x))
+    try:
+        value = hyper_0f(ells, x)
+    except DomainError:
+        assert np.finfo(float).eps * moduli > 0.9e-8 * abs(ref)  # refused only near the gate
+        return
+    assert abs(value - ref) <= 1e-7 * abs(ref)
+
+
 def test_hyper_0f_against_mpmath():
     for ells, x in [((2,), 1.7), ((1, 3), 4.0), ((2, 2, 5), 9.0)]:
         ours = hyper_0f(ells, x)

@@ -168,11 +168,21 @@ def test_eigen_residual_matches_dense_lowering():
     rng = np.random.default_rng(13)
     cases = [(random_finite_params(rng, d_max=40), None) for _ in range(30)]
     cases += [(random_infinite_params(rng), int(rng.integers(1, 30))) for _ in range(30)]
+    cases += [(random_finite_params(rng, d_max=200), None) for _ in range(10)]
+    cases += [(random_infinite_params(rng), int(rng.integers(1, 201))) for _ in range(10)]
+    cases += [
+        (AlgebraParams([Fraction(-1, 199), 2], 0.9), None),  # d = 200
+        (AlgebraParams([0], 0.4), 200),
+        (AlgebraParams(["1/2"], -0.6), 1),
+    ]
     for params, dim in cases:
         state = bg_grassmann_state(params, dim)
+        assert not state.kernel.flags.writeable
+        assert state.dim == len(state.kernel)
+        assert state.coeffs is state.coeffs  # built once, on first access
         rep = build_rep(params, window=state.dim)
         dense = grassmann_eigen_residual_dense(state, dense_lowering(params, state.dim))
-        assert abs(check_bg_grassmann_eigen(state, rep) - dense) <= 1e-15
+        assert check_bg_grassmann_eigen(state, rep) == dense
 
 
 def test_complex_z_residual_matches_dense_lowering():
