@@ -99,8 +99,11 @@ class AlgebraParams:
                     f"kappa_1 = {kappas[0]} does not close the ladder on an integer number "
                     f"of levels: -1/kappa_1 = {levels} is not a positive integer"
                 )
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise DomainError(f"phi must be finite, got phi = {phi!r}")
         object.__setattr__(self, "kappas", kappas)
-        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "phi", phi)
 
     @property
     def r(self) -> int:
@@ -171,7 +174,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LadderTable:
     """F(n), G(n) and log F(n)! for n = 0, ..., size-1, as read-only float64 arrays."""
 
@@ -209,7 +212,7 @@ def ladder_table(params: AlgebraParams, size: int) -> LadderTable:
     return LadderTable(_freeze(scaled[:-1]), _freeze(g))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LadderRep:
     """The ladder operators on the number basis |0>, ..., |m-1>.
 

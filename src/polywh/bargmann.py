@@ -50,7 +50,7 @@ __all__ = [
 MIN_COEFFS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntireSeries:
     """Coefficient moduli |c_n| of an entire series, kept as log |c_n|."""
 

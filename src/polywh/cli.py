@@ -5,8 +5,10 @@ JSON output by default (CSV for tabular results).  Identical
 configurations produce byte-identical artifacts: no timestamps, fixed key
 order, floats emitted through repr.  Payloads carry coefficient vectors as
 complex ndarrays; `json_text` writes each straight into the artifact as
-nested lists of ``{"re", "im"}`` objects.  The argument parser is built
-once per process.
+nested lists of ``{"re", "im"}`` objects.  The argument parser, built
+once per process by `build_parser`, is the one place that names, converts,
+validates and defaults each option; a ``--config`` file's lines are read by
+it as ``--key=value`` flags ahead of the command line's, which win.
 
 Exit codes: 0 success, 1 domain errors (the violated condition is named
 on stderr), 2 I/O and usage errors.
@@ -19,6 +21,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +39,7 @@ from .algebra import (
 )
 from .bargmann import EntireSeries, closed_form_growth, estimate_growth, schwarz_check
 from .coherent import (
+    DEFAULT_TAIL_TOL,
     CoherentState,
     CutoffMeta,
     StateKind,
@@ -104,72 +108,65 @@ def parse_bool(text: str) -> bool:
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise argparse.ArgumentTypeError(f"cannot parse boolean {text!r}")
+    raise ValueError(f"cannot parse boolean {text!r}")
 
 
-# config keys accepted in the flat key=value file; flags always win
-_CONFIG_CONVERTERS = {
-    "kappa": parse_kappas,
-    "ell": parse_ells,
-    "phi": float,
-    "z": parse_complex,
-    "w": parse_complex,
-    "window": int,
-    "nmax": int,
-    "levels": int,
-    "dim": int,
-    "s": int,
-    "kind": str,
-    "normalize": parse_bool,
-    "tail_tol": float,
-    "grid_radius": float,
-    "grid_points": int,
-    "format": str,
-    "output": str,
-}
+def parse_count(text: str, minimum: int = 0) -> int:
+    """An integer of at least ``minimum``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    return value
 
 
-def load_config(path: str) -> dict:
-    cfg = {}
+def load_config(path: str, command: str) -> list[str]:
+    """The lines of a flat key=value file as flags of `command`: key
+    ``tail_tol`` becomes ``--tail-tol=value``, ``normalize=<bool>`` becomes
+    ``--normalize`` or nothing.  Keys that only other commands take are
+    skipped; a key no command takes is a ValueError."""
+    takes = {cmd: vars(_PARSER.parse_args([cmd])).keys() - {"command", "config"}
+             for cmd in _COMMANDS}
+    known = set().union(*takes.values())
+    flags = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
-    return cfg
-
-
-def apply_config(args: argparse.Namespace, cfg: dict) -> None:
-    for key, text in cfg.items():
-        if key not in _CONFIG_CONVERTERS:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-        if not hasattr(args, key):
-            continue  # key not used by this command
-        if getattr(args, key) is None:
-            setattr(args, key, _CONFIG_CONVERTERS[key](text))
+        if key not in takes[command]:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if key != "normalize":
+            flags.append(f"{flag}={value}")
+        elif parse_bool(value):
+            flags.append(flag)
+    return flags
 
 
 def resolve_params(args: argparse.Namespace) -> AlgebraParams:
-    kappas = getattr(args, "kappa", None)
-    ells = getattr(args, "ell", None)
+    kappas, ells = args.kappa, args.ell
     if kappas and ells:
         raise ValueError("pass either --kappa or --ell, not both")
     if ells:
         kappas = [Fraction(1, ell) for ell in ells]
     if not kappas:
         raise ValueError("algebra parameters are required (--kappa or --ell)")
-    phi = args.phi if getattr(args, "phi", None) is not None else 0.0
-    return AlgebraParams(kappas, phi)
+    return AlgebraParams(kappas, args.phi)
 
 
 def default_tail_tol(args: argparse.Namespace) -> float:
-    if getattr(args, "tail_tol", None) is not None:
+    """--tail-tol, else $POLYWH_TAIL_TOL, else coherent.DEFAULT_TAIL_TOL."""
+    if args.tail_tol is not None:
         return args.tail_tol
     env = os.environ.get(TAIL_TOL_ENV)
-    return float(env) if env else 1e-14
+    return float(env) if env else DEFAULT_TAIL_TOL
 
 
 # ------------------------------------------------------------- formatting
@@ -223,10 +220,9 @@ def state_from_payload(payload: dict) -> CoherentState:
 
 def cmd_spectrum(args):
     params = resolve_params(args)
-    nmax = args.nmax if args.nmax is not None else 10
-    f = [structure_function(params, n) for n in range(nmax + 2)]
+    f = [structure_function(params, n) for n in range(args.nmax + 2)]
     rows = []
-    for n in range(nmax + 1):
+    for n in range(args.nmax + 1):
         fval, gval = f[n], f[n + 1] - f[n]
         rows.append(
             {"n": n, "F": str(fval), "G": str(gval), "F_float": float(fval), "G_float": float(gval)}
@@ -279,13 +275,13 @@ def cmd_truncate(args):
 
 def cmd_cs_perelomov(args):
     params = resolve_params(args)
-    z = args.z if args.z is not None else 0j
-    normalize = bool(args.normalize)
-    state = perelomov_state(params, z, normalize=normalize, tail_tol=default_tail_tol(args))
+    state = perelomov_state(
+        params, args.z, normalize=args.normalize, tail_tol=default_tail_tol(args)
+    )
     payload = state_payload("cs-perelomov", state)
     if classify(params).is_finite:
         rep = build_rep(params)
-        other = perelomov_via_exponential(params, z, rep, normalize=normalize)
+        other = perelomov_via_exponential(params, args.z, rep, normalize=args.normalize)
         payload["exponential_residual"] = float(np.max(np.abs(state.coeffs - other.coeffs)))
     else:
         payload["exponential_residual"] = None
@@ -294,15 +290,12 @@ def cmd_cs_perelomov(args):
 
 def cmd_cs_bg(args):
     params = resolve_params(args)
-    z = args.z if args.z is not None else 0j
-    state = bg_state(
-        params, z, normalize=bool(args.normalize), tail_tol=default_tail_tol(args)
-    )
+    state = bg_state(params, args.z, normalize=args.normalize, tail_tol=default_tail_tol(args))
     payload = state_payload("cs-bg", state)
     rep = build_rep(params, window=len(state.coeffs) + 1)
     payload["eigen_residual"] = check_bg_eigen(state, rep)
     try:
-        payload["norm_hypergeometric"] = bg_normalization(params, z)
+        payload["norm_hypergeometric"] = bg_normalization(params, args.z)
     except DomainError:
         payload["norm_hypergeometric"] = None  # kappas not of the 1/ell form
     return payload, None
@@ -326,7 +319,7 @@ def cmd_cs_grassmann(args):
 
 def cmd_measure(args):
     params = resolve_params(args)
-    kind = StateKind(args.kind if args.kind is not None else "perelomov")
+    kind = StateKind(args.kind)
     moments = moments_for(params, kind, count=args.levels)
     measure = solve_measure(moments)
     payload = {"command": "measure", "kind": kind.value}
@@ -360,14 +353,13 @@ def _float_or_none(value):
 
 def cmd_bargmann_growth(args):
     params = resolve_params(args)
-    n_max = args.nmax if args.nmax is not None else 5000
-    series = EntireSeries.bg_kernel(params, n_max)
+    series = EntireSeries.bg_kernel(params, args.nmax)
     est = estimate_growth(series)
     payload = {"command": "bargmann-growth"}
     payload.update(params_payload(params))
     payload.update(
         {
-            "n_max": n_max,
+            "n_max": args.nmax,
             "rho_hat": est.rho_hat,
             "sigma_hat": est.sigma_hat,
             "rho_raw": est.rho_raw,
@@ -393,20 +385,17 @@ def cmd_bargmann_growth(args):
 def cmd_schwarz(args):
     params = resolve_params(args)
     reciprocal_ells(params)
-    w = args.w if args.w is not None else 0.5 + 0j
-    radius = args.grid_radius if args.grid_radius is not None else 2.0
-    points = args.grid_points if args.grid_points is not None else 9
-    f_state = bg_state(params, w, normalize=True, tail_tol=default_tail_tol(args))
-    axis = np.linspace(-radius, radius, points)
+    f_state = bg_state(params, args.w, normalize=True, tail_tol=default_tail_tol(args))
+    axis = np.linspace(-args.grid_radius, args.grid_radius, args.grid_points)
     grid = [complex(x, y) for x in axis for y in axis]
     excess = schwarz_check(params, f_state.coeffs, grid)
     payload = {"command": "schwarz"}
     payload.update(params_payload(params))
     payload.update(
         {
-            "w": cnum(complex(w)),
-            "grid_radius": float(radius),
-            "grid_points": int(points),
+            "w": cnum(args.w),
+            "grid_radius": args.grid_radius,
+            "grid_points": args.grid_points,
             "f_length": len(f_state.coeffs),
             "max_excess": float(excess),
         }
@@ -435,12 +424,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated exact rationals, e.g. '-1/3' or '1/2,2'")
     common.add_argument("--ell", type=parse_ells, default=None,
                         help="comma-separated positive integers; sets kappa_i = 1/ell_i")
-    common.add_argument("--phi", type=float, default=None, help="phase parameter (default 0)")
+    common.add_argument("--phi", type=float, default=0.0,
+                        help="phase parameter (default %(default)s)")
     common.add_argument("--config", default=None,
-                        help="flat key=value file supplying defaults; flags override")
+                        help="flat key=value file; each line is read as the flag --key=value, "
+                             "and flags on the command line win")
     common.add_argument("--output", default=None, help="write the artifact here (default stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (csv only for tabular commands)")
+    common.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="output format (csv only for tabular commands; default %(default)s)")
+    tail_tol = dict(type=float, default=None,
+                    help=f"relative l2 tail bound of the series (default ${TAIL_TOL_ENV}, "
+                         f"else {DEFAULT_TAIL_TOL})")
 
     parser = argparse.ArgumentParser(
         prog="polywh",
@@ -449,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", parents=[common], help="tabulate F(n) and G(n)")
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=parse_count, default=10, help="last level (default %(default)s)")
 
     p = sub.add_parser("rep-check", parents=[common], help="operator identity deviations")
     p.add_argument("--window", type=int, default=None)
@@ -458,33 +452,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--s", type=int, default=None, help="truncation order")
 
-    p = sub.add_parser("cs-perelomov", parents=[common], help="exponential-type coherent state")
-    p.add_argument("--z", type=parse_complex, default=None)
-    p.add_argument("--normalize", action="store_true", default=None)
-    p.add_argument("--tail-tol", dest="tail_tol", type=float, default=None)
-
-    p = sub.add_parser("cs-bg", parents=[common], help="lowering-eigenstate coherent state")
-    p.add_argument("--z", type=parse_complex, default=None)
-    p.add_argument("--normalize", action="store_true", default=None)
-    p.add_argument("--tail-tol", dest="tail_tol", type=float, default=None)
+    for command, what in (("cs-perelomov", "exponential-type coherent state"),
+                          ("cs-bg", "lowering-eigenstate coherent state")):
+        p = sub.add_parser(command, parents=[common], help=what)
+        p.add_argument("--z", type=parse_complex, default=0j, help="state label (default 0)")
+        p.add_argument("--normalize", action="store_true")
+        p.add_argument("--tail-tol", **tail_tol)
 
     p = sub.add_parser("cs-grassmann", parents=[common], help="nilpotent-variable eigenstate")
     p.add_argument("--dim", type=int, default=None,
                    help="nilpotency order (required for infinite-ladder parameters)")
 
     p = sub.add_parser("measure", parents=[common], help="solve the radial moment problem")
-    p.add_argument("--kind", choices=("perelomov", "barut-girardello"), default=None)
+    p.add_argument("--kind", choices=("perelomov", "barut-girardello"), default="perelomov",
+                   help="state family (default %(default)s)")
     p.add_argument("--levels", type=int, default=None, help="moment count (infinite ladder)")
 
     p = sub.add_parser("bargmann-growth", parents=[common], help="order/type of the kernel series")
-    p.add_argument("--nmax", type=int, default=None, help="number of coefficients (default 5000)")
+    p.add_argument("--nmax", type=int, default=5000,
+                   help="number of coefficients (default %(default)s)")
 
     p = sub.add_parser("schwarz", parents=[common], help="kernel bound check on a z-grid")
-    p.add_argument("--w", type=parse_complex, default=None,
+    p.add_argument("--w", type=parse_complex, default=0.5 + 0j,
                    help="build f from the normalized eigenstate at w (default 0.5)")
-    p.add_argument("--grid-radius", dest="grid_radius", type=float, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    p.add_argument("--tail-tol", dest="tail_tol", type=float, default=None)
+    p.add_argument("--grid-radius", type=float, default=2.0,
+                   help="half-width of the square z-grid (default %(default)s)")
+    p.add_argument("--grid-points", type=lambda text: parse_count(text, 1), default=9,
+                   help="points per axis (default %(default)s)")
+    p.add_argument("--tail-tol", **tail_tol)
 
     return parser
 
@@ -526,8 +521,7 @@ def json_text(payload: dict) -> str:
 
 
 def emit(args: argparse.Namespace, payload: dict, table) -> None:
-    fmt = args.format if args.format is not None else "json"
-    if fmt == "csv":
+    if args.format == "csv":
         if table is None:
             raise ValueError(f"command {payload['command']!r} has no CSV representation")
         buf = io.StringIO()
@@ -543,26 +537,18 @@ def emit(args: argparse.Namespace, payload: dict, table) -> None:
         sys.stdout.write(text)
 
 
-# flags that take a value; their value may start with '-' (e.g. --kappa -1/3),
-# which bare argparse would misread as an option, so the pair is joined with '='
-_VALUE_FLAGS = {
-    "--kappa", "--ell", "--phi", "--z", "--w", "--config", "--output", "--format",
-    "--nmax", "--window", "--levels", "--dim", "--s", "--kind",
-    "--tail-tol", "--grid-radius", "--grid-points",
-}
+# a value that starts with '-' (--kappa -1/3, --z -1-2i, --phi -inf) reads to
+# argparse as an option, so such a value is joined to its flag with '='
+_NEGATIVE_VALUE = re.compile(r"-[\d.ijn]", re.IGNORECASE)
 
 
 def _join_flag_values(argv):
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -572,23 +558,22 @@ _PARSER = build_parser()  # argparse keeps no state between parse_args calls
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _PARSER.parse_args(_join_flag_values(list(argv)))
+    argv = _join_flag_values(list(argv))
+    args = _PARSER.parse_args(argv)
     if args.config:
         try:
-            cfg = load_config(args.config)
-            apply_config(args, cfg)
+            flags = load_config(args.config, args.command)
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except ValueError as exc:
             print(f"error: bad config: {exc}", file=sys.stderr)
             return EXIT_IO
+        # the same parser reads the config flags, and later flags win
+        args = _PARSER.parse_args([args.command, *flags, *argv[1:]])
     try:
         payload, table = _COMMANDS[args.command](args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:

@@ -77,7 +77,7 @@ class CutoffMeta:
     tail_tol: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentState:
     kind: StateKind
     params: AlgebraParams
@@ -157,6 +157,16 @@ def _finish(kind, params, z, coeffs, normalize, meta) -> CoherentState:
     return CoherentState(kind, params, z, _freeze(coeffs), bool(normalize), meta)
 
 
+def _checked_inputs(z, tail_tol: float) -> complex:
+    """complex(z), refusing a non-finite z or a tail_tol outside (0, inf)."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"z must be finite, got z = {z}")
+    if not 0.0 < tail_tol < math.inf:
+        raise DomainError(f"tail_tol must be finite and positive, got tail_tol = {tail_tol!r}")
+    return z
+
+
 def perelomov_state(
     params: AlgebraParams,
     z,
@@ -171,7 +181,7 @@ def perelomov_state(
     Infinite ladder: requires r = 1 and |z| < 1/sqrt(kappa_1) (open disk);
     the series is truncated at the requested tail tolerance.
     """
-    z = complex(z)
+    z = _checked_inputs(z, tail_tol)
     dim = classify(params)
     if dim.is_finite:
         with np.errstate(over="ignore", invalid="ignore"):  # refused by _finish
@@ -250,7 +260,7 @@ def bg_state(
     request is rejected; `grassmann.bg_grassmann_state` provides the
     nilpotent-variable construction there.
     """
-    z = complex(z)
+    z = _checked_inputs(z, tail_tol)
     dim = classify(params)
     if dim.is_finite:
         raise DomainError(
@@ -343,6 +353,8 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
     sum of the term moduli, and the sum is refused where that bound passes
     1e-8 of the value or S passes the double range.
     """
+    if np.isnan(x).any():
+        raise DomainError("x must not be NaN")
     negative = np.asarray(x) < 0
     if negative.any():
         return _alternating_0f(ells, x, negative, rel_tol, max_terms)
@@ -475,6 +487,8 @@ def bg_normalization(params: AlgebraParams, z):
     range is a `DomainError`.
     """
     ells = reciprocal_ells(params)
+    if np.isnan(z).any():
+        raise DomainError("z must not be NaN")
     if np.ndim(z) == 0:
         total, exponent = _rescaled_sum(ells, math.prod(ells) * abs(complex(z)) ** 2)
         return _ldexp_scalar(math.sqrt(total), exponent // 2, "normalization |N(z)|")

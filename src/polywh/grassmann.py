@@ -108,7 +108,7 @@ class GrassmannElement:
         return max(abs(a) for a in self.comps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrassmannState:
     """Eigenstate whose coefficient of |n> is kernel[n] theta^n; ``coeffs`` on first access."""
 

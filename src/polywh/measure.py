@@ -79,7 +79,7 @@ class MomentSequence:
     angular_scale: str = "angular average taken analytically, weight 1/(2*pi)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Positive nodes/weights in the t = |z|^2 variable.
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import polywh
+import polywh.cli as cli
 from polywh import AlgebraParams, StateKind, bg_state, moments_for
 from polywh.cli import json_text, main, state_from_payload
 
@@ -21,7 +23,11 @@ from oracles import json_text_by_dicts
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of main, a usage error's SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -311,3 +317,101 @@ def test_repeated_main_calls_share_no_options(capsys, monkeypatch):
     normalized, unnormalized = (json.loads(out) for _, out in outputs[:2])
     assert normalized["normalized"] and not unnormalized["normalized"]
     assert (normalized["tail_tol"], unnormalized["tail_tol"]) == (1e-8, 1e-14)
+
+
+# ------------------------------------------------------------ options, config
+
+def _subcommand_actions():
+    """{subcommand: its argparse actions but --help}, read from the parser."""
+    subs = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    return {cmd: [a for a in p._actions if a.dest != "help"] for cmd, p in subs.choices.items()}
+
+
+_COMMON = ["--kappa", "--ell", "--phi", "--config", "--output", "--format"]
+_OWN_OPTIONS = {
+    "spectrum": ["--nmax"],
+    "rep-check": ["--window"],
+    "truncate": ["--window", "--s"],
+    "cs-perelomov": ["--z", "--normalize", "--tail-tol"],
+    "cs-bg": ["--z", "--normalize", "--tail-tol"],
+    "cs-grassmann": ["--dim"],
+    "measure": ["--kind", "--levels"],
+    "bargmann-growth": ["--nmax"],
+    "schwarz": ["--w", "--grid-radius", "--grid-points", "--tail-tol"],
+}
+
+
+def test_each_subcommand_keeps_its_options():
+    found = {cmd: {(opt, a.dest) for a in actions for opt in a.option_strings}
+             for cmd, actions in _subcommand_actions().items()}
+    assert found == {cmd: {(opt, opt[2:].replace("-", "_")) for opt in _COMMON + own}
+                     for cmd, own in _OWN_OPTIONS.items()}
+
+
+def test_every_value_option_takes_a_value_starting_with_minus(capsys):
+    for cmd, actions in _subcommand_actions().items():
+        for action in actions:
+            if action.nargs == 0:  # --normalize
+                continue
+            argv = [cmd, action.option_strings[0], "-1/3"]
+            try:
+                args = cli._PARSER.parse_args(cli._join_flag_values(argv))
+            except SystemExit:  # a type error of the value itself is fine
+                err = capsys.readouterr().err
+                assert "expected one argument" not in err, argv
+                assert "-1/3" in err, argv
+            else:
+                assert getattr(args, action.dest) != action.default, argv
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("line, flag", [("format=xml", "--format"), ("kind=foo", "--kind"),
+                                        ("nmax=abc", "--nmax"), ("levels=1.5", "--levels")])
+def test_bad_config_value_is_the_parsers_usage_error(capsys, tmp_path, line, flag):
+    command = "spectrum" if line.startswith("nmax") else "measure"
+    code, out, err = run_cli(
+        capsys, command, "--kappa", "0", "--config", _config(tmp_path, line + "\n"))
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: invalid" in err
+
+
+def test_config_values_may_start_with_minus(capsys, tmp_path):
+    path = _config(tmp_path, "kappa=-1/3\nz=-1-2i\nphi=-0.25\n")
+    code, out, err = run_cli(capsys, "cs-perelomov", "--config", path)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["kappas"], payload["z"], payload["phi"]) == (
+        ["-1/3"], {"re": -1.0, "im": -2.0}, -0.25)
+
+
+def test_config_normalize_loses_to_the_flag_and_skips_other_commands_keys(capsys, tmp_path):
+    path = _config(tmp_path, "kappa=1/2\nz=0.5\nnormalize=false\nnmax=7\nkind=perelomov\n")
+    _, plain, _ = run_cli(capsys, "cs-bg", "--config", path)
+    _, flagged, _ = run_cli(capsys, "cs-bg", "--config", path, "--normalize")
+    assert not json.loads(plain)["normalized"]
+    assert json.loads(flagged)["normalized"]
+    assert flagged == run_cli(capsys, "cs-bg", "--kappa", "1/2", "--z", "0.5", "--normalize")[1]
+    path = _config(tmp_path, "normalize=on\nkappa=1/2\n")
+    assert json.loads(run_cli(capsys, "cs-perelomov", "--config", path)[1])["normalized"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["schwarz", "--ell", "2", "--grid-points", "0"], 2, "argument --grid-points: must be at least 1"),
+    (["spectrum", "--kappa", "0", "--nmax", "-1"], 2, "argument --nmax: must be at least 0"),
+    (["spectrum", "--kappa", "0", "--nmax", "x"], 2, "argument --nmax: invalid int value: 'x'"),
+    (["cs-grassmann", "--kappa", "-1/2", "--phi", "inf"], 1, "phi must be finite"),
+    (["cs-bg", "--kappa", "1/2", "--z", "nan"], 1, "z must be finite"),
+    (["cs-bg", "--kappa", "1/2", "--tail-tol", "-1"], 1, "tail_tol must be finite and positive"),
+])
+def test_bad_numbers_are_refused_by_name(capsys, argv, code, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_cli(capsys, *argv)
+    assert result[:2] == (code, "")
+    assert message in result[2]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -11,16 +12,22 @@ from hypothesis import strategies as st
 from polywh import (
     AlgebraParams,
     DomainError,
+    EntireSeries,
+    StateKind,
+    bg_grassmann_state,
     bg_normalization,
     bg_state,
     build_rep,
     check_bg_eigen,
     hyper_0f,
+    moments_for,
     overlap,
     perelomov_state,
     perelomov_via_exponential,
+    solve_measure,
     time_evolve,
 )
+from polywh.algebra import ladder_table
 from polywh.coherent import perelomov_log_partial_norms
 
 from oracles import (
@@ -546,3 +553,52 @@ def test_tail_bound_is_recorded_and_respected():
     longer = bg_state(AlgebraParams(["1/2"]), 2.0, tail_tol=1e-20)
     assert len(longer) > len(state)
     assert np.max(np.abs(longer.coeffs[: len(state)] - state.coeffs)) == 0.0
+
+
+_HALF = AlgebraParams(["1/2"])
+_NAN, _INF = float("nan"), float("inf")
+
+# each call with the argument its DomainError must name
+_NON_FINITE = [
+    (lambda: bg_state(_HALF, _NAN), "z"),
+    (lambda: bg_state(_HALF, complex(1.0, _INF)), "z"),
+    (lambda: perelomov_state(_HALF, _NAN), "z"),
+    (lambda: perelomov_state(AlgebraParams(["-1/3"]), _INF), "z"),
+    (lambda: bg_state(_HALF, 1.0, tail_tol=-1), "tail_tol"),
+    (lambda: bg_state(_HALF, 1.0, tail_tol=0.0), "tail_tol"),
+    (lambda: perelomov_state(_HALF, 0.5, tail_tol=_NAN), "tail_tol"),
+    (lambda: perelomov_state(_HALF, 0.5, tail_tol=_INF), "tail_tol"),
+    (lambda: AlgebraParams(["-1/3"], phi=_INF), "phi"),
+    (lambda: AlgebraParams(["1/2"], phi=_NAN), "phi"),
+    (lambda: OSC.with_phi(-_INF), "phi"),
+    (lambda: bg_normalization(_HALF, _NAN), "z"),
+    (lambda: bg_normalization(_HALF, np.array([0.5, complex(0.0, _NAN)])), "z"),
+    (lambda: hyper_0f((2,), _NAN), "x"),
+    (lambda: hyper_0f((2,), np.array([1.0, _NAN])), "x"),
+]
+
+
+@pytest.mark.parametrize("call, name", _NON_FINITE)
+def test_non_finite_input_is_refused_by_name(call, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=f"^{name} must "):
+            call()
+
+
+# every value type that holds an ndarray, built twice from the same inputs
+_ARRAY_HOLDERS = [
+    lambda: bg_state(_HALF, 0.5 + 0.25j),
+    lambda: ladder_table(_HALF, 8),
+    lambda: build_rep(AlgebraParams(["-1/4"], 0.3)),
+    lambda: bg_grassmann_state(AlgebraParams(["-1/4"], 0.3)),
+    lambda: solve_measure(moments_for(OSC, StateKind.BARUT_GIRARDELLO, count=8)),
+    lambda: EntireSeries.bg_kernel(_HALF, 100),
+]
+
+
+@pytest.mark.parametrize("make", _ARRAY_HOLDERS)
+def test_array_holding_values_compare_by_identity(make):
+    x, rebuilt = make(), make()
+    assert x == x and hash(x) == hash(x)
+    assert x != rebuilt
