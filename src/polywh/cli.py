@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -537,22 +536,29 @@ def emit(args: argparse.Namespace, payload: dict, table) -> None:
         sys.stdout.write(text)
 
 
-# a value that starts with '-' (--kappa -1/3, --z -1-2i, --phi -inf) reads to
-# argparse as an option, so such a value is joined to its flag with '='
-_NEGATIVE_VALUE = re.compile(r"-[\d.ijn]", re.IGNORECASE)
+_PARSER = build_parser()  # argparse keeps no state between parse_args calls
+
+# every flag of every subcommand that takes a value, read from the parser
+_TAKES_VALUE = frozenset(
+    flag
+    for action in _PARSER._actions if isinstance(action, argparse._SubParsersAction)
+    for subparser in action.choices.values()
+    for option in subparser._actions if option.nargs != 0
+    for flag in option.option_strings
+)
 
 
 def _join_flag_values(argv):
+    """A value that starts with '-' (--kappa -1/3, --z -1-2i, --output -run.json)
+    reads to argparse as an option, so each value flag is joined to the
+    token after it with '='."""
     out = []
-    for tok in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(tok):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in _TAKES_VALUE and (value := next(tokens, None)) is not None:
+            tok = f"{tok}={value}"
+        out.append(tok)
     return out
-
-
-_PARSER = build_parser()  # argparse keeps no state between parse_args calls
 
 
 def main(argv=None) -> int:

@@ -343,6 +343,15 @@ def overlap(s1: CoherentState, s2: CoherentState, *, unchecked: bool = False) ->
     return complex(np.vdot(s1.coeffs[:length], s2.coeffs[:length]))
 
 
+def _has_nan(x) -> bool:
+    """Whether x, a scalar or an array of any dtype, holds a NaN.
+
+    NaN is the one value unequal to itself; unlike np.isnan this also
+    reads object scalars such as a Fraction or an int past the double range."""
+    a = np.asarray(x)
+    return bool((a != a).any())
+
+
 def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
     """Generalized hypergeometric series 0F_q(ell_1, ..., ell_q; x), at x or an x-array.
 
@@ -353,7 +362,7 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
     sum of the term moduli, and the sum is refused where that bound passes
     1e-8 of the value or S passes the double range.
     """
-    if np.isnan(x).any():
+    if _has_nan(x):
         raise DomainError("x must not be NaN")
     negative = np.asarray(x) < 0
     if negative.any():
@@ -487,7 +496,7 @@ def bg_normalization(params: AlgebraParams, z):
     range is a `DomainError`.
     """
     ells = reciprocal_ells(params)
-    if np.isnan(z).any():
+    if _has_nan(z):
         raise DomainError("z must not be NaN")
     if np.ndim(z) == 0:
         total, exponent = _rescaled_sum(ells, math.prod(ells) * abs(complex(z)) ** 2)

@@ -348,18 +348,19 @@ def test_each_subcommand_keeps_its_options():
                      for cmd, own in _OWN_OPTIONS.items()}
 
 
-def test_every_value_option_takes_a_value_starting_with_minus(capsys):
+@pytest.mark.parametrize("value", ["-1/3", "-run.json"])
+def test_every_value_option_takes_a_value_starting_with_minus(value, capsys):
     for cmd, actions in _subcommand_actions().items():
         for action in actions:
             if action.nargs == 0:  # --normalize
                 continue
-            argv = [cmd, action.option_strings[0], "-1/3"]
+            argv = [cmd, action.option_strings[0], value]
             try:
                 args = cli._PARSER.parse_args(cli._join_flag_values(argv))
             except SystemExit:  # a type error of the value itself is fine
                 err = capsys.readouterr().err
                 assert "expected one argument" not in err, argv
-                assert "-1/3" in err, argv
+                assert value in err, argv
             else:
                 assert getattr(args, action.dest) != action.default, argv
 

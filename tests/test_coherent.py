@@ -586,6 +586,13 @@ def test_non_finite_input_is_refused_by_name(call, name):
             call()
 
 
+def test_nan_guards_pass_exact_scalars():
+    # a Fraction is an object scalar, which np.isnan cannot read
+    assert hyper_0f((2,), Fraction(1, 2)) == hyper_0f((2,), 0.5)
+    assert hyper_0f((2,), Fraction(-1, 2)) == hyper_0f((2,), -0.5)
+    assert bg_normalization(_HALF, Fraction(1, 2)) == bg_normalization(_HALF, 0.5)
+
+
 # every value type that holds an ndarray, built twice from the same inputs
 _ARRAY_HOLDERS = [
     lambda: bg_state(_HALF, 0.5 + 0.25j),
