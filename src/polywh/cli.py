@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -121,6 +122,16 @@ def parse_count(text: str, minimum: int = 0) -> int:
     return value
 
 
+def parse_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def load_config(path: str, command: str) -> list[str]:
     """The lines of a flat key=value file as flags of `command`: key
     ``tail_tol`` becomes ``--tail-tol=value``, ``normalize=<bool>`` becomes
@@ -150,22 +161,9 @@ def load_config(path: str, command: str) -> list[str]:
 
 
 def resolve_params(args: argparse.Namespace) -> AlgebraParams:
-    kappas, ells = args.kappa, args.ell
-    if kappas and ells:
-        raise ValueError("pass either --kappa or --ell, not both")
-    if ells:
-        kappas = [Fraction(1, ell) for ell in ells]
-    if not kappas:
-        raise ValueError("algebra parameters are required (--kappa or --ell)")
+    """The algebra of --kappa, or of --ell as kappa_i = 1/ell_i."""
+    kappas = [Fraction(1, ell) for ell in args.ell] if args.ell else args.kappa
     return AlgebraParams(kappas, args.phi)
-
-
-def default_tail_tol(args: argparse.Namespace) -> float:
-    """--tail-tol, else $POLYWH_TAIL_TOL, else coherent.DEFAULT_TAIL_TOL."""
-    if args.tail_tol is not None:
-        return args.tail_tol
-    env = os.environ.get(TAIL_TOL_ENV)
-    return float(env) if env else DEFAULT_TAIL_TOL
 
 
 # ------------------------------------------------------------- formatting
@@ -257,8 +255,6 @@ def cmd_rep_check(args):
 
 def cmd_truncate(args):
     params = resolve_params(args)
-    if args.window is None or args.s is None:
-        raise ValueError("truncate needs --window and --s")
     rep = build_truncated_rep(params, args.window, args.s)
     payload = {"command": "truncate"}
     payload.update(params_payload(params))
@@ -275,7 +271,7 @@ def cmd_truncate(args):
 def cmd_cs_perelomov(args):
     params = resolve_params(args)
     state = perelomov_state(
-        params, args.z, normalize=args.normalize, tail_tol=default_tail_tol(args)
+        params, args.z, normalize=args.normalize, tail_tol=args.tail_tol
     )
     payload = state_payload("cs-perelomov", state)
     if classify(params).is_finite:
@@ -289,7 +285,7 @@ def cmd_cs_perelomov(args):
 
 def cmd_cs_bg(args):
     params = resolve_params(args)
-    state = bg_state(params, args.z, normalize=args.normalize, tail_tol=default_tail_tol(args))
+    state = bg_state(params, args.z, normalize=args.normalize, tail_tol=args.tail_tol)
     payload = state_payload("cs-bg", state)
     rep = build_rep(params, window=len(state.coeffs) + 1)
     payload["eigen_residual"] = check_bg_eigen(state, rep)
@@ -384,7 +380,7 @@ def cmd_bargmann_growth(args):
 def cmd_schwarz(args):
     params = resolve_params(args)
     reciprocal_ells(params)
-    f_state = bg_state(params, args.w, normalize=True, tail_tol=default_tail_tol(args))
+    f_state = bg_state(params, args.w, normalize=True, tail_tol=args.tail_tol)
     axis = np.linspace(-args.grid_radius, args.grid_radius, args.grid_points)
     grid = [complex(x, y) for x in axis for y in axis]
     excess = schwarz_check(params, f_state.coeffs, grid)
@@ -419,10 +415,11 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kappa", type=parse_kappas, default=None,
-                        help="comma-separated exact rationals, e.g. '-1/3' or '1/2,2'")
-    common.add_argument("--ell", type=parse_ells, default=None,
-                        help="comma-separated positive integers; sets kappa_i = 1/ell_i")
+    algebra = common.add_mutually_exclusive_group()  # one of them is required: see _complete
+    algebra.add_argument("--kappa", type=parse_kappas, default=None,
+                         help="comma-separated exact rationals, e.g. '-1/3' or '1/2,2'")
+    algebra.add_argument("--ell", type=parse_ells, default=None,
+                         help="comma-separated positive integers; sets kappa_i = 1/ell_i")
     common.add_argument("--phi", type=float, default=0.0,
                         help="phase parameter (default %(default)s)")
     common.add_argument("--config", default=None,
@@ -434,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     tail_tol = dict(type=float, default=None,
                     help=f"relative l2 tail bound of the series (default ${TAIL_TOL_ENV}, "
                          f"else {DEFAULT_TAIL_TOL})")
+    positive = lambda text: parse_count(text, 1)  # noqa: E731
 
     parser = argparse.ArgumentParser(
         prog="polywh",
@@ -445,11 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=parse_count, default=10, help="last level (default %(default)s)")
 
     p = sub.add_parser("rep-check", parents=[common], help="operator identity deviations")
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=positive, default=None)
 
     p = sub.add_parser("truncate", parents=[common], help="level-truncated commutator identity")
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--s", type=int, default=None, help="truncation order")
+    p.add_argument("--window", type=positive, default=None, help="required")
+    p.add_argument("--s", type=positive, default=None, help="truncation order (required)")
 
     for command, what in (("cs-perelomov", "exponential-type coherent state"),
                           ("cs-bg", "lowering-eigenstate coherent state")):
@@ -459,24 +457,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tail-tol", **tail_tol)
 
     p = sub.add_parser("cs-grassmann", parents=[common], help="nilpotent-variable eigenstate")
-    p.add_argument("--dim", type=int, default=None,
+    p.add_argument("--dim", type=positive, default=None,
                    help="nilpotency order (required for infinite-ladder parameters)")
 
     p = sub.add_parser("measure", parents=[common], help="solve the radial moment problem")
     p.add_argument("--kind", choices=("perelomov", "barut-girardello"), default="perelomov",
                    help="state family (default %(default)s)")
-    p.add_argument("--levels", type=int, default=None, help="moment count (infinite ladder)")
+    p.add_argument("--levels", type=positive, default=None, help="moment count (infinite ladder)")
 
     p = sub.add_parser("bargmann-growth", parents=[common], help="order/type of the kernel series")
-    p.add_argument("--nmax", type=int, default=5000,
+    p.add_argument("--nmax", type=parse_count, default=5000,
                    help="number of coefficients (default %(default)s)")
 
     p = sub.add_parser("schwarz", parents=[common], help="kernel bound check on a z-grid")
     p.add_argument("--w", type=parse_complex, default=0.5 + 0j,
                    help="build f from the normalized eigenstate at w (default 0.5)")
-    p.add_argument("--grid-radius", type=float, default=2.0,
+    p.add_argument("--grid-radius", type=parse_finite, default=2.0,
                    help="half-width of the square z-grid (default %(default)s)")
-    p.add_argument("--grid-points", type=lambda text: parse_count(text, 1), default=9,
+    p.add_argument("--grid-points", type=positive, default=9,
                    help="points per axis (default %(default)s)")
     p.add_argument("--tail-tol", **tail_tol)
 
@@ -537,12 +535,14 @@ def emit(args: argparse.Namespace, payload: dict, table) -> None:
 
 
 _PARSER = build_parser()  # argparse keeps no state between parse_args calls
+_SUBPARSERS = next(
+    action for action in _PARSER._actions if isinstance(action, argparse._SubParsersAction)
+).choices
 
 # every flag of every subcommand that takes a value, read from the parser
 _TAKES_VALUE = frozenset(
     flag
-    for action in _PARSER._actions if isinstance(action, argparse._SubParsersAction)
-    for subparser in action.choices.values()
+    for subparser in _SUBPARSERS.values()
     for option in subparser._actions if option.nargs != 0
     for flag in option.option_strings
 )
@@ -561,6 +561,26 @@ def _join_flag_values(argv):
     return out
 
 
+def _complete(args: argparse.Namespace) -> None:
+    """What a config line may supply, checked once config and command line
+    are both read: one of --kappa and --ell, truncate's --window and --s,
+    and a --tail-tol, else $POLYWH_TAIL_TOL, else coherent.DEFAULT_TAIL_TOL.
+    A failure is the subcommand's usage error (SystemExit 2)."""
+    parser = _SUBPARSERS[args.command]
+    if not (args.kappa or args.ell):
+        parser.error("one of the arguments --kappa --ell is required")
+    required = ("--window", "--s") if args.command == "truncate" else ()
+    missing = [flag for flag in required if getattr(args, flag[2:]) is None]
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
+    if "tail_tol" in args and args.tail_tol is None:
+        env = os.environ.get(TAIL_TOL_ENV)
+        try:
+            args.tail_tol = float(env) if env else DEFAULT_TAIL_TOL
+        except ValueError:
+            parser.error(f"environment variable {TAIL_TOL_ENV}: invalid float value: {env!r}")
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -577,6 +597,7 @@ def main(argv=None) -> int:
             return EXIT_IO
         # the same parser reads the config flags, and later flags win
         args = _PARSER.parse_args([args.command, *flags, *argv[1:]])
+    _complete(args)
     try:
         payload, table = _COMMANDS[args.command](args)
     except (ValueError, TypeError) as exc:  # DomainError is a ValueError

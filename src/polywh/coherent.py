@@ -356,37 +356,25 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
     """Generalized hypergeometric series 0F_q(ell_1, ..., ell_q; x), at x or an x-array.
 
     Summed term by term, t_{k+1} = t_k * x / ((k+1) prod_i (ell_i + k)),
-    until the relative term drops below ``rel_tol``.  A value past the
-    double range is a `DomainError`.  So is a sum lost to cancellation at
-    x < 0: its rounding error is bounded by eps * S, S = 0F_q(ells; |x|) the
-    sum of the term moduli, and the sum is refused where that bound passes
-    1e-8 of the value or S passes the double range.
+    until the relative term drops below ``rel_tol``; a scalar x gives a
+    float, an array an array.  A value past the double range is a
+    `DomainError`.  So is a sum lost to cancellation at x < 0: its rounding
+    error is bounded by eps * S, S = 0F_q(ells; |x|) the sum of the term
+    moduli, and the sum is refused where that bound passes 1e-8 of the value
+    or S passes the double range.  S is summed first: it bounds the partial
+    sums too, so with S in range the signed sum cannot overflow.
     """
     if _has_nan(x):
         raise DomainError("x must not be NaN")
     negative = np.asarray(x) < 0
-    if negative.any():
-        return _alternating_0f(ells, x, negative, rel_tol, max_terms)
-    return _plain_0f(ells, x, rel_tol, max_terms)
-
-
-def _plain_0f(ells, x, rel_tol: float, max_terms: int):
-    if not np.ndim(x):
-        total, exponent = _rescaled_sum(ells, x, rel_tol, max_terms)
-        return _ldexp_scalar(total, exponent, "hypergeometric sum")
-    return _ldexp_array(*_hyper_0f_scaled(ells, x, rel_tol, max_terms), "hypergeometric sum")
-
-
-def _alternating_0f(ells, x, negative, rel_tol: float, max_terms: int):
-    """`_plain_0f` where every x < 0 keeps its digits, else the cancellation
-    `DomainError`.  S is summed first: it bounds the partial sums too, so
-    with S in range the signed sum cannot overflow."""
+    if not negative.any():
+        return _ldexp(*_hyper_0f_scaled(ells, x, rel_tol, max_terms), "hypergeometric sum")
     x_negative = np.asarray(x, dtype=float)[negative]
     moduli, exponent = _hyper_0f_scaled(ells, -x_negative, rel_tol, max_terms)
     if exponent.any():
         i, detail = np.flatnonzero(exponent)[0], "past the double range"
     else:
-        value = _plain_0f(ells, x, rel_tol, max_terms)
+        value = _ldexp(*_hyper_0f_scaled(ells, x, rel_tol, max_terms), "hypergeometric sum")
         signed = np.asarray(value)[negative]
         lost = np.flatnonzero(np.finfo(float).eps * moduli > 1e-8 * np.abs(signed))
         if not lost.size:
@@ -427,10 +415,16 @@ def _rescaled_sum(
 
 
 def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
-    """0F_q at every entry of an x-array as (mantissa, exponent) arrays.
+    """0F_q at x, a scalar or an array, as (mantissa, exponent), the value
+    mantissa * 2**exponent, which need not fit a double.
 
-    The plain float sum runs at every entry at once, and an entry it
+    The one place that tells a scalar from an array.  A scalar is summed by
+    `_rescaled_sum` as the Python number it holds: a Fraction exactly as
+    given, a numpy float as a float, which overflows without a warning.  An
+    array runs the plain float sum at every entry at once, and an entry it
     overflows is summed again by `_rescaled_sum`."""
+    if not np.ndim(x):
+        return _rescaled_sum(ells, np.asarray(x).item(), rel_tol, max_terms)
     x = np.asarray(x, dtype=float)
     total, exponent = _hyper_0f_array(ells, x, rel_tol, max_terms), np.zeros(x.shape, dtype=int)
     for i in np.flatnonzero(np.isinf(total)):
@@ -461,28 +455,17 @@ def _hyper_0f_array(ells, x: np.ndarray, rel_tol: float, max_terms: int) -> np.n
                 raise DomainError("hypergeometric series did not converge")
 
 
-def _overflow(what: str, bits: float) -> DomainError:
-    return DomainError(f"{what} overflows double precision: it is about 2^{bits:.1f}")
-
-
-def _ldexp_scalar(mantissa: float, exponent: int, what: str) -> float:
-    """mantissa * 2**exponent, or a `DomainError` naming ``what`` past the double range."""
-    if not exponent:
-        return mantissa
-    try:
-        return math.ldexp(mantissa, exponent)
-    except OverflowError:
-        raise _overflow(what, math.log2(abs(mantissa)) + exponent) from None
-
-
-def _ldexp_array(mantissa: np.ndarray, exponent: np.ndarray, what: str) -> np.ndarray:
-    """`_ldexp_scalar` at every entry of an array."""
+def _ldexp(mantissa, exponent, what: str):
+    """mantissa * 2**exponent at a scalar or at every entry of an array; a
+    0-d input gives a Python float.  Past the double range it is a
+    `DomainError` naming ``what`` and the largest entry's size in bits."""
     with np.errstate(over="ignore"):
         value = np.ldexp(mantissa, exponent)
     if np.isinf(value).any():
         with np.errstate(divide="ignore"):  # a zero mantissa elsewhere in the array
-            raise _overflow(what, np.max(np.log2(np.abs(mantissa)) + exponent))
-    return value
+            bits = np.max(np.log2(np.abs(mantissa)) + exponent)
+        raise DomainError(f"{what} overflows double precision: it is about 2^{bits:.1f}")
+    return value if np.ndim(value) else float(value)
 
 
 def bg_normalization(params: AlgebraParams, z):
@@ -495,20 +478,17 @@ def bg_normalization(params: AlgebraParams, z):
     sum, sqrt(m 2^e) = sqrt(m) 2^(e/2), and only an |N| past the double
     range is a `DomainError`.
     """
-    ells = reciprocal_ells(params)
+    reciprocal_ells(params)
     if _has_nan(z):
         raise DomainError("z must not be NaN")
-    if np.ndim(z) == 0:
-        total, exponent = _rescaled_sum(ells, math.prod(ells) * abs(complex(z)) ** 2)
-        return _ldexp_scalar(math.sqrt(total), exponent // 2, "normalization |N(z)|")
-    return _ldexp_array(*_bg_normalization_scaled(params, z), "normalization |N(z)|")
+    return _ldexp(*_bg_normalization_scaled(params, z), "normalization |N(z)|")
 
 
-def _bg_normalization_scaled(params: AlgebraParams, z_grid) -> tuple[np.ndarray, np.ndarray]:
-    """|N(z)| at every point of a z-array as (mantissa, exponent) arrays,
+def _bg_normalization_scaled(params: AlgebraParams, z):
+    """|N(z)| at z or at every point of a z-array as (mantissa, exponent),
     the value mantissa * 2**exponent, which need not fit a double."""
     ells = reciprocal_ells(params)
-    z = np.asarray(z_grid, dtype=complex)
+    z = np.asarray(z, dtype=complex)
     x = math.prod(ells) * np.hypot(z.real, z.imag) ** 2  # hypot: bit-equal to abs(complex)
     mantissa, exponent = _hyper_0f_scaled(ells, x)  # exponent: a multiple of RESCALE_BITS, even
     return np.sqrt(mantissa), exponent // 2

@@ -416,3 +416,42 @@ def test_bad_numbers_are_refused_by_name(capsys, argv, code, message):
         result = run_cli(capsys, *argv)
     assert result[:2] == (code, "")
     assert message in result[2]
+
+
+@pytest.mark.parametrize("argv, tail_tol_env, named", [
+    (["spectrum", "--kappa", "0", "--ell", "2"], None, "argument --ell: not allowed with argument --kappa"),
+    (["spectrum", "--nmax", "3"], None, "one of the arguments --kappa --ell is required"),
+    (["cs-bg", "--ell", ""], None, "one of the arguments --kappa --ell is required"),
+    (["truncate", "--kappa", "1/2"], None, "the following arguments are required: --window, --s"),
+    (["truncate", "--kappa", "1/2", "--window", "5"], None, "arguments are required: --s"),
+    (["bargmann-growth", "--ell", "2", "--nmax", "-5"], None, "argument --nmax: must be at least 0"),
+    (["rep-check", "--kappa", "1/2", "--window", "0"], None, "argument --window: must be at least 1"),
+    (["truncate", "--kappa", "1/2", "--window", "6", "--s", "0"], None, "argument --s: must be at least 1"),
+    (["cs-grassmann", "--kappa", "1/2", "--dim", "0"], None, "argument --dim: must be at least 1"),
+    (["measure", "--kappa", "0", "--levels", "0"], None, "argument --levels: must be at least 1"),
+    (["schwarz", "--ell", "2", "--grid-radius", "nan"], None, "argument --grid-radius: must be finite"),
+    (["schwarz", "--ell", "2", "--grid-radius", "-inf"], None, "argument --grid-radius: must be finite"),
+    (["cs-bg", "--kappa", "1/2"], "abc", "POLYWH_TAIL_TOL: invalid float value: 'abc'"),
+    (["schwarz", "--ell", "2"], "1e-8x", "POLYWH_TAIL_TOL: invalid float value: '1e-8x'"),
+])
+def test_usage_errors_exit_2_and_name_the_flag(capsys, monkeypatch, argv, tail_tol_env, named):
+    if tail_tol_env is None:
+        monkeypatch.delenv("POLYWH_TAIL_TOL", raising=False)
+    else:
+        monkeypatch.setenv("POLYWH_TAIL_TOL", tail_tol_env)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_cli(capsys, *argv)
+    assert result[:2] == (2, "")
+    assert named in result[2]
+
+
+def test_config_lines_meet_the_requirements_and_flags_still_win(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("POLYWH_TAIL_TOL", "abc")  # read only where no --tail-tol is given
+    path = _config(tmp_path, "kappa=1/2\nwindow=6\ns=2\ntail_tol=1e-8\n")
+    code, out, err = run_cli(capsys, "truncate", "--config", path, "--s", "3")
+    assert code == 0, err
+    assert out == run_cli(capsys, "truncate", "--kappa", "1/2", "--window", "6", "--s", "3")[1]
+    code, out, err = run_cli(capsys, "cs-bg", "--config", path, "--z", "0.5")
+    assert code == 0, err
+    assert json.loads(out)["tail_tol"] == 1e-8

@@ -491,6 +491,40 @@ def test_hyper_0f_against_mpmath():
         assert ours == pytest.approx(ref, rel=1e-13)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: hyper_0f((2, 3), x),
+    lambda x: hyper_0f((2, 3), -x),
+    lambda x: bg_normalization(AlgebraParams(["1/2", "1/3"]), x),
+    lambda x: bg_normalization(OSC, 20 * x),  # |N|^2 = e^900 past the double range
+])
+def test_a_scalar_gives_a_float_and_a_0d_array_the_same_value(call):
+    value = call(1.5)
+    assert type(value) is float
+    assert call(np.array(1.5)) == value
+    assert call(np.float64(1.5)) == value
+
+
+@pytest.mark.parametrize("call, x, message", [
+    (lambda x: bg_normalization(OSC, x), 40.0,
+     "normalization |N(z)| overflows double precision: it is about 2^1154.2"),
+    (lambda x: hyper_0f((), x), 900.0,
+     "hypergeometric sum overflows double precision: it is about 2^1298.4"),
+    (lambda x: hyper_0f((), x), -40.0,
+     "hypergeometric sum at x = -40 is lost to cancellation: "
+     "its term moduli sum to 2.35e+17 against a value of 0.312"),
+    (lambda x: hyper_0f((), x), -2000.0,
+     "hypergeometric sum at x = -2000 is lost to cancellation: "
+     "its term moduli sum past the double range"),
+])
+def test_a_scalar_and_a_one_entry_array_fail_with_one_message(call, x, message):
+    for arg in (x, np.array(x), np.array([x])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a 0-d x overflows without a warning
+            with pytest.raises(DomainError) as err:
+                call(arg)
+        assert str(err.value) == message
+
+
 # ------------------------------------------------------------- degenerations
 
 def test_oscillator_degeneration_large_ell():
