@@ -139,7 +139,7 @@ def schwarz_check(params: AlgebraParams, f_coeffs, z_grid) -> float:
     z_grid = np.asarray(z_grid, dtype=complex)
     if not z_grid.size:
         return -math.inf
-    mantissa, exponent = _bg_normalization_scaled(params, z_grid)
+    mantissa, exponent = _bg_normalization_scaled(reciprocal_ells(params), z_grid)
     with np.errstate(over="ignore"):  # |N| past the double range: inf, and the bound holds there
         bound = np.ldexp(mantissa, exponent)
     excess = np.abs(bargmann_eval(params, f, z_grid)) - bound

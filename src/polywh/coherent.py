@@ -98,18 +98,13 @@ class CoherentState:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in _finish's DomainError
-def _truncate_series(kind, params, z, ratio_sup, tail_tol, max_terms):
+def _truncate_series(kind, params, z, tail_tol, max_terms):
     """Accumulate c_0 = 1, c_n = c_{n-1} * step(n) (`_steps`) until
-    the l2 tail is provably below tail_tol times the partial norm.
-
-    ratio_sup(j) must bound |c_{m+1}/c_m| for every m >= j; once it drops
-    under 1 the tail is dominated by a geometric series, giving
-    tail^2 <= |c_next|^2 / (1 - q^2).  Blocks of doubling length are
-    accumulated from the previous carry, in the order of a term-by-term
-    loop; as tail^2 >= |c_next|^2, the bound is evaluated only where the
-    term alone is under the tolerance.
-    """
+    `_tail_cut` allows the rest to be dropped, in blocks of doubling
+    length, each accumulated from the previous carry in the order of a
+    term-by-term loop."""
     tol2 = tail_tol * tail_tol
+    ratio_sup = _ratio_sup(kind, params, abs(z))
     coeffs = np.ones(1, dtype=complex)
     norm2 = 1.0
     while True:
@@ -118,12 +113,10 @@ def _truncate_series(kind, params, z, ratio_sup, tail_tol, max_terms):
         block = np.cumprod(np.concatenate((coeffs[-1:], _steps(kind, params, z, lo, hi))))[1:]
         abs2 = np.abs(block) ** 2
         norms = np.cumsum(np.concatenate(([norm2], abs2)))  # norms[i]: before block[i]
-        for i in np.flatnonzero(abs2 <= tol2 * norms[:-1]):
-            q = ratio_sup(lo + int(i))
-            if q < 1.0:
-                tail2 = float(abs2[i]) / (1.0 - q * q)
-                if tail2 <= tol2 * norms[i]:
-                    return np.concatenate((coeffs, block[:i])), math.sqrt(tail2 / norms[i])
+        cut = _tail_cut(abs2, norms, lo, ratio_sup, tol2)
+        if cut is not None:
+            i, bound = cut
+            return np.concatenate((coeffs, block[:i])), bound
         if hi > max_terms:
             raise DomainError(
                 f"series did not reach tail tolerance {tail_tol:g} within {max_terms} terms"
@@ -131,6 +124,78 @@ def _truncate_series(kind, params, z, ratio_sup, tail_tol, max_terms):
         coeffs = np.concatenate((coeffs, block))
         norm2 = norms[-1]
         del block, abs2, norms  # not held while the next block is built
+
+
+def _tail_cut(abs2, norms, lo, ratio_sup, tol2):
+    """The series' one tail rule: (i, achieved relative tail bound) for the
+    first i at which the terms from c_{lo+i} on may be dropped, or None.
+
+    abs2[i] = |c_{lo+i}|^2 and norms[i] is the squared norm before it.
+    ratio_sup(j) bounds |c_{m+1}/c_m| for every m >= j (`_ratio_sup`); once
+    it drops under 1 the tail is dominated by a geometric series, giving
+    tail^2 <= |c_{lo+i}|^2 / (1 - q^2).  As tail^2 >= |c_{lo+i}|^2, the
+    bound is evaluated only where the term alone is under the tolerance.
+    """
+    for i in np.flatnonzero(abs2 <= tol2 * norms[: len(abs2)]):
+        q = ratio_sup(lo + int(i))
+        if q < 1.0:
+            tail2 = float(abs2[i]) / (1.0 - q * q)
+            if tail2 <= tol2 * norms[i]:
+                return int(i), math.sqrt(tail2 / norms[i])
+    return None
+
+
+def _ratio_sup(kind, params, radius):
+    """j -> a bound on |c_{m+1}/c_m| over every m >= j, at |z| = radius, for
+    the series of an infinite ladder (r = 1 for perelomov)."""
+    if kind is StateKind.PERELOMOV:
+        k1 = float(params.kappas[0])
+
+        def ratio_sup(j):
+            # |c_{m+1}/c_m| = |z| sqrt((1 + k1 m)/(m + 1)) is monotone toward
+            # sqrt(k1), so the sup over m >= j is attained at m = j or in the limit
+            return radius * math.sqrt(max((1.0 + k1 * j) / (j + 1.0), k1))
+
+        return ratio_sup
+
+    def ratio_sup(j):
+        # F is nondecreasing on the infinite ladder, so the first ratio dominates
+        return radius / math.sqrt(float(structure_function(params, j + 1)))
+
+    return ratio_sup
+
+
+def _series_moduli(kind, params, zs, levels: int) -> np.ndarray:
+    """|c_n(z)|^2 for n < levels at every z of zs, one row per z, as the
+    constructor at the default tail tolerance gives them: zero from its
+    tail cut (`_tail_cut`) on.
+
+    One ladder table, one broadcast `_steps` and one cumprod and one cumsum
+    along the rows.  Both accumulate term by term, as the constructor's
+    doubling blocks do from their carry, so for real z >= 0 each row is
+    bit-equal to ``np.abs(ctor(params, z).coeffs[:levels]) ** 2``,
+    zero-padded.  (A real z makes every step a real number times its phase,
+    one rounding per component however numpy lays out the product; for a
+    complex z numpy may fuse the broadcast product's multiply-add where it
+    does not in the constructor's, and the last bit can differ.)  The
+    caller has made sure the states exist, so nothing overflows (the state
+    at the largest z has been built), and a finite ladder has levels <= d;
+    no check is made here.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    steps = _steps(kind, params, zs[:, None], 1, levels)
+    moduli = np.abs(np.cumprod(np.concatenate((np.ones((len(zs), 1)), steps), axis=1), axis=1)) ** 2
+    if classify(params).is_finite:
+        return moduli  # the exact vector: no tail cut
+    norms = np.cumsum(moduli, axis=1)  # norms[:, n]: through c_n
+    tol2 = DEFAULT_TAIL_TOL * DEFAULT_TAIL_TOL
+    # a row can be cut only where a term is under the tolerance: most rows never are
+    for j in np.flatnonzero((moduli[:, 1:] <= tol2 * norms[:, :-1]).any(axis=1)):
+        ratio_sup = _ratio_sup(kind, params, abs(complex(zs[j])))
+        cut = _tail_cut(moduli[j, 1:], norms[j], 1, ratio_sup, tol2)
+        if cut is not None:
+            moduli[j, cut[0] + 1 :] = 0.0
+    return moduli
 
 
 def _steps(kind, params, z, lo, hi):
@@ -201,13 +266,7 @@ def perelomov_state(
             f"{1.0 / math.sqrt(k1):.6g}, got |z| = {abs(z):.6g}"
         )
 
-    def ratio_sup(j):
-        # |c_{m+1}/c_m| = |z| sqrt((1 + k1 m)/(m + 1)) is monotone toward
-        # sqrt(k1), so the sup over m >= j is attained at m = j or in the limit
-        g = (1.0 + k1 * j) / (j + 1.0)
-        return abs(z) * math.sqrt(max(g, k1))
-
-    coeffs, bound = _truncate_series(StateKind.PERELOMOV, params, z, ratio_sup, tail_tol, max_terms)
+    coeffs, bound = _truncate_series(StateKind.PERELOMOV, params, z, tail_tol, max_terms)
     meta = CutoffMeta(exact=False, n_terms=len(coeffs), tail_bound=bound, tail_tol=tail_tol)
     return _finish(StateKind.PERELOMOV, params, z, coeffs, normalize, meta)
 
@@ -268,12 +327,8 @@ def bg_state(
             f"(d = {dim.d}); use bg_grassmann_state for the nilpotent-variable construction"
         )
 
-    def ratio_sup(j):
-        # F is nondecreasing on the infinite ladder, so the first ratio dominates
-        return abs(z) / math.sqrt(float(structure_function(params, j + 1)))
-
     kind = StateKind.BARUT_GIRARDELLO
-    coeffs, bound = _truncate_series(kind, params, z, ratio_sup, tail_tol, max_terms)
+    coeffs, bound = _truncate_series(kind, params, z, tail_tol, max_terms)
     meta = CutoffMeta(exact=False, n_terms=len(coeffs), tail_bound=bound, tail_tol=tail_tol)
     return _finish(kind, params, z, coeffs, normalize, meta)
 
@@ -478,16 +533,16 @@ def bg_normalization(params: AlgebraParams, z):
     sum, sqrt(m 2^e) = sqrt(m) 2^(e/2), and only an |N| past the double
     range is a `DomainError`.
     """
-    reciprocal_ells(params)
+    ells = reciprocal_ells(params)
     if _has_nan(z):
         raise DomainError("z must not be NaN")
-    return _ldexp(*_bg_normalization_scaled(params, z), "normalization |N(z)|")
+    return _ldexp(*_bg_normalization_scaled(ells, z), "normalization |N(z)|")
 
 
-def _bg_normalization_scaled(params: AlgebraParams, z):
-    """|N(z)| at z or at every point of a z-array as (mantissa, exponent),
-    the value mantissa * 2**exponent, which need not fit a double."""
-    ells = reciprocal_ells(params)
+def _bg_normalization_scaled(ells, z):
+    """|N(z)| for the 1/ell kappas of ``ells`` (`reciprocal_ells`) at z or
+    at every point of a z-array as (mantissa, exponent), the value
+    mantissa * 2**exponent, which need not fit a double."""
     z = np.asarray(z, dtype=complex)
     x = math.prod(ells) * np.hypot(z.real, z.imag) ** 2  # hypot: bit-equal to abs(complex)
     mantissa, exponent = _hyper_0f_scaled(ells, x)  # exponent: a multiple of RESCALE_BITS, even

@@ -41,9 +41,18 @@ moment to 1e-8.
 With an odd number of supplied moments the last diagonal recurrence
 coefficient is not pinned down; it is completed just above the exact
 Schur-complement positivity threshold, which keeps every node strictly
-positive while still matching all supplied moments.  (For the
-disk-constrained perelomov family on an infinite ladder, prefer an even
-moment count so no synthetic node can leave the existence disk.)
+positive while still matching all supplied moments.  For the
+disk-constrained perelomov family on an infinite ladder that completed
+node can leave the existence disk t < 1/kappa_1; `verify_identity` then
+refuses the rule naming the node, so prefer an even moment count there.
+
+The rule is checked against the states themselves by reassembling the
+identity diagonal sum_j w_j |c_n(sqrt(t_j))|^2.  One coherent-state
+constructor call, at the largest node, decides that the state of every
+node exists (|c_n(z)| grows with |z|); the leading moduli of all nodes
+then come from one batched pass over a single ladder table
+(`coherent._series_moduli`), bit-equal to the coefficients each node's own
+state would give, and are summed node by node in order.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraParams, _freeze, classify, structure_function
-from .coherent import StateKind, bg_state, perelomov_state
+from .coherent import StateKind, _series_moduli, bg_state, perelomov_state
 from .errors import DomainError
 
 NEWTON_STEPS = 3  # on eigvalsh nodes, which are already close
@@ -343,10 +352,17 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
     """Max deviation of the reassembled identity diagonal from 1.
 
     Assembles sum_j w_j |c_n(sqrt(t_j))|^2 for every level n below the
-    matched moment range, building the states through the actual coherent
-    state constructors (independent of the moment formulas).  Off-diagonal
-    terms vanish in the analytic angular average and the moduli are phase
-    independent, so the result does not depend on phi.
+    matched moment range, from the coherent-state series (independent of
+    the moment formulas).  Off-diagonal terms vanish in the analytic
+    angular average and the moduli are phase independent, so the result
+    does not depend on phi.
+
+    One constructor call, at the largest node, decides whether every
+    state of the rule exists: |c_n(z)| = |z|^n |c_n(1)| grows with |z|, so
+    the existence disk, an overflow or the term cap is met there first.
+    The moduli of all nodes then come from one batched pass over the
+    leading levels (`coherent._series_moduli`), bit-equal to each node's
+    own state, and are summed in node order.
     """
     kind = StateKind(kind)
     levels = measure.n_matched
@@ -355,15 +371,35 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
         raise ValueError(
             f"measure matched {levels} moments but the ladder has only d = {dim.d} levels"
         )
-    diag = np.zeros(levels)
-    for t, w in zip(measure.nodes, measure.weights):
-        zj = math.sqrt(float(t))
-        if kind is StateKind.PERELOMOV:
-            state = perelomov_state(params, zj)
-        else:
-            state = bg_state(params, zj)
-        amp2 = np.abs(state.coeffs[:levels]) ** 2
-        if len(amp2) < levels:
-            amp2 = np.pad(amp2, (0, levels - len(amp2)))
-        diag += float(w) * amp2
+    nodes = np.asarray(measure.nodes, dtype=float)
+    t_max = float(nodes.max())
+    if kind is StateKind.PERELOMOV:
+        _check_disk(params, t_max, levels)
+        perelomov_state(params, math.sqrt(t_max))
+    else:
+        bg_state(params, math.sqrt(t_max))
+    moduli = _series_moduli(kind, params, np.sqrt(nodes), levels)
+    weighted = np.asarray(measure.weights, dtype=float)[:, None] * moduli
+    diag = np.cumsum(weighted, axis=0)[-1]  # node by node, in order: a matmul would reorder it
     return float(np.max(np.abs(diag - 1.0)))
+
+
+def _check_disk(params: AlgebraParams, t_max: float, levels: int) -> None:
+    """Refuse a rule whose largest node t_max lies outside the disk t <
+    1/kappa_1 of the perelomov states of an r = 1 infinite ladder, by the
+    constructor's own test on sqrt(t_max), naming the node rather than its
+    root."""
+    if classify(params).is_finite or params.r != 1:
+        return
+    k1 = float(params.kappas[0])
+    if k1 > 0.0 and math.sqrt(t_max) * math.sqrt(k1) >= 1.0:
+        cause = ""
+        if levels % 2:
+            cause = (
+                ": the completion of the free last recurrence coefficient for an odd "
+                f"moment count ({levels}) put it there; prefer an even count"
+            )
+        raise DomainError(
+            f"measure node t = {t_max:.6g} lies outside the existence disk "
+            f"t < 1/kappa_1 = {1.0 / k1:.6g} of the perelomov states{cause}"
+        )

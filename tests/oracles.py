@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from polywh import AlgebraParams, DomainError, classify
+from polywh import AlgebraParams, DomainError, StateKind, bg_state, classify, perelomov_state
 from polywh.algebra import ladder_table
 from polywh.grassmann import GrassmannElement
 
@@ -88,6 +88,23 @@ def series_reference(params: AlgebraParams, kind: str, z, tail_tol=1e-14, max_te
             return abs(z) / math.sqrt(fval(j + 1))
 
     return truncate_series(step, ratio_sup, tail_tol, max_terms)
+
+
+def verify_identity_by_states(params: AlgebraParams, kind, measure) -> float:
+    """Max deviation of sum_j w_j |c_n(sqrt(t_j))|^2 from 1 over the matched
+    levels, one full coherent state per node, summed in node order."""
+    kind = StateKind(kind)
+    levels = measure.n_matched
+    diag = np.zeros(levels)
+    for t, w in zip(measure.nodes, measure.weights):
+        zj = math.sqrt(float(t))
+        if kind is StateKind.PERELOMOV:
+            state = perelomov_state(params, zj)
+        else:
+            state = bg_state(params, zj)
+        amp2 = np.abs(state.coeffs[:levels]) ** 2
+        diag += float(w) * np.pad(amp2, (0, levels - len(amp2)))
+    return float(np.max(np.abs(diag - 1.0)))
 
 
 def dense_lowering(params: AlgebraParams, m: int) -> np.ndarray:

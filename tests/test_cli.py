@@ -93,6 +93,18 @@ def test_domain_error_exit_code_and_message(capsys):
     assert "r = 1" in err or "r >= 2" in err
 
 
+def test_measure_node_outside_the_disk_is_named(capsys):
+    # 21 perelomov moments at kappa = 1/2: the odd-count completion puts the
+    # last Gauss node at t = 2.21561, past the disk t < 1/kappa_1 = 2
+    code, out, err = run_cli(capsys, "measure", "--kappa", "1/2", "--kind", "perelomov",
+                             "--levels", "21")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: measure node t = 2.21561 lies outside the existence disk "
+                          "t < 1/kappa_1 = 2 of the perelomov states: the completion of the "
+                          "free last recurrence coefficient for an odd moment count (21)")
+    assert "|z|" not in err
+
+
 def test_io_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "spectrum", "--kappa", "0", "--output", str(tmp_path / "no" / "dir" / "x.json")

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polywh import (
@@ -19,6 +19,7 @@ from polywh import (
     bg_state,
     build_rep,
     check_bg_eigen,
+    classify,
     hyper_0f,
     moments_for,
     overlap,
@@ -28,7 +29,7 @@ from polywh import (
     time_evolve,
 )
 from polywh.algebra import ladder_table
-from polywh.coherent import perelomov_log_partial_norms
+from polywh.coherent import _series_moduli, perelomov_log_partial_norms
 
 from oracles import (
     bg_eigen_residual_dense,
@@ -112,6 +113,51 @@ def test_block_series_matches_term_by_term_cutoff(kind, kappas, phi, z):
     assert build(params, z, max_terms=len(ref)).cutoff_meta.n_terms == len(ref)
     with pytest.raises(DomainError):
         build(params, z, max_terms=len(ref) - 1)
+
+
+@st.composite
+def _moduli_cases(draw):
+    """(kind, params, zs, levels) over both families: finite ladders
+    (perelomov, d <= 150), kappa = 0, kappa = p/q in [0.05, 0.7] with z
+    up to 0.99 of the perelomov rim, and 1/ell tuples with r <= 3 (bg).
+    The z are real and nonnegative, as the identity check's sqrt(t)."""
+    phi = draw(st.floats(min_value=-2.0, max_value=2.0))
+    shape = draw(st.sampled_from(["finite", "zero", "ratio", "ell"]))
+    if shape == "finite":
+        d = draw(st.integers(min_value=2, max_value=150))
+        kind, kappas, radius = "perelomov", [Fraction(-1, d - 1)], 6.0
+    else:
+        kind = draw(st.sampled_from(["perelomov", "barut-girardello"]))
+        r = 1 if kind == "perelomov" or shape != "ell" else draw(st.integers(1, 3))
+        kappa = {
+            "zero": st.just(Fraction(0)),
+            "ratio": st.fractions(min_value="1/20", max_value="7/10", max_denominator=40),
+            "ell": st.builds(Fraction, st.just(1), st.integers(min_value=1, max_value=9)),
+        }[shape]
+        kappas = draw(st.lists(kappa, min_size=r, max_size=r))
+        rim = 1.0 / math.sqrt(kappas[0]) if kind == "perelomov" and kappas[0] else math.inf
+        radius = min(0.99 * rim, 6.0 if kind == "perelomov" else 12.0)
+    params = AlgebraParams(kappas, phi)
+    top = classify(params).d if classify(params).is_finite else 150
+    levels = draw(st.integers(min_value=1, max_value=top))
+    moduli = st.one_of(st.floats(min_value=0.0, max_value=radius), st.sampled_from([1e-3, 0.1]))
+    zs = draw(st.lists(moduli, min_size=1, max_size=5))
+    return StateKind(kind), params, zs, levels
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams([0], 0.7), [0.05, 3.0, 12.0], 150))
+@example(case=(StateKind.PERELOMOV, AlgebraParams(["1/2"], -0.4), [0.01, 1.4], 100))
+@example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams(["1/3"]), [0.5], 1))
+@given(case=_moduli_cases())
+def test_batched_moduli_are_the_constructors_bit_for_bit(case):
+    kind, params, zs, levels = case
+    build = perelomov_state if kind is StateKind.PERELOMOV else bg_state
+    rows = _series_moduli(kind, params, zs, levels)
+    assert rows.shape == (len(zs), levels)
+    for row, z in zip(rows, zs):
+        amp2 = np.abs(build(params, z).coeffs[:levels]) ** 2
+        assert np.array_equal(row, np.pad(amp2, (0, levels - len(amp2))))
 
 
 def test_via_exponential_d2():

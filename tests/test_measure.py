@@ -12,6 +12,7 @@ from scipy.special import roots_laguerre
 
 from polywh import (
     AlgebraParams,
+    DiscreteMeasure,
     DomainError,
     MomentSequence,
     StateKind,
@@ -29,6 +30,7 @@ from oracles import (
     hankel_minors_by_fractions,
     moment_match_by_fractions,
     recurrence_by_fractions,
+    verify_identity_by_states,
 )
 
 OSC = AlgebraParams([0])
@@ -290,7 +292,9 @@ def test_gauss_endgame_meets_the_moment_gate(kappas, kind, count):
     measure = solve_measure(mom)
     assert measure.n_matched == len(mom.values)
     assert measure.max_rel_err <= 1e-8
-    assert verify_identity(params, kind, measure) <= 1e-8
+    deviation = verify_identity(params, kind, measure)
+    assert deviation <= 1e-8
+    assert deviation == verify_identity_by_states(params, kind, measure)
 
 
 def test_32_node_rule_is_gauss_laguerre():
@@ -350,6 +354,44 @@ def test_perturbed_weights_are_detected():
     assert clean <= 1e-10
     broken = dataclasses.replace(measure, weights=measure.weights + 1e-3)
     assert verify_identity(params, "perelomov", broken) >= 1e-4
+
+
+@pytest.mark.parametrize(
+    "kappas, kind, count",
+    [
+        (["0"], "barut-girardello", 16),
+        ([-1], "perelomov", None),
+        (["1/2"], "perelomov", 8),
+        (["1/4"], "perelomov", 9),
+        (["-1/4"], "perelomov", None),
+        (["-1/49"], "perelomov", None),
+        (["0"], "barut-girardello", 100),  # levels past the first 64-term block
+        (["1/3", "1/2"], "barut-girardello", 101),
+    ],
+)
+def test_identity_equals_the_one_state_per_node_sum(kappas, kind, count):
+    for phi in (0.0, 1.3):
+        params = AlgebraParams(kappas, phi)
+        measure = solve_measure(moments_for(params, kind, count=count))
+        assert verify_identity(params, kind, measure) == verify_identity_by_states(
+            params, kind, measure)
+
+
+@pytest.mark.parametrize(
+    "kappas, kind, nodes, message",
+    [
+        # kappa = 0: |c_n|^2 at |z|^2 = 1000 passes the double range
+        (["0"], "barut-girardello", [1.0, 1000.0], "overflows double precision"),
+        (["1/2"], "perelomov", [1.0, 2.5], "outside the existence disk"),
+    ],
+)
+def test_a_largest_node_without_a_state_fails_as_the_oracle_does(kappas, kind, nodes, message):
+    params = AlgebraParams(kappas)
+    measure = DiscreteMeasure(np.array(nodes), np.array([0.5, 0.5]), 4, 0.0)
+    with pytest.raises(DomainError, match=message):
+        verify_identity(params, kind, measure)
+    with pytest.raises(DomainError, match=message):
+        verify_identity_by_states(params, kind, measure)
 
 
 def test_identity_range_mismatch():
