@@ -232,6 +232,16 @@ def _checked_inputs(z, tail_tol: float) -> complex:
     return z
 
 
+def _outside_disk(params: AlgebraParams, radius: float) -> bool:
+    """Whether |z| = radius misses the open disk |z| < 1/sqrt(kappa_1) in
+    which the perelomov states of an r = 1 infinite ladder with kappa_1 > 0
+    exist; no other ladder has such a disk."""
+    if classify(params).is_finite or params.r != 1:
+        return False
+    k1 = float(params.kappas[0])
+    return k1 > 0.0 and radius * math.sqrt(k1) >= 1.0
+
+
 def perelomov_state(
     params: AlgebraParams,
     z,
@@ -259,11 +269,10 @@ def perelomov_state(
             "perelomov-type states on an infinite ladder exist only for r = 1 "
             f"(the series cannot be normalized for r >= 2); got r = {params.r}"
         )
-    k1 = float(params.kappas[0])
-    if k1 > 0.0 and abs(z) * math.sqrt(k1) >= 1.0:
+    if _outside_disk(params, abs(z)):
         raise DomainError(
             "z lies outside the existence disk: need |z| < 1/sqrt(kappa_1) = "
-            f"{1.0 / math.sqrt(k1):.6g}, got |z| = {abs(z):.6g}"
+            f"{1.0 / math.sqrt(float(params.kappas[0])):.6g}, got |z| = {abs(z):.6g}"
         )
 
     coeffs, bound = _truncate_series(StateKind.PERELOMOV, params, z, tail_tol, max_terms)

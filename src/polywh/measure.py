@@ -44,7 +44,8 @@ Schur-complement positivity threshold, which keeps every node strictly
 positive while still matching all supplied moments.  For the
 disk-constrained perelomov family on an infinite ladder that completed
 node can leave the existence disk t < 1/kappa_1; `verify_identity` then
-refuses the rule naming the node, so prefer an even moment count there.
+refuses the rule naming the node (and the `measure` command names the odd
+count), so prefer an even moment count there.
 
 The rule is checked against the states themselves by reassembling the
 identity diagonal sum_j w_j |c_n(sqrt(t_j))|^2.  One coherent-state
@@ -64,7 +65,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraParams, _freeze, classify, structure_function
-from .coherent import StateKind, _series_moduli, bg_state, perelomov_state
+from .coherent import StateKind, _outside_disk, _series_moduli, bg_state, perelomov_state
 from .errors import DomainError
 
 NEWTON_STEPS = 3  # on eigvalsh nodes, which are already close
@@ -374,7 +375,11 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
     nodes = np.asarray(measure.nodes, dtype=float)
     t_max = float(nodes.max())
     if kind is StateKind.PERELOMOV:
-        _check_disk(params, t_max, levels)
+        if _outside_disk(params, math.sqrt(t_max)):
+            raise DomainError(
+                f"measure node t = {t_max:.6g} lies outside the existence disk "
+                f"t < 1/kappa_1 = {1.0 / float(params.kappas[0]):.6g} of the perelomov states"
+            )
         perelomov_state(params, math.sqrt(t_max))
     else:
         bg_state(params, math.sqrt(t_max))
@@ -382,24 +387,3 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
     weighted = np.asarray(measure.weights, dtype=float)[:, None] * moduli
     diag = np.cumsum(weighted, axis=0)[-1]  # node by node, in order: a matmul would reorder it
     return float(np.max(np.abs(diag - 1.0)))
-
-
-def _check_disk(params: AlgebraParams, t_max: float, levels: int) -> None:
-    """Refuse a rule whose largest node t_max lies outside the disk t <
-    1/kappa_1 of the perelomov states of an r = 1 infinite ladder, by the
-    constructor's own test on sqrt(t_max), naming the node rather than its
-    root."""
-    if classify(params).is_finite or params.r != 1:
-        return
-    k1 = float(params.kappas[0])
-    if k1 > 0.0 and math.sqrt(t_max) * math.sqrt(k1) >= 1.0:
-        cause = ""
-        if levels % 2:
-            cause = (
-                ": the completion of the free last recurrence coefficient for an odd "
-                f"moment count ({levels}) put it there; prefer an even count"
-            )
-        raise DomainError(
-            f"measure node t = {t_max:.6g} lies outside the existence disk "
-            f"t < 1/kappa_1 = {1.0 / k1:.6g} of the perelomov states{cause}"
-        )

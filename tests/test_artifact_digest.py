@@ -24,17 +24,6 @@ def test_seed_ranges():
     assert list(artifact_digest.parse_seeds("4")) == [4]
 
 
-def test_workloads_option_digests_only_the_named_streams(capsys):
-    assert artifact_digest.main(["--seeds", "1", "--cycles", "1", "--workloads", "moments"]) == 0
-    (line,) = capsys.readouterr().out.splitlines()
-    _, _, hexdigest, _ = artifact_digest.digest("moments", 1, cycles=1)
-    assert line.startswith("moments seed 1: ") and line.endswith(f"sha256 {hexdigest}")
-    assert artifact_digest.parse_workloads("growth,states") == ["growth", "states"]
-    with pytest.raises(SystemExit):
-        artifact_digest.main(["--workloads", "moments,nope"])
-    assert "unknown workload 'nope'" in capsys.readouterr().err
-
-
 def test_a_crash_fails_the_run_and_names_the_first_crashing_command(monkeypatch, capsys):
     calls = []
 

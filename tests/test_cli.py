@@ -99,9 +99,11 @@ def test_measure_node_outside_the_disk_is_named(capsys):
     code, out, err = run_cli(capsys, "measure", "--kappa", "1/2", "--kind", "perelomov",
                              "--levels", "21")
     assert (code, out) == (1, "")
-    assert err.startswith("error: measure node t = 2.21561 lies outside the existence disk "
-                          "t < 1/kappa_1 = 2 of the perelomov states: the completion of the "
-                          "free last recurrence coefficient for an odd moment count (21)")
+    assert err == ("error: measure node t = 2.21561 lies outside the existence disk "
+                   "t < 1/kappa_1 = 2 of the perelomov states (the moment count 21 is odd: "
+                   "the last recurrence coefficient is a completion, not fixed by the "
+                   "moments, and it can put the largest node at or past the rim; prefer "
+                   "an even count)\n")
     assert "|z|" not in err
 
 

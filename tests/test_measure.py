@@ -394,6 +394,20 @@ def test_a_largest_node_without_a_state_fails_as_the_oracle_does(kappas, kind, n
         verify_identity_by_states(params, kind, measure)
 
 
+def test_the_identity_check_names_the_largest_node_when_several_states_fail():
+    # kappa = 0: the states at t = 800 and t = 1000 both overflow.  The
+    # per-node loop stops at the first in node order; the one-constructor
+    # check builds only the largest node's state and names that one.
+    params = AlgebraParams(["0"])
+    measure = DiscreteMeasure(np.array([1.0, 800.0, 1000.0]), np.full(3, 1 / 3), 4, 0.0)
+    with pytest.raises(DomainError, match="overflows double precision") as batched:
+        verify_identity(params, "barut-girardello", measure)
+    with pytest.raises(DomainError, match="overflows double precision") as per_node:
+        verify_identity_by_states(params, "barut-girardello", measure)
+    assert f"z = {complex(math.sqrt(1000.0))} " in str(batched.value)
+    assert f"z = {complex(math.sqrt(800.0))} " in str(per_node.value)
+
+
 def test_identity_range_mismatch():
     params = AlgebraParams([-1])  # d = 2
     measure = solve_measure(moments_for(params, "perelomov"))

@@ -1,18 +1,15 @@
 """Digest of every artifact the benchmark command streams produce.
 
-    python3 tools/artifact_digest.py --seeds 1-3 --cycles 6 [--workloads moments]
+    python3 tools/artifact_digest.py --seeds 1-3 --cycles 6
 
 Runs the first --cycles cycles of each workload's stream (`bench/streams.py`)
 through `polywh.cli.main` in-process, the way `bench/run.py` does, and
 prints one line per workload and seed: the command count, the exit-code
 counts and one sha256 over every (argv, exit code, stdout, stderr).  Equal
 digests on two checkouts mean byte-identical exit codes, artifacts and
-messages.  --workloads takes a comma list (default: all three), so that a
-change to one layer can be checked on the stream that loads it.  A command
-that raises out of `main` counts as exit code None; the first such command
-is named on stderr and the tool exits 1.  The program is imported from
-`src/` of the checkout this file sits in; nothing under `bench/` is
-written.
+messages.  A command that raises out of `main` counts as exit code None;
+the first such command is named on stderr and the tool exits 1.  The program is imported from `src/` of the checkout this file
+sits in; nothing under `bench/` is written.
 """
 
 from __future__ import annotations
@@ -68,26 +65,13 @@ def parse_seeds(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def parse_workloads(text: str) -> list[str]:
-    """'moments' or 'states,growth': names from bench/streams.py, in the
-    order given."""
-    names = text.split(",")
-    unknown = [name for name in names if name not in streams.WORKLOADS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown workload {unknown[0]!r}; choose from {', '.join(streams.WORKLOADS)}")
-    return names
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=parse_seeds, default=range(1, 2), help="e.g. 1-3")
     parser.add_argument("--cycles", type=int, default=6, help="cycles per workload and seed")
-    parser.add_argument("--workloads", type=parse_workloads, default=list(streams.WORKLOADS),
-                        help="comma list, e.g. moments (default: all)")
     args = parser.parse_args(argv)
     first_crash = None
-    for workload in args.workloads:
+    for workload in streams.WORKLOADS:
         for seed in args.seeds:
             count, codes, hexdigest, crash = digest(workload, seed, args.cycles)
             exits = " ".join(f"{code}:{n}" for code, n in codes.items())
