@@ -19,7 +19,9 @@ enforced as typed errors, never as numeric garbage:
 
 Infinite series are cut off once a geometric ratio bound puts the
 remaining l2 tail below ``tail_tol`` of the accumulated norm; the bound
-actually achieved is recorded on the state.
+actually achieved is recorded on the state.  One routine, `_series`,
+builds every state vector; a state exists wherever its coefficients fit in
+a double, even where |c_n|^2 and its squared norm do not.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ __all__ = [
 
 DEFAULT_TAIL_TOL = 1e-14
 MAX_SERIES_TERMS = 200_000
-RESCALE_BITS = 512  # power of two taken out of a hypergeometric sum about to overflow
+RESCALE_BITS = 512  # power of two taken out of a sum about to overflow
 
 
 class StateKind(str, enum.Enum):
@@ -94,49 +96,75 @@ class CoherentState:
         return len(self.coeffs)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        """The l2 norm; past the double range a `DomainError`."""
+        norm, exponent = _scaled_norm(self.coeffs)
+        what = f"{self.kind.value} state norm at z = {self.z}"
+        return _ldexp(norm, exponent, what) if exponent else norm
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in _finish's DomainError
-def _truncate_series(kind, params, z, tail_tol, max_terms):
-    """Accumulate c_0 = 1, c_n = c_{n-1} * step(n) (`_steps`) until
-    `_tail_cut` allows the rest to be dropped, in blocks of doubling
-    length, each accumulated from the previous carry in the order of a
-    term-by-term loop."""
-    tol2 = tail_tol * tail_tol
-    ratio_sup = _ratio_sup(kind, params, abs(z))
-    coeffs = np.ones(1, dtype=complex)
-    norm2 = 1.0
-    while True:
-        lo = len(coeffs)
-        hi = min(max(2 * lo, 64), max_terms + 1)
-        block = np.cumprod(np.concatenate((coeffs[-1:], _steps(kind, params, z, lo, hi))))[1:]
-        abs2 = np.abs(block) ** 2
-        norms = np.cumsum(np.concatenate(([norm2], abs2)))  # norms[i]: before block[i]
-        cut = _tail_cut(abs2, norms, lo, ratio_sup, tol2)
-        if cut is not None:
-            i, bound = cut
-            return np.concatenate((coeffs, block[:i])), bound
-        if hi > max_terms:
-            raise DomainError(
-                f"series did not reach tail tolerance {tail_tol:g} within {max_terms} terms"
-            )
-        coeffs = np.concatenate((coeffs, block))
-        norm2 = norms[-1]
-        del block, abs2, norms  # not held while the next block is built
+def _series(kind, params, zs, stop: int, tail_tol: float | None):
+    """c_0 = 1, c_n = c_{n-1} step(n) (`_steps`), n < stop, one row for each
+    z of zs, as (column blocks of the rows, tail bound per row, exponent per
+    row).  A finite ladder (no tail_tol) is one block; else the blocks
+    double, each a cumprod from the last one's carry, until every row meets
+    its tail cut (`_tail_cut`; bound inf where uncut), zero past it.  Row
+    i's |c_n|^2 and running squared norm are scaled by the exact
+    2**-exponents[i], raised by RESCALE_BITS before the sum overflows and 0
+    wherever it does not (Blue 1978, ACM TOMS 4).  A coefficient past the
+    double range is a `DomainError` raised in the block where it is.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    rows, cut_rows, lo, scale = len(zs), tail_tol is not None, 1, 1.0  # 2**(-exponents/2)
+    blocks, norm2 = [np.ones((rows, 1), dtype=complex)], np.ones((rows, 1))
+    exponents, lengths, bounds = np.zeros(rows, dtype=int), [stop] * rows, [math.inf] * rows
+    with np.errstate(over="ignore", invalid="ignore"):  # refused or rescaled below
+        while lo < stop and math.inf in bounds:
+            hi = min(max(2 * lo, 64), stop) if cut_rows else stop
+            steps = _steps(kind, params, zs[:, None], lo, hi)
+            block = np.cumprod(np.concatenate((blocks[-1][:, -1:], steps), axis=1), axis=1)
+            block = block[:, 1:]
+            while True:  # norms[:, i]: the squared norm before block[:, i]
+                abs2 = np.abs(block * scale) ** 2  # a power of two: exact, and no square overflows
+                norms = np.cumsum(np.concatenate((norm2, abs2), axis=1), axis=1)
+                if math.isfinite(norms[:, -1].max()):
+                    break
+                if not np.isfinite(block).all():
+                    i, n = np.argwhere(~np.isfinite(block))[0]
+                    raise DomainError(
+                        f"{kind.value} state at z = {complex(zs[i])} overflows double precision: "
+                        f"coefficient c_{lo + n} passes the double range"
+                    )
+                over = np.isinf(norms[:, -1])
+                exponents[over] += RESCALE_BITS
+                norm2[over] = np.ldexp(norm2[over], -RESCALE_BITS)
+                scale = np.ldexp(1.0, -exponents // 2)[:, None]
+            if cut_rows:  # a row can be cut only where a term alone is under the tolerance
+                tol2 = tail_tol * tail_tol
+                under = abs2 <= tol2 * norms[:, :-1]
+                for i in under.any(axis=1).nonzero()[0]:
+                    if bounds[i] == math.inf:
+                        sup = _ratio_sup(kind, params, abs(complex(zs[i])))
+                        cut = _tail_cut(under[i].nonzero()[0], abs2[i], norms[i], lo, sup, tol2)
+                        if cut is not None:
+                            block[i, cut[0] :] = 0.0
+                            lengths[i], bounds[i] = lo + cut[0], cut[1]
+            blocks.append(block if math.inf in bounds else block[:, : max(lengths) - lo])
+            norm2, lo = norms[:, -1:].copy(), hi
+            del steps, block, abs2, norms  # not held while the next block is built
+    return blocks, bounds, exponents
 
 
-def _tail_cut(abs2, norms, lo, ratio_sup, tol2):
+def _tail_cut(under, abs2, norms, lo, ratio_sup, tol2):
     """The series' one tail rule: (i, achieved relative tail bound) for the
-    first i at which the terms from c_{lo+i} on may be dropped, or None.
+    first i of ``under`` (where |c_{lo+i}|^2 alone is under the tolerance) at
+    which the terms from c_{lo+i} on may be dropped, or None.
 
     abs2[i] = |c_{lo+i}|^2 and norms[i] is the squared norm before it.
     ratio_sup(j) bounds |c_{m+1}/c_m| for every m >= j (`_ratio_sup`); once
     it drops under 1 the tail is dominated by a geometric series, giving
-    tail^2 <= |c_{lo+i}|^2 / (1 - q^2).  As tail^2 >= |c_{lo+i}|^2, the
-    bound is evaluated only where the term alone is under the tolerance.
+    tail^2 <= |c_{lo+i}|^2 / (1 - q^2).
     """
-    for i in np.flatnonzero(abs2 <= tol2 * norms[: len(abs2)]):
+    for i in under:
         q = ratio_sup(lo + int(i))
         if q < 1.0:
             tail2 = float(abs2[i]) / (1.0 - q * q)
@@ -149,52 +177,26 @@ def _ratio_sup(kind, params, radius):
     """j -> a bound on |c_{m+1}/c_m| over every m >= j, at |z| = radius, for
     the series of an infinite ladder (r = 1 for perelomov)."""
     if kind is StateKind.PERELOMOV:
+        # |c_{m+1}/c_m| = |z| sqrt((1 + k1 m)/(m + 1)) is monotone toward
+        # sqrt(k1), so the sup over m >= j is attained at m = j or in the limit
         k1 = float(params.kappas[0])
-
-        def ratio_sup(j):
-            # |c_{m+1}/c_m| = |z| sqrt((1 + k1 m)/(m + 1)) is monotone toward
-            # sqrt(k1), so the sup over m >= j is attained at m = j or in the limit
-            return radius * math.sqrt(max((1.0 + k1 * j) / (j + 1.0), k1))
-
-        return ratio_sup
-
-    def ratio_sup(j):
-        # F is nondecreasing on the infinite ladder, so the first ratio dominates
-        return radius / math.sqrt(float(structure_function(params, j + 1)))
-
-    return ratio_sup
+        return lambda j: radius * math.sqrt(max((1.0 + k1 * j) / (j + 1.0), k1))
+    # F is nondecreasing on the infinite ladder, so the first ratio dominates
+    return lambda j: radius / math.sqrt(float(structure_function(params, j + 1)))
 
 
 def _series_moduli(kind, params, zs, levels: int) -> np.ndarray:
-    """|c_n(z)|^2 for n < levels at every z of zs, one row per z, as the
-    constructor at the default tail tolerance gives them: zero from its
-    tail cut (`_tail_cut`) on.
-
-    One ladder table, one broadcast `_steps` and one cumprod and one cumsum
-    along the rows.  Both accumulate term by term, as the constructor's
-    doubling blocks do from their carry, so for real z >= 0 each row is
-    bit-equal to ``np.abs(ctor(params, z).coeffs[:levels]) ** 2``,
-    zero-padded.  (A real z makes every step a real number times its phase,
-    one rounding per component however numpy lays out the product; for a
-    complex z numpy may fuse the broadcast product's multiply-add where it
-    does not in the constructor's, and the last bit can differ.)  The
-    caller has made sure the states exist, so nothing overflows (the state
-    at the largest z has been built), and a finite ladder has levels <= d;
-    no check is made here.
-    """
-    zs = np.asarray(zs, dtype=complex)
-    steps = _steps(kind, params, zs[:, None], 1, levels)
-    moduli = np.abs(np.cumprod(np.concatenate((np.ones((len(zs), 1)), steps), axis=1), axis=1)) ** 2
-    if classify(params).is_finite:
-        return moduli  # the exact vector: no tail cut
-    norms = np.cumsum(moduli, axis=1)  # norms[:, n]: through c_n
-    tol2 = DEFAULT_TAIL_TOL * DEFAULT_TAIL_TOL
-    # a row can be cut only where a term is under the tolerance: most rows never are
-    for j in np.flatnonzero((moduli[:, 1:] <= tol2 * norms[:, :-1]).any(axis=1)):
-        ratio_sup = _ratio_sup(kind, params, abs(complex(zs[j])))
-        cut = _tail_cut(moduli[j, 1:], norms[j], 1, ratio_sup, tol2)
-        if cut is not None:
-            moduli[j, cut[0] + 1 :] = 0.0
+    """|c_n(z)|^2, n < levels, at every z of zs: the rows of `_series` at the
+    default tail tolerance, zero-padded, so for real z >= 0 bit-equal to
+    ``np.abs(ctor(params, z).coeffs[:levels]) ** 2`` (for a complex z numpy
+    may fuse a multiply-add of the broadcast steps, and the last bit can
+    differ).  A finite ladder needs levels <= d."""
+    tail_tol = None if classify(params).is_finite else DEFAULT_TAIL_TOL
+    blocks, _, exponents = _series(kind, params, zs, levels, tail_tol)
+    coeffs, moduli = np.concatenate(blocks, axis=1), np.zeros((len(zs), levels))
+    moduli[:, : coeffs.shape[1]] = np.abs(coeffs * np.ldexp(1.0, -exponents // 2)[:, None]) ** 2
+    if exponents.any():  # a modulus past the double range is a DomainError
+        moduli = _ldexp(moduli, exponents[:, None], "squared coefficient modulus")
     return moduli
 
 
@@ -209,17 +211,38 @@ def _steps(kind, params, z, lo, hi):
     return steps
 
 
+def _scaled_norm(v) -> tuple[float, int]:
+    """The l2 norm of v as (mantissa, exponent): ``np.linalg.norm(v)`` and 0
+    wherever that is finite, else the norm of v * 2**-exponent, the power
+    of two that brings every real and imaginary part under 1 (exact; Blue
+    1978).  A non-finite entry gives a non-finite mantissa."""
+    with np.errstate(over="ignore"):  # a sum of squares past the double range: rescaled
+        norm = float(np.linalg.norm(v))
+        if math.isfinite(norm):
+            return norm, 0
+        exponent = math.frexp(float(np.max(np.maximum(np.abs(v.real), np.abs(v.imag)))))[1]
+        return float(np.linalg.norm(v * 2.0**-exponent)), exponent
+
+
 def _finish(kind, params, z, coeffs, normalize, meta) -> CoherentState:
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(coeffs)  # inf or nan if it overflows or any coefficient is
+    norm, exponent = _scaled_norm(coeffs)
     if not math.isfinite(norm):
-        raise DomainError(
-            f"{kind.value} state at z = {z} overflows double precision: its "
-            f"coefficients or their norm are not finite ({meta.n_terms} terms)"
-        )
+        raise DomainError(f"{kind.value} state at z = {z} overflows double precision")
     if normalize:
-        coeffs = coeffs / norm
+        coeffs = coeffs * 2.0**-exponent / norm
     return CoherentState(kind, params, z, _freeze(coeffs), bool(normalize), meta)
+
+
+def _state(kind, params, dim, z, normalize, tail_tol, max_terms) -> CoherentState:
+    """The state at z from `_series`: the d coefficients of a finite ladder,
+    else the series to its tail cut, of at most max_terms terms."""
+    stop, tol = (dim.d, None) if dim.is_finite else (max_terms + 1, tail_tol)
+    blocks, (bound,), _ = _series(kind, params, [z], stop, tol)
+    if tol is not None and bound == math.inf:
+        raise DomainError(f"series did not reach tail tolerance {tol:g} within {max_terms} terms")
+    coeffs = np.concatenate(blocks, axis=1)[0]
+    meta = CutoffMeta(True, dim.d) if tol is None else CutoffMeta(False, len(coeffs), bound, tol)
+    return _finish(kind, params, z, coeffs, normalize, meta)
 
 
 def _checked_inputs(z, tail_tol: float) -> complex:
@@ -258,26 +281,17 @@ def perelomov_state(
     """
     z = _checked_inputs(z, tail_tol)
     dim = classify(params)
-    if dim.is_finite:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by _finish
-            coeffs = np.cumprod(np.r_[1.0, _steps(StateKind.PERELOMOV, params, z, 1, dim.d)])
-        meta = CutoffMeta(exact=True, n_terms=dim.d)
-        return _finish(StateKind.PERELOMOV, params, z, coeffs, normalize, meta)
-
-    if params.r >= 2:
+    if not dim.is_finite and params.r >= 2:
         raise DomainError(
             "perelomov-type states on an infinite ladder exist only for r = 1 "
             f"(the series cannot be normalized for r >= 2); got r = {params.r}"
         )
-    if _outside_disk(params, abs(z)):
+    if not dim.is_finite and _outside_disk(params, abs(z)):
         raise DomainError(
             "z lies outside the existence disk: need |z| < 1/sqrt(kappa_1) = "
             f"{1.0 / math.sqrt(float(params.kappas[0])):.6g}, got |z| = {abs(z):.6g}"
         )
-
-    coeffs, bound = _truncate_series(StateKind.PERELOMOV, params, z, tail_tol, max_terms)
-    meta = CutoffMeta(exact=False, n_terms=len(coeffs), tail_bound=bound, tail_tol=tail_tol)
-    return _finish(StateKind.PERELOMOV, params, z, coeffs, normalize, meta)
+    return _state(StateKind.PERELOMOV, params, dim, z, normalize, tail_tol, max_terms)
 
 
 def perelomov_via_exponential(
@@ -335,11 +349,7 @@ def bg_state(
             "no lowering-operator eigenstate exists for complex z on a finite ladder "
             f"(d = {dim.d}); use bg_grassmann_state for the nilpotent-variable construction"
         )
-
-    kind = StateKind.BARUT_GIRARDELLO
-    coeffs, bound = _truncate_series(kind, params, z, tail_tol, max_terms)
-    meta = CutoffMeta(exact=False, n_terms=len(coeffs), tail_bound=bound, tail_tol=tail_tol)
-    return _finish(kind, params, z, coeffs, normalize, meta)
+    return _state(StateKind.BARUT_GIRARDELLO, params, dim, z, normalize, tail_tol, max_terms)
 
 
 def check_bg_eigen(state: CoherentState, rep: LadderRep) -> float:
@@ -364,11 +374,13 @@ def check_bg_eigen(state: CoherentState, rep: LadderRep) -> float:
             f"window too small: need >= {length + 1} rows to apply the lowering "
             f"matrix past the cutoff, got {rep.dim_window}"
         )
+    norm, exponent = _scaled_norm(c)
+    c = c * 2.0**-exponent  # exact, and the residual is linear in c
     # row n of lowering @ c - z c is band[n] c[n+1] - z c[n]
     resid = rep.band[: length - 1] * c[1:] - state.z * c[:-1]
     if exact:
         resid = np.append(resid, -state.z * c[-1])  # lowering kills the top level
-    return float(np.linalg.norm(resid) / np.linalg.norm(c))
+    return float(np.linalg.norm(resid) / norm)
 
 
 def time_evolve(state: CoherentState, t: float) -> CoherentState:

@@ -35,8 +35,10 @@ orthogonal polynomial, and takes the weights as Christoffel numbers from
 the orthonormal three-term recurrence, which keeps the small tail weights
 accurate to a few ulp where eigenvector weights lose them (Gautschi,
 Orthogonal Polynomials: Computation and Approximation, OUP 2004, sections
-2.1 and 3.1).  The rule is accepted only if it reproduces every supplied
-moment to 1e-8.
+2.1 and 3.1).  A Christoffel sum past the double range means a weight
+under the normal range of a double (the finite ladder d = 100 has one);
+that is a `DomainError` naming the node, with no overflow warning.  The
+rule is accepted only if it reproduces every supplied moment to 1e-8.
 
 With an odd number of supplied moments the last diagonal recurrence
 coefficient is not pinned down; it is completed just above the exact
@@ -50,10 +52,12 @@ count), so prefer an even moment count there.
 The rule is checked against the states themselves by reassembling the
 identity diagonal sum_j w_j |c_n(sqrt(t_j))|^2.  One coherent-state
 constructor call, at the largest node, decides that the state of every
-node exists (|c_n(z)| grows with |z|); the leading moduli of all nodes
-then come from one batched pass over a single ladder table
-(`coherent._series_moduli`), bit-equal to the coefficients each node's own
-state would give, and are summed node by node in order.
+node exists (|c_n(z)| grows with |z|); its failure is raised again with
+the check, the node and |z| in front.  The leading moduli of all nodes
+then come from the constructors' own series routine run once over a
+column of all the nodes (`coherent._series_moduli`), bit-equal to the
+coefficients each node's own state would give, and are summed node by
+node in order.
 """
 
 from __future__ import annotations
@@ -211,15 +215,25 @@ def _gauss_rule(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.n
     1/sum_{n<k} p_n(t)^2 of the orthonormal polynomials p_n, all evaluated
     by the three-term recurrence (Gautschi 2004, sections 2.1 and 3.1).
     Weights from the eigenvectors (Golub-Welsch) lose the relative accuracy
-    of the small weights far out in the tail.
+    of the small weights far out in the tail.  A node whose Christoffel sum
+    passes the double range has a weight under the normal range of a double:
+    that is a `DomainError` naming the node (its eigenvalue, unpolished).
     """
     off = np.sqrt(betas)
     nodes = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
-    for _ in range(NEWTON_STEPS):
-        value, slope, _ = _orthonormal_values(alphas, off, nodes)
-        nodes = nodes - value / slope
-    *_, squares = _orthonormal_values(alphas, off, nodes)
-    return nodes, 1.0 / squares
+    polished = nodes
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        for _ in range(NEWTON_STEPS):
+            value, slope, _ = _orthonormal_values(alphas, off, polished)
+            polished = polished - value / slope
+        *_, squares = _orthonormal_values(alphas, off, polished)
+    lost = np.flatnonzero(~np.isfinite(squares))
+    if lost.size:
+        raise DomainError(
+            f"the Christoffel sum at measure node t = {nodes[lost[0]]:.6g} passes the double "
+            f"range: its weight is below {1.0 / np.finfo(float).max:.3g}, under the normal range"
+        )
+    return polished, 1.0 / squares
 
 
 def _orthonormal_values(alphas, off, t):
@@ -360,10 +374,12 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
 
     One constructor call, at the largest node, decides whether every
     state of the rule exists: |c_n(z)| = |z|^n |c_n(1)| grows with |z|, so
-    the existence disk, an overflow or the term cap is met there first.
-    The moduli of all nodes then come from one batched pass over the
-    leading levels (`coherent._series_moduli`), bit-equal to each node's
-    own state, and are summed in node order.
+    the existence disk, an overflow or the term cap is met there first; its
+    `DomainError` is raised again with the check, the node t and |z| in
+    front.  The moduli of all nodes then come from the rows of the
+    constructor's own series routine over the leading levels
+    (`coherent._series_moduli`), bit-equal to each node's own state, and are
+    summed in node order.
     """
     kind = StateKind(kind)
     levels = measure.n_matched
@@ -380,9 +396,13 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
                 f"measure node t = {t_max:.6g} lies outside the existence disk "
                 f"t < 1/kappa_1 = {1.0 / float(params.kappas[0]):.6g} of the perelomov states"
             )
-        perelomov_state(params, math.sqrt(t_max))
-    else:
-        bg_state(params, math.sqrt(t_max))
+    build = perelomov_state if kind is StateKind.PERELOMOV else bg_state
+    try:
+        build(params, math.sqrt(t_max))
+    except DomainError as exc:
+        raise DomainError(
+            f"identity check at measure node t = {t_max:.6g} (|z| = {math.sqrt(t_max):.6g}): {exc}"
+        ) from exc
     moduli = _series_moduli(kind, params, np.sqrt(nodes), levels)
     weighted = np.asarray(measure.weights, dtype=float)[:, None] * moduli
     diag = np.cumsum(weighted, axis=0)[-1]  # node by node, in order: a matmul would reorder it

@@ -116,14 +116,49 @@ def test_io_error_exit_code(capsys, tmp_path):
 
 
 def test_non_finite_artifact_is_refused(capsys):
-    # the kappa = 0 eigenstate norm overflows past |z| ~ 27: a domain error
-    # before any artifact is built (json_text refuses NaN and Infinity as well)
+    # the kappa = 0 eigenstate coefficients overflow past |z| ~ 37.6: a domain
+    # error before any artifact is built (json_text refuses NaN and Infinity
+    # as well)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # the overflow is silent
-        code, out, err = run_cli(capsys, "cs-bg", "--kappa", "0", "--z", "30")
+        code, out, err = run_cli(capsys, "cs-bg", "--kappa", "0", "--z", "40")
     assert code == 1
     assert out == ""
-    assert "barut-girardello state at z = (30+0j) overflows double precision" in err
+    assert "barut-girardello state at z = (40+0j) overflows double precision" in err
+
+
+@pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+def test_a_kappa0_state_whose_squared_norm_overflows_is_written(capsys, normalize):
+    # |N|^2 = e^1225 passes the double range, the coefficients and |N| do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "cs-bg", "--kappa", "0", "--z", "35", *normalize)
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["n_terms"] > 1225
+    assert payload["eigen_residual"] <= 1e-10
+    assert payload["norm_hypergeometric"] == pytest.approx(math.exp(612.5), rel=1e-10)
+    expected = 1.0 if normalize else payload["norm_hypergeometric"]
+    assert payload["norm"] == pytest.approx(expected, rel=1e-10)
+
+
+def test_an_identity_check_past_the_term_cap_names_its_node(capsys):
+    # the largest of 75 Gauss nodes sits 5e-4 inside the rim t < 2
+    code, out, err = run_cli(capsys, "measure", "--kappa", "1/2", "--kind", "perelomov",
+                             "--levels", "150")
+    assert (code, out) == (1, "")
+    assert err == ("error: identity check at measure node t = 1.99949 (|z| = 1.41403): "
+                   "series did not reach tail tolerance 1e-14 within 200000 terms\n")
+
+
+def test_a_weight_under_the_normal_range_is_named_without_a_warning(capsys):
+    # d = 100: the Christoffel sum at the largest node passes the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "measure", "--kappa", "-1/99", "--kind", "perelomov")
+    assert (code, out) == (1, "")
+    assert err == ("error: the Christoffel sum at measure node t = 174566 passes the double "
+                   "range: its weight is below 5.56e-309, under the normal range\n")
 
 
 def test_csv_unsupported_for_state_dump(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -302,8 +303,8 @@ def test_bg_eigen_matches_dense_lowering():
 @pytest.mark.parametrize(
     "build, params, z",
     [
-        (bg_state, AlgebraParams([0]), 30),
-        (bg_state, AlgebraParams([0], 0.4), -20 + 25j),
+        (bg_state, AlgebraParams([0]), 40),
+        (bg_state, AlgebraParams([0], 0.4), -30 + 30j),
         (perelomov_state, AlgebraParams([Fraction(-1, 299)]), 1e3),
     ],
 )
@@ -321,6 +322,82 @@ def test_largest_kappa0_state_below_the_overflow_is_finite():
     state = bg_state(AlgebraParams([0]), 26, normalize=True)
     assert np.isfinite(state.coeffs).all()
     assert abs(overlap(state, state) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("z", [30, 35, 37])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kappa0_state_exists_where_its_coefficients_fit(z):
+    # |c_n|^2 and the squared norm e^{|z|^2} pass the double range; c_n and
+    # the norm e^{|z|^2 / 2} do not
+    params = AlgebraParams([0])
+    closed = bg_normalization(params, z)
+    raw = bg_state(params, z)
+    unit = bg_state(params, z, normalize=True)
+    for state in (raw, unit):
+        assert np.isfinite(state.coeffs).all()
+        assert check_bg_eigen(state, build_rep(params, len(state) + 1)) <= 1e-10
+    assert raw.norm() == pytest.approx(closed, rel=1e-10)
+    assert unit.norm() == pytest.approx(1.0, abs=1e-12)
+    assert abs(overlap(unit, unit) - 1) <= 1e-12
+    assert np.max(np.abs(unit.coeffs * closed - raw.coeffs)) <= 1e-10 * np.max(np.abs(raw.coeffs))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_coefficient_overflow_is_named_before_the_term_cap():
+    with pytest.raises(DomainError, match="overflows double precision: coefficient c_911 passes"):
+        bg_state(AlgebraParams([0]), 40, max_terms=2000)
+
+
+def _states_pool_kappas():
+    """The kappa shapes of the states benchmark stream: kappa = 0, 1/ell and
+    p/2 (r = 1), pairs (1/ell, p/3), and finite ladders -1/(d-1), alone or
+    with a 1/ell."""
+    ell = st.integers(min_value=1, max_value=9).map(lambda n: Fraction(1, n))
+    half = st.integers(min_value=1, max_value=3).map(lambda p: Fraction(p, 2))
+    third = st.integers(min_value=1, max_value=3).map(lambda p: Fraction(p, 3))
+    d = st.integers(min_value=4, max_value=200)
+    return st.one_of(
+        st.just([Fraction(0)]),
+        st.one_of(ell, half).map(lambda k: [k]),
+        st.tuples(ell, third).map(list),
+        st.tuples(d, st.one_of(st.none(), ell)).map(
+            lambda pair: [Fraction(-1, pair[0] - 1)] + ([pair[1]] if pair[1] else [])),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@example(kappas=[Fraction(0)], modulus=37.6, angle=0.3, phi=0.0, normalize=True)
+@example(kappas=[Fraction(0)], modulus=60.0, angle=-2.0, phi=1.0, normalize=False)
+@given(
+    kappas=_states_pool_kappas(),
+    modulus=st.floats(min_value=0.0, max_value=60.0),
+    angle=st.floats(min_value=-math.pi, max_value=math.pi),
+    phi=st.floats(min_value=-math.pi, max_value=math.pi),
+    normalize=st.booleans(),
+)
+def test_a_state_is_finite_or_a_named_domain_error(kappas, modulus, angle, phi, normalize):
+    params = AlgebraParams(kappas, phi)
+    z = complex(modulus * math.cos(angle), modulus * math.sin(angle))
+    # the constructors that exist somewhere on this ladder: no bg state on a
+    # finite ladder, no perelomov series for r >= 2
+    if classify(params).is_finite:
+        builds = [perelomov_state]
+    else:
+        builds = [bg_state] + [perelomov_state] * (params.r == 1)
+    for build in builds:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                state = build(params, z, normalize=normalize)
+            except DomainError as exc:
+                assert re.search(
+                    "overflows double precision|outside the existence disk|did not reach tail",
+                    str(exc),
+                ), exc
+                continue
+        assert np.isfinite(state.coeffs).all()
+        if normalize:
+            assert abs(overlap(state, state) - 1) <= 1e-12
 
 
 # --------------------------------------------------------------- evolution

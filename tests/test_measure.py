@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -380,8 +381,8 @@ def test_identity_equals_the_one_state_per_node_sum(kappas, kind, count):
 @pytest.mark.parametrize(
     "kappas, kind, nodes, message",
     [
-        # kappa = 0: |c_n|^2 at |z|^2 = 1000 passes the double range
-        (["0"], "barut-girardello", [1.0, 1000.0], "overflows double precision"),
+        # kappa = 0: c_n at |z|^2 = 2000 passes the double range
+        (["0"], "barut-girardello", [1.0, 2000.0], "overflows double precision"),
         (["1/2"], "perelomov", [1.0, 2.5], "outside the existence disk"),
     ],
 )
@@ -395,17 +396,33 @@ def test_a_largest_node_without_a_state_fails_as_the_oracle_does(kappas, kind, n
 
 
 def test_the_identity_check_names_the_largest_node_when_several_states_fail():
-    # kappa = 0: the states at t = 800 and t = 1000 both overflow.  The
+    # kappa = 0: the states at t = 1700 and t = 2000 both overflow.  The
     # per-node loop stops at the first in node order; the one-constructor
     # check builds only the largest node's state and names that one.
     params = AlgebraParams(["0"])
-    measure = DiscreteMeasure(np.array([1.0, 800.0, 1000.0]), np.full(3, 1 / 3), 4, 0.0)
+    measure = DiscreteMeasure(np.array([1.0, 1700.0, 2000.0]), np.full(3, 1 / 3), 4, 0.0)
     with pytest.raises(DomainError, match="overflows double precision") as batched:
         verify_identity(params, "barut-girardello", measure)
     with pytest.raises(DomainError, match="overflows double precision") as per_node:
         verify_identity_by_states(params, "barut-girardello", measure)
-    assert f"z = {complex(math.sqrt(1000.0))} " in str(batched.value)
-    assert f"z = {complex(math.sqrt(800.0))} " in str(per_node.value)
+    assert f"z = {complex(math.sqrt(2000.0))} " in str(batched.value)
+    assert f"z = {complex(math.sqrt(1700.0))} " in str(per_node.value)
+
+
+def test_the_identity_check_names_its_node_and_keeps_the_cause():
+    # kappa = 0 states exist while their coefficients fit, though |c_n|^2
+    # does not: t = 1000 passes, t = 2000 fails with the node in front
+    params = AlgebraParams(["0"])
+    fits = DiscreteMeasure(np.array([1.0, 1000.0]), np.array([0.5, 0.5]), 4, 0.0)
+    assert verify_identity(params, "barut-girardello", fits) == verify_identity_by_states(
+        params, "barut-girardello", fits)
+    overflows = DiscreteMeasure(np.array([1.0, 2000.0]), np.array([0.5, 0.5]), 4, 0.0)
+    with pytest.raises(DomainError) as exc:
+        verify_identity(params, "barut-girardello", overflows)
+    assert str(exc.value) == (
+        f"identity check at measure node t = 2000 (|z| = 44.7214): barut-girardello state at "
+        f"z = {complex(math.sqrt(2000.0))} overflows double precision: coefficient c_690 "
+        "passes the double range")
 
 
 def test_identity_range_mismatch():
@@ -414,3 +431,13 @@ def test_identity_range_mismatch():
     oversized = dataclasses.replace(measure, n_matched=5)
     with pytest.raises(ValueError):
         verify_identity(params, "perelomov", oversized)
+
+
+@pytest.mark.parametrize("d", [80, 90])
+def test_finite_ladder_rules_up_to_d90_solve_without_a_warning(d):
+    params = AlgebraParams([Fraction(-1, d - 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        measure = solve_measure(moments_for(params, "perelomov"))
+        assert verify_identity(params, "perelomov", measure) <= 1e-8
+    assert np.all(measure.weights > 0)
