@@ -18,10 +18,14 @@ gives a ladder on exactly d = 1 - 1/kappa_1 levels that closes by itself
 because F(d) = 0.  Any other sign pattern is rejected at construction.
 
 Scalars that feed decisions (F, G, generalized factorials, classification)
-are exact ``Fraction`` values; every float consumer reads F, G and log F(n)!
-from one float64 `ladder_table`.  A representation stores the one complex
-band the lowering operator has; its dense matrices (raising the exact
-conjugate transpose of lowering) are views built on first access.
+are exact ``Fraction`` values read off one integer ladder polynomial,
+F(n) Q = n prod_i (q_i + p_i (n-1)) with kappa_i = p_i/q_i and Q = prod_i q_i:
+F(n) is that integer over Q and F(n)! the running product over Q^n, each
+reduced once.  Every float consumer reads F, G and log F(n)! from the same
+polynomial in float64, as one `ladder_table` or as the rows of a range
+(`_ladder_rows`), bit-equal to the table's.  A representation stores the
+one complex band the lowering operator has; its dense matrices (raising
+the exact conjugate transpose of lowering) are views built on first access.
 `identity_deviations` checks the three defining identities (product,
 commutator, nilpotency) from the band in O(m), with no matrix product;
 on a finite ladder the band's length d-1 makes nilpotency exactly 0.
@@ -135,14 +139,23 @@ def classify(params: AlgebraParams) -> RepDimension:
     return RepDimension(int(1 - 1 / k1))
 
 
+def _scaled_structure(params: AlgebraParams, n: int) -> tuple[int, int]:
+    """(F(n) Q, Q) with Q = prod_i q_i: the integer ladder polynomial
+    n prod_i (q_i + p_i (n-1)), kappa_i = p_i/q_i, and its scale."""
+    value, scale = n, 1
+    for kappa in params.kappas:
+        q = kappa.denominator
+        value *= q + kappa.numerator * (n - 1)
+        scale *= q
+    return value, scale
+
+
 def structure_function(params: AlgebraParams, n: int) -> Fraction:
-    """F(n) = n * prod_i (1 + kappa_i (n - 1)), exactly."""
+    """F(n) = n * prod_i (1 + kappa_i (n - 1)), exactly: the integer ladder
+    polynomial over its scale, reduced once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = Fraction(n)
-    for kappa in params.kappas:
-        out *= 1 + kappa * (n - 1)
-    return out
+    return Fraction(*_scaled_structure(params, n))
 
 
 def commutator_gap(params: AlgebraParams, n: int) -> Fraction:
@@ -151,7 +164,8 @@ def commutator_gap(params: AlgebraParams, n: int) -> Fraction:
 
 
 def generalized_factorial(params: AlgebraParams, n: int) -> Fraction:
-    """F(n)! = F(1) F(2) ... F(n), with F(0)! = 1.
+    """F(n)! = F(1) F(2) ... F(n), with F(0)! = 1: the running integer
+    product of F(k) Q over Q^n, reduced once.
 
     On a finite ladder the product is only defined up to n = d - 1; past
     that it would pick up the zero (then negative) values of F.
@@ -163,10 +177,11 @@ def generalized_factorial(params: AlgebraParams, n: int) -> Fraction:
         raise DomainError(
             f"generalized factorial needs n <= d-1 = {dim.d - 1} on a finite ladder; got n = {n}"
         )
-    out = Fraction(1)
+    product = power = 1
     for k in range(1, n + 1):
-        out *= structure_function(params, k)
-    return out
+        value, scale = _scaled_structure(params, k)
+        product, power = product * value, power * scale
+    return Fraction(product, power)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -194,22 +209,32 @@ class LadderTable:
 
 
 def ladder_table(params: AlgebraParams, size: int) -> LadderTable:
-    """F, G and log F(n)! in bulk from the integer polynomial F(n) prod_i q_i =
-    n prod_i (q_i + p_i (n-1)), kappa_i = p_i/q_i, whose float64 products are
-    exact below 2**53: one division then gives float(structure_function) and
-    float(commutator_gap), and a few ulp past that.  Stops at d if finite."""
+    """F, G and log F(n)! in bulk: the rows n < size of `_ladder_rows`.
+    Stops at d if finite."""
     dim = classify(params)
     if size < 0 or (dim.is_finite and size > dim.d):
         raise ValueError(f"no ladder table of size {size} for the {dim} ladder")
-    n_minus_1 = np.arange(-1.0, size)
+    f, g = _ladder_rows(params, 0, size)
+    return LadderTable(_freeze(f), _freeze(g))
+
+
+def _ladder_rows(params: AlgebraParams, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """F(n) and G(n) for lo <= n < hi in float64, from the integer ladder
+    polynomial F(n) Q (`_scaled_structure`), whose float64 products are
+    exact below 2**53: one division by Q then gives
+    float(structure_function) and float(commutator_gap), and a few ulp past
+    that.  Each entry is computed at its own n alone, so the rows of any
+    range are bit-equal to those of the table from 0."""
+    n_minus_1 = np.arange(lo - 1.0, hi)
     scaled = n_minus_1 + 1.0
     for kappa in params.kappas:
         scaled *= kappa.denominator + kappa.numerator * n_minus_1
-    scaled[0] = 0.0  # F(0) = 0; a negative factor at n = 0 would leave -0.0
+    if lo == 0:
+        scaled[0] = 0.0  # F(0) = 0; a negative factor at n = 0 would leave -0.0
     scale = float(math.prod(kappa.denominator for kappa in params.kappas))
     g = np.diff(scaled) / scale
     scaled /= scale
-    return LadderTable(_freeze(scaled[:-1]), _freeze(g))
+    return scaled[:-1], g
 
 
 @dataclass(frozen=True, eq=False)

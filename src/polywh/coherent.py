@@ -36,6 +36,7 @@ from .algebra import (
     AlgebraParams,
     LadderRep,
     _freeze,
+    _ladder_rows,
     classify,
     ladder_table,
     reciprocal_ells,
@@ -202,11 +203,12 @@ def _series_moduli(kind, params, zs, levels: int) -> np.ndarray:
 
 def _steps(kind, params, z, lo, hi):
     """c_n / c_{n-1} for lo <= n < hi: z e^{-i G(n-1) phi} times sqrt(F(n)) / n
-    (perelomov) or 1 / sqrt(F(n)) (barut-girardello)."""
-    table = ladder_table(params, hi)
-    roots = np.sqrt(table.f[lo:])
+    (perelomov) or 1 / sqrt(F(n)) (barut-girardello), from the ladder rows
+    lo-1 .. hi-1 alone (`algebra._ladder_rows`)."""
+    f, g = _ladder_rows(params, lo - 1, hi)
+    roots = np.sqrt(f[1:])
     steps = z * roots / np.arange(lo, hi) if kind is StateKind.PERELOMOV else z / roots
-    phase = 1j * (table.g[lo - 1 : hi - 1] * -params.phi)
+    phase = 1j * (g[:-1] * -params.phi)
     steps *= np.exp(phase, out=phase)
     return steps
 
@@ -534,7 +536,11 @@ def _hyper_0f_array(ells, x: np.ndarray, rel_tol: float, max_terms: int) -> np.n
 def _ldexp(mantissa, exponent, what: str):
     """mantissa * 2**exponent at a scalar or at every entry of an array; a
     0-d input gives a Python float.  Past the double range it is a
-    `DomainError` naming ``what`` and the largest entry's size in bits."""
+    `DomainError` naming ``what`` and the largest entry's size in bits.
+    A finite scalar at exponent 0 is returned at once: ldexp(m, 0) == m."""
+    scalar = isinstance(mantissa, float) and isinstance(exponent, int)
+    if scalar and not exponent and math.isfinite(mantissa):  # inf, nan: as any array
+        return float(mantissa)
     with np.errstate(over="ignore"):
         value = np.ldexp(mantissa, exponent)
     if np.isinf(value).any():

@@ -8,8 +8,11 @@ radial measure in t = |z|^2 must reproduce the moments
     perelomov           m_n = (n!)^2 / F(n)!
     barut-girardello    m_n = F(n)!
 
-for every populated level n.  A discrete positive measure with those
-moments is produced by the classical chain
+for every populated level n.  Both are read off one running integer
+product: F(n)! = P_n / Q^n with P_n = prod_{k<=n} F(k) Q, the integer ladder
+polynomial of `algebra`, so each moment is one reduced `Fraction`.  A
+discrete positive measure with those moments is produced by the classical
+chain
 
     moments -> Chebyshev table (exact)  -> Hankel minors H_k, H'_k
             -> recurrence alpha_j, beta_j read off the minors (exact)
@@ -31,9 +34,11 @@ integer products.  Raw-moment recurrences are notoriously ill-conditioned
 in floating point; exact arithmetic sidesteps that and makes the checks
 decisive rather than heuristic.  The float endgame takes the nodes from
 ``eigvalsh`` of the Jacobi matrix, polishes them by Newton steps on the
-orthogonal polynomial, and takes the weights as Christoffel numbers from
-the orthonormal three-term recurrence, which keeps the small tail weights
-accurate to a few ulp where eigenvector weights lose them (Gautschi,
+orthogonal polynomial (each pass carries the polynomial and its
+derivative as the two rows of one array), and takes the weights as
+Christoffel numbers from one last pass of the orthonormal three-term
+recurrence, which keeps the small tail weights accurate to a few ulp
+where eigenvector weights lose them (Gautschi,
 Orthogonal Polynomials: Computation and Approximation, OUP 2004, sections
 2.1 and 3.1).  A Christoffel sum past the double range means a weight
 under the normal range of a double (the finite ladder d = 100 has one);
@@ -68,7 +73,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraParams, _freeze, classify, structure_function
+from .algebra import AlgebraParams, _freeze, _scaled_structure, classify
 from .coherent import StateKind, _outside_disk, _series_moduli, bg_state, perelomov_state
 from .errors import DomainError
 
@@ -136,12 +141,17 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
                 )
             if count is None:
                 raise ValueError("infinite ladder needs an explicit moment count")
-    factorials = [Fraction(1)]  # F(n)!, as one running product
+    scaled = [(1, 1)]  # (F(n)! Q^n, Q^n): one running integer product
     for n in range(1, count):
-        factorials.append(factorials[-1] * structure_function(params, n))
-    values = tuple(factorials[:count])
+        value, scale = _scaled_structure(params, n)
+        scaled.append((scaled[-1][0] * value, scaled[-1][1] * scale))
     if kind is StateKind.PERELOMOV:
-        values = tuple(Fraction(math.factorial(n)) ** 2 / v for n, v in enumerate(values))
+        values = tuple(
+            Fraction(math.factorial(n) ** 2 * power, product)
+            for n, (product, power) in enumerate(scaled[:count])
+        )
+    else:
+        values = tuple(Fraction(product, power) for product, power in scaled[:count])
     if any(v <= 0 for v in values):
         raise DomainError("moment sequence has a nonpositive entry")
     return MomentSequence(values, kind)
@@ -214,6 +224,9 @@ def _gauss_rule(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.n
     orthogonal polynomial, and the weights are the Christoffel numbers
     1/sum_{n<k} p_n(t)^2 of the orthonormal polynomials p_n, all evaluated
     by the three-term recurrence (Gautschi 2004, sections 2.1 and 3.1).
+    Each Newton pass carries p_n and its derivative as the two rows of one
+    array (`_orthonormal_values`); only the last pass, at the polished
+    nodes, carries p_n alone and sums the squares (`_christoffel_sums`).
     Weights from the eigenvectors (Golub-Welsch) lose the relative accuracy
     of the small weights far out in the tail.  A node whose Christoffel sum
     passes the double range has a weight under the normal range of a double:
@@ -224,9 +237,9 @@ def _gauss_rule(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.n
     polished = nodes
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
         for _ in range(NEWTON_STEPS):
-            value, slope, _ = _orthonormal_values(alphas, off, polished)
+            value, slope = _orthonormal_values(alphas, off, polished)
             polished = polished - value / slope
-        *_, squares = _orthonormal_values(alphas, off, polished)
+        squares = _christoffel_sums(alphas, off, polished)
     lost = np.flatnonzero(~np.isfinite(squares))
     if lost.size:
         raise DomainError(
@@ -237,21 +250,32 @@ def _gauss_rule(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _orthonormal_values(alphas, off, t):
-    """sqrt(beta_k) p_k(t), its derivative in t, and sum_{n<k} p_n(t)^2.
+    """sqrt(beta_k) p_k(t) and its derivative in t, as the two rows of one array.
 
     The p_n are orthonormal for the mass beta_0 = off[0]^2:
-    sqrt(beta_{n+1}) p_{n+1} = (t - alpha_n) p_n - sqrt(beta_n) p_{n-1}."""
-    p_prev, p = np.zeros_like(t), np.full_like(t, 1.0 / off[0])
-    dp_prev, dp = np.zeros_like(t), np.zeros_like(t)
-    squares = p * p
+    sqrt(beta_{n+1}) p_{n+1} = (t - alpha_n) p_n - sqrt(beta_n) p_{n-1}, and
+    the derivative row adds p_n to (t - alpha_n) p'_n before the second
+    term, as p_n + (t - alpha_n) p'_n - sqrt(beta_n) p'_{n-1} is evaluated."""
+    rows = np.zeros((2, len(t)))  # p_n, p'_n
+    rows[0] = 1.0 / off[0]
+    prev = np.zeros_like(rows)
     for n, alpha in enumerate(alphas):
-        p_next = (t - alpha) * p - off[n] * p_prev
-        dp_next = p + (t - alpha) * dp - off[n] * dp_prev
+        new = (t - alpha) * rows
+        new[1] += rows[0]
+        new -= off[n] * prev
         if n + 1 < len(alphas):
-            p_prev, p = p, p_next / off[n + 1]
-            dp_prev, dp = dp, dp_next / off[n + 1]
-            squares += p * p
-    return p_next, dp_next, squares
+            prev, rows = rows, new / off[n + 1]
+    return new
+
+
+def _christoffel_sums(alphas, off, t):
+    """sum_{n<k} p_n(t)^2, the p_n of `_orthonormal_values`."""
+    p_prev, p = np.zeros_like(t), np.full_like(t, 1.0 / off[0])
+    squares = p * p
+    for n in range(len(alphas) - 1):
+        p_prev, p = p, ((t - alphas[n]) * p - off[n] * p_prev) / off[n + 1]
+        squares += p * p
+    return squares
 
 
 def _moment_match(values, nodes: np.ndarray, weights: np.ndarray) -> float:

@@ -30,6 +30,16 @@ def brute_factorial(kappas, n) -> Fraction:
     return total
 
 
+def moments_by_fractions(kappas, kind, count) -> tuple[Fraction, ...]:
+    """m_n = F(n)! (barut-girardello) or (n!)^2 / F(n)! (perelomov), n < count,
+    one brute Fraction factorial per level: the reference for the integer
+    running product of `measure.moments_for`."""
+    factorials = [brute_factorial(kappas, n) for n in range(count)]
+    if kind == "perelomov":
+        return tuple(Fraction(math.factorial(n)) ** 2 / v for n, v in enumerate(factorials))
+    return tuple(factorials)
+
+
 def bg_kernel_log_moduli(kappas, n_max) -> np.ndarray:
     """log 1/sqrt(F(n)!), summed term by term over the exact F(n)."""
     logs = [0.0]
@@ -258,6 +268,36 @@ def gauss_rule_from_moments_direct(moments, k):
     vander = np.vander(nodes, k, increasing=True).T
     weights = np.linalg.solve(vander, np.array(m[:k]))
     return nodes, weights
+
+
+def orthonormal_values_three_arrays(alphas, off, t):
+    """sqrt(beta_k) p_k(t), its derivative in t, and sum_{n<k} p_n(t)^2, each
+    carried as its own array through one recurrence: the reference for the
+    two-row Newton pass and the Christoffel pass of `measure._gauss_rule`."""
+    p_prev, p = np.zeros_like(t), np.full_like(t, 1.0 / off[0])
+    dp_prev, dp = np.zeros_like(t), np.zeros_like(t)
+    squares = p * p
+    for n, alpha in enumerate(alphas):
+        p_next = (t - alpha) * p - off[n] * p_prev
+        dp_next = p + (t - alpha) * dp - off[n] * dp_prev
+        if n + 1 < len(alphas):
+            p_prev, p = p, p_next / off[n + 1]
+            dp_prev, dp = dp, dp_next / off[n + 1]
+            squares += p * p
+    return p_next, dp_next, squares
+
+
+def gauss_rule_three_arrays(alphas, betas, newton_steps=3):
+    """(polished nodes, Christoffel sums) of a Jacobi matrix: eigvalsh nodes
+    polished by Newton steps, every pass by `orthonormal_values_three_arrays`."""
+    off = np.sqrt(betas)
+    polished = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(newton_steps):
+            value, slope, _ = orthonormal_values_three_arrays(alphas, off, polished)
+            polished = polished - value / slope
+        *_, squares = orthonormal_values_three_arrays(alphas, off, polished)
+    return polished, squares
 
 
 def fraction_det(rows) -> Fraction:

@@ -20,7 +20,7 @@ from polywh import (
     reciprocal_ells,
     structure_function,
 )
-from polywh.algebra import identity_deviations, ladder_table
+from polywh.algebra import _ladder_rows, identity_deviations, ladder_table
 
 from oracles import brute_factorial, brute_structure, dense_lowering, identity_deviations_dense
 
@@ -139,6 +139,46 @@ def test_ladder_table_is_the_exact_values_rounded(first, rest, far):
     if dim.is_finite:
         with pytest.raises(ValueError):
             ladder_table(params, dim.d + 1)
+
+
+_WIDE = st.builds(
+    Fraction, st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=10**6)
+)
+_FINITE_WIDE = st.integers(min_value=1, max_value=10**6).map(lambda k: Fraction(-1, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    first=st.one_of(_WIDE, _FINITE_WIDE),
+    rest=st.lists(_WIDE, max_size=2),
+    n=st.integers(min_value=0, max_value=10**6),
+)
+def test_exact_scalars_match_brute_oracle_past_two_to_the_53(first, rest, n):
+    # numerators and denominators to 1e6 and n to 1e6: F(n) prod q_i passes 2**53
+    kappas = [first, *rest]
+    params = AlgebraParams(kappas)
+    assert structure_function(params, n) == brute_structure(kappas, n)
+    assert commutator_gap(params, n) == brute_structure(kappas, n + 1) - brute_structure(kappas, n)
+    dim = classify(params)
+    small = min(n % 40, dim.d - 1) if dim.is_finite else n % 40
+    assert generalized_factorial(params, small) == brute_factorial(kappas, small)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    first=st.one_of(_KAPPA, st.integers(min_value=1, max_value=600).map(lambda k: Fraction(-1, k))),
+    rest=st.lists(_KAPPA, max_size=2),
+    data=st.data(),
+)
+def test_ladder_rows_are_the_table_rows_bit_for_bit(first, rest, data):
+    params = AlgebraParams([first, *rest])
+    dim = classify(params)
+    hi = data.draw(st.integers(min_value=1, max_value=dim.d if dim.is_finite else 600))
+    lo = data.draw(st.integers(min_value=0, max_value=hi - 1))
+    f, g = _ladder_rows(params, lo, hi)
+    table = ladder_table(params, hi)
+    assert f.tobytes() == table.f[lo:].tobytes()  # bytes: -0.0 is not 0.0
+    assert g.tobytes() == table.g[lo:].tobytes()
 
 
 # --------------------------------------------------------- representations

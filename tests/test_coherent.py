@@ -30,7 +30,7 @@ from polywh import (
     time_evolve,
 )
 from polywh.algebra import ladder_table
-from polywh.coherent import _series_moduli, perelomov_log_partial_norms
+from polywh.coherent import _ldexp, _series_moduli, perelomov_log_partial_norms
 
 from oracles import (
     bg_eigen_residual_dense,
@@ -558,6 +558,17 @@ def test_bg_normalization_past_the_double_range_of_its_square():
         bg_normalization(OSC, np.array([1.0, 40.0]))
     with pytest.raises(DomainError, match="hypergeometric sum overflows double precision"):
         hyper_0f((), 900.0)
+
+
+def test_ldexp_returns_a_finite_scalar_at_exponent_zero_and_refuses_infinity():
+    for mantissa in (2.5, np.float64(2.5), 5e-324, -0.0):
+        value = _ldexp(mantissa, 0, "x")
+        assert type(value) is float and value == mantissa
+        assert math.copysign(1.0, value) == math.copysign(1.0, mantissa)
+    assert _ldexp(np.float64(1.5), 3, "x") == 12.0
+    for mantissa in (math.inf, -math.inf, np.float64(math.inf)):
+        with pytest.raises(DomainError, match="^x overflows double precision: it is about 2"):
+            _ldexp(mantissa, 0, "x")
 
 
 @settings(max_examples=200, deadline=None)

@@ -23,13 +23,22 @@ from polywh import (
     verify_identity,
 )
 
-from polywh.measure import _moment_match, _recurrence
+from polywh.measure import (
+    _christoffel_sums,
+    _gauss_rule,
+    _moment_match,
+    _orthonormal_values,
+    _recurrence,
+)
 
 from oracles import (
     gauss_rule_from_moments_direct,
+    gauss_rule_three_arrays,
     hankel_minors_by_elimination,
     hankel_minors_by_fractions,
     moment_match_by_fractions,
+    moments_by_fractions,
+    orthonormal_values_three_arrays,
     recurrence_by_fractions,
     verify_identity_by_states,
 )
@@ -69,6 +78,30 @@ def test_moments_error_cases():
         moments_for(AlgebraParams(["1/2", "1/3"]), "perelomov", count=6)  # r >= 2
     with pytest.raises(ValueError):
         moments_for(AlgebraParams(["-1/3"]), "perelomov", count=3)  # d = 4 fixed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from(["ratio", "ell", "finite"]),
+    kind=st.sampled_from(["perelomov", "barut-girardello"]),
+    data=st.data(),
+)
+def test_moments_are_the_per_level_fraction_factorials(shape, kind, data):
+    ratio = st.builds(
+        Fraction, st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=29)
+    )
+    if shape == "finite":  # any r: the extra kappas keep the ladder at d levels
+        d = data.draw(st.integers(min_value=2, max_value=40))
+        kappas = [Fraction(-1, d - 1), *data.draw(st.lists(ratio, max_size=2))]
+        kind, count = "perelomov", d
+    else:
+        r = 1 if kind == "perelomov" else data.draw(st.integers(min_value=1, max_value=3))
+        if shape == "ell":
+            ratio = st.builds(Fraction, st.just(1), st.integers(min_value=1, max_value=9))
+        kappas = data.draw(st.lists(ratio, min_size=r, max_size=r))
+        count = data.draw(st.integers(min_value=0, max_value=64))
+    moments = moments_for(AlgebraParams(kappas), kind, count=count)
+    assert moments.values == moments_by_fractions(kappas, kind, count)
 
 
 # ------------------------------------------------------------------ solves
@@ -318,6 +351,59 @@ def test_tail_weights_keep_their_relative_accuracy():
         weights = np.array([float(w) for w in weights])
     assert np.max(np.abs(measure.nodes - nodes) / nodes) <= 5e-14
     assert np.max(np.abs(measure.weights - weights) / weights) <= 5e-14
+
+
+@st.composite
+def _stream_recurrences(draw):
+    """Float recurrence coefficients of the moments-stream families, as
+    `solve_measure` rounds them: kappa = p/q with q <= 29, 1/ell tuples,
+    kappa = 0 and finite ladders to d = 90, at 6 to 64 levels."""
+    shape = draw(st.sampled_from(["ratio", "ell", "zero", "finite"]))
+    q = draw(st.integers(min_value=2, max_value=29))
+    count = draw(st.integers(min_value=6, max_value=64))
+    if shape == "finite":
+        d = draw(st.integers(min_value=3, max_value=90))
+        kappas, kind, count = [Fraction(-1, d - 1)], "perelomov", None
+    elif draw(st.booleans()):  # perelomov: r = 1, kappa < 1 inside the disk, even counts
+        kappas = {
+            "ratio": [Fraction(draw(st.integers(min_value=1, max_value=(7 * q) // 10)), q)],
+            "ell": [Fraction(1, draw(st.integers(min_value=2, max_value=9)))],
+            "zero": [Fraction(0)],
+        }[shape]
+        kind, count = "perelomov", count + count % 2
+    else:
+        ell = st.integers(min_value=1, max_value=9).map(lambda e: Fraction(1, e))
+        kappas = {
+            "ratio": [Fraction(draw(st.integers(min_value=1, max_value=9)), q)],
+            "ell": draw(st.lists(ell, min_size=1, max_size=3)),
+            "zero": [Fraction(0)],
+        }[shape]
+        kind = "barut-girardello"
+    values = moments_for(AlgebraParams(kappas), kind, count=count).values
+    plain, shifted = hankel_minors(values)
+    alphas, betas = _recurrence(plain, shifted, len(values))
+    return np.array([n / d for n, d in alphas]), np.array([n / d for n, d in betas])
+
+
+@settings(max_examples=150, deadline=None)
+@given(recurrence=_stream_recurrences())
+def test_gauss_rule_is_the_three_array_recurrence_bit_for_bit(recurrence):
+    alphas, betas = recurrence
+    off = np.sqrt(betas)
+    t = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, slope, sums = orthonormal_values_three_arrays(alphas, off, t)
+        rows = _orthonormal_values(alphas, off, t)
+        assert np.array_equal(_christoffel_sums(alphas, off, t), sums)
+    assert np.array_equal(rows[0], value) and np.array_equal(rows[1], slope)
+    nodes, squares = gauss_rule_three_arrays(*recurrence)
+    if not np.isfinite(squares).all():  # none here: d = 100 is the first ladder with one
+        with pytest.raises(DomainError, match="Christoffel sum"):
+            _gauss_rule(*recurrence)
+        return
+    polished, weights = _gauss_rule(*recurrence)
+    assert np.array_equal(polished, nodes)
+    assert np.array_equal(weights, 1.0 / squares)
 
 
 # ---------------------------------------------------------------- identity
