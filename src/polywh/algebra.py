@@ -177,11 +177,20 @@ def generalized_factorial(params: AlgebraParams, n: int) -> Fraction:
         raise DomainError(
             f"generalized factorial needs n <= d-1 = {dim.d - 1} on a finite ladder; got n = {n}"
         )
-    product = power = 1
-    for k in range(1, n + 1):
-        value, scale = _scaled_structure(params, k)
-        product, power = product * value, power * scale
+    for product, power in _scaled_factorials(params, n + 1):
+        pass
     return Fraction(product, power)
+
+
+def _scaled_factorials(params: AlgebraParams, count: int):
+    """(F(n)! Q^n, Q^n) for n < count, Q = prod_i q_i: the running product
+    of the integer ladder polynomial (`_scaled_structure`) and of its scale."""
+    product = power = 1
+    for n in range(count):
+        if n:
+            value, scale = _scaled_structure(params, n)
+            product, power = product * value, power * scale
+        yield product, power
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

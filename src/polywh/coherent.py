@@ -100,7 +100,7 @@ class CoherentState:
         """The l2 norm; past the double range a `DomainError`."""
         norm, exponent = _scaled_norm(self.coeffs)
         what = f"{self.kind.value} state norm at z = {self.z}"
-        return _ldexp(norm, exponent, what) if exponent else norm
+        return _ldexp(norm, exponent, what)
 
 
 def _series(kind, params, zs, stop: int, tail_tol: float | None):

@@ -73,7 +73,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraParams, _freeze, _scaled_structure, classify
+from .algebra import AlgebraParams, _freeze, _scaled_factorials, classify
 from .coherent import StateKind, _outside_disk, _series_moduli, bg_state, perelomov_state
 from .errors import DomainError
 
@@ -141,17 +141,14 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
                 )
             if count is None:
                 raise ValueError("infinite ladder needs an explicit moment count")
-    scaled = [(1, 1)]  # (F(n)! Q^n, Q^n): one running integer product
-    for n in range(1, count):
-        value, scale = _scaled_structure(params, n)
-        scaled.append((scaled[-1][0] * value, scaled[-1][1] * scale))
+    scaled = _scaled_factorials(params, count)  # (F(n)! Q^n, Q^n)
     if kind is StateKind.PERELOMOV:
         values = tuple(
             Fraction(math.factorial(n) ** 2 * power, product)
-            for n, (product, power) in enumerate(scaled[:count])
+            for n, (product, power) in enumerate(scaled)
         )
     else:
-        values = tuple(Fraction(product, power) for product, power in scaled[:count])
+        values = tuple(Fraction(product, power) for product, power in scaled)
     if any(v <= 0 for v in values):
         raise DomainError("moment sequence has a nonpositive entry")
     return MomentSequence(values, kind)

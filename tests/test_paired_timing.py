@@ -7,11 +7,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_one_growth_cycle_against_the_same_checkout_twice():
+def test_one_growth_seed_against_the_same_checkout_twice():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "paired_timing.py"), "--parent", str(ROOT),
-         "--change", str(ROOT), "--workload", "growth", "--seeds", "1", "--cycles", "1",
-         "--repeats", "1"],
+         "--change", str(ROOT), "--workload", "growth", "--seeds", "1"],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

@@ -1,19 +1,21 @@
 """Paired per-command timing of two checkouts over the benchmark streams.
 
     python3 tools/paired_timing.py --parent ../parent --change . --workload moments \\
-        --seeds 1-5 --cycles 25 --repeats 3
+        --seeds 1-5
 
 Starts one worker process per checkout, each running `polywh.cli.main`
 imported from that checkout's `src/`, and sends both the same commands of
 a `bench/streams.py` stream one at a time, the way `bench/run.py` runs them
-(in-process, stdout and stderr in memory, BLAS pinned to one thread).  Each
-command runs --repeats times in each worker, the two interleaved and the
-one that goes first alternating from command to command, and the minimum
-time is kept: on a machine whose cores are shared, unpaired runs of the
-same code spread far more than a paired difference.  Per seed it prints the
-throughput ratio change/parent (commands per second of the summed minima),
-the p50 and p93 of the minima of each side and how many commands exited
-differently; the last line is one JSON object with the same numbers.  The
+(in-process, stdout and stderr in memory, BLAS pinned to one thread,
+glibc's mmap threshold pinned).  Each seed runs the first CYCLES cycles of
+its stream; each command runs REPEATS times in each worker, the two
+interleaved and the one that goes first alternating from command to
+command, and the minimum time is kept: on a machine whose cores are
+shared, unpaired runs of the same code spread far more than a paired
+difference.  Per seed it prints the throughput ratio change/parent
+(commands per second of the summed minima), the p50 and p93 of the minima
+of each side and how many commands exited differently; the last line is
+one JSON object with the same numbers.  The
 streams and the command runner are read from `bench/` next to this file;
 nothing there is written.
 """
@@ -35,10 +37,15 @@ sys.path.insert(0, str(BENCH))
 import run  # noqa: E402
 import streams  # noqa: E402
 
+CYCLES = 25  # per seed
+REPEATS = 3  # runs of each command per side
+
 
 def serve(src: Path) -> int:
     """Worker: time each argv read from stdin (a JSON line) and answer with
-    one JSON line [exit code, seconds]."""
+    one JSON line [exit code, seconds].  The allocator is set up as
+    `bench/run.py` sets it before it imports the program."""
+    run.fix_mmap_threshold()
     sys.path.insert(0, str(src))
     import polywh
     from polywh.cli import main
@@ -76,18 +83,17 @@ class Worker:
         self.process.wait(timeout=60)
 
 
-def compare(parent: Worker, change: Worker, workload: str, seed: int, cycles: int,
-            repeats: int) -> dict:
-    """Minimum times of every command of the first `cycles` cycles on both
+def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
+    """Minimum times of every command of the first CYCLES cycles on both
     sides, summed up as throughput ratio, percentiles and exit mismatches."""
     best = {parent: [], change: []}
     mismatches = 0
-    commands = itertools.chain(*itertools.islice(streams.cycles(workload, seed), cycles))
+    commands = itertools.chain(*itertools.islice(streams.cycles(workload, seed), CYCLES))
     for i, argv in enumerate(commands):
         order = (parent, change) if i % 2 == 0 else (change, parent)
         times = {side: math.inf for side in order}
         codes = {}
-        for _, side in itertools.product(range(repeats), order):
+        for _, side in itertools.product(range(REPEATS), order):
             codes[side], seconds = side.time(argv)
             times[side] = min(times[side], seconds)
         mismatches += codes[parent] != codes[change]
@@ -119,8 +125,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, help="root of the changed checkout")
     parser.add_argument("--workload", choices=streams.WORKLOADS, default="moments")
     parser.add_argument("--seeds", type=parse_seeds, default=range(1, 2), help="e.g. 1-5")
-    parser.add_argument("--cycles", type=int, default=25, help="cycles per seed")
-    parser.add_argument("--repeats", type=int, default=3, help="runs of each command per side")
     args = parser.parse_args(argv)
     if args.worker:
         return serve(args.worker)
@@ -128,8 +132,7 @@ def main(argv=None) -> int:
         parser.error("--parent and --change are required")
     parent, change = Worker(args.parent), Worker(args.change)
     try:
-        results = [compare(parent, change, args.workload, seed, args.cycles, args.repeats)
-                   for seed in args.seeds]
+        results = [compare(parent, change, args.workload, seed) for seed in args.seeds]
     finally:
         parent.close()
         change.close()
@@ -139,7 +142,7 @@ def main(argv=None) -> int:
               f"p50 {r['p50_ms']['parent']:.3f} -> {r['p50_ms']['change']:.3f} ms, "
               f"p93 {r['p93_ms']['parent']:.3f} -> {r['p93_ms']['change']:.3f} ms, "
               f"exit mismatches {r['exit_mismatches']}")
-    print(json.dumps({"workload": args.workload, "repeats": args.repeats, "seeds": results}))
+    print(json.dumps({"workload": args.workload, "cycles": CYCLES, "repeats": REPEATS, "seeds": results}))
     return 0
 
 
