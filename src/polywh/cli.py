@@ -290,9 +290,11 @@ def cmd_cs_bg(args):
     rep = build_rep(params, window=len(state.coeffs) + 1)
     payload["eigen_residual"] = check_bg_eigen(state, rep)
     try:
-        payload["norm_hypergeometric"] = bg_normalization(params, args.z)
+        reciprocal_ells(params)
     except DomainError:
         payload["norm_hypergeometric"] = None  # kappas not of the 1/ell form
+    else:  # an |N| past the double range is the DomainError that names it
+        payload["norm_hypergeometric"] = bg_normalization(params, args.z)
     return payload, None
 
 

@@ -113,11 +113,23 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
     2**-exponents[i], raised by RESCALE_BITS before the sum overflows and 0
     wherever it does not (Blue 1978, ACM TOMS 4).  A coefficient past the
     double range is a `DomainError` raised in the block where it is.
+
+    A term reaches `_tail_cut` only if |c_n|^2 <= tol^2 S_n (1 - q^2), S_n
+    the norm before it and q = |z| sqrt(kappa_1) the limit of the perelomov
+    `_ratio_sup`, widened by 1e-12 against rounding (barut-girardello's
+    limit is 0, and its mask is left as it is).  That is necessary for a cut,
+    not sufficient, so the cut and its bound are unchanged, and near the rim
+    the thousands of terms that cannot pass are never scanned.
     """
     zs = np.asarray(zs, dtype=complex)
     rows, cut_rows, lo, scale = len(zs), tail_tol is not None, 1, 1.0  # 2**(-exponents/2)
     blocks, norm2 = [np.ones((rows, 1), dtype=complex)], np.ones((rows, 1))
     exponents, lengths, bounds = np.zeros(rows, dtype=int), [stop] * rows, [math.inf] * rows
+    tol2 = tail_tol * tail_tol if cut_rows else None
+    room = None  # per row tol^2 (1 - q^2), q the limit of `_ratio_sup` as _tail_cut rounds it
+    if cut_rows and kind is StateKind.PERELOMOV and params.kappas[0] > 0:
+        limits = (abs(complex(z)) * math.sqrt(float(params.kappas[0])) for z in zs)
+        room = np.array([tol2 * (1.0 - q * q) * (1.0 + 1e-12) for q in limits])[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # refused or rescaled below
         while lo < stop and math.inf in bounds:
             hi = min(max(2 * lo, 64), stop) if cut_rows else stop
@@ -139,9 +151,8 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
                 exponents[over] += RESCALE_BITS
                 norm2[over] = np.ldexp(norm2[over], -RESCALE_BITS)
                 scale = np.ldexp(1.0, -exponents // 2)[:, None]
-            if cut_rows:  # a row can be cut only where a term alone is under the tolerance
-                tol2 = tail_tol * tail_tol
-                under = abs2 <= tol2 * norms[:, :-1]
+            if cut_rows:  # the candidates: a row can be cut only at one of them
+                under = abs2 <= (tol2 * norms[:, :-1] if room is None else norms[:, :-1] * room)
                 for i in under.any(axis=1).nonzero()[0]:
                     if bounds[i] == math.inf:
                         sup = _ratio_sup(kind, params, abs(complex(zs[i])))
@@ -163,7 +174,9 @@ def _tail_cut(under, abs2, norms, lo, ratio_sup, tol2):
     abs2[i] = |c_{lo+i}|^2 and norms[i] is the squared norm before it.
     ratio_sup(j) bounds |c_{m+1}/c_m| for every m >= j (`_ratio_sup`); once
     it drops under 1 the tail is dominated by a geometric series, giving
-    tail^2 <= |c_{lo+i}|^2 / (1 - q^2).
+    tail^2 <= |c_{lo+i}|^2 / (1 - q^2).  q never falls below its limit
+    q_inf, so only an i with |c_{lo+i}|^2 <= tol2 norms[i] (1 - q_inf^2) can
+    pass: `_series` sends no other, which leaves the first passing i as it is.
     """
     for i in under:
         q = ratio_sup(lo + int(i))
@@ -425,7 +438,10 @@ def _has_nan(x) -> bool:
     """Whether x, a scalar or an array of any dtype, holds a NaN.
 
     NaN is the one value unequal to itself; unlike np.isnan this also
-    reads object scalars such as a Fraction or an int past the double range."""
+    reads object scalars such as a Fraction or an int past the double range.
+    A Python or numpy number is tested as it is, without an array."""
+    if isinstance(x, (int, float, complex, np.generic)):
+        return bool(x != x)
     a = np.asarray(x)
     return bool((a != a).any())
 

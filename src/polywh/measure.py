@@ -15,7 +15,7 @@ discrete positive measure with those moments is produced by the classical
 chain
 
     moments -> Chebyshev table (exact)  -> Hankel minors H_k, H'_k
-            -> recurrence alpha_j, beta_j read off the minors (exact)
+            -> recurrence alpha_j, beta_j read off the same rows (exact)
             -> Jacobi matrix -> Gauss nodes and weights (float).
 
 One exact pass of the Chebyshev algorithm, O(M^2) operations for M
@@ -28,9 +28,10 @@ as the reduced fractions would be (a gcd on every Fraction operation was
 most of the cost).  Plain fraction-free elimination (Bareiss 1968), with
 one exact division per update and no content gcd, loses here: its
 unreduced integers grow with every row and come out slower than Fractions
-on the kappa = p/q families.  The recurrence coefficients follow from the
-minors in O(M) operations: two reduced quotients per level, the rest
-integer products.  Raw-moment recurrences are notoriously ill-conditioned
+on the kappa = p/q families.  The Chebyshev algorithm yields the
+recurrence coefficients directly (Gautschi 2004, section 2.1): each is an
+unreduced ratio of integers the pass already holds, so no minor is divided
+back into them.  Raw-moment recurrences are notoriously ill-conditioned
 in floating point; exact arithmetic sidesteps that and makes the checks
 decisive rather than heuristic.  The float endgame takes the nodes from
 ``eigvalsh`` of the Jacobi matrix, polishes them by Newton steps on the
@@ -149,14 +150,32 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
         )
     else:
         values = tuple(Fraction(product, power) for product, power in scaled)
-    if any(v <= 0 for v in values):
+    if any(v.numerator <= 0 for v in values):
         raise DomainError("moment sequence has a nonpositive entry")
     return MomentSequence(values, kind)
 
 
-def hankel_minors(values) -> tuple[list[Fraction], list[Fraction]]:
+class HankelMinors(tuple):
+    """``(plain, shifted)`` of `hankel_minors`, with the Jacobi entries alpha_j
+    and beta_j of the same pass as unreduced integer ratios (num, den), den > 0
+    where every minor is positive: num / den rounds as float(Fraction) does."""
+
+    def __new__(cls, plain, shifted, alphas, betas):
+        minors = super().__new__(cls, (plain, shifted))
+        minors._alphas, minors._betas = tuple(alphas), tuple(betas)
+        return minors
+
+    alphas = property(lambda self: self._alphas)
+    betas = property(lambda self: self._betas)
+
+    def __getnewargs__(self):  # copy and pickle rebuild it through __new__
+        return (*self, self._alphas, self._betas)
+
+
+def hankel_minors(values) -> HankelMinors:
     """Leading principal minors of H = [m_{i+j}] and of the shifted
-    H' = [m_{i+j+1}], every size the supplied moments allow.
+    H' = [m_{i+j+1}], every size the supplied moments allow, with the
+    recurrence coefficients of the Jacobi matrix (`HankelMinors`).
 
     One pass of the Chebyshev algorithm gives them in O(M^2) exact
     operations: sigma_{j,l} = <pi_j, t^l> for the monic orthogonal
@@ -180,22 +199,34 @@ def hankel_minors(values) -> tuple[list[Fraction], list[Fraction]]:
     N_{j-1}[1] N_j[0] (den_{j-1} cancels).  One gcd then takes the content
     out of the new row and its denominator; it is what keeps the integers
     as small as the reduced fractions.  Only the two minors per row are
-    built as Fractions.
+    built as Fractions.  The same integers give the recurrence: alpha_j =
+    b / a and beta_j = N_j[0] den_{j-1} / (den_j N_{j-1}[0]).  An odd count
+    leaves the last alpha_{k-1} free: det J_k = alpha_{k-1} D_{k-1} -
+    beta_{k-1} D_{k-2} is positive above tau = beta_{k-1} D_{k-2} / D_{k-1} =
+    H_k H'_{k-2} / (H_{k-1} H'_{k-1}) (Schur complement of the leading
+    block), and alpha_{k-1} is completed to 2 tau + 1.
     """
-    values = [Fraction(v) for v in values]
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     row = [v.numerator * (den // v.denominator) for v in values]  # N_0
-    prev = [1] + [0] * (len(row) + 1)  # N_{-1}: pi_{-1} = 0, with a unit pivot
-    plain, shifted = [], []
+    prev, den_prev = [1] + [0] * (len(row) + 1), 1  # N_{-1}: pi_{-1} = 0, with a unit pivot
+    plain, shifted, alphas, betas = [], [], [], []
     det, minor, minor_prev = Fraction(1), Fraction(1), Fraction(0)  # H_j, H'_j, H'_{j-1}
     for _ in range((len(values) + 1) // 2):
         sigma = row[0]  # den * sigma_{j,j}
-        det = Fraction(det.numerator * sigma, det.denominator * den)
+        det_prev, det = det, Fraction(det.numerator * sigma, det.denominator * den)
         plain.append(det)
-        if not sigma or len(row) < 2:
+        betas.append((sigma * den_prev, den * prev[0]))
+        if not sigma:
+            break
+        if len(row) < 2:  # odd count: alpha_{k-1} = 2 tau + 1, tau = p / q
+            p = det.numerator * minor_prev.numerator * det_prev.denominator * minor.denominator
+            q = det.denominator * minor_prev.denominator * det_prev.numerator * minor.numerator
+            alphas.append((2 * p + q, q))
             break
         pivot = sigma * prev[0]
         slope = row[1] * prev[0] - prev[1] * sigma  # alpha_j = slope / pivot
+        alphas.append((slope, pivot))
         (a, b), (c, e) = minor.as_integer_ratio(), minor_prev.as_integer_ratio()
         minor, minor_prev = Fraction(
             sigma * (slope * den * a * e - pivot * sigma * c * b), den * den * pivot * b * e
@@ -204,14 +235,14 @@ def hankel_minors(values) -> tuple[list[Fraction], list[Fraction]]:
         square = sigma * sigma
         step = zip(row[2:], row[1:], prev[2:])
         row, prev = [pivot * n2 - slope * n1 - square * n0 for n2, n1, n0 in step], row
-        den *= pivot
+        den, den_prev = den * pivot, den
         content = math.gcd(den, *row)
         if pivot < 0:
             content = -content
         if content != 1:
             row = [n // content for n in row]
             den //= content
-    return plain, shifted
+    return HankelMinors(plain, shifted, alphas, betas)
 
 
 def _gauss_rule(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,15 +254,17 @@ def _gauss_rule(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.n
     by the three-term recurrence (Gautschi 2004, sections 2.1 and 3.1).
     Each Newton pass carries p_n and its derivative as the two rows of one
     array (`_orthonormal_values`); only the last pass, at the polished
-    nodes, carries p_n alone and sums the squares (`_christoffel_sums`).
-    Weights from the eigenvectors (Golub-Welsch) lose the relative accuracy
-    of the small weights far out in the tail.  A node whose Christoffel sum
-    passes the double range has a weight under the normal range of a double:
-    that is a `DomainError` naming the node (its eigenvalue, unpolished).
+    nodes, carries p_n alone and sums the squares (`_christoffel_sums`);
+    each pass takes its shifts t - alpha_n at once and reads ``off`` as a
+    list.  Weights from the eigenvectors (Golub-Welsch) lose the relative
+    accuracy of the small weights far out in the tail.  A node whose
+    Christoffel sum passes the double range has a weight under the normal
+    range of a double: that is a `DomainError` naming the node (its
+    eigenvalue, unpolished).
     """
     off = np.sqrt(betas)
     nodes = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
-    polished = nodes
+    polished, off = nodes, off.tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
         for _ in range(NEWTON_STEPS):
             value, slope = _orthonormal_values(alphas, off, polished)
@@ -256,8 +289,8 @@ def _orthonormal_values(alphas, off, t):
     rows = np.zeros((2, len(t)))  # p_n, p'_n
     rows[0] = 1.0 / off[0]
     prev = np.zeros_like(rows)
-    for n, alpha in enumerate(alphas):
-        new = (t - alpha) * rows
+    for n, shift in enumerate(t - alphas[:, None]):
+        new = shift * rows
         new[1] += rows[0]
         new -= off[n] * prev
         if n + 1 < len(alphas):
@@ -269,8 +302,8 @@ def _christoffel_sums(alphas, off, t):
     """sum_{n<k} p_n(t)^2, the p_n of `_orthonormal_values`."""
     p_prev, p = np.zeros_like(t), np.full_like(t, 1.0 / off[0])
     squares = p * p
-    for n in range(len(alphas) - 1):
-        p_prev, p = p, ((t - alphas[n]) * p - off[n] * p_prev) / off[n + 1]
+    for n, shift in enumerate(t - alphas[:-1, None]):
+        p_prev, p = p, (shift * p - off[n] * p_prev) / off[n + 1]
         squares += p * p
     return squares
 
@@ -299,66 +332,32 @@ def _moment_match(values, nodes: np.ndarray, weights: np.ndarray) -> float:
     return worst
 
 
-def _recurrence(plain, shifted, count: int):
-    """alpha_j and beta_j, j < ceil(count/2), read off the positive minors,
-    each as one unreduced integer ratio (num, den) with den > 0.
-
-    With sigma_j = H_{j+1} / H_j and D_j = H'_j / H_j (D_{-1} = 0, D_0 = 1),
-    beta_j = sigma_j / sigma_{j-1} (sigma_{-1} = 1) and alpha_j = (D_{j+1} +
-    beta_j D_{j-1}) / D_j.  The minors grow quadratically with j, but sigma_j
-    and D_j do not: one reduced quotient each brings them down to the size
-    of a moment, and the rest is integer products of those.
-
-    With an odd count the last diagonal entry of the Jacobi matrix is
-    unconstrained by the supplied moments.  det(J_k) = alpha_{k-1} D_{k-1} -
-    beta_{k-1} D_{k-2} is linear in it, so the exact positivity threshold
-    tau = beta_{k-1} D_{k-2} / D_{k-1} (Schur complement of the leading
-    block) is available; anything above it keeps every node strictly
-    positive, and alpha_{k-1} is completed to 2 tau + 1.
-    """
-    k = (count + 1) // 2
-    sigmas = [(det / det_prev).as_integer_ratio() for det, det_prev in zip(plain, [1, *plain])]
-    dets = [(0, 1), (1, 1), *((s / h).as_integer_ratio() for s, h in zip(shifted, plain))]
-    dets += [(0, 1)] * (k + 2 - len(dets))  # odd count: D_k = 0 turns alpha_{k-1} into tau
-    alphas, betas = [], []
-    for (s0, t0), (s1, t1), (p, q), (p0, q0), (p1, q1) in zip(
-        [(1, 1), *sigmas], sigmas, dets, dets[1:], dets[2:]
-    ):
-        num, den = s1 * t0, t1 * s0
-        betas.append((num, den))
-        alphas.append(((p1 * den * q + num * p * q1) * q0, q1 * den * q * p0))
-    if len(shifted) < k:
-        num, den = alphas[-1]
-        alphas[-1] = (2 * num + den, den)
-    return alphas, betas
-
-
 def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
     """Gaussian quadrature whose moments are the supplied sequence.
 
     Uses ceil(M/2) nodes for M supplied moments.  Positivity of the plain
     and shifted Hankel minors is checked exactly first; a failure names
     the offending minor.  The recurrence coefficients are then read off the
-    minors in integer arithmetic (`_recurrence`); the true division of each
-    integer ratio rounds it exactly as float(Fraction) would.
+    rows of the same pass (`hankel_minors`) as integer ratios; the true
+    division of each rounds it exactly as float(Fraction) would.
     """
     values = list(moments.values)
     count = len(values)
     if count < 1:
         raise ValueError("need at least one moment")
-    plain, shifted = hankel_minors(values)
+    minors = hankel_minors(values)
+    plain, shifted = minors
     for idx, det in enumerate(plain, start=1):
-        if det <= 0:
+        if det.numerator <= 0:
             raise DomainError(
                 f"moment sequence is not positive-definite: Hankel minor H_{idx} = {det}"
             )
     for idx, det in enumerate(shifted, start=1):
-        if det <= 0:
+        if det.numerator <= 0:
             raise DomainError(
                 f"moments admit no measure on (0, inf): shifted Hankel minor H'_{idx} = {det}"
             )
-
-    alphas, betas = _recurrence(plain, shifted, count)
+    alphas, betas = minors.alphas, minors.betas
     try:
         alpha_f = np.array([num / den for num, den in alphas])
         beta_f = np.array([num / den for num, den in betas])

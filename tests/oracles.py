@@ -12,6 +12,7 @@ import numpy as np
 
 from polywh import AlgebraParams, DomainError, StateKind, bg_state, classify, perelomov_state
 from polywh.algebra import ladder_table
+from polywh.coherent import RESCALE_BITS, _ratio_sup, _steps, _tail_cut
 from polywh.grassmann import GrassmannElement
 
 
@@ -98,6 +99,46 @@ def series_reference(params: AlgebraParams, kind: str, z, tail_tol=1e-14, max_te
             return abs(z) / math.sqrt(fval(j + 1))
 
     return truncate_series(step, ratio_sup, tail_tol, max_terms)
+
+
+def series_unfiltered(kind, params, zs, stop, tail_tol):
+    """`coherent._series` with the tail scan it had before its candidate
+    prefilter: every term with |c_n|^2 <= tol^2 S_n goes to `_tail_cut`, so
+    the cut is found by the scan itself, not by a bound on where it can be."""
+    zs = np.asarray(zs, dtype=complex)
+    rows, cut_rows, lo, scale = len(zs), tail_tol is not None, 1, 1.0
+    blocks, norm2 = [np.ones((rows, 1), dtype=complex)], np.ones((rows, 1))
+    exponents, lengths, bounds = np.zeros(rows, dtype=int), [stop] * rows, [math.inf] * rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo < stop and math.inf in bounds:
+            hi = min(max(2 * lo, 64), stop) if cut_rows else stop
+            steps = _steps(kind, params, zs[:, None], lo, hi)
+            block = np.cumprod(np.concatenate((blocks[-1][:, -1:], steps), axis=1), axis=1)
+            block = block[:, 1:]
+            while True:
+                abs2 = np.abs(block * scale) ** 2
+                norms = np.cumsum(np.concatenate((norm2, abs2), axis=1), axis=1)
+                if math.isfinite(norms[:, -1].max()):
+                    break
+                if not np.isfinite(block).all():
+                    raise DomainError("a coefficient passes the double range")
+                over = np.isinf(norms[:, -1])
+                exponents[over] += RESCALE_BITS
+                norm2[over] = np.ldexp(norm2[over], -RESCALE_BITS)
+                scale = np.ldexp(1.0, -exponents // 2)[:, None]
+            if cut_rows:
+                tol2 = tail_tol * tail_tol
+                under = abs2 <= tol2 * norms[:, :-1]
+                for i in under.any(axis=1).nonzero()[0]:
+                    if bounds[i] == math.inf:
+                        sup = _ratio_sup(kind, params, abs(complex(zs[i])))
+                        cut = _tail_cut(under[i].nonzero()[0], abs2[i], norms[i], lo, sup, tol2)
+                        if cut is not None:
+                            block[i, cut[0] :] = 0.0
+                            lengths[i], bounds[i] = lo + cut[0], cut[1]
+            blocks.append(block if math.inf in bounds else block[:, : max(lengths) - lo])
+            norm2, lo = norms[:, -1:].copy(), hi
+    return blocks, bounds, exponents
 
 
 def verify_identity_by_states(params: AlgebraParams, kind, measure) -> float:
@@ -379,7 +420,7 @@ def hankel_minors_by_fractions(values) -> tuple[list[Fraction], list[Fraction]]:
 def recurrence_by_fractions(plain, shifted, count):
     """(alphas, betas) of the Jacobi matrix read off positive minors in
     `Fraction`s, the odd-count last alpha completed to 2 tau + 1: the
-    reference for `measure._recurrence`."""
+    reference for the ``alphas`` and ``betas`` of `measure.hankel_minors`."""
     k = (count + 1) // 2
     sigmas = [h / h_prev for h, h_prev in zip(plain, [Fraction(1), *plain])]  # H_{j+1} / H_j
     betas = [s / s_prev for s, s_prev in zip(sigmas, [Fraction(1), *sigmas])]

@@ -142,6 +142,23 @@ def test_a_kappa0_state_whose_squared_norm_overflows_is_written(capsys, normaliz
     assert payload["norm"] == pytest.approx(expected, rel=1e-10)
 
 
+def test_a_normalization_past_the_double_range_is_named(capsys):
+    # the state exists (its coefficients fit), but |N| = e^710.6 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "cs-bg", "--kappa", "0", "--z", "37.7", "--normalize")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: normalization |N(z)| overflows double precision: it is about 2^")
+
+
+def test_kappas_without_a_1_over_ell_form_write_a_null_normalization(capsys):
+    code, out, err = run_cli(capsys, "cs-bg", "--kappa", "2/3", "--z", "1+0.5i")
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["norm_hypergeometric"] is None
+    assert payload["eigen_residual"] <= 1e-10
+
+
 def test_an_identity_check_past_the_term_cap_names_its_node(capsys):
     # the largest of 75 Gauss nodes sits 5e-4 inside the rim t < 2
     code, out, err = run_cli(capsys, "measure", "--kappa", "1/2", "--kind", "perelomov",

@@ -30,7 +30,14 @@ from polywh import (
     time_evolve,
 )
 from polywh.algebra import ladder_table
-from polywh.coherent import _ldexp, _series_moduli, perelomov_log_partial_norms
+from polywh import coherent
+from polywh.coherent import (
+    MAX_SERIES_TERMS,
+    _ldexp,
+    _series,
+    _series_moduli,
+    perelomov_log_partial_norms,
+)
 
 from oracles import (
     bg_eigen_residual_dense,
@@ -43,6 +50,7 @@ from oracles import (
     random_infinite_params,
     random_z,
     series_reference,
+    series_unfiltered,
 )
 
 OSC = AlgebraParams([0])
@@ -159,6 +167,71 @@ def test_batched_moduli_are_the_constructors_bit_for_bit(case):
     for row, z in zip(rows, zs):
         amp2 = np.abs(build(params, z).coeffs[:levels]) ** 2
         assert np.array_equal(row, np.pad(amp2, (0, levels - len(amp2))))
+
+
+@st.composite
+def _series_cases(draw):
+    """(kind, params, zs, stop, tail_tol) for `_series`: perelomov at kappa
+    in [0.05, 2] with |z| sqrt(kappa) up to 1 - 1e-4, kappa = 0 for both
+    kinds, finite ladders (no tail) and the bg kappas of the benchmark
+    streams (1/ell tuples with r <= 3, p/q), 1 to 3 complex z per call."""
+    phi = draw(st.floats(min_value=-2.0, max_value=2.0))
+    shape = draw(st.sampled_from(["disk", "zero", "finite", "bg"]))
+    kind, stop, tol = StateKind.PERELOMOV, MAX_SERIES_TERMS + 1, 1e-14
+    if shape == "disk":
+        kappas = [draw(st.fractions(min_value="1/20", max_value=2, max_denominator=40))]
+        near = st.sampled_from([0.99, 0.999, 0.9993, 0.9999])
+        ratios = st.lists(st.one_of(st.floats(min_value=0.0, max_value=1 - 1e-4), near),
+                          min_size=1, max_size=3)
+        moduli = [q / math.sqrt(kappas[0]) for q in draw(ratios)]
+    else:
+        if shape == "finite":
+            d = draw(st.integers(min_value=2, max_value=300))
+            kappas, stop, tol, radius = [Fraction(-1, d - 1)], d, None, 6.0
+        elif shape == "zero":
+            kind = draw(st.sampled_from(list(StateKind)))
+            kappas, radius = [Fraction(0)], 30.0
+        else:
+            kind = StateKind.BARUT_GIRARDELLO
+            ell = st.builds(Fraction, st.just(1), st.integers(min_value=1, max_value=9))
+            ratio = st.fractions(min_value="1/29", max_value=3, max_denominator=29)
+            kappas = draw(st.lists(st.one_of(ell, ratio), min_size=1, max_size=3))
+            radius = 30.0
+        moduli = draw(st.lists(st.floats(min_value=0.0, max_value=radius), min_size=1, max_size=3))
+    angles = draw(st.lists(st.floats(min_value=-math.pi, max_value=math.pi),
+                           min_size=len(moduli), max_size=len(moduli)))
+    zs = [r * complex(math.cos(a), math.sin(a)) for r, a in zip(moduli, angles)]
+    return kind, AlgebraParams(kappas, phi), zs, stop, tol
+
+
+@settings(max_examples=80, deadline=None)
+@example(case=(StateKind.PERELOMOV, AlgebraParams(["14/25"]),
+               [0.9993 / math.sqrt(0.56), 0.5j], MAX_SERIES_TERMS + 1, 1e-14))
+@given(case=_series_cases())
+def test_the_tail_prefilter_leaves_every_series_as_the_full_scan(case):
+    blocks, bounds, exponents = _series(*case)
+    ref_blocks, ref_bounds, ref_exponents = series_unfiltered(*case)
+    coeffs, ref = np.concatenate(blocks, axis=1), np.concatenate(ref_blocks, axis=1)
+    assert coeffs.shape == ref.shape and coeffs.tobytes() == ref.tobytes()
+    assert bounds == ref_bounds
+    assert np.array_equal(exponents, ref_exponents)
+
+
+def test_the_tail_scan_starts_near_the_cut(monkeypatch):
+    # near the rim the terms fall under the tolerance ~4700 terms before the
+    # geometric bound can pass; the prefilter hands _tail_cut none of those
+    first = []
+    tail_cut = coherent._tail_cut
+
+    def spy(under, abs2, norms, lo, ratio_sup, tol2):
+        first.append(lo + int(under[0]))
+        return tail_cut(under, abs2, norms, lo, ratio_sup, tol2)
+
+    monkeypatch.setattr(coherent, "_tail_cut", spy)
+    kappa = Fraction(14, 25)
+    state = perelomov_state(AlgebraParams([kappa]), 0.9993 / math.sqrt(kappa))
+    assert len(state) == 48_464
+    assert 0 <= len(state) - first[0] <= 16
 
 
 def test_via_exponential_d2():
@@ -740,8 +813,13 @@ _NON_FINITE = [
     (lambda: AlgebraParams(["1/2"], phi=_NAN), "phi"),
     (lambda: OSC.with_phi(-_INF), "phi"),
     (lambda: bg_normalization(_HALF, _NAN), "z"),
+    (lambda: bg_normalization(_HALF, complex(_NAN, 1.0)), "z"),
+    (lambda: bg_normalization(_HALF, complex(0.0, _NAN)), "z"),
+    (lambda: bg_normalization(_HALF, np.float64(_NAN)), "z"),
+    (lambda: bg_normalization(_HALF, np.complex128(0.0, _NAN)), "z"),
     (lambda: bg_normalization(_HALF, np.array([0.5, complex(0.0, _NAN)])), "z"),
     (lambda: hyper_0f((2,), _NAN), "x"),
+    (lambda: hyper_0f((2,), np.float64(_NAN)), "x"),
     (lambda: hyper_0f((2,), np.array([1.0, _NAN])), "x"),
 ]
 

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import re
 import warnings
 from fractions import Fraction
@@ -28,7 +30,6 @@ from polywh.measure import (
     _gauss_rule,
     _moment_match,
     _orthonormal_values,
-    _recurrence,
 )
 
 from oracles import (
@@ -258,9 +259,10 @@ def test_hankel_minors_match_the_fraction_table_on_the_families(moments):
 @given(moments=_family_moments(), data=st.data())
 def test_recurrence_and_moment_targets_match_fractions(moments, data):
     values = moments.values
-    plain, shifted = hankel_minors(values)
+    minors = hankel_minors(values)
+    plain, shifted = minors
     if all(det > 0 for det in plain + shifted):
-        alphas, betas = _recurrence(plain, shifted, len(values))
+        alphas, betas = minors.alphas, minors.betas
         ref_alphas, ref_betas = recurrence_by_fractions(plain, shifted, len(values))
         assert [Fraction(*a) for a in alphas] == ref_alphas
         assert [Fraction(*b) for b in betas] == ref_betas
@@ -271,6 +273,35 @@ def test_recurrence_and_moment_targets_match_fractions(moments, data):
     weights = np.array(data.draw(st.lists(positive, min_size=k, max_size=k)))
     worst = _moment_match(values, nodes, weights)
     assert worst == moment_match_by_fractions(values, nodes, weights)
+
+
+@pytest.mark.parametrize("values", [  # odd counts complete alpha_{k-1} to 2 tau + 1
+    [1],
+    [1, 1, 2],
+    [1, 1, 2, 6, 24],
+    [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(3, 2), 7],
+    [1, 1, 2, 6, 24, 120],
+])
+def test_the_recurrence_is_read_off_the_chebyshev_rows(values):
+    minors = hankel_minors(values)
+    ref_alphas, ref_betas = recurrence_by_fractions(*minors, len(values))
+    assert [Fraction(*a) for a in minors.alphas] == ref_alphas
+    assert [Fraction(*b) for b in minors.betas] == ref_betas
+    assert [n / d for n, d in minors.alphas + minors.betas] == [
+        float(x) for x in ref_alphas + ref_betas]
+    assert all(d > 0 for _, d in minors.alphas + minors.betas)
+    for again in (copy.deepcopy(minors), pickle.loads(pickle.dumps(minors))):
+        assert again == minors and (again.alphas, again.betas) == (minors.alphas, minors.betas)
+
+
+def test_the_recurrence_stops_with_the_pass_at_an_exact_zero():
+    # H_2 = 0: the pass ends on beta_1 = 0 and completes no alpha past it
+    minors = hankel_minors([1, 1, 1, 1])
+    assert minors == ([1, 0], [1])
+    assert [Fraction(*a) for a in minors.alphas] == [1]
+    assert [Fraction(*b) for b in minors.betas] == [1, 0]
+    ref_alphas, ref_betas = recurrence_by_fractions(*minors, 4)
+    assert ref_alphas[:1] == [1] and ref_betas == [1, 0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -379,9 +410,8 @@ def _stream_recurrences(draw):
             "zero": [Fraction(0)],
         }[shape]
         kind = "barut-girardello"
-    values = moments_for(AlgebraParams(kappas), kind, count=count).values
-    plain, shifted = hankel_minors(values)
-    alphas, betas = _recurrence(plain, shifted, len(values))
+    minors = hankel_minors(moments_for(AlgebraParams(kappas), kind, count=count).values)
+    alphas, betas = minors.alphas, minors.betas
     return np.array([n / d for n, d in alphas]), np.array([n / d for n, d in betas])
 
 
