@@ -207,8 +207,12 @@ class LadderTable:
 
     @cached_property
     def log_factorial(self) -> np.ndarray:
-        """cumsum(log F), on first use: the series tables never need it."""
-        return _freeze(np.concatenate(([0.0], np.cumsum(np.log(self.f[1:]))))[: len(self.f)])
+        """log F(n)! = cumsum(log F(1..n)), with log F(0)! = 0, on first use
+        (the series tables never need it): summed in place in one buffer."""
+        logs = np.zeros_like(self.f)
+        np.log(self.f[1:], out=logs[1:])
+        np.cumsum(logs[1:], out=logs[1:])
+        return _freeze(logs)
 
     def kernel(self, phi: float) -> np.ndarray:
         """e^{-i F(n) phi} / sqrt(F(n)!): the lowering-eigenstate coefficients at z = 1."""
@@ -233,15 +237,20 @@ def _ladder_rows(params: AlgebraParams, lo: int, hi: int) -> tuple[np.ndarray, n
     exact below 2**53: one division by Q then gives
     float(structure_function) and float(commutator_gap), and a few ulp past
     that.  Each entry is computed at its own n alone, so the rows of any
-    range are bit-equal to those of the table from 0."""
+    range are bit-equal to those of the table from 0.  The factors of all
+    the kappas share one buffer, which then holds G, divided in place."""
     n_minus_1 = np.arange(lo - 1.0, hi)
     scaled = n_minus_1 + 1.0
+    factor = np.empty_like(n_minus_1)
     for kappa in params.kappas:
-        scaled *= kappa.denominator + kappa.numerator * n_minus_1
+        np.multiply(kappa.numerator, n_minus_1, out=factor)
+        factor += kappa.denominator
+        scaled *= factor
     if lo == 0:
         scaled[0] = 0.0  # F(0) = 0; a negative factor at n = 0 would leave -0.0
     scale = float(math.prod(kappa.denominator for kappa in params.kappas))
-    g = np.diff(scaled) / scale
+    g = np.subtract(scaled[1:], scaled[:-1], out=factor[:-1])  # np.diff, in the factor buffer
+    g /= scale
     scaled /= scale
     return scaled[:-1], g
 

@@ -155,18 +155,24 @@ def estimate_growth(series: EntireSeries) -> GrowthEstimate:
         log(1/|c_n|) = (1/rho) n log n + beta n   with   sigma = e^{-beta rho - 1}/rho,
 
     fitted over the top half of the index range with an intercept so that
-    constant rescalings of the coefficients change neither estimate.
+    constant rescalings of the coefficients change neither estimate.  Only
+    the fitted half is negated, the n log n, n and 1 columns are written
+    into one design buffer, and the log n buffer then takes the residual.
     """
-    y_all = -series.log_moduli
-    if series.polynomial or not np.all(np.isfinite(y_all)):
+    logs = series.log_moduli
+    if series.polynomial or not np.all(np.isfinite(logs)):
         raise DomainError("polynomial (terminating) coefficient sequences have no growth order")
-    n_max = len(y_all) - 1
+    n_max = len(logs) - 1
     if n_max + 1 < MIN_COEFFS:
         raise DomainError(f"need at least {MIN_COEFFS} coefficients, got {n_max + 1}")
     lo = max(1, n_max // 2)
+    y = -logs[lo:]
     n = np.arange(lo, n_max + 1, dtype=float)
-    y = y_all[lo:]
-    design = np.column_stack([n * np.log(n), n, np.ones_like(n)])
+    log_n = np.log(n)  # contiguous: numpy's strided log may round differently
+    design = np.empty((len(n), 3))
+    np.multiply(n, log_n, out=design[:, 0])
+    design[:, 1] = n
+    design[:, 2] = 1.0
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     slope, beta, _ = coef
     if slope <= 1e-3:
@@ -176,8 +182,11 @@ def estimate_growth(series: EntireSeries) -> GrowthEstimate:
         )
     rho = 1.0 / slope
     sigma = math.exp(-beta * rho - 1.0) / rho
-    residual = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
-    y_last = y_all[n_max]
+    r = np.matmul(design, coef, out=log_n)  # the spent log n buffer
+    r -= y
+    np.square(r, out=r)
+    residual = float(np.sqrt(np.mean(r)))
+    y_last = y[-1]
     rho_raw = n_max * math.log(n_max) / y_last
     sigma_raw = n_max * math.exp(-rho * y_last / n_max) / (math.e * rho)
     return GrowthEstimate(

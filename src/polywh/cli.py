@@ -394,8 +394,10 @@ def cmd_schwarz(args):
     reciprocal_ells(params)
     f_state = bg_state(params, args.w, normalize=True, tail_tol=args.tail_tol)
     axis = np.linspace(-args.grid_radius, args.grid_radius, args.grid_points)
-    grid = [complex(x, y) for x in axis for y in axis]
-    excess = schwarz_check(params, f_state.coeffs, grid)
+    grid = np.empty((len(axis), len(axis)), dtype=complex)  # complex(axis[i], axis[j])
+    grid.real = axis[:, None]
+    grid.imag = axis
+    excess = schwarz_check(params, f_state.coeffs, grid.ravel())  # the P*P points, flat
     payload = {"command": "schwarz"}
     payload.update(params_payload(params))
     payload.update(
@@ -516,12 +518,10 @@ def json_text(payload: dict) -> str:
     non-finite entry raises the same ValueError."""
     arrays = {key: value for key, value in payload.items() if isinstance(value, np.ndarray)}
     for a in arrays.values():
-        parts = np.stack((a.real, a.imag), axis=-1).ravel()
-        bad = np.flatnonzero(~np.isfinite(parts))
-        if bad.size:
-            raise ValueError(
-                f"Out of range float values are not JSON compliant: {float(parts[bad[0]])!r}"
-            )
+        if not np.isfinite(a).all():  # name the first non-finite float, as json.dumps does
+            parts = np.stack((a.real, a.imag), axis=-1).ravel()
+            first = parts[np.flatnonzero(~np.isfinite(parts))[0]]
+            raise ValueError(f"Out of range float values are not JSON compliant: {float(first)!r}")
     marks = {key: f"<array:{key}>" for key in arrays}
     text = json.dumps({**payload, **marks}, indent=2, allow_nan=False)
     for key, a in arrays.items():

@@ -10,7 +10,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from polywh import AlgebraParams, DomainError, StateKind, bg_state, classify, perelomov_state
+from polywh import (
+    AlgebraParams,
+    DomainError,
+    GrowthEstimate,
+    StateKind,
+    bg_state,
+    classify,
+    perelomov_state,
+)
 from polywh.algebra import ladder_table
 from polywh.coherent import RESCALE_BITS, _ratio_sup, _steps, _tail_cut
 from polywh.grassmann import GrassmannElement
@@ -49,6 +57,56 @@ def bg_kernel_log_moduli(kappas, n_max) -> np.ndarray:
         acc += math.log(float(brute_structure(kappas, n)))
         logs.append(-0.5 * acc)
     return np.array(logs)
+
+
+def ladder_rows_two_temporaries(params: AlgebraParams, lo: int, hi: int):
+    """`algebra._ladder_rows` with two fresh temporaries per kappa and G
+    divided into a new array: the form the one-buffer rows must equal."""
+    n_minus_1 = np.arange(lo - 1.0, hi)
+    scaled = n_minus_1 + 1.0
+    for kappa in params.kappas:
+        scaled *= kappa.denominator + kappa.numerator * n_minus_1
+    if lo == 0:
+        scaled[0] = 0.0
+    scale = float(math.prod(kappa.denominator for kappa in params.kappas))
+    g = np.diff(scaled) / scale
+    scaled /= scale
+    return scaled[:-1], g
+
+
+def log_factorial_by_concatenate(f: np.ndarray) -> np.ndarray:
+    """log F(n)! as [0] followed by cumsum(log F(1..)), concatenated and cut
+    to len(f): the reference for `LadderTable.log_factorial`'s one buffer."""
+    return np.concatenate(([0.0], np.cumsum(np.log(f[1:]))))[: len(f)]
+
+
+def growth_by_column_stack(series) -> GrowthEstimate:
+    """`bargmann.estimate_growth` with a full negated copy of the log-moduli,
+    a `column_stack` design and a residual built from temporaries."""
+    y_all = -series.log_moduli
+    n_max = len(y_all) - 1
+    lo = max(1, n_max // 2)
+    n = np.arange(lo, n_max + 1, dtype=float)
+    y = y_all[lo:]
+    design = np.column_stack([n * np.log(n), n, np.ones_like(n)])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    slope, beta, _ = coef
+    rho = 1.0 / slope
+    sigma = math.exp(-beta * rho - 1.0) / rho
+    residual = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
+    y_last = y_all[n_max]
+    rho_raw = n_max * math.log(n_max) / y_last
+    sigma_raw = n_max * math.exp(-rho * y_last / n_max) / (math.e * rho)
+    return GrowthEstimate(
+        float(rho), float(sigma), (lo, n_max), residual, float(rho_raw), float(sigma_raw)
+    )
+
+
+def schwarz_grid_by_list(radius: float, points: int) -> list[complex]:
+    """The square z-grid of the schwarz command as a list of Python
+    complexes, x outer and y inner."""
+    axis = np.linspace(-radius, radius, points)
+    return [complex(x, y) for x in axis for y in axis]
 
 
 def truncate_series(step, ratio_sup, tail_tol, max_terms):

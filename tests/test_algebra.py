@@ -22,7 +22,14 @@ from polywh import (
 )
 from polywh.algebra import _ladder_rows, identity_deviations, ladder_table
 
-from oracles import brute_factorial, brute_structure, dense_lowering, identity_deviations_dense
+from oracles import (
+    brute_factorial,
+    brute_structure,
+    dense_lowering,
+    identity_deviations_dense,
+    ladder_rows_two_temporaries,
+    log_factorial_by_concatenate,
+)
 
 
 # ------------------------------------------------------------ construction
@@ -179,6 +186,36 @@ def test_ladder_rows_are_the_table_rows_bit_for_bit(first, rest, data):
     table = ladder_table(params, hi)
     assert f.tobytes() == table.f[lo:].tobytes()  # bytes: -0.0 is not 0.0
     assert g.tobytes() == table.g[lo:].tobytes()
+
+
+_ROW_PARAMS = [
+    ["1/3"], ["1/2", "1/5"], ["1", "1/4", "1/6"], ["7/2", "5/3", "9/4"], ["0"], ["3/7", "0"],
+    ["-1"], ["-1/4"], ["-1/99", "2/3"], ["-1/600", "1/2", "5/3"],
+]
+
+
+@pytest.mark.parametrize("kappas", _ROW_PARAMS, ids=lambda k: ",".join(k))
+def test_ladder_rows_equal_the_two_temporaries_form(kappas):
+    params = AlgebraParams(kappas)
+    dim = classify(params)
+    top = dim.d if dim.is_finite else 50_001
+    for lo, hi in [(0, 1), (0, 2), (0, top), (1, top), (top // 2, top), (top - 1, top)]:
+        f, g = _ladder_rows(params, lo, hi)
+        f_ref, g_ref = ladder_rows_two_temporaries(params, lo, hi)
+        assert f.tobytes() == f_ref.tobytes()  # bytes: F(0) is +0.0 on a finite ladder too
+        assert g.tobytes() == g_ref.tobytes()
+    if dim.is_finite:
+        assert _ladder_rows(params, 0, 1)[0].tobytes() == np.float64(0.0).tobytes()
+
+
+@pytest.mark.parametrize("kappas", _ROW_PARAMS, ids=lambda k: ",".join(k))
+def test_log_factorial_equals_the_concatenated_cumsum(kappas):
+    params = AlgebraParams(kappas)
+    dim = classify(params)
+    top = dim.d if dim.is_finite else 50_001
+    for size in sorted({0, 1, 2, min(200, top), top}):
+        table = ladder_table(params, size)
+        assert table.log_factorial.tobytes() == log_factorial_by_concatenate(table.f).tobytes()
 
 
 # --------------------------------------------------------- representations

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from polywh import (
     schwarz_check,
 )
 
-from oracles import bg_kernel_log_moduli
+from polywh.algebra import ladder_table
+
+from oracles import bg_kernel_log_moduli, growth_by_column_stack, log_factorial_by_concatenate
 
 
 def factorial_series(n_max, power=1.0, scale=1.0):
@@ -182,6 +185,26 @@ def test_kernel_matches_term_by_term_sum(r):
     series = EntireSeries.bg_kernel(AlgebraParams(kappas), 5000)
     ref = bg_kernel_log_moduli(kappas, 5000)
     np.testing.assert_allclose(series.log_moduli, ref, rtol=1e-15, atol=0)
+
+
+_ELL_TUPLES = [ells for r in (1, 2, 3) for ells in itertools.product(range(1, 7), repeat=r)]
+
+
+@pytest.mark.parametrize("n_max", [200, 2_000, 12_345, 50_000])
+def test_kernel_fit_equals_the_column_stack_fit(n_max):
+    for ells in _ELL_TUPLES:
+        params = AlgebraParams([Fraction(1, ell) for ell in ells])
+        series = EntireSeries.bg_kernel(params, n_max)
+        f = ladder_table(params, n_max + 1).f
+        assert np.array_equal(series.log_moduli, -0.5 * log_factorial_by_concatenate(f))
+        assert estimate_growth(series) == growth_by_column_stack(series), ells
+
+
+@pytest.mark.parametrize("n_max", [200, 2_000, 12_345])
+def test_fit_of_any_series_equals_the_column_stack_fit(n_max):
+    for power, scale in [(1.0, 1.0), (0.5, 3e-7), (2.0, 41.0)]:
+        series = factorial_series(n_max, power, scale)
+        assert estimate_growth(series) == growth_by_column_stack(series)
 
 
 def test_kernel_needs_infinite_ladder():

@@ -19,7 +19,7 @@ import polywh.cli as cli
 from polywh import AlgebraParams, StateKind, bg_state, moments_for
 from polywh.cli import json_text, main, state_from_payload
 
-from oracles import json_text_by_dicts
+from oracles import json_text_by_dicts, schwarz_grid_by_list
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +248,29 @@ def test_schwarz_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["max_excess"] <= 1e-10
+
+
+@pytest.mark.parametrize("points", [1, 9, 41])
+@pytest.mark.parametrize("radius", ["2.0", "1.37"])
+def test_schwarz_grid_equals_the_list_built_grid(capsys, monkeypatch, points, radius):
+    grids, check = [], cli.schwarz_check
+
+    def recorded(params, f, z_grid):
+        grids.append(z_grid)
+        return check(params, f, z_grid)
+
+    monkeypatch.setattr(cli, "schwarz_check", recorded)
+    monkeypatch.delenv("POLYWH_TAIL_TOL", raising=False)
+    code, out, err = run_cli(capsys, "schwarz", "--ell", "2,3", "--w", "0.7-0.2i",
+                             "--grid-radius", radius, "--grid-points", str(points))
+    assert code == 0, err
+    expected = schwarz_grid_by_list(float(radius), points)
+    (grid,) = grids
+    assert grid.shape == (points * points,)
+    assert grid.tobytes() == np.array(expected).tobytes()  # bytes: -0.0 is not 0.0
+    params = AlgebraParams([Fraction(1, 2), Fraction(1, 3)])
+    f = bg_state(params, 0.7 - 0.2j, normalize=True).coeffs
+    assert json.loads(out)["max_excess"] == check(params, f, expected)
 
 
 def test_tail_tol_env_default(capsys, monkeypatch):

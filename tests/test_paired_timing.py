@@ -18,3 +18,5 @@ def test_one_growth_seed_against_the_same_checkout_twice():
     assert seed["commands"] > 0 and seed["exit_mismatches"] == 0
     assert math.isfinite(seed["throughput_ratio"]) and seed["throughput_ratio"] > 0
     assert all(math.isfinite(v) for v in (*seed["p50_ms"].values(), *seed["p93_ms"].values()))
+    faults = seed["minor_faults_per_command"].values()
+    assert all(isinstance(v, int) and v >= 0 for v in faults)

@@ -14,8 +14,10 @@ command, and the minimum time is kept: on a machine whose cores are
 shared, unpaired runs of the same code spread far more than a paired
 difference.  Per seed it prints the throughput ratio change/parent
 (commands per second of the summed minima), the p50 and p93 of the minima
-of each side and how many commands exited differently; the last line is
-one JSON object with the same numbers.  The
+of each side, the minor page faults per command of each side (the mean
+over every run of `getrusage`'s ru_minflt delta around the command,
+rounded) and how many commands exited differently; the last line is one
+JSON object with the same numbers.  The
 streams and the command runner are read from `bench/` next to this file;
 nothing there is written.
 """
@@ -27,6 +29,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -43,8 +46,8 @@ REPEATS = 3  # runs of each command per side
 
 def serve(src: Path) -> int:
     """Worker: time each argv read from stdin (a JSON line) and answer with
-    one JSON line [exit code, seconds].  The allocator is set up as
-    `bench/run.py` sets it before it imports the program."""
+    one JSON line [exit code, seconds, minor page faults].  The allocator
+    is set up as `bench/run.py` sets it before it imports the program."""
     run.fix_mmap_threshold()
     sys.path.insert(0, str(src))
     import polywh
@@ -55,8 +58,11 @@ def serve(src: Path) -> int:
     for argv in run.WARMUP:
         run.execute(main, argv)
     for line in sys.stdin:
-        code, _, _, seconds, _ = run.execute(main, json.loads(line))
-        print(json.dumps([code, seconds]), flush=True)
+        argv = json.loads(line)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        code, _, _, seconds, _ = run.execute(main, argv)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        print(json.dumps([code, seconds, faults]), flush=True)
     return 0
 
 
@@ -69,14 +75,14 @@ class Worker:
             [sys.executable, __file__, "--worker", str(Path(root) / "src")],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
 
-    def time(self, argv) -> tuple[int | None, float]:
+    def time(self, argv) -> tuple[int | None, float, int]:
         self.process.stdin.write(json.dumps(argv) + "\n")
         self.process.stdin.flush()
         line = self.process.stdout.readline()
         if not line:
             raise RuntimeError(f"worker exited with code {self.process.wait()}")
-        code, seconds = json.loads(line)
-        return code, seconds
+        code, seconds, faults = json.loads(line)
+        return code, seconds, faults
 
     def close(self) -> None:
         self.process.stdin.close()
@@ -85,8 +91,10 @@ class Worker:
 
 def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
     """Minimum times of every command of the first CYCLES cycles on both
-    sides, summed up as throughput ratio, percentiles and exit mismatches."""
+    sides, summed up as throughput ratio, percentiles, page faults per
+    command and exit mismatches."""
     best = {parent: [], change: []}
+    faults = {parent: 0, change: 0}
     mismatches = 0
     commands = itertools.chain(*itertools.islice(streams.cycles(workload, seed), CYCLES))
     for i, argv in enumerate(commands):
@@ -94,12 +102,14 @@ def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
         times = {side: math.inf for side in order}
         codes = {}
         for _, side in itertools.product(range(REPEATS), order):
-            codes[side], seconds = side.time(argv)
+            codes[side], seconds, minflt = side.time(argv)
             times[side] = min(times[side], seconds)
+            faults[side] += minflt
         mismatches += codes[parent] != codes[change]
         for side in order:
             best[side].append(times[side])
     ms = {side: [1e3 * t for t in kept] for side, kept in best.items()}
+    runs = REPEATS * len(ms[parent])
     return {
         "seed": seed,
         "commands": len(ms[parent]),
@@ -109,6 +119,8 @@ def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
                    "change": run.percentile(ms[change], 50.0)},
         "p93_ms": {"parent": run.percentile(ms[parent], 93.0),
                    "change": run.percentile(ms[change], 93.0)},
+        "minor_faults_per_command": {"parent": round(faults[parent] / runs),
+                                     "change": round(faults[change] / runs)},
     }
 
 
@@ -141,6 +153,8 @@ def main(argv=None) -> int:
               f"throughput ratio {r['throughput_ratio']:.3f}, "
               f"p50 {r['p50_ms']['parent']:.3f} -> {r['p50_ms']['change']:.3f} ms, "
               f"p93 {r['p93_ms']['parent']:.3f} -> {r['p93_ms']['change']:.3f} ms, "
+              f"minor faults/command {r['minor_faults_per_command']['parent']} -> "
+              f"{r['minor_faults_per_command']['change']}, "
               f"exit mismatches {r['exit_mismatches']}")
     print(json.dumps({"workload": args.workload, "cycles": CYCLES, "repeats": REPEATS, "seeds": results}))
     return 0
