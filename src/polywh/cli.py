@@ -227,11 +227,10 @@ def cmd_spectrum(args):
     payload = {"command": "spectrum"}
     payload.update(params_payload(params))
     payload["rows"] = rows
-    table = (
+    return payload, lambda: (
         ["n", "F", "G", "F_float", "G_float"],
         [[r["n"], r["F"], r["G"], repr(r["F_float"]), repr(r["G_float"])] for r in rows],
     )
-    return payload, table
 
 
 def cmd_rep_check(args):
@@ -343,11 +342,10 @@ def cmd_measure(args):
             "identity_deviation": deviation,
         }
     )
-    table = (
+    return payload, lambda: (
         ["node", "weight"],
         [[repr(float(t)), repr(float(w))] for t, w in zip(measure.nodes, measure.weights)],
     )
-    return payload, table
 
 
 def _float_or_none(value):
@@ -530,13 +528,16 @@ def json_text(payload: dict) -> str:
 
 
 def emit(args: argparse.Namespace, payload: dict, table) -> None:
+    """Write the payload as JSON, or under --format csv the (header, rows)
+    that ``table()`` builds; a command without a table has no CSV."""
     if args.format == "csv":
         if table is None:
             raise ValueError(f"command {payload['command']!r} has no CSV representation")
+        header, rows = table()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(table[0])
-        writer.writerows(table[1])
+        writer.writerow(header)
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
         text = json_text(payload)

@@ -56,7 +56,6 @@ __all__ = [
     "overlap",
     "hyper_0f",
     "bg_normalization",
-    "perelomov_log_partial_norms",
 ]
 
 DEFAULT_TAIL_TOL = 1e-14
@@ -112,7 +111,9 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
     i's |c_n|^2 and running squared norm are scaled by the exact
     2**-exponents[i], raised by RESCALE_BITS before the sum overflows and 0
     wherever it does not (Blue 1978, ACM TOMS 4).  A coefficient past the
-    double range is a `DomainError` raised in the block where it is.
+    double range is a `DomainError` raised in the block where it is.  Where
+    phi = 0 and every z is real and >= 0 the blocks are float64, equal to
+    the real parts of the complex ones (whose imaginary parts are +0.0).
 
     A term reaches `_tail_cut` only if |c_n|^2 <= tol^2 S_n (1 - q^2), S_n
     the norm before it and q = |z| sqrt(kappa_1) the limit of the perelomov
@@ -122,8 +123,10 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
     the thousands of terms that cannot pass are never scanned.
     """
     zs = np.asarray(zs, dtype=complex)
+    if params.phi == 0.0 and not zs.imag.any() and not np.signbit(zs.real).any():
+        zs = zs.real  # every phase is 1: float64 rows, bit-equal to the complex ones (`_steps`)
     rows, cut_rows, lo, scale = len(zs), tail_tol is not None, 1, 1.0  # 2**(-exponents/2)
-    blocks, norm2 = [np.ones((rows, 1), dtype=complex)], np.ones((rows, 1))
+    blocks, norm2 = [np.ones((rows, 1), dtype=zs.dtype)], np.ones((rows, 1))
     exponents, lengths, bounds = np.zeros(rows, dtype=int), [stop] * rows, [math.inf] * rows
     tol2 = tail_tol * tail_tol if cut_rows else None
     room = None  # per row tol^2 (1 - q^2), q the limit of `_ratio_sup` as _tail_cut rounds it
@@ -217,9 +220,18 @@ def _series_moduli(kind, params, zs, levels: int) -> np.ndarray:
 def _steps(kind, params, z, lo, hi):
     """c_n / c_{n-1} for lo <= n < hi: z e^{-i G(n-1) phi} times sqrt(F(n)) / n
     (perelomov) or 1 / sqrt(F(n)) (barut-girardello), from the ladder rows
-    lo-1 .. hi-1 alone (`algebra._ladder_rows`)."""
+    lo-1 .. hi-1 alone (`algebra._ladder_rows`).
+
+    A float64 z (`_series` passes one where phi = 0 and every z is real and
+    >= 0) gives the real parts of the complex steps bit for bit, with no
+    phase: numpy divides complex numbers by multiplying with the
+    reciprocal, so the quotients are taken that way here too."""
     f, g = _ladder_rows(params, lo - 1, hi)
     roots = np.sqrt(f[1:])
+    if z.dtype == float:
+        if kind is StateKind.PERELOMOV:
+            return z * roots * (1.0 / np.arange(lo, hi))
+        return z * (1.0 / roots)
     steps = z * roots / np.arange(lo, hi) if kind is StateKind.PERELOMOV else z / roots
     phase = 1j * (g[:-1] * -params.phi)
     steps *= np.exp(phase, out=phase)
@@ -255,7 +267,7 @@ def _state(kind, params, dim, z, normalize, tail_tol, max_terms) -> CoherentStat
     blocks, (bound,), _ = _series(kind, params, [z], stop, tol)
     if tol is not None and bound == math.inf:
         raise DomainError(f"series did not reach tail tolerance {tol:g} within {max_terms} terms")
-    coeffs = np.concatenate(blocks, axis=1)[0]
+    coeffs = np.concatenate(blocks, axis=1)[0].astype(complex, copy=False)  # imaginary +0.0
     meta = CutoffMeta(True, dim.d) if tol is None else CutoffMeta(False, len(coeffs), bound, tol)
     return _finish(kind, params, z, coeffs, normalize, meta)
 
@@ -591,18 +603,3 @@ def _bg_normalization_scaled(ells, z):
     mantissa, exponent = _hyper_0f_scaled(ells, x)  # exponent: a multiple of RESCALE_BITS, even
     return np.sqrt(mantissa), exponent // 2
 
-
-def perelomov_log_partial_norms(params: AlgebraParams, z, n_terms: int) -> np.ndarray:
-    """log of the partial sums of sum_n |c_n|^2 for the perelomov series.
-
-    Bypasses the existence gate so that the divergence for r >= 2 on an
-    infinite ladder can be exhibited numerically; works in log space
-    because the terms overflow double precision almost immediately.
-    """
-    if classify(params).is_finite:
-        raise DomainError("the divergence diagnostic applies to the infinite ladder")
-    z = complex(z)
-    f = ladder_table(params, n_terms).f
-    with np.errstate(divide="ignore"):  # z = 0: log |c_n|^2 = -inf past c_0
-        log_ratios = np.log(abs(z) ** 2 * f[1:] / np.arange(1, n_terms) ** 2)
-    return np.logaddexp.accumulate(np.concatenate(([0.0], np.cumsum(log_ratios))))

@@ -10,9 +10,25 @@ radial measure in t = |z|^2 must reproduce the moments
 
 for every populated level n.  Both are read off one running integer
 product: F(n)! = P_n / Q^n with P_n = prod_{k<=n} F(k) Q, the integer ladder
-polynomial of `algebra`, so each moment is one reduced `Fraction`.  A
-discrete positive measure with those moments is produced by the classical
-chain
+polynomial of `algebra`, so each moment is one reduced `Fraction`.
+
+On the r = 1 ladders the perelomov moments n! / prod_{j<n} (1 + j kappa)
+are those of a classical law (Gautschi 2004, sections 1.5 and 2.1): T =
+B/kappa with B ~ Beta(1, 1/kappa - 1) for 0 < kappa < 1, Exp(1) at kappa =
+0 (also the barut-girardello law there), and the beta-prime law prop.
+(1 + t/s)^-(s+2) for kappa = -1/s, whose moments stop below d = s + 1.
+`solve_measure` recognises such a sequence from its values alone, in O(M)
+integer products (`_classical_recurrence`), and reads its Jacobi matrix
+off a closed form in kappa = p/q: alpha_n = q (q (2n+1) + 2p (n^2-n-1)) /
+((q + 2(n-1)p) (q + 2np)) and beta_n = (n q (q + (n-2)p))^2 / ((q +
+2(n-1)p)^2 (q + (2n-1)p) (q + (2n-3)p)), Laguerre (2n + 1, n^2) at kappa =
+0.  Positivity needs no certificate there: the moments of a law with
+infinite support have every plain and shifted Hankel minor positive.  Each
+entry equals the ratio the chain below gives and rounds to the same double,
+so the rule is the same to the bit.  Every other sequence (barut-girardello
+at kappa > 0, r >= 2, kappa >= 1, which is refused at H_2, and any other
+`MomentSequence`) goes through the chain.  A discrete positive measure
+with the supplied moments is produced there by
 
     moments -> Chebyshev table (exact)  -> Hankel minors H_k, H'_k
             -> recurrence alpha_j, beta_j read off the same rows (exact)
@@ -245,6 +261,50 @@ def hankel_minors(values) -> HankelMinors:
     return HankelMinors(plain, shifted, alphas, betas)
 
 
+def _classical_recurrence(values):
+    """The Jacobi entries of `hankel_minors` as integer ratios (alphas, betas),
+    read off the closed form of the module docstring where the moments are
+    those of a classical law, else None.
+
+    The law is recognised from the moments alone: m_0 = m_1 = 1, kappa =
+    2/m_2 - 1 = p/q, and m_{n+1} (q + np) = (n + 1) q m_n for every n,
+    checked as cross-multiplied integers.  It exists for 0 <= p < q and for
+    p = -1 with at most q + 1 moments; with fewer than three moments or any
+    other kappa the answer is None.  alpha_0 = beta_0 = 1.  An odd count
+    completes the last alpha_{k-1} to 2 tau + 1 as the chain does: with
+    det J_j = j! q^j / prod_{m=j-1}^{2j-2} (q + mp), tau = beta_j det J_{j-1}
+    / det J_j at j = k - 1 is j q (q + (j-2)p) / ((q + 2(j-1)p) (q +
+    (2j-1)p)).  Every denominator is positive where the law exists.
+    """
+    count = len(values)
+    if count < 3:
+        return None
+    exact = (v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values)
+    ratios = [v.as_integer_ratio() for v in exact]
+    m2, d2 = ratios[2]
+    if ratios[0] != (1, 1) or ratios[1] != (1, 1) or m2 <= 0:
+        return None
+    common = math.gcd(2 * d2 - m2, m2)
+    p, q = (2 * d2 - m2) // common, m2 // common
+    if not (0 <= p < q or (p == -1 and count <= q + 1)):
+        return None
+    for n in range(2, count - 1):
+        (num, den), (num_next, den_next) = ratios[n], ratios[n + 1]
+        if num_next * (q + n * p) * den != (n + 1) * q * num * den_next:
+            return None
+    alphas, betas = [(1, 1)], [(1, 1)]
+    for n in range(1, (count + 1) // 2):
+        below, above = q + 2 * (n - 1) * p, q + 2 * n * p
+        alphas.append((q * (q * (2 * n + 1) + 2 * p * (n * n - n - 1)), below * above))
+        root = n * q * (q + (n - 2) * p)
+        betas.append((root * root, below * below * (q + (2 * n - 1) * p) * (q + (2 * n - 3) * p)))
+    if count % 2:
+        j = len(alphas) - 1
+        tau, den = j * q * (q + (j - 2) * p), (q + 2 * (j - 1) * p) * (q + (2 * j - 1) * p)
+        alphas[-1] = (2 * tau + den, den)
+    return alphas, betas
+
+
 def _gauss_rule(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gauss rule of a Jacobi matrix.
 
@@ -335,29 +395,35 @@ def _moment_match(values, nodes: np.ndarray, weights: np.ndarray) -> float:
 def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
     """Gaussian quadrature whose moments are the supplied sequence.
 
-    Uses ceil(M/2) nodes for M supplied moments.  Positivity of the plain
-    and shifted Hankel minors is checked exactly first; a failure names
-    the offending minor.  The recurrence coefficients are then read off the
-    rows of the same pass (`hankel_minors`) as integer ratios; the true
-    division of each rounds it exactly as float(Fraction) would.
+    Uses ceil(M/2) nodes for M supplied moments.  Moments of a classical
+    law (`_classical_recurrence`) give their recurrence coefficients in
+    closed form, and the law is their positivity certificate.  Any other
+    sequence goes through the exact Chebyshev pass (`hankel_minors`):
+    positivity of the plain and shifted Hankel minors is checked first, a
+    failure naming the offending minor, and the coefficients are read off
+    the rows of the same pass.  Either way they are integer ratios whose
+    true division rounds each exactly as float(Fraction) would.
     """
     values = list(moments.values)
     count = len(values)
     if count < 1:
         raise ValueError("need at least one moment")
-    minors = hankel_minors(values)
-    plain, shifted = minors
-    for idx, det in enumerate(plain, start=1):
-        if det.numerator <= 0:
-            raise DomainError(
-                f"moment sequence is not positive-definite: Hankel minor H_{idx} = {det}"
-            )
-    for idx, det in enumerate(shifted, start=1):
-        if det.numerator <= 0:
-            raise DomainError(
-                f"moments admit no measure on (0, inf): shifted Hankel minor H'_{idx} = {det}"
-            )
-    alphas, betas = minors.alphas, minors.betas
+    recurrence = _classical_recurrence(values)
+    if recurrence is None:
+        minors = hankel_minors(values)
+        plain, shifted = minors
+        for idx, det in enumerate(plain, start=1):
+            if det.numerator <= 0:
+                raise DomainError(
+                    f"moment sequence is not positive-definite: Hankel minor H_{idx} = {det}"
+                )
+        for idx, det in enumerate(shifted, start=1):
+            if det.numerator <= 0:
+                raise DomainError(
+                    f"moments admit no measure on (0, inf): shifted Hankel minor H'_{idx} = {det}"
+                )
+        recurrence = minors.alphas, minors.betas
+    alphas, betas = recurrence
     try:
         alpha_f = np.array([num / den for num, den in alphas])
         beta_f = np.array([num / den for num, den in betas])

@@ -109,6 +109,22 @@ def schwarz_grid_by_list(radius: float, points: int) -> list[complex]:
     return [complex(x, y) for x in axis for y in axis]
 
 
+def perelomov_log_partial_norms(params: AlgebraParams, z, n_terms: int) -> np.ndarray:
+    """log of the partial sums of sum_n |c_n|^2 for the perelomov series.
+
+    Bypasses the existence gate so that the divergence for r >= 2 on an
+    infinite ladder can be exhibited numerically; works in log space
+    because the terms overflow double precision almost immediately.
+    """
+    if classify(params).is_finite:
+        raise DomainError("the divergence diagnostic applies to the infinite ladder")
+    z = complex(z)
+    f = ladder_table(params, n_terms).f
+    with np.errstate(divide="ignore"):  # z = 0: log |c_n|^2 = -inf past c_0
+        log_ratios = np.log(abs(z) ** 2 * f[1:] / np.arange(1, n_terms) ** 2)
+    return np.logaddexp.accumulate(np.concatenate(([0.0], np.cumsum(log_ratios))))
+
+
 def truncate_series(step, ratio_sup, tail_tol, max_terms):
     """Term-by-term series cutoff: c_0 = 1, c_n = c_{n-1} * step(n), stopped
     once the geometric bound puts the l2 tail below tail_tol of the norm."""

@@ -25,8 +25,10 @@ from polywh import (
     verify_identity,
 )
 
+import polywh.measure
 from polywh.measure import (
     _christoffel_sums,
+    _classical_recurrence,
     _gauss_rule,
     _moment_match,
     _orthonormal_values,
@@ -334,6 +336,106 @@ def test_shifted_minor_failures_name_the_minor():
     # unit masses at t = -1 and t = 3: H_1, H_2, H'_1 > 0 but H'_2 = 2*26 - 10^2
     with pytest.raises(DomainError, match=r"shifted Hankel minor H'_2 = -48$"):
         solve_measure(moments(2, 2, 10, 26))
+
+
+# ------------------------------------------------------ classical laws
+
+@st.composite
+def _law_moments(draw):
+    """Perelomov moments that have a classical law: r = 1 with kappa = p/q
+    in [0, 1), q <= 29, at 3 to 64 levels, or kappa = -1/s, s <= 60, at its
+    d = s + 1 levels."""
+    if draw(st.booleans()):
+        q = draw(st.integers(min_value=1, max_value=29))
+        kappa = Fraction(draw(st.integers(min_value=0, max_value=q - 1)), q)
+        count = draw(st.integers(min_value=3, max_value=64))
+        return moments_for(AlgebraParams([kappa]), "perelomov", count=count)
+    s = draw(st.integers(min_value=2, max_value=60))
+    return moments_for(AlgebraParams([Fraction(-1, s)]), "perelomov")
+
+
+@settings(max_examples=150, deadline=None)
+@given(moments=_law_moments())
+def test_the_closed_form_recurrence_is_the_chains(moments):
+    alphas, betas = _classical_recurrence(moments.values)
+    minors = hankel_minors(moments.values)
+    assert [Fraction(*a) for a in alphas] == [Fraction(*a) for a in minors.alphas]
+    assert [Fraction(*b) for b in betas] == [Fraction(*b) for b in minors.betas]
+    assert [n / d for n, d in alphas + betas] == [n / d for n, d in minors.alphas + minors.betas]
+    assert all(d > 0 for _, d in alphas + betas)
+
+
+def _count_chain_passes(monkeypatch):
+    calls = []
+    chain = polywh.measure.hankel_minors
+
+    def spy(values):
+        calls.append(len(values))
+        return chain(values)
+
+    monkeypatch.setattr(polywh.measure, "hankel_minors", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kappas, kind, count", [
+    (["0"], "barut-girardello", 16),  # Exp(1): the barut-girardello law at kappa = 0 too
+    (["0"], "perelomov", 9),
+    (["1/2"], "perelomov", 21),  # odd: the completed node leaves the disk, as before
+    (["13/19"], "perelomov", 64),
+    (["-1/30"], "perelomov", None),
+    (["-1/31"], "perelomov", None),
+])
+def test_the_classical_laws_skip_the_chain_and_give_its_rule(monkeypatch, kappas, kind, count):
+    moments = moments_for(AlgebraParams(kappas), kind, count=count)
+    hand_built = MomentSequence(tuple(moments.values), StateKind.BARUT_GIRARDELLO)
+    calls = _count_chain_passes(monkeypatch)
+    by_law = [solve_measure(moments), solve_measure(hand_built)]
+    assert calls == []
+    monkeypatch.setattr(polywh.measure, "_classical_recurrence", lambda values: None)
+    by_chain = solve_measure(moments)
+    assert calls == [len(moments.values)]
+    for measure in by_law:
+        assert measure.nodes.tobytes() == by_chain.nodes.tobytes()
+        assert measure.weights.tobytes() == by_chain.weights.tobytes()
+        assert measure.max_rel_err == by_chain.max_rel_err
+
+
+@pytest.mark.parametrize("kappas, kind, count, refusal", [
+    (["1/2"], "barut-girardello", 9, None),
+    (["1/2", "1/3"], "barut-girardello", 12, None),
+    (["1"], "perelomov", 8, "H_2 = 0$"),
+    (["2"], "perelomov", 8, "H_2 = -1/3$"),
+])
+def test_the_chain_still_runs_where_no_law_is_recognised(monkeypatch, kappas, kind, count,
+                                                          refusal):
+    moments = moments_for(AlgebraParams(kappas), kind, count=count)
+    assert _classical_recurrence(moments.values) is None
+    calls = _count_chain_passes(monkeypatch)
+    if refusal is None:
+        solve_measure(moments)
+    else:
+        with pytest.raises(DomainError, match=refusal):
+            solve_measure(moments)
+    assert calls == [count]
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_one_perturbed_moment_is_not_a_law(monkeypatch, index):
+    values = list(moments_for(AlgebraParams(["1/3"]), "perelomov", count=12).values)
+    assert _classical_recurrence(values) is not None
+    values[index] += Fraction(1, 10**9)
+    assert _classical_recurrence(values) is None
+    calls = _count_chain_passes(monkeypatch)
+    solve_measure(MomentSequence(tuple(values), StateKind.PERELOMOV))
+    assert calls == [12]
+
+
+def test_a_finite_law_takes_no_moment_past_its_ladder():
+    values = moments_for(AlgebraParams(["-1/5"]), "perelomov").values  # d = 6
+    assert _classical_recurrence(values) is not None
+    # the law's moments stop below d: m_6 (1 - 5/5) = 0 is never 6 m_5, so no
+    # seventh value passes the recurrence
+    assert _classical_recurrence((*values, 720 * values[5])) is None
 
 
 # ---------------------------------------------------------- float endgame
