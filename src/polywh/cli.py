@@ -396,6 +396,10 @@ def cmd_schwarz(args):
     grid.real = axis[:, None]
     grid.imag = axis
     excess = schwarz_check(params, f_state.coeffs, grid.ravel())  # the P*P points, flat
+    if excess == -math.inf:
+        raise DomainError(
+            "|N(z)| passes the double range at every grid point, so no excess is finite"
+        )
     payload = {"command": "schwarz"}
     payload.update(params_payload(params))
     payload.update(

@@ -207,10 +207,17 @@ def _series_moduli(kind, params, zs, levels: int) -> np.ndarray:
     default tail tolerance, zero-padded, so for real z >= 0 bit-equal to
     ``np.abs(ctor(params, z).coeffs[:levels]) ** 2`` (for a complex z numpy
     may fuse a multiply-add of the broadcast steps, and the last bit can
-    differ).  A finite ladder needs levels <= d."""
-    tail_tol = None if classify(params).is_finite else DEFAULT_TAIL_TOL
-    blocks, _, exponents = _series(kind, params, zs, levels, tail_tol)
-    coeffs, moduli = np.concatenate(blocks, axis=1), np.zeros((len(zs), levels))
+    differ).  A finite ladder needs levels <= d.  numpy rounds a complex
+    cumprod of one step unlike a longer one (a fused multiply-add), so a
+    last block of one step (blocks start at 1, 64, 128, ...) takes one more
+    where the ladder goes on, as the constructor's longer block does."""
+    dim = classify(params)
+    tail_tol = None if dim.is_finite else DEFAULT_TAIL_TOL
+    last = levels - 1  # where the last block starts if it is one step long
+    one_step = last == 1 or (tail_tol is not None and last >= 64 and not last & (last - 1))
+    stop = levels + (one_step and levels != dim.d)
+    blocks, _, exponents = _series(kind, params, zs, stop, tail_tol)
+    coeffs, moduli = np.concatenate(blocks, axis=1)[:, :levels], np.zeros((len(zs), levels))
     moduli[:, : coeffs.shape[1]] = np.abs(coeffs * np.ldexp(1.0, -exponents // 2)[:, None]) ** 2
     if exponents.any():  # a modulus past the double range is a DomainError
         moduli = _ldexp(moduli, exponents[:, None], "squared coefficient modulus")
@@ -522,43 +529,33 @@ def _rescaled_sum(
 
 def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
     """0F_q at x, a scalar or an array, as (mantissa, exponent), the value
-    mantissa * 2**exponent, which need not fit a double.
+    mantissa * 2**exponent, which need not fit a double; x = +inf sums to inf.
 
     The one place that tells a scalar from an array.  A scalar is summed by
     `_rescaled_sum` as the Python number it holds: a Fraction exactly as
     given, a numpy float as a float, which overflows without a warning.  An
-    array runs the plain float sum at every entry at once, and an entry it
-    overflows is summed again by `_rescaled_sum`."""
+    array is summed in place: each pass scales every term and adds it only
+    where the entry is still going, so each entry stops at its own term,
+    bit-equal to the scalar sum.  For ells > 0 the term ratios fall with k
+    and no entry stops while its terms grow (|total| <= (k+1) |t_k|), so a
+    stopped entry stays stopped.  An entry whose plain sum overflows is
+    summed again by `_rescaled_sum`."""
     if not np.ndim(x):
-        return _rescaled_sum(ells, np.asarray(x).item(), rel_tol, max_terms)
+        x = np.asarray(x).item()
+        return (math.inf, 0) if x == math.inf else _rescaled_sum(ells, x, rel_tol, max_terms)
     x = np.asarray(x, dtype=float)
-    total, exponent = _hyper_0f_array(ells, x, rel_tol, max_terms), np.zeros(x.shape, dtype=int)
-    for i in np.flatnonzero(np.isinf(total)):
-        total.flat[i], exponent.flat[i] = _rescaled_sum(ells, float(x.flat[i]), rel_tol, max_terms)
-    return total, exponent
-
-
-def _hyper_0f_array(ells, x: np.ndarray, rel_tol: float, max_terms: int) -> np.ndarray:
-    """The plain float sum at every entry of x at once, inf where it
-    overflows.  Each entry stops at its own term, so it equals the scalar
-    sum bit for bit; a plain float loop stays faster for one x."""
-    out = np.ones(x.shape)
-    live = np.arange(x.size)  # flat indices still summing
-    xs, term, total = x.ravel(), np.ones(x.size), np.ones(x.size)
+    term, total, exponent = np.ones(x.shape), np.ones(x.shape), np.zeros(x.shape, dtype=int)
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # as the float sum: inf, no warning
-        while True:
-            going = np.abs(term) > rel_tol * np.abs(total)
-            if not going.all():
-                out.flat[live[~going]] = total[~going]
-                live, xs, term, total = live[going], xs[going], term[going], total[going]
-            if not live.size:
-                return out
-            term *= xs / ((k + 1) * math.prod(ell + k for ell in ells))
-            total += term
+        while (going := np.abs(term) > rel_tol * np.abs(total)).any():
+            term *= x / ((k + 1) * math.prod(ell + k for ell in ells))
+            np.add(total, term, out=total, where=going)
             k += 1
             if k >= max_terms:
                 raise DomainError("hypergeometric series did not converge")
+    for i in np.flatnonzero(np.isinf(total) & (x != math.inf)):
+        total.flat[i], exponent.flat[i] = _rescaled_sum(ells, float(x.flat[i]), rel_tol, max_terms)
+    return total, exponent
 
 
 def _ldexp(mantissa, exponent, what: str):
@@ -597,9 +594,11 @@ def bg_normalization(params: AlgebraParams, z):
 def _bg_normalization_scaled(ells, z):
     """|N(z)| for the 1/ell kappas of ``ells`` (`reciprocal_ells`) at z or
     at every point of a z-array as (mantissa, exponent), the value
-    mantissa * 2**exponent, which need not fit a double."""
+    mantissa * 2**exponent, which need not fit a double.  Where
+    prod(ells) |z|^2 passes the double range |N| is inf."""
     z = np.asarray(z, dtype=complex)
-    x = math.prod(ells) * np.hypot(z.real, z.imag) ** 2  # hypot: bit-equal to abs(complex)
+    with np.errstate(over="ignore"):  # x = inf, which sums to inf
+        x = math.prod(ells) * np.hypot(z.real, z.imag) ** 2  # hypot: bit-equal to abs(complex)
     mantissa, exponent = _hyper_0f_scaled(ells, x)  # exponent: a multiple of RESCALE_BITS, even
     return np.sqrt(mantissa), exponent // 2
 

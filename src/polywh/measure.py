@@ -137,27 +137,20 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
     """
     kind = StateKind(kind)
     dim = classify(params)
-    if kind is StateKind.BARUT_GIRARDELLO:
-        if dim.is_finite:
+    if dim.is_finite:
+        if kind is StateKind.BARUT_GIRARDELLO:
             raise DomainError(
                 "no complex-z lowering eigenstates exist on a finite ladder, so there is "
                 "no radial measure to solve for; the finite construction is nilpotent-valued"
             )
         if count is None:
-            raise ValueError("infinite ladder needs an explicit moment count")
-    else:
-        if dim.is_finite:
-            if count is None:
-                count = dim.d
-            elif count != dim.d:
-                raise ValueError(f"finite case is determined by its d = {dim.d} levels")
-        else:
-            if params.r >= 2:
-                raise DomainError(
-                    "perelomov-type states do not exist on an infinite ladder with r >= 2"
-                )
-            if count is None:
-                raise ValueError("infinite ladder needs an explicit moment count")
+            count = dim.d
+        elif count != dim.d:
+            raise ValueError(f"finite case is determined by its d = {dim.d} levels")
+    elif kind is StateKind.PERELOMOV and params.r >= 2:
+        raise DomainError("perelomov-type states do not exist on an infinite ladder with r >= 2")
+    elif count is None:
+        raise ValueError("infinite ladder needs an explicit moment count")
     scaled = _scaled_factorials(params, count)  # (F(n)! Q^n, Q^n)
     if kind is StateKind.PERELOMOV:
         values = tuple(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +121,12 @@ def test_schwarz_holds_where_the_normalization_passes_the_double_range():
     pointwise = max(abs(bargmann_eval(params, f, z)) - bg_normalization(params, z) for z in inner)
     assert schwarz_check(params, f, grid) == pointwise
     assert schwarz_check(params, f, [30 + 30j]) == -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # |z|^2 itself passes the double range: |N| = inf, and the bound holds
+        assert schwarz_check(params, [1.0], [0.0, 1e200, 1e200j]) == 0.0
+        with pytest.raises(DomainError, match=r"normalization \|N\(z\)\| overflows double"):
+            bg_normalization(params, 1e200)
 
 
 def test_schwarz_requires_normalization():

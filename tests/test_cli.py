@@ -151,6 +151,36 @@ def test_a_normalization_past_the_double_range_is_named(capsys):
     assert err.startswith("error: normalization |N(z)| overflows double precision: it is about 2^")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("schwarz", "--kappa", "0", "--w", "0.5", "--grid-radius", "30", "--grid-points", "2"),
+     "|N(z)| passes the double range at every grid point, so no excess is finite"),
+    (("schwarz", "--kappa", "0", "--w", "0.5", "--grid-radius", "30", "--grid-points", "1"),
+     "|N(z)| passes the double range at every grid point, so no excess is finite"),
+    (("schwarz", "--kappa", "0", "--w", "0", "--grid-radius", "1e200", "--grid-points", "3"),
+     None),  # |N| = inf off the centre, where the excess is 1 - 1
+    (("schwarz", "--kappa", "0", "--w", "0.5", "--grid-radius", "1e200", "--grid-points", "3"),
+     "Bargmann transform overflows double precision at z = -1e+200-1e+200j"),
+    (("cs-bg", "--kappa", "0", "--z", "1e308"),
+     "barut-girardello state at z = (1e+308+0j) overflows double precision: coefficient c_2"),
+    (("cs-perelomov", "--kappa", "0", "--z", "1e200"),
+     "perelomov state at z = (1e+200+0j) overflows double precision: coefficient c_2"),
+    (("schwarz", "--ell", "2", "--w", "1e6"),
+     "barut-girardello state at z = (1000000+0j) overflows double precision: coefficient c_66"),
+])
+def test_out_of_range_inputs_end_in_a_result_or_a_named_error_without_a_warning(
+    capsys, argv, message
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv)
+    if message is None:
+        assert code == 0, err
+        assert json.loads(out, parse_constant=_reject_constant)["max_excess"] == 0.0
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+
 def test_kappas_without_a_1_over_ell_form_write_a_null_normalization(capsys):
     code, out, err = run_cli(capsys, "cs-bg", "--kappa", "2/3", "--z", "1+0.5i")
     assert code == 0, err

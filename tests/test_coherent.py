@@ -158,6 +158,7 @@ def _moduli_cases(draw):
 @example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams([0], 0.7), [0.05, 3.0, 12.0], 150))
 @example(case=(StateKind.PERELOMOV, AlgebraParams(["1/2"], -0.4), [0.01, 1.4], 100))
 @example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams(["1/3"]), [0.5], 1))
+@example(case=(StateKind.PERELOMOV, AlgebraParams(["1/14"], 0.25), [1.8125], 65))  # a 1-step block
 @given(case=_moduli_cases())
 def test_batched_moduli_are_the_constructors_bit_for_bit(case):
     kind, params, zs, levels = case
@@ -617,6 +618,13 @@ def test_bg_normalization_on_an_array_equals_the_scalar_values():
 def test_hyper_0f_on_an_array_stops_each_entry_at_its_own_term():
     xs = [-40.0, 0.0, 1e-3, 2.5, 300.0]
     assert hyper_0f((2, 3), np.array(xs)).tolist() == [hyper_0f((2, 3), x) for x in xs]
+    for ells, radius in (((6, 6, 6), 4.0), ((), 18.0)):  # the x of 41 x 41 schwarz grids
+        axis = np.linspace(-radius, radius, 41)
+        x = math.prod(ells) * np.abs(axis[:, None] + 1j * axis) ** 2
+        values = hyper_0f(ells, x)
+        assert values.shape == x.shape
+        assert values.tolist() == [[hyper_0f(ells, v) for v in row] for row in x]
+    assert hyper_0f((2, 3), np.zeros((2, 1))).tolist() == [[1.0], [1.0]]
     with pytest.raises(DomainError):
         hyper_0f((1,), np.array([0.5, 1e6]), max_terms=50)
 
