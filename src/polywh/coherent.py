@@ -61,6 +61,8 @@ __all__ = [
 DEFAULT_TAIL_TOL = 1e-14
 MAX_SERIES_TERMS = 200_000
 RESCALE_BITS = 512  # power of two taken out of a sum about to overflow
+PREDICTED_FROM = 1024  # a perelomov block starting here ends near its predicted cut
+CUT_SLACK = 16  # terms past that prediction
 
 
 class StateKind(str, enum.Enum):
@@ -120,7 +122,11 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
     `_ratio_sup`, widened by 1e-12 against rounding (barut-girardello's
     limit is 0, and its mask is left as it is).  That is necessary for a cut,
     not sufficient, so the cut and its bound are unchanged, and near the rim
-    the thousands of terms that cannot pass are never scanned.
+    the thousands of terms that cannot pass are never scanned.  There, from
+    block start PREDICTED_FROM on, a block ends CUT_SLACK terms past the
+    index at which every uncut row is certain to be cut (`_block_end`), not
+    at twice its start: the block starts, the cut and every kept
+    coefficient are as they were.
     """
     zs = np.asarray(zs, dtype=complex)
     if params.phi == 0.0 and not zs.imag.any() and not np.signbit(zs.real).any():
@@ -136,6 +142,8 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
     with np.errstate(over="ignore", invalid="ignore"):  # refused or rescaled below
         while lo < stop and math.inf in bounds:
             hi = min(max(2 * lo, 64), stop) if cut_rows else stop
+            if room is not None and lo >= PREDICTED_FROM:
+                hi = _block_end(params, zs, norm2, exponents, bounds, lo, hi, tol2)
             steps = _steps(kind, params, zs[:, None], lo, hi)
             block = np.cumprod(np.concatenate((blocks[-1][:, -1:], steps), axis=1), axis=1)
             block = block[:, 1:]
@@ -200,6 +208,109 @@ def _ratio_sup(kind, params, radius):
         return lambda j: radius * math.sqrt(max((1.0 + k1 * j) / (j + 1.0), k1))
     # F is nondecreasing on the infinite ladder, so the first ratio dominates
     return lambda j: radius / math.sqrt(float(structure_function(params, j + 1)))
+
+
+def _perelomov_terms(params, radius):
+    """(x, a, peak, n -> log |c_n|^2, margin) for the perelomov series of an
+    r = 1 ladder with kappa > 0 at |z| = radius, or None unless 0 < x < 1:
+    |c_n|^2 = x^n (a)_n / n! with x = kappa |z|^2 and a = 1/kappa, in O(1)
+    by lgamma, and the squared norm is S_inf = (1 - x)^-a.  |c_n|^2 is
+    unimodal: the ratio x (a + n) / (n + 1) of its terms is monotone and
+    passes 1 at most once, so it falls from index ``peak`` on.
+
+    margin(n) bounds the distance in log between the closed form and the
+    float series (its n rounded steps, lgamma's few ulp, and x rounded
+    near the rim, where 1 - x amplifies it) with room to spare."""
+    kappa = float(params.kappas[0])
+    x, a = kappa * radius * radius, 1.0 / kappa
+    if not 0.0 < x < 1.0:  # c_1 = 0 in float, or at the rim as x rounds
+        return None
+    log_x, base = math.log(x), math.lgamma(a)
+    peak = max(math.ceil((a * x - 1.0) / (1.0 - x)), 0)
+    near_rim = 8.0 * (a + 1.0) * np.finfo(float).eps / (1.0 - x)
+
+    def log_abs2(n):
+        return n * log_x + math.lgamma(a + n) - base - math.lgamma(n + 1.0)
+
+    def margin(n):
+        return 1e-6 + 1e-12 * n + near_rim
+
+    return x, a, peak, log_abs2, margin
+
+
+def _never_cut(kind, params, radius, tail_tol, max_terms) -> bool:
+    """Whether the series of an infinite ladder at |z| = radius certainly
+    meets no tail cut within max_terms terms and no coefficient past the
+    double range: then `_series` would build every term only to fail.
+
+    Decided for the perelomov series with kappa > 0 alone, from its closed
+    form (`_perelomov_terms`).  A cut at n needs |c_n|^2 <= tol^2 S_n (1 -
+    x) (`_series`), and S_n <= S_inf.  |c_n|^2 is unimodal, so where n = 1
+    and n = max_terms both miss tol^2 S_inf (1 - x) by the margin, every n
+    between misses it.  The peak |c_n| must fit in a double with room, or
+    the series fails first on that coefficient."""
+    if kind is not StateKind.PERELOMOV or params.kappas[0] <= 0 or max_terms < 1:
+        return False
+    terms = _perelomov_terms(params, radius)
+    if terms is None:
+        return False
+    x, a, peak, log_abs2, margin = terms
+    log_room = 2.0 * math.log(tail_tol) + (1.0 - a) * math.log1p(-x)
+    if any(log_abs2(n) <= log_room + margin(n) for n in (max_terms, 1)):
+        return False
+    peak = min(peak, max_terms)
+    highest = max(log_abs2(n) for n in {max(peak - 1, 0), peak, min(peak + 1, max_terms)})
+    return highest + margin(peak) < 2.0 * (math.log(np.finfo(float).max) - 1.0)
+
+
+def _block_end(params, zs, norm2, exponents, bounds, lo, hi, tol2) -> int:
+    """Where the perelomov block [lo, hi) ends: CUT_SLACK past the largest
+    index below hi at which an uncut row is certain to be cut
+    (`_cut_bound`), and at least two steps past lo (numpy rounds a complex
+    cumprod of one step unlike a longer one); hi where a row is not certain
+    to be cut before it."""
+    last = lo
+    for i, bound in enumerate(bounds):
+        if bound == math.inf:
+            log_room = math.log(tol2) + math.log(norm2[i, 0]) + exponents[i] * math.log(2.0)
+            cut = _cut_bound(params, abs(complex(zs[i])), lo, hi, log_room)
+            if cut is None:
+                return hi
+            last = max(last, cut)
+    return min(hi, max(last + 1 + CUT_SLACK, lo + 2))
+
+
+def _cut_bound(params, radius, lo, hi, log_room):
+    """An n, lo <= n < hi, at which `_tail_cut` certainly cuts the
+    perelomov series at |z| = radius unless it has cut before, or None.
+
+    Row n is cut where |c_n|^2 / (1 - q_n^2) <= tol^2 S_n, q_n =
+    `_ratio_sup`(n) and S_n the running squared norm before c_n, at least
+    the S of log_room = log(tol^2 S).  With the closed form of |c_n|^2
+    (`_perelomov_terms`) and its margin, that holds for certain.  Past the
+    peak of |c_n|^2 both |c_n|^2 and q_n fall with n: one test at hi - 1
+    tells whether there is such an n, and bisection finds the first one
+    from there."""
+    terms = _perelomov_terms(params, radius)
+    if terms is None:
+        return None
+    _, _, peak, log_abs2, margin = terms
+    sup = _ratio_sup(StateKind.PERELOMOV, params, radius)
+
+    def fails(n):
+        q = sup(n)
+        return q >= 1.0 or log_abs2(n) - math.log1p(-q * q) + margin(n) > log_room
+
+    lo, hi = max(lo, peak), hi - 1
+    if lo > hi or fails(hi):
+        return None
+    while lo < hi:  # fails(hi) is False throughout
+        mid = (lo + hi) // 2
+        if fails(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
 
 
 def _series_moduli(kind, params, zs, levels: int) -> np.ndarray:
@@ -271,7 +382,10 @@ def _state(kind, params, dim, z, normalize, tail_tol, max_terms) -> CoherentStat
     """The state at z from `_series`: the d coefficients of a finite ladder,
     else the series to its tail cut, of at most max_terms terms."""
     stop, tol = (dim.d, None) if dim.is_finite else (max_terms + 1, tail_tol)
-    blocks, (bound,), _ = _series(kind, params, [z], stop, tol)
+    if tol is not None and _never_cut(kind, params, abs(z), tol, max_terms):
+        bound = math.inf
+    else:
+        blocks, (bound,), _ = _series(kind, params, [z], stop, tol)
     if tol is not None and bound == math.inf:
         raise DomainError(f"series did not reach tail tolerance {tol:g} within {max_terms} terms")
     coeffs = np.concatenate(blocks, axis=1)[0].astype(complex, copy=False)  # imaginary +0.0
@@ -507,7 +621,9 @@ def _rescaled_sum(
     mantissa * 2**exponent.  Before a step that would overflow, the term and
     the total are divided by 2**RESCALE_BITS (exactly) and the exponent grows
     by as much; wherever the plain float sum stays finite the exponent is 0
-    and the mantissa is that sum."""
+    and the mantissa is that sum.  A sum that cannot converge within
+    max_terms is refused before the loop (`_refuse_divergent`)."""
+    _refuse_divergent(ells, x, rel_tol, max_terms)
     term = total = 1.0
     exponent = k = 0
     while abs(term) > rel_tol * abs(total):
@@ -527,6 +643,26 @@ def _rescaled_sum(
     return total, exponent
 
 
+def _refuse_divergent(ells, x, rel_tol, max_terms) -> None:
+    """Raise the sum's own "did not converge" error at once where the sum of
+    0F_q at a float x > 0 certainly reaches max_terms.
+
+    With every ell > 0 the term ratios x / ((k+1) prod(ell + k)) fall with
+    k.  Where the last one, at k = max_terms - 1, is still >= 1, the terms
+    grow up to max_terms, so |total| <= (k+1) |t_k| keeps every term above
+    rel_tol |total| while rel_tol max_terms < 1 (taken as < 1/2, against
+    rounding).  A first ratio past the double range fails otherwise, on
+    its own overflow, and is left to the sum."""
+    if not (isinstance(x, float) and 0.0 < x < math.inf and max_terms >= 1):
+        return
+    if not (2 * rel_tol * max_terms < 1 and all(ell > 0 for ell in ells)):
+        return
+    if math.isinf(x / math.prod(ells)):
+        return
+    if x / (max_terms * math.prod(ell + max_terms - 1 for ell in ells)) >= 1:
+        raise DomainError("hypergeometric series did not converge")
+
+
 def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
     """0F_q at x, a scalar or an array, as (mantissa, exponent), the value
     mantissa * 2**exponent, which need not fit a double; x = +inf sums to inf.
@@ -539,11 +675,15 @@ def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
     bit-equal to the scalar sum.  For ells > 0 the term ratios fall with k
     and no entry stops while its terms grow (|total| <= (k+1) |t_k|), so a
     stopped entry stays stopped.  An entry whose plain sum overflows is
-    summed again by `_rescaled_sum`."""
+    summed again by `_rescaled_sum`.  Where the largest finite entry cannot
+    converge, the array is refused before its loop (`_refuse_divergent`)."""
     if not np.ndim(x):
         x = np.asarray(x).item()
         return (math.inf, 0) if x == math.inf else _rescaled_sum(ells, x, rel_tol, max_terms)
     x = np.asarray(x, dtype=float)
+    finite = x[np.isfinite(x)]
+    if finite.size:  # the largest x is the first to diverge
+        _refuse_divergent(ells, float(finite.max()), rel_tol, max_terms)
     term, total, exponent = np.ones(x.shape), np.ones(x.shape), np.zeros(x.shape, dtype=int)
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # as the float sum: inf, no warning

@@ -30,13 +30,22 @@ at kappa > 0, r >= 2, kappa >= 1, which is refused at H_2, and any other
 `MomentSequence`) goes through the chain.  A discrete positive measure
 with the supplied moments is produced there by
 
-    moments -> Chebyshev table (exact)  -> Hankel minors H_k, H'_k
+    moments -> Chebyshev table (exact)  -> signs of the Hankel minors H_k, H'_k
             -> recurrence alpha_j, beta_j read off the same rows (exact)
             -> Jacobi matrix -> Gauss nodes and weights (float).
 
 One exact pass of the Chebyshev algorithm, O(M^2) operations for M
-moments, gives both positivity certificates: the plain and shifted Hankel
-minors, which decide exactly whether a measure on (0, inf) exists.  The
+moments, decides exactly whether a measure on (0, inf) exists: it does
+when every plain and shifted Hankel minor is positive.  The pass does not
+build the minors.  A plain minor H_{j+1} = H_j sigma_{j,j} is positive
+exactly when its pivot is, and a shifted one H'_j = H_j D_j when the
+pivots r_j = D_j / D_{j-1} of the LDL^T factorisation of the Jacobi matrix
+are: r_1 = alpha_0, r_{j+1} = alpha_j - beta_j / r_j.  `solve_measure`
+bounds each r_j from below in floats rounded outward, from the pass's
+exact alpha_j and beta_j (a filtered predicate, Shewchuk 1997); a positive
+bound certifies the minor.  Only where a pivot or a bound is not positive
+are the minors built as reduced Fractions (`HankelMinors`, on first read);
+they then decide, and a failure names the first nonpositive one.  The
 pass runs on Python integers, not Fractions: each row of the table is a
 list of integers over one common denominator, and after each update one
 gcd takes the content out of the row, which keeps its integers as small
@@ -164,21 +173,66 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
     return MomentSequence(values, kind)
 
 
-class HankelMinors(tuple):
-    """``(plain, shifted)`` of `hankel_minors`, with the Jacobi entries alpha_j
-    and beta_j of the same pass as unreduced integer ratios (num, den), den > 0
-    where every minor is positive: num / den rounds as float(Fraction) does."""
+class HankelMinors:
+    """The result of `hankel_minors`.  It reads as the pair ``(plain,
+    shifted)`` of Fraction lists: iteration, indexing, ``len`` and ``==``
+    (against a tuple or another result) behave as a tuple's.  The pair is
+    built from the pass's integers on its first read (`_exact_minors`) and
+    kept.  ``alphas`` and ``betas`` are the Jacobi entries alpha_j and
+    beta_j of the same pass as unreduced integer ratios (num, den), den > 0
+    where every minor is positive: num / den rounds as float(Fraction) does.
+    ``sigmas`` are the pivots den_j sigma_{j,j}, one per plain minor, each
+    with the sign of H_{j+1} / H_j.  Copy and pickle keep all of it."""
 
-    def __new__(cls, plain, shifted, alphas, betas):
-        minors = super().__new__(cls, (plain, shifted))
-        minors._alphas, minors._betas = tuple(alphas), tuple(betas)
-        return minors
+    def __init__(self, sigmas, dens, alphas, betas, shifted_count):
+        self.sigmas, self._dens = tuple(sigmas), tuple(dens)
+        self.alphas, self.betas = tuple(alphas), tuple(betas)
+        self._shifted_count, self._pair = shifted_count, None
 
-    alphas = property(lambda self: self._alphas)
-    betas = property(lambda self: self._betas)
+    def _minors(self):
+        if self._pair is None:
+            self._pair = _exact_minors(self.sigmas, self._dens, self.alphas[: self._shifted_count])
+        return self._pair
 
-    def __getnewargs__(self):  # copy and pickle rebuild it through __new__
-        return (*self, self._alphas, self._betas)
+    def __iter__(self):
+        return iter(self._minors())
+
+    def __len__(self):
+        return 2
+
+    def __getitem__(self, index):
+        return self._minors()[index]
+
+    def __eq__(self, other):
+        if isinstance(other, HankelMinors):
+            other = other._minors()
+        return self._minors() == other if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"HankelMinors{self._minors()!r}"
+
+
+def _exact_minors(sigmas, dens, slopes):
+    """The plain and shifted minors of `hankel_minors` as reduced Fractions,
+    from the pivots sigmas[j] = den_j sigma_{j,j} over dens[j] and the
+    alpha ratios (slope_j, pivot_j) of the steps that have a shifted minor:
+    H_{j+1} = H_j sigma_{j,j} and det H'_{j+1} = sigma_{j,j} (alpha_j det
+    H'_j - sigma_{j,j} det H'_{j-1})."""
+    plain, shifted = [], []
+    det, minor, minor_prev = Fraction(1), Fraction(1), Fraction(0)  # H_j, H'_j, H'_{j-1}
+    for j, (sigma, den) in enumerate(zip(sigmas, dens)):
+        det = Fraction(det.numerator * sigma, det.denominator * den)
+        plain.append(det)
+        if j < len(slopes):
+            slope, pivot = slopes[j]
+            (a, b), (c, e) = minor.as_integer_ratio(), minor_prev.as_integer_ratio()
+            minor, minor_prev = Fraction(
+                sigma * (slope * den * a * e - pivot * sigma * c * b), den * den * pivot * b * e
+            ), minor
+            shifted.append(minor)
+    return plain, shifted
 
 
 def hankel_minors(values) -> HankelMinors:
@@ -207,41 +261,50 @@ def hankel_minors(values) -> HankelMinors:
     over den_j a, with a = N_j[0] N_{j-1}[0] and b = N_j[1] N_{j-1}[0] -
     N_{j-1}[1] N_j[0] (den_{j-1} cancels).  One gcd then takes the content
     out of the new row and its denominator; it is what keeps the integers
-    as small as the reduced fractions.  Only the two minors per row are
-    built as Fractions.  The same integers give the recurrence: alpha_j =
-    b / a and beta_j = N_j[0] den_{j-1} / (den_j N_{j-1}[0]).  An odd count
-    leaves the last alpha_{k-1} free: det J_k = alpha_{k-1} D_{k-1} -
-    beta_{k-1} D_{k-2} is positive above tau = beta_{k-1} D_{k-2} / D_{k-1} =
-    H_k H'_{k-2} / (H_{k-1} H'_{k-1}) (Schur complement of the leading
-    block), and alpha_{k-1} is completed to 2 tau + 1.
+    as small as the reduced fractions.  The same integers give the
+    recurrence: alpha_j = b / a and beta_j = N_j[0] den_{j-1} / (den_j
+    N_{j-1}[0]).  The pass keeps the pivots N_j[0] and den_j, and builds the
+    minors from them only when they are read (`_exact_minors`):
+    `solve_measure` decides their signs from the pivots and the recurrence
+    alone, and reads them only where that cannot decide.
+
+    An odd count leaves the last alpha_{k-1} free: det J_k = alpha_{k-1}
+    D_{k-1} - beta_{k-1} D_{k-2} is positive above tau = beta_{k-1} D_{k-2} /
+    D_{k-1} (Schur complement of the leading block), and alpha_{k-1} is
+    completed to 2 tau + 1.  For it the pass carries, on odd counts only,
+    the pair (x, y) = lambda (pi_j(0), pi_{j-1}(0)) for some lambda != 0 as
+    integers cleared of their gcd: from pi_{j+1}(0) = -alpha_j pi_j(0) -
+    beta_j pi_{j-1}(0), times den_j a, each step is (x, y) <- (-b den_j x -
+    N_j[0]^2 den_{j-1} y, den_j a x), and tau = -beta_{k-1} y / x.
     """
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     row = [v.numerator * (den // v.denominator) for v in values]  # N_0
     prev, den_prev = [1] + [0] * (len(row) + 1), 1  # N_{-1}: pi_{-1} = 0, with a unit pivot
-    plain, shifted, alphas, betas = [], [], [], []
-    det, minor, minor_prev = Fraction(1), Fraction(1), Fraction(0)  # H_j, H'_j, H'_{j-1}
+    sigmas, dens, alphas, betas = [], [], [], []
+    odd, x, y = len(values) % 2, 1, 0  # (pi_0(0), pi_{-1}(0))
     for _ in range((len(values) + 1) // 2):
         sigma = row[0]  # den * sigma_{j,j}
-        det_prev, det = det, Fraction(det.numerator * sigma, det.denominator * den)
-        plain.append(det)
+        sigmas.append(sigma)
+        dens.append(den)
         betas.append((sigma * den_prev, den * prev[0]))
         if not sigma:
             break
-        if len(row) < 2:  # odd count: alpha_{k-1} = 2 tau + 1, tau = p / q
-            p = det.numerator * minor_prev.numerator * det_prev.denominator * minor.denominator
-            q = det.denominator * minor_prev.denominator * det_prev.numerator * minor.numerator
-            alphas.append((2 * p + q, q))
+        if len(row) < 2:  # odd count: alpha_{k-1} = 2 tau + 1, tau = -beta_{k-1} y / x
+            num, den_beta = betas[-1]
+            if x < 0:
+                x, y = -x, -y
+            alphas.append((den_beta * x - 2 * num * y, den_beta * x))
             break
         pivot = sigma * prev[0]
         slope = row[1] * prev[0] - prev[1] * sigma  # alpha_j = slope / pivot
         alphas.append((slope, pivot))
-        (a, b), (c, e) = minor.as_integer_ratio(), minor_prev.as_integer_ratio()
-        minor, minor_prev = Fraction(
-            sigma * (slope * den * a * e - pivot * sigma * c * b), den * den * pivot * b * e
-        ), minor
-        shifted.append(minor)
         square = sigma * sigma
+        if odd:
+            x *= den
+            x, y = -slope * x - square * (den_prev * y), pivot * x
+            common = math.gcd(x, y)
+            x, y = x // common, y // common
         step = zip(row[2:], row[1:], prev[2:])
         row, prev = [pivot * n2 - slope * n1 - square * n0 for n2, n1, n0 in step], row
         den, den_prev = den * pivot, den
@@ -251,7 +314,8 @@ def hankel_minors(values) -> HankelMinors:
         if content != 1:
             row = [n // content for n in row]
             den //= content
-    return HankelMinors(plain, shifted, alphas, betas)
+    shifted_count = min(len(alphas), len(values) // 2)  # not the completed alpha_{k-1}
+    return HankelMinors(sigmas, dens, alphas, betas, shifted_count)
 
 
 def _classical_recurrence(values):
@@ -385,25 +449,66 @@ def _moment_match(values, nodes: np.ndarray, weights: np.ndarray) -> float:
     return worst
 
 
+def _certified(sigmas, alphas, betas, shifted: int) -> bool:
+    """Whether every plain and shifted minor of a `hankel_minors` pass is
+    positive, decided without building one; False where this cannot decide.
+
+    H_{j+1} = H_j sigma_{j,j} and den_j > 0, so every plain minor is
+    positive exactly when every pivot in ``sigmas`` is.  Then det H'_j =
+    det H_j D_j for the ``shifted`` shifted minors, and D_j > 0 for each of
+    them exactly when every pivot r_j = D_j / D_{j-1} of the LDL^T
+    factorisation of the Jacobi matrix is positive: r_1 = alpha_0, r_{j+1} =
+    alpha_j - beta_j / r_j.  ``alphas`` and ``betas`` are the floats num /
+    den of the pass's ratios, or None where one of them passed the double
+    range.  A true integer division is correctly rounded, so one ulp down
+    from an alpha and one up from a beta bound them, and each later
+    operation steps one ulp outward again: every r_j is at least its bound,
+    and a positive bound certifies it (a filtered predicate: Shewchuk,
+    Discrete Comput. Geom. 18, 1997).
+    """
+    if alphas is None or any(sigma <= 0 for sigma in sigmas):
+        return False
+    low = None  # the lower bound on r_j
+    for alpha, beta in zip(alphas[:shifted], betas):
+        bound = math.nextafter(alpha, -math.inf)
+        if low is not None:
+            over = math.nextafter(math.nextafter(beta, math.inf) / low, math.inf)
+            bound = math.nextafter(bound - over, -math.inf)
+        if not bound > 0.0:
+            return False
+        low = bound
+    return True
+
+
 def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
     """Gaussian quadrature whose moments are the supplied sequence.
 
     Uses ceil(M/2) nodes for M supplied moments.  Moments of a classical
     law (`_classical_recurrence`) give their recurrence coefficients in
     closed form, and the law is their positivity certificate.  Any other
-    sequence goes through the exact Chebyshev pass (`hankel_minors`):
-    positivity of the plain and shifted Hankel minors is checked first, a
-    failure naming the offending minor, and the coefficients are read off
-    the rows of the same pass.  Either way they are integer ratios whose
-    true division rounds each exactly as float(Fraction) would.
+    sequence goes through the exact Chebyshev pass (`hankel_minors`), whose
+    pivots and recurrence certify that every plain and shifted Hankel minor
+    is positive (`_certified`).  Where they cannot, the exact minors decide,
+    a failure naming the first nonpositive one (plain first).  Either way
+    the coefficients are integer ratios whose true division rounds each
+    exactly as float(Fraction) would.
     """
     values = list(moments.values)
     count = len(values)
     if count < 1:
         raise ValueError("need at least one moment")
+    minors = None
     recurrence = _classical_recurrence(values)
     if recurrence is None:
         minors = hankel_minors(values)
+        recurrence = minors.alphas, minors.betas
+    alphas, betas = recurrence
+    try:
+        alpha_f = [num / den for num, den in alphas]
+        beta_f = [num / den for num, den in betas]
+    except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: a zero shifted minor
+        alpha_f = beta_f = None
+    if minors is not None and not _certified(minors.sigmas, alpha_f, beta_f, count // 2):
         plain, shifted = minors
         for idx, det in enumerate(plain, start=1):
             if det.numerator <= 0:
@@ -415,18 +520,14 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
                 raise DomainError(
                     f"moments admit no measure on (0, inf): shifted Hankel minor H'_{idx} = {det}"
                 )
-        recurrence = minors.alphas, minors.betas
-    alphas, betas = recurrence
-    try:
-        alpha_f = np.array([num / den for num, den in alphas])
-        beta_f = np.array([num / den for num, den in betas])
-    except OverflowError:
+    if alpha_f is None:
         spread = max(Fraction(*beta) for beta in betas) / min(Fraction(*beta) for beta in betas)
         bits = spread.numerator.bit_length() - spread.denominator.bit_length()
         raise DomainError(
             "recurrence coefficients overflow double precision; "
             f"beta spread (condition estimate) ~ 2^{bits}"
-        ) from None
+        )
+    alpha_f, beta_f = np.array(alpha_f), np.array(beta_f)
     nodes, weights = _gauss_rule(alpha_f, beta_f)
     if np.any(nodes <= 0) or np.any(weights <= 0):
         raise DomainError(

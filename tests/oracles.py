@@ -215,6 +215,20 @@ def series_unfiltered(kind, params, zs, stop, tail_tol):
     return blocks, bounds, exponents
 
 
+def perelomov_series_by_doubling(params: AlgebraParams, z, tail_tol=1e-14, max_terms=200_000):
+    """(coefficients, tail bound) of the perelomov series of an infinite
+    ladder from `series_unfiltered`, whose blocks double up to the term cap
+    whatever the cut, with the refusal of `coherent._state` where no block
+    meets the cut: the reference for a series that predicts its cut or its
+    refusal."""
+    blocks, (bound,), _ = series_unfiltered(
+        StateKind.PERELOMOV, params, [z], max_terms + 1, tail_tol)
+    if bound == math.inf:
+        raise DomainError(
+            f"series did not reach tail tolerance {tail_tol:g} within {max_terms} terms")
+    return np.concatenate(blocks, axis=1)[0], bound
+
+
 def verify_identity_by_states(params: AlgebraParams, kind, measure) -> float:
     """Max deviation of sum_j w_j |c_n(sqrt(t_j))|^2 from 1 over the matched
     levels, one full coherent state per node, summed in node order."""

@@ -166,6 +166,8 @@ def test_a_normalization_past_the_double_range_is_named(capsys):
      "perelomov state at z = (1e+200+0j) overflows double precision: coefficient c_2"),
     (("schwarz", "--ell", "2", "--w", "1e6"),
      "barut-girardello state at z = (1000000+0j) overflows double precision: coefficient c_66"),
+    (("schwarz", "--ell", "2", "--grid-radius", "1e100"),
+     "hypergeometric series did not converge"),  # its terms still grow at max_terms
 ])
 def test_out_of_range_inputs_end_in_a_result_or_a_named_error_without_a_warning(
     capsys, argv, message

@@ -46,6 +46,7 @@ from oracles import (
     inverse_square_factorial_sum,
     nilpotent_exponential_dense,
     perelomov_log_partial_norms,
+    perelomov_series_by_doubling,
     random_finite_params,
     random_infinite_params,
     random_z,
@@ -241,6 +242,72 @@ def test_the_tail_scan_starts_near_the_cut(monkeypatch):
     state = perelomov_state(AlgebraParams([kappa]), 0.9993 / math.sqrt(kappa))
     assert len(state) == 48_464
     assert 0 <= len(state) - first[0] <= 16
+
+
+@settings(max_examples=150, deadline=None)
+@example(kappa=Fraction(14, 25), rho=0.9993, angle=0.0, phi=0.0, max_terms=5000)
+@example(kappa=Fraction(1, 2), rho=1 - 1e-4, angle=1.0, phi=0.3, max_terms=5000)
+@given(
+    kappa=st.builds(Fraction, st.integers(min_value=1, max_value=58),
+                    st.integers(min_value=1, max_value=29)),
+    rho=st.one_of(st.floats(min_value=0.0, max_value=1 - 1e-4),
+                  st.sampled_from([0.99, 0.999, 0.9993, 1 - 1e-4])),
+    angle=st.sampled_from([0.0, 1.0, -2.5]),
+    phi=st.sampled_from([0.0, 0.3]),
+    max_terms=st.integers(min_value=50, max_value=5000),
+)
+def test_the_predicted_block_end_and_refusal_leave_the_doubling_series(
+    kappa, rho, angle, phi, max_terms
+):
+    # kappa = p/q in (0, 2], q <= 29, and |z| sqrt(kappa) = rho up to 1 - 1e-4
+    params = AlgebraParams([kappa], phi)
+    z = rho / math.sqrt(kappa) * complex(math.cos(angle), math.sin(angle))
+    try:
+        coeffs, bound = perelomov_series_by_doubling(params, z, max_terms=max_terms)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc)) + "$"):
+            perelomov_state(params, z, max_terms=max_terms)
+        return
+    state = perelomov_state(params, z, max_terms=max_terms)
+    assert state.coeffs.tobytes() == coeffs.tobytes()
+    assert state.cutoff_meta.n_terms == len(coeffs)
+    assert state.cutoff_meta.tail_bound == bound
+
+
+def _count_steps(monkeypatch):
+    spans = []
+    steps = coherent._steps
+
+    def spy(kind, params, z, lo, hi):
+        spans.append(hi - lo)
+        return steps(kind, params, z, lo, hi)
+
+    monkeypatch.setattr(coherent, "_steps", spy)
+    return spans
+
+
+@pytest.mark.parametrize("kappa, modulus, max_terms", [
+    ("1/2", 1.414, MAX_SERIES_TERMS),  # |z| sqrt(kappa) = 0.99985
+    ("1/2", 0.99 / math.sqrt(0.5), 500),
+    ("1", 1 - 10**-4.5, MAX_SERIES_TERMS),  # the states stream's cap command
+])
+def test_a_certain_cap_builds_no_term(monkeypatch, kappa, modulus, max_terms):
+    spans = _count_steps(monkeypatch)
+    params = AlgebraParams([kappa], 0.4)
+    message = f"series did not reach tail tolerance 1e-14 within {max_terms} terms$"
+    with pytest.raises(DomainError, match=message):
+        perelomov_state(params, modulus * 1j, max_terms=max_terms)
+    assert spans == []
+    with pytest.raises(DomainError, match=message):  # as the doubling series says
+        perelomov_series_by_doubling(params, modulus * 1j, max_terms=max_terms)
+
+
+def test_the_last_block_ends_near_the_cut(monkeypatch):
+    # the doubling blocks computed 65,535 terms for the 45,053 kept
+    spans = _count_steps(monkeypatch)
+    state = perelomov_state(AlgebraParams(["14/25"]), 1.3353)
+    assert len(state) == 45_053
+    assert sum(spans) <= 1.05 * len(state)
 
 
 def test_via_exponential_d2():
@@ -627,6 +694,42 @@ def test_hyper_0f_on_an_array_stops_each_entry_at_its_own_term():
     assert hyper_0f((2, 3), np.zeros((2, 1))).tolist() == [[1.0], [1.0]]
     with pytest.raises(DomainError):
         hyper_0f((1,), np.array([0.5, 1e6]), max_terms=50)
+
+
+def _hyper_outcome(ells, x, max_terms):
+    try:
+        return np.asarray(hyper_0f(ells, x, max_terms=max_terms)).tolist()
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ells=st.lists(st.one_of(st.integers(min_value=1, max_value=9),
+                            st.floats(min_value=0.05, max_value=9)), max_size=3),
+    xs=st.lists(st.one_of(st.floats(min_value=0, max_value=1e12), st.floats(min_value=0),
+                          st.sampled_from([0.0, math.inf])), min_size=1, max_size=4),
+    max_terms=st.integers(min_value=1, max_value=300),
+)
+def test_a_sum_refused_at_once_is_the_one_the_loop_refuses(ells, xs, max_terms):
+    # the same value or error with and without the up-front divergence test,
+    # for arrays and for each scalar
+    def outcomes():
+        return [_hyper_outcome(ells, x, max_terms) for x in (np.array(xs), *map(np.float64, xs))]
+
+    with_test = outcomes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coherent, "_refuse_divergent", lambda *args: None)
+        assert outcomes() == with_test
+
+
+def test_a_sum_that_cannot_converge_is_refused_before_its_loop(monkeypatch):
+    # x = 2e200 at ells (2,): the terms still grow at the 100,000th, and pass
+    # the double range long before it, where the loop would rescale
+    monkeypatch.setattr(coherent, "RESCALE_BITS", None)  # so a rescale fails the test
+    for x in (2e200, np.array([1.0, 2e200, math.inf])):
+        with pytest.raises(DomainError, match="^hypergeometric series did not converge$"):
+            hyper_0f((2,), x)
 
 
 def test_bg_normalization_past_the_double_range_of_its_square():

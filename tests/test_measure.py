@@ -338,6 +338,130 @@ def test_shifted_minor_failures_name_the_minor():
         solve_measure(moments(2, 2, 10, 26))
 
 
+@st.composite
+def _decision_sequences(draw):
+    """1 to 20 rationals: small ones of either sign (zero minors are common),
+    the moments of a few atoms on (0, inf) (positive minors up to the atom
+    count, zero past it) or of signed atoms (negative minors), or the
+    moments of a family (`_family_moments`)."""
+    shape = draw(st.sampled_from(["small", "positive", "signed", "family"]))
+    if shape == "family":
+        return list(draw(_family_moments()).values)
+    count = draw(st.integers(min_value=1, max_value=20))
+    if shape == "small":
+        return [draw(_RATIONAL) for _ in range(count)]
+    where = (st.fractions(min_value=Fraction(1, 100), max_value=50, max_denominator=100)
+             if shape == "positive" else _RATIONAL)
+    atoms = draw(st.lists(st.tuples(where, st.fractions(min_value=Fraction(1, 9), max_value=9,
+                                                        max_denominator=9)),
+                          min_size=1, max_size=10))
+    return [sum(w * t**n for t, w in atoms) for n in range(count)]
+
+
+def _first_nonpositive(values):
+    """The refusal of the first nonpositive exact minor, plain first, or None."""
+    plain, shifted = hankel_minors_by_fractions(values)
+    for idx, det in enumerate(plain, start=1):
+        if det <= 0:
+            return f"moment sequence is not positive-definite: Hankel minor H_{idx} = {det}"
+    for idx, det in enumerate(shifted, start=1):
+        if det <= 0:
+            return f"moments admit no measure on (0, inf): shifted Hankel minor H'_{idx} = {det}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_decision_sequences())
+def test_the_pass_decides_positivity_and_the_recurrence_as_the_fractions_do(values):
+    refusal = _first_nonpositive(values)
+    minors = hankel_minors(values)
+    try:
+        alphas = [n / d for n, d in minors.alphas]
+        betas = [n / d for n, d in minors.betas]
+    except (OverflowError, ZeroDivisionError):
+        alphas = betas = None
+    if polywh.measure._certified(minors.sigmas, alphas, betas, len(values) // 2):
+        assert refusal is None
+    moments = MomentSequence(tuple(map(Fraction, values)), StateKind.BARUT_GIRARDELLO)
+    if refusal is not None:
+        with pytest.raises(DomainError, match=re.escape(refusal) + "$"):
+            solve_measure(moments)
+    else:
+        try:
+            solve_measure(moments)
+        except DomainError as exc:  # the float endgame may still refuse the rule
+            assert "Hankel minor" not in str(exc)
+    plain, shifted = hankel_minors_by_fractions(values)
+    if 0 not in plain + shifted:  # the Fraction recurrence divides by every minor
+        ref_alphas, ref_betas = recurrence_by_fractions(plain, shifted, len(values))
+        assert [Fraction(*a) for a in minors.alphas] == ref_alphas  # the odd completion too
+        assert [Fraction(*b) for b in minors.betas] == ref_betas
+        if alphas is not None:
+            assert alphas + betas == [float(x) for x in ref_alphas + ref_betas]
+
+
+def _count_exact_minors(monkeypatch):
+    calls = []
+    build = polywh.measure._exact_minors
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return build(*args)
+
+    monkeypatch.setattr(polywh.measure, "_exact_minors", spy)
+    return calls
+
+
+def test_a_family_measure_builds_no_exact_minor(monkeypatch):
+    moments = moments_for(AlgebraParams(["3/7"]), "barut-girardello", count=40)
+    calls = _count_exact_minors(monkeypatch)
+    measure = solve_measure(moments)
+    assert calls == []
+    assert measure.n_matched == 40
+    minors = hankel_minors(moments.values)
+    assert minors == hankel_minors_by_fractions(moments.values)  # read: built now
+    assert calls == [20]
+
+
+@pytest.mark.parametrize("values, refusal", [
+    ((1, 2, 1), "moment sequence is not positive-definite: Hankel minor H_2 = -3"),
+    ((1, 1, 1, 1), "moment sequence is not positive-definite: Hankel minor H_2 = 0"),
+    ((1, -1, 2, -1), "moments admit no measure on (0, inf): shifted Hankel minor H'_1 = -1"),
+    ((2, 2, 10, 26), "moments admit no measure on (0, inf): shifted Hankel minor H'_2 = -48"),
+])
+def test_an_invalid_sequence_is_named_by_its_exact_minors(monkeypatch, values, refusal):
+    calls = _count_exact_minors(monkeypatch)
+    moments = MomentSequence(tuple(map(Fraction, values)), StateKind.BARUT_GIRARDELLO)
+    with pytest.raises(DomainError, match=re.escape(refusal) + "$"):
+        solve_measure(moments)
+    assert len(calls) == 1
+
+
+def test_a_bound_that_cannot_decide_falls_back_to_the_exact_minors(monkeypatch):
+    # unit masses at t = 1e-16 and t = 1: r_2 = D_2 / D_1 ~ 2e-16 is lost in
+    # alpha_1 - beta_1 / r_1 in float, so the bound is not positive, though
+    # every minor is
+    values = [Fraction(1, 10**16) ** n + 1 for n in range(4)]
+    assert _first_nonpositive(values) is None
+    minors = hankel_minors(values)
+    alphas = [n / d for n, d in minors.alphas]
+    betas = [n / d for n, d in minors.betas]
+    assert not polywh.measure._certified(minors.sigmas, alphas, betas, 2)
+    calls = _count_exact_minors(monkeypatch)
+    measure = solve_measure(MomentSequence(tuple(values), StateKind.BARUT_GIRARDELLO))
+    assert calls == [2]
+    assert measure.nodes.min() > 0
+
+
+def test_the_minors_read_as_a_pair():
+    minors = hankel_minors([1, 1, 2, 6, 24])
+    assert not isinstance(minors, tuple)
+    assert len(minors) == 2 and minors[0] == list(minors)[0] == [1, 1, 4]
+    assert minors == ([1, 1, 4], [1, 2]) and minors != [[1, 1, 4], [1, 2]]
+    assert repr(minors) == "HankelMinors([Fraction(1, 1), Fraction(1, 1), Fraction(4, 1)], " \
+        "[Fraction(1, 1), Fraction(2, 1)])"
+
+
 # ------------------------------------------------------ classical laws
 
 @st.composite

@@ -20,3 +20,6 @@ def test_one_growth_seed_against_the_same_checkout_twice():
     assert all(math.isfinite(v) for v in (*seed["p50_ms"].values(), *seed["p93_ms"].values()))
     faults = seed["minor_faults_per_command"].values()
     assert all(isinstance(v, int) and v >= 0 for v in faults)
+    peak_rss = seed["peak_rss_mb"].values()
+    assert all(isinstance(v, float) and 0 < v < math.inf for v in peak_rss)
+    assert "peak RSS" in done.stdout.splitlines()[0]

@@ -3,23 +3,24 @@
     python3 tools/paired_timing.py --parent ../parent --change . --workload moments \\
         --seeds 1-5
 
-Starts one worker process per checkout, each running `polywh.cli.main`
-imported from that checkout's `src/`, and sends both the same commands of
-a `bench/streams.py` stream one at a time, the way `bench/run.py` runs them
-(in-process, stdout and stderr in memory, BLAS pinned to one thread,
-glibc's mmap threshold pinned).  Each seed runs the first CYCLES cycles of
-its stream; each command runs REPEATS times in each worker, the two
-interleaved and the one that goes first alternating from command to
-command, and the minimum time is kept: on a machine whose cores are
+Starts one worker process per checkout for each seed, each running
+`polywh.cli.main` imported from that checkout's `src/`, and sends both the
+same commands of a `bench/streams.py` stream one at a time, the way
+`bench/run.py` runs them (in-process, stdout and stderr in memory, BLAS
+pinned to one thread, glibc's mmap threshold pinned).  Each seed runs the
+first CYCLES cycles of its stream; each command runs REPEATS times in each
+worker, the two interleaved and the one that goes first alternating from
+command to command, and the minimum time is kept: on a machine whose cores are
 shared, unpaired runs of the same code spread far more than a paired
 difference.  Per seed it prints the throughput ratio change/parent
 (commands per second of the summed minima), the p50 and p93 of the minima
 of each side, the minor page faults per command of each side (the mean
 over every run of `getrusage`'s ru_minflt delta around the command,
-rounded) and how many commands exited differently; the last line is one
-JSON object with the same numbers.  The
-streams and the command runner are read from `bench/` next to this file;
-nothing there is written.
+rounded), the peak RSS of each side's worker (`getrusage`'s ru_maxrss in
+MB, as `bench/run.py` reports it; a fresh worker pair per seed keeps it
+that seed's) and how many commands exited differently; the last line is
+one JSON object with the same numbers.  The streams and the command runner
+are read from `bench/` next to this file; nothing there is written.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ REPEATS = 3  # runs of each command per side
 
 def serve(src: Path) -> int:
     """Worker: time each argv read from stdin (a JSON line) and answer with
-    one JSON line [exit code, seconds, minor page faults].  The allocator
-    is set up as `bench/run.py` sets it before it imports the program."""
+    one JSON line [exit code, seconds, minor page faults, peak RSS in MB so
+    far].  The allocator is set up as `bench/run.py` sets it before it
+    imports the program."""
     run.fix_mmap_threshold()
     sys.path.insert(0, str(src))
     import polywh
@@ -61,8 +63,9 @@ def serve(src: Path) -> int:
         argv = json.loads(line)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         code, _, _, seconds, _ = run.execute(main, argv)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        print(json.dumps([code, seconds, faults]), flush=True)
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        print(json.dumps([code, seconds, usage.ru_minflt - faults, usage.ru_maxrss / 1024]),
+              flush=True)
     return 0
 
 
@@ -75,14 +78,14 @@ class Worker:
             [sys.executable, __file__, "--worker", str(Path(root) / "src")],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
 
-    def time(self, argv) -> tuple[int | None, float, int]:
+    def time(self, argv) -> tuple[int | None, float, int, float]:
         self.process.stdin.write(json.dumps(argv) + "\n")
         self.process.stdin.flush()
         line = self.process.stdout.readline()
         if not line:
             raise RuntimeError(f"worker exited with code {self.process.wait()}")
-        code, seconds, faults = json.loads(line)
-        return code, seconds, faults
+        code, seconds, faults, peak_rss_mb = json.loads(line)
+        return code, seconds, faults, peak_rss_mb
 
     def close(self) -> None:
         self.process.stdin.close()
@@ -92,9 +95,10 @@ class Worker:
 def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
     """Minimum times of every command of the first CYCLES cycles on both
     sides, summed up as throughput ratio, percentiles, page faults per
-    command and exit mismatches."""
+    command, peak RSS and exit mismatches."""
     best = {parent: [], change: []}
     faults = {parent: 0, change: 0}
+    peak_rss = {parent: 0.0, change: 0.0}
     mismatches = 0
     commands = itertools.chain(*itertools.islice(streams.cycles(workload, seed), CYCLES))
     for i, argv in enumerate(commands):
@@ -102,7 +106,7 @@ def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
         times = {side: math.inf for side in order}
         codes = {}
         for _, side in itertools.product(range(REPEATS), order):
-            codes[side], seconds, minflt = side.time(argv)
+            codes[side], seconds, minflt, peak_rss[side] = side.time(argv)
             times[side] = min(times[side], seconds)
             faults[side] += minflt
         mismatches += codes[parent] != codes[change]
@@ -121,6 +125,7 @@ def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
                    "change": run.percentile(ms[change], 93.0)},
         "minor_faults_per_command": {"parent": round(faults[parent] / runs),
                                      "change": round(faults[change] / runs)},
+        "peak_rss_mb": {"parent": peak_rss[parent], "change": peak_rss[change]},
     }
 
 
@@ -142,12 +147,14 @@ def main(argv=None) -> int:
         return serve(args.worker)
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
-    parent, change = Worker(args.parent), Worker(args.change)
-    try:
-        results = [compare(parent, change, args.workload, seed) for seed in args.seeds]
-    finally:
-        parent.close()
-        change.close()
+    results = []
+    for seed in args.seeds:
+        parent, change = Worker(args.parent), Worker(args.change)
+        try:
+            results.append(compare(parent, change, args.workload, seed))
+        finally:
+            parent.close()
+            change.close()
     for r in results:
         print(f"{args.workload} seed {r['seed']}: {r['commands']} commands, "
               f"throughput ratio {r['throughput_ratio']:.3f}, "
@@ -155,6 +162,7 @@ def main(argv=None) -> int:
               f"p93 {r['p93_ms']['parent']:.3f} -> {r['p93_ms']['change']:.3f} ms, "
               f"minor faults/command {r['minor_faults_per_command']['parent']} -> "
               f"{r['minor_faults_per_command']['change']}, "
+              f"peak RSS {r['peak_rss_mb']['parent']:.2f} -> {r['peak_rss_mb']['change']:.2f} MB, "
               f"exit mismatches {r['exit_mismatches']}")
     print(json.dumps({"workload": args.workload, "cycles": CYCLES, "repeats": REPEATS, "seeds": results}))
     return 0
