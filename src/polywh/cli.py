@@ -318,16 +318,7 @@ def cmd_measure(args):
     kind = StateKind(args.kind)
     moments = moments_for(params, kind, count=args.levels)
     measure = solve_measure(moments)
-    try:
-        deviation = verify_identity(params, kind, measure)
-    except DomainError as exc:
-        if kind is StateKind.PERELOMOV and measure.n_matched % 2:
-            raise DomainError(
-                f"{exc} (the moment count {measure.n_matched} is odd: the last recurrence "
-                "coefficient is a completion, not fixed by the moments, and it can put the "
-                "largest node at or past the rim; prefer an even count)"
-            ) from None
-        raise
+    deviation = verify_identity(params, kind, measure)
     payload = {"command": "measure", "kind": kind.value}
     payload.update(params_payload(params))
     payload.update(

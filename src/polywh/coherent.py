@@ -254,12 +254,39 @@ def _never_cut(kind, params, radius, tail_tol, max_terms) -> bool:
     terms = _perelomov_terms(params, radius)
     if terms is None:
         return False
-    x, a, peak, log_abs2, margin = terms
+    x, a, _, log_abs2, margin = terms
     log_room = 2.0 * math.log(tail_tol) + (1.0 - a) * math.log1p(-x)
     if any(log_abs2(n) <= log_room + margin(n) for n in (max_terms, 1)):
         return False
-    peak = min(peak, max_terms)
-    highest = max(log_abs2(n) for n in {max(peak - 1, 0), peak, min(peak + 1, max_terms)})
+    return _peak_fits(terms, max_terms)
+
+
+def _always_cut(params, radius, tail_tol, max_terms) -> bool:
+    """Whether the perelomov series of an r = 1 ladder with kappa > 0 at
+    |z| = radius certainly meets its tail cut within max_terms terms with
+    no coefficient past the double range: then `perelomov_state` succeeds
+    there.  The mirror of `_never_cut`, from the same closed form, in
+    O(log max_terms); False wherever it cannot decide.
+
+    The running squared norm before any c_n, n >= 1, is at least |c_0|^2
+    = 1, so a cut that `_cut_bound` finds certain with S_n taken as 1 is
+    certain with the true S_n.  Every coefficient the series builds has n
+    <= max_terms, and the largest of them must fit in a double with room."""
+    if params.r != 1 or params.kappas[0] <= 0 or max_terms < 1:
+        return False
+    terms = _perelomov_terms(params, radius)
+    if terms is None or not _peak_fits(terms, max_terms):
+        return False
+    return _cut_bound(params, radius, 1, max_terms + 1, 2.0 * math.log(tail_tol)) is not None
+
+
+def _peak_fits(terms, last) -> bool:
+    """Whether the largest |c_n|^2, n <= last, of the closed form
+    (`_perelomov_terms`) fits in a double with room past its margin: the
+    one overflow rule of `_never_cut` and `_always_cut`."""
+    _, _, peak, log_abs2, margin = terms
+    peak = min(peak, last)
+    highest = max(log_abs2(n) for n in {max(peak - 1, 0), peak, min(peak + 1, last)})
     return highest + margin(peak) < 2.0 * (math.log(np.finfo(float).max) - 1.0)
 
 

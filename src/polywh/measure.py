@@ -25,7 +25,8 @@ off a closed form in kappa = p/q: alpha_n = q (q (2n+1) + 2p (n^2-n-1)) /
 0.  Positivity needs no certificate there: the moments of a law with
 infinite support have every plain and shifted Hankel minor positive.  Each
 entry equals the ratio the chain below gives and rounds to the same double,
-so the rule is the same to the bit.  Every other sequence (barut-girardello
+so the rule is the same to the bit; an odd count on the disk (0 < kappa <
+1) is the one exception, below.  Every other sequence (barut-girardello
 at kappa > 0, r >= 2, kappa >= 1, which is refused at H_2, and any other
 `MomentSequence`) goes through the chain.  A discrete positive measure
 with the supplied moments is produced there by
@@ -72,23 +73,27 @@ that is a `DomainError` naming the node, with no overflow warning.  The
 rule is accepted only if it reproduces every supplied moment to 1e-8.
 
 With an odd number of supplied moments the last diagonal recurrence
-coefficient is not pinned down; it is completed just above the exact
+coefficient is not pinned down by them.  On the perelomov disk (r = 1, 0 <
+kappa < 1) the law pins it: the rule takes the law's own alpha_{k-1}, the
+one the chain gives on one more moment, so it is the k-node Gauss rule of
+the law, with every node inside its support (0, 1/kappa) and so inside the
+existence disk of the states.  Everywhere else (kappa = 0, the finite
+ladders, and the chain) it is completed just above the exact
 Schur-complement positivity threshold, which keeps every node strictly
-positive while still matching all supplied moments.  For the
-disk-constrained perelomov family on an infinite ladder that completed
-node can leave the existence disk t < 1/kappa_1; `verify_identity` then
-refuses the rule naming the node (and the `measure` command names the odd
-count), so prefer an even moment count there.
+positive while still matching all supplied moments.
 
 The rule is checked against the states themselves by reassembling the
-identity diagonal sum_j w_j |c_n(sqrt(t_j))|^2.  One coherent-state
-constructor call, at the largest node, decides that the state of every
-node exists (|c_n(z)| grows with |z|); its failure is raised again with
-the check, the node and |z| in front.  The leading moduli of all nodes
-then come from the constructors' own series routine run once over a
-column of all the nodes (`coherent._series_moduli`), bit-equal to the
-coefficients each node's own state would give, and are summed node by
-node in order.
+identity diagonal sum_j w_j |c_n(sqrt(t_j))|^2.  The state at the largest
+node decides that the state of every node exists (|c_n(z)| grows with
+|z|).  On the perelomov disk (r = 1, kappa > 0) the closed form of |c_n|^2
+certifies in O(log n) that the series there meets its tail cut with every
+coefficient in range (`coherent._always_cut`); only where it cannot is
+that state built, as it is for every other ladder, and its failure is
+raised again with the check, the node and |z| in front.  The leading
+moduli of all nodes then come from the constructors' own series routine
+run once over a column of all the nodes (`coherent._series_moduli`),
+bit-equal to the coefficients each node's own state would give, and are
+summed node by node in order.
 """
 
 from __future__ import annotations
@@ -100,7 +105,16 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraParams, _freeze, _scaled_factorials, classify
-from .coherent import StateKind, _outside_disk, _series_moduli, bg_state, perelomov_state
+from .coherent import (
+    DEFAULT_TAIL_TOL,
+    MAX_SERIES_TERMS,
+    StateKind,
+    _always_cut,
+    _outside_disk,
+    _series_moduli,
+    bg_state,
+    perelomov_state,
+)
 from .errors import DomainError
 
 NEWTON_STEPS = 3  # on eigvalsh nodes, which are already close
@@ -327,11 +341,14 @@ def _classical_recurrence(values):
     2/m_2 - 1 = p/q, and m_{n+1} (q + np) = (n + 1) q m_n for every n,
     checked as cross-multiplied integers.  It exists for 0 <= p < q and for
     p = -1 with at most q + 1 moments; with fewer than three moments or any
-    other kappa the answer is None.  alpha_0 = beta_0 = 1.  An odd count
-    completes the last alpha_{k-1} to 2 tau + 1 as the chain does: with
-    det J_j = j! q^j / prod_{m=j-1}^{2j-2} (q + mp), tau = beta_j det J_{j-1}
-    / det J_j at j = k - 1 is j q (q + (j-2)p) / ((q + 2(j-1)p) (q +
-    (2j-1)p)).  Every denominator is positive where the law exists.
+    other kappa the answer is None.  alpha_0 = beta_0 = 1.  An odd count on
+    the disk (0 < p < q) keeps the law's own alpha_{k-1}, the one the chain
+    gives on count + 1 moments: the rule is the k-node Gauss rule of the
+    law, every node inside its support (0, 1/kappa).  At p = 0 and p = -1
+    an odd count completes the last alpha_{k-1} to 2 tau + 1 as the chain
+    does: with det J_j = j! q^j / prod_{m=j-1}^{2j-2} (q + mp), tau = beta_j
+    det J_{j-1} / det J_j at j = k - 1 is j q (q + (j-2)p) / ((q + 2(j-1)p)
+    (q + (2j-1)p)).  Every denominator is positive where the law exists.
     """
     count = len(values)
     if count < 3:
@@ -355,7 +372,7 @@ def _classical_recurrence(values):
         alphas.append((q * (q * (2 * n + 1) + 2 * p * (n * n - n - 1)), below * above))
         root = n * q * (q + (n - 2) * p)
         betas.append((root * root, below * below * (q + (2 * n - 1) * p) * (q + (2 * n - 3) * p)))
-    if count % 2:
+    if count % 2 and p <= 0:
         j = len(alphas) - 1
         tau, den = j * q * (q + (j - 2) * p), (q + 2 * (j - 1) * p) * (q + (2 * j - 1) * p)
         alphas[-1] = (2 * tau + den, den)
@@ -552,14 +569,18 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
     angular average and the moduli are phase independent, so the result
     does not depend on phi.
 
-    One constructor call, at the largest node, decides whether every
-    state of the rule exists: |c_n(z)| = |z|^n |c_n(1)| grows with |z|, so
-    the existence disk, an overflow or the term cap is met there first; its
-    `DomainError` is raised again with the check, the node t and |z| in
-    front.  The moduli of all nodes then come from the rows of the
-    constructor's own series routine over the leading levels
-    (`coherent._series_moduli`), bit-equal to each node's own state, and are
-    summed in node order.
+    The state at the largest node decides whether every state of the rule
+    exists: |c_n(z)| = |z|^n |c_n(1)| grows with |z|, so the existence
+    disk, an overflow or the term cap is met there first.  The disk is
+    checked first.  On an r = 1 ladder with kappa > 0 the perelomov closed
+    form then certifies, where it can, that the constructor would succeed
+    there at the default tolerance and term cap (`coherent._always_cut`),
+    and the state is not built.  Otherwise one constructor call at that
+    node decides, and its `DomainError` is raised again with the check,
+    the node t and |z| in front.  The moduli of all nodes then come from
+    the rows of the constructor's own series routine over the leading
+    levels (`coherent._series_moduli`), bit-equal to each node's own
+    state, and are summed in node order.
     """
     kind = StateKind(kind)
     levels = measure.n_matched
@@ -570,19 +591,22 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
         )
     nodes = np.asarray(measure.nodes, dtype=float)
     t_max = float(nodes.max())
-    if kind is StateKind.PERELOMOV:
-        if _outside_disk(params, math.sqrt(t_max)):
-            raise DomainError(
-                f"measure node t = {t_max:.6g} lies outside the existence disk "
-                f"t < 1/kappa_1 = {1.0 / float(params.kappas[0]):.6g} of the perelomov states"
-            )
-    build = perelomov_state if kind is StateKind.PERELOMOV else bg_state
-    try:
-        build(params, math.sqrt(t_max))
-    except DomainError as exc:
+    radius = math.sqrt(t_max)
+    if kind is StateKind.PERELOMOV and _outside_disk(params, radius):
         raise DomainError(
-            f"identity check at measure node t = {t_max:.6g} (|z| = {math.sqrt(t_max):.6g}): {exc}"
-        ) from exc
+            f"measure node t = {t_max:.6g} lies outside the existence disk "
+            f"t < 1/kappa_1 = {1.0 / float(params.kappas[0]):.6g} of the perelomov states"
+        )
+    if kind is StateKind.BARUT_GIRARDELLO or not _always_cut(
+        params, radius, DEFAULT_TAIL_TOL, MAX_SERIES_TERMS
+    ):
+        build = perelomov_state if kind is StateKind.PERELOMOV else bg_state
+        try:
+            build(params, radius)
+        except DomainError as exc:
+            raise DomainError(
+                f"identity check at measure node t = {t_max:.6g} (|z| = {radius:.6g}): {exc}"
+            ) from exc
     moduli = _series_moduli(kind, params, np.sqrt(nodes), levels)
     weighted = np.asarray(measure.weights, dtype=float)[:, None] * moduli
     diag = np.cumsum(weighted, axis=0)[-1]  # node by node, in order: a matmul would reorder it

@@ -93,18 +93,23 @@ def test_domain_error_exit_code_and_message(capsys):
     assert "r = 1" in err or "r >= 2" in err
 
 
-def test_measure_node_outside_the_disk_is_named(capsys):
-    # 21 perelomov moments at kappa = 1/2: the odd-count completion puts the
-    # last Gauss node at t = 2.21561, past the disk t < 1/kappa_1 = 2
-    code, out, err = run_cli(capsys, "measure", "--kappa", "1/2", "--kind", "perelomov",
-                             "--levels", "21")
-    assert (code, out) == (1, "")
-    assert err == ("error: measure node t = 2.21561 lies outside the existence disk "
-                   "t < 1/kappa_1 = 2 of the perelomov states (the moment count 21 is odd: "
-                   "the last recurrence coefficient is a completion, not fixed by the "
-                   "moments, and it can put the largest node at or past the rim; prefer "
-                   "an even count)\n")
-    assert "|z|" not in err
+def test_measure_odd_count_on_the_disk_is_the_law_rule(capsys):
+    # 21 perelomov moments at kappa = 1/2 take the law's own last recurrence
+    # coefficient: the 11-node Gauss rule of the 22-level artifact, every
+    # node inside the disk t < 1/kappa_1 = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = [run_cli(capsys, "measure", "--kappa", "1/2", "--kind", "perelomov",
+                        "--levels", str(levels)) for levels in (21, 22)]
+    assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
+    odd, even = (json.loads(out) for _, out, _ in runs)
+    assert (odd["levels"], odd["n_matched"], even["n_matched"]) == (21, 21, 22)
+    assert odd["moments"] == even["moments"][:21]
+    assert [t.hex() for t in odd["nodes"]] == [t.hex() for t in even["nodes"]]
+    assert [w.hex() for w in odd["weights"]] == [w.hex() for w in even["weights"]]
+    assert len(odd["nodes"]) == 11 and 0 < min(odd["nodes"]) and max(odd["nodes"]) < 2
+    assert odd["moment_match_max_rel_err"] <= 1e-8
+    assert odd["identity_deviation"] <= 1e-8
 
 
 def test_io_error_exit_code(capsys, tmp_path):

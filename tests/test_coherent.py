@@ -274,6 +274,34 @@ def test_the_predicted_block_end_and_refusal_leave_the_doubling_series(
     assert state.cutoff_meta.tail_bound == bound
 
 
+@settings(max_examples=300, deadline=None)
+@example(kappa=Fraction(1, 2), rho=0.9993, phi=0.0, tail_tol=1e-14, max_terms=MAX_SERIES_TERMS)
+@example(kappa=Fraction(14, 25), rho=1 - 1e-6, phi=0.7, tail_tol=1e-6, max_terms=5000)
+@example(kappa=Fraction(3, 7), rho=0.5, phi=0.0, tail_tol=1e-10, max_terms=1)
+@given(
+    kappa=st.integers(min_value=1, max_value=40).flatmap(
+        lambda q: st.builds(Fraction, st.integers(min_value=1, max_value=2 * q - 1), st.just(q))),
+    rho=st.floats(min_value=0.0, max_value=6.0).map(lambda u: 1.0 - 10.0**-u),
+    phi=st.one_of(st.just(0.0), st.floats(min_value=-math.pi, max_value=math.pi)),
+    tail_tol=st.sampled_from([1e-14, 1e-10, 1e-6]),
+    max_terms=st.one_of(st.integers(min_value=1, max_value=6000),
+                        st.sampled_from([50, 500, 5000, MAX_SERIES_TERMS])),
+)
+def test_a_certain_cut_is_a_state(kappa, rho, phi, tail_tol, max_terms):
+    # kappa = p/q in (0, 2), q <= 40, and |z| sqrt(kappa) = rho, up to 1 - 1e-6
+    params = AlgebraParams([kappa], phi)
+    radius = rho / math.sqrt(kappa)
+    certified = coherent._always_cut(params, radius, tail_tol, max_terms)
+    try:
+        state = perelomov_state(params, radius * complex(math.cos(phi), math.sin(phi)),
+                                tail_tol=tail_tol, max_terms=max_terms)
+    except DomainError:
+        assert not certified
+    else:
+        assert state.cutoff_meta.n_terms <= max_terms
+        assert state.cutoff_meta.tail_bound <= tail_tol
+
+
 def _count_steps(monkeypatch):
     spans = []
     steps = coherent._steps

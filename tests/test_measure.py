@@ -481,8 +481,13 @@ def _law_moments(draw):
 @settings(max_examples=150, deadline=None)
 @given(moments=_law_moments())
 def test_the_closed_form_recurrence_is_the_chains(moments):
+    # an odd count on the disk (0 < kappa < 1) keeps the law's alpha_{k-1}:
+    # the chain's on count + 1 moments, where it is fixed by the moments
     alphas, betas = _classical_recurrence(moments.values)
-    minors = hankel_minors(moments.values)
+    values, kappa = moments.values, 2 / moments.values[2] - 1
+    if len(values) % 2 and 0 < kappa < 1:
+        values = moments_for(AlgebraParams([kappa]), "perelomov", count=len(values) + 1).values
+    minors = hankel_minors(values)
     assert [Fraction(*a) for a in alphas] == [Fraction(*a) for a in minors.alphas]
     assert [Fraction(*b) for b in betas] == [Fraction(*b) for b in minors.betas]
     assert [n / d for n, d in alphas + betas] == [n / d for n, d in minors.alphas + minors.betas]
@@ -504,7 +509,7 @@ def _count_chain_passes(monkeypatch):
 @pytest.mark.parametrize("kappas, kind, count", [
     (["0"], "barut-girardello", 16),  # Exp(1): the barut-girardello law at kappa = 0 too
     (["0"], "perelomov", 9),
-    (["1/2"], "perelomov", 21),  # odd: the completed node leaves the disk, as before
+    (["1/2"], "perelomov", 21),  # odd on the disk: the law's 11-node rule, the chain's on 22
     (["13/19"], "perelomov", 64),
     (["-1/30"], "perelomov", None),
     (["-1/31"], "perelomov", None),
@@ -516,12 +521,19 @@ def test_the_classical_laws_skip_the_chain_and_give_its_rule(monkeypatch, kappas
     by_law = [solve_measure(moments), solve_measure(hand_built)]
     assert calls == []
     monkeypatch.setattr(polywh.measure, "_classical_recurrence", lambda values: None)
-    by_chain = solve_measure(moments)
-    assert calls == [len(moments.values)]
+    chained = moments
+    if kind == "perelomov" and 0 < Fraction(kappas[0]) < 1 and count % 2:
+        chained = moments_for(AlgebraParams(kappas), kind, count=count + 1)
+    by_chain = solve_measure(chained)
+    assert calls == [len(chained.values)]
     for measure in by_law:
         assert measure.nodes.tobytes() == by_chain.nodes.tobytes()
         assert measure.weights.tobytes() == by_chain.weights.tobytes()
-        assert measure.max_rel_err == by_chain.max_rel_err
+        assert measure.n_matched == len(moments.values)
+        assert measure.max_rel_err == _moment_match(moments.values, by_chain.nodes,
+                                                    by_chain.weights)
+        if chained is moments:
+            assert measure.max_rel_err == by_chain.max_rel_err
 
 
 @pytest.mark.parametrize("kappas, kind, count, refusal", [
@@ -765,6 +777,49 @@ def test_the_identity_check_names_its_node_and_keeps_the_cause():
         f"identity check at measure node t = 2000 (|z| = 44.7214): barut-girardello state at "
         f"z = {complex(math.sqrt(2000.0))} overflows double precision: coefficient c_690 "
         "passes the double range")
+
+
+def _count_constructor_calls(monkeypatch, name):
+    calls = []
+    build = getattr(polywh.measure, name)
+
+    def spy(params, z, **options):
+        calls.append(z)
+        return build(params, z, **options)
+
+    monkeypatch.setattr(polywh.measure, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("kappas, kind, count, built", [
+    (["3/7"], "perelomov", 40, 0),  # the closed form certifies the largest node's state
+    (["1/2"], "perelomov", 21, 0),
+    (["1/2"], "barut-girardello", 9, 1),  # no closed form: that state is built
+])
+def test_the_largest_node_state_is_built_only_where_no_closed_form_decides(
+    monkeypatch, kappas, kind, count, built
+):
+    params = AlgebraParams(kappas)
+    measure = solve_measure(moments_for(params, kind, count=count))
+    expected = verify_identity_by_states(params, kind, measure)
+    calls = _count_constructor_calls(
+        monkeypatch, "perelomov_state" if kind == "perelomov" else "bg_state")
+    assert verify_identity(params, kind, measure) == expected
+    assert calls == [math.sqrt(measure.nodes.max())] * built
+
+
+def test_an_uncertified_largest_node_falls_back_to_its_state(monkeypatch):
+    # the largest of 75 nodes sits 5e-4 inside the rim t < 2: no cut is
+    # certain within the term cap, and the constructor refuses the state
+    params = AlgebraParams(["1/2"])
+    measure = solve_measure(moments_for(params, "perelomov", count=150))
+    calls = _count_constructor_calls(monkeypatch, "perelomov_state")
+    with pytest.raises(DomainError) as exc:
+        verify_identity(params, "perelomov", measure)
+    assert calls == [math.sqrt(measure.nodes.max())]
+    assert str(exc.value) == (
+        "identity check at measure node t = 1.99949 (|z| = 1.41403): "
+        "series did not reach tail tolerance 1e-14 within 200000 terms")
 
 
 def test_identity_range_mismatch():

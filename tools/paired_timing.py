@@ -13,19 +13,26 @@ worker, the two interleaved and the one that goes first alternating from
 command to command, and the minimum time is kept: on a machine whose cores are
 shared, unpaired runs of the same code spread far more than a paired
 difference.  Per seed it prints the throughput ratio change/parent
-(commands per second of the summed minima), the p50 and p93 of the minima
-of each side, the minor page faults per command of each side (the mean
+(commands per second of the summed minima), the p50 of the minima of each
+side and their tail at the percentile `bench/run.py` takes for as many
+commands (`run.tail_percentile`: p93.3 for the 150 moments commands of a
+seed), the minor page faults per command of each side (the mean
 over every run of `getrusage`'s ru_minflt delta around the command,
 rounded), the peak RSS of each side's worker (`getrusage`'s ru_maxrss in
 MB, as `bench/run.py` reports it; a fresh worker pair per seed keeps it
 that seed's) and how many commands exited differently; the last line is
 one JSON object with the same numbers.  The streams and the command runner
-are read from `bench/` next to this file; nothing there is written.
+are read from `bench/` next to this file; nothing there is written.  Each
+checkout's `src/` is byte-compiled first (`compileall`, which writes only
+its `__pycache__`), so that neither worker compiles a module on start, as
+one with a stale cache would under PYTHONDONTWRITEBYTECODE, and pays for
+it in its peak RSS.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import itertools
 import json
 import math
@@ -95,7 +102,8 @@ class Worker:
 def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
     """Minimum times of every command of the first CYCLES cycles on both
     sides, summed up as throughput ratio, percentiles, page faults per
-    command, peak RSS and exit mismatches."""
+    command, peak RSS and exit mismatches.  The tail is taken at the
+    benchmark's own percentile for the command count."""
     best = {parent: [], change: []}
     faults = {parent: 0, change: 0}
     peak_rss = {parent: 0.0, change: 0.0}
@@ -114,6 +122,7 @@ def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
             best[side].append(times[side])
     ms = {side: [1e3 * t for t in kept] for side, kept in best.items()}
     runs = REPEATS * len(ms[parent])
+    tail = run.tail_percentile(len(ms[parent]))
     return {
         "seed": seed,
         "commands": len(ms[parent]),
@@ -121,8 +130,9 @@ def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
         "throughput_ratio": sum(best[parent]) / sum(best[change]),
         "p50_ms": {"parent": run.percentile(ms[parent], 50.0),
                    "change": run.percentile(ms[change], 50.0)},
-        "p93_ms": {"parent": run.percentile(ms[parent], 93.0),
-                   "change": run.percentile(ms[change], 93.0)},
+        "tail_percentile": tail,
+        "tail_ms": {"parent": run.percentile(ms[parent], tail),
+                    "change": run.percentile(ms[change], tail)},
         "minor_faults_per_command": {"parent": round(faults[parent] / runs),
                                      "change": round(faults[change] / runs)},
         "peak_rss_mb": {"parent": peak_rss[parent], "change": peak_rss[change]},
@@ -147,6 +157,9 @@ def main(argv=None) -> int:
         return serve(args.worker)
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
+    for root in (args.parent, args.change):
+        if not compileall.compile_dir(Path(root) / "src", quiet=1):
+            sys.exit(f"error: cannot byte-compile {Path(root) / 'src'}")
     results = []
     for seed in args.seeds:
         parent, change = Worker(args.parent), Worker(args.change)
@@ -159,7 +172,8 @@ def main(argv=None) -> int:
         print(f"{args.workload} seed {r['seed']}: {r['commands']} commands, "
               f"throughput ratio {r['throughput_ratio']:.3f}, "
               f"p50 {r['p50_ms']['parent']:.3f} -> {r['p50_ms']['change']:.3f} ms, "
-              f"p93 {r['p93_ms']['parent']:.3f} -> {r['p93_ms']['change']:.3f} ms, "
+              f"p{r['tail_percentile']:g} {r['tail_ms']['parent']:.3f} -> "
+              f"{r['tail_ms']['change']:.3f} ms, "
               f"minor faults/command {r['minor_faults_per_command']['parent']} -> "
               f"{r['minor_faults_per_command']['change']}, "
               f"peak RSS {r['peak_rss_mb']['parent']:.2f} -> {r['peak_rss_mb']['change']:.2f} MB, "
