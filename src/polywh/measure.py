@@ -1,105 +1,58 @@
 """Overcompleteness exhibited through a finite moment-problem solve.
 
-Writing the identity-resolution condition in the number basis and doing
-the angular average analytically (the phases between bra and ket cancel
-level by level, so off-diagonal terms integrate to zero exactly), the
-radial measure in t = |z|^2 must reproduce the moments
+In the number basis the angular average of the identity resolution is
+taken analytically (off-diagonal terms integrate to zero), so the radial
+measure in t = |z|^2 must reproduce
 
     perelomov           m_n = (n!)^2 / F(n)!
     barut-girardello    m_n = F(n)!
 
-for every populated level n.  Both are read off one running integer
-product: F(n)! = P_n / Q^n with P_n = prod_{k<=n} F(k) Q, the integer ladder
-polynomial of `algebra`, so each moment is one reduced `Fraction`.
+for every populated level n, each one reduced `Fraction` read off the
+running integer product of `algebra`.  `solve_measure` returns the Gauss
+rule of the sequence, ceil(M/2) nodes for M moments, from the recurrence
+coefficients alpha_j, beta_j of its Jacobi matrix.  They come from one of
+three sources (Gautschi, Orthogonal Polynomials, OUP 2004, chapters 1-2):
 
-On the r = 1 ladders the perelomov moments n! / prod_{j<n} (1 + j kappa)
-are those of a classical law (Gautschi 2004, sections 1.5 and 2.1): T =
-B/kappa with B ~ Beta(1, 1/kappa - 1) for 0 < kappa < 1, Exp(1) at kappa =
-0 (also the barut-girardello law there), and the beta-prime law prop.
-(1 + t/s)^-(s+2) for kappa = -1/s, whose moments stop below d = s + 1.
-`solve_measure` recognises such a sequence from its values alone, in O(M)
-integer products (`_classical_recurrence`), and reads its Jacobi matrix
-off a closed form in kappa = p/q: alpha_n = q (q (2n+1) + 2p (n^2-n-1)) /
-((q + 2(n-1)p) (q + 2np)) and beta_n = (n q (q + (n-2)p))^2 / ((q +
-2(n-1)p)^2 (q + (2n-1)p) (q + (2n-3)p)), Laguerre (2n + 1, n^2) at kappa =
-0.  Positivity needs no certificate there: the moments of a law with
-infinite support have every plain and shifted Hankel minor positive.  Each
-entry equals the ratio the chain below gives and rounds to the same double,
-so the rule is the same to the bit; an odd count on the disk (0 < kappa <
-1) is the one exception, below.  Every other sequence (barut-girardello
-at kappa > 0, r >= 2, kappa >= 1, which is refused at H_2, and any other
-`MomentSequence`) goes through the chain.  A discrete positive measure
-with the supplied moments is produced there by
+- Classical laws, recognised from the values (`_classical_recurrence`):
+  the r = 1 perelomov moments n! / prod_{j<n} (1 + j kappa), and
+  barut-girardello at kappa = 0, whose Jacobi entries are closed forms in
+  kappa = p/q, equal to the chain's ratios.
+- The barut-girardello product law (`_law_recurrence`): for kappa_i > 0,
+  F(n)! = n! prod_i kappa_i^n (1/kappa_i)_n are the moments of T = X_0
+  prod_i kappa_i X_i with independent X_0 ~ Gamma(1), X_i ~ Gamma(1/kappa_i)
+  (Springer & Thompson, SIAM J. Appl. Math. 18, 1970), so the measure
+  exists by construction.  The Gauss rules of the factors are multiplied
+  together and reduced by the discretized Stieltjes procedure (Gautschi
+  2004, section 2.2).  It serves sequences from `moments_for` with at least
+  LAW_MIN_COUNT moments; below that the chain is cheaper.
+- The exact chain (`hankel_minors`): one integer pass of the Chebyshev
+  algorithm, O(M^2), whose pivots certify that every plain and shifted
+  Hankel minor is positive (`_certified`), and whose rows give the
+  recurrence as integer ratios.  Only where a pivot or its outward-rounded
+  float bound cannot decide are the minors built, to name the first
+  nonpositive one.
 
-    moments -> Chebyshev table (exact)  -> signs of the Hankel minors H_k, H'_k
-            -> recurrence alpha_j, beta_j read off the same rows (exact)
-            -> Jacobi matrix -> Gauss nodes and weights (float).
+An odd count leaves alpha_{k-1} free.  The laws pin it (the disk rule and
+the product law take their own; a barut-girardello chain runs on one more
+exact moment, m_M = m_{M-1} F(M)); kappa = 0, the finite ladders and any
+hand-built sequence complete it to 2 tau + 1 above the Schur-complement
+threshold tau, which keeps every node positive.
 
-One exact pass of the Chebyshev algorithm, O(M^2) operations for M
-moments, decides exactly whether a measure on (0, inf) exists: it does
-when every plain and shifted Hankel minor is positive.  The pass does not
-build the minors.  A plain minor H_{j+1} = H_j sigma_{j,j} is positive
-exactly when its pivot is, and a shifted one H'_j = H_j D_j when the
-pivots r_j = D_j / D_{j-1} of the LDL^T factorisation of the Jacobi matrix
-are: r_1 = alpha_0, r_{j+1} = alpha_j - beta_j / r_j.  `solve_measure`
-bounds each r_j from below in floats rounded outward, from the pass's
-exact alpha_j and beta_j (a filtered predicate, Shewchuk 1997); a positive
-bound certifies the minor.  Only where a pivot or a bound is not positive
-are the minors built as reduced Fractions (`HankelMinors`, on first read);
-they then decide, and a failure names the first nonpositive one.  The
-pass runs on Python integers, not Fractions: each row of the table is a
-list of integers over one common denominator, and after each update one
-gcd takes the content out of the row, which keeps its integers as small
-as the reduced fractions would be (a gcd on every Fraction operation was
-most of the cost).  Plain fraction-free elimination (Bareiss 1968), with
-one exact division per update and no content gcd, loses here: its
-unreduced integers grow with every row and come out slower than Fractions
-on the kappa = p/q families.  The Chebyshev algorithm yields the
-recurrence coefficients directly (Gautschi 2004, section 2.1): each is an
-unreduced ratio of integers the pass already holds, so no minor is divided
-back into them.  Raw-moment recurrences are notoriously ill-conditioned
-in floating point; exact arithmetic sidesteps that and makes the checks
-decisive rather than heuristic.  The float endgame takes the nodes from
-``eigvalsh`` of the Jacobi matrix, polishes them by Newton steps on the
-orthogonal polynomial (each pass carries the polynomial and its
-derivative as the two rows of one array), and takes the weights as
-Christoffel numbers from one last pass of the orthonormal three-term
-recurrence, which keeps the small tail weights accurate to a few ulp
-where eigenvector weights lose them (Gautschi,
-Orthogonal Polynomials: Computation and Approximation, OUP 2004, sections
-2.1 and 3.1).  A Christoffel sum past the double range means a weight
-under the normal range of a double (the finite ladder d = 100 has one);
-that is a `DomainError` naming the node, with no overflow warning.  The
-rule is accepted only if it reproduces every supplied moment to 1e-8.
-
-With an odd number of supplied moments the last diagonal recurrence
-coefficient is not pinned down by them.  On the perelomov disk (r = 1, 0 <
-kappa < 1) the law pins it: the rule takes the law's own alpha_{k-1}, the
-one the chain gives on one more moment, so it is the k-node Gauss rule of
-the law, with every node inside its support (0, 1/kappa) and so inside the
-existence disk of the states.  Everywhere else (kappa = 0, the finite
-ladders, and the chain) it is completed just above the exact
-Schur-complement positivity threshold, which keeps every node strictly
-positive while still matching all supplied moments.
-
-The rule is checked against the states themselves by reassembling the
-identity diagonal sum_j w_j |c_n(sqrt(t_j))|^2.  The state at the largest
-node decides that the state of every node exists (|c_n(z)| grows with
-|z|).  On the perelomov disk (r = 1, kappa > 0) the closed form of |c_n|^2
-certifies in O(log n) that the series there meets its tail cut with every
-coefficient in range (`coherent._always_cut`); only where it cannot is
-that state built, as it is for every other ladder, and its failure is
-raised again with the check, the node and |z| in front.  The leading
-moduli of all nodes then come from the constructors' own series routine
-run once over a column of all the nodes (`coherent._series_moduli`),
-bit-equal to the coefficients each node's own state would give, and are
-summed node by node in order.
+The float endgame (`_gauss_rule`) takes the eigvalsh nodes through two
+passes of the orthonormal recurrence: a Newton pass, then one at the
+polished nodes that gives the last Newton step and the Christoffel sums
+sum p_n^2 whose inverses are the weights, accurate to a few ulp far into
+the tail where eigenvector weights are lost.  A sum past the double range
+is a `DomainError` naming its node.  The rule must reproduce every
+supplied moment to 1e-8, and `verify_identity` reassembles the identity
+diagonal from the coherent states themselves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -117,7 +70,10 @@ from .coherent import (
 )
 from .errors import DomainError
 
-NEWTON_STEPS = 3  # on eigvalsh nodes, which are already close
+# below this many barut-girardello moments the exact chain is cheaper: the
+# measured crossover is about 24-30 levels for r = 1 and 34 for r = 3
+LAW_MIN_COUNT = 30
+FACTOR_RULES = 256  # Gauss rules of the Gamma factors kept, keyed by (shape, node count)
 
 __all__ = [
     "MomentSequence",
@@ -131,11 +87,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Exact radial moments, tagged with the family they came from."""
+    """Exact radial moments, tagged with the family they came from.
+
+    ``law_shapes`` are the Gamma shapes 1/kappa_i (kappa_i > 0) of the
+    barut-girardello product law the moments belong to, as `moments_for`
+    sets them; None where no law is known.  They do not enter ``==``."""
 
     values: tuple[Fraction, ...]
     provenance: StateKind
     angular_scale: str = "angular average taken analytically, weight 1/(2*pi)"
+    law_shapes: tuple[Fraction, ...] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +117,9 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
 
     Finite ladder: the count is fixed to d.  Infinite ladder: the caller
     chooses how many levels to cover.  Combinations for which the states
-    themselves do not exist are rejected.
+    themselves do not exist are rejected.  A barut-girardello sequence (an
+    infinite ladder) records the shapes 1/kappa_i of its product law in
+    ``law_shapes``; kappa_i = 0 contributes a factor 1 and no shape.
     """
     kind = StateKind(kind)
     dim = classify(params)
@@ -184,7 +147,10 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
         values = tuple(Fraction(product, power) for product, power in scaled)
     if any(v.numerator <= 0 for v in values):
         raise DomainError("moment sequence has a nonpositive entry")
-    return MomentSequence(values, kind)
+    if kind is StateKind.PERELOMOV:
+        return MomentSequence(values, kind)
+    shapes = tuple(1 / kappa for kappa in params.kappas if kappa > 0)
+    return MomentSequence(values, kind, law_shapes=shapes)
 
 
 class HankelMinors:
@@ -275,10 +241,12 @@ def hankel_minors(values) -> HankelMinors:
     over den_j a, with a = N_j[0] N_{j-1}[0] and b = N_j[1] N_{j-1}[0] -
     N_{j-1}[1] N_j[0] (den_{j-1} cancels).  One gcd then takes the content
     out of the new row and its denominator; it is what keeps the integers
-    as small as the reduced fractions.  The same integers give the
-    recurrence: alpha_j = b / a and beta_j = N_j[0] den_{j-1} / (den_j
-    N_{j-1}[0]).  The pass keeps the pivots N_j[0] and den_j, and builds the
-    minors from them only when they are read (`_exact_minors`):
+    as small as the reduced fractions (fraction-free elimination without
+    it, Bareiss 1968, lets them grow and is slower than `Fraction` here).
+    The same integers give the recurrence: alpha_j = b / a and beta_j =
+    N_j[0] den_{j-1} / (den_j N_{j-1}[0]).  The pass keeps the pivots
+    N_j[0] and den_j, and builds the minors from them only when they are
+    read (`_exact_minors`):
     `solve_measure` decides their signs from the pivots and the recurrence
     alone, and reads them only where that cannot decide.
 
@@ -382,46 +350,44 @@ def _classical_recurrence(values):
 def _gauss_rule(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gauss rule of a Jacobi matrix.
 
-    The eigenvalues are polished by Newton steps on the degree-k
-    orthogonal polynomial, and the weights are the Christoffel numbers
-    1/sum_{n<k} p_n(t)^2 of the orthonormal polynomials p_n, all evaluated
-    by the three-term recurrence (Gautschi 2004, sections 2.1 and 3.1).
-    Each Newton pass carries p_n and its derivative as the two rows of one
-    array (`_orthonormal_values`); only the last pass, at the polished
-    nodes, carries p_n alone and sums the squares (`_christoffel_sums`);
-    each pass takes its shifts t - alpha_n at once and reads ``off`` as a
-    list.  Weights from the eigenvectors (Golub-Welsch) lose the relative
-    accuracy of the small weights far out in the tail.  A node whose
-    Christoffel sum passes the double range has a weight under the normal
-    range of a double: that is a `DomainError` naming the node (its
-    eigenvalue, unpolished).
+    Two passes of the orthonormal three-term recurrence (Gautschi 2004,
+    sections 2.1 and 3.1; `_orthonormal_values`) take the eigvalsh
+    eigenvalues on: a Newton step on the degree-k polynomial, then one
+    pass at the polished nodes whose Newton step gives the returned nodes
+    and whose sum_{n<k} p_n(t)^2 gives the weights, the Christoffel numbers.
+    Weights from the eigenvectors (Golub-Welsch) lose the relative accuracy
+    of the small weights far out in the tail.  A node whose Christoffel sum
+    passes the double range has a weight under the normal range of a
+    double: that is a `DomainError` naming the node (its eigenvalue).
     """
     off = np.sqrt(betas)
     nodes = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
-    polished, off = nodes, off.tolist()
+    off = off.tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
-        for _ in range(NEWTON_STEPS):
-            value, slope = _orthonormal_values(alphas, off, polished)
-            polished = polished - value / slope
-        squares = _christoffel_sums(alphas, off, polished)
+        value, slope = _orthonormal_values(alphas, off, nodes)
+        polished = nodes - value / slope
+        (value, slope), squares = _orthonormal_values(alphas, off, polished, sums=True)
     lost = np.flatnonzero(~np.isfinite(squares))
     if lost.size:
         raise DomainError(
             f"the Christoffel sum at measure node t = {nodes[lost[0]]:.6g} passes the double "
             f"range: its weight is below {1.0 / np.finfo(float).max:.3g}, under the normal range"
         )
-    return polished, 1.0 / squares
+    return polished - value / slope, 1.0 / squares
 
 
-def _orthonormal_values(alphas, off, t):
-    """sqrt(beta_k) p_k(t) and its derivative in t, as the two rows of one array.
+def _orthonormal_values(alphas, off, t, sums=False):
+    """sqrt(beta_k) p_k(t) and its derivative in t, as the two rows of one
+    array, and with ``sums`` also sum_{n<k} p_n(t)^2.
 
     The p_n are orthonormal for the mass beta_0 = off[0]^2:
     sqrt(beta_{n+1}) p_{n+1} = (t - alpha_n) p_n - sqrt(beta_n) p_{n-1}, and
     the derivative row adds p_n to (t - alpha_n) p'_n before the second
-    term, as p_n + (t - alpha_n) p'_n - sqrt(beta_n) p'_{n-1} is evaluated."""
+    term, as p_n + (t - alpha_n) p'_n - sqrt(beta_n) p'_{n-1} is evaluated.
+    The shifts t - alpha_n are taken at once."""
     rows = np.zeros((2, len(t)))  # p_n, p'_n
     rows[0] = 1.0 / off[0]
+    squares = rows[0] * rows[0] if sums else None
     prev = np.zeros_like(rows)
     for n, shift in enumerate(t - alphas[:, None]):
         new = shift * rows
@@ -429,17 +395,79 @@ def _orthonormal_values(alphas, off, t):
         new -= off[n] * prev
         if n + 1 < len(alphas):
             prev, rows = rows, new / off[n + 1]
-    return new
+            if sums:
+                squares += rows[0] * rows[0]
+    return (new, squares) if sums else new
 
 
-def _christoffel_sums(alphas, off, t):
-    """sum_{n<k} p_n(t)^2, the p_n of `_orthonormal_values`."""
-    p_prev, p = np.zeros_like(t), np.full_like(t, 1.0 / off[0])
-    squares = p * p
-    for n, shift in enumerate(t - alphas[:-1, None]):
-        p_prev, p = p, (shift * p - off[n] * p_prev) / off[n + 1]
-        squares += p * p
-    return squares
+@functools.lru_cache(maxsize=FACTOR_RULES)
+def _gamma_rule(shape: Fraction, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size-node Gauss rule of Gamma(shape), read-only: `_gauss_rule` on
+    the closed-form Jacobi matrix alpha_j = 2j + a, beta_j = j (j + a - 1),
+    beta_0 = 1 (generalized Laguerre, a = shape)."""
+    j = np.arange(size, dtype=float)
+    a = float(shape)
+    betas = j * ((j - 1.0) + a)  # not (j + (a - 1)): beta_1 = a exactly, however small a is
+    betas[0] = 1.0
+    nodes, weights = _gauss_rule(2.0 * j + a, betas)
+    return _freeze(nodes), _freeze(weights)
+
+
+def _stieltjes(nodes: np.ndarray, roots: np.ndarray, size: int):
+    """The first ``size`` alpha_j and beta_j of the discrete measure with
+    weights roots^2 at ``nodes``, by the orthonormal Stieltjes procedure
+    (Gautschi 2004, section 2.2.3) on the vectors sqrt(w) p_j(t), each of
+    unit length, so that no entry leaves the double range."""
+    alphas, betas = np.empty(size), np.empty(size)
+    betas[0] = roots @ roots
+    off = math.sqrt(betas[0])
+    prev, vec = np.zeros_like(nodes), roots / off
+    for j in range(size):
+        moved = nodes * vec
+        alphas[j] = moved @ vec
+        if j + 1 == size:
+            break
+        moved -= alphas[j] * vec
+        moved -= off * prev
+        betas[j + 1] = moved @ moved
+        off = math.sqrt(betas[j + 1])
+        prev, vec = vec, moved / off
+    return alphas, betas
+
+
+def _law_recurrence(shapes, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_j and beta_j, j < k = ceil(count / 2), of the barut-girardello
+    product law T = X_0 prod_i X_i / a_i, X_0 ~ Gamma(1), X_i ~ Gamma(a_i)
+    for the ``shapes`` a_i (module docstring), in floats.
+
+    The (k+1)-node Gauss rule of each factor (`_gamma_rule`) is exact to
+    degree 2k + 1, so the outer product of the running rule with the next
+    factor, nodes scaled by 1/a_i, has the moments of their product that
+    far.  `_stieltjes` reads k + 1 coefficients off it, and `_gauss_rule`
+    brings it back to k + 1 nodes, for every product but the last; the last
+    gives the k coefficients, the law's own alpha_{k-1} on an odd count.  A
+    coefficient that is not finite or not positive (a product weight lost
+    to underflow, a coefficient past the double range) is a `DomainError`
+    naming the factor and the coefficient."""
+    size = (count + 1) // 2 + 1
+    nodes, weights = _gamma_rule(Fraction(1), size)
+    for i, shape in enumerate(shapes, start=1):
+        last = i == len(shapes)
+        factor, factor_weights = _gamma_rule(shape, size)
+        with np.errstate(all="ignore"):  # a non-finite coefficient is refused below
+            product = np.multiply.outer(nodes, factor / float(shape)).ravel()
+            roots = np.multiply.outer(np.sqrt(weights), np.sqrt(factor_weights)).ravel()
+            alphas, betas = _stieltjes(product, roots, size - 1 if last else size)
+        bad = np.flatnonzero(~(np.isfinite(alphas) & np.isfinite(betas) & (betas > 0)))
+        if bad.size:
+            raise DomainError(
+                f"the product law loses its recurrence at factor {i} of {len(shapes)} "
+                f"(Gamma({shape})), coefficient j = {bad[0]}: a product weight underflowed "
+                "or a coefficient passed the double range"
+            )
+        if last:
+            return alphas, betas
+        nodes, weights = _gauss_rule(alphas, betas)
 
 
 def _moment_match(values, nodes: np.ndarray, weights: np.ndarray) -> float:
@@ -502,20 +530,60 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
 
     Uses ceil(M/2) nodes for M supplied moments.  Moments of a classical
     law (`_classical_recurrence`) give their recurrence coefficients in
-    closed form, and the law is their positivity certificate.  Any other
-    sequence goes through the exact Chebyshev pass (`hankel_minors`), whose
-    pivots and recurrence certify that every plain and shifted Hankel minor
-    is positive (`_certified`).  Where they cannot, the exact minors decide,
-    a failure naming the first nonpositive one (plain first).  Either way
-    the coefficients are integer ratios whose true division rounds each
-    exactly as float(Fraction) would.
+    closed form, and the law is their positivity certificate; so is the
+    barut-girardello product law (`_law_recurrence`) of a sequence that
+    carries its ``law_shapes``, from LAW_MIN_COUNT moments on.  Below that,
+    such a sequence of odd length takes the chain on one more exact moment,
+    m_M = m_{M-1} F(M).  Any other sequence goes through the exact
+    Chebyshev pass (`_exact_recurrence`).  Every rule must have positive
+    nodes and weights and reproduce every supplied moment to 1e-8.
     """
     values = list(moments.values)
     count = len(values)
     if count < 1:
         raise ValueError("need at least one moment")
-    minors = None
+    shapes = moments.law_shapes
     recurrence = _classical_recurrence(values)
+    if recurrence is None and shapes and count >= LAW_MIN_COUNT:
+        alpha_f, beta_f = _law_recurrence(shapes, count)
+    elif recurrence is None and shapes and count % 2:
+        alpha_f, beta_f = _exact_recurrence([*values, values[-1] * _law_step(shapes, count)])
+    else:
+        alpha_f, beta_f = _exact_recurrence(values, recurrence)
+    nodes, weights = _gauss_rule(alpha_f, beta_f)
+    if np.any(nodes <= 0) or np.any(weights <= 0):
+        raise DomainError(
+            "numerically unstable recurrence: solved rule has a nonpositive node or weight "
+            f"(min node {nodes.min():g}, min weight {weights.min():g})"
+        )
+    worst = _moment_match(values, nodes, weights)
+    if worst > 1e-8:
+        raise DomainError(
+            "numerically unstable recurrence: the solved rule reproduces the supplied "
+            f"moments only to relative error {worst:g}"
+        )
+    return DiscreteMeasure(_freeze(nodes), _freeze(weights), count, worst)
+
+
+def _law_step(shapes, n: int) -> Fraction:
+    """F(n) = n prod_i (1 + (n - 1) / a_i), exactly, for the shapes a_i."""
+    value = Fraction(n)
+    for shape in shapes:
+        value *= 1 + (n - 1) / shape
+    return value
+
+
+def _exact_recurrence(values, recurrence=None) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta as float arrays, from the integer ratios of a
+    classical ``recurrence`` or, where none is given, of the exact chain
+    on ``values`` (`hankel_minors`).  A true division rounds each ratio as
+    float(Fraction) would.
+
+    The chain's pivots and recurrence must certify that every plain and
+    shifted Hankel minor is positive (`_certified`).  Where they cannot,
+    the exact minors decide, a failure naming the first nonpositive one
+    (plain first)."""
+    minors = None
     if recurrence is None:
         minors = hankel_minors(values)
         recurrence = minors.alphas, minors.betas
@@ -525,7 +593,7 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
         beta_f = [num / den for num, den in betas]
     except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: a zero shifted minor
         alpha_f = beta_f = None
-    if minors is not None and not _certified(minors.sigmas, alpha_f, beta_f, count // 2):
+    if minors is not None and not _certified(minors.sigmas, alpha_f, beta_f, len(values) // 2):
         plain, shifted = minors
         for idx, det in enumerate(plain, start=1):
             if det.numerator <= 0:
@@ -544,20 +612,7 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
             "recurrence coefficients overflow double precision; "
             f"beta spread (condition estimate) ~ 2^{bits}"
         )
-    alpha_f, beta_f = np.array(alpha_f), np.array(beta_f)
-    nodes, weights = _gauss_rule(alpha_f, beta_f)
-    if np.any(nodes <= 0) or np.any(weights <= 0):
-        raise DomainError(
-            "numerically unstable recurrence: solved rule has a nonpositive node or weight "
-            f"(min node {nodes.min():g}, min weight {weights.min():g})"
-        )
-    worst = _moment_match(values, nodes, weights)
-    if worst > 1e-8:
-        raise DomainError(
-            "numerically unstable recurrence: the solved rule reproduces the supplied "
-            f"moments only to relative error {worst:g}"
-        )
-    return DiscreteMeasure(_freeze(nodes), _freeze(weights), count, worst)
+    return np.array(alpha_f), np.array(beta_f)
 
 
 def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> float:

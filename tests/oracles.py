@@ -402,7 +402,7 @@ def gauss_rule_from_moments_direct(moments, k):
 def orthonormal_values_three_arrays(alphas, off, t):
     """sqrt(beta_k) p_k(t), its derivative in t, and sum_{n<k} p_n(t)^2, each
     carried as its own array through one recurrence: the reference for the
-    two-row Newton pass and the Christoffel pass of `measure._gauss_rule`."""
+    two-row passes of `measure._gauss_rule`."""
     p_prev, p = np.zeros_like(t), np.full_like(t, 1.0 / off[0])
     dp_prev, dp = np.zeros_like(t), np.zeros_like(t)
     squares = p * p
@@ -416,17 +416,62 @@ def orthonormal_values_three_arrays(alphas, off, t):
     return p_next, dp_next, squares
 
 
-def gauss_rule_three_arrays(alphas, betas, newton_steps=3):
-    """(polished nodes, Christoffel sums) of a Jacobi matrix: eigvalsh nodes
-    polished by Newton steps, every pass by `orthonormal_values_three_arrays`."""
+def _eigvalsh_nodes(alphas, betas):
     off = np.sqrt(betas)
-    polished = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
+    return off, np.linalg.eigvalsh(np.diag(alphas) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
+
+
+def gauss_rule_three_arrays(alphas, betas):
+    """(nodes, Christoffel sums) of a Jacobi matrix, the two passes of
+    `measure._gauss_rule` by `orthonormal_values_three_arrays`: a Newton
+    step at the eigvalsh nodes, then one pass at the polished nodes whose
+    Newton step gives the nodes and whose sums are taken there."""
+    off, nodes = _eigvalsh_nodes(alphas, betas)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(newton_steps):
+        value, slope, _ = orthonormal_values_three_arrays(alphas, off, nodes)
+        polished = nodes - value / slope
+        value, slope, squares = orthonormal_values_three_arrays(alphas, off, polished)
+    return polished - value / slope, squares
+
+
+def gauss_rule_four_passes(alphas, betas):
+    """(nodes, weights) of a Jacobi matrix as the endgame before the
+    two-pass one computed them: three Newton passes from the eigvalsh
+    nodes, then the Christoffel sums at the polished nodes."""
+    off, polished = _eigvalsh_nodes(alphas, betas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
             value, slope, _ = orthonormal_values_three_arrays(alphas, off, polished)
             polished = polished - value / slope
         *_, squares = orthonormal_values_three_arrays(alphas, off, polished)
-    return polished, squares
+    return polished, 1.0 / squares
+
+
+def gauss_rule_by_mpmath(alphas, betas, dps=50):
+    """(nodes, weights) of a float Jacobi matrix at ``dps`` digits, every
+    entry taken exactly: the eigenvalues by `mpmath.eigsy`, the weights
+    as 1/sum_{n<k} p_n(t)^2 of the orthonormal recurrence at each."""
+    import mpmath
+
+    k = len(alphas)
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(float(x)) for x in alphas]
+        off = [mpmath.sqrt(mpmath.mpf(float(x))) for x in betas]
+        jacobi = mpmath.zeros(k, k)
+        for i in range(k):
+            jacobi[i, i] = a[i]
+            if i:
+                jacobi[i, i - 1] = jacobi[i - 1, i] = off[i]
+        nodes = sorted(mpmath.eigsy(jacobi, eigvals_only=True))
+        weights = []
+        for t in nodes:
+            p_prev, p = mpmath.mpf(0), 1 / off[0]
+            squares = p * p
+            for n in range(k - 1):
+                p_prev, p = p, ((t - a[n]) * p - off[n] * p_prev) / off[n + 1]
+                squares += p * p
+            weights.append(1 / squares)
+        return np.array([float(t) for t in nodes]), np.array([float(w) for w in weights])
 
 
 def fraction_det(rows) -> Fraction:

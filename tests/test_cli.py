@@ -215,6 +215,25 @@ def test_a_weight_under_the_normal_range_is_named_without_a_warning(capsys):
                    "range: its weight is below 5.56e-309, under the normal range\n")
 
 
+@pytest.mark.parametrize("kappa, levels, node", [
+    ("1/2", "256", "65200.2"),
+    ("1/2,1/3,1/5", "160", "4.78094e+07"),
+])
+def test_a_large_count_is_refused_without_the_exact_chain(capsys, monkeypatch, kappa, levels,
+                                                          node):
+    # the product law's rule is refused at its weight under the normal range;
+    # the exact Chebyshev pass that took seconds to reach that rule never runs
+    calls = []
+    monkeypatch.setattr(polywh.measure, "hankel_minors", lambda values: calls.append(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "measure", "--kappa", kappa, "--kind",
+                                 "barut-girardello", "--levels", levels)
+    assert (code, out, calls) == (1, "", [])
+    assert err == (f"error: the Christoffel sum at measure node t = {node} passes the double "
+                   "range: its weight is below 5.56e-309, under the normal range\n")
+
+
 def test_csv_unsupported_for_state_dump(capsys):
     code, _, err = run_cli(capsys, "cs-bg", "--kappa", "1/2", "--z", "1", "--format", "csv")
     assert code == 2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_laguerre
+from scipy.special import roots_genlaguerre, roots_laguerre
 
 from polywh import (
     AlgebraParams,
@@ -27,14 +27,18 @@ from polywh import (
 
 import polywh.measure
 from polywh.measure import (
-    _christoffel_sums,
+    LAW_MIN_COUNT,
     _classical_recurrence,
+    _gamma_rule,
     _gauss_rule,
+    _law_recurrence,
     _moment_match,
     _orthonormal_values,
 )
 
 from oracles import (
+    gauss_rule_by_mpmath,
+    gauss_rule_four_passes,
     gauss_rule_from_moments_direct,
     gauss_rule_three_arrays,
     hankel_minors_by_elimination,
@@ -552,7 +556,8 @@ def test_the_chain_still_runs_where_no_law_is_recognised(monkeypatch, kappas, ki
     else:
         with pytest.raises(DomainError, match=refusal):
             solve_measure(moments)
-    assert calls == [count]
+    # an odd barut-girardello count takes the product law's next exact moment
+    assert calls == [10 if (kind, count) == ("barut-girardello", 9) else count]
 
 
 @pytest.mark.parametrize("index", range(12))
@@ -572,6 +577,98 @@ def test_a_finite_law_takes_no_moment_past_its_ladder():
     # the law's moments stop below d: m_6 (1 - 5/5) = 0 is never 6 m_5, so no
     # seventh value passes the recurrence
     assert _classical_recurrence((*values, 720 * values[5])) is None
+
+
+# ------------------------------------------------------------- product law
+
+def test_moments_for_records_the_product_laws_shapes():
+    moments = moments_for(AlgebraParams(["1/2", "0", "3/7"]), "barut-girardello", count=6)
+    assert moments.law_shapes == (2, Fraction(7, 3))  # kappa = 0 is a factor 1
+    assert moments == MomentSequence(moments.values, StateKind.BARUT_GIRARDELLO)
+    assert moments_for(OSC, "barut-girardello", count=6).law_shapes == ()
+    assert moments_for(AlgebraParams(["1/2"]), "perelomov", count=6).law_shapes is None
+
+
+@st.composite
+def _law_kappas(draw):
+    """r <= 3 kappas, each 1/ell (ell <= 9) or p/q (p <= 9, 2 <= q <= 29)."""
+    ell = st.integers(min_value=1, max_value=9).map(lambda e: Fraction(1, e))
+    ratio = st.builds(Fraction, st.integers(min_value=1, max_value=9),
+                      st.integers(min_value=2, max_value=29))
+    return draw(st.lists(st.one_of(ell, ratio), min_size=1, max_size=3))
+
+
+def _assert_the_law_is_the_chain(kappas, count):
+    # an odd count takes the law's own alpha_{k-1}: the chain's on count + 1
+    moments = moments_for(AlgebraParams(kappas), "barut-girardello", count=count + count % 2)
+    minors = hankel_minors(moments.values)
+    alphas, betas = _law_recurrence(moments.law_shapes, count)
+    for law, chain in ((alphas, minors.alphas), (betas, minors.betas)):
+        exact = np.array([num / den for num, den in chain])
+        assert np.max(np.abs(law - exact) / exact) <= 1e-13
+
+
+@settings(max_examples=16, deadline=None)
+@given(kappas=_law_kappas(), count=st.integers(min_value=6, max_value=128))
+def test_the_product_law_is_the_chains_recurrence(kappas, count):
+    _assert_the_law_is_the_chain(kappas, count)
+
+
+@pytest.mark.parametrize("kappa", [Fraction(10**6), Fraction(10**30), Fraction(1, 10**6)])
+def test_the_product_law_keeps_extreme_shapes(kappa):
+    # Gamma(1/kappa) at kappa = 1e30 has beta_1 = 1e-30, lost to cancellation in j + a - 1
+    _assert_the_law_is_the_chain([kappa], 40)
+
+
+@pytest.mark.parametrize("kappas", [["1/2"], ["3/7", "1/5"], ["1/8", "1/7", "1/4"]])
+def test_the_product_law_replaces_the_chain_from_its_threshold(monkeypatch, kappas):
+    params = AlgebraParams(kappas)
+    calls = _count_chain_passes(monkeypatch)
+    for count in (LAW_MIN_COUNT, LAW_MIN_COUNT + 1, 64):
+        moments = moments_for(params, "barut-girardello", count=count)
+        measure = solve_measure(moments)
+        assert calls == [] and measure.n_matched == count and measure.max_rel_err <= 1e-13
+    # a hand-built sequence carries no shapes: the chain gives the same rule
+    hand_built = MomentSequence(moments.values, StateKind.BARUT_GIRARDELLO)
+    chained = solve_measure(hand_built)
+    assert calls == [64]
+    assert np.max(np.abs(chained.nodes - measure.nodes) / measure.nodes) <= 1e-13
+    assert np.max(np.abs(chained.weights - measure.weights) / measure.weights) <= 1e-13
+
+
+@pytest.mark.parametrize("count", [7, LAW_MIN_COUNT - 1, LAW_MIN_COUNT + 1, 33])
+def test_an_odd_count_is_the_gauss_rule_of_the_law_on_both_sides_of_the_threshold(count):
+    params = AlgebraParams(["1/3", "2/5"])
+    odd = solve_measure(moments_for(params, "barut-girardello", count=count))
+    even = solve_measure(moments_for(params, "barut-girardello", count=count + 1))
+    assert odd.n_matched == count and len(odd.nodes) == len(even.nodes)
+    assert np.max(np.abs(odd.nodes - even.nodes) / even.nodes) <= 1e-13
+    assert np.max(np.abs(odd.weights - even.weights) / even.weights) <= 1e-13
+
+
+def test_the_factor_rules_are_cached_read_only_gauss_rules():
+    shape, size = Fraction(7, 3), 12
+    nodes, weights = _gamma_rule(shape, size)
+    assert _gamma_rule(shape, size)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert _gamma_rule.cache_info().maxsize == polywh.measure.FACTOR_RULES
+    ref_nodes, ref_weights = roots_genlaguerre(size, float(shape) - 1)
+    ref_weights = ref_weights / math.gamma(float(shape))  # Gamma(a) has unit mass
+    assert np.max(np.abs(nodes - ref_nodes) / ref_nodes) <= 1e-13
+    assert np.max(np.abs(weights - ref_weights) / ref_weights) <= 1e-12
+
+
+def test_an_underflowing_product_is_a_named_domain_error(monkeypatch):
+    # every factor weight scaled by 1e-200: each product weight underflows
+    rule = polywh.measure._gamma_rule
+    monkeypatch.setattr(polywh.measure, "_gamma_rule",
+                        lambda shape, size: (rule(shape, size)[0], rule(shape, size)[1] * 1e-200))
+    moments = moments_for(AlgebraParams(["1/2"]), "barut-girardello", count=LAW_MIN_COUNT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^the product law loses its recurrence at "
+                           r"factor 1 of 1 \(Gamma\(2\)\), coefficient j = 0: "):
+            solve_measure(moments)
 
 
 # ---------------------------------------------------------- float endgame
@@ -662,8 +759,10 @@ def test_gauss_rule_is_the_three_array_recurrence_bit_for_bit(recurrence):
     with np.errstate(over="ignore", invalid="ignore"):
         value, slope, sums = orthonormal_values_three_arrays(alphas, off, t)
         rows = _orthonormal_values(alphas, off, t)
-        assert np.array_equal(_christoffel_sums(alphas, off, t), sums)
+        (value_s, slope_s), sums_s = _orthonormal_values(alphas, off, t, sums=True)
     assert np.array_equal(rows[0], value) and np.array_equal(rows[1], slope)
+    assert np.array_equal(value_s, value) and np.array_equal(slope_s, slope)
+    assert np.array_equal(sums_s, sums)
     nodes, squares = gauss_rule_three_arrays(*recurrence)
     if not np.isfinite(squares).all():  # none here: d = 100 is the first ladder with one
         with pytest.raises(DomainError, match="Christoffel sum"):
@@ -672,6 +771,17 @@ def test_gauss_rule_is_the_three_array_recurrence_bit_for_bit(recurrence):
     polished, weights = _gauss_rule(*recurrence)
     assert np.array_equal(polished, nodes)
     assert np.array_equal(weights, 1.0 / squares)
+
+
+@settings(max_examples=12, deadline=None)
+@given(recurrence=_stream_recurrences())
+def test_the_endgame_meets_a_50_digit_rule(recurrence):
+    # the two-pass endgame and the four-pass one it replaced, against the
+    # eigenvalues and Christoffel weights of the same float matrix at 50 digits
+    nodes, weights = gauss_rule_by_mpmath(*recurrence)
+    for rule in (_gauss_rule(*recurrence), gauss_rule_four_passes(*recurrence)):
+        assert np.max(np.abs(rule[0] - nodes) / nodes) <= 3e-14
+        assert np.max(np.abs(rule[1] - weights) / weights) <= 3e-14
 
 
 # ---------------------------------------------------------------- identity
