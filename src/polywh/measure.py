@@ -24,7 +24,8 @@ three sources (Gautschi, Orthogonal Polynomials, OUP 2004, chapters 1-2):
   exists by construction.  The Gauss rules of the factors are multiplied
   together and reduced by the discretized Stieltjes procedure (Gautschi
   2004, section 2.2).  It serves sequences from `moments_for` with at least
-  LAW_MIN_COUNT moments; below that the chain is cheaper.
+  LAW_MIN_COUNT moments; below that the chain is cheaper, and past a shape
+  of LAW_MAX_SHAPE doubles do not resolve the factor's nodes.
 - The exact chain (`hankel_minors`): one integer pass of the Chebyshev
   algorithm, O(M^2), whose pivots certify that every plain and shifted
   Hankel minor is positive (`_certified`), and whose rows give the
@@ -34,18 +35,19 @@ three sources (Gautschi, Orthogonal Polynomials, OUP 2004, chapters 1-2):
 
 An odd count leaves alpha_{k-1} free.  The laws pin it (the disk rule and
 the product law take their own; a barut-girardello chain runs on one more
-exact moment, m_M = m_{M-1} F(M)); kappa = 0, the finite ladders and any
-hand-built sequence complete it to 2 tau + 1 above the Schur-complement
-threshold tau, which keeps every node positive.
+exact moment, the ``next_value`` m_M of `moments_for`); kappa = 0, the
+finite ladders and any hand-built sequence complete it to 2 tau + 1 above
+the Schur-complement threshold tau, which keeps every node positive.
 
 The float endgame (`_gauss_rule`) takes the eigvalsh nodes through two
 passes of the orthonormal recurrence: a Newton pass, then one at the
 polished nodes that gives the last Newton step and the Christoffel sums
-sum p_n^2 whose inverses are the weights, accurate to a few ulp far into
-the tail where eigenvector weights are lost.  A sum past the double range
-is a `DomainError` naming its node.  The rule must reproduce every
-supplied moment to 1e-8, and `verify_identity` reassembles the identity
-diagonal from the coherent states themselves.
+sum p_n^2, moved along that step by their slope; their inverses are the
+weights, accurate to a few ulp far into the tail where eigenvector weights
+are lost.  A sum past the double range is a `DomainError` naming its node.
+The rule must reproduce every supplied moment to 1e-8, and
+`verify_identity` reassembles the identity diagonal from the coherent
+states themselves.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ from .errors import DomainError
 # below this many barut-girardello moments the exact chain is cheaper: the
 # measured crossover is about 24-30 levels for r = 1 and 34 for r = 3
 LAW_MIN_COUNT = 30
+# a Gamma(a) factor rule has its nodes within a few sqrt(a) of a, so in
+# doubles they lose about eps sqrt(a) relative; past this shape the chain
+# serves (1e-14 against it at a = 1e6, 2e-12 at 1e10, no rule past 1e34)
+LAW_MAX_SHAPE = 10**6
 FACTOR_RULES = 256  # Gauss rules of the Gamma factors kept, keyed by (shape, node count)
 
 __all__ = [
@@ -90,13 +96,16 @@ class MomentSequence:
     """Exact radial moments, tagged with the family they came from.
 
     ``law_shapes`` are the Gamma shapes 1/kappa_i (kappa_i > 0) of the
-    barut-girardello product law the moments belong to, as `moments_for`
-    sets them; None where no law is known.  They do not enter ``==``."""
+    barut-girardello product law the moments belong to, and
+    ``next_value`` is the exact moment m_M after the M values, as
+    `moments_for` sets them; None where no law is known.  Neither enters
+    ``==``."""
 
     values: tuple[Fraction, ...]
     provenance: StateKind
     angular_scale: str = "angular average taken analytically, weight 1/(2*pi)"
     law_shapes: tuple[Fraction, ...] | None = field(default=None, compare=False)
+    next_value: Fraction | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +128,8 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
     chooses how many levels to cover.  Combinations for which the states
     themselves do not exist are rejected.  A barut-girardello sequence (an
     infinite ladder) records the shapes 1/kappa_i of its product law in
-    ``law_shapes``; kappa_i = 0 contributes a factor 1 and no shape.
+    ``law_shapes`` (kappa_i = 0 contributes a factor 1 and no shape) and
+    the next moment m_M = F(M)! in ``next_value``.
     """
     kind = StateKind(kind)
     dim = classify(params)
@@ -137,20 +147,23 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
         raise DomainError("perelomov-type states do not exist on an infinite ladder with r >= 2")
     elif count is None:
         raise ValueError("infinite ladder needs an explicit moment count")
-    scaled = _scaled_factorials(params, count)  # (F(n)! Q^n, Q^n)
-    if kind is StateKind.PERELOMOV:
+    perelomov = kind is StateKind.PERELOMOV
+    # (F(n)! Q^n, Q^n), for barut-girardello (no finite ladder) one past the count
+    scaled = _scaled_factorials(params, count if perelomov else count + 1)
+    if perelomov:
         values = tuple(
             Fraction(math.factorial(n) ** 2 * power, product)
             for n, (product, power) in enumerate(scaled)
         )
     else:
-        values = tuple(Fraction(product, power) for product, power in scaled)
+        *values, next_value = (Fraction(product, power) for product, power in scaled)
+        values = tuple(values)
     if any(v.numerator <= 0 for v in values):
         raise DomainError("moment sequence has a nonpositive entry")
-    if kind is StateKind.PERELOMOV:
+    if perelomov:
         return MomentSequence(values, kind)
     shapes = tuple(1 / kappa for kappa in params.kappas if kappa > 0)
-    return MomentSequence(values, kind, law_shapes=shapes)
+    return MomentSequence(values, kind, law_shapes=shapes, next_value=next_value)
 
 
 class HankelMinors:
@@ -347,7 +360,8 @@ def _classical_recurrence(values):
     return alphas, betas
 
 
-def _gauss_rule(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_rule(alphas: np.ndarray, betas: np.ndarray,
+                of: str = "measure") -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gauss rule of a Jacobi matrix.
 
     Two passes of the orthonormal three-term recurrence (Gautschi 2004,
@@ -355,10 +369,15 @@ def _gauss_rule(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.n
     eigenvalues on: a Newton step on the degree-k polynomial, then one
     pass at the polished nodes whose Newton step gives the returned nodes
     and whose sum_{n<k} p_n(t)^2 gives the weights, the Christoffel numbers.
-    Weights from the eigenvectors (Golub-Welsch) lose the relative accuracy
+    The sum is carried to the returned nodes to first order, by its slope
+    2 sum_{n<k} p_n p'_n times that last step: near an end of the support
+    it changes by about k^2 relative per unit of t, so a node a few ulp off
+    cost the weights up to 4e-14 on the moments stream, against 1.3e-14
+    with the move.  Weights from the eigenvectors (Golub-Welsch) lose the relative accuracy
     of the small weights far out in the tail.  A node whose Christoffel sum
     passes the double range has a weight under the normal range of a
-    double: that is a `DomainError` naming the node (its eigenvalue).
+    double: that is a `DomainError` naming the node (its eigenvalue) and
+    whose rule it is, ``of``.
     """
     off = np.sqrt(betas)
     nodes = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
@@ -366,19 +385,22 @@ def _gauss_rule(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.n
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
         value, slope = _orthonormal_values(alphas, off, nodes)
         polished = nodes - value / slope
-        (value, slope), squares = _orthonormal_values(alphas, off, polished, sums=True)
-    lost = np.flatnonzero(~np.isfinite(squares))
+        (value, slope), (squares, cross) = _orthonormal_values(alphas, off, polished, sums=True)
+        step = value / slope
+        moved = squares - 2.0 * cross * step
+    lost = np.flatnonzero(~np.isfinite(moved))
     if lost.size:
         raise DomainError(
-            f"the Christoffel sum at measure node t = {nodes[lost[0]]:.6g} passes the double "
+            f"the Christoffel sum at {of} node t = {nodes[lost[0]]:.6g} passes the double "
             f"range: its weight is below {1.0 / np.finfo(float).max:.3g}, under the normal range"
         )
-    return polished - value / slope, 1.0 / squares
+    return polished - step, 1.0 / moved
 
 
 def _orthonormal_values(alphas, off, t, sums=False):
     """sqrt(beta_k) p_k(t) and its derivative in t, as the two rows of one
-    array, and with ``sums`` also sum_{n<k} p_n(t)^2.
+    array, and with ``sums`` also sum_{n<k} p_n(t)^2 and sum_{n<k} p_n(t)
+    p'_n(t), the two rows of a second array.
 
     The p_n are orthonormal for the mass beta_0 = off[0]^2:
     sqrt(beta_{n+1}) p_{n+1} = (t - alpha_n) p_n - sqrt(beta_n) p_{n-1}, and
@@ -387,7 +409,7 @@ def _orthonormal_values(alphas, off, t, sums=False):
     The shifts t - alpha_n are taken at once."""
     rows = np.zeros((2, len(t)))  # p_n, p'_n
     rows[0] = 1.0 / off[0]
-    squares = rows[0] * rows[0] if sums else None
+    squares = rows[0] * rows if sums else None
     prev = np.zeros_like(rows)
     for n, shift in enumerate(t - alphas[:, None]):
         new = shift * rows
@@ -396,7 +418,7 @@ def _orthonormal_values(alphas, off, t, sums=False):
         if n + 1 < len(alphas):
             prev, rows = rows, new / off[n + 1]
             if sums:
-                squares += rows[0] * rows[0]
+                squares += rows[0] * rows
     return (new, squares) if sums else new
 
 
@@ -409,7 +431,8 @@ def _gamma_rule(shape: Fraction, size: int) -> tuple[np.ndarray, np.ndarray]:
     a = float(shape)
     betas = j * ((j - 1.0) + a)  # not (j + (a - 1)): beta_1 = a exactly, however small a is
     betas[0] = 1.0
-    nodes, weights = _gauss_rule(2.0 * j + a, betas)
+    nodes, weights = _gauss_rule(2.0 * j + a, betas,
+                                 of=f"the product law's Gamma({shape}) factor")
     return _freeze(nodes), _freeze(weights)
 
 
@@ -467,7 +490,8 @@ def _law_recurrence(shapes, count: int) -> tuple[np.ndarray, np.ndarray]:
             )
         if last:
             return alphas, betas
-        nodes, weights = _gauss_rule(alphas, betas)
+        nodes, weights = _gauss_rule(alphas, betas,
+                                     of=f"the product law's partial product (factors 0-{i})")
 
 
 def _moment_match(values, nodes: np.ndarray, weights: np.ndarray) -> float:
@@ -532,10 +556,11 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
     law (`_classical_recurrence`) give their recurrence coefficients in
     closed form, and the law is their positivity certificate; so is the
     barut-girardello product law (`_law_recurrence`) of a sequence that
-    carries its ``law_shapes``, from LAW_MIN_COUNT moments on.  Below that,
-    such a sequence of odd length takes the chain on one more exact moment,
-    m_M = m_{M-1} F(M).  Any other sequence goes through the exact
-    Chebyshev pass (`_exact_recurrence`).  Every rule must have positive
+    carries its ``law_shapes``, from LAW_MIN_COUNT moments on, with every
+    shape at most LAW_MAX_SHAPE.  Otherwise such a sequence of odd length
+    takes the chain on one more exact moment, its ``next_value`` m_M.  Any
+    other sequence goes through the exact Chebyshev pass
+    (`_exact_recurrence`).  Every rule must have positive
     nodes and weights and reproduce every supplied moment to 1e-8.
     """
     values = list(moments.values)
@@ -544,10 +569,11 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
         raise ValueError("need at least one moment")
     shapes = moments.law_shapes
     recurrence = _classical_recurrence(values)
-    if recurrence is None and shapes and count >= LAW_MIN_COUNT:
+    if (recurrence is None and shapes and count >= LAW_MIN_COUNT
+            and max(shapes) <= LAW_MAX_SHAPE):
         alpha_f, beta_f = _law_recurrence(shapes, count)
-    elif recurrence is None and shapes and count % 2:
-        alpha_f, beta_f = _exact_recurrence([*values, values[-1] * _law_step(shapes, count)])
+    elif recurrence is None and moments.next_value is not None and count % 2:
+        alpha_f, beta_f = _exact_recurrence([*values, moments.next_value])
     else:
         alpha_f, beta_f = _exact_recurrence(values, recurrence)
     nodes, weights = _gauss_rule(alpha_f, beta_f)
@@ -563,14 +589,6 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
             f"moments only to relative error {worst:g}"
         )
     return DiscreteMeasure(_freeze(nodes), _freeze(weights), count, worst)
-
-
-def _law_step(shapes, n: int) -> Fraction:
-    """F(n) = n prod_i (1 + (n - 1) / a_i), exactly, for the shapes a_i."""
-    value = Fraction(n)
-    for shape in shapes:
-        value *= 1 + (n - 1) / shape
-    return value
 
 
 def _exact_recurrence(values, recurrence=None) -> tuple[np.ndarray, np.ndarray]:

@@ -400,12 +400,13 @@ def gauss_rule_from_moments_direct(moments, k):
 
 
 def orthonormal_values_three_arrays(alphas, off, t):
-    """sqrt(beta_k) p_k(t), its derivative in t, and sum_{n<k} p_n(t)^2, each
-    carried as its own array through one recurrence: the reference for the
-    two-row passes of `measure._gauss_rule`."""
+    """sqrt(beta_k) p_k(t), its derivative in t, sum_{n<k} p_n(t)^2 and
+    sum_{n<k} p_n(t) p'_n(t), each carried as its own array through one
+    recurrence: the reference for the two-row passes of
+    `measure._gauss_rule`."""
     p_prev, p = np.zeros_like(t), np.full_like(t, 1.0 / off[0])
     dp_prev, dp = np.zeros_like(t), np.zeros_like(t)
-    squares = p * p
+    squares, cross = p * p, p * dp
     for n, alpha in enumerate(alphas):
         p_next = (t - alpha) * p - off[n] * p_prev
         dp_next = p + (t - alpha) * dp - off[n] * dp_prev
@@ -413,7 +414,8 @@ def orthonormal_values_three_arrays(alphas, off, t):
             p_prev, p = p, p_next / off[n + 1]
             dp_prev, dp = dp, dp_next / off[n + 1]
             squares += p * p
-    return p_next, dp_next, squares
+            cross += p * dp
+    return p_next, dp_next, squares, cross
 
 
 def _eigvalsh_nodes(alphas, betas):
@@ -425,13 +427,15 @@ def gauss_rule_three_arrays(alphas, betas):
     """(nodes, Christoffel sums) of a Jacobi matrix, the two passes of
     `measure._gauss_rule` by `orthonormal_values_three_arrays`: a Newton
     step at the eigvalsh nodes, then one pass at the polished nodes whose
-    Newton step gives the nodes and whose sums are taken there."""
+    Newton step gives the nodes and whose sums are taken there and moved
+    along that step by their slope, 2 sum p_n p'_n."""
     off, nodes = _eigvalsh_nodes(alphas, betas)
     with np.errstate(over="ignore", invalid="ignore"):
-        value, slope, _ = orthonormal_values_three_arrays(alphas, off, nodes)
+        value, slope, *_ = orthonormal_values_three_arrays(alphas, off, nodes)
         polished = nodes - value / slope
-        value, slope, squares = orthonormal_values_three_arrays(alphas, off, polished)
-    return polished - value / slope, squares
+        value, slope, squares, cross = orthonormal_values_three_arrays(alphas, off, polished)
+        step = value / slope
+        return polished - step, squares - 2.0 * cross * step
 
 
 def gauss_rule_four_passes(alphas, betas):
@@ -441,9 +445,9 @@ def gauss_rule_four_passes(alphas, betas):
     off, polished = _eigvalsh_nodes(alphas, betas)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(3):
-            value, slope, _ = orthonormal_values_three_arrays(alphas, off, polished)
+            value, slope, *_ = orthonormal_values_three_arrays(alphas, off, polished)
             polished = polished - value / slope
-        *_, squares = orthonormal_values_three_arrays(alphas, off, polished)
+        _, _, squares, _ = orthonormal_values_three_arrays(alphas, off, polished)
     return polished, 1.0 / squares
 
 

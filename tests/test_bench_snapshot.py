@@ -55,3 +55,21 @@ def test_arguments():
     assert bench_snapshot.parse_checkout("parent=../p") == ("parent", Path("../p"))
     with pytest.raises(Exception, match="label=path"):
         bench_snapshot.parse_checkout("../p")
+
+
+def test_every_run_takes_the_benchmarks_own_length(monkeypatch, tmp_path):
+    spec = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    asked = []
+
+    def run_once(checkout, workload, seed, seconds):
+        asked.append((workload, seed, seconds))
+        return bench_snapshot.read_run(_run_output(seed, 400.0, 4.0))
+
+    monkeypatch.setattr(bench_snapshot, "run_once", run_once)
+    out = tmp_path / "snapshot.json"
+    assert bench_snapshot.main(["--checkout", "change=.", "--seeds", "2", "--out", str(out)]) == 0
+    workloads = [w["name"] for w in spec["workloads"]]
+    assert asked == [(w, 2, spec["run_seconds"]) for w in workloads]
+    snapshot = json.loads(out.read_text())["change"]
+    assert snapshot["command"] == f"bench/run.py --seconds {spec['run_seconds']:g} --trace 0"
+    assert list(snapshot["workloads"]) == workloads

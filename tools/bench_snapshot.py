@@ -3,16 +3,16 @@
     python3 tools/bench_snapshot.py --checkout parent=../parent --checkout change=. \\
         --seeds 1-5 --out BENCH_1.json
 
-Runs `bench/run.py --workload W --seed S --seconds 25 --trace 0` of each
-checkout as its own process, for every workload of BENCHMARK.json and every
-seed; the checkouts take turns at each (workload, seed), so that a drift of
-the machine falls on all of them alike.  From the JSON summary on the last
-line of each run it writes, per checkout, workload and metric, the median
-and the first and third quartiles over the seeds (`statistics.quantiles`,
-as `bench/report.py` takes them) and the per-seed values; from the
-provenance line, the commit, Python, numpy and nproc of the runs.  The
-output is one JSON object keyed by checkout label.  Nothing in a checkout
-is written.
+Runs `bench/run.py --workload W --seed S --seconds T --trace 0` of each
+checkout as its own process, T the run_seconds of BENCHMARK.json, for every
+workload there and every seed; the checkouts take turns at each (workload,
+seed), so that a drift of the machine falls on all of them alike.  From the
+JSON summary on the last line of each run it writes, per checkout, workload
+and metric, the median and the first and third quartiles over the seeds
+(`statistics.quantiles`, as `bench/report.py` takes them) and the per-seed
+values; from the provenance line, the commit, Python, numpy and nproc of the
+runs.  The output is one JSON object keyed by checkout label.  Nothing in a
+checkout is written.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SECONDS = 25  # BENCHMARK.json's run_seconds
 PROVENANCE = ("git_commit", "python", "numpy", "nproc")
 
 
@@ -85,20 +84,20 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=parse_checkout, action="append", required=True,
                         help="label=path of a checkout, e.g. change=.; repeat for several")
     parser.add_argument("--seeds", type=parse_seeds, default=range(1, 6), help="e.g. 1-5")
-    parser.add_argument("--seconds", type=float, default=SECONDS)
     parser.add_argument("--out", type=Path, help="write here instead of stdout")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     runs = {label: {w: [] for w in workloads} for label, _ in args.checkout}
     for workload in workloads:
         for seed in args.seeds:
             for label, checkout in args.checkout:
-                runs[label][workload].append(run_once(checkout, workload, seed, args.seconds))
+                runs[label][workload].append(run_once(checkout, workload, seed, seconds))
                 print(f"{label} {workload} seed {seed} done", file=sys.stderr)
     snapshot = {
         label: {
-            "command": f"bench/run.py --seconds {args.seconds:g} --trace 0",
+            "command": f"bench/run.py --seconds {seconds:g} --trace 0",
             "workloads": {w: summarize(by_workload[w]) for w in workloads},
         }
         for label, by_workload in runs.items()
