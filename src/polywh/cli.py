@@ -317,6 +317,14 @@ def cmd_measure(args):
     params = resolve_params(args)
     kind = StateKind(args.kind)
     moments = moments_for(params, kind, count=args.levels)
+    digits = sys.get_int_max_str_digits()  # each moment is written as a string; 0: no limit
+    for n, value in enumerate(moments.values if digits else ()):
+        largest = max(value.numerator, value.denominator)
+        if largest.bit_length() > 3 * digits and largest >= 10**digits:  # 10**d > 2**(3d)
+            raise DomainError(
+                f"moment m_{n} has more than {digits} digits, the interpreter's limit for "
+                "integer string conversion (sys.get_int_max_str_digits())"
+            )
     measure = solve_measure(moments)
     deviation = verify_identity(params, kind, measure)
     payload = {"command": "measure", "kind": kind.value}

@@ -117,16 +117,15 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
     phi = 0 and every z is real and >= 0 the blocks are float64, equal to
     the real parts of the complex ones (whose imaginary parts are +0.0).
 
-    A term reaches `_tail_cut` only if |c_n|^2 <= tol^2 S_n (1 - q^2), S_n
-    the norm before it and q = |z| sqrt(kappa_1) the limit of the perelomov
-    `_ratio_sup`, widened by 1e-12 against rounding (barut-girardello's
-    limit is 0, and its mask is left as it is).  That is necessary for a cut,
-    not sufficient, so the cut and its bound are unchanged, and near the rim
-    the thousands of terms that cannot pass are never scanned.  There, from
-    block start PREDICTED_FROM on, a block ends CUT_SLACK terms past the
-    index at which every uncut row is certain to be cut (`_block_end`), not
-    at twice its start: the block starts, the cut and every kept
-    coefficient are as they were.
+    A row with a closed form (`_perelomov_law`) hands `_tail_cut` only the
+    terms with |c_n|^2 <= tol^2 S_n (1 - x), widened by 1e-12 against
+    rounding: x = q^2 is the limit of the ratio bound, so no other term can
+    pass, and near the rim the thousands that cannot are never scanned.
+    From block start PREDICTED_FROM on, where every uncut row has one, a
+    block ends CUT_SLACK terms past the index at which each is certain to
+    be cut (`_cut_bound`), and at least two steps past its start (numpy
+    rounds a complex cumprod of one step unlike a longer one), not at twice
+    its start.  Neither changes the cut, its bound or any kept coefficient.
     """
     zs = np.asarray(zs, dtype=complex)
     if params.phi == 0.0 and not zs.imag.any() and not np.signbit(zs.real).any():
@@ -134,16 +133,26 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
     rows, cut_rows, lo, scale = len(zs), tail_tol is not None, 1, 1.0  # 2**(-exponents/2)
     blocks, norm2 = [np.ones((rows, 1), dtype=zs.dtype)], np.ones((rows, 1))
     exponents, lengths, bounds = np.zeros(rows, dtype=int), [stop] * rows, [math.inf] * rows
-    tol2 = tail_tol * tail_tol if cut_rows else None
-    room = None  # per row tol^2 (1 - q^2), q the limit of `_ratio_sup` as _tail_cut rounds it
-    if cut_rows and kind is StateKind.PERELOMOV and params.kappas[0] > 0:
-        limits = (abs(complex(z)) * math.sqrt(float(params.kappas[0])) for z in zs)
-        room = np.array([tol2 * (1.0 - q * q) * (1.0 + 1e-12) for q in limits])[:, None]
+    if cut_rows:
+        tol2 = tail_tol * tail_tol
+        laws = [_perelomov_law(kind, params, abs(complex(z))) for z in zs]
+        room = np.array([tol2 if law is None else tol2 * (1.0 - law[0]) * (1.0 + 1e-12)
+                         for law in laws])[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # refused or rescaled below
         while lo < stop and math.inf in bounds:
             hi = min(max(2 * lo, 64), stop) if cut_rows else stop
-            if room is not None and lo >= PREDICTED_FROM:
-                hi = _block_end(params, zs, norm2, exponents, bounds, lo, hi, tol2)
+            if cut_rows and lo >= PREDICTED_FROM:
+                last = lo
+                for i, law in enumerate(laws):
+                    if bounds[i] == math.inf:
+                        log_room = (math.log(tol2) + math.log(norm2[i, 0])
+                                    + exponents[i] * math.log(2.0))
+                        cut = None if law is None else _cut_bound(law, lo, hi, log_room)
+                        if cut is None:
+                            break
+                        last = max(last, cut)
+                else:
+                    hi = min(hi, max(last + 1 + CUT_SLACK, lo + 2))
             steps = _steps(kind, params, zs[:, None], lo, hi)
             block = np.cumprod(np.concatenate((blocks[-1][:, -1:], steps), axis=1), axis=1)
             block = block[:, 1:]
@@ -163,7 +172,7 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
                 norm2[over] = np.ldexp(norm2[over], -RESCALE_BITS)
                 scale = np.ldexp(1.0, -exponents // 2)[:, None]
             if cut_rows:  # the candidates: a row can be cut only at one of them
-                under = abs2 <= (tol2 * norms[:, :-1] if room is None else norms[:, :-1] * room)
+                under = abs2 <= norms[:, :-1] * room
                 for i in under.any(axis=1).nonzero()[0]:
                     if bounds[i] == math.inf:
                         sup = _ratio_sup(kind, params, abs(complex(zs[i])))
@@ -210,119 +219,55 @@ def _ratio_sup(kind, params, radius):
     return lambda j: radius / math.sqrt(float(structure_function(params, j + 1)))
 
 
-def _perelomov_terms(params, radius):
-    """(x, a, peak, n -> log |c_n|^2, margin) for the perelomov series of an
-    r = 1 ladder with kappa > 0 at |z| = radius, or None unless 0 < x < 1:
-    |c_n|^2 = x^n (a)_n / n! with x = kappa |z|^2 and a = 1/kappa, in O(1)
-    by lgamma, and the squared norm is S_inf = (1 - x)^-a.  |c_n|^2 is
-    unimodal: the ratio x (a + n) / (n + 1) of its terms is monotone and
-    passes 1 at most once, so it falls from index ``peak`` on.
+def _perelomov_law(kind, params, radius):
+    """The closed form of the perelomov series of an r = 1 ladder with
+    kappa > 0 at |z| = radius, as (x, a, peak, n -> log |c_n|^2, margin,
+    `_ratio_sup`), or None for any other series or unless 0 < x < 1:
+    |c_n|^2 = x^n (a)_n / n! with x = kappa |z|^2, a = 1/kappa, summing to
+    (1 - x)^-a, unimodal with its peak at index ``peak`` (Perelomov 1986).
+    x is q^2, q the limit of `_ratio_sup` as `_tail_cut` rounds it.
 
     margin(n) bounds the distance in log between the closed form and the
-    float series (its n rounded steps, lgamma's few ulp, and x rounded
-    near the rim, where 1 - x amplifies it) with room to spare."""
+    float series: its n rounded steps, x rounded near the rim, and the
+    cancellation in lgamma(a + n) - lgamma(a), under eps (|lgamma(a + n)| +
+    |lgamma(a)|): 1.6e-3 at a = 1e12, 5.4 at a = 1e15."""
+    if kind is not StateKind.PERELOMOV or params.r != 1 or params.kappas[0] <= 0:
+        return None
     kappa = float(params.kappas[0])
-    x, a = kappa * radius * radius, 1.0 / kappa
+    q = radius * math.sqrt(kappa)
+    x, a = q * q, 1.0 / kappa
     if not 0.0 < x < 1.0:  # c_1 = 0 in float, or at the rim as x rounds
         return None
-    log_x, base = math.log(x), math.lgamma(a)
+    log_x, base, eps = math.log(x), math.lgamma(a), np.finfo(float).eps
     peak = max(math.ceil((a * x - 1.0) / (1.0 - x)), 0)
-    near_rim = 8.0 * (a + 1.0) * np.finfo(float).eps / (1.0 - x)
+    near_rim = 8.0 * (a + 1.0) * eps / (1.0 - x)
 
     def log_abs2(n):
         return n * log_x + math.lgamma(a + n) - base - math.lgamma(n + 1.0)
 
     def margin(n):
-        return 1e-6 + 1e-12 * n + near_rim
+        return 1e-6 + 1e-12 * n + near_rim + 4.0 * eps * (abs(math.lgamma(a + n)) + abs(base))
 
-    return x, a, peak, log_abs2, margin
-
-
-def _never_cut(kind, params, radius, tail_tol, max_terms) -> bool:
-    """Whether the series of an infinite ladder at |z| = radius certainly
-    meets no tail cut within max_terms terms and no coefficient past the
-    double range: then `_series` would build every term only to fail.
-
-    Decided for the perelomov series with kappa > 0 alone, from its closed
-    form (`_perelomov_terms`).  A cut at n needs |c_n|^2 <= tol^2 S_n (1 -
-    x) (`_series`), and S_n <= S_inf.  |c_n|^2 is unimodal, so where n = 1
-    and n = max_terms both miss tol^2 S_inf (1 - x) by the margin, every n
-    between misses it.  The peak |c_n| must fit in a double with room, or
-    the series fails first on that coefficient."""
-    if kind is not StateKind.PERELOMOV or params.kappas[0] <= 0 or max_terms < 1:
-        return False
-    terms = _perelomov_terms(params, radius)
-    if terms is None:
-        return False
-    x, a, _, log_abs2, margin = terms
-    log_room = 2.0 * math.log(tail_tol) + (1.0 - a) * math.log1p(-x)
-    if any(log_abs2(n) <= log_room + margin(n) for n in (max_terms, 1)):
-        return False
-    return _peak_fits(terms, max_terms)
+    return x, a, peak, log_abs2, margin, _ratio_sup(kind, params, radius)
 
 
-def _always_cut(params, radius, tail_tol, max_terms) -> bool:
-    """Whether the perelomov series of an r = 1 ladder with kappa > 0 at
-    |z| = radius certainly meets its tail cut within max_terms terms with
-    no coefficient past the double range: then `perelomov_state` succeeds
-    there.  The mirror of `_never_cut`, from the same closed form, in
-    O(log max_terms); False wherever it cannot decide.
-
-    The running squared norm before any c_n, n >= 1, is at least |c_0|^2
-    = 1, so a cut that `_cut_bound` finds certain with S_n taken as 1 is
-    certain with the true S_n.  Every coefficient the series builds has n
-    <= max_terms, and the largest of them must fit in a double with room."""
-    if params.r != 1 or params.kappas[0] <= 0 or max_terms < 1:
-        return False
-    terms = _perelomov_terms(params, radius)
-    if terms is None or not _peak_fits(terms, max_terms):
-        return False
-    return _cut_bound(params, radius, 1, max_terms + 1, 2.0 * math.log(tail_tol)) is not None
-
-
-def _peak_fits(terms, last) -> bool:
+def _fits(law, last) -> bool:
     """Whether the largest |c_n|^2, n <= last, of the closed form
-    (`_perelomov_terms`) fits in a double with room past its margin: the
-    one overflow rule of `_never_cut` and `_always_cut`."""
-    _, _, peak, log_abs2, margin = terms
+    (`_perelomov_law`) fits in a double with room past its margin."""
+    _, _, peak, log_abs2, margin, _ = law
     peak = min(peak, last)
-    highest = max(log_abs2(n) for n in {max(peak - 1, 0), peak, min(peak + 1, last)})
-    return highest + margin(peak) < 2.0 * (math.log(np.finfo(float).max) - 1.0)
+    highest = max(log_abs2(n) + margin(n) for n in {max(peak - 1, 0), peak, min(peak + 1, last)})
+    return highest < 2.0 * (math.log(np.finfo(float).max) - 1.0)
 
 
-def _block_end(params, zs, norm2, exponents, bounds, lo, hi, tol2) -> int:
-    """Where the perelomov block [lo, hi) ends: CUT_SLACK past the largest
-    index below hi at which an uncut row is certain to be cut
-    (`_cut_bound`), and at least two steps past lo (numpy rounds a complex
-    cumprod of one step unlike a longer one); hi where a row is not certain
-    to be cut before it."""
-    last = lo
-    for i, bound in enumerate(bounds):
-        if bound == math.inf:
-            log_room = math.log(tol2) + math.log(norm2[i, 0]) + exponents[i] * math.log(2.0)
-            cut = _cut_bound(params, abs(complex(zs[i])), lo, hi, log_room)
-            if cut is None:
-                return hi
-            last = max(last, cut)
-    return min(hi, max(last + 1 + CUT_SLACK, lo + 2))
-
-
-def _cut_bound(params, radius, lo, hi, log_room):
-    """An n, lo <= n < hi, at which `_tail_cut` certainly cuts the
-    perelomov series at |z| = radius unless it has cut before, or None.
-
-    Row n is cut where |c_n|^2 / (1 - q_n^2) <= tol^2 S_n, q_n =
-    `_ratio_sup`(n) and S_n the running squared norm before c_n, at least
-    the S of log_room = log(tol^2 S).  With the closed form of |c_n|^2
-    (`_perelomov_terms`) and its margin, that holds for certain.  Past the
-    peak of |c_n|^2 both |c_n|^2 and q_n fall with n: one test at hi - 1
-    tells whether there is such an n, and bisection finds the first one
-    from there."""
-    terms = _perelomov_terms(params, radius)
-    if terms is None:
-        return None
-    _, _, peak, log_abs2, margin = terms
-    sup = _ratio_sup(StateKind.PERELOMOV, params, radius)
+def _cut_bound(law, lo, hi, log_room):
+    """An n, lo <= n < hi, at which `_tail_cut` certainly cuts the series of
+    the closed form ``law`` (`_perelomov_law`) unless it has cut before, or
+    None: |c_n|^2 / (1 - q_n^2) plus the margin stays under log_room = log
+    (tol^2 S), S at most the running squared norm before c_n.  Past the peak
+    that test only gets easier with n, so one test at hi - 1 tells whether
+    there is such an n, and bisection finds the first one."""
+    _, _, peak, log_abs2, margin, sup = law
 
     def fails(n):
         q = sup(n)
@@ -407,11 +352,18 @@ def _finish(kind, params, z, coeffs, normalize, meta) -> CoherentState:
 
 def _state(kind, params, dim, z, normalize, tail_tol, max_terms) -> CoherentState:
     """The state at z from `_series`: the d coefficients of a finite ladder,
-    else the series to its tail cut, of at most max_terms terms."""
+    else the series to its tail cut, of at most max_terms terms.  A series
+    whose closed form (`_perelomov_law`) misses the cut's necessary bound
+    tol^2 S_inf (1 - x) at n = 1 and at max_terms, and so everywhere between,
+    with its peak in range, is refused before any term is built."""
     stop, tol = (dim.d, None) if dim.is_finite else (max_terms + 1, tail_tol)
-    if tol is not None and _never_cut(kind, params, abs(z), tol, max_terms):
-        bound = math.inf
-    else:
+    law = None if tol is None else _perelomov_law(kind, params, abs(z))
+    if law is not None:
+        x, a, _, log_abs2, margin, _ = law
+        log_room = 2.0 * math.log(tol) + (1.0 - a) * math.log1p(-x)
+        missed = all(log_abs2(n) > log_room + margin(n) for n in (max_terms, 1))
+    bound = math.inf
+    if law is None or not (missed and _fits(law, max_terms)):
         blocks, (bound,), _ = _series(kind, params, [z], stop, tol)
     if tol is not None and bound == math.inf:
         raise DomainError(f"series did not reach tail tolerance {tol:g} within {max_terms} terms")

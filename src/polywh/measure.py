@@ -64,8 +64,10 @@ from .coherent import (
     DEFAULT_TAIL_TOL,
     MAX_SERIES_TERMS,
     StateKind,
-    _always_cut,
+    _cut_bound,
+    _fits,
     _outside_disk,
+    _perelomov_law,
     _series_moduli,
     bg_state,
     perelomov_state,
@@ -166,45 +168,33 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
     return MomentSequence(values, kind, law_shapes=shapes, next_value=next_value)
 
 
+@dataclass(frozen=True)
 class HankelMinors:
-    """The result of `hankel_minors`.  It reads as the pair ``(plain,
-    shifted)`` of Fraction lists: iteration, indexing, ``len`` and ``==``
-    (against a tuple or another result) behave as a tuple's.  The pair is
-    built from the pass's integers on its first read (`_exact_minors`) and
-    kept.  ``alphas`` and ``betas`` are the Jacobi entries alpha_j and
-    beta_j of the same pass as unreduced integer ratios (num, den), den > 0
-    where every minor is positive: num / den rounds as float(Fraction) does.
-    ``sigmas`` are the pivots den_j sigma_{j,j}, one per plain minor, each
-    with the sign of H_{j+1} / H_j.  Copy and pickle keep all of it."""
+    """The result of `hankel_minors`: the pass's pivots ``sigmas`` (den_j
+    sigma_{j,j}, each with the sign of H_{j+1} / H_j) over ``dens``, and the
+    Jacobi entries ``alphas`` and ``betas`` as unreduced integer ratios
+    (num, den), den > 0 where every minor is positive: num / den rounds as
+    float(Fraction) does.  The ``plain`` and ``shifted`` minors, reduced
+    Fractions, are built from the pivots on their first read
+    (`_exact_minors`) and kept."""
 
-    def __init__(self, sigmas, dens, alphas, betas, shifted_count):
-        self.sigmas, self._dens = tuple(sigmas), tuple(dens)
-        self.alphas, self.betas = tuple(alphas), tuple(betas)
-        self._shifted_count, self._pair = shifted_count, None
+    sigmas: tuple[int, ...]
+    dens: tuple[int, ...]
+    alphas: tuple[tuple[int, int], ...]
+    betas: tuple[tuple[int, int], ...]
+    shifted_count: int  # the alphas with a shifted minor: not a completed alpha_{k-1}
 
+    @functools.cached_property
     def _minors(self):
-        if self._pair is None:
-            self._pair = _exact_minors(self.sigmas, self._dens, self.alphas[: self._shifted_count])
-        return self._pair
+        return _exact_minors(self.sigmas, self.dens, self.alphas[: self.shifted_count])
 
-    def __iter__(self):
-        return iter(self._minors())
+    @property
+    def plain(self) -> list[Fraction]:
+        return self._minors[0]
 
-    def __len__(self):
-        return 2
-
-    def __getitem__(self, index):
-        return self._minors()[index]
-
-    def __eq__(self, other):
-        if isinstance(other, HankelMinors):
-            other = other._minors()
-        return self._minors() == other if isinstance(other, tuple) else NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"HankelMinors{self._minors()!r}"
+    @property
+    def shifted(self) -> list[Fraction]:
+        return self._minors[1]
 
 
 def _exact_minors(sigmas, dens, slopes):
@@ -310,7 +300,7 @@ def hankel_minors(values) -> HankelMinors:
             row = [n // content for n in row]
             den //= content
     shifted_count = min(len(alphas), len(values) // 2)  # not the completed alpha_{k-1}
-    return HankelMinors(sigmas, dens, alphas, betas, shifted_count)
+    return HankelMinors(tuple(sigmas), tuple(dens), tuple(alphas), tuple(betas), shifted_count)
 
 
 def _classical_recurrence(values):
@@ -612,13 +602,12 @@ def _exact_recurrence(values, recurrence=None) -> tuple[np.ndarray, np.ndarray]:
     except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: a zero shifted minor
         alpha_f = beta_f = None
     if minors is not None and not _certified(minors.sigmas, alpha_f, beta_f, len(values) // 2):
-        plain, shifted = minors
-        for idx, det in enumerate(plain, start=1):
+        for idx, det in enumerate(minors.plain, start=1):
             if det.numerator <= 0:
                 raise DomainError(
                     f"moment sequence is not positive-definite: Hankel minor H_{idx} = {det}"
                 )
-        for idx, det in enumerate(shifted, start=1):
+        for idx, det in enumerate(minors.shifted, start=1):
             if det.numerator <= 0:
                 raise DomainError(
                     f"moments admit no measure on (0, inf): shifted Hankel minor H'_{idx} = {det}"
@@ -645,15 +634,13 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
     The state at the largest node decides whether every state of the rule
     exists: |c_n(z)| = |z|^n |c_n(1)| grows with |z|, so the existence
     disk, an overflow or the term cap is met there first.  The disk is
-    checked first.  On an r = 1 ladder with kappa > 0 the perelomov closed
-    form then certifies, where it can, that the constructor would succeed
-    there at the default tolerance and term cap (`coherent._always_cut`),
-    and the state is not built.  Otherwise one constructor call at that
-    node decides, and its `DomainError` is raised again with the check,
-    the node t and |z| in front.  The moduli of all nodes then come from
-    the rows of the constructor's own series routine over the leading
-    levels (`coherent._series_moduli`), bit-equal to each node's own
-    state, and are summed in node order.
+    checked first.  Where the perelomov closed form (`coherent._perelomov_law`)
+    certifies that the series there meets its cut within the term cap with
+    every coefficient in range, the state is not built; otherwise it is,
+    and its `DomainError` is raised again with the check, the node t and
+    |z| in front.  The moduli of all nodes come from the rows of the
+    constructor's own series routine (`coherent._series_moduli`), bit-equal
+    to each node's own state, summed in node order.
     """
     kind = StateKind(kind)
     levels = measure.n_matched
@@ -670,9 +657,10 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
             f"measure node t = {t_max:.6g} lies outside the existence disk "
             f"t < 1/kappa_1 = {1.0 / float(params.kappas[0]):.6g} of the perelomov states"
         )
-    if kind is StateKind.BARUT_GIRARDELLO or not _always_cut(
-        params, radius, DEFAULT_TAIL_TOL, MAX_SERIES_TERMS
-    ):
+    law = _perelomov_law(kind, params, radius)  # S_n >= |c_0|^2 = 1 before every cut
+    certified = law is not None and _fits(law, MAX_SERIES_TERMS) and _cut_bound(
+        law, 1, MAX_SERIES_TERMS + 1, 2.0 * math.log(DEFAULT_TAIL_TOL)) is not None
+    if not certified:
         build = perelomov_state if kind is StateKind.PERELOMOV else bg_state
         try:
             build(params, radius)

@@ -195,7 +195,10 @@ def series_unfiltered(kind, params, zs, stop, tail_tol):
                 if math.isfinite(norms[:, -1].max()):
                     break
                 if not np.isfinite(block).all():
-                    raise DomainError("a coefficient passes the double range")
+                    i, n = np.argwhere(~np.isfinite(block))[0]
+                    raise DomainError(
+                        f"{kind.value} state at z = {complex(zs[i])} overflows double precision: "
+                        f"coefficient c_{lo + n} passes the double range")
                 over = np.isinf(norms[:, -1])
                 exponents[over] += RESCALE_BITS
                 norm2[over] = np.ldexp(norm2[over], -RESCALE_BITS)

@@ -205,6 +205,20 @@ def test_an_identity_check_past_the_term_cap_names_its_node(capsys):
                    "series did not reach tail tolerance 1e-14 within 200000 terms\n")
 
 
+def test_moments_past_the_string_digit_limit_are_refused_before_the_solve(capsys, monkeypatch):
+    # kappa = 1/10^150: m_30 = F(30)! has a denominator of over 4300 digits,
+    # which the artifact could not print; the solve took seconds to get there
+    monkeypatch.setattr(cli, "solve_measure", lambda moments: pytest.fail("solved"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "measure", "--kappa", f"1/{10**150}", "--kind",
+                                 "barut-girardello", "--levels", "40")
+    assert (code, out) == (1, "")
+    assert err == (f"error: moment m_30 has more than {sys.get_int_max_str_digits()} digits, "
+                   "the interpreter's limit for integer string conversion "
+                   "(sys.get_int_max_str_digits())\n")
+
+
 def test_a_weight_under_the_normal_range_is_named_without_a_warning(capsys):
     # d = 100: the Christoffel sum at the largest node passes the double range
     with warnings.catch_warnings():

@@ -1,7 +1,9 @@
+import ast
 import math
 import re
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,6 +12,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polywh
 from polywh import (
     AlgebraParams,
     DomainError,
@@ -244,13 +247,19 @@ def test_the_tail_scan_starts_near_the_cut(monkeypatch):
     assert 0 <= len(state) - first[0] <= 16
 
 
+# kappa = 1/10^k, k <= 16: at a = 1/kappa, lgamma(a + n) - lgamma(a) loses digits
+_DECADES = st.integers(min_value=0, max_value=16).map(lambda k: Fraction(1, 10**k))
+_TINY_KAPPA = Fraction(1, 10**16)  # |z| = 2: 43 terms; without the cancellation, 41 certified
+
+
 @settings(max_examples=150, deadline=None)
 @example(kappa=Fraction(14, 25), rho=0.9993, angle=0.0, phi=0.0, max_terms=5000)
 @example(kappa=Fraction(1, 2), rho=1 - 1e-4, angle=1.0, phi=0.3, max_terms=5000)
+@example(kappa=_TINY_KAPPA, rho=2e-8, angle=0.0, phi=0.0, max_terms=50)
 @given(
-    kappa=st.builds(Fraction, st.integers(min_value=1, max_value=58),
-                    st.integers(min_value=1, max_value=29)),
-    rho=st.one_of(st.floats(min_value=0.0, max_value=1 - 1e-4),
+    kappa=st.one_of(st.builds(Fraction, st.integers(min_value=1, max_value=58),
+                              st.integers(min_value=1, max_value=29)), _DECADES),
+    rho=st.one_of(st.floats(min_value=0.0, max_value=1 - 1e-4), st.floats(0.0, 1e-6),
                   st.sampled_from([0.99, 0.999, 0.9993, 1 - 1e-4])),
     angle=st.sampled_from([0.0, 1.0, -2.5]),
     phi=st.sampled_from([0.0, 0.3]),
@@ -259,7 +268,8 @@ def test_the_tail_scan_starts_near_the_cut(monkeypatch):
 def test_the_predicted_block_end_and_refusal_leave_the_doubling_series(
     kappa, rho, angle, phi, max_terms
 ):
-    # kappa = p/q in (0, 2], q <= 29, and |z| sqrt(kappa) = rho up to 1 - 1e-4
+    # kappa = p/q in (0, 2], q <= 29, or 1/10^k, and |z| sqrt(kappa) = rho up to 1 - 1e-4,
+    # or under 1e-6: a short series at a large shape 1/kappa
     params = AlgebraParams([kappa], phi)
     z = rho / math.sqrt(kappa) * complex(math.cos(angle), math.sin(angle))
     try:
@@ -274,24 +284,39 @@ def test_the_predicted_block_end_and_refusal_leave_the_doubling_series(
     assert state.cutoff_meta.tail_bound == bound
 
 
+def _certified(params, radius, tail_tol, max_terms):
+    """Whether the closed form certifies the perelomov state at |z| = radius,
+    as `measure.verify_identity` reads it at its tolerance and term cap."""
+    law = coherent._perelomov_law(StateKind.PERELOMOV, params, radius)
+    return law is not None and coherent._fits(law, max_terms) and coherent._cut_bound(
+        law, 1, max_terms + 1, 2.0 * math.log(tail_tol)) is not None
+
+
 @settings(max_examples=300, deadline=None)
 @example(kappa=Fraction(1, 2), rho=0.9993, phi=0.0, tail_tol=1e-14, max_terms=MAX_SERIES_TERMS)
 @example(kappa=Fraction(14, 25), rho=1 - 1e-6, phi=0.7, tail_tol=1e-6, max_terms=5000)
 @example(kappa=Fraction(3, 7), rho=0.5, phi=0.0, tail_tol=1e-10, max_terms=1)
+@example(kappa=_TINY_KAPPA, rho=2e-8, phi=0.0, tail_tol=1e-14, max_terms=41)
 @given(
-    kappa=st.integers(min_value=1, max_value=40).flatmap(
-        lambda q: st.builds(Fraction, st.integers(min_value=1, max_value=2 * q - 1), st.just(q))),
-    rho=st.floats(min_value=0.0, max_value=6.0).map(lambda u: 1.0 - 10.0**-u),
+    kappa=st.one_of(
+        st.integers(min_value=1, max_value=40).flatmap(
+            lambda q: st.builds(Fraction, st.integers(min_value=1, max_value=2 * q - 1),
+                                st.just(q))),
+        _DECADES,
+    ),
+    rho=st.one_of(st.floats(min_value=0.0, max_value=6.0).map(lambda u: 1.0 - 10.0**-u),
+                  st.floats(min_value=0.0, max_value=1e-6)),
     phi=st.one_of(st.just(0.0), st.floats(min_value=-math.pi, max_value=math.pi)),
     tail_tol=st.sampled_from([1e-14, 1e-10, 1e-6]),
     max_terms=st.one_of(st.integers(min_value=1, max_value=6000),
                         st.sampled_from([50, 500, 5000, MAX_SERIES_TERMS])),
 )
 def test_a_certain_cut_is_a_state(kappa, rho, phi, tail_tol, max_terms):
-    # kappa = p/q in (0, 2), q <= 40, and |z| sqrt(kappa) = rho, up to 1 - 1e-6
+    # kappa = p/q in (0, 2), q <= 40, or 1/10^k, k <= 16, and |z| sqrt(kappa)
+    # = rho, up to 1 - 1e-6, or under 1e-6: a short series at a large shape
     params = AlgebraParams([kappa], phi)
     radius = rho / math.sqrt(kappa)
-    certified = coherent._always_cut(params, radius, tail_tol, max_terms)
+    certified = _certified(params, radius, tail_tol, max_terms)
     try:
         state = perelomov_state(params, radius * complex(math.cos(phi), math.sin(phi)),
                                 tail_tol=tail_tol, max_terms=max_terms)
@@ -300,6 +325,20 @@ def test_a_certain_cut_is_a_state(kappa, rho, phi, tail_tol, max_terms):
     else:
         assert state.cutoff_meta.n_terms <= max_terms
         assert state.cutoff_meta.tail_bound <= tail_tol
+
+
+def test_only_the_closed_form_reads_lgamma():
+    # one copy of the perelomov law: no second predictor may rebuild it
+    readers = {
+        (path.name, getattr(top, "name", None))
+        for path in sorted(Path(polywh.__file__).parent.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Attribute) and node.attr == "lgamma")
+        or (isinstance(node, ast.Name) and node.id == "lgamma")
+        or (isinstance(node, ast.alias) and node.name.endswith("lgamma"))
+    }
+    assert readers == {("coherent.py", "_perelomov_law")}
 
 
 def _count_steps(monkeypatch):

@@ -169,7 +169,8 @@ def test_non_positive_definite_moments_rejected():
 
 def test_hankel_minors_positive_for_valid_sequences():
     mom = moments_for(OSC, "barut-girardello", count=12)
-    plain, shifted = hankel_minors(mom.values)
+    minors = hankel_minors(mom.values)
+    plain, shifted = minors.plain, minors.shifted
     assert all(det > 0 for det in plain)
     assert all(det > 0 for det in shifted)
 
@@ -194,7 +195,8 @@ def _moment_sequences(draw):
 @settings(max_examples=150, deadline=None)
 @given(values=_moment_sequences())
 def test_hankel_minors_match_elimination(values):
-    plain, shifted = hankel_minors(values)
+    minors = hankel_minors(values)
+    plain, shifted = minors.plain, minors.shifted
     ref_plain, ref_shifted = hankel_minors_by_elimination(values)
     if 0 in plain:
         # the Chebyshev table cannot pass a zero minor: both lists stop there
@@ -206,7 +208,8 @@ def test_hankel_minors_match_elimination(values):
 
 
 def test_hankel_minors_stop_at_an_exact_zero():
-    assert hankel_minors([1, 1, 1, 1]) == ([1, 0], [1])
+    minors = hankel_minors([1, 1, 1, 1])
+    assert (minors.plain, minors.shifted) == ([1, 0], [1])
     assert hankel_minors_by_elimination([1, 1, 1, 1]) == ([1, 0], [1, 0])
 
 
@@ -252,7 +255,8 @@ def _family_moments(draw):
 @settings(max_examples=200, deadline=None)
 @given(values=_rational_sequences())
 def test_hankel_minors_match_the_fraction_table_on_wide_rationals(values):
-    plain, shifted = hankel_minors(values)
+    minors = hankel_minors(values)
+    plain, shifted = minors.plain, minors.shifted
     assert (plain, shifted) == hankel_minors_by_fractions(values)
     assert 0 not in plain[:-1]  # a zero minor ends the lists
 
@@ -260,7 +264,8 @@ def test_hankel_minors_match_the_fraction_table_on_wide_rationals(values):
 @settings(max_examples=100, deadline=None)
 @given(moments=_family_moments())
 def test_hankel_minors_match_the_fraction_table_on_the_families(moments):
-    assert hankel_minors(moments.values) == hankel_minors_by_fractions(moments.values)
+    minors = hankel_minors(moments.values)
+    assert (minors.plain, minors.shifted) == hankel_minors_by_fractions(moments.values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -268,7 +273,7 @@ def test_hankel_minors_match_the_fraction_table_on_the_families(moments):
 def test_recurrence_and_moment_targets_match_fractions(moments, data):
     values = moments.values
     minors = hankel_minors(values)
-    plain, shifted = minors
+    plain, shifted = minors.plain, minors.shifted
     if all(det > 0 for det in plain + shifted):
         alphas, betas = minors.alphas, minors.betas
         ref_alphas, ref_betas = recurrence_by_fractions(plain, shifted, len(values))
@@ -292,7 +297,7 @@ def test_recurrence_and_moment_targets_match_fractions(moments, data):
 ])
 def test_the_recurrence_is_read_off_the_chebyshev_rows(values):
     minors = hankel_minors(values)
-    ref_alphas, ref_betas = recurrence_by_fractions(*minors, len(values))
+    ref_alphas, ref_betas = recurrence_by_fractions(minors.plain, minors.shifted, len(values))
     assert [Fraction(*a) for a in minors.alphas] == ref_alphas
     assert [Fraction(*b) for b in minors.betas] == ref_betas
     assert [n / d for n, d in minors.alphas + minors.betas] == [
@@ -305,10 +310,10 @@ def test_the_recurrence_is_read_off_the_chebyshev_rows(values):
 def test_the_recurrence_stops_with_the_pass_at_an_exact_zero():
     # H_2 = 0: the pass ends on beta_1 = 0 and completes no alpha past it
     minors = hankel_minors([1, 1, 1, 1])
-    assert minors == ([1, 0], [1])
+    assert (minors.plain, minors.shifted) == ([1, 0], [1])
     assert [Fraction(*a) for a in minors.alphas] == [1]
     assert [Fraction(*b) for b in minors.betas] == [1, 0]
-    ref_alphas, ref_betas = recurrence_by_fractions(*minors, 4)
+    ref_alphas, ref_betas = recurrence_by_fractions(minors.plain, minors.shifted, 4)
     assert ref_alphas[:1] == [1] and ref_betas == [1, 0]
 
 
@@ -425,7 +430,7 @@ def test_a_family_measure_builds_no_exact_minor(monkeypatch):
     assert calls == []
     assert measure.n_matched == 40
     minors = hankel_minors(moments.values)
-    assert minors == hankel_minors_by_fractions(moments.values)  # read: built now
+    assert (minors.plain, minors.shifted) == hankel_minors_by_fractions(moments.values)  # built now
     assert calls == [20]
 
 
@@ -459,13 +464,12 @@ def test_a_bound_that_cannot_decide_falls_back_to_the_exact_minors(monkeypatch):
     assert measure.nodes.min() > 0
 
 
-def test_the_minors_read_as_a_pair():
+def test_the_minors_are_built_once_on_first_read(monkeypatch):
+    calls = _count_exact_minors(monkeypatch)
     minors = hankel_minors([1, 1, 2, 6, 24])
-    assert not isinstance(minors, tuple)
-    assert len(minors) == 2 and minors[0] == list(minors)[0] == [1, 1, 4]
-    assert minors == ([1, 1, 4], [1, 2]) and minors != [[1, 1, 4], [1, 2]]
-    assert repr(minors) == "HankelMinors([Fraction(1, 1), Fraction(1, 1), Fraction(4, 1)], " \
-        "[Fraction(1, 1), Fraction(2, 1)])"
+    assert calls == []
+    assert (minors.plain, minors.shifted) == ([1, 1, 4], [1, 2])
+    assert minors.shifted == [1, 2] and calls == [3]
 
 
 # ------------------------------------------------------ classical laws
