@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,15 +232,20 @@ def _perelomov_law(kind, params, radius):
     float series: its n rounded steps, x rounded near the rim, and the
     cancellation in lgamma(a + n) - lgamma(a), under eps (|lgamma(a + n)| +
     |lgamma(a)|): 1.6e-3 at a = 1e12, 5.4 at a = 1e15."""
-    if kind is not StateKind.PERELOMOV or params.r != 1 or params.kappas[0] <= 0:
+    if kind is not StateKind.PERELOMOV or params.r != 1:
         return None
     kappa = float(params.kappas[0])
+    if not kappa > 0.0:  # a kappa under the double range too
+        return None
     q = radius * math.sqrt(kappa)
-    x, a = q * q, 1.0 / kappa
+    x, a, eps = q * q, 1.0 / kappa, sys.float_info.epsilon
     if not 0.0 < x < 1.0:  # c_1 = 0 in float, or at the rim as x rounds
         return None
-    log_x, base, eps = math.log(x), math.lgamma(a), np.finfo(float).eps
-    peak = max(math.ceil((a * x - 1.0) / (1.0 - x)), 0)
+    try:
+        log_x, base = math.log(x), math.lgamma(a)
+        peak = max(math.ceil((a * x - 1.0) / (1.0 - x)), 0)
+    except OverflowError:  # a or the peak index past the double range: the series decides
+        return None
     near_rim = 8.0 * (a + 1.0) * eps / (1.0 - x)
 
     def log_abs2(n):
@@ -257,7 +263,7 @@ def _fits(law, last) -> bool:
     _, _, peak, log_abs2, margin, _ = law
     peak = min(peak, last)
     highest = max(log_abs2(n) + margin(n) for n in {max(peak - 1, 0), peak, min(peak + 1, last)})
-    return highest < 2.0 * (math.log(np.finfo(float).max) - 1.0)
+    return highest < 2.0 * (math.log(sys.float_info.max) - 1.0)
 
 
 def _cut_bound(law, lo, hi, log_room):

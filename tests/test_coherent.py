@@ -327,6 +327,19 @@ def test_a_certain_cut_is_a_state(kappa, rho, phi, tail_tol, max_terms):
         assert state.cutoff_meta.tail_bound <= tail_tol
 
 
+@pytest.mark.parametrize("exponent", [306, 310, 400])
+def test_a_shape_past_the_double_range_has_no_closed_form(exponent):
+    # lgamma(1/kappa), 1/kappa or float(kappa) itself leaves the double range:
+    # the law raised OverflowError or ZeroDivisionError there
+    params = AlgebraParams([Fraction(1, 10**exponent)])
+    assert coherent._perelomov_law(StateKind.PERELOMOV, params, 1.0) is None
+    if exponent == 306:  # its ladder rows still fit in doubles: the series decides
+        coeffs, bound = perelomov_series_by_doubling(params, 1.0)
+        state = perelomov_state(params, 1.0)
+        assert state.coeffs.tobytes() == coeffs.tobytes()
+        assert state.cutoff_meta.tail_bound == bound
+
+
 def test_only_the_closed_form_reads_lgamma():
     # one copy of the perelomov law: no second predictor may rebuild it
     readers = {
