@@ -238,17 +238,31 @@ def _ladder_rows(params: AlgebraParams, lo: int, hi: int) -> tuple[np.ndarray, n
     float(structure_function) and float(commutator_gap), and a few ulp past
     that.  Each entry is computed at its own n alone, so the rows of any
     range are bit-equal to those of the table from 0.  The factors of all
-    the kappas share one buffer, which then holds G, divided in place."""
-    n_minus_1 = np.arange(lo - 1.0, hi)
+    the kappas share one buffer, which then holds G, divided in place.
+    More rows than numpy can allocate, or a kappa whose numerator or
+    denominator (or their product Q) passes the double range, is a
+    `DomainError`."""
+    try:
+        n_minus_1 = np.arange(lo - 1.0, hi)
+    except (ValueError, MemoryError):  # numpy: "Maximum allowed size exceeded"
+        raise DomainError(
+            f"{hi - lo} ladder rows (from n = {lo}) are more than numpy can allocate"
+        ) from None
     scaled = n_minus_1 + 1.0
     factor = np.empty_like(n_minus_1)
-    for kappa in params.kappas:
-        np.multiply(kappa.numerator, n_minus_1, out=factor)
-        factor += kappa.denominator
-        scaled *= factor
+    try:
+        for kappa in params.kappas:
+            np.multiply(kappa.numerator, n_minus_1, out=factor)
+            factor += kappa.denominator
+            scaled *= factor
+        scale = float(math.prod(kappa.denominator for kappa in params.kappas))
+    except OverflowError:
+        raise DomainError(
+            f"kappa = {','.join(map(str, params.kappas))}: the ladder polynomial's "
+            "integer coefficients pass the double range, so F has no float64 rows"
+        ) from None
     if lo == 0:
         scaled[0] = 0.0  # F(0) = 0; a negative factor at n = 0 would leave -0.0
-    scale = float(math.prod(kappa.denominator for kappa in params.kappas))
     g = np.subtract(scaled[1:], scaled[:-1], out=factor[:-1])  # np.diff, in the factor buffer
     g /= scale
     scaled /= scale

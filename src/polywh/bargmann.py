@@ -147,18 +147,12 @@ def schwarz_check(params: AlgebraParams, f_coeffs, z_grid) -> float:
 
 
 def estimate_growth(series: EntireSeries) -> GrowthEstimate:
-    """Least-squares order/type from the tail of log(1/|c_n|).
-
-    For a function of order rho and type sigma the coefficients follow
-    |c_n| ~ (e rho sigma / n)^{n/rho}, i.e.
-
-        log(1/|c_n|) = (1/rho) n log n + beta n   with   sigma = e^{-beta rho - 1}/rho,
-
-    fitted over the top half of the index range with an intercept so that
-    constant rescalings of the coefficients change neither estimate.  Only
-    the fitted half is negated, the n log n, n and 1 columns are written
-    into one design buffer, and the log n buffer then takes the residual.
-    """
+    """Least-squares fit of log(1/|c_n|) = (1/rho) n log n + beta n + const over
+    the top half of the indices, sigma = e^{-beta rho - 1}/rho: the intercept
+    keeps both fixed under a rescaling of the c_n.  The columns 1 and u = n - mid
+    are orthogonal, so the fit is projections: n log n is orthogonalized against
+    them by classical Gram-Schmidt twice, as stable as Householder QR (Bjorck
+    1996, sec. 2.4; Giraud, Langou & Rozloznik 2005), and y once."""
     logs = series.log_moduli
     if series.polynomial or not np.all(np.isfinite(logs)):
         raise DomainError("polynomial (terminating) coefficient sequences have no growth order")
@@ -166,27 +160,32 @@ def estimate_growth(series: EntireSeries) -> GrowthEstimate:
     if n_max + 1 < MIN_COEFFS:
         raise DomainError(f"need at least {MIN_COEFFS} coefficients, got {n_max + 1}")
     lo = max(1, n_max // 2)
-    y = -logs[lo:]
-    n = np.arange(lo, n_max + 1, dtype=float)
-    log_n = np.log(n)  # contiguous: numpy's strided log may round differently
-    design = np.empty((len(n), 3))
-    np.multiply(n, log_n, out=design[:, 0])
-    design[:, 1] = n
-    design[:, 2] = 1.0
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    slope, beta, _ = coef
+    m = n_max + 1 - lo
+    u = np.arange(lo, n_max + 1, dtype=float)
+    h = np.log(u)
+    h *= u  # n log n
+    u -= 0.5 * (lo + n_max)  # exact half-integers: sum(u) = 0, <u, u> = m (m^2 - 1) / 12
+    y, tmp = np.negative(logs[lo:]), np.empty_like(u)
+
+    def strip(v):  # v minus its projections on 1 and u, in place; returns the u coefficient
+        c0, c1 = v.sum() / m, float(np.dot(u, v)) / (m * (m * m - 1) / 12)
+        v -= c0
+        v -= np.multiply(u, c1, out=tmp)
+        return c1
+
+    h_u = strip(h) + strip(h)
+    y_u = strip(y)
+    slope = float(np.dot(h, y)) / float(np.dot(h, h))
     if slope <= 1e-3:
         raise DomainError(
             "coefficient decay is not of finite-positive-order entire type "
             "(geometric or slower); the order fit is degenerate"
         )
     rho = 1.0 / slope
-    sigma = math.exp(-beta * rho - 1.0) / rho
-    r = np.matmul(design, coef, out=log_n)  # the spent log n buffer
-    r -= y
-    np.square(r, out=r)
-    residual = float(np.sqrt(np.mean(r)))
-    y_last = y[-1]
+    sigma = math.exp(-(y_u - slope * h_u) * rho - 1.0) / rho  # beta: y's u coefficient less h's
+    y -= np.multiply(h, slope, out=tmp)
+    residual = math.sqrt(float(np.dot(y, y)) / m)
+    y_last = -logs[-1]
     rho_raw = n_max * math.log(n_max) / y_last
     sigma_raw = n_max * math.exp(-rho * y_last / n_max) / (math.e * rho)
     return GrowthEstimate(

@@ -219,11 +219,18 @@ def cmd_spectrum(args):
     params = resolve_params(args)
     f = [structure_function(params, n) for n in range(args.nmax + 2)]
     rows = []
-    for n in range(args.nmax + 1):
-        fval, gval = f[n], f[n + 1] - f[n]
-        rows.append(
-            {"n": n, "F": str(fval), "G": str(gval), "F_float": float(fval), "G_float": float(gval)}
-        )
+    try:
+        for n in range(args.nmax + 1):
+            fval, gval = f[n], f[n + 1] - f[n]
+            rows.append(
+                {"n": n, "F": str(fval), "G": str(gval),
+                 "F_float": float(fval), "G_float": float(gval)}
+            )
+    except OverflowError:
+        raise DomainError(
+            f"F({n}) or G({n}) passes the double range at kappa = "
+            f"{','.join(map(str, params.kappas))}, so its float column cannot be written"
+        ) from None
     payload = {"command": "spectrum"}
     payload.update(params_payload(params))
     payload["rows"] = rows

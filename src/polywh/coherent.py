@@ -391,10 +391,14 @@ def _checked_inputs(z, tail_tol: float) -> complex:
 def _outside_disk(params: AlgebraParams, radius: float) -> bool:
     """Whether |z| = radius misses the open disk |z| < 1/sqrt(kappa_1) in
     which the perelomov states of an r = 1 infinite ladder with kappa_1 > 0
-    exist; no other ladder has such a disk."""
+    exist; no other ladder has such a disk.  A kappa_1 past the double
+    range is a `DomainError`."""
     if classify(params).is_finite or params.r != 1:
         return False
-    k1 = float(params.kappas[0])
+    try:
+        k1 = float(params.kappas[0])
+    except OverflowError:
+        raise DomainError(f"kappa = {params.kappas[0]} passes the double range") from None
     return k1 > 0.0 and radius * math.sqrt(k1) >= 1.0
 
 

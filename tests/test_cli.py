@@ -205,6 +205,40 @@ def test_an_identity_check_past_the_term_cap_names_its_node(capsys):
                    "series did not reach tail tolerance 1e-14 within 200000 terms\n")
 
 
+_HUGE = 10**400
+_SWEEP_FLAGS = {
+    "spectrum": [], "rep-check": ["--window", "6"], "truncate": ["--window", "6", "--s", "3"],
+    "cs-perelomov": ["--z", "0.5"], "cs-bg": ["--z", "0.5"], "cs-grassmann": ["--dim", "4"],
+    "measure": ["--levels", "8"], "bargmann-growth": ["--nmax", "400"], "schwarz": [],
+}
+_NAMED = {  # what each exit 1 names; None: exit 0
+    f"{_HUGE}": dict.fromkeys(_SWEEP_FLAGS, f"kappa = {_HUGE}")
+    | {"spectrum": f"G(1) passes the double range at kappa = {_HUGE}",
+       "measure": "not positive-definite: Hankel minor H_2 = -"},
+    f"1/{_HUGE}": dict.fromkeys(_SWEEP_FLAGS, f"kappa = 1/{_HUGE}") | {"spectrum": None},
+    f"-1/{_HUGE}": dict.fromkeys(_SWEEP_FLAGS, f"d = {_HUGE + 1}")
+    | {"spectrum": None, "truncate": "infinite-dimensional parameters only",
+       "cs-perelomov": f"{_HUGE + 1} ladder rows (from n = 0) are more than numpy can allocate",
+       "bargmann-growth": "needs an infinite ladder", "schwarz": f"kappa = -1/{_HUGE}"},
+}
+
+
+@pytest.mark.parametrize("kappa", list(_NAMED))
+def test_a_kappa_past_the_double_range_is_named_by_every_command(capsys, kappa):
+    # numerator or denominator past the double range: every subcommand exits 0,
+    # or exits 1 naming the condition; none raises out of main or warns
+    for command, flags in _SWEEP_FLAGS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--kappa", kappa, *flags)
+        named = _NAMED[kappa][command]
+        if named is None:
+            assert (code, err) == (0, ""), command
+        else:
+            assert (code, out) == (1, ""), command
+            assert err.startswith("error: ") and named in err and err.count("\n") == 1, command
+
+
 def test_moments_past_the_string_digit_limit_are_refused_before_the_solve(capsys, monkeypatch):
     # kappa = 1/10^150: m_30 = F(30)! has a denominator of over 4300 digits,
     # which the artifact could not print; the solve took seconds to get there
