@@ -239,6 +239,17 @@ def test_a_kappa_past_the_double_range_is_named_by_every_command(capsys, kappa):
             assert err.startswith("error: ") and named in err and err.count("\n") == 1, command
 
 
+def test_a_finite_ladder_numpy_cannot_allocate_names_its_rows(capsys):
+    # d = 10^15 + 1: 8 PB of float64 rows is past any 64-bit address space, so
+    # numpy's allocation fails at once (MemoryError), as 10^400 + 1 rows fail
+    # its size check (ValueError) in the sweep above
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "cs-perelomov", "--kappa", f"-1/{10**15}", "--z", "0.5")
+    assert (code, out) == (1, "")
+    assert err == f"error: {10**15 + 1} ladder rows (from n = 0) are more than numpy can allocate\n"
+
+
 def test_moments_past_the_string_digit_limit_are_refused_before_the_solve(capsys, monkeypatch):
     # kappa = 1/10^150: m_30 = F(30)! has a denominator of over 4300 digits,
     # which the artifact could not print; the solve took seconds to get there
