@@ -240,8 +240,8 @@ def _ladder_rows(params: AlgebraParams, lo: int, hi: int) -> tuple[np.ndarray, n
     range are bit-equal to those of the table from 0.  The factors of all
     the kappas share one buffer, which then holds G, divided in place.
     More rows than numpy can allocate, or a kappa whose numerator or
-    denominator (or their product Q) passes the double range, is a
-    `DomainError`."""
+    denominator (or their product Q, or a row's F(n) Q) passes the double
+    range, is a `DomainError`."""
     try:
         n_minus_1 = np.arange(lo - 1.0, hi)
     except (ValueError, MemoryError):  # numpy: "Maximum allowed size exceeded"
@@ -251,15 +251,17 @@ def _ladder_rows(params: AlgebraParams, lo: int, hi: int) -> tuple[np.ndarray, n
     scaled = n_minus_1 + 1.0
     factor = np.empty_like(n_minus_1)
     try:
-        for kappa in params.kappas:
-            np.multiply(kappa.numerator, n_minus_1, out=factor)
-            factor += kappa.denominator
-            scaled *= factor
+        with np.errstate(over="raise"):
+            for kappa in params.kappas:
+                np.multiply(kappa.numerator, n_minus_1, out=factor)
+                factor += kappa.denominator
+                scaled *= factor
         scale = float(math.prod(kappa.denominator for kappa in params.kappas))
-    except OverflowError:
+    except (OverflowError, FloatingPointError):
         raise DomainError(
             f"kappa = {','.join(map(str, params.kappas))}: the ladder polynomial's "
-            "integer coefficients pass the double range, so F has no float64 rows"
+            f"integer coefficients or its values F(n) Q, n < {hi}, pass the double range, "
+            "so F has no float64 rows"
         ) from None
     if lo == 0:
         scaled[0] = 0.0  # F(0) = 0; a negative factor at n = 0 would leave -0.0

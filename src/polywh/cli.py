@@ -19,11 +19,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
+import itertools
 import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -354,10 +355,11 @@ def cmd_measure(args):
     )
 
 
-def _float_or_none(value):
-    """float(value), or None past the double range."""
+def _float_or_none(value: Fraction):
+    """float(value), or None past the double range: the correctly rounded
+    quotient that float(Fraction) also takes, without its generic method."""
     try:
-        return float(value)
+        return value.numerator / value.denominator
     except OverflowError:
         return None
 
@@ -503,38 +505,85 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _complex_array_text(a: np.ndarray, level: int) -> str:
-    """The ``json.dumps(indent=2)`` text of a complex array as nested lists
-    of {"re", "im"} objects, for an array opening at indent ``level``."""
-    inner = "\n" + "  " * (level + 1)
-    if a.ndim > 1:
-        items = [_complex_array_text(row, level + 1) for row in a]
+def _out_of_range(value) -> ValueError:
+    return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+_FLOAT_OR_NULL = {float, type(None)}
+_NON_FINITE = {"inf", "-inf", "nan"}  # float.__repr__ of the floats json.dumps refuses
+
+
+def _write_json(value, level: int, out: list) -> None:
+    """Append the ``json.dumps(indent=2, allow_nan=False)`` text of
+    ``value`` (its str keys in order), opening at indent ``level``, to
+    ``out``, or raise its ValueError or TypeError.  A complex ndarray is
+    written as nested lists of {"re", "im"} objects; a list of only floats
+    and None, or of only strings, is joined in one pass."""
+    if isinstance(value, float):  # no str, None, bool or int is a float
+        if not math.isfinite(value):
+            raise _out_of_range(value)
+        out.append(float.__repr__(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple, np.ndarray)):
+        _write_container(value, level, out)
     else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _write_container(value, level: int, out: list) -> None:
+    """`_write_json` of a dict, a list or tuple, or an ndarray (a 2-D one as
+    a list of its rows)."""
+    is_dict = isinstance(value, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if not len(value):
+        out.append(opening + closing)
+        return
+    inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level + closing
+    kinds = set(map(type, value)) if isinstance(value, (list, tuple)) else set()
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        if not np.isfinite(value).all():  # the first non-finite float, as json.dumps names it
+            parts = np.stack((value.real, value.imag), axis=-1)
+            raise _out_of_range(float(parts[~np.isfinite(parts)][0]))
         key = inner + "  "
         item = "{" + key + '"re": %r,' + key + '"im": %r' + inner + "}"
-        items = [item % pair for pair in zip(a.real.tolist(), a.imag.tolist())]
-    if not items:
-        return "[]"
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+        items = [item % pair for pair in zip(value.real.tolist(), value.imag.tolist())]
+    elif kinds and kinds <= _FLOAT_OR_NULL:
+        items = ["null" if v is None else float.__repr__(v) for v in value]
+        if not _NON_FINITE.isdisjoint(items):
+            raise _out_of_range(next(v for v in value if v is not None and not math.isfinite(v)))
+    elif kinds == {str}:
+        items = map(encode_basestring_ascii, value)
+    else:
+        entries = (((encode_basestring_ascii(key) + ": ", item) for key, item in value.items())
+                   if is_dict else (("", item) for item in value))
+        for sep, (label, item) in zip(itertools.chain(opening, itertools.repeat(",")), entries):
+            out.append(sep + inner + label)
+            _write_json(item, level + 1, out)
+        out.append(close)
+        return
+    out += (opening, inner, ("," + inner).join(items), close)
 
 
 def json_text(payload: dict) -> str:
-    """Strict JSON (no NaN or Infinity) of a payload, indented by 2.
-
-    The top-level complex ndarrays are written by `_complex_array_text`,
-    byte for byte as json.dumps writes the same lists of dicts, and a
-    non-finite entry raises the same ValueError."""
-    arrays = {key: value for key, value in payload.items() if isinstance(value, np.ndarray)}
-    for a in arrays.values():
-        if not np.isfinite(a).all():  # name the first non-finite float, as json.dumps does
-            parts = np.stack((a.real, a.imag), axis=-1).ravel()
-            first = parts[np.flatnonzero(~np.isfinite(parts))[0]]
-            raise ValueError(f"Out of range float values are not JSON compliant: {float(first)!r}")
-    marks = {key: f"<array:{key}>" for key in arrays}
-    text = json.dumps({**payload, **marks}, indent=2, allow_nan=False)
-    for key, a in arrays.items():
-        text = text.replace(json.dumps(marks[key]), _complex_array_text(a, 1), 1)
-    return text + "\n"
+    """Strict JSON (no NaN or Infinity) of a payload, indented by 2: byte
+    for byte the text of ``json.dumps(payload, indent=2, allow_nan=False)``
+    and a newline, its complex ndarrays written as json.dumps writes the
+    same lists of {"re", "im"} dicts, and a non-finite float or an
+    unknown type raises json.dumps's ValueError or TypeError.  The pieces
+    are joined once, at the end (`_write_json`)."""
+    out = []
+    _write_json(payload, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def emit(args: argparse.Namespace, payload: dict, table) -> None:

@@ -118,34 +118,38 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
     phi = 0 and every z is real and >= 0 the blocks are float64, equal to
     the real parts of the complex ones (whose imaginary parts are +0.0).
 
-    A row with a closed form (`_perelomov_law`) hands `_tail_cut` only the
-    terms with |c_n|^2 <= tol^2 S_n (1 - x), widened by 1e-12 against
-    rounding: x = q^2 is the limit of the ratio bound, so no other term can
-    pass, and near the rim the thousands that cannot are never scanned.
-    From block start PREDICTED_FROM on, where every uncut row has one, a
-    block ends CUT_SLACK terms past the index at which each is certain to
-    be cut (`_cut_bound`), and at least two steps past its start (numpy
-    rounds a complex cumprod of one step unlike a longer one), not at twice
-    its start.  Neither changes the cut, its bound or any kept coefficient.
+    A row with 0 < x < 1 (`_perelomov_x`, taken for all rows at once)
+    hands `_tail_cut` only the terms with |c_n|^2 <= tol^2 S_n (1 - x),
+    widened by 1e-12 against rounding: x = q^2 is the limit of the ratio
+    bound, so no other term can pass, and near the rim the thousands that
+    cannot are never scanned.  From block start PREDICTED_FROM on, where
+    every uncut row has a closed form (`_perelomov_law`, built there
+    alone), a block ends CUT_SLACK terms past the index at which each is
+    certain to be cut (`_cut_bound`), and at least two steps past its start
+    (numpy rounds a complex cumprod of one step unlike a longer one), not
+    at twice its start.  Neither changes the cut, its bound or any kept
+    coefficient.
     """
     zs = np.asarray(zs, dtype=complex)
     if params.phi == 0.0 and not zs.imag.any() and not np.signbit(zs.real).any():
         zs = zs.real  # every phase is 1: float64 rows, bit-equal to the complex ones (`_steps`)
     rows, cut_rows, lo, scale = len(zs), tail_tol is not None, 1, 1.0  # 2**(-exponents/2)
+    radii = np.hypot(zs.real, zs.imag)  # bit-equal to abs(complex(z))
     blocks, norm2 = [np.ones((rows, 1), dtype=zs.dtype)], np.ones((rows, 1))
     exponents, lengths, bounds = np.zeros(rows, dtype=int), [stop] * rows, [math.inf] * rows
-    if cut_rows:
-        tol2 = tail_tol * tail_tol
-        laws = [_perelomov_law(kind, params, abs(complex(z))) for z in zs]
-        room = np.array([tol2 if law is None else tol2 * (1.0 - law[0]) * (1.0 + 1e-12)
-                         for law in laws])[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused or rescaled below
+    with np.errstate(over="ignore", invalid="ignore"):  # refused, rescaled or no x below
+        if cut_rows:
+            tol2 = tail_tol * tail_tol
+            xs = _perelomov_x(kind, params, radii)
+            room = tol2 if xs is None else np.where(
+                (0.0 < xs) & (xs < 1.0), tol2 * (1.0 - xs) * (1.0 + 1e-12), tol2)[:, None]
         while lo < stop and math.inf in bounds:
             hi = min(max(2 * lo, 64), stop) if cut_rows else stop
             if cut_rows and lo >= PREDICTED_FROM:
                 last = lo
-                for i, law in enumerate(laws):
+                for i, radius in enumerate(radii.tolist()):
                     if bounds[i] == math.inf:
+                        law = _perelomov_law(kind, params, radius)
                         log_room = (math.log(tol2) + math.log(norm2[i, 0])
                                     + exponents[i] * math.log(2.0))
                         cut = None if law is None else _cut_bound(law, lo, hi, log_room)
@@ -176,7 +180,7 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
                 under = abs2 <= norms[:, :-1] * room
                 for i in under.any(axis=1).nonzero()[0]:
                     if bounds[i] == math.inf:
-                        sup = _ratio_sup(kind, params, abs(complex(zs[i])))
+                        sup = _ratio_sup(kind, params, float(radii[i]))
                         cut = _tail_cut(under[i].nonzero()[0], abs2[i], norms[i], lo, sup, tol2)
                         if cut is not None:
                             block[i, cut[0] :] = 0.0
@@ -217,30 +221,48 @@ def _ratio_sup(kind, params, radius):
         k1 = float(params.kappas[0])
         return lambda j: radius * math.sqrt(max((1.0 + k1 * j) / (j + 1.0), k1))
     # F is nondecreasing on the infinite ladder, so the first ratio dominates
-    return lambda j: radius / math.sqrt(float(structure_function(params, j + 1)))
+    def sup(j):
+        f = structure_function(params, j + 1)
+        try:
+            return radius / math.sqrt(f.numerator / f.denominator)  # float(f), correctly rounded
+        except OverflowError:
+            raise DomainError(
+                f"kappa = {','.join(map(str, params.kappas))}: F({j + 1}) passes the double range"
+            ) from None
+
+    return sup
 
 
-def _perelomov_law(kind, params, radius):
-    """The closed form of the perelomov series of an r = 1 ladder with
-    kappa > 0 at |z| = radius, as (x, a, peak, n -> log |c_n|^2, margin,
-    `_ratio_sup`), or None for any other series or unless 0 < x < 1:
-    |c_n|^2 = x^n (a)_n / n! with x = kappa |z|^2, a = 1/kappa, summing to
-    (1 - x)^-a, unimodal with its peak at index ``peak`` (Perelomov 1986).
-    x is q^2, q the limit of `_ratio_sup` as `_tail_cut` rounds it.
-
-    margin(n) bounds the distance in log between the closed form and the
-    float series: its n rounded steps, x rounded near the rim, and the
-    cancellation in lgamma(a + n) - lgamma(a), under eps (|lgamma(a + n)| +
-    |lgamma(a)|): 1.6e-3 at a = 1e12, 5.4 at a = 1e15."""
+def _perelomov_x(kind, params, radius):
+    """x = kappa |z|^2 of the perelomov series of an r = 1 ladder with
+    kappa > 0, at |z| = radius (a float or an array of them), or None for
+    any other series.  x is q^2, q the limit of `_ratio_sup` as `_tail_cut`
+    rounds it.  Only where 0 < x < 1 has the series a closed form: else
+    c_1 = 0 in float, or x rounds to the rim or past it."""
     if kind is not StateKind.PERELOMOV or params.r != 1:
         return None
     kappa = float(params.kappas[0])
     if not kappa > 0.0:  # a kappa under the double range too
         return None
     q = radius * math.sqrt(kappa)
-    x, a, eps = q * q, 1.0 / kappa, sys.float_info.epsilon
-    if not 0.0 < x < 1.0:  # c_1 = 0 in float, or at the rim as x rounds
+    return q * q
+
+
+def _perelomov_law(kind, params, radius):
+    """The closed form of the perelomov series at |z| = radius where its x
+    (`_perelomov_x`) has 0 < x < 1, as (x, a, peak, n -> log |c_n|^2,
+    margin, `_ratio_sup`), else None: |c_n|^2 = x^n (a)_n / n! with
+    a = 1/kappa, summing to (1 - x)^-a, unimodal with its peak at index
+    ``peak`` (Perelomov 1986).
+
+    margin(n) bounds the distance in log between the closed form and the
+    float series: its n rounded steps, x rounded near the rim, and the
+    cancellation in lgamma(a + n) - lgamma(a), under eps (|lgamma(a + n)| +
+    |lgamma(a)|): 1.6e-3 at a = 1e12, 5.4 at a = 1e15."""
+    x = _perelomov_x(kind, params, radius)
+    if x is None or not 0.0 < x < 1.0:
         return None
+    a, eps = 1.0 / float(params.kappas[0]), sys.float_info.epsilon
     try:
         log_x, base = math.log(x), math.lgamma(a)
         peak = max(math.ceil((a * x - 1.0) / (1.0 - x)), 0)

@@ -39,15 +39,14 @@ exact moment, the ``next_value`` m_M of `moments_for`); kappa = 0, the
 finite ladders and any hand-built sequence complete it to 2 tau + 1 above
 the Schur-complement threshold tau, which keeps every node positive.
 
-The float endgame (`_gauss_rule`) takes the eigvalsh nodes through two
-passes of the orthonormal recurrence: a Newton pass, then one at the
-polished nodes that gives the last Newton step and the Christoffel sums
-sum p_n^2, moved along that step by their slope; their inverses are the
-weights, accurate to a few ulp far into the tail where eigenvector weights
-are lost.  A sum past the double range is a `DomainError` naming its node.
-The rule must reproduce every supplied moment to 1e-8, and
-`verify_identity` reassembles the identity diagonal from the coherent
-states themselves.
+The float endgame (`_gauss_rule`) takes the eigvalsh nodes through one
+pass of the orthonormal recurrence in np.longdouble, which gives a Newton
+step and the Christoffel sums sum p_n^2, moved along that step by their
+slope; their inverses are the weights, accurate to a few ulp far into the
+tail where eigenvector weights are lost.  A sum past the double range is a
+`DomainError` naming its node.  The rule must reproduce every supplied
+moment to 1e-8, and `verify_identity` reassembles the identity diagonal
+from the coherent states themselves.
 """
 
 from __future__ import annotations
@@ -354,62 +353,58 @@ def _gauss_rule(alphas: np.ndarray, betas: np.ndarray,
                 of: str = "measure") -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gauss rule of a Jacobi matrix.
 
-    Two passes of the orthonormal three-term recurrence (Gautschi 2004,
-    sections 2.1 and 3.1; `_orthonormal_values`) take the eigvalsh
-    eigenvalues on: a Newton step on the degree-k polynomial, then one
-    pass at the polished nodes whose Newton step gives the returned nodes
-    and whose sum_{n<k} p_n(t)^2 gives the weights, the Christoffel numbers.
-    The sum is carried to the returned nodes to first order, by its slope
-    2 sum_{n<k} p_n p'_n times that last step: near an end of the support
-    it changes by about k^2 relative per unit of t, so a node a few ulp off
-    cost the weights up to 4e-14 on the moments stream, against 1.3e-14
-    with the move.  Weights from the eigenvectors (Golub-Welsch) lose the relative accuracy
-    of the small weights far out in the tail.  A node whose Christoffel sum
-    passes the double range has a weight under the normal range of a
-    double: that is a `DomainError` naming the node (its eigenvalue) and
-    whose rule it is, ``of``.
-    """
-    off = np.sqrt(betas)
-    nodes = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
-    off = off.tolist()
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
-        value, slope = _orthonormal_values(alphas, off, nodes)
-        polished = nodes - value / slope
-        (value, slope), (squares, cross) = _orthonormal_values(alphas, off, polished, sums=True)
+    One pass of the orthonormal recurrence (Gautschi 2004, sections 2.1
+    and 3.1; `_orthonormal_values`) at the eigvalsh eigenvalues gives a
+    Newton step to the returned nodes and the Christoffel sums sum_{n<k}
+    p_n(t)^2, whose inverses are the weights; each sum is moved along the
+    step by its slope 2 sum p_n p'_n.  The pass runs in np.longdouble (a
+    64-bit significand on x86-64): in doubles a node far below alpha_n
+    loses its bits under the ulp of alpha_n in every shift t - alpha_n, up
+    to 3.6e-14 relative on the moments stream, and in np.longdouble the
+    rounding of the result to doubles is all that is left.  Eigenvector
+    weights (Golub-Welsch) lose the small weights of the tail.  A sum past
+    the double range, a weight under the normal range, is a `DomainError`
+    naming the node (its eigenvalue) and whose rule it is, ``of``."""
+    jacobi = np.zeros((len(alphas), len(alphas)))  # eigvalsh reads its lower triangle alone
+    jacobi.flat[:: len(alphas) + 1] = alphas
+    jacobi.flat[len(alphas) :: len(alphas) + 1] = np.sqrt(betas[1:])
+    nodes = np.linalg.eigvalsh(jacobi)
+    wide = np.longdouble
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the double range is refused
+        (value, slope), (squares, cross) = _orthonormal_values(
+            alphas.astype(wide), list(np.sqrt(betas.astype(wide))), nodes.astype(wide))
         step = value / slope
         moved = squares - 2.0 * cross * step
-    lost = np.flatnonzero(~np.isfinite(moved))
+    lost = np.flatnonzero(~(moved <= np.finfo(float).max))
     if lost.size:
         raise DomainError(
             f"the Christoffel sum at {of} node t = {nodes[lost[0]]:.6g} passes the double "
             f"range: its weight is below {1.0 / np.finfo(float).max:.3g}, under the normal range"
         )
-    return polished - step, 1.0 / moved
+    return (nodes - step).astype(float), (1.0 / moved).astype(float)
 
 
-def _orthonormal_values(alphas, off, t, sums=False):
-    """sqrt(beta_k) p_k(t) and its derivative in t, as the two rows of one
-    array, and with ``sums`` also sum_{n<k} p_n(t)^2 and sum_{n<k} p_n(t)
-    p'_n(t), the two rows of a second array.
+def _orthonormal_values(alphas, off, t):
+    """(sqrt(beta_k) p_k(t), its derivative in t) and (sum_{n<k} p_n(t)^2,
+    sum_{n<k} p_n(t) p'_n(t)), each pair as the two rows of one array of
+    t's dtype.
 
-    The p_n are orthonormal for the mass beta_0 = off[0]^2:
-    sqrt(beta_{n+1}) p_{n+1} = (t - alpha_n) p_n - sqrt(beta_n) p_{n-1}, and
-    the derivative row adds p_n to (t - alpha_n) p'_n before the second
-    term, as p_n + (t - alpha_n) p'_n - sqrt(beta_n) p'_{n-1} is evaluated.
-    The shifts t - alpha_n are taken at once."""
-    rows = np.zeros((2, len(t)))  # p_n, p'_n
-    rows[0] = 1.0 / off[0]
-    squares = rows[0] * rows if sums else None
-    prev = np.zeros_like(rows)
+    sqrt(beta_{n+1}) p_{n+1} = (t - alpha_n) p_n - sqrt(beta_n) p_{n-1},
+    orthonormal for the mass beta_0 = off[0]^2; the derivative row adds p_n
+    to (t - alpha_n) p'_n before the second term.  The shifts t - alpha_n
+    are taken at once, and both sums at the end, in order of n, over the
+    kept pairs (p_n, p'_n)."""
+    pairs = np.zeros((len(alphas) + 1, 2, len(t)), dtype=t.dtype)  # pairs[n + 1] = (p_n, p'_n)
+    pairs[1, 0] = 1.0 / off[0]
     for n, shift in enumerate(t - alphas[:, None]):
+        rows = pairs[n + 1]
         new = shift * rows
         new[1] += rows[0]
-        new -= off[n] * prev
+        new -= off[n] * pairs[n]
         if n + 1 < len(alphas):
-            prev, rows = rows, new / off[n + 1]
-            if sums:
-                squares += rows[0] * rows
-    return (new, squares) if sums else new
+            np.divide(new, off[n + 1], out=pairs[n + 2])
+    pairs = pairs[1:]
+    return new, np.add.reduce(pairs[:, :1] * pairs)
 
 
 @functools.lru_cache(maxsize=FACTOR_RULES)
@@ -430,21 +425,23 @@ def _stieltjes(nodes: np.ndarray, roots: np.ndarray, size: int):
     """The first ``size`` alpha_j and beta_j of the discrete measure with
     weights roots^2 at ``nodes``, by the orthonormal Stieltjes procedure
     (Gautschi 2004, section 2.2.3) on the vectors sqrt(w) p_j(t), each of
-    unit length, so that no entry leaves the double range."""
+    unit length, so that no entry leaves the double range.  Four buffers
+    of the nodes' length hold every vector of the pass."""
     alphas, betas = np.empty(size), np.empty(size)
     betas[0] = roots @ roots
     off = math.sqrt(betas[0])
     prev, vec = np.zeros_like(nodes), roots / off
+    moved, term = np.empty_like(nodes), np.empty_like(nodes)
     for j in range(size):
-        moved = nodes * vec
+        np.multiply(nodes, vec, out=moved)
         alphas[j] = moved @ vec
         if j + 1 == size:
             break
-        moved -= alphas[j] * vec
-        moved -= off * prev
+        moved -= np.multiply(alphas[j], vec, out=term)
+        moved -= np.multiply(off, prev, out=term)
         betas[j + 1] = moved @ moved
         off = math.sqrt(betas[j + 1])
-        prev, vec = vec, moved / off
+        prev, vec = vec, np.divide(moved, off, out=prev)
     return alphas, betas
 
 
@@ -493,18 +490,17 @@ def _moment_match(values, nodes: np.ndarray, weights: np.ndarray) -> float:
     approx = ((nodes / scale) ** np.arange(len(values))[:, None]) @ weights
     worst = 0.0
     scale_num, scale_den = scale.as_integer_ratio()
-    power_num = power_den = 1  # s^n = power_num / power_den
-    for m_n, a_n in zip(values, approx.tolist()):  # floats: an overflow is inf, silently
+    bits, power_num = scale_den.bit_length() - 1, 1  # s^n = power_num / 2**(bits n)
+    for n, (m_n, a_n) in enumerate(zip(values, approx.tolist())):  # an overflow is inf, silently
         num, den = m_n.as_integer_ratio()
         try:
-            target = (num * power_den) / (den * power_num)  # m_n / s^n, correctly rounded
+            target = (num << bits * n) / (den * power_num)  # m_n / s^n, correctly rounded
         except OverflowError:
             return math.inf
         if target == 0.0:
             return math.inf
         worst = max(worst, abs(a_n - target) / target)
         power_num *= scale_num
-        power_den *= scale_den
     return worst
 
 

@@ -404,8 +404,8 @@ def gauss_rule_from_moments_direct(moments, k):
 
 def orthonormal_values_three_arrays(alphas, off, t):
     """sqrt(beta_k) p_k(t), its derivative in t, sum_{n<k} p_n(t)^2 and
-    sum_{n<k} p_n(t) p'_n(t), each carried as its own array through one
-    recurrence: the reference for the two-row passes of
+    sum_{n<k} p_n(t) p'_n(t), each carried as its own array of t's dtype
+    through one recurrence: the reference for the two-row pass of
     `measure._gauss_rule`."""
     p_prev, p = np.zeros_like(t), np.full_like(t, 1.0 / off[0])
     dp_prev, dp = np.zeros_like(t), np.zeros_like(t)
@@ -427,24 +427,24 @@ def _eigvalsh_nodes(alphas, betas):
 
 
 def gauss_rule_three_arrays(alphas, betas):
-    """(nodes, Christoffel sums) of a Jacobi matrix, the two passes of
-    `measure._gauss_rule` by `orthonormal_values_three_arrays`: a Newton
-    step at the eigvalsh nodes, then one pass at the polished nodes whose
-    Newton step gives the nodes and whose sums are taken there and moved
-    along that step by their slope, 2 sum p_n p'_n."""
-    off, nodes = _eigvalsh_nodes(alphas, betas)
+    """(nodes, Christoffel sums) of a Jacobi matrix, the one pass of
+    `measure._gauss_rule` by `orthonormal_values_three_arrays`, in
+    np.longdouble: at the eigvalsh nodes, a Newton step gives the nodes,
+    and the sums are moved along that step by their slope, 2 sum p_n p'_n;
+    both are returned unrounded."""
+    _, nodes = _eigvalsh_nodes(alphas, betas)
+    wide = np.longdouble
+    alphas, off, nodes = alphas.astype(wide), np.sqrt(betas.astype(wide)), nodes.astype(wide)
     with np.errstate(over="ignore", invalid="ignore"):
-        value, slope, *_ = orthonormal_values_three_arrays(alphas, off, nodes)
-        polished = nodes - value / slope
-        value, slope, squares, cross = orthonormal_values_three_arrays(alphas, off, polished)
+        value, slope, squares, cross = orthonormal_values_three_arrays(alphas, off, nodes)
         step = value / slope
-        return polished - step, squares - 2.0 * cross * step
+        return nodes - step, squares - 2.0 * cross * step
 
 
 def gauss_rule_four_passes(alphas, betas):
     """(nodes, weights) of a Jacobi matrix as the endgame before the
-    two-pass one computed them: three Newton passes from the eigvalsh
-    nodes, then the Christoffel sums at the polished nodes."""
+    two-pass and one-pass ones computed them: three Newton passes from the
+    eigvalsh nodes, then the Christoffel sums at the polished nodes."""
     off, polished = _eigvalsh_nodes(alphas, betas)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(3):

@@ -18,6 +18,8 @@ import polywh
 import polywh.cli as cli
 from polywh import AlgebraParams, StateKind, bg_state, moments_for
 from polywh.cli import json_text, main, state_from_payload
+from polywh.coherent import _ratio_sup
+from polywh.errors import DomainError
 
 from oracles import json_text_by_dicts, schwarz_grid_by_list
 
@@ -237,6 +239,43 @@ def test_a_kappa_past_the_double_range_is_named_by_every_command(capsys, kappa):
         else:
             assert (code, out) == (1, ""), command
             assert err.startswith("error: ") and named in err and err.count("\n") == 1, command
+
+
+_WIDE = 10**200
+_PRODUCT_SWEEP = {**_SWEEP_FLAGS, "measure --kind barut-girardello": _SWEEP_FLAGS["measure"]
+                  + ["--kind", "barut-girardello"]}
+_R2 = "r >= 2"  # perelomov states: refused by r before any ladder row is read
+_PRODUCT_NAMED = {  # what each exit 1 names; None: exit 0
+    f"{_WIDE},{_WIDE}": dict.fromkeys(_PRODUCT_SWEEP, f"kappa = {_WIDE},{_WIDE}")
+    | {"cs-perelomov": _R2, "measure": _R2, "schwarz": f"kappa = {_WIDE} is not of the",
+       "spectrum": f"G(1) passes the double range at kappa = {_WIDE},{_WIDE}",
+       "measure --kind barut-girardello": "recurrence coefficients overflow double precision"},
+    f"1/{_WIDE},1/{_WIDE}": dict.fromkeys(_PRODUCT_SWEEP, f"kappa = 1/{_WIDE},1/{_WIDE}")
+    | {"cs-perelomov": _R2, "measure": _R2, "spectrum": None},
+}
+
+
+@pytest.mark.parametrize("kappa", list(_PRODUCT_NAMED), ids=["10^200,10^200", "1/10^200,1/10^200"])
+def test_kappas_whose_ladder_polynomial_passes_the_double_range_are_named(capsys, kappa):
+    # each kappa fits a double, but F(n) Q, the integer ladder polynomial the
+    # float rows are built from, does not (at 1/10^200 F(n) itself does)
+    for command, flags in _PRODUCT_SWEEP.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command.split()[0], "--kappa", kappa, *flags)
+        named = _PRODUCT_NAMED[kappa][command]
+        if named is None:
+            assert (code, err) == (0, ""), command
+        else:
+            assert (code, out) == (1, ""), command
+            assert err.startswith("error: ") and named in err and err.count("\n") == 1, command
+
+
+def test_a_ratio_bound_past_the_double_range_names_kappa():
+    params = AlgebraParams([_WIDE, _WIDE])
+    sup = _ratio_sup(StateKind.BARUT_GIRARDELLO, params, 1.0)
+    with pytest.raises(DomainError, match=rf"^kappa = {_WIDE},{_WIDE}: F\(2\) passes"):
+        sup(1)
 
 
 def test_a_finite_ladder_numpy_cannot_allocate_names_its_rows(capsys):
@@ -489,6 +528,51 @@ def test_json_text_refuses_non_finite_entries(array, data):
     with pytest.raises(ValueError) as refused:
         json_text(_payload(array))
     assert str(refused.value) == str(expected.value)
+
+
+_TEXTS = st.one_of(st.text(), st.sampled_from(['"quoted" \\ back/slash', "\n\t\r\b\f\x00\x1f",
+                                               "caf\u00e9 \u2713 \U0001d11e \ud800"]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2**200, -(3**150)]), _TEXTS,
+    _FLOATS, st.sampled_from([-0.0, 1e16, 1e-5, 5e-324]),
+)
+_FLAT_LISTS = st.one_of(  # every float, or every str: the writer's joined lists
+    st.lists(_FLOATS), st.lists(_TEXTS), st.lists(st.one_of(_FLOATS, st.none())),
+)
+
+
+def _trees(leaves):
+    return st.recursive(
+        st.one_of(leaves, _FLAT_LISTS),
+        lambda children: st.one_of(st.lists(children, max_size=4),
+                                   st.dictionaries(_TEXTS, children, max_size=4)),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=st.dictionaries(_TEXTS, _trees(_SCALARS), max_size=5), arrays=st.lists(_ARRAYS,
+                                                                                   max_size=2))
+def test_json_text_is_the_indented_dump(tree, arrays):
+    assert json_text(tree) == json.dumps(tree, indent=2, allow_nan=False) + "\n"
+    payload = {**tree, **{f"array {i}": array for i, array in enumerate(arrays)}}
+    assert json_text(payload) == json_text_by_dicts(payload)
+
+
+_BAD = st.sampled_from([math.nan, math.inf, -math.inf, 1j, {1}, np.int64(3), b"bytes", object()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=st.dictionaries(_TEXTS, _trees(st.one_of(_SCALARS, _BAD)), max_size=5))
+def test_json_text_raises_the_dumps_error(tree):
+    try:
+        expected = json.dumps(tree, indent=2, allow_nan=False) + "\n"
+    except (ValueError, TypeError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            json_text(tree)
+        assert str(raised.value) == str(exc)
+    else:
+        assert json_text(tree) == expected
 
 
 def _first_call(argv):
