@@ -7,98 +7,52 @@ nilpotent-variable eigenstates of the finite case (`grassmann`), discrete
 measures resolving the identity (`measure`), and order/type growth of the
 attached entire functions (`bargmann`).  `cli` exposes it all with
 deterministic JSON/CSV output.
+
+Imports are deferred: ``import polywh`` loads no submodule, and each name
+of ``__all__`` (or submodule) is imported from its home module on first
+access (PEP 562).  Most of the package needs numpy, whose import takes
+longer than the rest of a cold start together, while the command line's
+help, its usage errors and `spectrum` run on the standard library alone;
+``python -m polywh`` imports this package first, so an eager import here
+would load numpy for every command.
 """
 
-from .algebra import (
-    AlgebraParams,
-    LadderRep,
-    RepDimension,
-    build_rep,
-    build_truncated_rep,
-    classify,
-    commutator_gap,
-    generalized_factorial,
-    reciprocal_ells,
-    structure_function,
-)
-from .bargmann import (
-    EntireSeries,
-    GrowthEstimate,
-    bargmann_eval,
-    closed_form_growth,
-    estimate_growth,
-    schwarz_check,
-)
-from .coherent import (
-    CoherentState,
-    CutoffMeta,
-    StateKind,
-    bg_normalization,
-    bg_state,
-    check_bg_eigen,
-    hyper_0f,
-    overlap,
-    perelomov_state,
-    perelomov_via_exponential,
-    time_evolve,
-)
-from .errors import DomainError
-from .grassmann import (
-    GrassmannElement,
-    GrassmannState,
-    bg_grassmann_state,
-    check_bg_grassmann_eigen,
-    complex_z_bg_residual,
-)
-from .measure import (
-    DiscreteMeasure,
-    MomentSequence,
-    hankel_minors,
-    moments_for,
-    solve_measure,
-    verify_identity,
-)
+from importlib import import_module
+
+_HOMES = {
+    "algebra": ("AlgebraParams", "RepDimension", "LadderRep", "structure_function",
+                "commutator_gap", "classify", "generalized_factorial", "build_rep",
+                "build_truncated_rep", "reciprocal_ells"),
+    "errors": ("DomainError",),
+    "coherent": ("StateKind", "CutoffMeta", "CoherentState", "perelomov_state",
+                 "perelomov_via_exponential", "bg_state", "check_bg_eigen", "time_evolve",
+                 "overlap", "hyper_0f", "bg_normalization"),
+    "grassmann": ("GrassmannElement", "GrassmannState", "bg_grassmann_state",
+                  "check_bg_grassmann_eigen", "complex_z_bg_residual"),
+    "measure": ("MomentSequence", "DiscreteMeasure", "moments_for", "solve_measure",
+                "verify_identity", "hankel_minors"),
+    "bargmann": ("EntireSeries", "GrowthEstimate", "bargmann_eval", "schwarz_check",
+                 "estimate_growth", "closed_form_growth"),
+}
+_SUBMODULES = (*_HOMES, "cli", "defaults")
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraParams",
-    "RepDimension",
-    "LadderRep",
-    "DomainError",
-    "structure_function",
-    "commutator_gap",
-    "classify",
-    "generalized_factorial",
-    "build_rep",
-    "build_truncated_rep",
-    "reciprocal_ells",
-    "StateKind",
-    "CutoffMeta",
-    "CoherentState",
-    "perelomov_state",
-    "perelomov_via_exponential",
-    "bg_state",
-    "check_bg_eigen",
-    "time_evolve",
-    "overlap",
-    "hyper_0f",
-    "bg_normalization",
-    "GrassmannElement",
-    "GrassmannState",
-    "bg_grassmann_state",
-    "check_bg_grassmann_eigen",
-    "complex_z_bg_residual",
-    "MomentSequence",
-    "DiscreteMeasure",
-    "moments_for",
-    "solve_measure",
-    "verify_identity",
-    "hankel_minors",
-    "EntireSeries",
-    "GrowthEstimate",
-    "bargmann_eval",
-    "schwarz_check",
-    "estimate_growth",
-    "closed_form_growth",
-]
+__all__ = [name for names in _HOMES.values() for name in names]
+
+
+def __getattr__(name: str):
+    """A name of ``__all__`` from its home module, or a submodule, imported
+    on first access and then bound here."""
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")  # the import binds it here
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -21,8 +21,8 @@ Scalars that feed decisions (F, G, generalized factorials, classification)
 are exact ``Fraction`` values read off one integer ladder polynomial,
 F(n) Q = n prod_i (q_i + p_i (n-1)) with kappa_i = p_i/q_i and Q = prod_i q_i:
 F(n) is that integer over Q and F(n)! the running product over Q^n, each
-reduced once.  Every float consumer reads F, G and log F(n)! from the same
-polynomial in float64, as one `ladder_table` or as the rows of a range
+reduced once.  Every float consumer reads F and G from the same polynomial
+in float64, as one `ladder_table` or as the rows of a range
 (`_ladder_rows`), bit-equal to the table's.  A representation stores the
 one complex band the lowering operator has; its dense matrices (raising
 the exact conjugate transpose of lowering) are views built on first access.
@@ -30,6 +30,10 @@ the exact conjugate transpose of lowering) are views built on first access.
 commutator, nilpotency) from the band in O(m), with no matrix product;
 on a finite ladder the band's length d-1 makes nilpotency exactly 0.
 All values are immutable.
+
+The exact layer (`AlgebraParams`, `classify`, F, G and F(n)!) runs on the
+standard library alone; the float layer imports numpy inside each function
+that uses it, so a caller of the exact layer never loads numpy.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -200,35 +202,32 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LadderTable:
-    """F(n), G(n) and log F(n)! for n = 0, ..., size-1, as read-only float64 arrays."""
+    """F(n) and G(n) for n = 0, ..., size-1, as read-only float64 arrays."""
 
     f: np.ndarray
     g: np.ndarray
 
-    @cached_property
-    def log_factorial(self) -> np.ndarray:
-        """log F(n)! = cumsum(log F(1..n)), with log F(0)! = 0, on first use
-        (the series tables never need it): summed in place in one buffer."""
-        logs = np.zeros_like(self.f)
-        np.log(self.f[1:], out=logs[1:])
-        np.cumsum(logs[1:], out=logs[1:])
-        return _freeze(logs)
-
     def kernel(self, phi: float) -> np.ndarray:
         """e^{-i F(n) phi} / sqrt(F(n)!): the lowering-eigenstate coefficients at z = 1."""
+        import numpy as np
+
         roots = np.sqrt(self.f)
         roots[:1] = 1.0  # the running quotient starts from 1/sqrt(F(0)!) = 1
         return np.divide.accumulate(roots) * np.exp(-1j * self.f * phi)
 
 
 def ladder_table(params: AlgebraParams, size: int) -> LadderTable:
-    """F, G and log F(n)! in bulk: the rows n < size of `_ladder_rows`.
-    Stops at d if finite."""
+    """F and G in bulk: the rows n < size of `_table_rows`, read-only."""
+    f, g = _table_rows(params, size)
+    return LadderTable(_freeze(f), _freeze(g))
+
+
+def _table_rows(params: AlgebraParams, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows n < size of `_ladder_rows`, writable.  Stops at d if finite."""
     dim = classify(params)
     if size < 0 or (dim.is_finite and size > dim.d):
         raise ValueError(f"no ladder table of size {size} for the {dim} ladder")
-    f, g = _ladder_rows(params, 0, size)
-    return LadderTable(_freeze(f), _freeze(g))
+    return _ladder_rows(params, 0, size)
 
 
 def _ladder_rows(params: AlgebraParams, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,6 +241,8 @@ def _ladder_rows(params: AlgebraParams, lo: int, hi: int) -> tuple[np.ndarray, n
     More rows than numpy can allocate, or a kappa whose numerator or
     denominator (or their product Q, or a row's F(n) Q) passes the double
     range, is a `DomainError`."""
+    import numpy as np
+
     try:
         n_minus_1 = np.arange(lo - 1.0, hi)
     except (ValueError, MemoryError):  # numpy: "Maximum allowed size exceeded"
@@ -291,14 +292,20 @@ class LadderRep:
 
     @cached_property
     def lowering(self) -> np.ndarray:
+        import numpy as np
+
         return _freeze(np.diag(self.band, 1))
 
     @cached_property
     def raising(self) -> np.ndarray:
+        import numpy as np
+
         return _freeze(np.diag(self.band.conj(), -1))
 
     @cached_property
     def number(self) -> np.ndarray:
+        import numpy as np
+
         return _freeze(np.diag(np.arange(self.dim_window, dtype=float)))
 
 
@@ -324,6 +331,8 @@ def build_rep(params: AlgebraParams, window: int | None = None) -> LadderRep:
     m = int(window)
     if m < 1:
         raise ValueError("window must be a positive integer")
+    import numpy as np
+
     table = ladder_table(params, m)
     band = np.sqrt(table.f[1:]) * np.exp(1j * table.g[:-1] * params.phi)
     return LadderRep(params, m, _freeze(band))
@@ -368,6 +377,8 @@ def identity_deviations(rep: LadderRep) -> IdentityDeviations:
     finite ladder (F(d) = 0), a cutoff artifact otherwise.  Nilpotency is
     decided exactly: 0.0 when F(d) = 0 in `Fraction`.
     """
+    import numpy as np
+
     m = rep.dim_window
     cut = rep.truncation_order or m
     expected = np.zeros(m + 1)  # F~(0..m)

@@ -31,6 +31,7 @@ import numpy as np
 from .algebra import (
     AlgebraParams,
     _freeze,
+    _table_rows,
     classify,
     ladder_table,
     reciprocal_ells,
@@ -78,10 +79,16 @@ class EntireSeries:
 
     @classmethod
     def bg_kernel(cls, params: AlgebraParams, n_max: int) -> "EntireSeries":
-        """The eigenstate kernel 1/sqrt(F(n)!), accumulated in log space."""
+        """The eigenstate kernel 1/sqrt(F(n)!), accumulated in log space:
+        -1/2 log F(n)! = -1/2 cumsum(log F(1..n)), written in place over the
+        ladder rows' F buffer."""
         if classify(params).is_finite:
             raise DomainError("the kernel series needs an infinite ladder")
-        logs = -0.5 * ladder_table(params, n_max + 1).log_factorial
+        logs, _ = _table_rows(params, n_max + 1)
+        np.log(logs[1:], out=logs[1:])
+        logs[:1] = 0.0  # log F(0)! = 0
+        np.cumsum(logs[1:], out=logs[1:])
+        logs *= -0.5
         return cls(_freeze(logs), meta=f"bg kernel, r = {params.r}")
 
     def __len__(self) -> int:

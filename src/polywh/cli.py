@@ -10,6 +10,15 @@ once per process by `build_parser`, is the one place that names, converts,
 validates and defaults each option; a ``--config`` file's lines are read by
 it as ``--key=value`` flags ahead of the command line's, which win.
 
+Imports are deferred to the command that runs them: numpy, `csv` and the
+numeric modules (`coherent`, `grassmann`, `measure`, `bargmann`) are
+imported inside the command bodies and helpers that call them, and `algebra`
+loads on the standard library alone.  A cold start then pays only for what
+its subcommand runs: ``--help``, a usage or config error and `spectrum`
+never import numpy, which costs more than the rest of a start together.
+Library functions are read from their home modules at call time, so a
+wrapper or patch set there is the one the command calls.
+
 Exit codes: 0 success, 1 domain errors (the violated condition is named
 on stderr), 2 I/O and usage errors.
 """
@@ -17,7 +26,6 @@ on stderr), 2 I/O and usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
 import math
@@ -25,9 +33,6 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-
-import numpy as np
 
 from .algebra import (
     AlgebraParams,
@@ -38,21 +43,8 @@ from .algebra import (
     reciprocal_ells,
     structure_function,
 )
-from .bargmann import EntireSeries, closed_form_growth, estimate_growth, schwarz_check
-from .coherent import (
-    DEFAULT_TAIL_TOL,
-    CoherentState,
-    CutoffMeta,
-    StateKind,
-    bg_normalization,
-    bg_state,
-    check_bg_eigen,
-    perelomov_state,
-    perelomov_via_exponential,
-)
+from .defaults import DEFAULT_TAIL_TOL
 from .errors import DomainError
-from .grassmann import bg_grassmann_state, check_bg_grassmann_eigen
-from .measure import moments_for, solve_measure, verify_identity
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -142,7 +134,9 @@ def load_config(path: str, command: str) -> list[str]:
              for cmd in _COMMANDS}
     known = set().union(*takes.values())
     flags = []
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    with open(path) as file:
+        text = file.read()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -202,6 +196,10 @@ def state_payload(command: str, state: CoherentState) -> dict:
 
 def state_from_payload(payload: dict) -> CoherentState:
     """Rebuild the state object a cs-* JSON artifact was produced from."""
+    import numpy as np
+
+    from .coherent import CoherentState, CutoffMeta, StateKind
+
     params = AlgebraParams([Fraction(k) for k in payload["kappas"]], payload["phi"])
     coeffs = np.array([complex(c["re"], c["im"]) for c in payload["coeffs"]])
     meta = CutoffMeta(
@@ -276,6 +274,10 @@ def cmd_truncate(args):
 
 
 def cmd_cs_perelomov(args):
+    import numpy as np
+
+    from .coherent import perelomov_state, perelomov_via_exponential
+
     params = resolve_params(args)
     state = perelomov_state(
         params, args.z, normalize=args.normalize, tail_tol=args.tail_tol
@@ -291,6 +293,8 @@ def cmd_cs_perelomov(args):
 
 
 def cmd_cs_bg(args):
+    from .coherent import bg_normalization, bg_state, check_bg_eigen
+
     params = resolve_params(args)
     state = bg_state(params, args.z, normalize=args.normalize, tail_tol=args.tail_tol)
     payload = state_payload("cs-bg", state)
@@ -306,6 +310,10 @@ def cmd_cs_bg(args):
 
 
 def cmd_cs_grassmann(args):
+    import numpy as np
+
+    from .grassmann import bg_grassmann_state, check_bg_grassmann_eigen
+
     params = resolve_params(args)
     state = bg_grassmann_state(params, dim=args.dim)
     rep = build_rep(params, window=state.dim)
@@ -322,6 +330,9 @@ def cmd_cs_grassmann(args):
 
 
 def cmd_measure(args):
+    from .coherent import StateKind
+    from .measure import moments_for, solve_measure, verify_identity
+
     params = resolve_params(args)
     kind = StateKind(args.kind)
     moments = moments_for(params, kind, count=args.levels)
@@ -365,6 +376,8 @@ def _float_or_none(value: Fraction):
 
 
 def cmd_bargmann_growth(args):
+    from .bargmann import EntireSeries, closed_form_growth, estimate_growth
+
     params = resolve_params(args)
     series = EntireSeries.bg_kernel(params, args.nmax)
     est = estimate_growth(series)
@@ -396,6 +409,11 @@ def cmd_bargmann_growth(args):
 
 
 def cmd_schwarz(args):
+    import numpy as np
+
+    from .bargmann import schwarz_check
+    from .coherent import bg_state
+
     params = resolve_params(args)
     reciprocal_ells(params)
     f_state = bg_state(params, args.w, normalize=True, tail_tol=args.tail_tol)
@@ -533,10 +551,17 @@ def _write_json(value, level: int, out: list) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, (dict, list, tuple, np.ndarray)):
+    elif isinstance(value, (dict, list, tuple)) or _is_ndarray(value):
         _write_container(value, level, out)
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _is_ndarray(value) -> bool:
+    """Whether value is a numpy array; none exists before numpy is imported,
+    and this asks without importing it."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(value, numpy.ndarray)
 
 
 def _write_container(value, level: int, out: list) -> None:
@@ -549,7 +574,9 @@ def _write_container(value, level: int, out: list) -> None:
         return
     inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level + closing
     kinds = set(map(type, value)) if isinstance(value, (list, tuple)) else set()
-    if isinstance(value, np.ndarray) and value.ndim == 1:
+    if _is_ndarray(value) and value.ndim == 1:
+        import numpy as np
+
         if not np.isfinite(value).all():  # the first non-finite float, as json.dumps names it
             parts = np.stack((value.real, value.imag), axis=-1)
             raise _out_of_range(float(parts[~np.isfinite(parts)][0]))
@@ -592,6 +619,8 @@ def emit(args: argparse.Namespace, payload: dict, table) -> None:
     if args.format == "csv":
         if table is None:
             raise ValueError(f"command {payload['command']!r} has no CSV representation")
+        import csv
+
         header, rows = table()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -601,7 +630,8 @@ def emit(args: argparse.Namespace, payload: dict, table) -> None:
     else:
         text = json_text(payload)
     if args.output:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as file:
+            file.write(text)
     else:
         sys.stdout.write(text)
 

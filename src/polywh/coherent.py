@@ -43,6 +43,7 @@ from .algebra import (
     reciprocal_ells,
     structure_function,
 )
+from .defaults import DEFAULT_TAIL_TOL
 from .errors import DomainError
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "bg_normalization",
 ]
 
-DEFAULT_TAIL_TOL = 1e-14
 MAX_SERIES_TERMS = 200_000
 RESCALE_BITS = 512  # power of two taken out of a sum about to overflow
 PREDICTED_FROM = 1024  # a perelomov block starting here ends near its predicted cut

@@ -76,7 +76,8 @@ def ladder_rows_two_temporaries(params: AlgebraParams, lo: int, hi: int):
 
 def log_factorial_by_concatenate(f: np.ndarray) -> np.ndarray:
     """log F(n)! as [0] followed by cumsum(log F(1..)), concatenated and cut
-    to len(f): the reference for `LadderTable.log_factorial`'s one buffer."""
+    to len(f): times -1/2, the reference for `EntireSeries.bg_kernel`'s one
+    buffer."""
     return np.concatenate(([0.0], np.cumsum(np.log(f[1:]))))[: len(f)]
 
 

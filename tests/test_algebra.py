@@ -12,6 +12,7 @@ import polywh
 from polywh import (
     AlgebraParams,
     DomainError,
+    EntireSeries,
     build_rep,
     build_truncated_rep,
     classify,
@@ -210,12 +211,16 @@ def test_ladder_rows_equal_the_two_temporaries_form(kappas):
 
 @pytest.mark.parametrize("kappas", _ROW_PARAMS, ids=lambda k: ",".join(k))
 def test_log_factorial_equals_the_concatenated_cumsum(kappas):
+    # the kernel's -1/2 log F(n)!, summed in place over the rows' F buffer
     params = AlgebraParams(kappas)
-    dim = classify(params)
-    top = dim.d if dim.is_finite else 50_001
-    for size in sorted({0, 1, 2, min(200, top), top}):
-        table = ladder_table(params, size)
-        assert table.log_factorial.tobytes() == log_factorial_by_concatenate(table.f).tobytes()
+    if classify(params).is_finite:
+        with pytest.raises(DomainError, match="infinite ladder"):
+            EntireSeries.bg_kernel(params, 1)
+        return
+    for size in (0, 1, 2, 200, 12_345, 50_001):
+        logs = EntireSeries.bg_kernel(params, size - 1).log_moduli
+        expected = -0.5 * log_factorial_by_concatenate(ladder_table(params, size).f)
+        assert logs.tobytes() == expected.tobytes()
 
 
 # --------------------------------------------------------- representations

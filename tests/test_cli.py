@@ -292,7 +292,7 @@ def test_a_finite_ladder_numpy_cannot_allocate_names_its_rows(capsys):
 def test_moments_past_the_string_digit_limit_are_refused_before_the_solve(capsys, monkeypatch):
     # kappa = 1/10^150: m_30 = F(30)! has a denominator of over 4300 digits,
     # which the artifact could not print; the solve took seconds to get there
-    monkeypatch.setattr(cli, "solve_measure", lambda moments: pytest.fail("solved"))
+    monkeypatch.setattr(polywh.measure, "solve_measure", lambda moments: pytest.fail("solved"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "measure", "--kappa", f"1/{10**150}", "--kind",
@@ -407,13 +407,13 @@ def test_schwarz_command(capsys):
 @pytest.mark.parametrize("points", [1, 9, 41])
 @pytest.mark.parametrize("radius", ["2.0", "1.37"])
 def test_schwarz_grid_equals_the_list_built_grid(capsys, monkeypatch, points, radius):
-    grids, check = [], cli.schwarz_check
+    grids, check = [], polywh.bargmann.schwarz_check
 
     def recorded(params, f, z_grid):
         grids.append(z_grid)
         return check(params, f, z_grid)
 
-    monkeypatch.setattr(cli, "schwarz_check", recorded)
+    monkeypatch.setattr(polywh.bargmann, "schwarz_check", recorded)
     monkeypatch.delenv("POLYWH_TAIL_TOL", raising=False)
     code, out, err = run_cli(capsys, "schwarz", "--ell", "2,3", "--w", "0.7-0.2i",
                              "--grid-radius", radius, "--grid-points", str(points))
@@ -585,6 +585,73 @@ def _first_call(argv):
         [sys.executable, "-m", "polywh", *argv], capture_output=True, text=True, env=env
     )
     return done.returncode, done.stdout
+
+
+def _imports(*args, **kwargs):
+    """(exit code, stdout, the names of the modules imported) of
+    ``python -X importtime *args`` in a fresh interpreter."""
+    src = str(Path(polywh.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=env, timeout=120, **kwargs)
+    modules = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+               if line.startswith("import time:")}
+    return done.returncode, done.stdout, modules
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-c", "import polywh"], 0),
+    (["-m", "polywh", "--help"], 0),
+    (["-m", "polywh", "spectrum", "--help"], 0),
+    (["-m", "polywh", "spectrum", "--nmax", "3"], 2),
+    (["-m", "polywh", "cs-bg", "--kappa", "1/2", "--z", "x"], 2),
+    (["-m", "polywh", "spectrum", "--kappa", "1/2", "--config", "run.cfg"], 2),
+    (["-m", "polywh", "spectrum", "--kappa", "1/2", "--config", "missing.cfg"], 2),
+    (["-m", "polywh", "spectrum", "--kappa", "1/2", "--nmax", "3"], 0),
+    (["-m", "polywh", "spectrum", "--kappa", "1/2", "--nmax", "3", "--format", "csv"], 0),
+], ids=lambda value: " ".join(value[1:]) if isinstance(value, list) else str(value))
+def test_help_usage_errors_and_spectrum_never_import_numpy(capsys, tmp_path, argv, code):
+    (tmp_path / "run.cfg").write_text("bogus=1\n")
+    exit_code, out, modules = _imports(*argv, cwd=tmp_path)
+    assert exit_code == code
+    assert "polywh" in modules and "numpy" not in modules
+    if code == 0 and "--nmax" in argv:  # the artifact main writes in-process
+        assert (0, out) == run_cli(capsys, *argv[2:])[:2]
+
+
+def test_cs_bg_imports_only_the_modules_it_runs():
+    code, out, modules = _imports("-m", "polywh", "cs-bg", "--kappa", "1/2", "--z", "1")
+    assert code == 0 and json.loads(out)["command"] == "cs-bg"
+    assert {"numpy", "polywh.algebra", "polywh.coherent"} <= modules
+    assert not modules & {"polywh.measure", "polywh.bargmann", "polywh.grassmann"}
+
+
+def test_every_exported_name_resolves_on_first_access():
+    script = """
+import json, sys
+import polywh
+before = sorted(m for m in sys.modules if m.startswith("polywh."))
+names = {}
+exec("from polywh import *", names)
+found = {name: getattr(polywh, name) for name in polywh.__all__}
+home = all(getattr(sys.modules[obj.__module__], name) is obj for name, obj in found.items())
+bound = all(names[name] is obj for name, obj in found.items())
+try:
+    polywh.no_such_name
+except AttributeError as exc:
+    missing = str(exc)
+import polywh.cli
+print(json.dumps([before, sorted(set(polywh.__all__) - set(dir(polywh))), home, bound,
+                  polywh.measure.__name__, polywh.cli.main.__module__, missing]))
+"""
+    code, out, modules = _imports("-c", script)
+    assert code == 0
+    before, undir, home, bound, measure, cli_home, missing = json.loads(out)
+    assert (before, undir, home, bound) == ([], [], True, True)
+    assert (measure, cli_home) == ("polywh.measure", "polywh.cli")
+    assert missing == "module 'polywh' has no attribute 'no_such_name'"
+    assert len(polywh.__all__) == len(set(polywh.__all__)) == 39
 
 
 def test_repeated_main_calls_share_no_options(capsys, monkeypatch):
