@@ -17,7 +17,7 @@ help, its usage errors and `spectrum` run on the standard library alone;
 would load numpy for every command.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 _HOMES = {
     "algebra": ("AlgebraParams", "RepDimension", "LadderRep", "structure_function",
@@ -46,10 +46,10 @@ def __getattr__(name: str):
     """A name of ``__all__`` from its home module, or a submodule, imported
     on first access and then bound here."""
     if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")  # the import binds it here
+        return _import_module(f"{__name__}.{name}")  # the import binds it here
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
     globals()[name] = value
     return value
 

@@ -575,24 +575,13 @@ def test_json_text_raises_the_dumps_error(tree):
         assert json_text(tree) == expected
 
 
-def _first_call(argv):
-    """stdout and exit code of `argv` in a fresh interpreter."""
-    src = str(Path(polywh.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop("POLYWH_TAIL_TOL", None)
-    done = subprocess.run(
-        [sys.executable, "-m", "polywh", *argv], capture_output=True, text=True, env=env
-    )
-    return done.returncode, done.stdout
-
-
 def _imports(*args, **kwargs):
     """(exit code, stdout, the names of the modules imported) of
     ``python -X importtime *args`` in a fresh interpreter."""
     src = str(Path(polywh.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    env.pop("POLYWH_TAIL_TOL", None)
     done = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
                           text=True, env=env, timeout=120, **kwargs)
     modules = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
@@ -632,6 +621,7 @@ def test_every_exported_name_resolves_on_first_access():
 import json, sys
 import polywh
 before = sorted(m for m in sys.modules if m.startswith("polywh."))
+submodule = polywh.grassmann.__name__
 names = {}
 exec("from polywh import *", names)
 found = {name: getattr(polywh, name) for name in polywh.__all__}
@@ -641,15 +631,14 @@ try:
     polywh.no_such_name
 except AttributeError as exc:
     missing = str(exc)
-import polywh.cli
-print(json.dumps([before, sorted(set(polywh.__all__) - set(dir(polywh))), home, bound,
-                  polywh.measure.__name__, polywh.cli.main.__module__, missing]))
+print(json.dumps([before, submodule, sorted(set(polywh.__all__) - set(dir(polywh))), home,
+                  bound, "polywh.cli" in sys.modules, polywh.cli.__name__, missing]))
 """
-    code, out, modules = _imports("-c", script)
+    code, out, _ = _imports("-c", script)
     assert code == 0
-    before, undir, home, bound, measure, cli_home, missing = json.loads(out)
-    assert (before, undir, home, bound) == ([], [], True, True)
-    assert (measure, cli_home) == ("polywh.measure", "polywh.cli")
+    before, submodule, undir, home, bound, had_cli, cli, missing = json.loads(out)
+    assert (before, submodule, undir, home, bound) == ([], "polywh.grassmann", [], True, True)
+    assert (had_cli, cli) == (False, "polywh.cli")
     assert missing == "module 'polywh' has no attribute 'no_such_name'"
     assert len(polywh.__all__) == len(set(polywh.__all__)) == 39
 
@@ -667,8 +656,8 @@ def test_repeated_main_calls_share_no_options(capsys, monkeypatch):
     capsys.readouterr()
     outputs.append(run_cli(capsys, *plain)[:2])
     outputs.append(run_cli(capsys, *first)[:2])
-    expected = _first_call(first)
-    assert outputs == [expected, _first_call(plain), expected]
+    expected = _imports("-m", "polywh", *first)[:2]
+    assert outputs == [expected, _imports("-m", "polywh", *plain)[:2], expected]
     normalized, unnormalized = (json.loads(out) for _, out in outputs[:2])
     assert normalized["normalized"] and not unnormalized["normalized"]
     assert (normalized["tail_tol"], unnormalized["tail_tol"]) == (1e-8, 1e-14)

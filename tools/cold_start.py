@@ -14,9 +14,10 @@ One more start per side and command, untimed, runs under
 ``-X importtime`` to tell whether it imported numpy.
 
 For each command it prints each side's median and quartiles
-(`statistics.quantiles`) in ms, the ratio change/parent of the medians,
-whether numpy was imported and the exit codes; the last line is one JSON
-object with the same numbers.  Nothing in a checkout but its
+(`statistics.quantiles`) in ms, whether numpy was imported and the exit
+codes, then the ratio change/parent of the medians and in how many pairs
+the change started faster; the last line is one JSON object with the same
+numbers.  Nothing in a checkout but its
 `__pycache__` is written.
 """
 
@@ -83,6 +84,7 @@ def compare(roots: dict, argv, pairs: int) -> dict:
         result[side] = {**summary(times[side]), "numpy": imports_numpy(roots[side], argv),
                         "exit_codes": sorted(codes[side])}
     result["ratio"] = result["change"]["median_ms"] / result["parent"]["median_ms"]
+    result["change_faster"] = sum(c < p for c, p in zip(times["change"], times["parent"]))
     return result
 
 
@@ -107,7 +109,8 @@ def main(argv=None) -> int:
             f" (numpy {'yes' if r[side]['numpy'] else 'no'}, "
             f"exit {','.join(map(str, r[side]['exit_codes']))})"
             for side in SIDES)
-        print(f"{' '.join(r['argv'])}: {sides}, ratio {r['ratio']:.3f}")
+        print(f"{' '.join(r['argv'])}: {sides}, ratio {r['ratio']:.3f}, "
+              f"change faster in {r['change_faster']}/{args.pairs} pairs")
     print(json.dumps({"pairs": args.pairs, "python": sys.version.split()[0],
                       "commands": results}))
     return 0
