@@ -21,11 +21,13 @@ three sources (Gautschi, Orthogonal Polynomials, OUP 2004, chapters 1-2):
   F(n)! = n! prod_i kappa_i^n (1/kappa_i)_n are the moments of T = X_0
   prod_i kappa_i X_i with independent X_0 ~ Gamma(1), X_i ~ Gamma(1/kappa_i)
   (Springer & Thompson, SIAM J. Appl. Math. 18, 1970), so the measure
-  exists by construction.  The Gauss rules of the factors are multiplied
-  together and reduced by the discretized Stieltjes procedure (Gautschi
-  2004, section 2.2).  It serves sequences from `moments_for` with at least
-  LAW_MIN_COUNT moments; below that the chain is cheaper, and past a shape
-  of LAW_MAX_SHAPE doubles do not resolve the factor's nodes.
+  exists by construction.  The Gauss rules of the factors kappa_i X_i,
+  each solved on its standardized variable, are multiplied together and
+  reduced by the discretized Stieltjes procedure (Gautschi 2004, section
+  2.2).  It serves every sequence from `moments_for` with at least
+  LAW_MIN_COUNT moments, at any shape.  Below that count the chain serves:
+  it is cheaper there, except for a tiny kappa_i, whose moments'
+  denominators grow by about log2(1/kappa_i) bits a level.
 - The exact chain (`hankel_minors`): one integer pass of the Chebyshev
   algorithm, O(M^2), whose pivots certify that every plain and shifted
   Hankel minor is positive (`_certified`), and whose rows give the
@@ -76,11 +78,7 @@ from .errors import DomainError
 # below this many barut-girardello moments the exact chain is cheaper: the
 # measured crossover is about 24-30 levels for r = 1 and 34 for r = 3
 LAW_MIN_COUNT = 30
-# a Gamma(a) factor rule has its nodes within a few sqrt(a) of a, so in
-# doubles they lose about eps sqrt(a) relative; past this shape the chain
-# serves (1e-14 against it at a = 1e6, 2e-12 at 1e10, no rule past 1e34)
-LAW_MAX_SHAPE = 10**6
-FACTOR_RULES = 256  # Gauss rules of the Gamma factors kept, keyed by (shape, node count)
+FACTOR_RULES = 256  # Gauss rules of the Gamma factors kept, keyed by (kappa, node count)
 
 __all__ = [
     "MomentSequence",
@@ -350,7 +348,7 @@ def _classical_recurrence(values):
 
 
 def _gauss_rule(alphas: np.ndarray, betas: np.ndarray,
-                of: str = "measure") -> tuple[np.ndarray, np.ndarray]:
+                of: str = "measure node t") -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gauss rule of a Jacobi matrix.
 
     One pass of the orthonormal recurrence (Gautschi 2004, sections 2.1
@@ -358,13 +356,12 @@ def _gauss_rule(alphas: np.ndarray, betas: np.ndarray,
     Newton step to the returned nodes and the Christoffel sums sum_{n<k}
     p_n(t)^2, whose inverses are the weights; each sum is moved along the
     step by its slope 2 sum p_n p'_n.  The pass runs in np.longdouble (a
-    64-bit significand on x86-64): in doubles a node far below alpha_n
-    loses its bits under the ulp of alpha_n in every shift t - alpha_n, up
-    to 4.3e-14 relative on moments-stream matrices, and in np.longdouble
-    the rounding of the result to doubles is all that is left.  Eigenvector
-    weights (Golub-Welsch) lose the small weights of the tail.  A sum past
-    the double range, a weight under the normal range, is a `DomainError`
-    naming the node (its eigenvalue) and whose rule it is, ``of``."""
+    64-bit significand on x86-64), because in doubles a node far below
+    alpha_n loses its bits under the ulp of alpha_n in every shift t -
+    alpha_n (`b823da9`).  Eigenvector weights (Golub-Welsch) lose the small
+    weights of the tail.  A sum past the double range, a weight under the
+    normal range, is a `DomainError` naming the node as ``of`` = its
+    eigenvalue, ``of`` saying whose rule and which variable it is."""
     jacobi = np.zeros((len(alphas), len(alphas)))  # eigvalsh reads its lower triangle alone
     jacobi.flat[:: len(alphas) + 1] = alphas
     jacobi.flat[len(alphas) :: len(alphas) + 1] = np.sqrt(betas[1:])
@@ -378,7 +375,7 @@ def _gauss_rule(alphas: np.ndarray, betas: np.ndarray,
     lost = np.flatnonzero(~(moved <= np.finfo(float).max))
     if lost.size:
         raise DomainError(
-            f"the Christoffel sum at {of} node t = {nodes[lost[0]]:.6g} passes the double "
+            f"the Christoffel sum at {of} = {nodes[lost[0]]:.6g} passes the double "
             f"range: its weight is below {1.0 / np.finfo(float).max:.3g}, under the normal range"
         )
     return (nodes - step).astype(float), (1.0 / moved).astype(float)
@@ -403,22 +400,23 @@ def _orthonormal_values(alphas, off, t):
         new -= off[n] * pairs[n]
         if n + 1 < len(alphas):
             np.divide(new, off[n + 1], out=pairs[n + 2])
-    pairs = pairs[1:]
-    return new, np.add.reduce(pairs[:, :1] * pairs)
+    return new, np.add.reduce(pairs[1:, :1] * pairs[1:])
 
 
 @functools.lru_cache(maxsize=FACTOR_RULES)
-def _gamma_rule(shape: Fraction, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The size-node Gauss rule of Gamma(shape), read-only: `_gauss_rule` on
-    the closed-form Jacobi matrix alpha_j = 2j + a, beta_j = j (j + a - 1),
-    beta_0 = 1 (generalized Laguerre, a = shape)."""
+def _gamma_rule(kappa: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size-node Gauss rule of kappa X, X ~ Gamma(1/kappa), read-only:
+    `_gauss_rule` on U = (kappa X - 1) / sqrt(kappa), whose Jacobi matrix
+    alpha_j = 2 j sqrt(kappa), beta_j = j + j (j - 1) kappa, beta_0 = 1 (the
+    Laguerre matrix shifted and scaled) stays O(1) however large the shape,
+    at the nodes 1 + sqrt(kappa) u: all 1 at kappa = 0."""
     j = np.arange(size, dtype=float)
-    a = float(shape)
-    betas = j * ((j - 1.0) + a)  # not (j + (a - 1)): beta_1 = a exactly, however small a is
+    root = math.sqrt(kappa)
+    betas = j * ((j - 1.0) * kappa + 1.0)
     betas[0] = 1.0
-    nodes, weights = _gauss_rule(2.0 * j + a, betas,
-                                 of=f"the product law's Gamma({shape}) factor")
-    return _freeze(nodes), _freeze(weights)
+    nodes, weights = _gauss_rule(2.0 * root * j, betas, of=f"the product law's kappa = "
+                                 f"{kappa:.6g} factor, node u = (kappa X - 1) / sqrt(kappa)")
+    return _freeze(1.0 + root * nodes), _freeze(weights)
 
 
 def _stieltjes(nodes: np.ndarray, roots: np.ndarray, size: int):
@@ -450,22 +448,28 @@ def _law_recurrence(shapes, count: int) -> tuple[np.ndarray, np.ndarray]:
     product law T = X_0 prod_i X_i / a_i, X_0 ~ Gamma(1), X_i ~ Gamma(a_i)
     for the ``shapes`` a_i (module docstring), in floats.
 
-    The (k+1)-node Gauss rule of each factor (`_gamma_rule`) is exact to
-    degree 2k + 1, so the outer product of the running rule with the next
-    factor, nodes scaled by 1/a_i, has the moments of their product that
-    far.  `_stieltjes` reads k + 1 coefficients off it, and `_gauss_rule`
-    brings it back to k + 1 nodes, for every product but the last; the last
-    gives the k coefficients, the law's own alpha_{k-1} on an odd count.  A
+    The (k+1)-node Gauss rule of each factor X_i / a_i (`_gamma_rule`) is
+    exact to degree 2k + 1, so the outer product of the running rule with
+    the next factor's has the moments of their product that far.
+    `_stieltjes` reads k + 1 coefficients off it, and `_gauss_rule` brings
+    it back to k + 1 nodes, for every product but the last; the last gives
+    the k coefficients, the law's own alpha_{k-1} on an odd count.  A
     coefficient that is not finite or not positive (a product weight lost
     to underflow, a coefficient past the double range) is a `DomainError`
-    naming the factor and the coefficient."""
+    naming the factor and the coefficient, as is a kappa_i whose factor
+    rule passes the double range."""
     size = (count + 1) // 2 + 1
-    nodes, weights = _gamma_rule(Fraction(1), size)
+    nodes, weights = _gamma_rule(1.0, size)
     for i, shape in enumerate(shapes, start=1):
         last = i == len(shapes)
-        factor, factor_weights = _gamma_rule(shape, size)
+        bits = shape.denominator.bit_length() - shape.numerator.bit_length()  # log2 kappa_i, +-1
+        if bits + 2 * size.bit_length() > 1020:  # 4 size^2 kappa_i bounds its rule's entries
+            raise DomainError(f"the product law's factor {i} of {len(shapes)} has kappa ~ "
+                              f"2^{bits}: its {size}-node Gauss rule passes the double range")
+        # kappa_i rounded to a double: 0.0 under the double range, where the factor is 1
+        factor, factor_weights = _gamma_rule(shape.denominator / shape.numerator, size)
         with np.errstate(all="ignore"):  # a non-finite coefficient is refused below
-            product = np.multiply.outer(nodes, factor / float(shape)).ravel()
+            product = np.multiply.outer(nodes, factor).ravel()
             roots = np.multiply.outer(np.sqrt(weights), np.sqrt(factor_weights)).ravel()
             alphas, betas = _stieltjes(product, roots, size - 1 if last else size)
         bad = np.flatnonzero(~(np.isfinite(alphas) & np.isfinite(betas) & (betas > 0)))
@@ -478,7 +482,7 @@ def _law_recurrence(shapes, count: int) -> tuple[np.ndarray, np.ndarray]:
         if last:
             return alphas, betas
         nodes, weights = _gauss_rule(alphas, betas,
-                                     of=f"the product law's partial product (factors 0-{i})")
+                                     of=f"the product law's partial product (factors 0-{i}) node t")
 
 
 def _moment_match(values, nodes: np.ndarray, weights: np.ndarray) -> float:
@@ -542,9 +546,9 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
     law (`_classical_recurrence`) give their recurrence coefficients in
     closed form, and the law is their positivity certificate; so is the
     barut-girardello product law (`_law_recurrence`) of a sequence that
-    carries its ``law_shapes``, from LAW_MIN_COUNT moments on, with every
-    shape at most LAW_MAX_SHAPE.  Otherwise such a sequence of odd length
-    takes the chain on one more exact moment, its ``next_value`` m_M.  Any
+    carries its ``law_shapes``, from LAW_MIN_COUNT moments on, at any shape.
+    Below that count such a sequence of odd length takes the chain on one
+    more exact moment, its ``next_value`` m_M.  Any
     other sequence goes through the exact Chebyshev pass
     (`_exact_recurrence`).  Every rule must have positive
     nodes and weights and reproduce every supplied moment to 1e-8.
@@ -553,11 +557,9 @@ def solve_measure(moments: MomentSequence) -> DiscreteMeasure:
     count = len(values)
     if count < 1:
         raise ValueError("need at least one moment")
-    shapes = moments.law_shapes
     recurrence = _classical_recurrence(values)
-    if (recurrence is None and shapes and count >= LAW_MIN_COUNT
-            and max(shapes) <= LAW_MAX_SHAPE):
-        alpha_f, beta_f = _law_recurrence(shapes, count)
+    if recurrence is None and moments.law_shapes and count >= LAW_MIN_COUNT:
+        alpha_f, beta_f = _law_recurrence(moments.law_shapes, count)
     elif recurrence is None and moments.next_value is not None and count % 2:
         alpha_f, beta_f = _exact_recurrence([*values, moments.next_value])
     else:
@@ -587,11 +589,8 @@ def _exact_recurrence(values, recurrence=None) -> tuple[np.ndarray, np.ndarray]:
     shifted Hankel minor is positive (`_certified`).  Where they cannot,
     the exact minors decide, a failure naming the first nonpositive one
     (plain first)."""
-    minors = None
-    if recurrence is None:
-        minors = hankel_minors(values)
-        recurrence = minors.alphas, minors.betas
-    alphas, betas = recurrence
+    minors = hankel_minors(values) if recurrence is None else None
+    alphas, betas = recurrence or (minors.alphas, minors.betas)
     try:
         alpha_f = [num / den for num, den in alphas]
         beta_f = [num / den for num, den in betas]

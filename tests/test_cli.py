@@ -332,6 +332,21 @@ def test_a_large_count_is_refused_without_the_exact_chain(capsys, monkeypatch, k
                    "range: its weight is below 5.56e-309, under the normal range\n")
 
 
+def test_a_tiny_kappa_takes_the_law_without_the_exact_chain(capsys, monkeypatch):
+    # shape 10^20: the exact chain took seconds here, and never runs now
+    monkeypatch.setattr(polywh.measure, "hankel_minors",
+                        lambda values: pytest.fail("the exact chain ran"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "measure", "--kappa", f"1/{10**20}", "--kind",
+                                 "barut-girardello", "--levels", "64")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert len(payload["nodes"]) == 32
+    assert payload["moment_match_max_rel_err"] <= 1e-13
+    assert payload["identity_deviation"] <= 1e-8
+
+
 def test_csv_unsupported_for_state_dump(capsys):
     code, _, err = run_cli(capsys, "cs-bg", "--kappa", "1/2", "--z", "1", "--format", "csv")
     assert code == 2

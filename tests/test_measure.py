@@ -28,7 +28,6 @@ from polywh import (
 
 import polywh.measure
 from polywh.measure import (
-    LAW_MAX_SHAPE,
     LAW_MIN_COUNT,
     _classical_recurrence,
     _gamma_rule,
@@ -601,11 +600,21 @@ def test_moments_for_records_the_product_laws_shapes_and_next_moment():
 
 @st.composite
 def _law_kappas(draw):
-    """r <= 3 kappas, each 1/ell (ell <= 9) or p/q (p <= 9, 2 <= q <= 29)."""
+    """r <= 3 kappas, each 1/ell (ell <= 9), p/q (p <= 9, 2 <= q <= 29),
+    10^-e (e <= 20) or 10^e (e <= 30)."""
     ell = st.integers(min_value=1, max_value=9).map(lambda e: Fraction(1, e))
     ratio = st.builds(Fraction, st.integers(min_value=1, max_value=9),
                       st.integers(min_value=2, max_value=29))
-    return draw(st.lists(st.one_of(ell, ratio), min_size=1, max_size=3))
+    tiny = st.integers(min_value=1, max_value=20).map(lambda e: Fraction(1, 10**e))
+    huge = st.integers(min_value=1, max_value=30).map(lambda e: Fraction(10**e))
+    return draw(st.lists(st.one_of(ell, ratio, tiny, huge), min_size=1, max_size=3))
+
+
+def _chain_count_cap(kappas):
+    # the chain's integers grow by about |log2 kappa_i| bits a level for each
+    # kappa_i: the wide ones get fewer moments, so the property stays quick
+    bits = sum(abs(k.numerator.bit_length() - k.denominator.bit_length()) for k in kappas)
+    return 128 if bits < 16 else max(24, 48 - bits // 12)
 
 
 def _assert_the_law_is_the_chain(kappas, count):
@@ -619,14 +628,17 @@ def _assert_the_law_is_the_chain(kappas, count):
 
 
 @settings(max_examples=16, deadline=None)
-@given(kappas=_law_kappas(), count=st.integers(min_value=6, max_value=128))
-def test_the_product_law_is_the_chains_recurrence(kappas, count):
+@given(kappas=_law_kappas(), data=st.data())
+def test_the_product_law_is_the_chains_recurrence(kappas, data):
+    count = data.draw(st.integers(min_value=6, max_value=_chain_count_cap(kappas)), label="count")
     _assert_the_law_is_the_chain(kappas, count)
 
 
-@pytest.mark.parametrize("kappa", [Fraction(10**6), Fraction(10**30), Fraction(1, 10**6)])
+@pytest.mark.parametrize("kappa", [Fraction(10**6), Fraction(10**30), Fraction(1, 10**6),
+                                   Fraction(1, 10**24), Fraction(1, 10**30)])
 def test_the_product_law_keeps_extreme_shapes(kappa):
-    # Gamma(1/kappa) at kappa = 1e30 has beta_1 = 1e-30, lost to cancellation in j + a - 1
+    # the unscaled Laguerre matrix, alpha_j = 2j + a, missed 1e-13 at kappa =
+    # 1e-24 and 1e-30: each shift t - alpha_n cancels about log2 sqrt(a) bits
     _assert_the_law_is_the_chain([kappa], 40)
 
 
@@ -657,22 +669,26 @@ def test_an_odd_count_is_the_gauss_rule_of_the_law_on_both_sides_of_the_threshol
 
 
 def test_the_factor_rules_are_cached_read_only_gauss_rules():
-    shape, size = Fraction(7, 3), 12
-    nodes, weights = _gamma_rule(shape, size)
-    assert _gamma_rule(shape, size)[0] is nodes
-    assert not nodes.flags.writeable and not weights.flags.writeable
+    size = 12
+    for shape in (Fraction(1), Fraction(7, 3), Fraction(1, 3)):
+        kappa = float(1 / shape)
+        nodes, weights = _gamma_rule(kappa, size)
+        assert _gamma_rule(kappa, size)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        # the factor is X / a, X ~ Gamma(a): the Gauss-Laguerre nodes over a
+        ref_nodes, ref_weights = roots_genlaguerre(size, float(shape) - 1)
+        ref_nodes = ref_nodes / float(shape)
+        ref_weights = ref_weights / math.gamma(float(shape))  # Gamma(a) has unit mass
+        assert np.max(np.abs(nodes - ref_nodes) / ref_nodes) <= 1e-13
+        assert np.max(np.abs(weights - ref_weights) / ref_weights) <= 1e-12
     assert _gamma_rule.cache_info().maxsize == polywh.measure.FACTOR_RULES
-    ref_nodes, ref_weights = roots_genlaguerre(size, float(shape) - 1)
-    ref_weights = ref_weights / math.gamma(float(shape))  # Gamma(a) has unit mass
-    assert np.max(np.abs(nodes - ref_nodes) / ref_nodes) <= 1e-13
-    assert np.max(np.abs(weights - ref_weights) / ref_weights) <= 1e-12
 
 
 def test_an_underflowing_product_is_a_named_domain_error(monkeypatch):
     # every factor weight scaled by 1e-200: each product weight underflows
     rule = polywh.measure._gamma_rule
     monkeypatch.setattr(polywh.measure, "_gamma_rule",
-                        lambda shape, size: (rule(shape, size)[0], rule(shape, size)[1] * 1e-200))
+                        lambda kappa, size: (rule(kappa, size)[0], rule(kappa, size)[1] * 1e-200))
     moments = moments_for(AlgebraParams(["1/2"]), "barut-girardello", count=LAW_MIN_COUNT)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -683,43 +699,48 @@ def test_an_underflowing_product_is_a_named_domain_error(monkeypatch):
 
 def test_a_factor_rule_past_the_double_range_is_named_as_the_factors(monkeypatch):
     # 201 Laguerre nodes: the weights of Gamma(1)'s own rule fall under the
-    # normal range before the measure's rule is reached
+    # normal range before the measure's rule is reached; the node is named on
+    # the scale the rule is solved on, u = X - 1 (X = 726.111)
     calls = _count_chain_passes(monkeypatch)
     moments = moments_for(AlgebraParams(["1/2"]), "barut-girardello", count=400)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"^the Christoffel sum at the product law's "
-                           r"Gamma\(1\) factor node t = 726\.111 passes the double range: "):
+                           r"kappa = 1 factor, node u = \(kappa X - 1\) / sqrt\(kappa\) = "
+                           r"725\.111 passes the double range: "):
             solve_measure(moments)
     assert calls == []
 
 
-@pytest.mark.parametrize("kappa", [Fraction(1, LAW_MAX_SHAPE * 10), Fraction(1, 10**40)])
-def test_a_shape_past_the_laws_reach_takes_the_chain(monkeypatch, kappa):
-    # Gamma(a) has its nodes within a few sqrt(a) of a, which doubles resolve
-    # only to eps sqrt(a) relative; the exact chain gives the rule instead
+@pytest.mark.parametrize("kappa", [Fraction(1, 10**7), Fraction(1, 10**40),
+                                   Fraction(1, 10**400)])
+def test_every_shape_takes_the_law_without_the_chain(monkeypatch, kappa):
+    # the factor rules are solved on the standardized variable, so no shape is
+    # past the law's reach, and the exact chain (seconds at 1/10^400) never runs
     calls = _count_chain_passes(monkeypatch)
     for count in (LAW_MIN_COUNT, LAW_MIN_COUNT + 1):
         moments = moments_for(AlgebraParams(["1/2", kappa]), "barut-girardello", count=count)
         measure = solve_measure(moments)
         assert measure.n_matched == count and measure.max_rel_err <= 1e-13
-    # the odd count, too, is the Gauss rule of the law: the chain on one more moment
-    assert calls == [LAW_MIN_COUNT, LAW_MIN_COUNT + 2]
+        if kappa == Fraction(1, 10**400):  # under the double range: the factor is exactly 1
+            rule = solve_measure(moments_for(AlgebraParams(["1/2", "0"]), "barut-girardello",
+                                             count=count))
+            assert np.max(np.abs(measure.nodes - rule.nodes) / rule.nodes) <= 1e-13
+            assert np.max(np.abs(measure.weights - rule.weights) / rule.weights) <= 1e-13
+    assert calls == []
 
 
-def test_a_shape_past_the_double_range_is_never_a_float(monkeypatch):
-    # a = 10^400 has no double; the chain (seconds at this shape) is stopped at its call
-    class Chained(Exception):
-        pass
-
-    def chain(values):
-        raise Chained(len(values))
-
-    monkeypatch.setattr(polywh.measure, "hankel_minors", chain)
-    moments = moments_for(AlgebraParams([Fraction(1, 10**400)]), "barut-girardello",
-                          count=LAW_MIN_COUNT)
-    with pytest.raises(Chained, match=f"^{LAW_MIN_COUNT}$"):
-        solve_measure(moments)
+@pytest.mark.parametrize("kappas, refusal", [
+    ([10**400], r"factor 1 of 1 has kappa ~ 2\^1328: "),  # past the double range
+    (["1/2", 10**306], r"factor 2 of 2 has kappa ~ 2\^1016: "),  # beta_15 passes it
+], ids=["kappa-past-the-range", "beta-past-the-range"])
+def test_a_kappa_whose_factor_rule_passes_the_double_range_is_named(kappas, refusal):
+    moments = moments_for(AlgebraParams(kappas), "barut-girardello", count=LAW_MIN_COUNT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"^the product law's {refusal}its 16-node Gauss "
+                           "rule passes the double range$"):
+            solve_measure(moments)
 
 
 # ---------------------------------------------------------- float endgame
