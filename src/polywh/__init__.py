@@ -1,19 +1,9 @@
 """Polynomial ladder algebras, their coherent states, and diagnostics.
 
-The structure function F(n) = n * prod_i (1 + kappa_i (n-1)) drives
-everything: ladder operators and their truncations (`algebra`), the two
-coherent-state families and their existence domains (`coherent`), the
-nilpotent-variable eigenstates of the finite case (`grassmann`), discrete
-measures resolving the identity (`measure`), and order/type growth of the
-attached entire functions (`bargmann`).  `cli` exposes it all with
-deterministic JSON/CSV output.
-
-Imports are deferred: ``import polywh`` loads no submodule, and each name
-of ``__all__`` (or submodule) is imported from its home module on first
-access (PEP 562).  Most of the package needs numpy, whose import takes
-longer than the rest of a cold start together, while the command line's
-help, its usage errors and `spectrum` run on the standard library alone;
-``python -m polywh`` imports this package first, so an eager import here
+``import polywh`` loads no submodule: each name of ``__all__`` is imported
+from its home module on first access (PEP 562).  Most of the package needs
+numpy, while the command line's help, usage errors and `spectrum` do not,
+and ``python -m polywh`` imports this package first: an eager import here
 would load numpy for every command.
 """
 

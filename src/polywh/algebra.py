@@ -1,39 +1,12 @@
 """Ladder-operator algebras with a polynomial commutator.
 
-The family handled here is spanned by a lowering operator, a raising
-operator and a number operator N satisfying
-
-    raising @ lowering = diag(F(0), F(1), ...),
-    [lowering, raising] = G(N),          G(n) = F(n+1) - F(n),
-
-with the structure function the degree-(r+1) polynomial
-
-    F(n) = n * (1 + kappa_1 (n-1)) * ... * (1 + kappa_r (n-1)).
-
-kappa_i = 0 everywhere is the harmonic oscillator (F(n) = n).  The sign
-pattern of the kappas decides whether the ladder terminates: all
-kappa_i >= 0 gives an infinite tower of levels, while kappa_1 < 0 with
--1/kappa_1 a positive integer (and the remaining kappas nonnegative)
-gives a ladder on exactly d = 1 - 1/kappa_1 levels that closes by itself
-because F(d) = 0.  Any other sign pattern is rejected at construction.
-
-Scalars that feed decisions (F, G, generalized factorials, classification)
-are exact ``Fraction`` values read off one integer ladder polynomial,
-F(n) Q = n prod_i (q_i + p_i (n-1)) with kappa_i = p_i/q_i and Q = prod_i q_i:
-F(n) is that integer over Q and F(n)! the running product over Q^n, each
-reduced once.  Every float consumer reads F and G from the same polynomial
-in float64, as one `ladder_table` or as the rows of a range
-(`_ladder_rows`), bit-equal to the table's.  A representation stores the
-one complex band the lowering operator has; its dense matrices (raising
-the exact conjugate transpose of lowering) are views built on first access.
-`identity_deviations` checks the three defining identities (product,
-commutator, nilpotency) from the band in O(m), with no matrix product;
-on a finite ladder the band's length d-1 makes nilpotency exactly 0.
-All values are immutable.
-
-The exact layer (`AlgebraParams`, `classify`, F, G and F(n)!) runs on the
-standard library alone; the float layer imports numpy inside each function
-that uses it, so a caller of the exact layer never loads numpy.
+A lowering and a raising operator with raising @ lowering = F(N) and
+[lowering, raising] = G(N), G(n) = F(n+1) - F(n), for the structure
+function F(n) = n (1 + kappa_1 (n-1)) ... (1 + kappa_r (n-1)).  The exact
+layer (`AlgebraParams`, `classify`, F, G, F(n)!) is `Fraction`s read off
+one integer ladder polynomial and runs on the standard library alone; the
+float layer imports numpy inside each function that uses it, so a caller
+of the exact layer never loads numpy.
 """
 
 from __future__ import annotations
@@ -76,12 +49,12 @@ def _as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class AlgebraParams:
-    """The r rational deformation parameters plus the representation phase.
+    """The r rational deformation parameters and the representation phase.
 
-    ``kappas`` may be given as ints, 'p/q' strings or Fractions; ``phi``
-    is an arbitrary real (no range reduction is performed, since F(n) is
-    not an integer in general and no universal period exists).
-    """
+    ``kappas`` are ints, 'p/q' strings or Fractions, never floats (a
+    TypeError); only kappa_1 may be negative, and then -1/kappa_1 must be a
+    positive integer, else a `DomainError`.  ``phi`` is any finite real, not
+    range-reduced: F(n) is not an integer in general."""
 
     kappas: tuple[Fraction, ...]
     phi: float = 0.0
@@ -154,24 +127,21 @@ def _scaled_structure(params: AlgebraParams, n: int) -> tuple[int, int]:
 
 def structure_function(params: AlgebraParams, n: int) -> Fraction:
     """F(n) = n * prod_i (1 + kappa_i (n - 1)), exactly: the integer ladder
-    polynomial over its scale, reduced once."""
+    polynomial over its scale, reduced once.  A negative n is a ValueError."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     return Fraction(*_scaled_structure(params, n))
 
 
 def commutator_gap(params: AlgebraParams, n: int) -> Fraction:
-    """G(n) = F(n+1) - F(n), the commutator eigenvalue at level n."""
+    """G(n) = F(n+1) - F(n), the commutator eigenvalue at level n, exactly; a
+    negative n is a ValueError."""
     return structure_function(params, n + 1) - structure_function(params, n)
 
 
 def generalized_factorial(params: AlgebraParams, n: int) -> Fraction:
-    """F(n)! = F(1) F(2) ... F(n), with F(0)! = 1: the running integer
-    product of F(k) Q over Q^n, reduced once.
-
-    On a finite ladder the product is only defined up to n = d - 1; past
-    that it would pick up the zero (then negative) values of F.
-    """
+    """F(n)! = F(1) F(2) ... F(n), F(0)! = 1, exactly.  On a finite ladder
+    n <= d - 1, else a `DomainError`: the product would pick up F(d) = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     dim = classify(params)
@@ -208,12 +178,13 @@ class LadderTable:
     g: np.ndarray
 
     def kernel(self, phi: float) -> np.ndarray:
-        """e^{-i F(n) phi} / sqrt(F(n)!): the lowering-eigenstate coefficients at z = 1."""
+        """e^{-i F(n) phi} / sqrt(F(n)!), the lowering-eigenstate coefficients at
+        z = 1; a phase past the double range is a `DomainError` (`_phases`)."""
         import numpy as np
 
         roots = np.sqrt(self.f)
         roots[:1] = 1.0  # the running quotient starts from 1/sqrt(F(0)!) = 1
-        return np.divide.accumulate(roots) * np.exp(-1j * self.f * phi)
+        return np.divide.accumulate(roots) * _phases(self.f, phi)
 
 
 def ladder_table(params: AlgebraParams, size: int) -> LadderTable:
@@ -223,7 +194,8 @@ def ladder_table(params: AlgebraParams, size: int) -> LadderTable:
 
 
 def _table_rows(params: AlgebraParams, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows n < size of `_ladder_rows`, writable.  Stops at d if finite."""
+    """The rows n < size of `_ladder_rows`, writable.  A negative size, or
+    one past d on a finite ladder, is a ValueError."""
     dim = classify(params)
     if size < 0 or (dim.is_finite and size > dim.d):
         raise ValueError(f"no ladder table of size {size} for the {dim} ladder")
@@ -231,16 +203,12 @@ def _table_rows(params: AlgebraParams, size: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _ladder_rows(params: AlgebraParams, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """F(n) and G(n) for lo <= n < hi in float64, from the integer ladder
-    polynomial F(n) Q (`_scaled_structure`), whose float64 products are
-    exact below 2**53: one division by Q then gives
-    float(structure_function) and float(commutator_gap), and a few ulp past
-    that.  Each entry is computed at its own n alone, so the rows of any
-    range are bit-equal to those of the table from 0.  The factors of all
-    the kappas share one buffer, which then holds G, divided in place.
-    More rows than numpy can allocate, or a kappa whose numerator or
-    denominator (or their product Q, or a row's F(n) Q) passes the double
-    range, is a `DomainError`."""
+    """F(n) and G(n) for lo <= n < hi in float64, each entry from its own n
+    alone, so bit-equal to the rows of the table from 0: the integer ladder
+    polynomial F(n) Q (`_scaled_structure`, exact in float64 below 2**53)
+    over one division by Q, float(structure_function) there and a few ulp
+    past it.  More rows than numpy can allocate, or a kappa whose integers or
+    values F(n) Q pass the double range, is a `DomainError`."""
     import numpy as np
 
     try:
@@ -272,18 +240,30 @@ def _ladder_rows(params: AlgebraParams, lo: int, hi: int) -> tuple[np.ndarray, n
     return scaled[:-1], g
 
 
+def _phases(x, phi: float, first: int = 0, name: str = "phi"):
+    """e^{-i x phi} for float64 rows x of the levels first, first + 1, ...:
+    bit for bit np.exp(1j * (x * -phi)).  Where x phi passes the double
+    range it is a `DomainError` naming phi (as ``name``) and the level."""
+    import numpy as np
+
+    # rounding is monotone, so some x phi overflows exactly where max |x| phi
+    # does, and a |phi| <= 1 keeps every finite x finite
+    if x.size and not abs(phi) <= 1.0 and not math.isfinite(phi * float(np.abs(x).max())):
+        with np.errstate(over="ignore", invalid="ignore"):
+            n = first + int(np.argmin(np.isfinite(x * phi)))
+        raise DomainError(f"{name} = {phi!r}: the phase at level n = {n} passes the double range")
+    angles = 1j * (x * -phi)
+    return np.exp(angles, out=angles)
+
+
 @dataclass(frozen=True, eq=False)
 class LadderRep:
-    """The ladder operators on the number basis |0>, ..., |m-1>.
-
-    Lowering is nonzero only on its first superdiagonal, so the
-    representation stores just that band, ``band[n] = <n|lowering|n+1> =
-    sqrt(F(n+1)) e^{i G(n) phi}`` (length m-1, read-only); consumers apply it
-    in O(m).  ``lowering``, ``raising`` (its exact entrywise conjugate
-    transpose) and ``number`` = diag(0, ..., m-1) are dense m x m views
-    built on first access.  When ``truncation_order`` is set to s, every
-    transition touching level s or above has been removed.
-    """
+    """The ladder operators on the number basis |0>, ..., |m-1>, stored as
+    the one band of lowering, ``band[n] = <n|lowering|n+1> =
+    sqrt(F(n+1)) e^{i G(n) phi}`` (length m-1, read-only).  ``lowering``,
+    ``raising`` (its exact conjugate transpose) and ``number`` are dense
+    m x m views built on first access.  With ``truncation_order`` s, every
+    transition touching level s or above is removed."""
 
     params: AlgebraParams
     dim_window: int
@@ -310,14 +290,10 @@ class LadderRep:
 
 
 def build_rep(params: AlgebraParams, window: int | None = None) -> LadderRep:
-    """The ladder representation on an m-dimensional basis window.
-
-    Finite case: m is forced to d, and since F(d) = 0 the commutation
-    identity holds exactly on the whole matrix (the top of the ladder
-    annihilates with no special-casing).  Infinite case: m is a required
-    user cutoff, and the last diagonal entry of lowering @ raising carries
-    the usual truncation artifact.
-    """
+    """The ladder representation on an m-dimensional basis window: m = d on
+    a finite ladder (another ``window`` is a ValueError), where F(d) = 0
+    closes the ladder exactly; an infinite ladder needs a ``window`` >= 1,
+    else a ValueError.  A phase past the double range is a `DomainError`."""
     dim = classify(params)
     if dim.is_finite:
         if window is None:
@@ -334,17 +310,14 @@ def build_rep(params: AlgebraParams, window: int | None = None) -> LadderRep:
     import numpy as np
 
     table = ladder_table(params, m)
-    band = np.sqrt(table.f[1:]) * np.exp(1j * table.g[:-1] * params.phi)
+    band = np.sqrt(table.f[1:]) * _phases(-table.g[:-1], params.phi)
     return LadderRep(params, m, _freeze(band))
 
 
 def build_truncated_rep(params: AlgebraParams, window: int, s: int) -> LadderRep:
-    """Remove every ladder transition at or above level s.
-
-    The operators stay on the same window-sized basis, so the commutator
-    picks up the rank-one correction -F(s)|s-1><s-1| on top of the
-    level-restricted gap function.
-    """
+    """`build_rep` on ``window`` levels with every transition at or above
+    level s removed: the commutator gains -F(s)|s-1><s-1|.  Needs an infinite
+    ladder (else a `DomainError`) and 1 <= s < window (else a ValueError)."""
     if classify(params).is_finite:
         raise DomainError("level truncation applies to infinite-dimensional parameters only")
     if not 1 <= s < window:
@@ -366,17 +339,11 @@ class IdentityDeviations:
 
 
 def identity_deviations(rep: LadderRep) -> IdentityDeviations:
-    """The three defining identities, read off the band in O(m).
-
-    Both products of a one-band operator are diagonal:
-    <n|raising lowering|n> = |band[n-1]|^2 and <n|lowering raising|n> =
-    |band[n]|^2, zero past either end of the band.  They are compared with
-    F~(n) = F(n) below the cut c (the truncation order, else the window m)
-    and 0 from c on, and with G~(n) = F~(n+1) - F~(n).  That one sequence
-    gives the corner term of a cut window: G~(c-1) = -F(c-1), exact on a
-    finite ladder (F(d) = 0), a cutoff artifact otherwise.  Nilpotency is
-    decided exactly: 0.0 when F(d) = 0 in `Fraction`.
-    """
+    """The deviations of the three defining identities, from the band in
+    O(m): raising lowering and lowering raising are diagonal, |band[n-1]|^2
+    and |band[n]|^2, compared with F~(n) = F(n) below the cut (the truncation
+    order, else m) and 0 from it on, and with G~(n) = F~(n+1) - F~(n).
+    Nilpotency is exactly 0.0 on a finite ladder, None otherwise."""
     import numpy as np
 
     m = rep.dim_window
@@ -397,12 +364,8 @@ def identity_deviations(rep: LadderRep) -> IdentityDeviations:
 
 
 def reciprocal_ells(params: AlgebraParams) -> tuple[int, ...]:
-    """Read the kappas as 1/ell with ell a positive integer.
-
-    kappa = 0 entries are dropped: they contribute a factor 1 to the
-    structure function and correspond to the ell -> infinity limit of
-    that slot.  Anything else (negative or non-reciprocal) is rejected.
-    """
+    """The kappas as 1/ell, ell a positive integer, kappa = 0 dropped (a
+    factor 1, the ell -> infinity limit); any other kappa is a `DomainError`."""
     ells = []
     for kappa in params.kappas:
         if kappa == 0:

@@ -1,24 +1,9 @@
-"""Growth of the analytic functions attached to lowering eigenstates.
+"""Growth of the entire functions attached to lowering eigenstates.
 
-A square-summable vector (f_n) is represented by the entire function
-
-    f_phi(z) = sum_n f_n z^n e^{-i F(n) phi} / sqrt(F(n)!),
-
-bounded by the eigenstate normalization |N(z)| (Cauchy-Schwarz against
-the kernel).  The kernel coefficients 1/sqrt(F(n)!) decay fast enough to
-make these functions of finite order, and order/type are read off the
-coefficient decay:
-
-    order rho from  log(1/|c_n|) ~ (1/rho) n log n + beta n,
-    type  sigma = e^{-beta rho - 1} / rho,
-
-which for the reciprocal-integer family kappa_i = 1/ell_i has the closed
-form rho = 2/(1+q), sigma = ((1+q)/2) (ell_1 ... ell_q)^{1/(1+q)} with q
-the number of nonzero kappas.
-
-Coefficient sequences are stored as log-moduli throughout: generalized
-factorials overflow double precision near n = 170, while their logs
-accumulate harmlessly to any index.
+A vector (f_n) is the function f_phi(z) = sum_n f_n z^n e^{-i F(n) phi} /
+sqrt(F(n)!), bounded by the normalization |N(z)| (Cauchy-Schwarz against
+the kernel).  Coefficient sequences are kept as log-moduli: F(n)! passes
+the double range near n = 170, its log never.
 """
 
 from __future__ import annotations
@@ -79,9 +64,9 @@ class EntireSeries:
 
     @classmethod
     def bg_kernel(cls, params: AlgebraParams, n_max: int) -> "EntireSeries":
-        """The eigenstate kernel 1/sqrt(F(n)!), accumulated in log space:
-        -1/2 log F(n)! = -1/2 cumsum(log F(1..n)), written in place over the
-        ladder rows' F buffer."""
+        """The eigenstate kernel 1/sqrt(F(n)!), n <= n_max, as -1/2 cumsum(log
+        F(1..n)) written in place over the ladder rows' F buffer.  A finite
+        ladder is a `DomainError`."""
         if classify(params).is_finite:
             raise DomainError("the kernel series needs an infinite ladder")
         logs, _ = _table_rows(params, n_max + 1)
@@ -118,7 +103,8 @@ class GrowthEstimate:
 def bargmann_eval(params: AlgebraParams, f_coeffs, z) -> complex | np.ndarray:
     """sum_n f_n z^n e^{-i F(n) phi} / sqrt(F(n)!) for a finite vector f, at z or a z-array.
 
-    A value past the double range is a `DomainError`."""
+    Kappas not of the form 1/ell, or a value or phase past the double range,
+    are a `DomainError`."""
     reciprocal_ells(params)  # the transform is set up for the reciprocal-integer family
     f = np.asarray(f_coeffs, dtype=complex)
     kernel = ladder_table(params, len(f)).kernel(params.phi)
@@ -134,11 +120,9 @@ def bargmann_eval(params: AlgebraParams, f_coeffs, z) -> complex | np.ndarray:
 
 
 def schwarz_check(params: AlgebraParams, f_coeffs, z_grid) -> float:
-    """max over the grid of |f_phi(z)| - |N(z)| for a normalized f.
-
-    Cauchy-Schwarz against the kernel makes this nonpositive; numerically
-    it never exceeds zero by more than rounding (<= 1e-10).  A point where
-    |N| passes the double range has excess -inf: the bound holds there."""
+    """max over the grid of |f_phi(z)| - |N(z)| for a normalized f (else a
+    ValueError), nonpositive by Cauchy-Schwarz up to rounding; -inf on an
+    empty grid, and at a point where |N| passes the double range."""
     f = np.asarray(f_coeffs, dtype=complex)
     nrm2 = float(np.sum(np.abs(f) ** 2))
     if abs(nrm2 - 1.0) > 1e-12:
@@ -154,12 +138,13 @@ def schwarz_check(params: AlgebraParams, f_coeffs, z_grid) -> float:
 
 
 def estimate_growth(series: EntireSeries) -> GrowthEstimate:
-    """Least-squares fit of log(1/|c_n|) = (1/rho) n log n + beta n + const over
-    the top half of the indices, sigma = e^{-beta rho - 1}/rho: the intercept
-    keeps both fixed under a rescaling of the c_n.  The columns 1 and u = n - mid
-    are orthogonal, so the fit is projections: n log n is orthogonalized against
-    them by classical Gram-Schmidt twice, as stable as Householder QR (Bjorck
-    1996, sec. 2.4; Giraud, Langou & Rozloznik 2005), and y once."""
+    """Least-squares fit of log(1/|c_n|) = (1/rho) n log n + beta n + const
+    over the top half of the indices, sigma = e^{-beta rho - 1} / rho: the
+    intercept keeps both fixed under a rescaling of the c_n.  The fit is
+    projections on the orthogonal columns 1 and n - mid, n log n stripped
+    twice (classical Gram-Schmidt twice: Bjorck 1996, sec. 2.4; Giraud,
+    Langou & Rozloznik 2005).  A polynomial, fewer than MIN_COEFFS
+    coefficients or a slope under 1e-3 is a `DomainError`."""
     logs = series.log_moduli
     if series.polynomial or not np.all(np.isfinite(logs)):
         raise DomainError("polynomial (terminating) coefficient sequences have no growth order")
@@ -202,8 +187,8 @@ def estimate_growth(series: EntireSeries) -> GrowthEstimate:
 
 def closed_form_growth(params: AlgebraParams) -> tuple[float, float]:
     """(rho, sigma) of the eigenstate kernel for kappa_i = 1/ell_i:
-    rho = 2/(1+q) and sigma = ((1+q)/2) (ell_1 ... ell_q)^{1/(1+q)},
-    with q the number of nonzero kappas."""
+    rho = 2/(1+q) and sigma = ((1+q)/2) (ell_1 ... ell_q)^{1/(1+q)}, q the
+    number of nonzero kappas; other kappas are a `DomainError`."""
     ells = reciprocal_ells(params)
     q = len(ells)
     rho = 2.0 / (1 + q)

@@ -1,23 +1,13 @@
 """Deterministic command-line front end.
 
-Every computation in the library is reachable through a subcommand, with
-JSON output by default (CSV for tabular results).  Identical
-configurations produce byte-identical artifacts: no timestamps, fixed key
-order, floats emitted through repr.  Payloads carry coefficient vectors as
-complex ndarrays; `json_text` writes each straight into the artifact as
-nested lists of ``{"re", "im"}`` objects.  The argument parser, built
-once per process by `build_parser`, is the one place that names, converts,
-validates and defaults each option; a ``--config`` file's lines are read by
-it as ``--key=value`` flags ahead of the command line's, which win.
-
-Imports are deferred to the command that runs them: numpy, `csv` and the
-numeric modules (`coherent`, `grassmann`, `measure`, `bargmann`) are
-imported inside the command bodies and helpers that call them, and `algebra`
-loads on the standard library alone.  A cold start then pays only for what
-its subcommand runs: ``--help``, a usage or config error and `spectrum`
-never import numpy, which costs more than the rest of a start together.
-Library functions are read from their home modules at call time, so a
-wrapper or patch set there is the one the command calls.
+One subcommand per computation, JSON by default (CSV for tables), byte
+for byte the same for the same configuration.  `build_parser` alone names,
+converts, validates and defaults each option; a ``--config`` file's lines
+are read as ``--key=value`` flags ahead of the command line's, which win.
+numpy and the numeric modules are imported inside the commands that run
+them, so ``--help``, usage errors and `spectrum` never import numpy, and
+library functions are read from their home modules at call time, so a
+wrapper set there is the one a command calls.
 
 Exit codes: 0 success, 1 domain errors (the violated condition is named
 on stderr), 2 I/O and usage errors.
@@ -601,12 +591,10 @@ def _write_container(value, level: int, out: list) -> None:
 
 
 def json_text(payload: dict) -> str:
-    """Strict JSON (no NaN or Infinity) of a payload, indented by 2: byte
-    for byte the text of ``json.dumps(payload, indent=2, allow_nan=False)``
-    and a newline, its complex ndarrays written as json.dumps writes the
-    same lists of {"re", "im"} dicts, and a non-finite float or an
-    unknown type raises json.dumps's ValueError or TypeError.  The pieces
-    are joined once, at the end (`_write_json`)."""
+    """Strict JSON of a payload, indented by 2, and a newline: byte for byte
+    ``json.dumps(payload, indent=2, allow_nan=False)`` with each complex
+    ndarray as its list of {"re", "im"} dicts, raising json.dumps's ValueError
+    or TypeError where it would."""
     out = []
     _write_json(payload, 0, out)
     out.append("\n")

@@ -1,27 +1,11 @@
 """Coherent states over the number basis of a polynomial ladder algebra.
 
-Two families, both stored as plain coefficient vectors with c_0 = 1
-unless normalization is requested:
-
     perelomov           c_n = sqrt(F(n)!) / n! * z^n * e^{-i F(n) phi}
     barut-girardello    c_n = z^n / sqrt(F(n)!)   * e^{-i F(n) phi}
 
-The phase ``phi`` is read from the parameter pack.  Existence domains are
-enforced as typed errors, never as numeric garbage:
-
-* perelomov on an infinite ladder exists only for r = 1 and |z| strictly
-  inside the disk of radius 1/sqrt(kappa_1) (all of C when kappa_1 = 0);
-* perelomov on a finite ladder exists for any r and any z, and equals the
-  nilpotent exponential exp(z * raising)|0>;
-* barut-girardello states (lowering-operator eigenstates) exist on the
-  infinite ladder for any r and any z, and not at all for complex z on a
-  finite ladder -- see `grassmann` for the nilpotent-variable version.
-
-Infinite series are cut off once a geometric ratio bound puts the
-remaining l2 tail below ``tail_tol`` of the accumulated norm; the bound
-actually achieved is recorded on the state.  One routine, `_series`,
-builds every state vector; a state exists wherever its coefficients fit in
-a double, even where |c_n|^2 and its squared norm do not.
+with c_0 = 1 unless normalized.  A state outside its existence domain, or
+one whose coefficients do not fit in a double, is a `DomainError`, never a
+number; this module alone decides whether a series state exists.
 """
 
 from __future__ import annotations
@@ -38,6 +22,7 @@ from .algebra import (
     LadderRep,
     _freeze,
     _ladder_rows,
+    _phases,
     classify,
     ladder_table,
     reciprocal_ells,
@@ -106,29 +91,18 @@ class CoherentState:
 
 
 def _series(kind, params, zs, stop: int, tail_tol: float | None):
-    """c_0 = 1, c_n = c_{n-1} step(n) (`_steps`), n < stop, one row for each
-    z of zs, as (column blocks of the rows, tail bound per row, exponent per
-    row).  A finite ladder (no tail_tol) is one block; else the blocks
-    double, each a cumprod from the last one's carry, until every row meets
-    its tail cut (`_tail_cut`; bound inf where uncut), zero past it.  Row
-    i's |c_n|^2 and running squared norm are scaled by the exact
-    2**-exponents[i], raised by RESCALE_BITS before the sum overflows and 0
-    wherever it does not (Blue 1978, ACM TOMS 4).  A coefficient past the
-    double range is a `DomainError` raised in the block where it is.  Where
-    phi = 0 and every z is real and >= 0 the blocks are float64, equal to
-    the real parts of the complex ones (whose imaginary parts are +0.0).
-
-    A row with 0 < x < 1 (`_perelomov_x`, taken for all rows at once)
-    hands `_tail_cut` only the terms with |c_n|^2 <= tol^2 S_n (1 - x),
-    widened by 1e-12 against rounding: x = q^2 is the limit of the ratio
-    bound, so no other term can pass, and near the rim the thousands that
-    cannot are never scanned.  From block start PREDICTED_FROM on, where
-    every uncut row has a closed form (`_perelomov_law`, built there
-    alone), a block ends CUT_SLACK terms past the index at which each is
-    certain to be cut (`_cut_bound`), and at least two steps past its start
-    (numpy rounds a complex cumprod of one step unlike a longer one), not
-    at twice its start.  Neither changes the cut, its bound or any kept
-    coefficient.
+    """c_0 = 1, c_n = c_{n-1} step(n) (`_steps`), n < stop, one row per z of
+    zs, as (column blocks of the rows, tail bound per row, exponent per row).
+    A finite ladder (no tail_tol) is one block; else the blocks double, each
+    from the last one's carry, until every row meets its tail cut
+    (`_tail_cut`; bound inf where uncut), zero past it.  Row i's |c_n|^2 and
+    running norm are scaled by the exact 2**-exponents[i] (Blue 1978, ACM
+    TOMS 4).  A coefficient past the double range is a `DomainError`.  Where
+    phi = 0 and every z is real and >= 0 the blocks are float64, the real
+    parts of the complex ones.  The closed form (`_perelomov_law`) screens the
+    cut's candidates and ends a long block near the cut, at least two steps
+    past its start (numpy rounds a complex cumprod of one step unlike a longer
+    one); neither changes the cut, its bound or a kept coefficient (`e3017a5`).
     """
     zs = np.asarray(zs, dtype=complex)
     if params.phi == 0.0 and not zs.imag.any() and not np.signbit(zs.real).any():
@@ -193,16 +167,10 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
 
 def _tail_cut(under, abs2, norms, lo, ratio_sup, tol2):
     """The series' one tail rule: (i, achieved relative tail bound) for the
-    first i of ``under`` (where |c_{lo+i}|^2 alone is under the tolerance) at
-    which the terms from c_{lo+i} on may be dropped, or None.
-
-    abs2[i] = |c_{lo+i}|^2 and norms[i] is the squared norm before it.
-    ratio_sup(j) bounds |c_{m+1}/c_m| for every m >= j (`_ratio_sup`); once
-    it drops under 1 the tail is dominated by a geometric series, giving
-    tail^2 <= |c_{lo+i}|^2 / (1 - q^2).  q never falls below its limit
-    q_inf, so only an i with |c_{lo+i}|^2 <= tol2 norms[i] (1 - q_inf^2) can
-    pass: `_series` sends no other, which leaves the first passing i as it is.
-    """
+    first i of ``under`` at which the terms from c_{lo+i} on may be dropped,
+    else None.  abs2[i] = |c_{lo+i}|^2, norms[i] is the squared norm before
+    it, and ratio_sup(j) (`_ratio_sup`) bounds every later |c_{m+1}/c_m|:
+    once it is under 1, tail^2 <= |c_{lo+i}|^2 / (1 - q^2)."""
     for i in under:
         q = ratio_sup(lo + int(i))
         if q < 1.0:
@@ -234,11 +202,10 @@ def _ratio_sup(kind, params, radius):
 
 
 def _perelomov_x(kind, params, radius):
-    """x = kappa |z|^2 of the perelomov series of an r = 1 ladder with
-    kappa > 0, at |z| = radius (a float or an array of them), or None for
-    any other series.  x is q^2, q the limit of `_ratio_sup` as `_tail_cut`
-    rounds it.  Only where 0 < x < 1 has the series a closed form: else
-    c_1 = 0 in float, or x rounds to the rim or past it."""
+    """x = kappa |z|^2 = q^2 of the perelomov series of an r = 1 ladder with
+    kappa > 0 at |z| = radius (a float or an array), q the limit of
+    `_ratio_sup`; None for any other series.  The closed form needs
+    0 < x < 1: else c_1 = 0 in float, or x rounds to the rim or past it."""
     if kind is not StateKind.PERELOMOV or params.r != 1:
         return None
     kappa = float(params.kappas[0])
@@ -251,14 +218,10 @@ def _perelomov_x(kind, params, radius):
 def _perelomov_law(kind, params, radius):
     """The closed form of the perelomov series at |z| = radius where its x
     (`_perelomov_x`) has 0 < x < 1, as (x, a, peak, n -> log |c_n|^2,
-    margin, `_ratio_sup`), else None: |c_n|^2 = x^n (a)_n / n! with
-    a = 1/kappa, summing to (1 - x)^-a, unimodal with its peak at index
-    ``peak`` (Perelomov 1986).
-
-    margin(n) bounds the distance in log between the closed form and the
-    float series: its n rounded steps, x rounded near the rim, and the
-    cancellation in lgamma(a + n) - lgamma(a), under eps (|lgamma(a + n)| +
-    |lgamma(a)|): 1.6e-3 at a = 1e12, 5.4 at a = 1e15."""
+    margin, `_ratio_sup`), else None: |c_n|^2 = x^n (a)_n / n!, a = 1/kappa,
+    unimodal with its peak at index ``peak`` (Perelomov 1986).  margin(n)
+    bounds the log distance between the closed form and the float series,
+    lgamma's cancellation included (`e3017a5`, `741a52b`)."""
     x = _perelomov_x(kind, params, radius)
     if x is None or not 0.0 < x < 1.0:
         return None
@@ -279,13 +242,27 @@ def _perelomov_law(kind, params, radius):
     return x, a, peak, log_abs2, margin, _ratio_sup(kind, params, radius)
 
 
-def _fits(law, last) -> bool:
-    """Whether the largest |c_n|^2, n <= last, of the closed form
-    (`_perelomov_law`) fits in a double with room past its margin."""
-    _, _, peak, log_abs2, margin, _ = law
-    peak = min(peak, last)
-    highest = max(log_abs2(n) + margin(n) for n in {max(peak - 1, 0), peak, min(peak + 1, last)})
-    return highest < 2.0 * (math.log(sys.float_info.max) - 1.0)
+def _law_verdict(kind, params, radius, max_terms, tol):
+    """Whether the perelomov series at |z| = radius is cut at tail tolerance
+    tol within max_terms terms, by its closed form (`_perelomov_law`): True
+    where the law meets the cut with every |c_n|^2, n <= max_terms, a double;
+    False where it fits so but misses the cut's necessary bound
+    tol^2 S_inf (1 - x) at n = 1 and at max_terms, and so everywhere between;
+    None where there is no law or it cannot decide."""
+    law = _perelomov_law(kind, params, radius)
+    if law is None:
+        return None
+    x, a, peak, log_abs2, margin, _ = law
+    top = min(peak, max_terms)
+    highest = max(log_abs2(n) + margin(n) for n in {max(top - 1, 0), top, min(top + 1, max_terms)})
+    if not highest < 2.0 * (math.log(sys.float_info.max) - 1.0):
+        return None
+    log_room = 2.0 * math.log(tol) + (1.0 - a) * math.log1p(-x)
+    if all(log_abs2(n) > log_room + margin(n) for n in (max_terms, 1)):
+        return False
+    # S_n >= |c_0|^2 = 1 before every cut; one test at max_terms tells
+    # whether `_cut_bound` finds a cut in 1..max_terms
+    return True if _cut_bound(law, max(max_terms, 1), max_terms + 1, 2.0 * math.log(tol)) else None
 
 
 def _cut_bound(law, lo, hi, log_room):
@@ -315,13 +292,11 @@ def _cut_bound(law, lo, hi, log_room):
 
 def _series_moduli(kind, params, zs, levels: int) -> np.ndarray:
     """|c_n(z)|^2, n < levels, at every z of zs: the rows of `_series` at the
-    default tail tolerance, zero-padded, so for real z >= 0 bit-equal to
-    ``np.abs(ctor(params, z).coeffs[:levels]) ** 2`` (for a complex z numpy
-    may fuse a multiply-add of the broadcast steps, and the last bit can
-    differ).  A finite ladder needs levels <= d.  numpy rounds a complex
-    cumprod of one step unlike a longer one (a fused multiply-add), so a
-    last block of one step (blocks start at 1, 64, 128, ...) takes one more
-    where the ladder goes on, as the constructor's longer block does."""
+    default tail tolerance, zero-padded, bit-equal for real z >= 0 to
+    ``np.abs(ctor(params, z).coeffs[:levels]) ** 2`` (for a complex z the
+    last bit may differ).  A finite ladder needs levels <= d.  A last block
+    of one step takes one more where the ladder goes on, as numpy rounds a
+    complex cumprod of one step unlike a longer one."""
     dim = classify(params)
     tail_tol = None if dim.is_finite else DEFAULT_TAIL_TOL
     last = levels - 1  # where the last block starts if it is one step long
@@ -338,12 +313,9 @@ def _series_moduli(kind, params, zs, levels: int) -> np.ndarray:
 def _steps(kind, params, z, lo, hi):
     """c_n / c_{n-1} for lo <= n < hi: z e^{-i G(n-1) phi} times sqrt(F(n)) / n
     (perelomov) or 1 / sqrt(F(n)) (barut-girardello), from the ladder rows
-    lo-1 .. hi-1 alone (`algebra._ladder_rows`).
-
-    A float64 z (`_series` passes one where phi = 0 and every z is real and
-    >= 0) gives the real parts of the complex steps bit for bit, with no
-    phase: numpy divides complex numbers by multiplying with the
-    reciprocal, so the quotients are taken that way here too."""
+    lo-1 .. hi-1 alone.  A float64 z (phi = 0, every z real and >= 0) gives
+    the real parts of the complex steps bit for bit: numpy divides complex
+    numbers by multiplying with the reciprocal, and so does this."""
     f, g = _ladder_rows(params, lo - 1, hi)
     roots = np.sqrt(f[1:])
     if z.dtype == float:
@@ -351,16 +323,15 @@ def _steps(kind, params, z, lo, hi):
             return z * roots * (1.0 / np.arange(lo, hi))
         return z * (1.0 / roots)
     steps = z * roots / np.arange(lo, hi) if kind is StateKind.PERELOMOV else z / roots
-    phase = 1j * (g[:-1] * -params.phi)
-    steps *= np.exp(phase, out=phase)
+    steps *= _phases(g[:-1], params.phi, lo - 1)
     return steps
 
 
 def _scaled_norm(v) -> tuple[float, int]:
     """The l2 norm of v as (mantissa, exponent): ``np.linalg.norm(v)`` and 0
-    wherever that is finite, else the norm of v * 2**-exponent, the power
-    of two that brings every real and imaginary part under 1 (exact; Blue
-    1978).  A non-finite entry gives a non-finite mantissa."""
+    where that is finite, else the norm of v * 2**-exponent, the power of two
+    that brings every real and imaginary part under 1 (Blue 1978).  A
+    non-finite entry gives a non-finite mantissa."""
     with np.errstate(over="ignore"):  # a sum of squares past the double range: rescaled
         norm = float(np.linalg.norm(v))
         if math.isfinite(norm):
@@ -381,23 +352,25 @@ def _finish(kind, params, z, coeffs, normalize, meta) -> CoherentState:
 def _state(kind, params, dim, z, normalize, tail_tol, max_terms) -> CoherentState:
     """The state at z from `_series`: the d coefficients of a finite ladder,
     else the series to its tail cut, of at most max_terms terms.  A series
-    whose closed form (`_perelomov_law`) misses the cut's necessary bound
-    tol^2 S_inf (1 - x) at n = 1 and at max_terms, and so everywhere between,
-    with its peak in range, is refused before any term is built."""
+    whose closed form refuses it (`_law_verdict`) is refused before any
+    term is built."""
     stop, tol = (dim.d, None) if dim.is_finite else (max_terms + 1, tail_tol)
-    law = None if tol is None else _perelomov_law(kind, params, abs(z))
-    if law is not None:
-        x, a, _, log_abs2, margin, _ = law
-        log_room = 2.0 * math.log(tol) + (1.0 - a) * math.log1p(-x)
-        missed = all(log_abs2(n) > log_room + margin(n) for n in (max_terms, 1))
     bound = math.inf
-    if law is None or not (missed and _fits(law, max_terms)):
+    if tol is None or _law_verdict(kind, params, abs(z), max_terms, tol) is not False:
         blocks, (bound,), _ = _series(kind, params, [z], stop, tol)
     if tol is not None and bound == math.inf:
         raise DomainError(f"series did not reach tail tolerance {tol:g} within {max_terms} terms")
     coeffs = np.concatenate(blocks, axis=1)[0].astype(complex, copy=False)  # imaginary +0.0
     meta = CutoffMeta(True, dim.d) if tol is None else CutoffMeta(False, len(coeffs), bound, tol)
     return _finish(kind, params, z, coeffs, normalize, meta)
+
+
+def _require_state(kind, params, radius: float) -> None:
+    """Return where the state at z = radius exists at the default tail
+    tolerance and term cap: where `_law_verdict` certifies it, else where
+    its constructor builds it.  Else the constructor's `DomainError`."""
+    if not _law_verdict(kind, params, radius, MAX_SERIES_TERMS, DEFAULT_TAIL_TOL):
+        (perelomov_state if kind is StateKind.PERELOMOV else bg_state)(params, radius)
 
 
 def _checked_inputs(z, tail_tol: float) -> complex:
@@ -434,9 +407,9 @@ def perelomov_state(
 ) -> CoherentState:
     """State with coefficients sqrt(F(n)!)/n! * z^n * e^{-i F(n) phi}.
 
-    Finite ladder: exact vector of d coefficients, any r, any z.
-    Infinite ladder: requires r = 1 and |z| < 1/sqrt(kappa_1) (open disk);
-    the series is truncated at the requested tail tolerance.
+    Finite ladder: the d coefficients, any r, any z.  Infinite ladder: only
+    r = 1 and |z| < 1/sqrt(kappa_1), else a `DomainError`; the series is cut
+    at ``tail_tol`` within ``max_terms`` terms, else a `DomainError`.
     """
     z = _checked_inputs(z, tail_tol)
     dim = classify(params)
@@ -456,13 +429,10 @@ def perelomov_state(
 def perelomov_via_exponential(
     params: AlgebraParams, z, rep: LadderRep, *, normalize: bool = False
 ) -> CoherentState:
-    """exp(z * raising)|0> summed as the exact nilpotent polynomial.
-
-    Independent of the series construction: on a finite ladder the raising
-    operator is nilpotent, so the exponential is a finite sum of d vector
-    terms, each the last one raised by the band of ``rep``.  Agrees with
-    `perelomov_state` entrywise.
-    """
+    """exp(z * raising)|0> as the exact nilpotent polynomial, d vector terms
+    each raised by the band of ``rep``: `perelomov_state` without its series.
+    An infinite ladder is a `DomainError`; a ``rep`` other than the
+    untruncated one of ``params`` is a ValueError."""
     z = complex(z)
     dim = classify(params)
     if not dim.is_finite:
@@ -496,10 +466,9 @@ def bg_state(
 ) -> CoherentState:
     """Lowering-operator eigenstate, coefficients z^n e^{-i F(n) phi} / sqrt(F(n)!).
 
-    Exists on the infinite ladder for any r and any complex z.  On a
-    finite ladder the eigenvalue equation has no complex solution, so the
-    request is rejected; `grassmann.bg_grassmann_state` provides the
-    nilpotent-variable construction there.
+    Exists on the infinite ladder for any r and z; the series is cut at
+    ``tail_tol`` within ``max_terms`` terms, else a `DomainError`.  A finite
+    ladder is a `DomainError` (see `grassmann.bg_grassmann_state`).
     """
     z = _checked_inputs(z, tail_tol)
     dim = classify(params)
@@ -512,15 +481,11 @@ def bg_state(
 
 
 def check_bg_eigen(state: CoherentState, rep: LadderRep) -> float:
-    """Relative l2 residual of lowering @ c = z c.
-
-    For truncated series the last populated row is excluded (it reads the
-    first dropped coefficient, a pure cutoff artifact); exact finite
-    vectors are checked on every row.  Eigenstates built at tail tolerance
-    1e-14 come out below 1e-10; anything that is not a lowering
-    eigenstate (e.g. a perelomov state on a deformed ladder) gives an
-    O(1) residual.
-    """
+    """Relative l2 residual of lowering @ c = z c over every row of an exact
+    state, and over all but the last populated row of a series (it reads the
+    first dropped coefficient).  A ``rep`` of other params, or of a window
+    other than an exact state's length or under a series' length + 1, is a
+    ValueError."""
     if rep.params != state.params:
         raise ValueError("state and representation parameters differ")
     c = state.coeffs
@@ -543,14 +508,11 @@ def check_bg_eigen(state: CoherentState, rep: LadderRep) -> float:
 
 
 def time_evolve(state: CoherentState, t: float) -> CoherentState:
-    """Propagate with the structure-function Hamiltonian: c_n -> e^{-i F(n) t} c_n.
-
-    Temporal stability: the result coincides with the same-kind state
-    rebuilt at phase phi + t (moduli are untouched, so the cutoff metadata
-    carries over unchanged).
-    """
+    """c_n -> e^{-i F(n) t} c_n under the structure-function Hamiltonian:
+    the same-kind state at phase phi + t, with its cutoff metadata.  A phase
+    past the double range is a `DomainError` naming t."""
     t = float(t)
-    coeffs = state.coeffs * np.exp(-1j * ladder_table(state.params, len(state.coeffs)).f * t)
+    coeffs = state.coeffs * _phases(ladder_table(state.params, len(state.coeffs)).f, t, name="t")
     return CoherentState(
         state.kind,
         state.params.with_phi(state.phi + t),
@@ -563,11 +525,8 @@ def time_evolve(state: CoherentState, t: float) -> CoherentState:
 
 def overlap(s1: CoherentState, s2: CoherentState, *, unchecked: bool = False) -> complex:
     """<s1|s2> = sum conj(c_n) c'_n over the common coefficient window.
-
-    Requires matching kind and kappas.  Equal phases are required as well
-    unless ``unchecked=True``: cross-phase overlaps are well-defined
-    numbers but carry no verified property.
-    """
+    Different kinds or kappas are a ValueError, and so are different phases
+    unless ``unchecked=True``: such an overlap verifies no property."""
     if s1.kind != s2.kind:
         raise ValueError("overlap requires matching state kinds")
     if s1.params.kappas != s2.params.kappas:
@@ -579,11 +538,8 @@ def overlap(s1: CoherentState, s2: CoherentState, *, unchecked: bool = False) ->
 
 
 def _has_nan(x) -> bool:
-    """Whether x, a scalar or an array of any dtype, holds a NaN.
-
-    NaN is the one value unequal to itself; unlike np.isnan this also
-    reads object scalars such as a Fraction or an int past the double range.
-    A Python or numpy number is tested as it is, without an array."""
+    """Whether x, a scalar or an array of any dtype, holds a NaN, the one
+    value unequal to itself; object scalars such as a Fraction included."""
     if isinstance(x, (int, float, complex, np.generic)):
         return bool(x != x)
     a = np.asarray(x)
@@ -591,17 +547,12 @@ def _has_nan(x) -> bool:
 
 
 def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
-    """Generalized hypergeometric series 0F_q(ell_1, ..., ell_q; x), at x or an x-array.
-
-    Summed term by term, t_{k+1} = t_k * x / ((k+1) prod_i (ell_i + k)),
-    until the relative term drops below ``rel_tol``; a scalar x gives a
-    float, an array an array.  A value past the double range is a
-    `DomainError`.  So is a sum lost to cancellation at x < 0: its rounding
-    error is bounded by eps * S, S = 0F_q(ells; |x|) the sum of the term
-    moduli, and the sum is refused where that bound passes 1e-8 of the value
-    or S passes the double range.  S is summed first: it bounds the partial
-    sums too, so with S in range the signed sum cannot overflow.
-    """
+    """0F_q(ell_1, ..., ell_q; x) summed term by term to the relative term
+    ``rel_tol``: a float at a scalar x, an array at an x-array.  A NaN x, a
+    value past the double range, a sum that cannot converge within
+    ``max_terms`` and, at x < 0, a sum whose rounding bound eps 0F_q(ells; |x|)
+    passes 1e-8 of the value are each a `DomainError`.  The sum at |x| goes
+    first: it bounds the partial sums, so the signed sum cannot overflow."""
     if _has_nan(x):
         raise DomainError("x must not be NaN")
     negative = np.asarray(x) < 0
@@ -629,11 +580,10 @@ def _rescaled_sum(
     ells, x: float, rel_tol: float = 1e-16, max_terms: int = 100_000
 ) -> tuple[float, int]:
     """The term-by-term float sum as (mantissa, exponent), the value
-    mantissa * 2**exponent.  Before a step that would overflow, the term and
-    the total are divided by 2**RESCALE_BITS (exactly) and the exponent grows
-    by as much; wherever the plain float sum stays finite the exponent is 0
-    and the mantissa is that sum.  A sum that cannot converge within
-    max_terms is refused before the loop (`_refuse_divergent`)."""
+    mantissa * 2**exponent, the term and the total divided by 2**RESCALE_BITS
+    before a step that would overflow: exponent 0 wherever the plain sum is
+    finite.  A sum that cannot converge within max_terms is refused before
+    the loop (`_refuse_divergent`)."""
     _refuse_divergent(ells, x, rel_tol, max_terms)
     term = total = 1.0
     exponent = k = 0
@@ -656,14 +606,9 @@ def _rescaled_sum(
 
 def _refuse_divergent(ells, x, rel_tol, max_terms) -> None:
     """Raise the sum's own "did not converge" error at once where the sum of
-    0F_q at a float x > 0 certainly reaches max_terms.
-
-    With every ell > 0 the term ratios x / ((k+1) prod(ell + k)) fall with
-    k.  Where the last one, at k = max_terms - 1, is still >= 1, the terms
-    grow up to max_terms, so |total| <= (k+1) |t_k| keeps every term above
-    rel_tol |total| while rel_tol max_terms < 1 (taken as < 1/2, against
-    rounding).  A first ratio past the double range fails otherwise, on
-    its own overflow, and is left to the sum."""
+    0F_q at a float x > 0, every ell > 0, certainly reaches max_terms: where
+    the term ratio at k = max_terms - 1 is still >= 1.  A first ratio past
+    the double range is left to the sum."""
     if not (isinstance(x, float) and 0.0 < x < math.inf and max_terms >= 1):
         return
     if not (2 * rel_tol * max_terms < 1 and all(ell > 0 for ell in ells)):
@@ -677,17 +622,12 @@ def _refuse_divergent(ells, x, rel_tol, max_terms) -> None:
 def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
     """0F_q at x, a scalar or an array, as (mantissa, exponent), the value
     mantissa * 2**exponent, which need not fit a double; x = +inf sums to inf.
-
-    The one place that tells a scalar from an array.  A scalar is summed by
-    `_rescaled_sum` as the Python number it holds: a Fraction exactly as
-    given, a numpy float as a float, which overflows without a warning.  An
-    array is summed in place: each pass scales every term and adds it only
-    where the entry is still going, so each entry stops at its own term,
-    bit-equal to the scalar sum.  For ells > 0 the term ratios fall with k
-    and no entry stops while its terms grow (|total| <= (k+1) |t_k|), so a
-    stopped entry stays stopped.  An entry whose plain sum overflows is
-    summed again by `_rescaled_sum`.  Where the largest finite entry cannot
-    converge, the array is refused before its loop (`_refuse_divergent`)."""
+    The one place that tells a scalar from an array: a scalar is summed by
+    `_rescaled_sum` as the Python number it holds (a Fraction exactly), an
+    array in place, each entry stopping at its own term, bit-equal to its
+    scalar sum, and an entry whose plain sum overflows by `_rescaled_sum`.  An
+    array whose largest finite entry cannot converge is refused before its
+    loop (`_refuse_divergent`)."""
     if not np.ndim(x):
         x = np.asarray(x).item()
         return (math.inf, 0) if x == math.inf else _rescaled_sum(ells, x, rel_tol, max_terms)
@@ -710,10 +650,9 @@ def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
 
 
 def _ldexp(mantissa, exponent, what: str):
-    """mantissa * 2**exponent at a scalar or at every entry of an array; a
-    0-d input gives a Python float.  Past the double range it is a
-    `DomainError` naming ``what`` and the largest entry's size in bits.
-    A finite scalar at exponent 0 is returned at once: ldexp(m, 0) == m."""
+    """mantissa * 2**exponent at a scalar or at every entry of an array, a
+    0-d input as a Python float.  Past the double range it is a `DomainError`
+    naming ``what`` and the largest entry's size in bits."""
     scalar = isinstance(mantissa, float) and isinstance(exponent, int)
     if scalar and not exponent and math.isfinite(mantissa):  # inf, nan: as any array
         return float(mantissa)
@@ -727,15 +666,10 @@ def _ldexp(mantissa, exponent, what: str):
 
 
 def bg_normalization(params: AlgebraParams, z):
-    """|N(z)| with |N|^2 = 0F_q(ells; prod(ells) |z|^2), at z or a z-array.
-
-    Valid for kappas of the reciprocal-integer form 1/ell (zero kappas
-    drop out).  Agrees with the l2 norm of the unnormalized
-    lowering-eigenstate coefficient vector at the same z.  |N|^2 may pass
-    the double range where |N| does not: the root is taken of the scaled
-    sum, sqrt(m 2^e) = sqrt(m) 2^(e/2), and only an |N| past the double
-    range is a `DomainError`.
-    """
+    """|N(z)| with |N|^2 = 0F_q(ells; prod(ells) |z|^2), at z or a z-array:
+    the l2 norm of the unnormalized barut-girardello state at z.  Kappas not
+    of the form 1/ell (zeros drop out), a NaN z, or an |N| past the double
+    range (|N|^2 may pass it) are a `DomainError`."""
     ells = reciprocal_ells(params)
     if _has_nan(z):
         raise DomainError("z must not be NaN")
@@ -743,10 +677,9 @@ def bg_normalization(params: AlgebraParams, z):
 
 
 def _bg_normalization_scaled(ells, z):
-    """|N(z)| for the 1/ell kappas of ``ells`` (`reciprocal_ells`) at z or
-    at every point of a z-array as (mantissa, exponent), the value
-    mantissa * 2**exponent, which need not fit a double.  Where
-    prod(ells) |z|^2 passes the double range |N| is inf."""
+    """|N(z)| for the 1/ell kappas of ``ells`` at z or at every point of a
+    z-array as (mantissa, exponent), the value mantissa * 2**exponent; inf
+    where prod(ells) |z|^2 passes the double range."""
     z = np.asarray(z, dtype=complex)
     with np.errstate(over="ignore"):  # x = inf, which sums to inf
         x = math.prod(ells) * np.hypot(z.real, z.imag) ** 2  # hypot: bit-equal to abs(complex)

@@ -2,12 +2,6 @@
 
 
 class DomainError(ValueError):
-    """A mathematically ill-posed request.
-
-    Raised whenever parameters or arguments fall outside the region where
-    the requested object exists (wrong sign pattern, eigenstates that do
-    not exist in finite dimension, points outside a convergence disk,
-    moment sequences with no positive representing measure, ...).  The
-    message always names the violated condition; no operation ever returns
-    NaN or garbage instead of raising.
-    """
+    """A mathematically ill-posed request: parameters or arguments outside
+    the region where the requested object exists.  The message names the
+    violated condition; no operation returns NaN or garbage instead."""

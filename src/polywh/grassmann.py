@@ -1,15 +1,8 @@
 """One nilpotent variable: the truncated polynomial algebra C[theta]/(theta^dim).
 
-theta^dim = 0 is the only structure the finite-ladder eigenstate
-construction needs, so elements are plain length-``dim`` coefficient
-tuples (g_0 + g_1 theta + ... + g_{dim-1} theta^{dim-1}) multiplied by
-truncated convolution: every product term of combined degree >= dim is
-annihilated.
-
-The eigenstate's coefficient of |n> is k_n theta^n, one complex number
-per level, so a `GrassmannState` stores the vector k and checks the
-eigenvalue equation on it in O(dim); its coefficients as algebra
-elements are built only when read.
+Elements are length-``dim`` coefficient tuples multiplied by truncated
+convolution.  An eigenstate is its kernel vector k, the coefficient of |n>
+being k_n theta^n.
 """
 
 from __future__ import annotations
@@ -125,14 +118,12 @@ class GrassmannState:
 
 
 def bg_grassmann_state(params: AlgebraParams, dim: int | None = None) -> GrassmannState:
-    """Lowering-operator eigenstate with the nilpotent variable as eigenvalue.
-
-    The coefficient of |n> is theta^n e^{-i F(n) phi} / sqrt(F(n)!).  On a
-    finite ladder the nilpotency order is d; for infinite-ladder
-    parameters an explicit ``dim`` selects the level-truncated algebra
-    (the untruncated infinite case has ordinary complex eigenstates
-    instead, see `coherent.bg_state`).
-    """
+    """Lowering-operator eigenstate with the nilpotent variable as eigenvalue:
+    the coefficient of |n> is theta^n e^{-i F(n) phi} / sqrt(F(n)!).  The
+    nilpotency order is d on a finite ladder (another ``dim`` is a
+    ValueError); infinite-ladder parameters need ``dim``, the level-truncated
+    algebra, else a `DomainError`.  A phase past the double range is a
+    `DomainError`."""
     rep_dim = classify(params)
     if rep_dim.is_finite:
         if dim is None:
@@ -151,12 +142,10 @@ def bg_grassmann_state(params: AlgebraParams, dim: int | None = None) -> Grassma
 
 
 def check_bg_grassmann_eigen(state: GrassmannState, rep: LadderRep) -> float:
-    """Largest component deviation between (lowering acting on the state)
-    and (left multiplication of every coefficient by theta).
-
-    Row n is nonzero only in its theta^{n+1} component, band[n] k_{n+1} - k_n; exact
-    eigenstates come out at rounding level (<= 1e-12).
-    """
+    """Largest component deviation between lowering acting on the state and
+    theta times each coefficient: row n is band[n] k_{n+1} - k_n, in its
+    theta^{n+1} component.  A ``rep`` of another window or params is a
+    ValueError."""
     if rep.dim_window != state.dim:
         raise ValueError(f"window {rep.dim_window} does not match the state dim {state.dim}")
     if rep.params != state.params:
@@ -168,15 +157,9 @@ def check_bg_grassmann_eigen(state: GrassmannState, rep: LadderRep) -> float:
 
 
 def complex_z_bg_residual(params: AlgebraParams, z) -> float:
-    """Relative residual of the would-be eigenvalue equation when the
-    nilpotent variable is replaced by an ordinary complex number on a
-    finite ladder.
-
-    Nonzero for every z != 0: the candidate vector z^n e^{-i F(n) phi} /
-    sqrt(F(n)!) fails at the top level, where z * c_{d-1} has nothing to
-    cancel against.  This makes the nonexistence of complex-eigenvalue
-    states in finite dimension a measurable statement.
-    """
+    """Relative residual of the eigenvalue equation with theta replaced by a
+    complex z on a finite ladder (else a `DomainError`): nonzero for every
+    z != 0, as z c_{d-1} has nothing to cancel against at the top level."""
     dim = classify(params)
     if not dim.is_finite:
         raise DomainError("the nonexistence diagnostic applies to finite ladders")

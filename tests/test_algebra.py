@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from polywh import (
     reciprocal_ells,
     structure_function,
 )
-from polywh.algebra import _ladder_rows, identity_deviations, ladder_table
+from polywh.algebra import _ladder_rows, _phases, identity_deviations, ladder_table
 
 from oracles import (
     brute_factorial,
@@ -367,6 +368,28 @@ def test_band_nilpotency_is_exact_past_the_double_range():
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(np.linalg.matrix_power(rep.lowering, 200)).any()
     assert identity_deviations(rep).nilpotency == 0.0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(_FINITE, max_size=8), phi=st.one_of(_FINITE, st.sampled_from(
+    [math.inf, -math.inf, math.nan, 1e308, -1.7976931348623157e308, 1.0000000000000002])),
+    first=st.integers(min_value=0, max_value=5))
+def test_phases_are_the_plain_exponential_or_name_the_level(x, phi, first):
+    x = np.array(x, dtype=float)
+    with np.errstate(all="ignore"):
+        angles = x * -phi
+        expected = np.exp(1j * angles)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if np.isfinite(angles).all():
+            assert _phases(x, phi, first).tobytes() == expected.tobytes()
+        else:
+            level = first + int(np.flatnonzero(~np.isfinite(angles))[0])
+            with pytest.raises(DomainError, match=f"the phase at level n = {level} passes"):
+                _phases(x, phi, first)
 
 
 def test_no_module_but_algebra_reads_the_dense_views():

@@ -175,6 +175,14 @@ def test_a_normalization_past_the_double_range_is_named(capsys):
      "barut-girardello state at z = (1000000+0j) overflows double precision: coefficient c_66"),
     (("schwarz", "--ell", "2", "--grid-radius", "1e100"),
      "hypergeometric series did not converge"),  # its terms still grow at max_terms
+    *(((*argv.split(), "--phi", "1e308"), f"phi = 1e+308: the phase at level n = {level} passes")
+      for argv, level in [("rep-check --kappa 1/2 --window 5", 1),
+                          ("truncate --kappa 1/2 --window 5 --s 2", 1),
+                          ("cs-grassmann --kappa 0 --dim 4", 2),  # F(n) phi, F(2) = 2
+                          ("cs-perelomov --kappa 1/2 --z 1", 1),
+                          ("cs-bg --kappa 1/2 --z 1", 1),
+                          ("schwarz --ell 2", 1),
+                          ("measure --kappa 1/2 --kind perelomov --levels 4", 1)]),
 ])
 def test_out_of_range_inputs_end_in_a_result_or_a_named_error_without_a_warning(
     capsys, argv, message

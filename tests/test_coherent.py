@@ -285,11 +285,8 @@ def test_the_predicted_block_end_and_refusal_leave_the_doubling_series(
 
 
 def _certified(params, radius, tail_tol, max_terms):
-    """Whether the closed form certifies the perelomov state at |z| = radius,
-    as `measure.verify_identity` reads it at its tolerance and term cap."""
-    law = coherent._perelomov_law(StateKind.PERELOMOV, params, radius)
-    return law is not None and coherent._fits(law, max_terms) and coherent._cut_bound(
-        law, 1, max_terms + 1, 2.0 * math.log(tail_tol)) is not None
+    """Whether the closed form certifies the perelomov state at |z| = radius."""
+    return coherent._law_verdict(StateKind.PERELOMOV, params, radius, max_terms, tail_tol) is True
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,6 +349,23 @@ def test_only_the_closed_form_reads_lgamma():
         or (isinstance(node, ast.alias) and node.name.endswith("lgamma"))
     }
     assert readers == {("coherent.py", "_perelomov_law")}
+
+
+def test_only_coherent_decides_whether_a_series_exists():
+    # the closed-form verdict has one owner; measure asks it through _require_state
+    owned = {"_perelomov_law", "_cut_bound", "MAX_SERIES_TERMS", "_law_verdict"}
+    constructors = {"perelomov_state", "bg_state"}
+    names = {
+        (path.name, name)
+        for path in sorted(Path(polywh.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in [getattr(node, "id", None) or getattr(node, "attr", None)
+                     or getattr(node, "name", None)]
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias, ast.FunctionDef))
+    }
+    assert {(module, name) for module, name in names if name in owned} <= {
+        ("coherent.py", name) for name in owned}
+    assert not {name for module, name in names if module == "measure.py"} & constructors
 
 
 def _count_steps(monkeypatch):
@@ -645,6 +659,16 @@ def test_time_evolve_matches_rebuild():
     rebuilt = perelomov_state(params.with_phi(0.7), z)
     assert np.max(np.abs(evolved.coeffs - rebuilt.coeffs)) < 1e-12
     assert evolved.phi == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("t", [1e308, math.inf, math.nan])
+def test_time_evolve_past_the_double_range_names_t(t):
+    state = bg_state(AlgebraParams(["1/2"]), 2.0)
+    message = "^" + re.escape(f"t = {t!r}: the phase at level n = ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=message):
+            time_evolve(state, t)
 
 
 def test_time_evolve_integer_spectrum_period():

@@ -982,13 +982,13 @@ def test_the_identity_check_names_its_node_and_keeps_the_cause():
 
 def _count_constructor_calls(monkeypatch, name):
     calls = []
-    build = getattr(polywh.measure, name)
+    build = getattr(polywh.coherent, name)
 
     def spy(params, z, **options):
         calls.append(z)
         return build(params, z, **options)
 
-    monkeypatch.setattr(polywh.measure, name, spy)
+    monkeypatch.setattr(polywh.coherent, name, spy)
     return calls
 
 
