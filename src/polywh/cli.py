@@ -20,6 +20,7 @@ import io
 import itertools
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -565,14 +566,8 @@ def _write_container(value, level: int, out: list) -> None:
     inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level + closing
     kinds = set(map(type, value)) if isinstance(value, (list, tuple)) else set()
     if _is_ndarray(value) and value.ndim == 1:
-        import numpy as np
-
-        if not np.isfinite(value).all():  # the first non-finite float, as json.dumps names it
-            parts = np.stack((value.real, value.imag), axis=-1)
-            raise _out_of_range(float(parts[~np.isfinite(parts)][0]))
-        key = inner + "  "
-        item = "{" + key + '"re": %r,' + key + '"im": %r' + inner + "}"
-        items = [item % pair for pair in zip(value.real.tolist(), value.imag.tolist())]
+        _write_complex(value, inner, close, out)
+        return
     elif kinds and kinds <= _FLOAT_OR_NULL:
         items = ["null" if v is None else float.__repr__(v) for v in value]
         if not _NON_FINITE.isdisjoint(items):
@@ -588,6 +583,44 @@ def _write_container(value, level: int, out: list) -> None:
         out.append(close)
         return
     out += (opening, inner, ("," + inner).join(items), close)
+
+
+def _write_complex(value, inner: str, close: str, out: list) -> None:
+    """Append the list of {"re", "im"} objects of a nonempty 1-D complex
+    ndarray, each opening at ``inner`` and the list ending in ``close``,
+    from one orjson dump of its (re, im) pairs.
+
+    orjson's shortest digits (Ryu) are float.__repr__'s; its text differs
+    in three forms, rewritten on the compact dump: a positive exponent has
+    no "+" (e16), a one-digit exponent is not padded (e-7; orjson writes
+    e-6 to e-9 there), and 1e-5 <= |x| < 1e-4 is written positionally
+    (0.000025, not 2.5e-05).  orjson writes NaN as null, so the finite
+    check comes first."""
+    import numpy as np
+    import orjson
+
+    if not np.isfinite(value).all():  # the first non-finite float, as json.dumps names it
+        parts = np.stack((value.real, value.imag), axis=-1)
+        raise _out_of_range(float(parts[~np.isfinite(parts)][0]))
+    pairs = np.ascontiguousarray(value, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    dump = orjson.dumps(pairs, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = str(memoryview(dump)[2:-2], "ascii")  # a,b],[c,d: no outer brackets
+    del dump  # freed before the rewrites copy the text
+    text = re.sub(r"e(?=\d)", "e+", text)
+    text = re.sub(r"e-(?=\d(?!\d))", "e-0", text)
+    # the lookbehind after the literal lets the search skip to each 0.0000
+    text = re.sub(r"0\.0000(?<!\d0\.0000)(\d)(\d*)", _fifth_decimal, text)
+    key = inner + "  "
+    im = "," + key + '"im": '  # every comma, the one in each ],[ too
+    text = text.replace(",", im)
+    text = text.replace("]" + im + "[", inner + "}," + inner + "{" + key + '"re": ')
+    out += ("[" + inner + "{" + key + '"re": ', text, inner + "}" + close)
+
+
+def _fifth_decimal(match) -> str:
+    """float.__repr__ of the positional 0.0000d... orjson writes for 1e-5 <= |x| < 1e-4."""
+    lead, rest = match.groups()
+    return lead + "." + rest + "e-05" if rest else lead + "e-05"
 
 
 def json_text(payload: dict) -> str:

@@ -479,14 +479,16 @@ def _exact_recurrence(values, recurrence=None) -> tuple[np.ndarray, np.ndarray]:
 def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> float:
     """Max deviation from 1 of the identity diagonal sum_j w_j |c_n(sqrt(t_j))|^2,
     n < ``measure.n_matched``, from the coherent-state series at the nodes
-    (`coherent._series_moduli`), summed in node order; phi changes it only by
-    rounding.  |c_n(z)| grows with |z|, so the states of the rule exist where
-    the one at the largest node does: a node outside the perelomov disk, or a
-    state there that `coherent._require_state` refuses, is a `DomainError`
-    naming the node t and |z|.  More levels than a finite ladder has is a
-    ValueError.
+    (`coherent._series_moduli`), summed in node order.  |c_n| does not depend
+    on phi, so the series is taken on the phase-free ladder (phi = 0) and
+    the result is the same at every phi.  |c_n(z)| grows with |z|, so the
+    states of the rule exist where the one at the largest node does: a node
+    outside the perelomov disk, or a state there that
+    `coherent._require_state` refuses, is a `DomainError` naming the node t
+    and |z|.  More levels than a finite ladder has is a ValueError.
     """
     kind = StateKind(kind)
+    ladder = params.with_phi(0.0)
     levels = measure.n_matched
     dim = classify(params)
     if dim.is_finite and levels > dim.d:
@@ -502,12 +504,12 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
             f"t < 1/kappa_1 = {1.0 / float(params.kappas[0]):.6g} of the perelomov states"
         )
     try:
-        _require_state(kind, params, radius)
+        _require_state(kind, ladder, radius)
     except DomainError as exc:
         raise DomainError(
             f"identity check at measure node t = {t_max:.6g} (|z| = {radius:.6g}): {exc}"
         ) from exc
-    moduli = _series_moduli(kind, params, np.sqrt(nodes), levels)
+    moduli = _series_moduli(kind, ladder, np.sqrt(nodes), levels)
     weighted = np.asarray(measure.weights, dtype=float)[:, None] * moduli
     diag = np.cumsum(weighted, axis=0)[-1]  # node by node, in order: a matmul would reorder it
     return float(np.max(np.abs(diag - 1.0)))

@@ -181,8 +181,7 @@ def test_a_normalization_past_the_double_range_is_named(capsys):
                           ("cs-grassmann --kappa 0 --dim 4", 2),  # F(n) phi, F(2) = 2
                           ("cs-perelomov --kappa 1/2 --z 1", 1),
                           ("cs-bg --kappa 1/2 --z 1", 1),
-                          ("schwarz --ell 2", 1),
-                          ("measure --kappa 1/2 --kind perelomov --levels 4", 1)]),
+                          ("schwarz --ell 2", 1)]),
 ])
 def test_out_of_range_inputs_end_in_a_result_or_a_named_error_without_a_warning(
     capsys, argv, message
@@ -196,6 +195,21 @@ def test_out_of_range_inputs_end_in_a_result_or_a_named_error_without_a_warning(
     else:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
+
+
+def test_measure_writes_the_same_identity_deviation_at_every_phi(capsys):
+    # |c_n| does not depend on phi: the identity check runs on the phase-free
+    # ladder, so a phase past the double range is no reason to refuse it
+    for argv in (["--kappa", "1/3", "--levels", "12"], ["--kappa", "1/2", "--levels", "4"]):
+        deviations = set()
+        for phi in ("0", "3", "1e308"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "measure", "--kind", "perelomov", *argv,
+                                         "--phi", phi)
+            assert code == 0, err
+            deviations.add(json.loads(out, parse_constant=_reject_constant)["identity_deviation"])
+        assert len(deviations) == 1, (argv, deviations)
 
 
 def test_kappas_without_a_1_over_ell_form_write_a_null_normalization(capsys):
@@ -517,7 +531,13 @@ def test_measure_moments_past_the_double_range_are_null(capsys):
 
 # ----------------------------------------------------------- artifact writer
 
-_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+    # where orjson's text and float.__repr__'s part: 1e-4 and 1e16 change form,
+    # e-6 to e-9 are padded, positive exponents are signed
+    1e-5, math.nextafter(1e-5, 0.0), math.nextafter(1e-5, 1.0), 9.999999999999999e-05, 1e-4,
+    1e-6, 1e-9, 1e-10, 9999999999999998.0, 1e16, 1e22, -2.5e-05,
+]
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 _COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
 _ARRAYS = st.one_of(
@@ -534,6 +554,17 @@ def _payload(array):
 @settings(max_examples=200, deadline=None)
 @given(array=_ARRAYS)
 def test_json_text_equals_the_dict_dump(array):
+    assert json_text(_payload(array)) == json_text_by_dicts(_payload(array))
+
+
+def test_json_text_writes_every_float64_as_the_dict_dump():
+    # 20,000 random bit patterns and every power of two (both signs), the
+    # non-finite ones dropped, as a complex array of (re, im) pairs
+    bits = np.random.default_rng(20260).integers(0, 2**64, 20000, dtype=np.uint64)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate([bits.view(np.float64), powers, -powers])
+    values = values[np.isfinite(values)]
+    array = values[: values.size // 2 * 2].view(complex)
     assert json_text(_payload(array)) == json_text_by_dicts(_payload(array))
 
 
@@ -627,7 +658,7 @@ def test_help_usage_errors_and_spectrum_never_import_numpy(capsys, tmp_path, arg
     (tmp_path / "run.cfg").write_text("bogus=1\n")
     exit_code, out, modules = _imports(*argv, cwd=tmp_path)
     assert exit_code == code
-    assert "polywh" in modules and "numpy" not in modules
+    assert "polywh" in modules and not modules & {"numpy", "orjson"}
     if code == 0 and "--nmax" in argv:  # the artifact main writes in-process
         assert (0, out) == run_cli(capsys, *argv[2:])[:2]
 
@@ -635,7 +666,7 @@ def test_help_usage_errors_and_spectrum_never_import_numpy(capsys, tmp_path, arg
 def test_cs_bg_imports_only_the_modules_it_runs():
     code, out, modules = _imports("-m", "polywh", "cs-bg", "--kappa", "1/2", "--z", "1")
     assert code == 0 and json.loads(out)["command"] == "cs-bg"
-    assert {"numpy", "polywh.algebra", "polywh.coherent"} <= modules
+    assert {"numpy", "orjson", "polywh.algebra", "polywh.coherent"} <= modules
     assert not modules & {"polywh.measure", "polywh.bargmann", "polywh.grassmann"}
 
 
