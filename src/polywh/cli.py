@@ -4,10 +4,10 @@ One subcommand per computation, JSON by default (CSV for tables), byte
 for byte the same for the same configuration.  `build_parser` alone names,
 converts, validates and defaults each option; a ``--config`` file's lines
 are read as ``--key=value`` flags ahead of the command line's, which win.
-numpy and the numeric modules are imported inside the commands that run
-them, so ``--help``, usage errors and `spectrum` never import numpy, and
-library functions are read from their home modules at call time, so a
-wrapper set there is the one a command calls.
+numpy, orjson and the numeric modules are imported inside the code that
+runs them, so ``--help``, usage errors and `spectrum` import neither numpy
+nor orjson, and library functions are read from their home modules at
+call time, so a wrapper set there is the one a command calls.
 
 Exit codes: 0 success, 1 domain errors (the violated condition is named
 on stderr), 2 I/O and usage errors.
