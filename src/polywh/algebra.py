@@ -213,6 +213,8 @@ def _ladder_rows(params: AlgebraParams, lo: int, hi: int) -> tuple[np.ndarray, n
 
     try:
         n_minus_1 = np.arange(lo - 1.0, hi)
+        if len(n_minus_1) != hi - lo + 1:  # numpy wraps a length past 2**63 to 0 rows
+            raise ValueError
     except (ValueError, MemoryError):  # numpy: "Maximum allowed size exceeded"
         raise DomainError(
             f"{hi - lo} ladder rows (from n = {lo}) are more than numpy can allocate"

@@ -8,14 +8,17 @@ the double range near n = 170, its log never.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .algebra import (
     AlgebraParams,
     _freeze,
+    _ladder_rows,
     _table_rows,
     classify,
     ladder_table,
@@ -34,6 +37,11 @@ __all__ = [
 ]
 
 MIN_COEFFS = 200
+KERNEL_LADDERS = 8  # -1/2 log F(n)! tables kept by `EntireSeries.bg_kernel`, one per ladder
+
+# kappas -> read-only -1/2 log F(n)!, n < len; least recently used first
+_KERNELS: dict[tuple[Fraction, ...], np.ndarray] = {}
+_NO_TABLE = _freeze(np.zeros(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +54,10 @@ class EntireSeries:
 
     @classmethod
     def from_moduli(cls, moduli, meta: str = "", polynomial: bool = False) -> "EntireSeries":
+        """A NaN or negative modulus, a missing or zero c_0, or another zero
+        without ``polynomial`` is a ValueError."""
         m = np.asarray(moduli, dtype=float)
+        _refuse(~(m >= 0), m, "|c_n|")
         if m.size == 0 or m[0] <= 0:
             raise ValueError("c_0 must be present and nonzero")
         if not polynomial and np.any(m <= 0):
@@ -57,7 +68,9 @@ class EntireSeries:
 
     @classmethod
     def from_log_moduli(cls, log_moduli, meta: str = "") -> "EntireSeries":
+        """A NaN log-modulus or a missing c_0 is a ValueError."""
         logs = np.asarray(log_moduli, dtype=float).copy()
+        _refuse(np.isnan(logs), logs, "log |c_n|")
         if logs.size == 0:
             raise ValueError("c_0 must be present")
         return cls(_freeze(logs), meta)
@@ -65,16 +78,12 @@ class EntireSeries:
     @classmethod
     def bg_kernel(cls, params: AlgebraParams, n_max: int) -> "EntireSeries":
         """The eigenstate kernel 1/sqrt(F(n)!), n <= n_max, as -1/2 cumsum(log
-        F(1..n)) written in place over the ladder rows' F buffer.  A finite
-        ladder is a `DomainError`."""
+        F(1..n)): a read-only prefix of the ladder's kept table (`_kernel_table`),
+        bit for bit the table built from n = 0.  A finite ladder is a
+        `DomainError`; a negative n_max + 1 is the ValueError of `_table_rows`."""
         if classify(params).is_finite:
             raise DomainError("the kernel series needs an infinite ladder")
-        logs, _ = _table_rows(params, n_max + 1)
-        np.log(logs[1:], out=logs[1:])
-        logs[:1] = 0.0  # log F(0)! = 0
-        np.cumsum(logs[1:], out=logs[1:])
-        logs *= -0.5
-        return cls(_freeze(logs), meta=f"bg kernel, r = {params.r}")
+        return cls(_kernel_table(params, n_max + 1), meta=f"bg kernel, r = {params.r}")
 
     def __len__(self) -> int:
         return len(self.log_moduli)
@@ -82,6 +91,48 @@ class EntireSeries:
     @property
     def moduli(self) -> np.ndarray:
         return np.exp(self.log_moduli)
+
+
+def _refuse(bad: np.ndarray, values: np.ndarray, name: str) -> None:
+    """A ValueError naming the first entry of ``values`` where ``bad`` holds."""
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise ValueError(f"{name} at n = {n} is {float(values[n])!r}")
+
+
+def _kernel_table(params: AlgebraParams, size: int) -> np.ndarray:
+    """-1/2 log F(n)!, n < size, read-only: a prefix of the table kept for
+    params.kappas, extended first where it is shorter.  The table moves to
+    the most recently used end of `_KERNELS`, which keeps KERNEL_LADDERS."""
+    table = _KERNELS.get(params.kappas, _NO_TABLE)
+    if not 0 <= size <= len(table):
+        table = _extended(params, table, size)
+    _KERNELS.pop(params.kappas, None)
+    _KERNELS[params.kappas] = table
+    if len(_KERNELS) > KERNEL_LADDERS:
+        del _KERNELS[next(iter(_KERNELS))]
+    return table[:size]
+
+
+def _extended(params: AlgebraParams, table: np.ndarray, size: int) -> np.ndarray:
+    """The table of -1/2 log F(n)!, n < size, from the F rows lo <= n < size
+    (`_ladder_rows`, bit-equal to the table's) with lo the table's last
+    index: a sequential cumsum of their logs in place over the F buffer,
+    started from log F(lo)! = -2 table[lo] (exact), appended to table[:lo].
+    A table of at most one entry, a negative size, or rows `_ladder_rows`
+    refuses, build from n = 0 (`_table_rows`), so every refusal is the cold
+    build's."""
+    lo, logs = len(table) - 1, None
+    if 0 < lo < size:
+        with contextlib.suppress(DomainError):  # refused again below, named from n = 0
+            logs = _ladder_rows(params, lo, size)[0]
+    if logs is None:
+        lo, logs = 0, _table_rows(params, size)[0]
+    logs[:1] = -2.0 * table[lo] if lo else 0.0  # log F(0)! = 0
+    np.log(logs[1:], out=logs[1:])
+    np.cumsum(logs, out=logs)
+    logs *= -0.5
+    return _freeze(np.concatenate((table[:lo], logs)) if lo else logs)
 
 
 @dataclass(frozen=True)
@@ -143,11 +194,16 @@ def estimate_growth(series: EntireSeries) -> GrowthEstimate:
     intercept keeps both fixed under a rescaling of the c_n.  The fit is
     projections on the orthogonal columns 1 and n - mid, n log n stripped
     twice (classical Gram-Schmidt twice: Bjorck 1996, sec. 2.4; Giraud,
-    Langou & Rozloznik 2005).  A polynomial, fewer than MIN_COEFFS
-    coefficients or a slope under 1e-3 is a `DomainError`."""
+    Langou & Rozloznik 2005).  A polynomial, a log-modulus that is not
+    finite (named by its first index), fewer than MIN_COEFFS coefficients or
+    a slope under 1e-3 is a `DomainError`."""
     logs = series.log_moduli
-    if series.polynomial or not np.all(np.isfinite(logs)):
+    if series.polynomial:
         raise DomainError("polynomial (terminating) coefficient sequences have no growth order")
+    finite = np.isfinite(logs)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise DomainError(f"log |c_n| at n = {n} is {float(logs[n])!r}: no growth order to fit")
     n_max = len(logs) - 1
     if n_max + 1 < MIN_COEFFS:
         raise DomainError(f"need at least {MIN_COEFFS} coefficients, got {n_max + 1}")

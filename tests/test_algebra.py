@@ -22,6 +22,7 @@ from polywh import (
     reciprocal_ells,
     structure_function,
 )
+from polywh import bargmann
 from polywh.algebra import _ladder_rows, _phases, identity_deviations, ladder_table
 
 from oracles import (
@@ -210,18 +211,38 @@ def test_ladder_rows_equal_the_two_temporaries_form(kappas):
         assert _ladder_rows(params, 0, 1)[0].tobytes() == np.float64(0.0).tobytes()
 
 
+_KERNEL_SIZES = (0, 1, 2, 200, 12_345, 50_001)
+
+
 @pytest.mark.parametrize("kappas", _ROW_PARAMS, ids=lambda k: ",".join(k))
 def test_log_factorial_equals_the_concatenated_cumsum(kappas):
-    # the kernel's -1/2 log F(n)!, summed in place over the rows' F buffer
-    params = AlgebraParams(kappas)
+    # the kernel's -1/2 log F(n)!, summed in place over the rows' F buffer and
+    # extended from its last partial sum as the sizes rise
+    assert_kernels_equal_the_concatenated_cumsum(AlgebraParams(kappas), _KERNEL_SIZES)
+
+
+@pytest.mark.parametrize("order", ["falling", "shuffled"])
+@pytest.mark.parametrize("kappas", _ROW_PARAMS, ids=lambda k: ",".join(k))
+def test_log_factorial_equals_the_concatenated_cumsum_in_any_order(kappas, order):
+    # falling: every size after the first is a prefix of the kept table
+    sizes = sorted(_KERNEL_SIZES, reverse=True)
+    if order == "shuffled":
+        sizes = [12_345, 1, 50_001, 0, 200, 2]
+    assert_kernels_equal_the_concatenated_cumsum(AlgebraParams(kappas), sizes)
+
+
+def assert_kernels_equal_the_concatenated_cumsum(params, sizes):
+    """On a cleared kernel table, bg_kernel for each size in turn equals the
+    cold reference bit for bit; a finite ladder is refused first."""
+    bargmann._KERNELS.clear()
     if classify(params).is_finite:
         with pytest.raises(DomainError, match="infinite ladder"):
             EntireSeries.bg_kernel(params, 1)
         return
-    for size in (0, 1, 2, 200, 12_345, 50_001):
+    for size in sizes:
         logs = EntireSeries.bg_kernel(params, size - 1).log_moduli
         expected = -0.5 * log_factorial_by_concatenate(ladder_table(params, size).f)
-        assert logs.tobytes() == expected.tobytes()
+        assert logs.tobytes() == expected.tobytes(), size
 
 
 # --------------------------------------------------------- representations

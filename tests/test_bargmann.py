@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywh import (
     AlgebraParams,
@@ -20,6 +22,7 @@ from polywh import (
     schwarz_check,
 )
 
+from polywh import bargmann
 from polywh.algebra import ladder_table
 
 from oracles import bg_kernel_log_moduli, growth_by_column_stack, log_factorial_by_concatenate
@@ -172,6 +175,31 @@ def test_polynomial_input_rejected():
         EntireSeries.from_moduli([1.0, 0.0, 1.0])
 
 
+def test_a_log_modulus_that_is_not_finite_is_named_by_its_index():
+    logs = [-math.lgamma(n + 1) for n in range(400)]
+    for n, value in [(7, math.inf), (0, -math.inf), (399, math.nan)]:
+        bad = np.array(logs)
+        bad[n] = value
+        with pytest.raises(DomainError, match=rf"^log \|c_n\| at n = {n} is {value!r}: no growth"):
+            estimate_growth(EntireSeries(bad))  # a NaN passes only the raw constructor
+    assert estimate_growth(EntireSeries.from_log_moduli(logs)).rho_hat == pytest.approx(1, rel=0.05)
+
+
+def test_a_nan_modulus_is_refused_as_a_bad_c_0_is():
+    for moduli, n, value in [([math.nan, 1.0], 0, "nan"), ([1.0, 2.0, math.nan], 2, "nan"),
+                             ([1.0, -2.0, 0.0], 1, "-2.0")]:
+        for polynomial in (False, True):
+            with pytest.raises(ValueError, match=rf"^\|c_n\| at n = {n} is {value}$"):
+                EntireSeries.from_moduli(moduli, polynomial=polynomial)
+    for logs, n in [([math.nan, 0.0], 0), ([0.0, -1.0, math.nan, math.nan], 2)]:
+        with pytest.raises(ValueError, match=rf"^log \|c_n\| at n = {n} is nan$"):
+            EntireSeries.from_log_moduli(logs)
+    with pytest.raises(ValueError, match="c_0 must be present"):
+        EntireSeries.from_moduli([0.0, 1.0], polynomial=True)
+    series = EntireSeries.from_log_moduli([0.0, -math.inf, math.inf])  # a zero and an infinite |c_n|
+    assert series.log_moduli.tolist() == [0.0, -math.inf, math.inf]
+
+
 def test_too_few_coefficients_rejected():
     with pytest.raises(DomainError):
         estimate_growth(factorial_series(100))
@@ -265,6 +293,75 @@ def test_fit_is_no_less_accurate_than_lstsq_to_40_digits():
 def test_kernel_needs_infinite_ladder():
     with pytest.raises(DomainError):
         EntireSeries.bg_kernel(AlgebraParams(["-1/3"]), 500)
+
+
+# ------------------------------------------------------- kept kernel tables
+
+_TABLE_KAPPA = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=9, max_denominator=12),
+    st.integers(min_value=1, max_value=12).map(lambda ell: Fraction(1, ell)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ladders=st.lists(st.lists(_TABLE_KAPPA, min_size=1, max_size=3).map(tuple),
+                     min_size=1, max_size=bargmann.KERNEL_LADDERS + 3, unique=True),
+    calls=st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=-1, max_value=3000)),
+                   min_size=1, max_size=12),
+    order=st.sampled_from(["drawn", "rising", "falling", "repeated"]),
+)
+def test_kernel_tables_are_the_cold_kernel_bit_for_bit(ladders, calls, order):
+    # sizes rising (extensions), falling (prefixes), repeated and -1 on up to
+    # three more ladders than the table keeps, each asked once first so that
+    # a pool past KERNEL_LADDERS evicts, from a cleared table
+    calls = [(ladders[i % len(ladders)], n_max) for i, n_max in calls]
+    calls = [(kappas, calls[-1][1]) for kappas in ladders] + calls
+    if order in ("rising", "falling"):
+        calls.sort(key=lambda call: call[1], reverse=order == "falling")
+    elif order == "repeated":
+        calls = [call for call in calls for _ in range(2)]
+    bargmann._KERNELS.clear()
+    used = []
+    for kappas, n_max in calls:
+        params = AlgebraParams(kappas)
+        logs = EntireSeries.bg_kernel(params, n_max).log_moduli
+        expected = -0.5 * log_factorial_by_concatenate(ladder_table(params, n_max + 1).f)
+        assert logs.tobytes() == expected.tobytes(), (kappas, n_max)
+        assert not logs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            logs[:] = 0.0
+        used = [k for k in used if k != params.kappas] + [params.kappas]
+        assert list(bargmann._KERNELS) == used[-bargmann.KERNEL_LADDERS:]
+
+
+_HUGE_TABLES = [10**15, 2**63 - 1, 10**400]  # MemoryError, a wrapped length, ValueError
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_kernel_refusals_do_not_depend_on_the_kept_table(warm):
+    params, finite = AlgebraParams(["1/2", "1/3"]), AlgebraParams(["-1/3", "1/2"])
+    wide = AlgebraParams([10**97] * 3)  # F(n) Q passes the double range at n = 20,6xx
+    bargmann._KERNELS.clear()
+    if warm:
+        EntireSeries.bg_kernel(params, 3000)
+        EntireSeries.bg_kernel(wide, 20_000)
+    held = {kappas: len(table) for kappas, table in bargmann._KERNELS.items()}
+    for n_max in (-2, -3, -10**400):
+        with pytest.raises(ValueError, match=rf"^no ladder table of size {n_max + 1} for the inf"):
+            EntireSeries.bg_kernel(params, n_max)
+    for n_max in _HUGE_TABLES:
+        message = rf"^{n_max + 1} ladder rows \(from n = 0\) are more than numpy can allocate$"
+        with pytest.raises(DomainError, match=message):
+            EntireSeries.bg_kernel(params, n_max)
+    with pytest.raises(DomainError, match=r"values F\(n\) Q, n < 30001, pass the double range"):
+        EntireSeries.bg_kernel(wide, 30_000)
+    with pytest.raises(DomainError, match="^the kernel series needs an infinite ladder$"):
+        EntireSeries.bg_kernel(finite, 10)
+    assert {kappas: len(table) for kappas, table in bargmann._KERNELS.items()} == held
+    empty = EntireSeries.bg_kernel(params, -1).log_moduli
+    assert empty.shape == (0,) and not empty.flags.writeable
 
 
 # ----------------------------------------------------------- closed forms

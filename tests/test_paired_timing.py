@@ -30,7 +30,8 @@ def paired(parent, change, env=None):
 def test_one_growth_seed_against_the_same_checkout_twice():
     seed, line = paired(ROOT, ROOT)
     assert seed["commands"] > 0 and seed["exit_mismatches"] == 0
-    assert math.isfinite(seed["throughput_ratio"]) and seed["throughput_ratio"] > 0
+    for ratio in ("throughput_ratio", "first_run_throughput_ratio"):
+        assert math.isfinite(seed[ratio]) and seed[ratio] > 0
     assert seed["tail_percentile"] == run.tail_percentile(seed["commands"]) == 92.0
     assert all(math.isfinite(v) for v in (*seed["p50_ms"].values(), *seed["tail_ms"].values()))
     assert seed["tail_ms"]["parent"] >= seed["p50_ms"]["parent"]
@@ -39,6 +40,8 @@ def test_one_growth_seed_against_the_same_checkout_twice():
     peak_rss = seed["peak_rss_mb"].values()
     assert all(isinstance(v, float) and 0 < v < math.inf for v in peak_rss)
     assert "peak RSS" in line and " p92 " in line and "p93" not in line
+    assert f"throughput ratio {seed['throughput_ratio']:.3f} " in line
+    assert f"(first run {seed['first_run_throughput_ratio']:.3f})" in line
 
 
 def test_a_stale_bytecode_cache_does_not_bias_the_peak_rss(tmp_path):

@@ -13,20 +13,25 @@ worker, the two interleaved and the one that goes first alternating from
 command to command, and the minimum time is kept: on a machine whose cores are
 shared, unpaired runs of the same code spread far more than a paired
 difference.  Per seed it prints the throughput ratio change/parent
-(commands per second of the summed minima), the p50 of the minima of each
-side and their tail at the percentile `bench/run.py` takes for as many
-commands (`run.tail_percentile`: p93.3 for the 150 moments commands of a
-seed), the minor page faults per command of each side (the mean
-over every run of `getrusage`'s ru_minflt delta around the command,
-rounded), the peak RSS of each side's worker (`getrusage`'s ru_maxrss in
-MB, as `bench/run.py` reports it; a fresh worker pair per seed keeps it
-that seed's) and how many commands exited differently; the last line is
-one JSON object with the same numbers.  The streams and the command runner
-are read from `bench/` next to this file; nothing there is written.  Each
-checkout's `src/` is byte-compiled first (`compileall`, which writes only
-its `__pycache__`), so that neither worker compiles a module on start, as
-one with a stale cache would under PYTHONDONTWRITEBYTECODE, and pays for
-it in its peak RSS.
+(commands per second of the summed minima) and beside it the same ratio
+of each command's first run alone: runs 2 and 3 of a command find whatever
+per-process cache run 1 filled (a kept kernel table, say), so the minimum
+credits a cache with repeats that `bench/run.py`, which runs each command
+of the stream once, does not make; the first run sees only the caches the
+stream's earlier commands filled, as the benchmark does.  It then prints
+the p50 of the minima of each side and their tail at the percentile
+`bench/run.py` takes for as many commands (`run.tail_percentile`: p93.3
+for the 150 moments commands of a seed), the minor page faults per
+command of each side (the mean over every run of `getrusage`'s ru_minflt
+delta around the command, rounded), the peak RSS of each side's worker
+(`getrusage`'s ru_maxrss in MB, as `bench/run.py` reports it; a fresh
+worker pair per seed keeps it that seed's) and how many commands exited
+differently; the last line is one JSON object with the same numbers.  The
+streams and the command runner are read from `bench/` next to this file;
+nothing there is written.  Each checkout's `src/` is byte-compiled first
+(`compileall`, which writes only its `__pycache__`), so that neither
+worker compiles a module on start, as one with a stale cache would under
+PYTHONDONTWRITEBYTECODE, and pays for it in its peak RSS.
 """
 
 from __future__ import annotations
@@ -100,11 +105,12 @@ class Worker:
 
 
 def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
-    """Minimum times of every command of the first CYCLES cycles on both
-    sides, summed up as throughput ratio, percentiles, page faults per
-    command, peak RSS and exit mismatches.  The tail is taken at the
-    benchmark's own percentile for the command count."""
+    """Minimum and first-run times of every command of the first CYCLES
+    cycles on both sides, summed up as throughput ratios, percentiles of the
+    minima, page faults per command, peak RSS and exit mismatches.  The tail
+    is taken at the benchmark's own percentile for the command count."""
     best = {parent: [], change: []}
+    first = {parent: 0.0, change: 0.0}
     faults = {parent: 0, change: 0}
     peak_rss = {parent: 0.0, change: 0.0}
     mismatches = 0
@@ -113,8 +119,10 @@ def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
         order = (parent, change) if i % 2 == 0 else (change, parent)
         times = {side: math.inf for side in order}
         codes = {}
-        for _, side in itertools.product(range(REPEATS), order):
+        for repeat, side in itertools.product(range(REPEATS), order):
             codes[side], seconds, minflt, peak_rss[side] = side.time(argv)
+            if not repeat:
+                first[side] += seconds
             times[side] = min(times[side], seconds)
             faults[side] += minflt
         mismatches += codes[parent] != codes[change]
@@ -128,6 +136,7 @@ def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
         "commands": len(ms[parent]),
         "exit_mismatches": mismatches,
         "throughput_ratio": sum(best[parent]) / sum(best[change]),
+        "first_run_throughput_ratio": first[parent] / first[change],
         "p50_ms": {"parent": run.percentile(ms[parent], 50.0),
                    "change": run.percentile(ms[change], 50.0)},
         "tail_percentile": tail,
@@ -170,7 +179,8 @@ def main(argv=None) -> int:
             change.close()
     for r in results:
         print(f"{args.workload} seed {r['seed']}: {r['commands']} commands, "
-              f"throughput ratio {r['throughput_ratio']:.3f}, "
+              f"throughput ratio {r['throughput_ratio']:.3f} "
+              f"(first run {r['first_run_throughput_ratio']:.3f}), "
               f"p50 {r['p50_ms']['parent']:.3f} -> {r['p50_ms']['change']:.3f} ms, "
               f"p{r['tail_percentile']:g} {r['tail_ms']['parent']:.3f} -> "
               f"{r['tail_ms']['change']:.3f} ms, "
