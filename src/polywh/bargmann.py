@@ -8,7 +8,6 @@ the double range near n = 170, its log never.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +37,7 @@ __all__ = [
 
 MIN_COEFFS = 200
 KERNEL_LADDERS = 8  # -1/2 log F(n)! tables kept by `EntireSeries.bg_kernel`, one per ladder
+KERNEL_ROWS = 1 << 16  # longest table kept (512 KiB); a longer kernel is built and not kept
 
 # kappas -> read-only -1/2 log F(n)!, n < len; least recently used first
 _KERNELS: dict[tuple[Fraction, ...], np.ndarray] = {}
@@ -78,9 +78,9 @@ class EntireSeries:
     @classmethod
     def bg_kernel(cls, params: AlgebraParams, n_max: int) -> "EntireSeries":
         """The eigenstate kernel 1/sqrt(F(n)!), n <= n_max, as -1/2 cumsum(log
-        F(1..n)): a read-only prefix of the ladder's kept table (`_kernel_table`),
-        bit for bit the table built from n = 0.  A finite ladder is a
-        `DomainError`; a negative n_max + 1 is the ValueError of `_table_rows`."""
+        F(1..n)): a read-only prefix of the ladder's kept table (`_kernel_table`).
+        A finite ladder is a `DomainError`; a negative n_max + 1 is the
+        ValueError of `_table_rows`."""
         if classify(params).is_finite:
             raise DomainError("the kernel series needs an infinite ladder")
         return cls(_kernel_table(params, n_max + 1), meta=f"bg kernel, r = {params.r}")
@@ -103,10 +103,14 @@ def _refuse(bad: np.ndarray, values: np.ndarray, name: str) -> None:
 def _kernel_table(params: AlgebraParams, size: int) -> np.ndarray:
     """-1/2 log F(n)!, n < size, read-only: a prefix of the table kept for
     params.kappas, extended first where it is shorter.  The table moves to
-    the most recently used end of `_KERNELS`, which keeps KERNEL_LADDERS."""
+    the most recently used end of `_KERNELS`, which keeps KERNEL_LADDERS.  A
+    size outside 0..KERNEL_ROWS is built from n = 0 and not kept, so it
+    leaves `_KERNELS` as it was and is refused as the cold build refuses."""
+    if not 0 <= size <= KERNEL_ROWS:
+        return _kernel(params, size)
     table = _KERNELS.get(params.kappas, _NO_TABLE)
-    if not 0 <= size <= len(table):
-        table = _extended(params, table, size)
+    if size > len(table):
+        table = _kernel(params, size, table)
     _KERNELS.pop(params.kappas, None)
     _KERNELS[params.kappas] = table
     if len(_KERNELS) > KERNEL_LADDERS:
@@ -114,25 +118,26 @@ def _kernel_table(params: AlgebraParams, size: int) -> np.ndarray:
     return table[:size]
 
 
-def _extended(params: AlgebraParams, table: np.ndarray, size: int) -> np.ndarray:
-    """The table of -1/2 log F(n)!, n < size, from the F rows lo <= n < size
-    (`_ladder_rows`, bit-equal to the table's) with lo the table's last
-    index: a sequential cumsum of their logs in place over the F buffer,
-    started from log F(lo)! = -2 table[lo] (exact), appended to table[:lo].
-    A table of at most one entry, a negative size, or rows `_ladder_rows`
-    refuses, build from n = 0 (`_table_rows`), so every refusal is the cold
-    build's."""
-    lo, logs = len(table) - 1, None
-    if 0 < lo < size:
-        with contextlib.suppress(DomainError):  # refused again below, named from n = 0
-            logs = _ladder_rows(params, lo, size)[0]
-    if logs is None:
-        lo, logs = 0, _table_rows(params, size)[0]
+def _kernel(params: AlgebraParams, size: int, table: np.ndarray = _NO_TABLE) -> np.ndarray:
+    """-1/2 log F(n)!, n < size, read-only: ``table`` up to its last index
+    lo, then a sequential cumsum of log F(n) over the rows lo < n < size
+    (`_ladder_rows`, bit-equal to the table's) in place over their F buffer,
+    started from log F(lo)! = -2 table[lo] (exact), so bit for bit the
+    kernel built from n = 0; those rows refuse only where F(n) Q, n < size,
+    passes the double range, as the rows from 0 do.  From a table of at most
+    one entry the rows are `_table_rows`' from n = 0, with its refusals, and
+    the buffer under them is frozen too, so that no prefix can be made
+    writable again."""
+    lo = max(len(table) - 1, 0)
+    logs = (_ladder_rows(params, lo, size) if lo else _table_rows(params, size))[0]
     logs[:1] = -2.0 * table[lo] if lo else 0.0  # log F(0)! = 0
     np.log(logs[1:], out=logs[1:])
     np.cumsum(logs, out=logs)
     logs *= -0.5
-    return _freeze(np.concatenate((table[:lo], logs)) if lo else logs)
+    if lo:
+        return _freeze(np.concatenate((table[:lo], logs)))
+    _freeze(logs.base)
+    return _freeze(logs)
 
 
 @dataclass(frozen=True)

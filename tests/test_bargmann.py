@@ -332,8 +332,27 @@ def test_kernel_tables_are_the_cold_kernel_bit_for_bit(ladders, calls, order):
         assert not logs.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             logs[:] = 0.0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            logs.setflags(write=True)
         used = [k for k in used if k != params.kappas] + [params.kappas]
         assert list(bargmann._KERNELS) == used[-bargmann.KERNEL_LADDERS:]
+
+
+def test_a_kernel_longer_than_kernel_rows_is_not_kept():
+    small, params = AlgebraParams(["1/2"]), AlgebraParams(["1/2", "1/3"])
+    bargmann._KERNELS.clear()
+    EntireSeries.bg_kernel(params, 100)
+    EntireSeries.bg_kernel(small, 100)
+    held = list(bargmann._KERNELS.items())
+    for n_max in (bargmann.KERNEL_ROWS, 2 * bargmann.KERNEL_ROWS):
+        logs = EntireSeries.bg_kernel(params, n_max).log_moduli
+        expected = -0.5 * log_factorial_by_concatenate(ladder_table(params, n_max + 1).f)
+        assert logs.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            logs.setflags(write=True)
+        assert list(bargmann._KERNELS.items()) == held  # same order, same arrays
+    longest = EntireSeries.bg_kernel(params, bargmann.KERNEL_ROWS - 1).log_moduli
+    assert len(bargmann._KERNELS[params.kappas]) == len(longest) == bargmann.KERNEL_ROWS
 
 
 _HUGE_TABLES = [10**15, 2**63 - 1, 10**400]  # MemoryError, a wrapped length, ValueError
