@@ -247,11 +247,20 @@ def estimate_growth(series: EntireSeries) -> GrowthEstimate:
 
 
 def closed_form_growth(params: AlgebraParams) -> tuple[float, float]:
-    """(rho, sigma) of the eigenstate kernel for kappa_i = 1/ell_i:
-    rho = 2/(1+q) and sigma = ((1+q)/2) (ell_1 ... ell_q)^{1/(1+q)}, q the
-    number of nonzero kappas; other kappas are a `DomainError`."""
-    ells = reciprocal_ells(params)
-    q = len(ells)
-    rho = 2.0 / (1 + q)
-    sigma = (1 + q) / 2.0 * float(math.prod(ells)) ** (1.0 / (1 + q))
-    return rho, sigma
+    """(rho, sigma) of the eigenstate kernel on an infinite ladder (every
+    kappa_i >= 0): rho = 2/(1+q) and sigma = ((1+q)/2) P^{1/(1+q)} with
+    P = 1/(kappa_1 ... kappa_q) over the q nonzero kappas, taken exactly (for
+    kappa_i = 1/ell_i, P = ell_1 ... ell_q).  A finite ladder is a
+    `DomainError`, and so is a P past the double range."""
+    if classify(params).is_finite:
+        raise DomainError("the kernel series needs an infinite ladder")
+    nonzero = [kappa for kappa in params.kappas if kappa]
+    q = len(nonzero)
+    try:
+        product = float(1 / math.prod(nonzero, start=Fraction(1)))
+    except OverflowError:
+        raise DomainError(
+            f"kappa = {','.join(map(str, params.kappas))}: 1/(kappa_1 ... kappa_q) passes "
+            "the double range"
+        ) from None
+    return 2.0 / (1 + q), (1 + q) / 2.0 * product ** (1.0 / (1 + q))

@@ -4,6 +4,11 @@ One subcommand per computation, JSON by default (CSV for tables), byte
 for byte the same for the same configuration.  `build_parser` alone names,
 converts, validates and defaults each option; a ``--config`` file's lines
 are read as ``--key=value`` flags ahead of the command line's, which win.
+A command line is read by its subcommand's own parser; the top-level parser
+reads it only where it names no subcommand or leaves tokens over, so every
+usage error and help text is the one ``_PARSER.parse_args`` prints.
+`json_text` writes each ndarray from one orjson dump: a complex one as
+{"re", "im"} objects, a real one as numbers, a 2-D one as a list of rows.
 numpy, orjson and the numeric modules are imported inside the code that
 runs them, so ``--help``, usage errors and `spectrum` import neither numpy
 nor orjson, and library functions are read from their home modules at
@@ -16,6 +21,7 @@ on stderr), 2 I/O and usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import itertools
 import math
@@ -121,8 +127,7 @@ def load_config(path: str, command: str) -> list[str]:
     ``tail_tol`` becomes ``--tail-tol=value``, ``normalize=<bool>`` becomes
     ``--normalize`` or nothing.  Keys that only other commands take are
     skipped; a key no command takes is a ValueError."""
-    takes = {cmd: vars(_PARSER.parse_args([cmd])).keys() - {"command", "config"}
-             for cmd in _COMMANDS}
+    takes = {cmd: vars(_parse([cmd])).keys() - {"command", "config"} for cmd in _COMMANDS}
     known = set().union(*takes.values())
     flags = []
     with open(path) as file:
@@ -344,8 +349,8 @@ def cmd_measure(args):
             "levels": len(moments.values),
             "moments": [str(v) for v in moments.values],
             "moments_float": [_float_or_none(v) for v in moments.values],
-            "nodes": [float(t) for t in measure.nodes],
-            "weights": [float(w) for w in measure.weights],
+            "nodes": measure.nodes,
+            "weights": measure.weights,
             "n_matched": measure.n_matched,
             "moment_match_max_rel_err": measure.max_rel_err,
             "identity_deviation": deviation,
@@ -525,9 +530,9 @@ _NON_FINITE = {"inf", "-inf", "nan"}  # float.__repr__ of the floats json.dumps 
 def _write_json(value, level: int, out: list) -> None:
     """Append the ``json.dumps(indent=2, allow_nan=False)`` text of
     ``value`` (its str keys in order), opening at indent ``level``, to
-    ``out``, or raise its ValueError or TypeError.  A complex ndarray is
-    written as nested lists of {"re", "im"} objects; a list of only floats
-    and None, or of only strings, is joined in one pass."""
+    ``out``, or raise its ValueError or TypeError.  An ndarray is written
+    as `_write_array` writes it; a list of only floats and None, or of only
+    strings, is joined in one pass."""
     if isinstance(value, float):  # no str, None, bool or int is a float
         if not math.isfinite(value):
             raise _out_of_range(value)
@@ -556,19 +561,18 @@ def _is_ndarray(value) -> bool:
 
 
 def _write_container(value, level: int, out: list) -> None:
-    """`_write_json` of a dict, a list or tuple, or an ndarray (a 2-D one as
-    a list of its rows)."""
+    """`_write_json` of a dict, a list or tuple, or an ndarray."""
     is_dict = isinstance(value, dict)
     opening, closing = "{}" if is_dict else "[]"
     if not len(value):
         out.append(opening + closing)
         return
+    if _is_ndarray(value) and value.size:  # shape (r, 0): r empty rows, below
+        _write_array(value, level, out)
+        return
     inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level + closing
     kinds = set(map(type, value)) if isinstance(value, (list, tuple)) else set()
-    if _is_ndarray(value) and value.ndim == 1:
-        _write_complex(value, inner, close, out)
-        return
-    elif kinds and kinds <= _FLOAT_OR_NULL:
+    if kinds and kinds <= _FLOAT_OR_NULL:
         items = ["null" if v is None else float.__repr__(v) for v in value]
         if not _NON_FINITE.isdisjoint(items):
             raise _out_of_range(next(v for v in value if v is not None and not math.isfinite(v)))
@@ -585,36 +589,64 @@ def _write_container(value, level: int, out: list) -> None:
     out += (opening, inner, ("," + inner).join(items), close)
 
 
-def _write_complex(value, inner: str, close: str, out: list) -> None:
-    """Append the list of {"re", "im"} objects of a nonempty 1-D complex
-    ndarray, each opening at ``inner`` and the list ending in ``close``,
-    from one orjson dump of its (re, im) pairs.
+def _write_array(value, level: int, out: list) -> None:
+    """Append the text of a nonempty ndarray opening at indent ``level``: a
+    complex one as lists of {"re", "im"} objects, a real one as lists of its
+    float64 values, a 2-D one as a list of its rows; from one orjson dump of
+    its floats, a complex entry the pair [re, im].
 
     orjson's shortest digits (Ryu) are float.__repr__'s; its text differs
     in three forms, rewritten on the compact dump: a positive exponent has
-    no "+" (e16), a one-digit exponent is not padded (e-7; orjson writes
-    e-6 to e-9 there), and 1e-5 <= |x| < 1e-4 is written positionally
-    (0.000025, not 2.5e-05).  orjson writes NaN as null, so the finite
-    check comes first."""
+    no "+" (e16; only where some |x| >= 1e16 is the text searched for it), a
+    one-digit exponent is not padded (e-7; orjson writes e-6 to e-9 there),
+    and 1e-5 <= |x| < 1e-4 is written positionally (0.000025, not 2.5e-05).
+    orjson writes NaN as null, so the finite check comes first."""
     import numpy as np
     import orjson
 
-    if not np.isfinite(value).all():  # the first non-finite float, as json.dumps names it
-        parts = np.stack((value.real, value.imag), axis=-1)
-        raise _out_of_range(float(parts[~np.isfinite(parts)][0]))
-    pairs = np.ascontiguousarray(value, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-    dump = orjson.dumps(pairs, option=orjson.OPT_SERIALIZE_NUMPY)
-    text = str(memoryview(dump)[2:-2], "ascii")  # a,b],[c,d: no outer brackets
+    is_complex = np.iscomplexobj(value)
+    floats = np.ascontiguousarray(value, dtype=np.complex128 if is_complex else np.float64)
+    if is_complex:
+        floats = floats.view(np.float64).reshape(*value.shape, 2)
+    largest = np.abs(floats).max()  # NaN if any float is
+    if not largest < math.inf:  # the first non-finite float, as json.dumps names it
+        raise _out_of_range(float(floats[~np.isfinite(floats)][0]))
+    head, separators, tail = _array_layout(level, floats.ndim, is_complex)
+    dump = orjson.dumps(floats, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = str(memoryview(dump)[floats.ndim:-floats.ndim], "ascii")  # a,b],[c,d
     del dump  # freed before the rewrites copy the text
-    text = re.sub(r"e(?=\d)", "e+", text)
+    if largest >= 1e16:  # most coefficient arrays reach the other two ranges
+        text = re.sub(r"e(?=\d)", "e+", text)
     text = re.sub(r"e-(?=\d(?!\d))", "e-0", text)
     # the lookbehind after the literal lets the search skip to each 0.0000
     text = re.sub(r"0\.0000(?<!\d0\.0000)(\d)(\d*)", _fifth_decimal, text)
-    key = inner + "  "
-    im = "," + key + '"im": '  # every comma, the one in each ],[ too
-    text = text.replace(",", im)
-    text = text.replace("]" + im + "[", inner + "}," + inner + "{" + key + '"re": ')
-    out += ("[" + inner + "{" + key + '"re": ', text, inner + "}" + close)
+    for compact, indented in separators:
+        text = text.replace(compact, indented)
+    out += (head, text, tail)
+
+
+@functools.lru_cache
+def _array_layout(level: int, depth: int, is_complex: bool) -> tuple:
+    """(head, separators, tail) of `_write_array`'s text of a compact orjson
+    dump of ``depth`` nested lists opening at indent ``level``, the innermost
+    an {"re", "im"} object if ``is_complex``.  Each separator is a (compact,
+    indented) pair, replaced in order: "," first, which turns each ],[ of
+    every depth into ] + sep + [, then the longest such bracket run first."""
+    # the list at depth k (1 outermost) holds its entries at indent level + k
+    pad = ["\n" + "  " * (level + k) for k in range(depth + 1)]
+    brackets = ["[]"] * depth + ["{}" if is_complex else "[]"]  # by depth, from 1
+    first = '"re": ' if is_complex else ""
+
+    def opens(k):  # open depths k to depth, up to the first number
+        return "".join(pad[j - 1] + brackets[j][0] for j in range(k, depth + 1)) + pad[-1] + first
+
+    def closes(k):  # close depths depth to k
+        return "".join(pad[j - 1] + brackets[j][1] for j in range(depth, k - 1, -1))
+
+    sep = "," + pad[-1] + ('"im": ' if is_complex else "")
+    runs = [("]" * (depth - k) + sep + "[" * (depth - k), closes(k + 1) + "," + opens(k + 1))
+            for k in range(1, depth)]
+    return "[" + opens(2), ((",", sep), *runs), closes(1)
 
 
 def _fifth_decimal(match) -> str:
@@ -625,9 +657,10 @@ def _fifth_decimal(match) -> str:
 
 def json_text(payload: dict) -> str:
     """Strict JSON of a payload, indented by 2, and a newline: byte for byte
-    ``json.dumps(payload, indent=2, allow_nan=False)`` with each complex
-    ndarray as its list of {"re", "im"} dicts, raising json.dumps's ValueError
-    or TypeError where it would."""
+    ``json.dumps(payload, indent=2, allow_nan=False)`` with each ndarray as
+    the ``tolist()`` of its float64 or complex128 values, a complex entry as
+    its {"re", "im"} dict, raising json.dumps's ValueError or TypeError where
+    it would."""
     out = []
     _write_json(payload, 0, out)
     out.append("\n")
@@ -704,11 +737,25 @@ def _complete(args: argparse.Namespace) -> None:
             parser.error(f"environment variable {TAIL_TOL_ENV}: invalid float value: {env!r}")
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """What ``_PARSER.parse_args(argv)`` gives, read by the subcommand's own
+    parser alone: the top-level parser would scan every token once more
+    before handing them to it.  Where argv names no subcommand or leaves
+    tokens over, the top-level parser reads it, so that the usage and error
+    printed are its own."""
+    parser = _SUBPARSERS.get(argv[0]) if argv else None
+    if parser is not None:
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return _PARSER.parse_args(argv)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_flag_values(list(argv))
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     if args.config:
         try:
             flags = load_config(args.config, args.command)
@@ -719,7 +766,7 @@ def main(argv=None) -> int:
             print(f"error: bad config: {exc}", file=sys.stderr)
             return EXIT_IO
         # the same parser reads the config flags, and later flags win
-        args = _PARSER.parse_args([args.command, *flags, *argv[1:]])
+        args = _parse([args.command, *flags, *argv[1:]])
     _complete(args)
     try:
         payload, table = _COMMANDS[args.command](args)

@@ -390,6 +390,8 @@ def test_closed_form_substitutions():
     rho, sigma = closed_form_growth(AlgebraParams([1, 1]))
     assert (rho, sigma) == (pytest.approx(2 / 3), pytest.approx(1.5))
     assert closed_form_growth(AlgebraParams(["1/4"])) == (1.0, pytest.approx(2.0))
+    assert closed_form_growth(AlgebraParams(["2/3"])) == (1.0, pytest.approx(math.sqrt(1.5)))
+    assert closed_form_growth(AlgebraParams(["0", "3/5"])) == (1.0, pytest.approx(math.sqrt(5 / 3)))
 
 
 def test_closed_form_oscillator_limit():
@@ -397,9 +399,26 @@ def test_closed_form_oscillator_limit():
     assert closed_form_growth(AlgebraParams([0])) == (2.0, 0.5)
 
 
-def test_closed_form_rejects_non_reciprocal():
-    with pytest.raises(DomainError):
-        closed_form_growth(AlgebraParams(["3/5"]))
+def test_closed_form_refuses_a_finite_ladder():
+    with pytest.raises(DomainError, match="^the kernel series needs an infinite ladder$"):
+        closed_form_growth(AlgebraParams(["-1/3", "2/5"]))
+    with pytest.raises(DomainError, match=r"1/\(kappa_1 ... kappa_q\) passes the double range"):
+        closed_form_growth(AlgebraParams([Fraction(1, 10**200), Fraction(1, 10**200)]))
+
+
+@pytest.mark.parametrize("kappas, rho_tol, sigma_tol", [
+    (["2/3"], 5e-5, 5e-4),
+    (["2/3", "1/5", "9/7"], 1e-4, 1e-3),
+    (["0", "3/5"], 5e-5, 5e-4),
+])
+def test_closed_form_meets_the_fit_at_p_over_q(kappas, rho_tol, sigma_tol):
+    # kappa not of the 1/ell form: the order and type still follow from the
+    # product of the nonzero kappas, as the fit at 50,000 coefficients reads them
+    params = AlgebraParams(kappas)
+    rho, sigma = closed_form_growth(params)
+    est = estimate_growth(EntireSeries.bg_kernel(params, 50_000))
+    assert abs(est.rho_hat - rho) / rho <= rho_tol
+    assert abs(est.sigma_hat - sigma) / sigma <= sigma_tol
 
 
 def test_order_decreases_with_r():

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import types
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,30 @@ def test_every_run_takes_the_benchmarks_own_length(monkeypatch, tmp_path):
     snapshot = json.loads(out.read_text())["change"]
     assert snapshot["command"] == f"bench/run.py --seconds {spec['run_seconds']:g} --trace 0"
     assert list(snapshot["workloads"]) == workloads
+
+
+def test_each_checkout_is_byte_compiled_once_before_its_runs(monkeypatch, tmp_path):
+    events = []
+
+    def compile_dir(path, quiet=0):
+        events.append(("compile", Path(path)))
+        return True
+
+    def run(cmd, cwd, **kwargs):
+        events.append(("run", Path(cwd)))
+        seed = int(cmd[cmd.index("--seed") + 1])
+        return subprocess.CompletedProcess(cmd, 0, _run_output(seed, 400.0, 4.0), "")
+
+    monkeypatch.setattr(bench_snapshot, "compileall", types.SimpleNamespace(compile_dir=compile_dir))
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", run)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    argv = ["--checkout", f"parent={parent}", "--checkout", f"change={change}", "--seeds", "1-2",
+            "--out", str(tmp_path / "snapshot.json")]
+    assert bench_snapshot.main(argv) == 0
+    compiled = [path for kind, path in events if kind == "compile"]
+    assert compiled == [parent / "src", change / "src"]
+    workloads = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())["workloads"]
+    for checkout in (parent, change):
+        runs = [i for i, event in enumerate(events) if event == ("run", checkout)]
+        assert len(runs) == 2 * len(workloads)
+        assert events.index(("compile", checkout / "src")) < runs[0]

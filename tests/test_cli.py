@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -409,6 +409,14 @@ def test_ell_flag(capsys):
     assert payload["kappas"] == ["1", "1"]
 
 
+def test_growth_writes_the_closed_form_off_the_1_over_ell_family(capsys):
+    code, out, _ = run_cli(capsys, "bargmann-growth", "--kappa", "2/3", "--nmax", "5000")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["rho_closed"], payload["sigma_closed"]) == (1.0, pytest.approx(math.sqrt(1.5)))
+    assert payload["rho_rel_err"] < 1e-3 and payload["sigma_rel_err"] < 1e-2
+
+
 def test_output_file_and_measure_csv(capsys, tmp_path):
     target = tmp_path / "measure.csv"
     code, out, _ = run_cli(
@@ -540,20 +548,26 @@ _EDGE_FLOATS = [
 ]
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 _COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
+_SHAPES = st.one_of(st.integers(0, 12), st.tuples(st.integers(0, 4), st.integers(0, 4)))
 _ARRAYS = st.one_of(
-    hnp.arrays(complex, st.integers(0, 12), elements=_COMPLEX),
-    hnp.arrays(complex, st.tuples(st.integers(0, 4), st.integers(0, 4)), elements=_COMPLEX),
+    hnp.arrays(complex, _SHAPES, elements=_COMPLEX),
+    hnp.arrays(np.float64, _SHAPES, elements=_FLOATS),
 )
 
 
 def _payload(array):
-    key = "coeffs" if array.ndim == 1 else "levels"
+    key = "levels" if array.ndim == 2 else "coeffs" if np.iscomplexobj(array) else "nodes"
     return {"command": "cs-test", "z": {"re": 0.5, "im": -0.0}, key: array, "after": None}
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(array=_ARRAYS)
+@example(array=np.array([0.5 + 1j, -2.25 - 0.125j, 3e-4, 1e15 - 0.1j]))  # no rewrite applies
+@example(array=np.array([[1e16 - 3j, 0.5], [-2.5e22, 7e300j]]))  # only e+ applies
+@example(array=np.array([-0.0, 1.5, 123456.789, 1e-3]))  # a real array, no rewrite
+@example(array=np.array([1e16, -2.5e-7, 2.5e-05, 1e-300]))  # a real array, all three
 def test_json_text_equals_the_dict_dump(array):
+    # a real array is json.dumps's text of its tolist(), a complex one of its dicts
     assert json_text(_payload(array)) == json_text_by_dicts(_payload(array))
 
 
@@ -566,6 +580,7 @@ def test_json_text_writes_every_float64_as_the_dict_dump():
     values = values[np.isfinite(values)]
     array = values[: values.size // 2 * 2].view(complex)
     assert json_text(_payload(array)) == json_text_by_dicts(_payload(array))
+    assert json_text(_payload(values)) == json_text_by_dicts(_payload(values))
 
 
 @settings(max_examples=100, deadline=None)
@@ -574,7 +589,7 @@ def test_json_text_refuses_non_finite_entries(array, data):
     array = array.copy()
     index = data.draw(st.integers(0, array.size - 1))
     bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    part = data.draw(st.sampled_from(["real", "imag"]))
+    part = data.draw(st.sampled_from(["real", "imag"] if np.iscomplexobj(array) else ["real"]))
     getattr(array.reshape(-1), part)[index] = bad
     assert not np.isfinite(array).all()
     with pytest.raises(ValueError) as expected:
@@ -761,6 +776,89 @@ def test_every_value_option_takes_a_value_starting_with_minus(value, capsys):
                 assert value in err, argv
             else:
                 assert getattr(args, action.dest) != action.default, argv
+
+
+# the dispatch: its subcommand's parser reads a command line, the top-level one
+# only a line that names no subcommand or leaves tokens over
+_DISPATCH = [
+    ([], 2),
+    (["-h"], 0),
+    (["--help"], 0),
+    (["bogus", "--kappa", "1/2"], 2),
+    (["spectrum", "-h"], 0),
+    (["cs-bg", "--kappa", "1/2", "--help"], 0),
+    (["spectrum", "--kappa", "1/2", "extra"], 2),
+    (["spectrum", "--kappa", "1/2", "spectrum"], 2),
+    (["spectrum", "--kappa", "1/2", "--bogus"], 2),
+    (["spectrum", "--kappa", "1/2", "--bogus=3"], 2),
+    (["spectrum", "-x", "--kappa", "1/2"], 2),
+    (["spectrum", "--kappa", "1/2", "--nm", "3"], 0),
+    (["cs-bg", "--kappa", "1/2", "--nor"], 0),
+    (["spectrum", "--he"], 0),
+    (["spectrum", "--kappa"], 2),
+    (["measure", "--kappa", "0", "--kind", "foo"], 2),
+    (["spectrum", "--kappa", "0", "--ell", "2"], 2),
+    (["spectrum", "--kappa", "1/2", "--", "--nmax", "3"], 2),
+    (["spectrum", "--kappa", "1/2", "--"], 2),
+    (["--", "spectrum", "--kappa", "1/2"], 2),
+    (["spectrum", "--nmax", "3"], 2),
+    (["spectrum", "--kappa", "1/2", "--config", "missing.cfg"], 2),
+    (["spectrum", "--config", "good.cfg", "--nmax", "2"], 0),
+    (["spectrum", "--kappa", "1/2", "--config", "bad.cfg"], 2),
+    (["spectrum", "--kappa", "1/2", "--config", "unknown.cfg"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", _DISPATCH, ids=lambda v: " ".join(v) or "no argv"
+                         if isinstance(v, list) else str(v))
+def test_main_prints_what_the_top_level_parser_prints(capsys, monkeypatch, tmp_path, argv, code):
+    # the same main with every command line read by cli._PARSER.parse_args
+    # alone: equal exit code, stdout and stderr, usage and help texts included
+    monkeypatch.delenv("POLYWH_TAIL_TOL", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for name, text in (("good", "kappa=1/2\nnmax=5\n"), ("bad", "nmax=abc\n"),
+                       ("unknown", "bogus=1\n")):
+        (tmp_path / f"{name}.cfg").write_text(text)
+    dispatched = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", cli._PARSER.parse_args)
+    assert run_cli(capsys, *argv) == dispatched
+    assert dispatched[0] == code
+
+
+_VALUES = {  # valid values of each option, by dest
+    "kappa": ["1/2", "-1/3", "0", "1/2,2"], "ell": ["2", "3,2"], "phi": ["0.3", "-0.25"],
+    "config": ["run.cfg"], "output": ["out.json", "-run.json"], "format": ["json", "csv"],
+    "nmax": ["0", "7"], "window": ["1", "6"], "s": ["2"], "z": ["0.5", "-1-2i"],
+    "w": ["1+0.5i"], "tail_tol": ["1e-8"], "dim": ["3"], "levels": ["8"],
+    "kind": ["perelomov", "barut-girardello"], "grid_radius": ["2.5", "-1"], "grid_points": ["5"],
+}
+
+
+@st.composite
+def _valid_argv(draw):
+    """A subcommand and some of its options, each given as two tokens or as
+    --flag=value, at most one of --kappa and --ell."""
+    command = draw(st.sampled_from(sorted(_subcommand_actions())))
+    argv, algebra = [command], set()
+    for action in draw(st.lists(st.sampled_from(_subcommand_actions()[command]), max_size=6)):
+        if action.dest in ("kappa", "ell"):
+            algebra.add(action.dest)
+            if len(algebra) > 1:
+                continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+        else:
+            value = draw(st.sampled_from(_VALUES[action.dest]))
+            argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_valid_argv())
+def test_the_subcommand_parser_reads_what_the_top_level_parser_reads(argv):
+    argv = cli._join_flag_values(argv)
+    assert vars(cli._parse(argv)) == vars(cli._PARSER.parse_args(argv))
 
 
 def _config(tmp_path, text):

@@ -11,13 +11,18 @@ JSON summary on the last line of each run it writes, per checkout, workload
 and metric, the median and the first and third quartiles over the seeds
 (`statistics.quantiles`, as `bench/report.py` takes them) and the per-seed
 values; from the provenance line, the commit, Python, numpy and nproc of the
-runs.  The output is one JSON object keyed by checkout label.  Nothing in a
+runs.  The output is one JSON object keyed by checkout label.  Each
+checkout's `src/` is byte-compiled before its first run (`compileall`, which
+writes only its `__pycache__`), as `tools/paired_timing.py` does, so that no
+run compiles a module on start, as one with a stale cache would under
+PYTHONDONTWRITEBYTECODE, and pays for it in its peak RSS; nothing else in a
 checkout is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import statistics
 import subprocess
@@ -89,6 +94,9 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
+    for _, checkout in args.checkout:
+        if not compileall.compile_dir(checkout / "src", quiet=1):
+            raise SystemExit(f"error: cannot byte-compile {checkout / 'src'}")
     runs = {label: {w: [] for w in workloads} for label, _ in args.checkout}
     for workload in workloads:
         for seed in args.seeds:
