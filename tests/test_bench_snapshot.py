@@ -89,7 +89,8 @@ def test_each_checkout_is_byte_compiled_once_before_its_runs(monkeypatch, tmp_pa
         seed = int(cmd[cmd.index("--seed") + 1])
         return subprocess.CompletedProcess(cmd, 0, _run_output(seed, 400.0, 4.0), "")
 
-    monkeypatch.setattr(bench_snapshot, "compileall", types.SimpleNamespace(compile_dir=compile_dir))
+    compileall = types.SimpleNamespace(compile_dir=compile_dir)
+    monkeypatch.setattr(bench_snapshot, "compileall", compileall)
     monkeypatch.setattr(bench_snapshot.subprocess, "run", run)
     parent, change = tmp_path / "parent", tmp_path / "change"
     argv = ["--checkout", f"parent={parent}", "--checkout", f"change={change}", "--seeds", "1-2",

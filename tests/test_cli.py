@@ -809,8 +809,8 @@ _DISPATCH = [
 ]
 
 
-@pytest.mark.parametrize("argv, code", _DISPATCH, ids=lambda v: " ".join(v) or "no argv"
-                         if isinstance(v, list) else str(v))
+@pytest.mark.parametrize("argv, code", _DISPATCH, ids=lambda v: (
+    (" ".join(v) or "no argv") if isinstance(v, list) else str(v)))
 def test_main_prints_what_the_top_level_parser_prints(capsys, monkeypatch, tmp_path, argv, code):
     # the same main with every command line read by cli._PARSER.parse_args
     # alone: equal exit code, stdout and stderr, usage and help texts included
