@@ -7,8 +7,11 @@ are read as ``--key=value`` flags ahead of the command line's, which win.
 A command line is read by its subcommand's own parser; the top-level parser
 reads it only where it names no subcommand or leaves tokens over, so every
 usage error and help text is the one ``_PARSER.parse_args`` prints.
-`json_text` writes each ndarray from one orjson dump: a complex one as
-{"re", "im"} objects, a real one as numbers, a 2-D one as a list of rows.
+`json_text` writes each ndarray from orjson dumps of its floats, 1,024 at
+a time: a complex one as {"re", "im"} objects, a real one as numbers, a
+2-D one as a list of rows, a 0-d real one as its float.  Each number whose
+form differs from float.__repr__'s, which |x| decides, is rewritten alone;
+no pass runs over the whole text.
 numpy, orjson and the numeric modules are imported inside the code that
 runs them, so ``--help``, usage errors and `spectrum` import neither numpy
 nor orjson, and library functions are read from their home modules at
@@ -26,7 +29,6 @@ import io
 import itertools
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -562,13 +564,13 @@ def _is_ndarray(value) -> bool:
 
 def _write_container(value, level: int, out: list) -> None:
     """`_write_json` of a dict, a list or tuple, or an ndarray."""
+    if _is_ndarray(value) and value.size:  # shape (r, 0): r empty rows, below
+        _write_array(value, level, out)
+        return
     is_dict = isinstance(value, dict)
     opening, closing = "{}" if is_dict else "[]"
     if not len(value):
         out.append(opening + closing)
-        return
-    if _is_ndarray(value) and value.size:  # shape (r, 0): r empty rows, below
-        _write_array(value, level, out)
         return
     inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level + closing
     kinds = set(map(type, value)) if isinstance(value, (list, tuple)) else set()
@@ -592,46 +594,90 @@ def _write_container(value, level: int, out: list) -> None:
 def _write_array(value, level: int, out: list) -> None:
     """Append the text of a nonempty ndarray opening at indent ``level``: a
     complex one as lists of {"re", "im"} objects, a real one as lists of its
-    float64 values, a 2-D one as a list of its rows; from one orjson dump of
-    its floats, a complex entry the pair [re, im].
+    float64 values, a 2-D one as a list of its rows, a 0-d one as its float
+    (a 0-d complex one is json.dumps's TypeError).
 
-    orjson's shortest digits (Ryu) are float.__repr__'s; its text differs
-    in three forms, rewritten on the compact dump: a positive exponent has
-    no "+" (e16; only where some |x| >= 1e16 is the text searched for it), a
-    one-digit exponent is not padded (e-7; orjson writes e-6 to e-9 there),
-    and 1e-5 <= |x| < 1e-4 is written positionally (0.000025, not 2.5e-05).
-    orjson writes NaN as null, so the finite check comes first."""
+    The floats, a complex entry the pair (re, im), are written in chunks of
+    about `_CHUNK_FLOATS` (whole periods of `_array_layout`'s separators),
+    each from one orjson dump.  orjson's shortest digits (Ryu) are float.__repr__'s; only
+    the form of a number can differ, and which form it takes depends on |x|
+    alone (`_form_bounds`).  So a chunk's floats are sorted by form, and only
+    the numbers of the three forms that differ are rewritten, each alone.
+    The chunk's numbers and separators are joined into one string; no pass
+    runs over the whole text before `json_text`'s join.  orjson writes NaN
+    as null, so the finite check comes first."""
     import numpy as np
     import orjson
 
-    is_complex = np.iscomplexobj(value)
+    is_complex = value.dtype.kind == "c"
+    if not value.ndim:  # its tolist(), which json.dumps refuses if complex
+        _write_json(complex(value) if is_complex else float(value), level, out)
+        return
     floats = np.ascontiguousarray(value, dtype=np.complex128 if is_complex else np.float64)
     if is_complex:
         floats = floats.view(np.float64).reshape(*value.shape, 2)
-    largest = np.abs(floats).max()  # NaN if any float is
-    if not largest < math.inf:  # the first non-finite float, as json.dumps names it
-        raise _out_of_range(float(floats[~np.isfinite(floats)][0]))
-    head, separators, tail = _array_layout(level, floats.ndim, is_complex)
-    dump = orjson.dumps(floats, option=orjson.OPT_SERIALIZE_NUMPY)
-    text = str(memoryview(dump)[floats.ndim:-floats.ndim], "ascii")  # a,b],[c,d
-    del dump  # freed before the rewrites copy the text
-    if largest >= 1e16:  # most coefficient arrays reach the other two ranges
-        text = re.sub(r"e(?=\d)", "e+", text)
-    text = re.sub(r"e-(?=\d(?!\d))", "e-0", text)
-    # the lookbehind after the literal lets the search skip to each 0.0000
-    text = re.sub(r"0\.0000(?<!\d0\.0000)(\d)(\d*)", _fifth_decimal, text)
-    for compact, indented in separators:
-        text = text.replace(compact, indented)
-    out += (head, text, tail)
+    flat = floats.ravel()
+    head, separators, tail = _array_layout(level, floats.shape[1:], is_complex)
+    period = len(separators)
+    step = max(1, _CHUNK_FLOATS // period) * period  # so each chunk ends on separators[-1]
+    out.append(head)
+    for start in range(0, flat.size, step):
+        chunk = flat[start:start + step]
+        forms = _form_bounds().searchsorted(np.abs(chunk), "right")  # NaN sorts past inf
+        below_1e9, pad, fifth, plain, signed, non_finite = np.bincount(forms, minlength=6).tolist()
+        if non_finite:  # the first non-finite float, as json.dumps names it
+            raise _out_of_range(float(chunk[~np.isfinite(chunk)][0]))
+        numbers = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        if pad or fifth or signed:
+            by_form = forms.argsort().tolist()  # the indices of each form in turn
+            at = below_1e9
+            for i in by_form[at:at + pad]:  # 1e-9 <= |x| < 1e-5: e-7 to e-07
+                numbers[i] = numbers[i].replace("e-", "e-0")
+            at += pad
+            for i in by_form[at:at + fifth]:  # 1e-5 <= |x| < 1e-4: 0.000025 to 2.5e-05
+                numbers[i] = _fifth_decimal(numbers[i])
+            for i in by_form[at + fifth + plain:]:  # 1e16 <= |x|: e16 to e+16
+                numbers[i] = numbers[i].replace("e", "e+")
+        if period == 1:  # a real 1-D array
+            out.append(separators[0].join(numbers))
+        else:  # the numbers, and between two the separator after the first
+            slots = [None] * (2 * len(numbers) - 1)
+            slots[::2] = numbers
+            slots[1::2] = (separators * (len(numbers) // period))[:-1]
+            out.append("".join(slots))
+        out.append(separators[-1])
+    out[-1] = tail  # in place of the separator after the last number
+
+
+# floats per chunk: each chunk's dump, text and arrays stay far below
+# glibc's 128 KiB mmap threshold, so they reuse heap memory instead of
+# mapping and faulting in fresh pages for every array
+_CHUNK_FLOATS = 1024
+
+
+@functools.cache
+def _form_bounds():
+    """The doubles nearest 1e-9, 1e-5, 1e-4 and 1e16, then inf, which part
+    orjson's forms exactly: were the shortest digits of an x below the double
+    nearest 10**k as large as 10**k, 10**k would round to x."""
+    import numpy as np
+
+    return np.array([1e-9, 1e-5, 1e-4, 1e16, math.inf])
+
+
+def _fifth_decimal(number: str) -> str:
+    """float.__repr__ of the 0.0000d... that orjson writes for 1e-5 <= |x| < 1e-4."""
+    sign, _, digits = number.partition("0.0000")
+    return f"{sign}{digits[0]}.{digits[1:]}e-05" if len(digits) > 1 else f"{sign}{digits}e-05"
 
 
 @functools.lru_cache
-def _array_layout(level: int, depth: int, is_complex: bool) -> tuple:
-    """(head, separators, tail) of `_write_array`'s text of a compact orjson
-    dump of ``depth`` nested lists opening at indent ``level``, the innermost
-    an {"re", "im"} object if ``is_complex``.  Each separator is a (compact,
-    indented) pair, replaced in order: "," first, which turns each ],[ of
-    every depth into ] + sep + [, then the longest such bracket run first."""
+def _array_layout(level: int, inner: tuple, is_complex: bool) -> tuple:
+    """(head, separators, tail) of `_write_array`'s text of a float64 array
+    of shape (r, *inner) opening at indent ``level``, the innermost list an
+    {"re", "im"} object if ``is_complex``: float i is followed by
+    separators[i % len(separators)], and the last float by the tail."""
+    depth = len(inner) + 1
     # the list at depth k (1 outermost) holds its entries at indent level + k
     pad = ["\n" + "  " * (level + k) for k in range(depth + 1)]
     brackets = ["[]"] * depth + ["{}" if is_complex else "[]"]  # by depth, from 1
@@ -643,16 +689,12 @@ def _array_layout(level: int, depth: int, is_complex: bool) -> tuple:
     def closes(k):  # close depths depth to k
         return "".join(pad[j - 1] + brackets[j][1] for j in range(depth, k - 1, -1))
 
-    sep = "," + pad[-1] + ('"im": ' if is_complex else "")
-    runs = [("]" * (depth - k) + sep + "[" * (depth - k), closes(k + 1) + "," + opens(k + 1))
-            for k in range(1, depth)]
-    return "[" + opens(2), ((",", sep), *runs), closes(1)
-
-
-def _fifth_decimal(match) -> str:
-    """float.__repr__ of the positional 0.0000d... orjson writes for 1e-5 <= |x| < 1e-4."""
-    lead, rest = match.groups()
-    return lead + "." + rest + "e-05" if rest else lead + "e-05"
+    period = math.prod(inner)
+    separators = ["," + pad[-1] + ('"im": ' if is_complex else "")] * period
+    for k in range(depth - 1, 0, -1):  # an entry of the depth-k list ends every step floats
+        step = math.prod(inner[k - 1:])
+        separators[step - 1::step] = [closes(k + 1) + "," + opens(k + 1)] * (period // step)
+    return "[" + opens(2), tuple(separators), closes(1)
 
 
 def json_text(payload: dict) -> str:

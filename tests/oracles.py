@@ -344,13 +344,14 @@ def coeff_list(coeffs) -> list[dict]:
 
 def json_text_by_dicts(payload: dict) -> str:
     """Artifact text with every 1-D or 2-D complex ndarray turned into
-    (lists of) `coeff_list` dicts, every real one into its `tolist()`, and
-    the whole dumped by json.dumps."""
+    (lists of) `coeff_list` dicts, every real or 0-d one into its `tolist()`
+    (json.dumps refuses the complex of a 0-d complex one), and the whole
+    dumped by json.dumps."""
 
     def plain(value):
         if not isinstance(value, np.ndarray):
             return value
-        if not np.iscomplexobj(value):
+        if not np.iscomplexobj(value) or not value.ndim:
             return value.tolist()
         return [coeff_list(row) for row in value] if value.ndim == 2 else coeff_list(value)
 

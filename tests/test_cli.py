@@ -548,7 +548,8 @@ _EDGE_FLOATS = [
 ]
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 _COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
-_SHAPES = st.one_of(st.integers(0, 12), st.tuples(st.integers(0, 4), st.integers(0, 4)))
+_SHAPES = st.one_of(st.just(()), st.integers(0, 12),
+                    st.tuples(st.integers(0, 4), st.integers(0, 4)))
 _ARRAYS = st.one_of(
     hnp.arrays(complex, _SHAPES, elements=_COMPLEX),
     hnp.arrays(np.float64, _SHAPES, elements=_FLOATS),
@@ -560,15 +561,84 @@ def _payload(array):
     return {"command": "cs-test", "z": {"re": 0.5, "im": -0.0}, key: array, "after": None}
 
 
+def _is_complex_scalar(array):
+    """A 0-d complex array, whose tolist() json.dumps refuses with a TypeError."""
+    return array.ndim == 0 and np.iscomplexobj(array)
+
+
 @settings(max_examples=300, deadline=None)
 @given(array=_ARRAYS)
 @example(array=np.array([0.5 + 1j, -2.25 - 0.125j, 3e-4, 1e15 - 0.1j]))  # no rewrite applies
 @example(array=np.array([[1e16 - 3j, 0.5], [-2.5e22, 7e300j]]))  # only e+ applies
 @example(array=np.array([-0.0, 1.5, 123456.789, 1e-3]))  # a real array, no rewrite
 @example(array=np.array([1e16, -2.5e-7, 2.5e-05, 1e-300]))  # a real array, all three
+@example(array=np.array(-2.5e-05))  # a 0-d real array: its float
+@example(array=np.array(1e16 + 0j))  # a 0-d complex array: json.dumps's TypeError
 def test_json_text_equals_the_dict_dump(array):
     # a real array is json.dumps's text of its tolist(), a complex one of its dicts
+    if _is_complex_scalar(array):
+        for write in (json_text, json_text_by_dicts):
+            with pytest.raises(TypeError, match="^Object of type complex is not JSON serial"):
+                write(_payload(array))
+    else:
+        assert json_text(_payload(array)) == json_text_by_dicts(_payload(array))
+
+
+# the decades of |x| in which orjson's text of x takes one form: as it is
+# (below 1e-9), e-7 for e-07, 0.000025 for 2.5e-05, as it is, e16 for e+16
+_FORM_EXPONENTS = [(-330.0, -9.0), (-9.0, -5.0), (-5.0, -4.0), (-4.0, 16.0), (16.0, 308.2)]
+
+
+@st.composite
+def _long_arrays(draw):
+    """A real or complex array of up to 2,000 entries or 6 x 300 whose
+    floats take the forms in random order: each log-uniform in its form's
+    decades (below 1e-324 it is 0), of either sign, about 1 in 20 an edge
+    float."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 2000)),
+                           st.tuples(st.integers(1, 6), st.integers(1, 300))))
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = math.prod(shape) * (2 if is_complex else 1)
+    low, high = np.array(_FORM_EXPONENTS).T
+    form = rng.integers(0, len(_FORM_EXPONENTS), count)
+    floats = 10.0 ** rng.uniform(low[form], high[form]) * rng.choice([-1.0, 1.0], count)
+    edges = rng.random(count) < 0.05
+    floats[edges] = rng.choice(_EDGE_FLOATS, edges.sum())
+    return (floats.view(complex) if is_complex else floats).reshape(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(array=_long_arrays())
+def test_json_text_writes_long_arrays_of_every_form_as_the_dict_dump(array):
     assert json_text(_payload(array)) == json_text_by_dicts(_payload(array))
+
+
+def test_json_text_writes_every_power_of_ten_and_its_neighbours_as_the_dict_dump():
+    # the writer's form bounds are powers of ten: each power from 1e-330 (0)
+    # to 1e308 and the doubles on either side, of either sign
+    powers = [float(f"1e{k}") for k in range(-330, 309)]
+    values = [x for p in powers for x in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
+    real = np.array(values + [-x for x in values])
+    for array in (real, real.view(complex), real.view(complex).reshape(3, -1)):
+        assert json_text(_payload(array)) == json_text_by_dicts(_payload(array))
+
+
+@pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+def test_a_long_perelomov_edge_state_is_written_as_the_dict_dump(capsys, normalize):
+    # kappa = 1/2 at rho = 1 - 10**-2.5 of the disk: over 10,000 coefficients,
+    # with hundreds or thousands in each form but the largest
+    argv = ["cs-perelomov", "--kappa", "1/2", "--z", repr((1 - 10**-2.5) / math.sqrt(0.5)),
+            *normalize]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    args = cli._parse(argv)
+    cli._complete(args)
+    payload, _ = cli.cmd_cs_perelomov(args)
+    assert len(payload["coeffs"]) >= 5000
+    moduli = np.abs(payload["coeffs"].view(np.float64))
+    assert (np.bincount(np.searchsorted([1e-9, 1e-5, 1e-4], moduli, "right")) > 500).all()
+    assert out == json_text_by_dicts(payload)
 
 
 def test_json_text_writes_every_float64_as_the_dict_dump():
@@ -584,7 +654,7 @@ def test_json_text_writes_every_float64_as_the_dict_dump():
 
 
 @settings(max_examples=100, deadline=None)
-@given(array=_ARRAYS.filter(lambda a: a.size > 0), data=st.data())
+@given(array=_ARRAYS.filter(lambda a: a.size > 0 and not _is_complex_scalar(a)), data=st.data())
 def test_json_text_refuses_non_finite_entries(array, data):
     array = array.copy()
     index = data.draw(st.integers(0, array.size - 1))
@@ -597,6 +667,19 @@ def test_json_text_refuses_non_finite_entries(array, data):
     with pytest.raises(ValueError) as refused:
         json_text(_payload(array))
     assert str(refused.value) == str(expected.value)
+
+
+def test_json_text_names_the_first_non_finite_float_of_a_long_array():
+    # the writer refuses a chunk at a time; the error names the first in
+    # document order, as json.dumps does, wherever the chunks part
+    array = np.linspace(-1.0, 1.0, 6000).view(complex)
+    array[[1900, 2500]] = [complex(0.5, -math.inf), math.nan]
+    with pytest.raises(ValueError) as expected:
+        json_text_by_dicts(_payload(array))
+    with pytest.raises(ValueError) as refused:
+        json_text(_payload(array))
+    assert str(refused.value) == str(expected.value) == (
+        "Out of range float values are not JSON compliant: -inf")
 
 
 _TEXTS = st.one_of(st.text(), st.sampled_from(['"quoted" \\ back/slash', "\n\t\r\b\f\x00\x1f",
@@ -620,8 +703,8 @@ def _trees(leaves):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tree=st.dictionaries(_TEXTS, _trees(_SCALARS), max_size=5), arrays=st.lists(_ARRAYS,
-                                                                                   max_size=2))
+@given(tree=st.dictionaries(_TEXTS, _trees(_SCALARS), max_size=5),
+       arrays=st.lists(_ARRAYS.filter(lambda a: not _is_complex_scalar(a)), max_size=2))
 def test_json_text_is_the_indented_dump(tree, arrays):
     assert json_text(tree) == json.dumps(tree, indent=2, allow_nan=False) + "\n"
     payload = {**tree, **{f"array {i}": array for i, array in enumerate(arrays)}}

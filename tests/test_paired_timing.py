@@ -42,6 +42,11 @@ def test_one_growth_seed_against_the_same_checkout_twice():
     assert "peak RSS" in line and " p92 " in line and "p93" not in line
     assert f"throughput ratio {seed['throughput_ratio']:.3f} " in line
     assert f"(first run {seed['first_run_throughput_ratio']:.3f})" in line
+    ratios = seed["subcommand_time_ratio"]
+    assert list(ratios) == ["bargmann-growth", "schwarz"]  # the growth stream's, sorted
+    assert all(math.isfinite(r) and r > 0 for r in ratios.values())
+    assert line.endswith("time change/parent by subcommand "
+                         + ", ".join(f"{name} {r:.3f}" for name, r in ratios.items()))
 
 
 def test_a_stale_bytecode_cache_does_not_bias_the_peak_rss(tmp_path):

@@ -31,7 +31,9 @@ streams and the command runner are read from `bench/` next to this file;
 nothing there is written.  Each checkout's `src/` is byte-compiled first
 (`compileall`, which writes only its `__pycache__`), so that neither
 worker compiles a module on start, as one with a stale cache would under
-PYTHONDONTWRITEBYTECODE, and pays for it in its peak RSS.
+PYTHONDONTWRITEBYTECODE, and pays for it in its peak RSS.  Last on each
+seed's line come the time ratios change/parent of the summed minima of
+each subcommand of the stream (below 1: the change is faster there).
 """
 
 from __future__ import annotations
@@ -107,9 +109,11 @@ class Worker:
 def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
     """Minimum and first-run times of every command of the first CYCLES
     cycles on both sides, summed up as throughput ratios, percentiles of the
-    minima, page faults per command, peak RSS and exit mismatches.  The tail
-    is taken at the benchmark's own percentile for the command count."""
+    minima, page faults per command, peak RSS, exit mismatches and the time
+    ratio of each subcommand's summed minima.  The tail is taken at the
+    benchmark's own percentile for the command count."""
     best = {parent: [], change: []}
+    by_subcommand = {}  # subcommand: {side: summed minimum seconds}
     first = {parent: 0.0, change: 0.0}
     faults = {parent: 0, change: 0}
     peak_rss = {parent: 0.0, change: 0.0}
@@ -126,8 +130,10 @@ def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
             times[side] = min(times[side], seconds)
             faults[side] += minflt
         mismatches += codes[parent] != codes[change]
+        summed = by_subcommand.setdefault(argv[0], {parent: 0.0, change: 0.0})
         for side in order:
             best[side].append(times[side])
+            summed[side] += times[side]
     ms = {side: [1e3 * t for t in kept] for side, kept in best.items()}
     runs = REPEATS * len(ms[parent])
     tail = run.tail_percentile(len(ms[parent]))
@@ -145,6 +151,8 @@ def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
         "minor_faults_per_command": {"parent": round(faults[parent] / runs),
                                      "change": round(faults[change] / runs)},
         "peak_rss_mb": {"parent": peak_rss[parent], "change": peak_rss[change]},
+        "subcommand_time_ratio": {name: summed[change] / summed[parent]
+                                  for name, summed in sorted(by_subcommand.items())},
     }
 
 
@@ -187,7 +195,9 @@ def main(argv=None) -> int:
               f"minor faults/command {r['minor_faults_per_command']['parent']} -> "
               f"{r['minor_faults_per_command']['change']}, "
               f"peak RSS {r['peak_rss_mb']['parent']:.2f} -> {r['peak_rss_mb']['change']:.2f} MB, "
-              f"exit mismatches {r['exit_mismatches']}")
+              f"exit mismatches {r['exit_mismatches']}, time change/parent by subcommand "
+              + ", ".join(f"{name} {ratio:.3f}"
+                          for name, ratio in r["subcommand_time_ratio"].items()))
     print(json.dumps({"workload": args.workload, "cycles": CYCLES, "repeats": REPEATS, "seeds": results}))
     return 0
 
