@@ -599,13 +599,13 @@ def _write_array(value, level: int, out: list) -> None:
 
     The floats, a complex entry the pair (re, im), are written in chunks of
     about `_CHUNK_FLOATS` (whole periods of `_array_layout`'s separators),
-    each from one orjson dump.  orjson's shortest digits (Ryu) are float.__repr__'s; only
-    the form of a number can differ, and which form it takes depends on |x|
-    alone (`_form_bounds`).  So a chunk's floats are sorted by form, and only
-    the numbers of the three forms that differ are rewritten, each alone.
-    The chunk's numbers and separators are joined into one string; no pass
-    runs over the whole text before `json_text`'s join.  orjson writes NaN
-    as null, so the finite check comes first."""
+    each from one orjson dump.  orjson's shortest digits (Ryu) are
+    float.__repr__'s; only the form of a number can differ, and which form
+    it takes depends on |x| alone (`_form_bounds`).  So a chunk's floats are
+    sorted by form, and only the numbers of the three forms that differ are
+    rewritten, each alone.  The chunk's numbers and separators are joined
+    into one string; no pass runs over the whole text before `json_text`'s
+    join.  orjson writes NaN as null, so the finite check comes first."""
     import numpy as np
     import orjson
 
