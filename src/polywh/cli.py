@@ -29,6 +29,7 @@ import io
 import itertools
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -87,7 +88,9 @@ def parse_ells(text: str) -> list[int]:
 
 
 def parse_complex(text: str) -> complex:
-    t = text.strip().replace(" ", "").replace("i", "j")
+    """Python's complex syntax with a trailing imaginary unit i read as j, so
+    that 1-2i and i parse while the i of inf stays."""
+    t = re.sub(r"i(\)?)$", r"j\1", text.strip().replace(" ", ""))
     try:
         return complex(t)
     except ValueError:
@@ -114,13 +117,17 @@ def parse_count(text: str, minimum: int = 0) -> int:
     return value
 
 
-def parse_finite(text: str) -> float:
+def parse_half_width(text: str) -> float:
+    """A float R such that R and the span 2R of the grid [-R, R] are finite."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    if not math.isfinite(2.0 * value):
+        raise argparse.ArgumentTypeError(
+            f"half-width {value!r}: the span 2R of the grid [-R, R] passes the double range")
     return value
 
 
@@ -512,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schwarz", parents=[common], help="kernel bound check on a z-grid")
     p.add_argument("--w", type=parse_complex, default=0.5 + 0j,
                    help="build f from the normalized eigenstate at w (default 0.5)")
-    p.add_argument("--grid-radius", type=parse_finite, default=2.0,
+    p.add_argument("--grid-radius", type=parse_half_width, default=2.0,
                    help="half-width of the square z-grid (default %(default)s)")
     p.add_argument("--grid-points", type=positive, default=9,
                    help="points per axis (default %(default)s)")
@@ -814,12 +821,12 @@ def main(argv=None) -> int:
     _complete(args)
     try:
         payload, table = _COMMANDS[args.command](args)
-    except (ValueError, TypeError) as exc:  # DomainError is a ValueError
+    except (ValueError, TypeError, MemoryError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
         emit(args, payload, table)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:

@@ -204,11 +204,16 @@ def _ratio_sup(kind, params, radius):
 def _perelomov_x(kind, params, radius):
     """x = kappa |z|^2 = q^2 of the perelomov series of an r = 1 ladder with
     kappa > 0 at |z| = radius (a float or an array), q the limit of
-    `_ratio_sup`; None for any other series.  The closed form needs
-    0 < x < 1: else c_1 = 0 in float, or x rounds to the rim or past it."""
+    `_ratio_sup`; None for any other series.  The state exists where x < 1
+    (q < 1 exactly where fl(q q) < 1); the closed form needs 0 < x < 1: else
+    c_1 = 0 in float, or x rounds to the rim or past it.  A kappa past the
+    double range is a `DomainError`."""
     if kind is not StateKind.PERELOMOV or params.r != 1:
         return None
-    kappa = float(params.kappas[0])
+    try:
+        kappa = float(params.kappas[0])
+    except OverflowError:
+        raise DomainError(f"kappa = {params.kappas[0]} passes the double range") from None
     if not kappa > 0.0:  # a kappa under the double range too
         return None
     q = radius * math.sqrt(kappa)
@@ -349,11 +354,39 @@ def _finish(kind, params, z, coeffs, normalize, meta) -> CoherentState:
     return CoherentState(kind, params, z, _freeze(coeffs), bool(normalize), meta)
 
 
-def _state(kind, params, dim, z, normalize, tail_tol, max_terms) -> CoherentState:
+def _require_family(kind, params):
+    """classify(params) where the ladder has states of ``kind`` at complex
+    z: barut-girardello states need an infinite ladder, perelomov states on
+    an infinite ladder need r = 1.  Else a `DomainError`."""
+    dim = classify(params)
+    if kind is StateKind.BARUT_GIRARDELLO and dim.is_finite:
+        raise DomainError(
+            "no lowering-operator eigenstate exists for complex z on a finite ladder "
+            f"(d = {dim.d}); use bg_grassmann_state for the nilpotent-variable construction"
+        )
+    if kind is StateKind.PERELOMOV and not dim.is_finite and params.r >= 2:
+        raise DomainError(
+            "perelomov-type states on an infinite ladder exist only for r = 1 "
+            f"(the series cannot be normalized for r >= 2); got r = {params.r}"
+        )
+    return dim
+
+
+def _state(kind, params, z, normalize, tail_tol, max_terms) -> CoherentState:
     """The state at z from `_series`: the d coefficients of a finite ladder,
-    else the series to its tail cut, of at most max_terms terms.  A series
-    whose closed form refuses it (`_law_verdict`) is refused before any
-    term is built."""
+    else the series to its tail cut, of at most max_terms terms.  Every
+    refusal of a state that does not exist is made here, before any term is
+    built: of its inputs (`_checked_inputs`), of its family
+    (`_require_family`), outside the perelomov disk (`_perelomov_x`) and by
+    the closed form's verdict (`_law_verdict`)."""
+    z = _checked_inputs(z, tail_tol)
+    dim = _require_family(kind, params)
+    x = _perelomov_x(kind, params, abs(z))
+    if x is not None and x >= 1.0:
+        raise DomainError(
+            "z lies outside the existence disk: need |z| < 1/sqrt(kappa_1) = "
+            f"{1.0 / math.sqrt(float(params.kappas[0])):.6g}, got |z| = {abs(z):.6g}"
+        )
     stop, tol = (dim.d, None) if dim.is_finite else (max_terms + 1, tail_tol)
     bound = math.inf
     if tol is None or _law_verdict(kind, params, abs(z), max_terms, tol) is not False:
@@ -383,20 +416,6 @@ def _checked_inputs(z, tail_tol: float) -> complex:
     return z
 
 
-def _outside_disk(params: AlgebraParams, radius: float) -> bool:
-    """Whether |z| = radius misses the open disk |z| < 1/sqrt(kappa_1) in
-    which the perelomov states of an r = 1 infinite ladder with kappa_1 > 0
-    exist; no other ladder has such a disk.  A kappa_1 past the double
-    range is a `DomainError`."""
-    if classify(params).is_finite or params.r != 1:
-        return False
-    try:
-        k1 = float(params.kappas[0])
-    except OverflowError:
-        raise DomainError(f"kappa = {params.kappas[0]} passes the double range") from None
-    return k1 > 0.0 and radius * math.sqrt(k1) >= 1.0
-
-
 def perelomov_state(
     params: AlgebraParams,
     z,
@@ -411,19 +430,7 @@ def perelomov_state(
     r = 1 and |z| < 1/sqrt(kappa_1), else a `DomainError`; the series is cut
     at ``tail_tol`` within ``max_terms`` terms, else a `DomainError`.
     """
-    z = _checked_inputs(z, tail_tol)
-    dim = classify(params)
-    if not dim.is_finite and params.r >= 2:
-        raise DomainError(
-            "perelomov-type states on an infinite ladder exist only for r = 1 "
-            f"(the series cannot be normalized for r >= 2); got r = {params.r}"
-        )
-    if not dim.is_finite and _outside_disk(params, abs(z)):
-        raise DomainError(
-            "z lies outside the existence disk: need |z| < 1/sqrt(kappa_1) = "
-            f"{1.0 / math.sqrt(float(params.kappas[0])):.6g}, got |z| = {abs(z):.6g}"
-        )
-    return _state(StateKind.PERELOMOV, params, dim, z, normalize, tail_tol, max_terms)
+    return _state(StateKind.PERELOMOV, params, z, normalize, tail_tol, max_terms)
 
 
 def perelomov_via_exponential(
@@ -470,14 +477,7 @@ def bg_state(
     ``tail_tol`` within ``max_terms`` terms, else a `DomainError`.  A finite
     ladder is a `DomainError` (see `grassmann.bg_grassmann_state`).
     """
-    z = _checked_inputs(z, tail_tol)
-    dim = classify(params)
-    if dim.is_finite:
-        raise DomainError(
-            "no lowering-operator eigenstate exists for complex z on a finite ladder "
-            f"(d = {dim.d}); use bg_grassmann_state for the nilpotent-variable construction"
-        )
-    return _state(StateKind.BARUT_GIRARDELLO, params, dim, z, normalize, tail_tol, max_terms)
+    return _state(StateKind.BARUT_GIRARDELLO, params, z, normalize, tail_tol, max_terms)
 
 
 def check_bg_eigen(state: CoherentState, rep: LadderRep) -> float:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraParams, _freeze, _scaled_factorials, classify
-from .coherent import StateKind, _outside_disk, _require_state, _series_moduli
+from .coherent import StateKind, _require_family, _require_state, _series_moduli
 from .errors import DomainError
 
 # below this many barut-girardello moments the exact chain is cheaper (the
@@ -67,23 +67,17 @@ def moments_for(params: AlgebraParams, kind, count: int | None = None) -> Moment
     A finite ladder has d moments (a ``count`` other than d is a ValueError);
     an infinite ladder needs ``count``.  Where the states do not exist
     (barut-girardello on a finite ladder, perelomov on an infinite one with
-    r >= 2) it is a `DomainError`.  A barut-girardello sequence carries its
+    r >= 2) it is the `DomainError` of `coherent._require_family`, as the
+    constructors raise it.  A barut-girardello sequence carries its
     ``law_shapes`` (kappa_i = 0 adds none) and ``next_value`` m_M = F(M)!.
     """
     kind = StateKind(kind)
-    dim = classify(params)
+    dim = _require_family(kind, params)
     if dim.is_finite:
-        if kind is StateKind.BARUT_GIRARDELLO:
-            raise DomainError(
-                "no complex-z lowering eigenstates exist on a finite ladder, so there is "
-                "no radial measure to solve for; the finite construction is nilpotent-valued"
-            )
         if count is None:
             count = dim.d
         elif count != dim.d:
             raise ValueError(f"finite case is determined by its d = {dim.d} levels")
-    elif kind is StateKind.PERELOMOV and params.r >= 2:
-        raise DomainError("perelomov-type states do not exist on an infinite ladder with r >= 2")
     elif count is None:
         raise ValueError("infinite ladder needs an explicit moment count")
     perelomov = kind is StateKind.PERELOMOV
@@ -482,10 +476,10 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
     (`coherent._series_moduli`), summed in node order.  |c_n| does not depend
     on phi, so the series is taken on the phase-free ladder (phi = 0) and
     the result is the same at every phi.  |c_n(z)| grows with |z|, so the
-    states of the rule exist where the one at the largest node does: a node
-    outside the perelomov disk, or a state there that
-    `coherent._require_state` refuses, is a `DomainError` naming the node t
-    and |z|.  More levels than a finite ladder has is a ValueError.
+    states of the rule exist where the one at the largest node does: a state
+    there that `coherent._require_state` refuses, outside the perelomov disk
+    too, is a `DomainError` naming the node t and |z|.  More levels than a
+    finite ladder has is a ValueError.
     """
     kind = StateKind(kind)
     ladder = params.with_phi(0.0)
@@ -498,11 +492,6 @@ def verify_identity(params: AlgebraParams, kind, measure: DiscreteMeasure) -> fl
     nodes = np.asarray(measure.nodes, dtype=float)
     t_max = float(nodes.max())
     radius = math.sqrt(t_max)
-    if kind is StateKind.PERELOMOV and _outside_disk(params, radius):
-        raise DomainError(
-            f"measure node t = {t_max:.6g} lies outside the existence disk "
-            f"t < 1/kappa_1 = {1.0 / float(params.kappas[0]):.6g} of the perelomov states"
-        )
     try:
         _require_state(kind, ladder, radius)
     except DomainError as exc:

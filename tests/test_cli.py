@@ -1025,6 +1025,62 @@ def test_usage_errors_exit_2_and_name_the_flag(capsys, monkeypatch, argv, tail_t
     assert named in result[2]
 
 
+_DISK = "z lies outside the existence disk: need |z| < 1/sqrt(kappa_1) = 1.41421, got |z| = 1.41421"
+_R1 = ("perelomov-type states on an infinite ladder exist only for r = 1 (the series cannot be "
+       "normalized for r >= 2); got r = 2")
+_NO_BG = "no lowering-operator eigenstate exists for complex z on a finite ladder (d = {})"
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    ("schwarz --ell 2 --grid-radius 1e308 --grid-points 3", 2,
+     "argument --grid-radius: half-width 1e+308: the span 2R of the grid [-R, R] passes"),
+    ("schwarz --ell 2 --grid-radius 8.9e307 --grid-points 3", 1,
+     "error: Bargmann transform overflows double precision at z = -8.9e+307-8.9e+307j\n"),
+    ("cs-perelomov --kappa 1/2 --z inf", 1, "error: z must be finite, got z = (inf+0j)\n"),
+    ("cs-bg --kappa 1/2 --z -inf", 1, "error: z must be finite, got z = (-inf+0j)\n"),
+    ("cs-bg --kappa 1/2 --z 1+infi", 1, "error: z must be finite, got z = (1+infj)\n"),
+    ("schwarz --ell 2 --w -infi", 1, "error: z must be finite, got z = -infj\n"),
+    ("cs-bg --kappa -1/3 --z 1", 1, _NO_BG.format(4)),
+    ("cs-perelomov --kappa 1/2,1/3 --z 0.1", 1, _R1),
+    ("cs-perelomov --kappa 1/2 --z 1.4142135623730951", 1, _DISK),
+    ("measure --kappa -1/9 --kind barut-girardello", 1, _NO_BG.format(10)),
+    ("measure --kappa 1/2,1/3 --levels 6", 1, _R1),
+])
+def test_the_exit_code_contract_holds_with_warnings_as_errors(capsys, argv, code, named):
+    # 0 or 1 from main, or a usage error's exit 2; nothing raises out of it,
+    # and no refusal names a NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli(capsys, *argv.split())
+    assert result[:2] == (code, "")
+    assert named in result[2] and "nan" not in result[2]
+
+
+@pytest.mark.parametrize("argv", [
+    "schwarz --ell 2 --grid-points 1000000",  # a 14.6 TiB grid
+    "cs-grassmann --kappa 0 --dim 100000",  # a 149 GiB levels matrix
+])
+def test_an_allocation_numpy_refuses_is_an_error_line(argv):
+    # under a 4 GiB address-space limit numpy refuses the array at once
+    limited = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+               "from polywh.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(polywh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", limited, *argv.split()], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: Unable to allocate ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1-2i", 1 - 2j), ("i", 1j), ("2.5i", 2.5j), ("0.4-0.1i", 0.4 - 0.1j), ("(1+2i)", 1 + 2j),
+    ("inf", complex(math.inf, 0.0)), ("-inf", complex(-math.inf, 0.0)),
+    ("1+infi", complex(1.0, math.inf)), ("nan", complex(math.nan, 0.0)),
+])
+def test_a_trailing_i_is_the_imaginary_unit(text, value):
+    assert repr(cli.parse_complex(text)) == repr(value)  # repr: nan and -0.0 too
+
+
 def test_config_lines_meet_the_requirements_and_flags_still_win(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("POLYWH_TAIL_TOL", "abc")  # read only where no --tail-tol is given
     path = _config(tmp_path, "kappa=1/2\nwindow=6\ns=2\ntail_tol=1e-8\n")

@@ -366,6 +366,40 @@ def test_only_coherent_decides_whether_a_series_exists():
     assert {(module, name) for module, name in names if name in owned} <= {
         ("coherent.py", name) for name in owned}
     assert not {name for module, name in names if module == "measure.py"} & constructors
+    assert "_outside_disk" not in {name for _, name in names}
+    # measure asks coherent, by these names alone, and raises no refusal of its own
+    measure = ast.parse((Path(polywh.__file__).parent / "measure.py").read_text())
+    asked = {alias.name for node in ast.walk(measure) if isinstance(node, ast.ImportFrom)
+             and node.module == "coherent" for alias in node.names}
+    assert asked <= {"StateKind", "_require_family", "_require_state", "_series_moduli"}
+    assert "coherent" not in {name for module, name in names if module == "measure.py"} - {None}
+    refusals = ("existence disk", "exist only for r = 1", "eigenstate exists", "did not reach tail")
+    raisers = {
+        (path.name, function.name)
+        for path in sorted(Path(polywh.__file__).parent.glob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text()))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Raise)
+        for text in ast.walk(node)
+        if isinstance(text, ast.Constant) and isinstance(text.value, str)
+        and any(refusal in text.value for refusal in refusals)
+    }
+    assert raisers == {("coherent.py", "_require_family"), ("coherent.py", "_state")}
+
+
+@pytest.mark.parametrize("kappas, kind, count", [
+    (["-1/3"], StateKind.BARUT_GIRARDELLO, None),  # a finite ladder
+    (["1/2", "1/3"], StateKind.PERELOMOV, 6),  # r = 2 on an infinite ladder
+])
+def test_moments_and_the_constructor_refuse_a_family_with_one_message(kappas, kind, count):
+    params = AlgebraParams(kappas)
+    build = perelomov_state if kind is StateKind.PERELOMOV else bg_state
+    with pytest.raises(DomainError) as state:
+        build(params, 0.1)
+    with pytest.raises(DomainError) as moments:
+        moments_for(params, kind, count)
+    assert str(moments.value) == str(state.value)
 
 
 def _count_steps(monkeypatch):
