@@ -29,7 +29,6 @@ import io
 import itertools
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -90,7 +89,10 @@ def parse_ells(text: str) -> list[int]:
 def parse_complex(text: str) -> complex:
     """Python's complex syntax with a trailing imaginary unit i read as j, so
     that 1-2i and i parse while the i of inf stays."""
-    t = re.sub(r"i(\)?)$", r"j\1", text.strip().replace(" ", ""))
+    t = text.strip().replace(" ", "")
+    body = t.rstrip(")")
+    if body.endswith("i"):
+        t = f"{body[:-1]}j{t[len(body):]}"
     try:
         return complex(t)
     except ValueError:
