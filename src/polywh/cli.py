@@ -87,8 +87,8 @@ def parse_ells(text: str) -> list[int]:
 
 
 def parse_complex(text: str) -> complex:
-    """Python's complex syntax with a trailing imaginary unit i read as j, so
-    that 1-2i and i parse while the i of inf stays."""
+    """Python's complex syntax with a trailing imaginary unit i, before any
+    closing parenthesis, read as j: 1-2i and (1+2i) parse, and so does inf."""
     t = text.strip().replace(" ", "")
     body = t.rstrip(")")
     if body.endswith("i"):

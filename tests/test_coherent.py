@@ -372,7 +372,7 @@ def test_only_coherent_decides_whether_a_series_exists():
     asked = {alias.name for node in ast.walk(measure) if isinstance(node, ast.ImportFrom)
              and node.module == "coherent" for alias in node.names}
     assert asked <= {"StateKind", "_require_family", "_require_state", "_series_moduli"}
-    assert "coherent" not in {name for module, name in names if module == "measure.py"} - {None}
+    assert "coherent" not in {name for module, name in names if module == "measure.py"}
     refusals = ("existence disk", "exist only for r = 1", "eigenstate exists", "did not reach tail")
     raisers = {
         (path.name, function.name)
