@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -47,8 +48,6 @@ __all__ = [
 
 MAX_SERIES_TERMS = 200_000
 RESCALE_BITS = 512  # power of two taken out of a sum about to overflow
-PREDICTED_FROM = 1024  # a perelomov block starting here ends near its predicted cut
-CUT_SLACK = 16  # terms past that prediction
 
 
 class StateKind(str, enum.Enum):
@@ -95,14 +94,13 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
     zs, as (column blocks of the rows, tail bound per row, exponent per row).
     A finite ladder (no tail_tol) is one block; else the blocks double, each
     from the last one's carry, until every row meets its tail cut
-    (`_tail_cut`; bound inf where uncut), zero past it.  Row i's |c_n|^2 and
-    running norm are scaled by the exact 2**-exponents[i] (Blue 1978, ACM
-    TOMS 4).  A coefficient past the double range is a `DomainError`.  Where
-    phi = 0 and every z is real and >= 0 the blocks are float64, the real
-    parts of the complex ones.  The closed form (`_perelomov_law`) screens the
-    cut's candidates and ends a long block near the cut, at least two steps
-    past its start (numpy rounds a complex cumprod of one step unlike a longer
-    one); neither changes the cut, its bound or a kept coefficient (`e3017a5`).
+    (`_tail_cut`; bound inf where uncut), zero past it: block lo..hi - 1 ends
+    at hi = min(max(2 lo, 64), stop).  Row i's |c_n|^2 and running norm are
+    scaled by the exact 2**-exponents[i] (Blue 1978, ACM TOMS 4).  A
+    coefficient past the double range is a `DomainError`.  Where phi = 0 and
+    every z is real and >= 0 the blocks are float64, the real parts of the
+    complex ones.  The perelomov x (`_perelomov_x`) screens the cut's
+    candidates, which changes neither the cut nor its bound (`e3017a5`).
     """
     zs = np.asarray(zs, dtype=complex)
     if params.phi == 0.0 and not zs.imag.any() and not np.signbit(zs.real).any():
@@ -119,19 +117,6 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
                 (0.0 < xs) & (xs < 1.0), tol2 * (1.0 - xs) * (1.0 + 1e-12), tol2)[:, None]
         while lo < stop and math.inf in bounds:
             hi = min(max(2 * lo, 64), stop) if cut_rows else stop
-            if cut_rows and lo >= PREDICTED_FROM:
-                last = lo
-                for i, radius in enumerate(radii.tolist()):
-                    if bounds[i] == math.inf:
-                        law = _perelomov_law(kind, params, radius)
-                        log_room = (math.log(tol2) + math.log(norm2[i, 0])
-                                    + exponents[i] * math.log(2.0))
-                        cut = None if law is None else _cut_bound(law, lo, hi, log_room)
-                        if cut is None:
-                            break
-                        last = max(last, cut)
-                else:
-                    hi = min(hi, max(last + 1 + CUT_SLACK, lo + 2))
             steps = _steps(kind, params, zs[:, None], lo, hi)
             block = np.cumprod(np.concatenate((blocks[-1][:, -1:], steps), axis=1), axis=1)
             block = block[:, 1:]
@@ -253,11 +238,14 @@ def _law_verdict(kind, params, radius, max_terms, tol):
     where the law meets the cut with every |c_n|^2, n <= max_terms, a double;
     False where it fits so but misses the cut's necessary bound
     tol^2 S_inf (1 - x) at n = 1 and at max_terms, and so everywhere between;
-    None where there is no law or it cannot decide."""
+    None where there is no law or it cannot decide.  The cut is certain
+    where `_tail_cut` passes at n = max_terms on the law, margin included,
+    with q = sup(max_terms) < 1 and S >= |c_0|^2 = 1: |c_n|^2 / (1 - q^2)
+    only falls with n past the peak, so the series is cut by then."""
     law = _perelomov_law(kind, params, radius)
     if law is None:
         return None
-    x, a, peak, log_abs2, margin, _ = law
+    x, a, peak, log_abs2, margin, sup = law
     top = min(peak, max_terms)
     highest = max(log_abs2(n) + margin(n) for n in {max(top - 1, 0), top, min(top + 1, max_terms)})
     if not highest < 2.0 * (math.log(sys.float_info.max) - 1.0):
@@ -265,34 +253,13 @@ def _law_verdict(kind, params, radius, max_terms, tol):
     log_room = 2.0 * math.log(tol) + (1.0 - a) * math.log1p(-x)
     if all(log_abs2(n) > log_room + margin(n) for n in (max_terms, 1)):
         return False
-    # S_n >= |c_0|^2 = 1 before every cut; one test at max_terms tells
-    # whether `_cut_bound` finds a cut in 1..max_terms
-    return True if _cut_bound(law, max(max_terms, 1), max_terms + 1, 2.0 * math.log(tol)) else None
-
-
-def _cut_bound(law, lo, hi, log_room):
-    """An n, lo <= n < hi, at which `_tail_cut` certainly cuts the series of
-    the closed form ``law`` (`_perelomov_law`) unless it has cut before, or
-    None: |c_n|^2 / (1 - q_n^2) plus the margin stays under log_room = log
-    (tol^2 S), S at most the running squared norm before c_n.  Past the peak
-    that test only gets easier with n, so one test at hi - 1 tells whether
-    there is such an n, and bisection finds the first one."""
-    _, _, peak, log_abs2, margin, sup = law
-
-    def fails(n):
-        q = sup(n)
-        return q >= 1.0 or log_abs2(n) - math.log1p(-q * q) + margin(n) > log_room
-
-    lo, hi = max(lo, peak), hi - 1
-    if lo > hi or fails(hi):
+    if max_terms < max(peak, 1):
         return None
-    while lo < hi:  # fails(hi) is False throughout
-        mid = (lo + hi) // 2
-        if fails(mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return hi
+    q = sup(max_terms)
+    if q >= 1.0 or (log_abs2(max_terms) - math.log1p(-q * q) + margin(max_terms)
+                    > 2.0 * math.log(tol)):
+        return None
+    return True
 
 
 def _series_moduli(kind, params, zs, levels: int) -> np.ndarray:
@@ -379,7 +346,7 @@ def _state(kind, params, z, normalize, tail_tol, max_terms) -> CoherentState:
     built: of its inputs (`_checked_inputs`), of its family
     (`_require_family`), outside the perelomov disk (`_perelomov_x`) and by
     the closed form's verdict (`_law_verdict`)."""
-    z = _checked_inputs(z, tail_tol)
+    z = _checked_inputs(z, tail_tol, max_terms)
     dim = _require_family(kind, params)
     x = _perelomov_x(kind, params, abs(z))
     if x is not None and x >= 1.0:
@@ -406,13 +373,19 @@ def _require_state(kind, params, radius: float) -> None:
         (perelomov_state if kind is StateKind.PERELOMOV else bg_state)(params, radius)
 
 
-def _checked_inputs(z, tail_tol: float) -> complex:
-    """complex(z), refusing a non-finite z or a tail_tol outside (0, inf)."""
+def _checked_inputs(z, tail_tol: float, max_terms: int) -> complex:
+    """complex(z), refusing a non-finite z, a tail_tol outside [2**-511, inf)
+    (below it tail_tol^2 leaves the normal range, and the tail test compares
+    squares rounded to 0) or a max_terms that is not an integer."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"z must be finite, got z = {z}")
-    if not 0.0 < tail_tol < math.inf:
-        raise DomainError(f"tail_tol must be finite and positive, got tail_tol = {tail_tol!r}")
+    floor = math.sqrt(sys.float_info.min)  # 2**-511
+    if not floor <= tail_tol < math.inf:
+        raise DomainError(f"tail_tol must be finite and positive, at least 2**-511 = {floor:.6g}, "
+                          f"got tail_tol = {tail_tol!r}")
+    if not isinstance(max_terms, numbers.Integral):
+        raise TypeError(f"max_terms must be an integer, got max_terms = {max_terms!r}")
     return z
 
 
@@ -548,11 +521,14 @@ def _has_nan(x) -> bool:
 
 def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
     """0F_q(ell_1, ..., ell_q; x) summed term by term to the relative term
-    ``rel_tol``: a float at a scalar x, an array at an x-array.  A NaN x, a
-    value past the double range, a sum that cannot converge within
-    ``max_terms`` and, at x < 0, a sum whose rounding bound eps 0F_q(ells; |x|)
-    passes 1e-8 of the value are each a `DomainError`.  The sum at |x| goes
-    first: it bounds the partial sums, so the signed sum cannot overflow."""
+    ``rel_tol``: a float at a scalar x, an array at an x-array.  A rel_tol
+    outside [0, 1), a NaN x, a value past the double range, a sum that
+    cannot converge within ``max_terms`` and, at x < 0, a sum whose rounding
+    bound eps 0F_q(ells; |x|) passes 1e-8 of the value are each a
+    `DomainError`.  The sum at |x| goes first: it bounds the partial sums,
+    so the signed sum cannot overflow."""
+    if not 0.0 <= rel_tol < 1.0:
+        raise DomainError(f"rel_tol must be in [0, 1), got rel_tol = {rel_tol!r}")
     if _has_nan(x):
         raise DomainError("x must not be NaN")
     negative = np.asarray(x) < 0

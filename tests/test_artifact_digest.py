@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import shlex
 import warnings
@@ -20,9 +21,18 @@ def test_one_cycle_digests_the_same_twice(workload):
     assert artifact_digest.digest(workload, 1, cycles=1) == first
 
 
-def test_seed_ranges():
+def test_seed_ranges(capsys):
     assert list(artifact_digest.parse_seeds("1-3")) == [1, 2, 3]
     assert list(artifact_digest.parse_seeds("4")) == [4]
+    for text in ("3-1", "", "1-", "-2", "x"):
+        with pytest.raises(argparse.ArgumentTypeError, match="a range such as 1-3"):
+            artifact_digest.parse_seeds(text)
+    # a reversed range digested no stream, and two checkouts compared equal
+    with pytest.raises(SystemExit) as usage:
+        artifact_digest.main(["--seeds", "3-1", "--cycles", "1"])
+    assert usage.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --seeds: expected a seed or a range such as 1-3" in err
 
 
 def test_a_crash_fails_the_run_and_names_the_first_crashing_command(monkeypatch, capsys):

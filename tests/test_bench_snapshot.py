@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import subprocess
@@ -54,6 +55,13 @@ def test_one_seed_is_its_own_median_and_quartiles_and_a_crash_is_kept():
 def test_arguments():
     assert list(bench_snapshot.parse_seeds("1-5")) == [1, 2, 3, 4, 5]
     assert list(bench_snapshot.parse_seeds("2")) == [2]
+    for text in ("3-1", "", "1-", "-2", "x"):
+        with pytest.raises(argparse.ArgumentTypeError, match="a range such as 1-3"):
+            bench_snapshot.parse_seeds(text)
+    # a reversed range ran no seed and died in summarize
+    with pytest.raises(SystemExit) as usage:
+        bench_snapshot.main(["--checkout", "change=.", "--seeds", "3-1"])
+    assert usage.value.code == 2
     assert bench_snapshot.parse_checkout("parent=../p") == ("parent", Path("../p"))
     with pytest.raises(Exception, match="label=path"):
         bench_snapshot.parse_checkout("../p")

@@ -988,6 +988,8 @@ def test_config_normalize_loses_to_the_flag_and_skips_other_commands_keys(capsys
     (["cs-grassmann", "--kappa", "-1/2", "--phi", "inf"], 1, "phi must be finite"),
     (["cs-bg", "--kappa", "1/2", "--z", "nan"], 1, "z must be finite"),
     (["cs-bg", "--kappa", "1/2", "--tail-tol", "-1"], 1, "tail_tol must be finite and positive"),
+    (["cs-bg", "--kappa", "0", "--z", "1", "--tail-tol", "1e-170"], 1, "tail_tol must be finite"
+     " and positive, at least 2**-511 = 1.49167e-154, got tail_tol = 1e-170"),
 ])
 def test_bad_numbers_are_refused_by_name(capsys, argv, code, message):
     with warnings.catch_warnings():

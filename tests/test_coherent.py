@@ -265,9 +265,7 @@ _TINY_KAPPA = Fraction(1, 10**16)  # |z| = 2: 43 terms; without the cancellation
     phi=st.sampled_from([0.0, 0.3]),
     max_terms=st.integers(min_value=50, max_value=5000),
 )
-def test_the_predicted_block_end_and_refusal_leave_the_doubling_series(
-    kappa, rho, angle, phi, max_terms
-):
+def test_the_state_and_its_refusal_are_the_doubling_series(kappa, rho, angle, phi, max_terms):
     # kappa = p/q in (0, 2], q <= 29, or 1/10^k, and |z| sqrt(kappa) = rho up to 1 - 1e-4,
     # or under 1e-6: a short series at a large shape 1/kappa
     params = AlgebraParams([kappa], phi)
@@ -351,9 +349,37 @@ def test_only_the_closed_form_reads_lgamma():
     assert readers == {("coherent.py", "_perelomov_law")}
 
 
+def _functions(path):
+    return {node.name: node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _names(node):
+    """Every name read, written, imported or defined under node."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            for n in ast.walk(node)}
+
+
+def test_only_the_verdict_reads_the_closed_form():
+    # the law decides whether a state exists and nothing else: the series
+    # reads x alone, for its candidate screen, and its blocks just double
+    package = sorted(Path(polywh.__file__).parent.glob("*.py"))
+    callers = {
+        (path.name, name)
+        for path in package
+        for name, function in _functions(path).items()
+        if name != "_perelomov_law" and "_perelomov_law" in _names(function)
+    }
+    assert callers == {("coherent.py", "_law_verdict")}
+    series = _functions(Path(coherent.__file__))["_series"]
+    assert _names(series) & {"_perelomov_x", "_perelomov_law", "_law_verdict"} == {"_perelomov_x"}
+    gone = {"_cut_bound", "PREDICTED_FROM", "CUT_SLACK"}
+    assert not {name for path in package for name in _names(ast.parse(path.read_text()))} & gone
+
+
 def test_only_coherent_decides_whether_a_series_exists():
     # the closed-form verdict has one owner; measure asks it through _require_state
-    owned = {"_perelomov_law", "_cut_bound", "MAX_SERIES_TERMS", "_law_verdict"}
+    owned = {"_perelomov_law", "MAX_SERIES_TERMS", "_law_verdict"}
     constructors = {"perelomov_state", "bg_state"}
     names = {
         (path.name, name)
@@ -430,12 +456,14 @@ def test_a_certain_cap_builds_no_term(monkeypatch, kappa, modulus, max_terms):
         perelomov_series_by_doubling(params, modulus * 1j, max_terms=max_terms)
 
 
-def test_the_last_block_ends_near_the_cut(monkeypatch):
-    # the doubling blocks computed 65,535 terms for the 45,053 kept
+def test_the_blocks_double_up_to_the_cut(monkeypatch):
+    # block lo..hi - 1 ends at hi = min(max(2 lo, 64), stop): the cut at
+    # 45,053 falls in the block from 32,768, so 65,535 steps are computed
     spans = _count_steps(monkeypatch)
     state = perelomov_state(AlgebraParams(["14/25"]), 1.3353)
     assert len(state) == 45_053
-    assert sum(spans) <= 1.05 * len(state)
+    assert spans == [63] + [64 << k for k in range(10)]
+    assert sum(spans) == 65_535
 
 
 def test_via_exponential_d2():
@@ -1078,6 +1106,11 @@ _NON_FINITE = [
     (lambda: hyper_0f((2,), _NAN), "x"),
     (lambda: hyper_0f((2,), np.float64(_NAN)), "x"),
     (lambda: hyper_0f((2,), np.array([1.0, _NAN])), "x"),
+    # each summed one term, 1.0 for e^5, or said "did not converge" at -1
+    (lambda: hyper_0f((), 5.0, rel_tol=_NAN), "rel_tol"),
+    (lambda: hyper_0f((), np.array([5.0, 1.0]), rel_tol=2.0), "rel_tol"),
+    (lambda: hyper_0f((), 5.0, rel_tol=_INF), "rel_tol"),
+    (lambda: hyper_0f((), np.array([5.0, 1.0]), rel_tol=-1.0), "rel_tol"),
 ]
 
 
@@ -1087,6 +1120,23 @@ def test_non_finite_input_is_refused_by_name(call, name):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DomainError, match=f"^{name} must "):
             call()
+
+
+@pytest.mark.parametrize("build, kappa, z", [(perelomov_state, "1/2", 1.2), (bg_state, "0", 1.0)])
+def test_a_tail_tol_whose_square_underflows_is_refused(build, kappa, z):
+    # under 2**-511 tol^2 leaves the normal range: barut-girardello certified
+    # a relative tail of 2.4e-163 (mpmath) as 0.0, perelomov took log(0)
+    params, floor = AlgebraParams([kappa]), 2.0**-511
+    for tail_tol in (1e-170, math.nextafter(floor, 0.0)):
+        with pytest.raises(DomainError, match=r"^tail_tol must .* at least 2\*\*-511 = 1.49167e-154,"):
+            build(params, z, tail_tol=tail_tol)
+    assert 0.0 < build(params, z, tail_tol=floor).cutoff_meta.tail_bound <= floor
+
+
+@pytest.mark.parametrize("build", [perelomov_state, bg_state])
+def test_a_max_terms_that_is_not_an_integer_is_refused_by_name(build):
+    with pytest.raises(TypeError, match=r"^max_terms must be an integer, got max_terms = 2.5$"):
+        build(_HALF, 0.5, max_terms=2.5)
 
 
 def test_nan_guards_pass_exact_scalars():

@@ -66,3 +66,14 @@ def test_a_stale_bytecode_cache_does_not_bias_the_peak_rss(tmp_path):
     header = Path(cache_from_source(touched)).read_bytes()[8:12]  # the source's mtime
     assert int.from_bytes(header, "little") == int(later)
     assert abs(seed["peak_rss_mb"]["change"] - seed["peak_rss_mb"]["parent"]) < 0.4
+
+
+def test_a_reversed_seed_range_is_a_usage_error():
+    # it compared no seed, printed "seeds": [] and exited 0
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--parent", str(ROOT), "--change", str(ROOT),
+         "--seeds", "3-1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "argument --seeds: expected a seed or a range such as 1-3, got '3-1'" in done.stderr

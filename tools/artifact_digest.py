@@ -25,6 +25,7 @@ if __name__ == "__main__":  # before numpy loads, as in bench/run.py
     os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS"), "1"))
 sys.path.insert(0, str(BENCH))
+sys.path.insert(0, str(BENCH.parent / "tools"))  # seed_range, also where loaded by path
 
 import argparse  # noqa: E402
 import collections  # noqa: E402
@@ -36,6 +37,7 @@ import warnings  # noqa: E402
 
 import run  # noqa: E402
 import streams  # noqa: E402
+from seed_range import parse_seeds  # noqa: E402
 
 CLI_MAIN = run.import_program()
 
@@ -72,12 +74,6 @@ def digest(workload: str, seed: int,
             h.update(json.dumps([argv, code, out, err]).encode())
             h.update(b"\n")
     return sum(codes.values()), dict(sorted(codes.items(), key=str)), h.hexdigest(), fault
-
-
-def parse_seeds(text: str) -> range:
-    """'1-3' or '2'."""
-    lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
 
 
 def main(argv=None) -> int:

@@ -30,13 +30,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))  # seed_range, also where loaded by path
+
+from seed_range import parse_seeds  # noqa: E402
+
 PROVENANCE = ("git_commit", "python", "numpy", "nproc")
-
-
-def parse_seeds(text: str) -> range:
-    """'1-5' or '2'."""
-    lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
 
 
 def parse_checkout(text: str) -> tuple[str, Path]:

@@ -51,9 +51,11 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
+sys.path.insert(0, str(BENCH.parent / "tools"))  # seed_range, also where loaded by path
 
 import run  # noqa: E402
 import streams  # noqa: E402
+from seed_range import parse_seeds  # noqa: E402
 
 CYCLES = 25  # per seed
 REPEATS = 3  # runs of each command per side
@@ -154,12 +156,6 @@ def compare(parent: Worker, change: Worker, workload: str, seed: int) -> dict:
         "subcommand_time_ratio": {name: summed[change] / summed[parent]
                                   for name, summed in sorted(by_subcommand.items())},
     }
-
-
-def parse_seeds(text: str) -> range:
-    """'1-5' or '2'."""
-    lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
 
 
 def main(argv=None) -> int:
