@@ -7,11 +7,10 @@ are read as ``--key=value`` flags ahead of the command line's, which win.
 A command line is read by its subcommand's own parser; the top-level parser
 reads it only where it names no subcommand or leaves tokens over, so every
 usage error and help text is the one ``_PARSER.parse_args`` prints.
-`json_text` writes each ndarray from orjson dumps of its floats, 1,024 at
-a time: a complex one as {"re", "im"} objects, a real one as numbers, a
-2-D one as a list of rows, a 0-d real one as its float.  Each number whose
-form differs from float.__repr__'s, which |x| decides, is rewritten alone;
-no pass runs over the whole text.
+`json_text` is one ``json.dumps`` of the payload with each ndarray's text
+spliced in, written from orjson dumps of its floats, 1,024 at a time: a
+complex one as {"re", "im"} objects, a real one as numbers, a 2-D one as a
+list of rows, each number in orjson's shortest form (1e-7 for 1e-07).
 numpy, orjson and the numeric modules are imported inside the code that
 runs them, so ``--help``, usage errors and `spectrum` import neither numpy
 nor orjson, and library functions are read from their home modules at
@@ -26,12 +25,11 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import itertools
+import json
 import math
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .algebra import (
     AlgebraParams,
@@ -530,40 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_of_range(value) -> ValueError:
-    return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-
-
-_FLOAT_OR_NULL = {float, type(None)}
-_NON_FINITE = {"inf", "-inf", "nan"}  # float.__repr__ of the floats json.dumps refuses
-
-
-def _write_json(value, level: int, out: list) -> None:
-    """Append the ``json.dumps(indent=2, allow_nan=False)`` text of
-    ``value`` (its str keys in order), opening at indent ``level``, to
-    ``out``, or raise its ValueError or TypeError.  An ndarray is written
-    as `_write_array` writes it; a list of only floats and None, or of only
-    strings, is joined in one pass."""
-    if isinstance(value, float):  # no str, None, bool or int is a float
-        if not math.isfinite(value):
-            raise _out_of_range(value)
-        out.append(float.__repr__(value))
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (dict, list, tuple)) or _is_ndarray(value):
-        _write_container(value, level, out)
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
 def _is_ndarray(value) -> bool:
     """Whether value is a numpy array; none exists before numpy is imported,
     and this asks without importing it."""
@@ -571,84 +535,36 @@ def _is_ndarray(value) -> bool:
     return numpy is not None and isinstance(value, numpy.ndarray)
 
 
-def _write_container(value, level: int, out: list) -> None:
-    """`_write_json` of a dict, a list or tuple, or an ndarray."""
-    if _is_ndarray(value) and value.size:  # shape (r, 0): r empty rows, below
-        _write_array(value, level, out)
-        return
-    is_dict = isinstance(value, dict)
-    opening, closing = "{}" if is_dict else "[]"
-    if not len(value):
-        out.append(opening + closing)
-        return
-    inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level + closing
-    kinds = set(map(type, value)) if isinstance(value, (list, tuple)) else set()
-    if kinds and kinds <= _FLOAT_OR_NULL:
-        items = ["null" if v is None else float.__repr__(v) for v in value]
-        if not _NON_FINITE.isdisjoint(items):
-            raise _out_of_range(next(v for v in value if v is not None and not math.isfinite(v)))
-    elif kinds == {str}:
-        items = map(encode_basestring_ascii, value)
-    else:
-        entries = (((encode_basestring_ascii(key) + ": ", item) for key, item in value.items())
-                   if is_dict else (("", item) for item in value))
-        for sep, (label, item) in zip(itertools.chain(opening, itertools.repeat(",")), entries):
-            out.append(sep + inner + label)
-            _write_json(item, level + 1, out)
-        out.append(close)
-        return
-    out += (opening, inner, ("," + inner).join(items), close)
-
-
-def _write_array(value, level: int, out: list) -> None:
-    """Append the text of a nonempty ndarray opening at indent ``level``: a
-    complex one as lists of {"re", "im"} objects, a real one as lists of its
-    float64 values, a 2-D one as a list of its rows, a 0-d one as its float
-    (a 0-d complex one is json.dumps's TypeError).
+def _write_array(value, out: list) -> None:
+    """Append the text of an ndarray with at least one dimension and one
+    entry, written as a value of the payload's top level: a complex one as
+    lists of {"re", "im"} objects, a real one as lists of its float64
+    values, a 2-D one as a list of its rows.
 
     The floats, a complex entry the pair (re, im), are written in chunks of
     about `_CHUNK_FLOATS` (whole periods of `_array_layout`'s separators),
-    each from one orjson dump.  orjson's shortest digits (Ryu) are
-    float.__repr__'s; only the form of a number can differ, and which form
-    it takes depends on |x| alone (`_form_bounds`).  So a chunk's floats are
-    sorted by form, and only the numbers of the three forms that differ are
-    rewritten, each alone.  The chunk's numbers and separators are joined
-    into one string; no pass runs over the whole text before `json_text`'s
-    join.  orjson writes NaN as null, so the finite check comes first."""
+    each from one orjson dump, in orjson's shortest form (Ryu): the digits
+    of float.__repr__, but 1e-7, 0.000025 and 1e16 where it writes 1e-07,
+    2.5e-05 and 1e+16.  orjson writes NaN as null, so the finite check
+    comes first and names the first non-finite float, as json.dumps does."""
     import numpy as np
     import orjson
 
     is_complex = value.dtype.kind == "c"
-    if not value.ndim:  # its tolist(), which json.dumps refuses if complex
-        _write_json(complex(value) if is_complex else float(value), level, out)
-        return
     floats = np.ascontiguousarray(value, dtype=np.complex128 if is_complex else np.float64)
     if is_complex:
         floats = floats.view(np.float64).reshape(*value.shape, 2)
     flat = floats.ravel()
-    head, separators, tail = _array_layout(level, floats.shape[1:], is_complex)
+    head, separators, tail = _array_layout(floats.shape[1:], is_complex)
     period = len(separators)
     step = max(1, _CHUNK_FLOATS // period) * period  # so each chunk ends on separators[-1]
     out.append(head)
     for start in range(0, flat.size, step):
         chunk = flat[start:start + step]
-        forms = _form_bounds().searchsorted(np.abs(chunk), "right")  # NaN sorts past inf
-        below_1e9, pad, fifth, plain, signed, non_finite = np.bincount(forms, minlength=6).tolist()
-        if non_finite:  # the first non-finite float, as json.dumps names it
-            raise _out_of_range(float(chunk[~np.isfinite(chunk)][0]))
+        if not np.isfinite(chunk).all():
+            bad = float(chunk[~np.isfinite(chunk)][0])
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
         numbers = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-        if pad or fifth or signed:
-            # the indices of each form in turn; numpy's default sort would page in
-            # its large SIMD sort code, 0.2-0.3 MB more peak RSS
-            by_form = forms.argsort(kind="stable").tolist()
-            at = below_1e9
-            for i in by_form[at:at + pad]:  # 1e-9 <= |x| < 1e-5: e-7 to e-07
-                numbers[i] = numbers[i].replace("e-", "e-0")
-            at += pad
-            for i in by_form[at:at + fifth]:  # 1e-5 <= |x| < 1e-4: 0.000025 to 2.5e-05
-                numbers[i] = _fifth_decimal(numbers[i])
-            for i in by_form[at + fifth + plain:]:  # 1e16 <= |x|: e16 to e+16
-                numbers[i] = numbers[i].replace("e", "e+")
         if period == 1:  # a real 1-D array
             out.append(separators[0].join(numbers))
         else:  # the numbers, and between two the separator after the first
@@ -666,31 +582,15 @@ def _write_array(value, level: int, out: list) -> None:
 _CHUNK_FLOATS = 1024
 
 
-@functools.cache
-def _form_bounds():
-    """The doubles nearest 1e-9, 1e-5, 1e-4 and 1e16, then inf, which part
-    orjson's forms exactly: were the shortest digits of an x below the double
-    nearest 10**k as large as 10**k, 10**k would round to x."""
-    import numpy as np
-
-    return np.array([1e-9, 1e-5, 1e-4, 1e16, math.inf])
-
-
-def _fifth_decimal(number: str) -> str:
-    """float.__repr__ of the 0.0000d... that orjson writes for 1e-5 <= |x| < 1e-4."""
-    sign, _, digits = number.partition("0.0000")
-    return f"{sign}{digits[0]}.{digits[1:]}e-05" if len(digits) > 1 else f"{sign}{digits}e-05"
-
-
 @functools.lru_cache
-def _array_layout(level: int, inner: tuple, is_complex: bool) -> tuple:
+def _array_layout(inner: tuple, is_complex: bool) -> tuple:
     """(head, separators, tail) of `_write_array`'s text of a float64 array
-    of shape (r, *inner) opening at indent ``level``, the innermost list an
+    of shape (r, *inner) opening at indent 1, the innermost list an
     {"re", "im"} object if ``is_complex``: float i is followed by
     separators[i % len(separators)], and the last float by the tail."""
     depth = len(inner) + 1
-    # the list at depth k (1 outermost) holds its entries at indent level + k
-    pad = ["\n" + "  " * (level + k) for k in range(depth + 1)]
+    # the list at depth k (1 outermost) holds its entries at indent 1 + k
+    pad = ["\n" + "  " * (1 + k) for k in range(depth + 1)]
     brackets = ["[]"] * depth + ["{}" if is_complex else "[]"]  # by depth, from 1
     first = '"re": ' if is_complex else ""
 
@@ -709,13 +609,28 @@ def _array_layout(level: int, inner: tuple, is_complex: bool) -> tuple:
 
 
 def json_text(payload: dict) -> str:
-    """Strict JSON of a payload, indented by 2, and a newline: byte for byte
-    ``json.dumps(payload, indent=2, allow_nan=False)`` with each ndarray as
-    the ``tolist()`` of its float64 or complex128 values, a complex entry as
-    its {"re", "im"} dict, raising json.dumps's ValueError or TypeError where
-    it would."""
-    out = []
-    _write_json(payload, 0, out)
+    """Strict JSON of a payload, indented by 2, and a newline: one
+    ``json.dumps(payload, indent=2, allow_nan=False)``, raising its
+    ValueError or TypeError, with each ndarray of one dimension or more and
+    one entry or more written by `_write_array` into the hole the dump left
+    for it (any other ndarray is its ``tolist()``).  Two conditions make the
+    holes sound: every ndarray is a value of the payload's top level, and no
+    payload string is a NUL, the hole's text (else a ValueError)."""
+    arrays, holes = [], {}
+    for key, value in payload.items():
+        if _is_ndarray(value):
+            if value.ndim and value.size:
+                arrays.append(value)
+                value = "\0"
+            else:
+                value = value.tolist()
+        holes[key] = value
+    text = json.dumps(holes, indent=2, allow_nan=False)
+    head, *gaps = text.split('"\\u0000"') if arrays else [text]
+    out = [head]
+    for array, gap in zip(arrays, gaps, strict=True):
+        _write_array(array, out)
+        out.append(gap)
     out.append("\n")
     return "".join(out)
 

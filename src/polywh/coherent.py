@@ -376,7 +376,8 @@ def _require_state(kind, params, radius: float) -> None:
 def _checked_inputs(z, tail_tol: float, max_terms: int) -> complex:
     """complex(z), refusing a non-finite z, a tail_tol outside [2**-511, inf)
     (below it tail_tol^2 leaves the normal range, and the tail test compares
-    squares rounded to 0) or a max_terms that is not an integer."""
+    squares rounded to 0) or a max_terms that is not an integer, or is
+    negative."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"z must be finite, got z = {z}")
@@ -386,6 +387,8 @@ def _checked_inputs(z, tail_tol: float, max_terms: int) -> complex:
                           f"got tail_tol = {tail_tol!r}")
     if not isinstance(max_terms, numbers.Integral):
         raise TypeError(f"max_terms must be an integer, got max_terms = {max_terms!r}")
+    if max_terms < 0:
+        raise DomainError(f"max_terms must be at least 0, got max_terms = {max_terms}")
     return z
 
 

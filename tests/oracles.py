@@ -343,10 +343,12 @@ def coeff_list(coeffs) -> list[dict]:
 
 
 def json_text_by_dicts(payload: dict) -> str:
-    """Artifact text with every 1-D or 2-D complex ndarray turned into
-    (lists of) `coeff_list` dicts, every real or 0-d one into its `tolist()`
-    (json.dumps refuses the complex of a 0-d complex one), and the whole
-    dumped by json.dumps."""
+    """The artifact's values in json.dumps's text: every 1-D or 2-D complex
+    ndarray turned into (lists of) `coeff_list` dicts, every real or 0-d one
+    into its `tolist()` (json.dumps refuses the complex of a 0-d complex
+    one), and the whole dumped by json.dumps.  The CLI writes the numbers of
+    a nonempty array in orjson's form, so its text parses to these values;
+    outside arrays it is this text byte for byte."""
 
     def plain(value):
         if not isinstance(value, np.ndarray):

@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -541,8 +542,8 @@ def test_measure_moments_past_the_double_range_are_null(capsys):
 
 _EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
-    # where orjson's text and float.__repr__'s part: 1e-4 and 1e16 change form,
-    # e-6 to e-9 are padded, positive exponents are signed
+    # where orjson's form and float.__repr__'s part: 1e-4 and 1e16 change form,
+    # repr pads e-6 to e-9 and signs positive exponents
     1e-5, math.nextafter(1e-5, 0.0), math.nextafter(1e-5, 1.0), 9.999999999999999e-05, 1e-4,
     1e-6, 1e-9, 1e-10, 9999999999999998.0, 1e16, 1e22, -2.5e-05,
 ]
@@ -566,22 +567,50 @@ def _is_complex_scalar(array):
     return array.ndim == 0 and np.iscomplexobj(array)
 
 
+def _parses_as_dict_dump(text, payload):
+    """Whether text parses to the values of `json_text_by_dicts(payload)`:
+    each side parsed and dumped again, so that -0.0 and 0.0 differ, and a
+    number written without its point or exponent would parse as an int."""
+    return json.dumps(json.loads(text)) == json.dumps(json.loads(json_text_by_dicts(payload)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(array=_ARRAYS)
-@example(array=np.array([0.5 + 1j, -2.25 - 0.125j, 3e-4, 1e15 - 0.1j]))  # no rewrite applies
-@example(array=np.array([[1e16 - 3j, 0.5], [-2.5e22, 7e300j]]))  # only e+ applies
-@example(array=np.array([-0.0, 1.5, 123456.789, 1e-3]))  # a real array, no rewrite
-@example(array=np.array([1e16, -2.5e-7, 2.5e-05, 1e-300]))  # a real array, all three
+@example(array=np.array([0.5 + 1j, -2.25 - 0.125j, 3e-4, 1e15 - 0.1j]))  # repr's forms
+@example(array=np.array([[1e16 - 3j, 0.5], [-2.5e22, 7e300j]]))  # 1e16, not 1e+16
+@example(array=np.array([-0.0, 1.5, 123456.789, 1e-3]))  # a real array, repr's forms
+@example(array=np.array([1e16, -2.5e-7, 2.5e-05, 1e-300]))  # a real array, each form
 @example(array=np.array(-2.5e-05))  # a 0-d real array: its float
 @example(array=np.array(1e16 + 0j))  # a 0-d complex array: json.dumps's TypeError
 def test_json_text_equals_the_dict_dump(array):
-    # a real array is json.dumps's text of its tolist(), a complex one of its dicts
+    # equal in value (`_parses_as_dict_dump`): a real array has the values of
+    # its tolist(), a complex one of its dicts
     if _is_complex_scalar(array):
         for write in (json_text, json_text_by_dicts):
             with pytest.raises(TypeError, match="^Object of type complex is not JSON serial"):
                 write(_payload(array))
     else:
-        assert json_text(_payload(array)) == json_text_by_dicts(_payload(array))
+        assert _parses_as_dict_dump(json_text(_payload(array)), _payload(array))
+
+
+def test_an_empty_or_0_d_array_is_its_tolist():
+    # no command writes one; each is json.dumps's text of its tolist(), and a
+    # 0-d complex one is json.dumps's TypeError
+    payload = {"rows": np.zeros((2, 0)), "none": np.zeros(0, complex), "x": np.array(-2.5e-05)}
+    assert json_text(payload) == json.dumps(
+        {"rows": [[], []], "none": [], "x": -2.5e-05}, indent=2) + "\n"
+    with pytest.raises(TypeError, match="^Object of type complex is not JSON serializable$"):
+        json_text({"z": np.array(1j)})
+
+
+def test_a_nul_string_beside_an_array_is_refused():
+    # the dump leaves each array the hole "\u0000", so a NUL string (key or
+    # value) would take one; without an array the text is json.dumps's
+    array = np.array([0.5, 1e16])
+    for payload in ({"a": "\0", "nodes": array}, {"\0": 1, "nodes": array}):
+        with pytest.raises(ValueError):
+            json_text(payload)
+    assert json_text({"a": "\0"}) == '{\n  "a": "\\u0000"\n}\n'
 
 
 # the decades of |x| in which orjson's text of x takes one form: as it is
@@ -611,17 +640,17 @@ def _long_arrays(draw):
 @settings(max_examples=40, deadline=None)
 @given(array=_long_arrays())
 def test_json_text_writes_long_arrays_of_every_form_as_the_dict_dump(array):
-    assert json_text(_payload(array)) == json_text_by_dicts(_payload(array))
+    assert _parses_as_dict_dump(json_text(_payload(array)), _payload(array))
 
 
 def test_json_text_writes_every_power_of_ten_and_its_neighbours_as_the_dict_dump():
-    # the writer's form bounds are powers of ten: each power from 1e-330 (0)
-    # to 1e308 and the doubles on either side, of either sign
+    # orjson's form bounds are powers of ten: each power from 1e-330 (0) to
+    # 1e308 and the doubles on either side, of either sign
     powers = [float(f"1e{k}") for k in range(-330, 309)]
     values = [x for p in powers for x in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
     real = np.array(values + [-x for x in values])
     for array in (real, real.view(complex), real.view(complex).reshape(3, -1)):
-        assert json_text(_payload(array)) == json_text_by_dicts(_payload(array))
+        assert _parses_as_dict_dump(json_text(_payload(array)), _payload(array))
 
 
 @pytest.mark.parametrize("normalize", [[], ["--normalize"]])
@@ -638,7 +667,7 @@ def test_a_long_perelomov_edge_state_is_written_as_the_dict_dump(capsys, normali
     assert len(payload["coeffs"]) >= 5000
     moduli = np.abs(payload["coeffs"].view(np.float64))
     assert (np.bincount(np.searchsorted([1e-9, 1e-5, 1e-4], moduli, "right")) > 500).all()
-    assert out == json_text_by_dicts(payload)
+    assert _parses_as_dict_dump(out, payload)  # not ==: a failing diff of 800 KB takes minutes
 
 
 def test_json_text_writes_every_float64_as_the_dict_dump():
@@ -649,8 +678,8 @@ def test_json_text_writes_every_float64_as_the_dict_dump():
     values = np.concatenate([bits.view(np.float64), powers, -powers])
     values = values[np.isfinite(values)]
     array = values[: values.size // 2 * 2].view(complex)
-    assert json_text(_payload(array)) == json_text_by_dicts(_payload(array))
-    assert json_text(_payload(values)) == json_text_by_dicts(_payload(values))
+    assert _parses_as_dict_dump(json_text(_payload(array)), _payload(array))
+    assert _parses_as_dict_dump(json_text(_payload(values)), _payload(values))
 
 
 @settings(max_examples=100, deadline=None)
@@ -682,13 +711,39 @@ def test_json_text_names_the_first_non_finite_float_of_a_long_array():
         "Out of range float values are not JSON compliant: -inf")
 
 
+_STREAMS_FILE = Path(__file__).resolve().parents[1] / "bench" / "streams.py"
+_streams_spec = importlib.util.spec_from_file_location("streams", _STREAMS_FILE)
+streams = importlib.util.module_from_spec(_streams_spec)
+_streams_spec.loader.exec_module(streams)
+
+
+@pytest.mark.parametrize("workload", streams.WORKLOADS)
+def test_the_benchmark_artifacts_parse_as_the_dict_dump(capsys, workload):
+    # the first cycle of seed 1: each artifact has its payload's values, and
+    # one that holds no array is json.dumps's text byte for byte
+    written = arrayless = 0
+    for argv in next(streams.cycles(workload, 1)):
+        code, out, err = run_cli(capsys, *argv)
+        if code != 0:
+            continue
+        args = cli._parse(cli._join_flag_values(argv))
+        cli._complete(args)
+        payload, _ = cli._COMMANDS[args.command](args)
+        assert _parses_as_dict_dump(out, payload), argv
+        if not any(isinstance(value, np.ndarray) for value in payload.values()):
+            assert out == json.dumps(payload, indent=2, allow_nan=False) + "\n", argv
+            arrayless += 1
+        written += 1
+    assert written >= 5 and (arrayless > 0) == (workload != "moments")
+
+
 _TEXTS = st.one_of(st.text(), st.sampled_from(['"quoted" \\ back/slash', "\n\t\r\b\f\x00\x1f",
                                                "caf\u00e9 \u2713 \U0001d11e \ud800"]))
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.sampled_from([2**200, -(3**150)]), _TEXTS,
     _FLOATS, st.sampled_from([-0.0, 1e16, 1e-5, 5e-324]),
 )
-_FLAT_LISTS = st.one_of(  # every float, or every str: the writer's joined lists
+_FLAT_LISTS = st.one_of(  # lists of only floats (and None), or of only strings
     st.lists(_FLOATS), st.lists(_TEXTS), st.lists(st.one_of(_FLOATS, st.none())),
 )
 
@@ -708,7 +763,12 @@ def _trees(leaves):
 def test_json_text_is_the_indented_dump(tree, arrays):
     assert json_text(tree) == json.dumps(tree, indent=2, allow_nan=False) + "\n"
     payload = {**tree, **{f"array {i}": array for i, array in enumerate(arrays)}}
-    assert json_text(payload) == json_text_by_dicts(payload)
+    rest = {key: value for key, value in payload.items() if not isinstance(value, np.ndarray)}
+    if any(a.ndim and a.size for a in arrays) and '"\\u0000"' in json.dumps(rest):
+        with pytest.raises(ValueError):  # a NUL string would take an array's hole
+            json_text(payload)
+    else:
+        assert _parses_as_dict_dump(json_text(payload), payload)
 
 
 _BAD = st.sampled_from([math.nan, math.inf, -math.inf, 1j, {1}, np.int64(3), b"bytes", object()])

@@ -1094,6 +1094,9 @@ _NON_FINITE = [
     (lambda: bg_state(_HALF, 1.0, tail_tol=0.0), "tail_tol"),
     (lambda: perelomov_state(_HALF, 0.5, tail_tol=_NAN), "tail_tol"),
     (lambda: perelomov_state(_HALF, 0.5, tail_tol=_INF), "tail_tol"),
+    # perelomov died in math.lgamma(0), barut-girardello said "within -1 terms"
+    (lambda: perelomov_state(_HALF, 0.5, max_terms=-1), "max_terms"),
+    (lambda: bg_state(_HALF, 0.5, max_terms=-1), "max_terms"),
     (lambda: AlgebraParams(["-1/3"], phi=_INF), "phi"),
     (lambda: AlgebraParams(["1/2"], phi=_NAN), "phi"),
     (lambda: OSC.with_phi(-_INF), "phi"),
