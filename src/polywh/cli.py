@@ -381,11 +381,10 @@ def _float_or_none(value: Fraction):
 
 
 def cmd_bargmann_growth(args):
-    from .bargmann import EntireSeries, closed_form_growth, estimate_growth
+    from .bargmann import closed_form_growth, kernel_growth
 
     params = resolve_params(args)
-    series = EntireSeries.bg_kernel(params, args.nmax)
-    est = estimate_growth(series)
+    est = kernel_growth(params, args.nmax)
     payload = {"command": "bargmann-growth"}
     payload.update(params_payload(params))
     payload.update(

@@ -8,6 +8,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from polywh import (
@@ -81,26 +82,53 @@ def log_factorial_by_concatenate(f: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log(f[1:]))))[: len(f)]
 
 
+def growth_sample(n_max) -> list[int]:
+    """The 32 fit indices of a series with coefficients n <= n_max: evenly
+    spaced over n_max // 2 .. n_max, both ends included, rounded down."""
+    lo = n_max // 2
+    return [lo + k * (n_max - lo) // 31 for k in range(32)]
+
+
 def growth_by_column_stack(series) -> GrowthEstimate:
-    """`bargmann.estimate_growth` with a full negated copy of the log-moduli,
-    a `column_stack` design and a residual built from temporaries."""
+    """`bargmann.estimate_growth` from its defining model, a `column_stack`
+    design in n itself at the `growth_sample` indices, columns 1, n,
+    n log n, log n, 1/n and 1/n^2 each over its largest entry, and a
+    residual built from temporaries."""
     y_all = -series.log_moduli
     n_max = len(y_all) - 1
-    lo = max(1, n_max // 2)
-    n = np.arange(lo, n_max + 1, dtype=float)
-    y = y_all[lo:]
-    design = np.column_stack([n * np.log(n), n, np.ones_like(n)])
+    index = growth_sample(n_max)
+    n, y = np.array(index, dtype=float), y_all[index]
+    columns = [np.ones_like(n), n, n * np.log(n), np.log(n), 1 / n, 1 / n**2]
+    norms = np.array([np.max(np.abs(column)) for column in columns])
+    design = np.column_stack(columns) / norms
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    slope, beta, _ = coef
+    residual = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
+    _, beta, slope, gamma, _, _ = coef / norms
     rho = 1.0 / slope
     sigma = math.exp(-beta * rho - 1.0) / rho
-    residual = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
     y_last = y_all[n_max]
     rho_raw = n_max * math.log(n_max) / y_last
     sigma_raw = n_max * math.exp(-rho * y_last / n_max) / (math.e * rho)
-    return GrowthEstimate(
-        float(rho), float(sigma), (lo, n_max), residual, float(rho_raw), float(sigma_raw)
-    )
+    return GrowthEstimate(float(rho), float(sigma), (index[0], n_max), residual,
+                          float(rho_raw), float(sigma_raw), float(gamma))
+
+
+def growth_fit_to_40_digits(series):
+    """(rho, sigma, gamma, residual) of the exact least-squares fit of the
+    series' float log-moduli at the `growth_sample` indices by the model of
+    `growth_by_column_stack`, from the normal equations in mpmath at 40
+    digits."""
+    with mpmath.workdps(40):
+        y_all = series.log_moduli
+        index = growth_sample(len(y_all) - 1)
+        rows = mpmath.matrix([[1, n, n * mpmath.log(n), mpmath.log(n), mpmath.mpf(1) / n,
+                               mpmath.mpf(1) / n**2] for n in map(mpmath.mpf, index)])
+        y = mpmath.matrix([-mpmath.mpf(y_all[n]) for n in index])
+        coef = mpmath.lu_solve(rows.T * rows, rows.T * y)
+        rho = 1 / coef[2]
+        misfit = rows * coef - y
+        residual = mpmath.sqrt(mpmath.fsum(e**2 for e in misfit) / len(index))
+        return rho, mpmath.exp(-coef[1] * rho - 1) / rho, coef[3], residual
 
 
 def schwarz_grid_by_list(radius: float, points: int) -> list[complex]:

@@ -22,7 +22,6 @@ from polywh import (
     reciprocal_ells,
     structure_function,
 )
-from polywh import bargmann
 from polywh.algebra import _ladder_rows, _phases, identity_deviations, ladder_table
 
 from oracles import (
@@ -216,15 +215,14 @@ _KERNEL_SIZES = (0, 1, 2, 200, 12_345, 50_001)
 
 @pytest.mark.parametrize("kappas", _ROW_PARAMS, ids=lambda k: ",".join(k))
 def test_log_factorial_equals_the_concatenated_cumsum(kappas):
-    # the kernel's -1/2 log F(n)!, summed in place over the rows' F buffer and
-    # extended from its last partial sum as the sizes rise
+    # the kernel's -1/2 log F(n)!, summed in place over the rows' F buffer
     assert_kernels_equal_the_concatenated_cumsum(AlgebraParams(kappas), _KERNEL_SIZES)
 
 
 @pytest.mark.parametrize("order", ["falling", "shuffled"])
 @pytest.mark.parametrize("kappas", _ROW_PARAMS, ids=lambda k: ",".join(k))
 def test_log_factorial_equals_the_concatenated_cumsum_in_any_order(kappas, order):
-    # falling: every size after the first is a prefix of the kept table
+    # each call builds its kernel from n = 0: no earlier size changes it
     sizes = sorted(_KERNEL_SIZES, reverse=True)
     if order == "shuffled":
         sizes = [12_345, 1, 50_001, 0, 200, 2]
@@ -232,17 +230,22 @@ def test_log_factorial_equals_the_concatenated_cumsum_in_any_order(kappas, order
 
 
 def assert_kernels_equal_the_concatenated_cumsum(params, sizes):
-    """On a cleared kernel table, bg_kernel for each size in turn equals the
-    cold reference bit for bit; a finite ladder is refused first."""
-    bargmann._KERNELS.clear()
+    """bg_kernel for each size in turn equals the cold reference bit for
+    bit, read-only; size 0 (n_max = -1) is refused by name, and a finite
+    ladder first."""
     if classify(params).is_finite:
         with pytest.raises(DomainError, match="infinite ladder"):
             EntireSeries.bg_kernel(params, 1)
         return
     for size in sizes:
+        if not size:
+            with pytest.raises(ValueError, match="^n_max must be at least 0, got n_max = -1$"):
+                EntireSeries.bg_kernel(params, -1)
+            continue
         logs = EntireSeries.bg_kernel(params, size - 1).log_moduli
         expected = -0.5 * log_factorial_by_concatenate(ladder_table(params, size).f)
         assert logs.tobytes() == expected.tobytes(), size
+        assert not logs.flags.writeable and not logs.base.flags.writeable, size
 
 
 # --------------------------------------------------------- representations

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -24,8 +25,15 @@ from polywh import (
 
 from polywh import bargmann
 from polywh.algebra import ladder_table
+from polywh.bargmann import kernel_growth
 
-from oracles import bg_kernel_log_moduli, growth_by_column_stack, log_factorial_by_concatenate
+from oracles import (
+    bg_kernel_log_moduli,
+    growth_by_column_stack,
+    growth_fit_to_40_digits,
+    growth_sample,
+    log_factorial_by_concatenate,
+)
 
 
 def factorial_series(n_max, power=1.0, scale=1.0):
@@ -227,15 +235,18 @@ _ELL_TUPLES = [ells for r in (1, 2, 3) for ells in itertools.product(range(1, 7)
 
 
 def assert_fit_near_the_column_stack_fit(series, label=None):
-    """The projection fit against the lstsq oracle: the same window and raw
-    limits, rho_hat and sigma_hat within 1e-12 relative (the largest gap over
-    these grids is 1.2e-13), the residual within lstsq's own error (7e-9)."""
+    """The sampled fit against the column-stack oracle: the same window and
+    raw order, rho_hat within 1e-9 and sigma_hat within 1e-8 relative and
+    gamma_hat within 1e-4 (the two fits differ by a sixth of these or less
+    over these grids), and residuals within 1e-14 of |log c_{n_max}| (at
+    most 5e-16 of it over these grids)."""
     est, ref = estimate_growth(series), growth_by_column_stack(series)
     assert (est.fit_window, est.rho_raw) == (ref.fit_window, ref.rho_raw), label
-    assert est.rho_hat == pytest.approx(ref.rho_hat, rel=1e-12, abs=0), label
-    assert est.sigma_hat == pytest.approx(ref.sigma_hat, rel=1e-12, abs=0), label
-    assert est.sigma_raw == pytest.approx(ref.sigma_raw, rel=1e-12, abs=0), label
-    assert est.residual == pytest.approx(ref.residual, rel=1e-7, abs=0), label
+    assert est.rho_hat == pytest.approx(ref.rho_hat, rel=1e-9, abs=0), label
+    assert est.sigma_hat == pytest.approx(ref.sigma_hat, rel=1e-8, abs=0), label
+    assert est.sigma_raw == pytest.approx(ref.sigma_raw, rel=1e-8, abs=0), label
+    assert est.gamma_hat == pytest.approx(ref.gamma_hat, rel=1e-4, abs=1e-4), label
+    assert abs(est.residual - ref.residual) <= 1e-14 * abs(series.log_moduli[-1]), label
 
 
 @pytest.mark.parametrize("n_max", [200, 2_000, 12_345, 50_000])
@@ -254,40 +265,48 @@ def test_fit_of_any_series_equals_the_column_stack_fit(n_max):
         assert_fit_near_the_column_stack_fit(factorial_series(n_max, power, scale))
 
 
-def _growth_to_40_digits(series):
-    """(rho, sigma, residual) of the exact least-squares fit of the series'
-    float log-moduli, from the normal equations in 40-digit arithmetic."""
-    y_all = series.log_moduli
-    n_max = len(y_all) - 1
-    rows = [(mpmath.mpf(n) * mpmath.log(n), mpmath.mpf(n), mpmath.mpf(1), -mpmath.mpf(y_all[n]))
-            for n in range(max(1, n_max // 2), n_max + 1)]
-    gram = mpmath.matrix([[mpmath.fsum(row[i] * row[j] for row in rows) for j in range(3)]
-                          for i in range(3)])
-    slope, beta, const = mpmath.lu_solve(gram, [mpmath.fsum(row[i] * row[3] for row in rows)
-                                                for i in range(3)])
-    rho = 1 / slope
-    residual2 = mpmath.fsum((slope * a + beta * b + const - y) ** 2 for a, b, _, y in rows)
-    return rho, mpmath.exp(-beta * rho - 1) / rho, mpmath.sqrt(residual2 / len(rows))
-
-
-def test_fit_is_no_less_accurate_than_lstsq_to_40_digits():
+def test_fit_meets_the_exact_fit_of_its_sample_to_40_digits():
+    # both float fits of the same sampled floats against the exact one: the
+    # library's Gram-Schmidt on t-scaled columns and the oracle's lstsq on
+    # n-scaled ones round to about 3e-11 and 1e-10 in rho, 3e-10 and 1e-9
+    # in sigma
     rng = np.random.default_rng(23)
-    worst = {"projections": [0.0] * 3, "lstsq": [0.0] * 3}
-    with mpmath.workdps(40):
-        for _ in range(12):
-            ells = rng.integers(1, 10, size=rng.integers(1, 4))
-            n_max = int(rng.integers(200, 4_000))
-            series = EntireSeries.bg_kernel(AlgebraParams([Fraction(1, int(e)) for e in ells]),
-                                            n_max)
-            exact = _growth_to_40_digits(series)
-            for name, est in [("projections", estimate_growth(series)),
-                              ("lstsq", growth_by_column_stack(series))]:
-                got = (est.rho_hat, est.sigma_hat, est.residual)
-                errors = [float(abs(mpmath.mpf(g) / e - 1)) for g, e in zip(got, exact)]
-                worst[name] = [max(w, err) for w, err in zip(worst[name], errors)]
-    assert all(p <= q for p, q in zip(worst["projections"], worst["lstsq"])), worst
-    rho_err, sigma_err, _ = worst["projections"]
-    assert rho_err < 1e-14 and sigma_err < 1e-13, worst
+    worst = {"t columns": [0.0] * 3, "column stack": [0.0] * 3}
+    for _ in range(12):
+        ells = rng.integers(1, 10, size=rng.integers(1, 4))
+        n_max = int(rng.integers(200, 60_000))
+        series = EntireSeries.bg_kernel(AlgebraParams([Fraction(1, int(e)) for e in ells]), n_max)
+        exact = growth_fit_to_40_digits(series)
+        for name, est in [("t columns", estimate_growth(series)),
+                          ("column stack", growth_by_column_stack(series))]:
+            got = (est.rho_hat, est.sigma_hat, est.gamma_hat)
+            errors = [float(abs(mpmath.mpf(g) / e - 1)) for g, e in zip(got, exact)]
+            worst[name] = [max(w, err) for w, err in zip(worst[name], errors)]
+            assert abs(est.residual - exact[3]) <= 1e-14 * abs(series.log_moduli[-1])
+    bounds = {"t columns": (2e-10, 2e-9, 2e-5), "column stack": (1e-9, 1e-8, 1e-4)}
+    for name, errors in worst.items():
+        assert all(e < bound for e, bound in zip(errors, bounds[name])), (name, worst)
+
+
+def test_a_fit_past_the_double_range_is_named():
+    # y = -log |c_n| whose squares pass the double range: the fit is made on
+    # y / max |y|, and what it gives is finite or a DomainError naming why
+    n = np.arange(300.0)
+    logs = -n * np.log(np.maximum(n, 1.0))
+    last_huge = logs.copy()
+    last_huge[-1] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^the growth estimate passes the double range: "
+                                              r"sigma_hat = nan$"):
+            estimate_growth(EntireSeries.from_log_moduli(last_huge))
+        with pytest.raises(DomainError, match="the order fit is degenerate"):
+            estimate_growth(EntireSeries.from_log_moduli(np.full(300, -1e308)))
+        scaled = estimate_growth(EntireSeries.from_log_moduli(logs * 1e200))
+    reference = estimate_growth(EntireSeries.from_log_moduli(logs))
+    assert scaled.rho_hat == pytest.approx(reference.rho_hat * 1e-200, rel=1e-9)
+    assert scaled.sigma_hat == pytest.approx(reference.sigma_hat * 1e200, rel=1e-8)
+    assert scaled.residual < 1e-13 * 1e200 * abs(logs[-1])
 
 
 def test_kernel_needs_infinite_ladder():
@@ -295,92 +314,136 @@ def test_kernel_needs_infinite_ladder():
         EntireSeries.bg_kernel(AlgebraParams(["-1/3"]), 500)
 
 
-# ------------------------------------------------------- kept kernel tables
-
-_TABLE_KAPPA = st.one_of(
-    st.just(Fraction(0)),
-    st.fractions(min_value=0, max_value=9, max_denominator=12),
-    st.integers(min_value=1, max_value=12).map(lambda ell: Fraction(1, ell)),
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    ladders=st.lists(st.lists(_TABLE_KAPPA, min_size=1, max_size=3).map(tuple),
-                     min_size=1, max_size=bargmann.KERNEL_LADDERS + 3, unique=True),
-    calls=st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=-1, max_value=3000)),
-                   min_size=1, max_size=12),
-    order=st.sampled_from(["drawn", "rising", "falling", "repeated"]),
-)
-def test_kernel_tables_are_the_cold_kernel_bit_for_bit(ladders, calls, order):
-    # sizes rising (extensions), falling (prefixes), repeated and -1 on up to
-    # three more ladders than the table keeps, each asked once first so that
-    # a pool past KERNEL_LADDERS evicts, from a cleared table
-    calls = [(ladders[i % len(ladders)], n_max) for i, n_max in calls]
-    calls = [(kappas, calls[-1][1]) for kappas in ladders] + calls
-    if order in ("rising", "falling"):
-        calls.sort(key=lambda call: call[1], reverse=order == "falling")
-    elif order == "repeated":
-        calls = [call for call in calls for _ in range(2)]
-    bargmann._KERNELS.clear()
-    used = []
-    for kappas, n_max in calls:
-        params = AlgebraParams(kappas)
-        logs = EntireSeries.bg_kernel(params, n_max).log_moduli
-        expected = -0.5 * log_factorial_by_concatenate(ladder_table(params, n_max + 1).f)
-        assert logs.tobytes() == expected.tobytes(), (kappas, n_max)
-        assert not logs.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            logs[:] = 0.0
-        with pytest.raises(ValueError, match="WRITEABLE"):
-            logs.setflags(write=True)
-        used = [k for k in used if k != params.kappas] + [params.kappas]
-        assert list(bargmann._KERNELS) == used[-bargmann.KERNEL_LADDERS:]
-
-
-def test_a_kernel_longer_than_kernel_rows_is_not_kept():
-    small, params = AlgebraParams(["1/2"]), AlgebraParams(["1/2", "1/3"])
-    bargmann._KERNELS.clear()
-    EntireSeries.bg_kernel(params, 100)
-    EntireSeries.bg_kernel(small, 100)
-    held = list(bargmann._KERNELS.items())
-    for n_max in (bargmann.KERNEL_ROWS, 2 * bargmann.KERNEL_ROWS):
-        logs = EntireSeries.bg_kernel(params, n_max).log_moduli
-        expected = -0.5 * log_factorial_by_concatenate(ladder_table(params, n_max + 1).f)
-        assert logs.tobytes() == expected.tobytes()
-        with pytest.raises(ValueError, match="WRITEABLE"):
-            logs.setflags(write=True)
-        assert list(bargmann._KERNELS.items()) == held  # same order, same arrays
-    longest = EntireSeries.bg_kernel(params, bargmann.KERNEL_ROWS - 1).log_moduli
-    assert len(bargmann._KERNELS[params.kappas]) == len(longest) == bargmann.KERNEL_ROWS
-
-
 _HUGE_TABLES = [10**15, 2**63 - 1, 10**400]  # MemoryError, a wrapped length, ValueError
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_kernel_refusals_do_not_depend_on_the_kept_table(warm):
+def test_kernel_refusals_name_their_cause():
     params, finite = AlgebraParams(["1/2", "1/3"]), AlgebraParams(["-1/3", "1/2"])
     wide = AlgebraParams([10**97] * 3)  # F(n) Q passes the double range at n = 20,6xx
-    bargmann._KERNELS.clear()
-    if warm:
-        EntireSeries.bg_kernel(params, 3000)
-        EntireSeries.bg_kernel(wide, 20_000)
-    held = {kappas: len(table) for kappas, table in bargmann._KERNELS.items()}
-    for n_max in (-2, -3, -10**400):
-        with pytest.raises(ValueError, match=rf"^no ladder table of size {n_max + 1} for the inf"):
-            EntireSeries.bg_kernel(params, n_max)
+    for build in (EntireSeries.bg_kernel, kernel_growth):
+        for n_max in (500.5, 500.0, "500", Fraction(500)):
+            with pytest.raises(TypeError, match=rf"^n_max must be an integer, got n_max = "
+                                                rf"{re.escape(repr(n_max))}$"):
+                build(params, n_max)
+        for n_max in (-1, -2, -10**400):
+            with pytest.raises(ValueError, match=rf"^n_max must be at least 0, got n_max = {n_max}$"):
+                build(params, n_max)
+        with pytest.raises(DomainError, match="^the kernel series needs an infinite ladder$"):
+            build(finite, 10)
     for n_max in _HUGE_TABLES:
         message = rf"^{n_max + 1} ladder rows \(from n = 0\) are more than numpy can allocate$"
         with pytest.raises(DomainError, match=message):
             EntireSeries.bg_kernel(params, n_max)
     with pytest.raises(DomainError, match=r"values F\(n\) Q, n < 30001, pass the double range"):
         EntireSeries.bg_kernel(wide, 30_000)
-    with pytest.raises(DomainError, match="^the kernel series needs an infinite ladder$"):
-        EntireSeries.bg_kernel(finite, 10)
-    assert {kappas: len(table) for kappas, table in bargmann._KERNELS.items()} == held
-    empty = EntireSeries.bg_kernel(params, -1).log_moduli
-    assert empty.shape == (0,) and not empty.flags.writeable
+    kernel = EntireSeries.bg_kernel(params, 0).log_moduli
+    assert kernel.tolist() == [0.0] and not kernel.flags.writeable
+
+
+# ------------------------------------------------------- growth from samples
+
+_GROWTH_KAPPA = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=1, max_value=12).map(lambda ell: Fraction(1, ell)),
+    st.fractions(min_value=Fraction(1, 12), max_value=9, max_denominator=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kappas=st.lists(_GROWTH_KAPPA, min_size=1, max_size=3),
+       n_max=st.integers(min_value=5_000, max_value=50_000))
+def test_kernel_growth_meets_the_closed_forms(kappas, n_max):
+    # gamma = 1/4 + 1/2 sum (1/kappa_i - 1/2) over kappa_i > 0 is the log n
+    # coefficient of Stirling's expansion; over these draws rho_hat errs at
+    # most about 1e-10, sigma_hat 1e-9 and gamma_hat 1e-5 (its rounding
+    # grows with n_max: about 2.4e-4 at n_max = 10^6)
+    params = AlgebraParams(kappas)
+    est = kernel_growth(params, n_max)
+    rho, sigma = closed_form_growth(params)
+    gamma = 0.25 + 0.5 * sum(1 / kappa - 0.5 for kappa in kappas if kappa)
+    assert est.rho_hat == pytest.approx(rho, rel=1e-7, abs=0)
+    assert est.sigma_hat == pytest.approx(sigma, rel=1e-7, abs=0)
+    assert abs(est.gamma_hat - float(gamma)) <= 1e-4
+    assert est.fit_window == (n_max // 2, n_max)
+
+
+def _kernel_sample(params, n_max):
+    """The indices and values `kernel_growth` hands to its fit."""
+    fit, samples = bargmann._fit, []
+    try:
+        bargmann._fit = lambda n, y: samples.append((n, y))
+        kernel_growth(params, n_max)
+    finally:
+        bargmann._fit = fit
+    return samples[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappas=st.lists(_GROWTH_KAPPA, min_size=1, max_size=3),
+       n_max=st.integers(min_value=bargmann.MIN_COEFFS - 1, max_value=60_000))
+def test_the_lgamma_sample_meets_the_cold_kernel(kappas, n_max):
+    params = AlgebraParams(kappas)
+    n, y = _kernel_sample(params, n_max)
+    assert n == growth_sample(n_max)
+    cold = -EntireSeries.bg_kernel(params, n_max).log_moduli[n]
+    np.testing.assert_allclose(y, cold, rtol=1e-8, atol=0)
+    assert kernel_growth(params, n_max).rho_hat == pytest.approx(
+        estimate_growth(EntireSeries.bg_kernel(params, n_max)).rho_hat, rel=1e-8)
+
+
+def test_kernel_growth_refusals_name_their_cause():
+    params = AlgebraParams(["1/2", "1/3"])
+    for kappas, shown in [([10**400], f"{10**400}"), ([Fraction(1, 10**400)], f"1/{10**400}"),
+                          (["1/2", 10**309], f"1/2,{10**309}")]:
+        with pytest.raises(DomainError, match=rf"^kappa = {shown}: a kappa_i or 1/kappa_i passes"):
+            kernel_growth(AlgebraParams(kappas), 5000)
+    with pytest.raises(DomainError, match=r"^n_max = 9007199254740993 passes 2\*\*53"):
+        kernel_growth(params, 2**53 + 1)
+    with pytest.raises(DomainError, match="^need at least 200 coefficients, got 199$"):
+        kernel_growth(params, 198)
+    assert kernel_growth(params, 199).fit_window == (99, 199)
+
+
+@pytest.mark.parametrize("kappas, n_max, sigma_tol", [
+    # F(n) Q passes the double range: no cold kernel; sigma = 3.6e-73 is
+    # c_2 e^(-c_1/c_2 - 1) at c_1/c_2 = 177, which scales c_1/c_2's rounding
+    ([10**97] * 3, 30_000, 1e-6),
+    (["1/2", "1/3"], 10**15, 1e-7),  # more rows than numpy can allocate
+    (["1/2", "1/3"], 2**53, 1e-7),
+    ([Fraction(1, 10**300)], 5000, 1e-7),  # a = 10^300: lgamma's difference would cancel to 0
+])
+def test_kernel_growth_needs_no_table(kappas, n_max, sigma_tol):
+    # commands the cold kernel refuses or rounds away, which the sample answers
+    params = AlgebraParams(kappas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = kernel_growth(params, n_max)
+    if kappas[0] == Fraction(1, 10**300):  # n << 1/kappa: the oscillator's growth, as the
+        cold = estimate_growth(EntireSeries.bg_kernel(params, n_max))  # cumsum reads it
+        assert (est.rho_hat, est.sigma_hat) == (pytest.approx(cold.rho_hat, rel=1e-8),
+                                                pytest.approx(cold.sigma_hat, rel=1e-7))
+        assert est.rho_hat == pytest.approx(2.0, rel=1e-9)
+        return
+    rho, sigma = closed_form_growth(params)
+    assert est.rho_hat == pytest.approx(rho, rel=1e-7, abs=0)
+    assert est.sigma_hat == pytest.approx(sigma, rel=sigma_tol, abs=0)
+
+
+def test_bargmann_keeps_no_module_level_state():
+    # no module-level container, and every global the same object after a
+    # round of growth, kernel and transform calls
+    containers = [name for name, value in vars(bargmann).items()
+                  if not name.startswith("__") and isinstance(value, (dict, list, set, np.ndarray))]
+    assert containers == []
+    before = dict(vars(bargmann))
+    for kappas in (["1/2"], ["0", "2/3"], ["1/3", "1/4", "1/5"]):
+        params = AlgebraParams(kappas)
+        kernel_growth(params, 5000)
+        estimate_growth(EntireSeries.bg_kernel(params, 3000))
+    bargmann_eval(AlgebraParams(["1/2"]), [1.0, 0.5], 0.3)
+    after = vars(bargmann)
+    assert after.keys() == before.keys()
+    assert [name for name, value in before.items() if after[name] is not value] == []
 
 
 # ----------------------------------------------------------- closed forms
@@ -402,8 +465,9 @@ def test_closed_form_oscillator_limit():
 def test_closed_form_refuses_a_finite_ladder():
     with pytest.raises(DomainError, match="^the kernel series needs an infinite ladder$"):
         closed_form_growth(AlgebraParams(["-1/3", "2/5"]))
-    with pytest.raises(DomainError, match=r"1/\(kappa_1 ... kappa_q\) passes the double range"):
-        closed_form_growth(AlgebraParams([Fraction(1, 10**200), Fraction(1, 10**200)]))
+    for kappa in (Fraction(1, 10**200), 10**200):  # P = 10^400; 10^-400 would round sigma to 0
+        with pytest.raises(DomainError, match=r"1/\(kappa_1 ... kappa_q\) passes the double range"):
+            closed_form_growth(AlgebraParams([kappa, kappa]))
 
 
 @pytest.mark.parametrize("kappas, rho_tol, sigma_tol", [

@@ -18,6 +18,7 @@ from polywh import (
     DomainError,
     EntireSeries,
     StateKind,
+    bargmann_eval,
     bg_grassmann_state,
     bg_normalization,
     bg_state,
@@ -29,6 +30,7 @@ from polywh import (
     overlap,
     perelomov_state,
     perelomov_via_exponential,
+    schwarz_check,
     solve_measure,
     time_evolve,
 )
@@ -336,7 +338,8 @@ def test_a_shape_past_the_double_range_has_no_closed_form(exponent):
 
 
 def test_only_the_closed_form_reads_lgamma():
-    # one copy of the perelomov law: no second predictor may rebuild it
+    # one copy of the perelomov law: no second predictor may rebuild it; the
+    # one other reader is the growth kernel's rising factorial (a)_n
     readers = {
         (path.name, getattr(top, "name", None))
         for path in sorted(Path(polywh.__file__).parent.glob("*.py"))
@@ -346,7 +349,7 @@ def test_only_the_closed_form_reads_lgamma():
         or (isinstance(node, ast.Name) and node.id == "lgamma")
         or (isinstance(node, ast.alias) and node.name.endswith("lgamma"))
     }
-    assert readers == {("coherent.py", "_perelomov_law")}
+    assert readers == {("coherent.py", "_perelomov_law"), ("bargmann.py", "_log_rising")}
 
 
 def _functions(path):
@@ -1106,6 +1109,9 @@ _NON_FINITE = [
     (lambda: bg_normalization(_HALF, np.float64(_NAN)), "z"),
     (lambda: bg_normalization(_HALF, np.complex128(0.0, _NAN)), "z"),
     (lambda: bg_normalization(_HALF, np.array([0.5, complex(0.0, _NAN)])), "z"),
+    # both said the transform "overflows double precision at z = nan+0j"
+    (lambda: bargmann_eval(_HALF, [1.0], complex(_NAN)), "z"),
+    (lambda: schwarz_check(_HALF, [1.0], np.array([0.5, _NAN])), "z"),
     (lambda: hyper_0f((2,), _NAN), "x"),
     (lambda: hyper_0f((2,), np.float64(_NAN)), "x"),
     (lambda: hyper_0f((2,), np.array([1.0, _NAN])), "x"),

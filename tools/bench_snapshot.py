@@ -6,12 +6,20 @@
 Runs `bench/run.py --workload W --seed S --seconds T --trace 0` of each
 checkout as its own process, T the run_seconds of BENCHMARK.json, for every
 workload there and every seed; the checkouts take turns at each (workload,
-seed), so that a drift of the machine falls on all of them alike.  From the
-JSON summary on the last line of each run it writes, per checkout, workload
-and metric, the median and the first and third quartiles over the seeds
+seed), so that a drift of the machine falls on all of them alike, and which
+of them runs first alternates from one seed to the next.  From the JSON
+summary on the last line of each run it writes, per checkout, workload and
+metric, the median and the first and third quartiles over the seeds
 (`statistics.quantiles`, as `bench/report.py` takes them) and the per-seed
 values; from the provenance line, the commit, Python, numpy and nproc of the
-runs.  The output is one JSON object keyed by checkout label.  Each
+runs.  The output is one JSON object keyed by checkout label.  With two
+checkouts or more, its key "verdicts" holds the second (the change) judged
+against the first (the parent), per workload and end-to-end metric of
+BENCHMARK.json, on the per-seed pairs (`verdicts`): a gain is claimable
+where the change wins at least 9 in 10 pairs (ties count for neither) and
+its median beats the parent's by more than the parent's quartile spread;
+a metric is within its bound where the change's median is worse than the
+parent's by at most that fraction of the parent's.  Each
 checkout's `src/` is byte-compiled before its first run (`compileall`, which
 writes only its `__pycache__`), as `tools/paired_timing.py` does, so that no
 run compiles a module on start, as one with a stale cache would under
@@ -24,6 +32,7 @@ from __future__ import annotations
 import argparse
 import compileall
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -82,6 +91,37 @@ def summarize(runs: list[dict]) -> dict:
     }
 
 
+def verdicts(parent: dict, change: dict, end_to_end: list[dict]) -> dict:
+    """Per workload and end-to-end metric (BENCHMARK.json's entries, with
+    their `better` and `bound`) that both summaries hold: the pairs of
+    per-seed values, the change's wins and the ties, the parent's quartile
+    spread q3 - q1, the median gap (positive where the change is better),
+    whether a gain is claimable and whether the change is within the bound."""
+    out = {}
+    for workload, summary in parent["workloads"].items():
+        before_metrics, after_metrics = summary["metrics"], change["workloads"][workload]["metrics"]
+        out[workload] = {}
+        for entry in end_to_end:
+            name = entry["name"]
+            if name not in before_metrics or name not in after_metrics:
+                continue
+            p, c = before_metrics[name], after_metrics[name]
+            sign = 1.0 if entry["better"] == "higher" else -1.0
+            pairs = list(zip(p["values"], c["values"]))
+            wins = sum(sign * (after - before) > 0 for before, after in pairs)
+            spread = p["q3"] - p["q1"]
+            gap = sign * (c["median"] - p["median"])
+            worse_by = -gap / abs(p["median"]) if p["median"] else (0.0 if gap >= 0 else math.inf)
+            out[workload][name] = {
+                "better": entry["better"], "pairs": len(pairs), "wins": wins,
+                "ties": sum(before == after for before, after in pairs),
+                "parent_spread": spread, "median_gap": gap,
+                "claimable": wins >= 0.9 * len(pairs) and gap > spread,
+                "bound": entry["bound"], "within_bound": worse_by <= entry["bound"],
+            }
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=parse_checkout, action="append", required=True,
@@ -92,13 +132,16 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
+    labels = [label for label, _ in args.checkout]
+    if len(set(labels)) != len(labels) or "verdicts" in labels:
+        parser.error("checkout labels must be distinct and not 'verdicts'")
     for _, checkout in args.checkout:
         if not compileall.compile_dir(checkout / "src", quiet=1):
             raise SystemExit(f"error: cannot byte-compile {checkout / 'src'}")
-    runs = {label: {w: [] for w in workloads} for label, _ in args.checkout}
+    runs = {label: {w: [] for w in workloads} for label in labels}
     for workload in workloads:
-        for seed in args.seeds:
-            for label, checkout in args.checkout:
+        for i, seed in enumerate(args.seeds):
+            for label, checkout in args.checkout[:: -1 if i % 2 else 1]:
                 runs[label][workload].append(run_once(checkout, workload, seed, seconds))
                 print(f"{label} {workload} seed {seed} done", file=sys.stderr)
     snapshot = {
@@ -108,6 +151,9 @@ def main(argv=None) -> int:
         }
         for label, by_workload in runs.items()
     }
+    if len(labels) > 1:
+        snapshot["verdicts"] = {"parent": labels[0], "change": labels[1], "workloads": verdicts(
+            snapshot[labels[0]], snapshot[labels[1]], spec["end_to_end"])}
     text = json.dumps(snapshot, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)
