@@ -41,6 +41,7 @@ __all__ = [
 
 MIN_COEFFS = 200
 SAMPLE = 32  # fit indices, evenly spaced over the top half n_max // 2 .. n_max
+GAMMA_TOL = 1e-3  # the largest rounding bound at which gamma_hat is reported
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +121,8 @@ def _check_kernel(params: AlgebraParams, n_max) -> None:
 class GrowthEstimate:
     """Fitted order/type, the window used, the RMS residual of the fit at
     its SAMPLE indices, and the fitted log n coefficient ``gamma_hat``
-    (1/4 + 1/2 sum_i (1/kappa_i - 1/2) for the kernel, over kappa_i > 0).
+    (1/4 + 1/2 sum_i (1/kappa_i - 1/2) for the kernel, over kappa_i > 0),
+    None where its rounding bound passes GAMMA_TOL (`_fit`).
 
     ``rho_raw``/``sigma_raw`` are the textbook n -> infinity limit
     expressions evaluated at the last index; they converge only at a
@@ -132,7 +134,7 @@ class GrowthEstimate:
     residual: float
     rho_raw: float
     sigma_raw: float
-    gamma_hat: float
+    gamma_hat: float | None
 
 
 def bargmann_eval(params: AlgebraParams, f_coeffs, z) -> complex | np.ndarray:
@@ -249,9 +251,15 @@ def _fit(n: list[int], y: np.ndarray) -> GrowthEstimate:
     Gram-Schmidt, whose least-squares solution is backward stable (Bjorck
     1967), and back substitution: more accurate than LAPACK's `lstsq` here,
     which would add about 0.5 MB of peak RSS to every process that runs it
-    once.  A slope 1/rho under 1e-3 or a t log t coefficient under 1e-9
-    of max |y| (which the fit cannot tell from its rounding), or a value
-    past the double range (named), is a `DomainError`."""
+    once.  The log t coefficient gamma is the most ill-conditioned: a
+    rounding of eps max |y| in every y moves it by at most
+    |e_3^T R^-1 Q^T|_1 eps max |y| <= sqrt(m) |e_3^T R^-1|_2 eps max |y|,
+    with Q (orthonormal) and R the QR's own and m the sample size, and
+    gamma_hat is None where that absolute bound passes GAMMA_TOL (from
+    n_max near 10^6 on; the two norms differ by 14% on this sample).  A
+    slope 1/rho under 1e-3 or a t log t coefficient under 1e-9 of max |y|
+    (which the fit cannot tell from its rounding), or a value past the
+    double range (named), is a `DomainError`."""
     n_max, y_last = n[-1], y[-1]
     t = np.array(n, dtype=float) / n_max
     scale = float(np.max(np.abs(y))) or 1.0
@@ -265,19 +273,27 @@ def _fit(n: list[int], y: np.ndarray) -> GrowthEstimate:
     coef = np.append(np.zeros(6), -1.0)  # -1 for y: rows 0 to 5 of r @ coef vanish
     for j in range(5, -1, -1):
         coef[j] = -(r[j, j + 1:] @ coef[j + 1:]) / r[j, j]
+    # row 3 of R^-1, zero before column 3: R^T u = e_3 by forward substitution
+    (r33, r34, r35), (_, r44, r45), (_, _, r55) = r[3:6, 3:6].tolist()
+    u3 = 1.0 / r33
+    u4 = -u3 * r34 / r44
+    u5 = -(u3 * r35 + u4 * r45) / r55
+    gamma_err = math.sqrt(len(n)) * math.hypot(u3, u4, u5) * sys.float_info.epsilon * scale
     with np.errstate(all="ignore"):  # a value past the double range: refused below
         c1, c2, gamma = coef[1:4] * scale
         if not (c2 / n_max > 1e-3 and coef[2] > 1e-9):  # below 1e-9 of max |y|: rounding
             raise DomainError("coefficient decay is not of finite-positive-order entire type "
                               "(geometric or slower); the order fit is degenerate")
         values = {"rho_hat": n_max / c2, "sigma_hat": c2 * np.exp(-c1 / c2 - 1.0),
-                  "residual": scale * r[6, 6] / math.sqrt(len(n)), "gamma_hat": gamma,
+                  "residual": scale * r[6, 6] / math.sqrt(len(n)),
+                  "gamma_hat": gamma if gamma_err <= GAMMA_TOL else None,
                   "rho_raw": n_max * math.log(n_max) / y_last,
                   "sigma_raw": c2 * np.exp(-y_last / c2 - 1.0)}
     for name, value in values.items():
-        if not np.isfinite(value):
+        if value is not None and not np.isfinite(value):
             raise DomainError(f"the growth estimate passes the double range: {name} = {value:.17g}")
-    return GrowthEstimate(fit_window=(n[0], n_max), **{k: float(v) for k, v in values.items()})
+    return GrowthEstimate(fit_window=(n[0], n_max),
+                          **{k: v if v is None else float(v) for k, v in values.items()})
 
 
 def closed_form_growth(params: AlgebraParams) -> tuple[float, float]:

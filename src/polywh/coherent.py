@@ -5,7 +5,10 @@
 
 with c_0 = 1 unless normalized.  A state outside its existence domain, or
 one whose coefficients do not fit in a double, is a `DomainError`, never a
-number; this module alone decides whether a series state exists.
+number; this module alone decides whether a series state exists (`_state`),
+and one function reads the perelomov closed form (`_law_verdict`).  The
+hypergeometric normalization is summed in float64 alone, an int or a
+Fraction argument at its double.
 """
 
 from __future__ import annotations
@@ -91,8 +94,8 @@ class CoherentState:
 
 def _series(kind, params, zs, stop: int, tail_tol: float | None):
     """c_0 = 1, c_n = c_{n-1} step(n) (`_steps`), n < stop, one row per z of
-    zs, as (column blocks of the rows, tail bound per row, exponent per row).
-    A finite ladder (no tail_tol) is one block; else the blocks double, each
+    zs, as (coefficient rows, tail bound per row, exponent per row).  A
+    finite ladder (no tail_tol) is one block; else the blocks double, each
     from the last one's carry, until every row meets its tail cut
     (`_tail_cut`; bound inf where uncut), zero past it: block lo..hi - 1 ends
     at hi = min(max(2 lo, 64), stop).  Row i's |c_n|^2 and running norm are
@@ -147,7 +150,7 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
             blocks.append(block if math.inf in bounds else block[:, : max(lengths) - lo])
             norm2, lo = norms[:, -1:].copy(), hi
             del steps, block, abs2, norms  # not held while the next block is built
-    return blocks, bounds, exponents
+    return np.concatenate(blocks, axis=1), bounds, exponents
 
 
 def _tail_cut(under, abs2, norms, lo, ratio_sup, tol2):
@@ -205,13 +208,21 @@ def _perelomov_x(kind, params, radius):
     return q * q
 
 
-def _perelomov_law(kind, params, radius):
-    """The closed form of the perelomov series at |z| = radius where its x
-    (`_perelomov_x`) has 0 < x < 1, as (x, a, peak, n -> log |c_n|^2,
-    margin, `_ratio_sup`), else None: |c_n|^2 = x^n (a)_n / n!, a = 1/kappa,
-    unimodal with its peak at index ``peak`` (Perelomov 1986).  margin(n)
-    bounds the log distance between the closed form and the float series,
-    lgamma's cancellation included (`e3017a5`, `741a52b`)."""
+def _law_verdict(kind, params, radius, max_terms, tol):
+    """Whether the perelomov series at |z| = radius is cut at tail tolerance
+    tol within max_terms terms, read off its closed form (Perelomov 1986)
+    where its x (`_perelomov_x`) has 0 < x < 1: |c_n|^2 = x^n (a)_n / n!,
+    a = 1/kappa, unimodal with its peak at index ``peak``, within margin(n)
+    in log of the float series, lgamma's cancellation included (`e3017a5`,
+    `741a52b`).  True where the law meets the cut with every |c_n|^2, n <=
+    max_terms, a double; False where it fits so but misses the cut's
+    necessary bound tol^2 S_inf (1 - x) at n = 1 and at max_terms, and so
+    everywhere between; None where there is no law (another series, x
+    outside (0, 1), a or the peak index past the double range) or it cannot
+    decide.  The cut is certain where `_tail_cut` passes at n = max_terms on
+    the law, margin included, with q = `_ratio_sup` at max_terms < 1 and
+    S >= |c_0|^2 = 1: |c_n|^2 / (1 - q^2) only falls with n past the peak,
+    so the series is cut by then."""
     x = _perelomov_x(kind, params, radius)
     if x is None or not 0.0 < x < 1.0:
         return None
@@ -229,23 +240,6 @@ def _perelomov_law(kind, params, radius):
     def margin(n):
         return 1e-6 + 1e-12 * n + near_rim + 4.0 * eps * (abs(math.lgamma(a + n)) + abs(base))
 
-    return x, a, peak, log_abs2, margin, _ratio_sup(kind, params, radius)
-
-
-def _law_verdict(kind, params, radius, max_terms, tol):
-    """Whether the perelomov series at |z| = radius is cut at tail tolerance
-    tol within max_terms terms, by its closed form (`_perelomov_law`): True
-    where the law meets the cut with every |c_n|^2, n <= max_terms, a double;
-    False where it fits so but misses the cut's necessary bound
-    tol^2 S_inf (1 - x) at n = 1 and at max_terms, and so everywhere between;
-    None where there is no law or it cannot decide.  The cut is certain
-    where `_tail_cut` passes at n = max_terms on the law, margin included,
-    with q = sup(max_terms) < 1 and S >= |c_0|^2 = 1: |c_n|^2 / (1 - q^2)
-    only falls with n past the peak, so the series is cut by then."""
-    law = _perelomov_law(kind, params, radius)
-    if law is None:
-        return None
-    x, a, peak, log_abs2, margin, sup = law
     top = min(peak, max_terms)
     highest = max(log_abs2(n) + margin(n) for n in {max(top - 1, 0), top, min(top + 1, max_terms)})
     if not highest < 2.0 * (math.log(sys.float_info.max) - 1.0):
@@ -255,7 +249,7 @@ def _law_verdict(kind, params, radius, max_terms, tol):
         return False
     if max_terms < max(peak, 1):
         return None
-    q = sup(max_terms)
+    q = _ratio_sup(kind, params, radius)(max_terms)
     if q >= 1.0 or (log_abs2(max_terms) - math.log1p(-q * q) + margin(max_terms)
                     > 2.0 * math.log(tol)):
         return None
@@ -274,8 +268,8 @@ def _series_moduli(kind, params, zs, levels: int) -> np.ndarray:
     last = levels - 1  # where the last block starts if it is one step long
     one_step = last == 1 or (tail_tol is not None and last >= 64 and not last & (last - 1))
     stop = levels + (one_step and levels != dim.d)
-    blocks, _, exponents = _series(kind, params, zs, stop, tail_tol)
-    coeffs, moduli = np.concatenate(blocks, axis=1)[:, :levels], np.zeros((len(zs), levels))
+    coeffs, _, exponents = _series(kind, params, zs, stop, tail_tol)
+    coeffs, moduli = coeffs[:, :levels], np.zeros((len(zs), levels))
     moduli[:, : coeffs.shape[1]] = np.abs(coeffs * np.ldexp(1.0, -exponents // 2)[:, None]) ** 2
     if exponents.any():  # a modulus past the double range is a DomainError
         moduli = _ldexp(moduli, exponents[:, None], "squared coefficient modulus")
@@ -357,10 +351,10 @@ def _state(kind, params, z, normalize, tail_tol, max_terms) -> CoherentState:
     stop, tol = (dim.d, None) if dim.is_finite else (max_terms + 1, tail_tol)
     bound = math.inf
     if tol is None or _law_verdict(kind, params, abs(z), max_terms, tol) is not False:
-        blocks, (bound,), _ = _series(kind, params, [z], stop, tol)
+        (coeffs,), (bound,), _ = _series(kind, params, [z], stop, tol)
     if tol is not None and bound == math.inf:
         raise DomainError(f"series did not reach tail tolerance {tol:g} within {max_terms} terms")
-    coeffs = np.concatenate(blocks, axis=1)[0].astype(complex, copy=False)  # imaginary +0.0
+    coeffs = coeffs.astype(complex, copy=False)  # imaginary +0.0
     meta = CutoffMeta(True, dim.d) if tol is None else CutoffMeta(False, len(coeffs), bound, tol)
     return _finish(kind, params, z, coeffs, normalize, meta)
 
@@ -412,10 +406,12 @@ def perelomov_state(
 def perelomov_via_exponential(
     params: AlgebraParams, z, rep: LadderRep, *, normalize: bool = False
 ) -> CoherentState:
-    """exp(z * raising)|0> as the exact nilpotent polynomial, d vector terms
-    each raised by the band of ``rep``: `perelomov_state` without its series.
-    An infinite ladder is a `DomainError`; a ``rep`` other than the
-    untruncated one of ``params`` is a ValueError."""
+    """exp(z * raising)|0> as the exact nilpotent polynomial: its term
+    (z raising)^k / k! |0> is nonzero at level k alone, so v_k = raising_k
+    v_{k-1} z / k, one level per step up the band of ``rep``:
+    `perelomov_state` without its series.  An infinite ladder is a
+    `DomainError`; a ``rep`` other than the untruncated one of ``params`` is
+    a ValueError."""
     z = complex(z)
     dim = classify(params)
     if not dim.is_finite:
@@ -428,15 +424,12 @@ def perelomov_via_exponential(
         raise ValueError("need the untruncated representation")
     if rep.dim_window != dim.d:
         raise ValueError(f"representation window {rep.dim_window} != d = {dim.d}")
-    raising = rep.band.conj()  # <n+1|raising|n>
-    v = np.zeros(dim.d, dtype=complex)
-    v[0] = 1.0
-    term = v.copy()
+    raising = rep.band.conj().tolist()  # <n+1|raising|n>
+    v = [1.0 + 0j]
     for k in range(1, dim.d):
-        term = np.concatenate(([0j], raising * term[:-1])) * (z / k)
-        v = v + term
+        v.append(raising[k - 1] * v[-1] * (z / k))
     meta = CutoffMeta(exact=True, n_terms=dim.d)
-    return _finish(StateKind.PERELOMOV, params, z, v, normalize, meta)
+    return _finish(StateKind.PERELOMOV, params, z, np.array(v), normalize, meta)
 
 
 def bg_state(
@@ -513,31 +506,37 @@ def overlap(s1: CoherentState, s2: CoherentState, *, unchecked: bool = False) ->
     return complex(np.vdot(s1.coeffs[:length], s2.coeffs[:length]))
 
 
-def _has_nan(x) -> bool:
-    """Whether x, a scalar or an array of any dtype, holds a NaN, the one
-    value unequal to itself; object scalars such as a Fraction included."""
-    if isinstance(x, (int, float, complex, np.generic)):
-        return bool(x != x)
-    a = np.asarray(x)
-    return bool((a != a).any())
+def _doubles(value, name: str, dtype=float):
+    """value as a Python float (a complex for dtype complex) where it has no
+    dimension, else as a float64 (complex128) array: an int or a Fraction is
+    taken at its double.  A NaN, or a value past the double range, is a
+    `DomainError` naming ``name``."""
+    try:
+        value = np.asarray(value, dtype=dtype) if np.ndim(value) else dtype(value)
+    except OverflowError:
+        raise DomainError(f"{name} must lie within the double range, "
+                          f"|{name}| <= {sys.float_info.max:.6g}") from None
+    if np.isnan(value).any() if isinstance(value, np.ndarray) else value != value:
+        raise DomainError(f"{name} must not be NaN")
+    return value
 
 
 def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
-    """0F_q(ell_1, ..., ell_q; x) summed term by term to the relative term
-    ``rel_tol``: a float at a scalar x, an array at an x-array.  A rel_tol
-    outside [0, 1), a NaN x, a value past the double range, a sum that
-    cannot converge within ``max_terms`` and, at x < 0, a sum whose rounding
-    bound eps 0F_q(ells; |x|) passes 1e-8 of the value are each a
-    `DomainError`.  The sum at |x| goes first: it bounds the partial sums,
-    so the signed sum cannot overflow."""
+    """0F_q(ell_1, ..., ell_q; x) summed term by term in float64 to the
+    relative term ``rel_tol``: a float at a scalar x (an int or a Fraction
+    taken at its double, `_doubles`), an array at an x-array.  A rel_tol
+    outside [0, 1), a NaN x, an x or a value past the double range, a sum
+    that cannot converge within ``max_terms`` and, at x < 0, a sum whose
+    rounding bound eps 0F_q(ells; |x|) passes 1e-8 of the value are each a
+    `DomainError`.  The sum at |x| goes first: it bounds the
+    partial sums, so the signed sum cannot overflow."""
     if not 0.0 <= rel_tol < 1.0:
         raise DomainError(f"rel_tol must be in [0, 1), got rel_tol = {rel_tol!r}")
-    if _has_nan(x):
-        raise DomainError("x must not be NaN")
+    x = _doubles(x, "x")
     negative = np.asarray(x) < 0
     if not negative.any():
         return _ldexp(*_hyper_0f_scaled(ells, x, rel_tol, max_terms), "hypergeometric sum")
-    x_negative = np.asarray(x, dtype=float)[negative]
+    x_negative = np.asarray(x)[negative]
     moduli, exponent = _hyper_0f_scaled(ells, -x_negative, rel_tol, max_terms)
     if exponent.any():
         i, detail = np.flatnonzero(exponent)[0], "past the double range"
@@ -561,9 +560,7 @@ def _rescaled_sum(
     """The term-by-term float sum as (mantissa, exponent), the value
     mantissa * 2**exponent, the term and the total divided by 2**RESCALE_BITS
     before a step that would overflow: exponent 0 wherever the plain sum is
-    finite.  A sum that cannot converge within max_terms is refused before
-    the loop (`_refuse_divergent`)."""
-    _refuse_divergent(ells, x, rel_tol, max_terms)
+    finite."""
     term = total = 1.0
     exponent = k = 0
     while abs(term) > rel_tol * abs(total):
@@ -585,10 +582,10 @@ def _rescaled_sum(
 
 def _refuse_divergent(ells, x, rel_tol, max_terms) -> None:
     """Raise the sum's own "did not converge" error at once where the sum of
-    0F_q at a float x > 0, every ell > 0, certainly reaches max_terms: where
-    the term ratio at k = max_terms - 1 is still >= 1.  A first ratio past
-    the double range is left to the sum."""
-    if not (isinstance(x, float) and 0.0 < x < math.inf and max_terms >= 1):
+    0F_q at x > 0, every ell > 0, certainly reaches max_terms: where the
+    term ratio at k = max_terms - 1 is still >= 1.  A first ratio past the
+    double range is left to the sum."""
+    if not (0.0 < x < math.inf and max_terms >= 1):
         return
     if not (2 * rel_tol * max_terms < 1 and all(ell > 0 for ell in ells)):
         return
@@ -599,20 +596,20 @@ def _refuse_divergent(ells, x, rel_tol, max_terms) -> None:
 
 
 def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
-    """0F_q at x, a scalar or an array, as (mantissa, exponent), the value
-    mantissa * 2**exponent, which need not fit a double; x = +inf sums to inf.
-    The one place that tells a scalar from an array: a scalar is summed by
-    `_rescaled_sum` as the Python number it holds (a Fraction exactly), an
-    array in place, each entry stopping at its own term, bit-equal to its
-    scalar sum, and an entry whose plain sum overflows by `_rescaled_sum`.  An
-    array whose largest finite entry cannot converge is refused before its
-    loop (`_refuse_divergent`)."""
+    """0F_q at x, a float64 scalar or array, as (mantissa, exponent), the
+    value mantissa * 2**exponent, which need not fit a double; x = +inf sums
+    to inf.  The one place that tells a scalar from an array, and the one
+    that refuses a sum that cannot converge, before any loop
+    (`_refuse_divergent` at the largest finite x, the first to diverge): a
+    scalar is summed by `_rescaled_sum` as a Python float, an array in
+    place, each entry stopping at its own term, bit-equal to its scalar sum,
+    and an entry whose plain sum overflows by `_rescaled_sum`."""
     if not np.ndim(x):
-        x = np.asarray(x).item()
+        x = float(x)
+        _refuse_divergent(ells, x, rel_tol, max_terms)
         return (math.inf, 0) if x == math.inf else _rescaled_sum(ells, x, rel_tol, max_terms)
-    x = np.asarray(x, dtype=float)
     finite = x[np.isfinite(x)]
-    if finite.size:  # the largest x is the first to diverge
+    if finite.size:
         _refuse_divergent(ells, float(finite.max()), rel_tol, max_terms)
     term, total, exponent = np.ones(x.shape), np.ones(x.shape), np.zeros(x.shape, dtype=int)
     k = 0
@@ -646,20 +643,19 @@ def _ldexp(mantissa, exponent, what: str):
 
 def bg_normalization(params: AlgebraParams, z):
     """|N(z)| with |N|^2 = 0F_q(ells; prod(ells) |z|^2), at z or a z-array:
-    the l2 norm of the unnormalized barut-girardello state at z.  Kappas not
-    of the form 1/ell (zeros drop out), a NaN z, or an |N| past the double
-    range (|N|^2 may pass it) are a `DomainError`."""
+    the l2 norm of the unnormalized barut-girardello state at z, taken at
+    its double (`_doubles`).  Kappas not of the form 1/ell (zeros drop out),
+    a NaN z or one past the double range, or an |N| past it (|N|^2 may pass
+    it) are a `DomainError`."""
     ells = reciprocal_ells(params)
-    if _has_nan(z):
-        raise DomainError("z must not be NaN")
+    z = _doubles(z, "z", complex)
     return _ldexp(*_bg_normalization_scaled(ells, z), "normalization |N(z)|")
 
 
 def _bg_normalization_scaled(ells, z):
     """|N(z)| for the 1/ell kappas of ``ells`` at z or at every point of a
-    z-array as (mantissa, exponent), the value mantissa * 2**exponent; inf
-    where prod(ells) |z|^2 passes the double range."""
-    z = np.asarray(z, dtype=complex)
+    z-array (complex128) as (mantissa, exponent), the value mantissa *
+    2**exponent; inf where prod(ells) |z|^2 passes the double range."""
     with np.errstate(over="ignore"):  # x = inf, which sums to inf
         x = math.prod(ells) * np.hypot(z.real, z.imag) ** 2  # hypot: bit-equal to abs(complex)
     mantissa, exponent = _hyper_0f_scaled(ells, x)  # exponent: a multiple of RESCALE_BITS, even

@@ -337,6 +337,19 @@ def nilpotent_exponential_dense(raising: np.ndarray, z) -> np.ndarray:
     return v
 
 
+def nilpotent_exponential_by_vectors(raising_band: np.ndarray, z) -> np.ndarray:
+    """exp(z * raising)|0> as the finite sum of its d vector terms, each
+    the last one raised by the band (<n+1|raising|n>) and scaled by z / k:
+    O(d) work per term, though term k is nonzero at level k alone."""
+    v = np.zeros(len(raising_band) + 1, dtype=complex)
+    v[0] = 1.0
+    term = v.copy()
+    for k in range(1, len(v)):
+        term = np.concatenate(([0j], raising_band * term[:-1])) * (z / k)
+        v = v + term
+    return v
+
+
 def grassmann_eigen_residual_dense(state, lowering: np.ndarray) -> float:
     """Largest component of (lowering acting on the state) - theta * (state),
     one algebra element at a time."""

@@ -63,7 +63,7 @@ SIGNATURES = {
         "(log_moduli: 'np.ndarray', meta: 'str' = '', polynomial: 'bool' = False) -> None"),
     "GrowthEstimate": (
         "(rho_hat: 'float', sigma_hat: 'float', fit_window: 'tuple[int, int]', residual: 'float', "
-        "rho_raw: 'float', sigma_raw: 'float', gamma_hat: 'float') -> None"),
+        "rho_raw: 'float', sigma_raw: 'float', gamma_hat: 'float | None') -> None"),
     "bargmann_eval": "(params: 'AlgebraParams', f_coeffs, z) -> 'complex | np.ndarray'",
     "schwarz_check": "(params: 'AlgebraParams', f_coeffs, z_grid) -> 'float'",
     "estimate_growth": "(series: 'EntireSeries') -> 'GrowthEstimate'",

@@ -1,12 +1,17 @@
 import argparse
+import contextlib
 import importlib.util
+import io
+import json
 import shlex
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digest.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "artifact_digest.py"
 _spec = importlib.util.spec_from_file_location("artifact_digest", TOOL)
 artifact_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(artifact_digest)
@@ -70,3 +75,35 @@ def test_a_runtime_warning_fails_the_run_and_names_the_first_warning_command(mon
     assert "exits 0:" in out and "None" not in out
     assert err == (f"error: a command emitted a RuntimeWarning: {shlex.join(calls[1])}: "
                    "overflow 2\n")
+
+
+def test_a_checkout_against_itself_differs_nowhere(capsys):
+    assert artifact_digest.main(["--seeds", "1", "--cycles", "1", "--against", str(ROOT)]) == 0
+    out = capsys.readouterr().out
+    for workload in ("states", "moments", "growth"):
+        assert (f"  against {ROOT}: 0 commands differ in exit code or stderr; "
+                "artifact fields that differ (commands): none") in out
+    assert "exit code or stderr differ:" not in out
+
+
+def test_a_changed_field_exit_code_or_stderr_is_named(monkeypatch):
+    # the first command gains a field, the second exits 3, the third writes to stderr
+    real, calls = artifact_digest.CLI_MAIN, []
+
+    def changed(argv):
+        calls.append(argv)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = real(argv)
+        payload = json.loads(out.getvalue())
+        if len(calls) == 1:
+            payload["rho_hat"] += 1.0
+        print(json.dumps(payload, indent=2))
+        if len(calls) == 3:
+            print("a note", file=sys.stderr)
+        return 3 if len(calls) == 2 else code
+
+    monkeypatch.setattr(artifact_digest, "CLI_MAIN", changed)
+    differ, fields = artifact_digest.compare(ROOT, "growth", 1, cycles=1)
+    assert differ == [shlex.join(calls[1]), shlex.join(calls[2])]
+    assert fields == {"rho_hat": 1}

@@ -367,6 +367,21 @@ def test_kernel_growth_meets_the_closed_forms(kappas, n_max):
     assert est.fit_window == (n_max // 2, n_max)
 
 
+@pytest.mark.parametrize("ells, n_max", [
+    ((8, 7, 4), 10**9), ((2,), 10**9),  # gamma_hat read 8.923 and 0.900, against 9 and 1
+    ((8, 7, 4), 2**53), ((2,), 2**53),  # and -525,374 and -3.09e6
+])
+def test_gamma_hat_past_its_rounding_bound_is_none(ells, n_max):
+    # the fit's own bound on gamma's rounding reads 1.2-2.3 at 10^9 and
+    # 2.0e7-3.8e7 at 2**53; rho_hat and sigma_hat keep their digits there
+    params = AlgebraParams([Fraction(1, ell) for ell in ells])
+    est = kernel_growth(params, n_max)
+    assert est.gamma_hat is None
+    rho, sigma = closed_form_growth(params)
+    assert est.rho_hat == pytest.approx(rho, rel=1e-8, abs=0)
+    assert est.sigma_hat == pytest.approx(sigma, rel=1e-8, abs=0)
+
+
 def _kernel_sample(params, n_max):
     """The indices and values `kernel_growth` hands to its fit."""
     fit, samples = bargmann._fit, []

@@ -49,6 +49,7 @@ from oracles import (
     glauber_overlap,
     hyper_0f_unscaled,
     inverse_square_factorial_sum,
+    nilpotent_exponential_by_vectors,
     nilpotent_exponential_dense,
     perelomov_log_partial_norms,
     perelomov_series_by_doubling,
@@ -222,9 +223,9 @@ def _series_cases(draw):
 def test_the_tail_prefilter_leaves_every_series_as_the_full_scan(case):
     # the oracle takes the complex steps, so a float64 series (phi = 0, every
     # z real and >= 0) is checked against the complex one bit for bit
-    blocks, bounds, exponents = _series(*case)
+    coeffs, bounds, exponents = _series(*case)
     ref_blocks, ref_bounds, ref_exponents = series_unfiltered(*case)
-    coeffs, ref = np.concatenate(blocks, axis=1), np.concatenate(ref_blocks, axis=1)
+    ref = np.concatenate(ref_blocks, axis=1)
     if coeffs.dtype == float:
         assert not np.signbit(ref.imag).any()
     assert coeffs.shape == ref.shape and coeffs.astype(complex).tobytes() == ref.tobytes()
@@ -329,7 +330,8 @@ def test_a_shape_past_the_double_range_has_no_closed_form(exponent):
     # lgamma(1/kappa), 1/kappa or float(kappa) itself leaves the double range:
     # the law raised OverflowError or ZeroDivisionError there
     params = AlgebraParams([Fraction(1, 10**exponent)])
-    assert coherent._perelomov_law(StateKind.PERELOMOV, params, 1.0) is None
+    verdict = coherent._law_verdict(StateKind.PERELOMOV, params, 1.0, MAX_SERIES_TERMS, 1e-14)
+    assert verdict is None
     if exponent == 306:  # its ladder rows still fit in doubles: the series decides
         coeffs, bound = perelomov_series_by_doubling(params, 1.0)
         state = perelomov_state(params, 1.0)
@@ -349,7 +351,7 @@ def test_only_the_closed_form_reads_lgamma():
         or (isinstance(node, ast.Name) and node.id == "lgamma")
         or (isinstance(node, ast.alias) and node.name.endswith("lgamma"))
     }
-    assert readers == {("coherent.py", "_perelomov_law"), ("bargmann.py", "_log_rising")}
+    assert readers == {("coherent.py", "_law_verdict"), ("bargmann.py", "_log_rising")}
 
 
 def _functions(path):
@@ -364,25 +366,26 @@ def _names(node):
 
 
 def test_only_the_verdict_reads_the_closed_form():
-    # the law decides whether a state exists and nothing else: the series
+    # the law decides whether a state exists and nothing else: it lives in
+    # _law_verdict alone, which the two existence questions ask; the series
     # reads x alone, for its candidate screen, and its blocks just double
     package = sorted(Path(polywh.__file__).parent.glob("*.py"))
     callers = {
         (path.name, name)
         for path in package
         for name, function in _functions(path).items()
-        if name != "_perelomov_law" and "_perelomov_law" in _names(function)
+        if name != "_law_verdict" and "_law_verdict" in _names(function)
     }
-    assert callers == {("coherent.py", "_law_verdict")}
+    assert callers == {("coherent.py", "_state"), ("coherent.py", "_require_state")}
     series = _functions(Path(coherent.__file__))["_series"]
-    assert _names(series) & {"_perelomov_x", "_perelomov_law", "_law_verdict"} == {"_perelomov_x"}
-    gone = {"_cut_bound", "PREDICTED_FROM", "CUT_SLACK"}
+    assert _names(series) & {"_perelomov_x", "_law_verdict"} == {"_perelomov_x"}
+    gone = {"_cut_bound", "PREDICTED_FROM", "CUT_SLACK", "_perelomov_law"}
     assert not {name for path in package for name in _names(ast.parse(path.read_text()))} & gone
 
 
 def test_only_coherent_decides_whether_a_series_exists():
     # the closed-form verdict has one owner; measure asks it through _require_state
-    owned = {"_perelomov_law", "MAX_SERIES_TERMS", "_law_verdict"}
+    owned = {"MAX_SERIES_TERMS", "_law_verdict"}
     constructors = {"perelomov_state", "bg_state"}
     names = {
         (path.name, name)
@@ -527,6 +530,64 @@ def test_via_exponential_matches_dense_raising():
         banded = perelomov_via_exponential(params, z, build_rep(params)).coeffs
         dense = nilpotent_exponential_dense(dense_lowering(params, len(banded)).conj().T, z)
         assert np.all(np.abs(banded - dense) <= 1e-15 * np.abs(dense))
+
+
+@settings(max_examples=150, deadline=None)
+@example(d=200, extra=Fraction(2), modulus=4.0, angle=0.5, phi=0.3)  # overflows
+@given(
+    d=st.integers(min_value=2, max_value=200),
+    extra=st.one_of(st.none(), st.fractions(min_value=0, max_value=2, max_denominator=8)),
+    modulus=st.floats(min_value=0.05, max_value=4.0),
+    angle=st.floats(min_value=-math.pi, max_value=math.pi),
+    phi=st.floats(min_value=-math.pi, max_value=math.pi),
+)
+def test_the_exponential_is_its_level_recurrence(d, extra, modulus, angle, phi):
+    # both compute v_k = (raising_k v_{k-1}) (z / k) with one z / k, so each
+    # is within (1 + sqrt(5) eps/2)^(2k) - 1 of the exact v_k, relatively:
+    # two complex products per level, each within sqrt(5) eps/2 (Brent,
+    # Percival and Zimmermann 2007); they differ by at most 2 sqrt(5) k eps
+    # |v_k| < 4.5 k eps |v_k| while every level up to k stays above
+    # 2**-970, where a subnormal part of a product errs under 2**-105 of it
+    params = AlgebraParams([Fraction(-1, d - 1)] + ([extra] if extra is not None else []), phi)
+    z = modulus * complex(math.cos(angle), math.sin(angle))
+    rep = build_rep(params)
+    with np.errstate(all="ignore"):
+        ref = nilpotent_exponential_by_vectors(rep.band.conj(), z)
+    if not np.isfinite(ref).all():
+        with pytest.raises(DomainError, match="overflows double precision"):
+            perelomov_via_exponential(params, z, rep)
+        return
+    v = perelomov_via_exponential(params, z, rep).coeffs
+    eps, moduli = np.finfo(float).eps, np.abs(ref)
+    k = np.flatnonzero(np.minimum.accumulate(moduli) >= 2.0**-970)
+    assert np.all(np.abs(v - ref)[k] <= 4.5 * k * eps * moduli[k])
+
+
+def test_the_exponential_makes_no_numpy_call_per_level(monkeypatch):
+    # O(1) work per level: as many numpy calls at d = 200 as at d = 20
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            value = getattr(np, name)
+            if not callable(value) or isinstance(value, type):
+                return value
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return value(*args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(coherent, "np", Counting())
+    counts = []
+    for d in (20, 200):
+        params = AlgebraParams([Fraction(-1, d - 1)], 0.3)
+        rep = build_rep(params)
+        calls.clear()
+        perelomov_via_exponential(params, 0.4 + 0.3j, rep)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 10
 
 
 # -------------------------------------------------------- barut-girardello
@@ -892,6 +953,59 @@ def test_a_sum_refused_at_once_is_the_one_the_loop_refuses(ells, xs, max_terms):
         assert outcomes() == with_test
 
 
+def _outcome(call, arg):
+    """call(arg), or the text of its DomainError, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call(arg)
+        except DomainError as exc:
+            return f"DomainError: {exc}"
+
+
+def _forms(x: Fraction) -> list:
+    """x as a Fraction, a numpy float, a 0-d float and object array, and an
+    int and a numpy int where it is one."""
+    forms = [x, np.float64(x), np.array(float(x)), np.array(x, dtype=object)]
+    if x.denominator == 1:
+        forms += [int(x)] + ([np.int64(int(x))] if abs(x) < 2**63 else [])
+    return forms
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(22, 3), Fraction(-22, 3), Fraction(50, 3), Fraction(7), Fraction(-40),
+    Fraction(900), Fraction(10**9), Fraction(2 * 10**200), Fraction(1, 3) * 10**300,
+])
+def test_an_exact_or_numpy_argument_is_taken_at_its_double(x):
+    # a Fraction was summed with exact term ratios (hyper_0f((2,), 22/3)
+    # read 13.185575632916724, its double 13.18557563291672), and an int or
+    # a Fraction that cannot converge was summed for its max_terms terms
+    calls = [lambda x: hyper_0f((2,), x), lambda x: hyper_0f((), x),
+             lambda x: hyper_0f((2, 3), x, max_terms=50)]
+    for call in calls:
+        expected = _outcome(call, float(x))
+        for form in _forms(x):
+            got = _outcome(call, form)
+            assert type(got) is type(expected) and got == expected, (form, got, expected)
+    for params in (_HALF, OSC, AlgebraParams(["1/2", "1/3"])):
+        expected = _outcome(lambda z: bg_normalization(params, z), complex(x))
+        for form in [*_forms(x), np.complex128(x), np.array(complex(x))]:
+            got = _outcome(lambda z: bg_normalization(params, z), form)
+            assert type(got) is type(expected) and got == expected, (form, got, expected)
+
+
+def test_an_exact_x_that_cannot_converge_is_refused_before_any_loop(monkeypatch):
+    # summed exactly, 10**9 took 0.1 s and Fraction(1, 3) * 10**300 2.6 s to say so
+    def no_loop(*args):
+        raise AssertionError("a sum loop started")
+
+    monkeypatch.setattr(coherent, "_rescaled_sum", no_loop)
+    for ells, x in [((), 10**9), ((2,), Fraction(1, 3) * 10**300), ((2,), 2 * 10**200),
+                    ((2,), np.array([1, 2 * 10**200], dtype=object))]:
+        with pytest.raises(DomainError, match="^hypergeometric series did not converge$"):
+            hyper_0f(ells, x)
+
+
 def test_a_sum_that_cannot_converge_is_refused_before_its_loop(monkeypatch):
     # x = 2e200 at ells (2,): the terms still grow at the 100,000th, and pass
     # the double range long before it, where the loop would rescale
@@ -1115,6 +1229,12 @@ _NON_FINITE = [
     (lambda: hyper_0f((2,), _NAN), "x"),
     (lambda: hyper_0f((2,), np.float64(_NAN)), "x"),
     (lambda: hyper_0f((2,), np.array([1.0, _NAN])), "x"),
+    # each raised a bare OverflowError from its conversion to a float
+    (lambda: hyper_0f((2,), 10**400), "x"),
+    (lambda: hyper_0f((2,), Fraction(-(10**400), 3)), "x"),
+    (lambda: hyper_0f((2,), np.array([1, 10**400], dtype=object)), "x"),
+    (lambda: bg_normalization(_HALF, 10**400), "z"),
+    (lambda: bg_normalization(_HALF, Fraction(10**400)), "z"),
     # each summed one term, 1.0 for e^5, or said "did not converge" at -1
     (lambda: hyper_0f((), 5.0, rel_tol=_NAN), "rel_tol"),
     (lambda: hyper_0f((), np.array([5.0, 1.0]), rel_tol=2.0), "rel_tol"),

@@ -1,6 +1,6 @@
 """Digest of every artifact the benchmark command streams produce.
 
-    python3 tools/artifact_digest.py --seeds 1-3 --cycles 6
+    python3 tools/artifact_digest.py --seeds 1-3 --cycles 6 [--against ROOT]
 
 Runs the first --cycles cycles of each workload's stream (`bench/streams.py`)
 through `polywh.cli.main` in-process, the way `bench/run.py` does, and
@@ -12,6 +12,14 @@ The first command that raises, or that emits a RuntimeWarning (shown on its
 stderr as before), is named on stderr and the tool exits 1.  The program is
 imported from `src/` of the checkout this file sits in; nothing under
 `bench/` is written.
+
+With --against ROOT the same commands also run in a subprocess on the
+program, streams and runner of the checkout at ROOT, and under each digest
+line the tool names every command whose exit code or stderr differs
+between the two and counts, per top-level field of the JSON artifacts, the
+commands whose field differs (as parsed JSON: present on one side only, or
+unequal).  A difference is reported, not a fault: it leaves the exit code
+as it is.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import hashlib  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import shlex  # noqa: E402
+import subprocess  # noqa: E402
 import warnings  # noqa: E402
 
 import run  # noqa: E402
@@ -41,16 +50,24 @@ from seed_range import parse_seeds  # noqa: E402
 
 CLI_MAIN = run.import_program()
 
+# run by --against in a subprocess: one JSON line [argv, exit code, stdout,
+# stderr] per command, from the bench/ and src/ of the checkout at argv[1]
+_WORKER = """
+import itertools, json, sys, warnings
+root, workload, seed, cycles = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+sys.path.insert(0, root + "/bench")
+import run, streams
+main = run.import_program()
+warnings.simplefilter("always")
+for argv in itertools.chain(*itertools.islice(streams.cycles(workload, seed), cycles)):
+    code, out, err, _, _ = run.execute(main, argv)
+    print(json.dumps([argv, code, out, err]), flush=True)
+"""
 
-def digest(workload: str, seed: int,
-           cycles: int) -> tuple[int, dict[int | None, int], str, str | None]:
-    """(command count, exit-code counts, sha256, first fault) of the first
-    `cycles` cycles of one stream; the first fault names the first command
-    that raised or emitted a RuntimeWarning, with the exception or the
-    warning, else it is None."""
-    h = hashlib.sha256()
-    codes: collections.Counter = collections.Counter()
-    fault = None
+
+def outcomes(workload: str, seed: int, cycles: int):
+    """(argv, exit code, stdout, stderr, RuntimeWarning messages) of each
+    command of the first `cycles` cycles of one stream, run in-process."""
     # every warning is shown, so stderr does not depend on what ran before
     with warnings.catch_warnings():
         warnings.simplefilter("always")
@@ -65,21 +82,72 @@ def digest(workload: str, seed: int,
         for argv in itertools.chain(*itertools.islice(streams.cycles(workload, seed), cycles)):
             runtime.clear()
             code, out, err, _, _ = run.execute(CLI_MAIN, argv)
-            codes[code] += 1
-            if fault is None and code is None:
-                fault = (f"a command raised out of polywh.cli.main: {shlex.join(argv)}: "
-                         f"{err.splitlines()[-1]}")
-            elif fault is None and runtime:
-                fault = f"a command emitted a RuntimeWarning: {shlex.join(argv)}: {runtime[0]}"
-            h.update(json.dumps([argv, code, out, err]).encode())
-            h.update(b"\n")
+            yield argv, code, out, err, list(runtime)
+
+
+def digest(workload: str, seed: int,
+           cycles: int) -> tuple[int, dict[int | None, int], str, str | None]:
+    """(command count, exit-code counts, sha256, first fault) of the first
+    `cycles` cycles of one stream; the first fault names the first command
+    that raised or emitted a RuntimeWarning, with the exception or the
+    warning, else it is None."""
+    h = hashlib.sha256()
+    codes: collections.Counter = collections.Counter()
+    fault = None
+    for argv, code, out, err, runtime in outcomes(workload, seed, cycles):
+        codes[code] += 1
+        if fault is None and code is None:
+            fault = (f"a command raised out of polywh.cli.main: {shlex.join(argv)}: "
+                     f"{err.splitlines()[-1]}")
+        elif fault is None and runtime:
+            fault = f"a command emitted a RuntimeWarning: {shlex.join(argv)}: {runtime[0]}"
+        h.update(json.dumps([argv, code, out, err]).encode())
+        h.update(b"\n")
     return sum(codes.values()), dict(sorted(codes.items(), key=str)), h.hexdigest(), fault
+
+
+def _fields(out: str) -> dict:
+    """The top-level fields of a JSON-object artifact; any other stdout is
+    one field, "(stdout)"."""
+    try:
+        payload = json.loads(out)
+    except ValueError:
+        payload = None
+    return payload if isinstance(payload, dict) else {"(stdout)": out} if out else {}
+
+
+def compare(root: Path, workload: str, seed: int,
+            cycles: int) -> tuple[list[str], dict[str, int]]:
+    """(the commands whose exit code or stderr differ, {field: count of
+    the commands whose artifact field differs}) between this checkout and
+    the one at root, over the first `cycles` cycles of one stream.  Streams
+    that differ between the two checkouts are a RuntimeError."""
+    worker = [sys.executable, "-c", _WORKER, str(root), workload, str(seed), str(cycles)]
+    differ, fields = [], collections.Counter()
+    with subprocess.Popen(worker, stdout=subprocess.PIPE, text=True) as theirs:
+        for ours, line in itertools.zip_longest(outcomes(workload, seed, cycles), theirs.stdout):
+            their = None if line is None else json.loads(line)
+            if ours is None or their is None or their[0] != ours[0]:
+                theirs.kill()
+                raise RuntimeError(f"the {workload} stream of seed {seed} differs at {root}")
+            argv, code, out, err, _ = ours
+            _, their_code, their_out, their_err = their
+            if (code, err) != (their_code, their_err):
+                differ.append(shlex.join(argv))
+            mine, other = _fields(out), _fields(their_out)
+            fields.update(key for key in mine.keys() | other.keys()
+                          if key not in mine or key not in other or mine[key] != other[key])
+    if theirs.returncode:
+        raise RuntimeError(f"the worker at {root} exited with code {theirs.returncode}")
+    return differ, dict(sorted(fields.items()))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=parse_seeds, default=range(1, 2), help="e.g. 1-3")
     parser.add_argument("--cycles", type=int, default=6, help="cycles per workload and seed")
+    parser.add_argument("--against", type=Path, metavar="ROOT",
+                        help="a checkout whose commands and artifact fields to compare with")
     args = parser.parse_args(argv)
     first_fault = None
     for workload in streams.WORKLOADS:
@@ -87,6 +155,13 @@ def main(argv=None) -> int:
             count, codes, hexdigest, fault = digest(workload, seed, args.cycles)
             exits = " ".join(f"{code}:{n}" for code, n in codes.items())
             print(f"{workload} seed {seed}: {count} commands, exits {exits}, sha256 {hexdigest}")
+            if args.against is not None:
+                differ, fields = compare(args.against, workload, seed, args.cycles)
+                for command in differ:
+                    print(f"  exit code or stderr differ: {command}")
+                counts = ", ".join(f"{key} {n}" for key, n in fields.items()) or "none"
+                print(f"  against {args.against}: {len(differ)} commands differ in exit code "
+                      f"or stderr; artifact fields that differ (commands): {counts}")
             first_fault = first_fault or fault
     if first_fault:
         print(f"error: {first_fault}", file=sys.stderr)
