@@ -6,14 +6,14 @@ function F(n) = n (1 + kappa_1 (n-1)) ... (1 + kappa_r (n-1)).  The exact
 layer (`AlgebraParams`, `classify`, F, G, F(n)!) is `Fraction`s read off
 one integer ladder polynomial and runs on the standard library alone; the
 float layer imports numpy inside each function that uses it, so a caller
-of the exact layer never loads numpy.
+of the exact layer never loads numpy.  The records are plain frozen
+classes, not dataclasses, so it never loads `dataclasses` (and `inspect`
+with it) either.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -47,8 +47,46 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class AlgebraParams:
+class _Frozen:
+    """A record whose __init__ writes its ``_fields``, in order, into its
+    __dict__ once: assigning or deleting an attribute later is an
+    AttributeError, as on a frozen dataclass.  No __slots__, so copy and
+    pickle restore the __dict__ directly, past __setattr__."""
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        # a dataclass's __init__ returns the object None, not the string that
+        # this module's postponed annotations make of it; keep its signature
+        if "__init__" in vars(cls):
+            cls.__init__.__annotations__["return"] = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Frozen):
+    """A frozen record equal to one of its own class by its fields, in one
+    comparison of the two field dicts, and hashed as the tuple of its
+    fields (each dict is filled in field order)."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+
+class AlgebraParams(_Value):
     """The r rational deformation parameters and the representation phase.
 
     ``kappas`` are ints, 'p/q' strings or Fractions, never floats (a
@@ -56,13 +94,12 @@ class AlgebraParams:
     positive integer, else a `DomainError`.  ``phi`` is any finite real, not
     range-reduced: F(n) is not an integer in general."""
 
-    kappas: tuple[Fraction, ...]
-    phi: float = 0.0
+    _fields = ("kappas", "phi")
 
-    def __post_init__(self):
-        if isinstance(self.kappas, (str, int, Fraction)):
+    def __init__(self, kappas: tuple[Fraction, ...], phi: float = 0.0) -> None:
+        if isinstance(kappas, (str, int, Fraction)):
             raise TypeError("kappas must be a sequence of rationals, e.g. ['-1/3']")
-        kappas = tuple(_as_fraction(k) for k in self.kappas)
+        kappas = tuple(_as_fraction(k) for k in kappas)
         if not kappas:
             raise DomainError("at least one kappa is required (r >= 1)")
         for k in kappas[1:]:
@@ -78,25 +115,26 @@ class AlgebraParams:
                     f"kappa_1 = {kappas[0]} does not close the ladder on an integer number "
                     f"of levels: -1/kappa_1 = {levels} is not a positive integer"
                 )
-        phi = float(self.phi)
+        phi = float(phi)
         if not math.isfinite(phi):
             raise DomainError(f"phi must be finite, got phi = {phi!r}")
-        object.__setattr__(self, "kappas", kappas)
-        object.__setattr__(self, "phi", phi)
+        self.__dict__.update(kappas=kappas, phi=phi)
 
     @property
     def r(self) -> int:
         return len(self.kappas)
 
     def with_phi(self, phi: float) -> "AlgebraParams":
-        return dataclasses.replace(self, phi=float(phi))
+        return AlgebraParams(self.kappas, phi)
 
 
-@dataclass(frozen=True)
-class RepDimension:
+class RepDimension(_Value):
     """Ladder classification: ``d`` levels, or ``None`` for an infinite tower."""
 
-    d: int | None
+    _fields = ("d",)
+
+    def __init__(self, d: int | None) -> None:
+        self.__dict__["d"] = d
 
     @property
     def is_finite(self) -> bool:
@@ -170,12 +208,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class LadderTable:
+class LadderTable(_Frozen):
     """F(n) and G(n) for n = 0, ..., size-1, as read-only float64 arrays."""
 
-    f: np.ndarray
-    g: np.ndarray
+    _fields = ("f", "g")
+
+    def __init__(self, f: np.ndarray, g: np.ndarray) -> None:
+        self.__dict__.update(f=f, g=g)
 
     def kernel(self, phi: float) -> np.ndarray:
         """e^{-i F(n) phi} / sqrt(F(n)!), the lowering-eigenstate coefficients at
@@ -258,8 +297,7 @@ def _phases(x, phi: float, first: int = 0, name: str = "phi"):
     return np.exp(angles, out=angles)
 
 
-@dataclass(frozen=True, eq=False)
-class LadderRep:
+class LadderRep(_Frozen):
     """The ladder operators on the number basis |0>, ..., |m-1>, stored as
     the one band of lowering, ``band[n] = <n|lowering|n+1> =
     sqrt(F(n+1)) e^{i G(n) phi}`` (length m-1, read-only).  ``lowering``,
@@ -267,10 +305,18 @@ class LadderRep:
     m x m views built on first access.  With ``truncation_order`` s, every
     transition touching level s or above is removed."""
 
-    params: AlgebraParams
-    dim_window: int
-    band: np.ndarray
-    truncation_order: int | None = None
+    _fields = ("params", "dim_window", "band", "truncation_order")
+
+    def __init__(
+        self,
+        params: AlgebraParams,
+        dim_window: int,
+        band: np.ndarray,
+        truncation_order: int | None = None,
+    ) -> None:
+        self.__dict__.update(
+            params=params, dim_window=dim_window, band=band, truncation_order=truncation_order
+        )
 
     @cached_property
     def lowering(self) -> np.ndarray:
@@ -329,15 +375,15 @@ def build_truncated_rep(params: AlgebraParams, window: int, s: int) -> LadderRep
     return LadderRep(params, window, _freeze(band), truncation_order=s)
 
 
-@dataclass(frozen=True)
-class IdentityDeviations:
+class IdentityDeviations(_Value):
     """Largest entrywise deviations of raising @ lowering from F~(N), of
     [lowering, raising] from G~(N) and, on a finite ladder, of lowering^d
     (and raising^d) from 0; ``nilpotency`` is ``None`` otherwise."""
 
-    product: float
-    commutator: float
-    nilpotency: float | None
+    _fields = ("product", "commutator", "nilpotency")
+
+    def __init__(self, product: float, commutator: float, nilpotency: float | None) -> None:
+        self.__dict__.update(product=product, commutator=commutator, nilpotency=nilpotency)
 
 
 def identity_deviations(rep: LadderRep) -> IdentityDeviations:

@@ -600,10 +600,11 @@ def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
     value mantissa * 2**exponent, which need not fit a double; x = +inf sums
     to inf.  The one place that tells a scalar from an array, and the one
     that refuses a sum that cannot converge, before any loop
-    (`_refuse_divergent` at the largest finite x, the first to diverge): a
-    scalar is summed by `_rescaled_sum` as a Python float, an array in
-    place, each entry stopping at its own term, bit-equal to its scalar sum,
-    and an entry whose plain sum overflows by `_rescaled_sum`."""
+    (`_refuse_divergent` at the largest finite x, the first to diverge, and
+    at the x of each entry summed again): a scalar is summed by
+    `_rescaled_sum` as a Python float, an array in place, each entry
+    stopping at its own term, bit-equal to its scalar sum, and an entry
+    whose plain sum overflows by `_rescaled_sum`."""
     if not np.ndim(x):
         x = float(x)
         _refuse_divergent(ells, x, rel_tol, max_terms)
@@ -621,7 +622,9 @@ def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
             if k >= max_terms:
                 raise DomainError("hypergeometric series did not converge")
     for i in np.flatnonzero(np.isinf(total) & (x != math.inf)):
-        total.flat[i], exponent.flat[i] = _rescaled_sum(ells, float(x.flat[i]), rel_tol, max_terms)
+        xi = float(x.flat[i])
+        _refuse_divergent(ells, xi, rel_tol, max_terms)
+        total.flat[i], exponent.flat[i] = _rescaled_sum(ells, xi, rel_tol, max_terms)
     return total, exponent
 
 

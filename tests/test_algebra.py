@@ -1,5 +1,7 @@
 import ast
+import copy
 import math
+import pickle
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +24,14 @@ from polywh import (
     reciprocal_ells,
     structure_function,
 )
-from polywh.algebra import _ladder_rows, _phases, identity_deviations, ladder_table
+from polywh.algebra import (
+    IdentityDeviations,
+    RepDimension,
+    _ladder_rows,
+    _phases,
+    identity_deviations,
+    ladder_table,
+)
 
 from oracles import (
     brute_factorial,
@@ -61,6 +70,102 @@ def test_classify_examples():
     assert classify(AlgebraParams(["-1/3"])).d == 4
     assert classify(AlgebraParams([-1])).d == 2
     assert str(classify(AlgebraParams([0]))) == "infinite"
+
+
+# ----------------------------------------------------------------- records
+
+def _value_records():
+    """(record, an equal record built apart from it, a record unequal to it
+    in one field) for each value record."""
+    return [
+        (AlgebraParams(["1/2", 3], 0.25), AlgebraParams([Fraction(1, 2), "3"], 0.25),
+         AlgebraParams(["1/2", 3], 0.5)),
+        (RepDimension(4), RepDimension(4), RepDimension(None)),
+        (IdentityDeviations(1e-16, 0.0, None),
+         IdentityDeviations(product=1e-16, commutator=0.0, nilpotency=None),
+         IdentityDeviations(1e-16, 0.0, 0.0)),
+    ]
+
+
+def test_value_records_are_equal_and_hashed_by_their_fields():
+    for record, twin, other in _value_records():
+        assert record == twin and not record != twin and record is not twin
+        assert hash(record) == hash(twin)
+        assert record != other and len({record, twin, other}) == 2
+        fields = tuple(vars(record).values())
+        assert record != fields and record.__eq__(fields) is NotImplemented
+    assert RepDimension(None) != IdentityDeviations(None, None, None)
+    assert AlgebraParams([0]) == AlgebraParams([Fraction(0)], 0)
+
+
+def test_ladder_records_are_equal_only_to_themselves():
+    params = AlgebraParams(["1/2"])
+    rep, table = build_rep(params, 3), ladder_table(params, 3)
+    assert rep == rep and rep != build_rep(params, 3) and hash(rep) == hash(rep)
+    assert table == table and table != ladder_table(params, 3)
+
+
+def test_records_are_frozen():
+    params = AlgebraParams(["1/2"])
+    records = [record for group in _value_records() for record in group]
+    records += [build_rep(params, 3), ladder_table(params, 3)]
+    for record in records:
+        for name in (*vars(record), "other"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field {name!r}$"):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}$"):
+                delattr(record, name)
+    assert params.phi == 0.0 and not hasattr(params, "other")
+
+
+def test_value_records_keep_their_repr():
+    assert repr(AlgebraParams(["1/2"])) == "AlgebraParams(kappas=(Fraction(1, 2),), phi=0.0)"
+    assert repr(RepDimension(None)) == "RepDimension(d=None)"
+    assert repr(RepDimension(4)) == "RepDimension(d=4)"
+    assert (repr(IdentityDeviations(0.5, 0.0, None))
+            == "IdentityDeviations(product=0.5, commutator=0.0, nilpotency=None)")
+    rep = build_rep(AlgebraParams([-1]))
+    assert repr(rep) == (
+        "LadderRep(params=AlgebraParams(kappas=(Fraction(-1, 1),), phi=0.0), dim_window=2, "
+        "band=array([1.+0.j]), truncation_order=None)")
+
+
+def test_with_phi_reruns_the_checks():
+    params = AlgebraParams(["-1/3", "2"], 0.5)
+    moved = params.with_phi(1)
+    assert moved == AlgebraParams(params.kappas, 1.0) and type(moved.phi) is float
+    assert params.phi == 0.5 and moved is not params
+    for phi in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="phi must be finite"):
+            params.with_phi(phi)
+    with pytest.raises(ValueError):
+        params.with_phi("x")
+
+
+def test_records_survive_copy_and_pickle():
+    params = AlgebraParams(["1/2"], 0.3)
+    for record in [group[0] for group in _value_records()]:
+        for clone in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert clone == record and hash(clone) == hash(record)
+            with pytest.raises(AttributeError):
+                clone.other = 1
+    rep = build_truncated_rep(params, 4, 2)
+    for clone in (copy.copy(rep), copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+        assert (clone.params, clone.dim_window, clone.truncation_order) == (params, 4, 2)
+        assert clone.band.tolist() == rep.band.tolist()
+        assert clone.lowering.tolist() == rep.lowering.tolist()
+
+
+def test_ladder_rep_views_build_once():
+    rep = build_rep(AlgebraParams(["-1/3"], 0.7))
+    lowering, raising, number = rep.lowering, rep.raising, rep.number
+    assert rep.lowering is lowering and rep.raising is raising and rep.number is number
+    assert lowering.shape == raising.shape == number.shape == (4, 4)
+    assert np.array_equal(raising, lowering.conj().T)
+    assert np.array_equal(np.diag(lowering, 1), rep.band)
+    assert np.array_equal(number, np.diag(np.arange(4.0)))
+    assert not (lowering.flags.writeable or raising.flags.writeable or number.flags.writeable)
 
 
 # -------------------------------------------------------- scalar functions

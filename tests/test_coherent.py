@@ -1015,6 +1015,20 @@ def test_a_sum_that_cannot_converge_is_refused_before_its_loop(monkeypatch):
             hyper_0f((2,), x)
 
 
+def test_each_entry_summed_again_is_refused_at_its_own_x(monkeypatch):
+    # at ells (0.5,) the first term ratio at x = 1.7e308 overflows, so the
+    # test at the largest finite x says nothing; 2e200 cannot converge, and
+    # each entry whose plain sum overflows meets its own test, in array order
+    monkeypatch.setattr(coherent, "RESCALE_BITS", None)  # so a rescale fails the test
+    for xs, message in (([2e200, 1.7e308], "series did not converge"),
+                        ([1.7e308, 2e200], "series term ratio overflows at x = 1.7e\\+308")):
+        with pytest.raises(DomainError, match=f"^hypergeometric {message}$"):
+            hyper_0f((0.5,), np.array(xs))
+    for x, message in ((2e200, "did not converge"), (1.7e308, "term ratio overflows")):
+        with pytest.raises(DomainError, match=message):
+            hyper_0f((0.5,), x)
+
+
 def test_bg_normalization_past_the_double_range_of_its_square():
     # |N|^2 = e^900 overflows; |N| = e^450 does not
     assert bg_normalization(OSC, 30) == pytest.approx(math.exp(450), rel=1e-13)

@@ -26,7 +26,11 @@ def test_two_pairs_of_this_checkout_against_itself():
             times = command[side]
             assert 0 < times["q1_ms"] <= times["median_ms"] <= times["q3_ms"] < math.inf
             assert times["exit_codes"] == [0]
-            assert times["numpy"] is (command["argv"][0] not in ("--help", "spectrum"))
+            numpy_free = command["argv"][0] in ("--help", "spectrum")
+            assert times["numpy"] is not numpy_free
+            if numpy_free:
+                assert times["dataclasses"] is False
         assert 0 < command["ratio"] < math.inf and 0 <= command["change_faster"] <= 2
-    assert lines[0].startswith("--help: parent ") and "(numpy no, exit 0)" in lines[0]
+    assert lines[0].startswith("--help: parent ")
+    assert "(numpy no, dataclasses no, exit 0)" in lines[0]
     assert lines[0].endswith("/2 pairs")

@@ -11,13 +11,13 @@ machine falls on both sides alike; the wall time of the whole process is
 kept.  Each checkout's `src/` is byte-compiled first (`compileall`, which
 writes only its `__pycache__`), so that no timed start compiles a module.
 One more start per side and command, untimed, runs under
-``-X importtime`` to tell whether it imported numpy.
+``-X importtime`` to tell whether it imported numpy and `dataclasses`.
 
 For each command it prints each side's median and quartiles
-(`statistics.quantiles`) in ms, whether numpy was imported and the exit
-codes, then the ratio change/parent of the medians and in how many pairs
-the change started faster; the last line is one JSON object with the same
-numbers.  Nothing in a checkout but its
+(`statistics.quantiles`) in ms, whether numpy and `dataclasses` were
+imported and the exit codes, then the ratio change/parent of the medians
+and in how many pairs the change started faster; the last line is one
+JSON object with the same numbers.  Nothing in a checkout but its
 `__pycache__` is written.
 """
 
@@ -58,10 +58,11 @@ def start(root: Path, argv, *flags) -> tuple[float, subprocess.CompletedProcess]
     return time.perf_counter() - begin, done
 
 
-def imports_numpy(root: Path, argv) -> bool:
+def imports(root: Path, argv) -> set[str]:
+    """The names of the modules that one `-X importtime` start imports."""
     _, done = start(root, argv, "-X", "importtime")
-    return any(line.startswith("import time:") and line.rpartition("|")[2].strip() == "numpy"
-               for line in done.stderr.splitlines())
+    return {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
 
 
 def summary(seconds: list[float]) -> dict:
@@ -81,7 +82,9 @@ def compare(roots: dict, argv, pairs: int) -> dict:
             codes[side].add(done.returncode)
     result = {"argv": list(argv)}
     for side in SIDES:
-        result[side] = {**summary(times[side]), "numpy": imports_numpy(roots[side], argv),
+        modules = imports(roots[side], argv)
+        result[side] = {**summary(times[side]), "numpy": "numpy" in modules,
+                        "dataclasses": "dataclasses" in modules,
                         "exit_codes": sorted(codes[side])}
     result["ratio"] = result["change"]["median_ms"] / result["parent"]["median_ms"]
     result["change_faster"] = sum(c < p for c, p in zip(times["change"], times["parent"]))
@@ -107,6 +110,7 @@ def main(argv=None) -> int:
         sides = ", ".join(
             f"{side} {r[side]['median_ms']:.1f} [{r[side]['q1_ms']:.1f}, {r[side]['q3_ms']:.1f}] ms"
             f" (numpy {'yes' if r[side]['numpy'] else 'no'}, "
+            f"dataclasses {'yes' if r[side]['dataclasses'] else 'no'}, "
             f"exit {','.join(map(str, r[side]['exit_codes']))})"
             for side in SIDES)
         print(f"{' '.join(r['argv'])}: {sides}, ratio {r['ratio']:.3f}, "
