@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 MAX_SERIES_TERMS = 200_000
-RESCALE_BITS = 512  # power of two taken out of a sum about to overflow
+RESCALE_BITS = 512  # power of two taken out of a series norm about to overflow (`_series`)
 
 
 class StateKind(str, enum.Enum):
@@ -379,11 +379,16 @@ def _checked_inputs(z, tail_tol: float, max_terms: int) -> complex:
     if not floor <= tail_tol < math.inf:
         raise DomainError(f"tail_tol must be finite and positive, at least 2**-511 = {floor:.6g}, "
                           f"got tail_tol = {tail_tol!r}")
+    _check_max_terms(max_terms)
+    return z
+
+
+def _check_max_terms(max_terms) -> None:
+    """Refuse a max_terms that is not an integer (TypeError), or is negative."""
     if not isinstance(max_terms, numbers.Integral):
         raise TypeError(f"max_terms must be an integer, got max_terms = {max_terms!r}")
     if max_terms < 0:
         raise DomainError(f"max_terms must be at least 0, got max_terms = {max_terms}")
-    return z
 
 
 def perelomov_state(
@@ -524,14 +529,20 @@ def _doubles(value, name: str, dtype=float):
 def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
     """0F_q(ell_1, ..., ell_q; x) summed term by term in float64 to the
     relative term ``rel_tol``: a float at a scalar x (an int or a Fraction
-    taken at its double, `_doubles`), an array at an x-array.  A rel_tol
-    outside [0, 1), a NaN x, an x or a value past the double range, a sum
-    that cannot converge within ``max_terms`` and, at x < 0, a sum whose
-    rounding bound eps 0F_q(ells; |x|) passes 1e-8 of the value are each a
-    `DomainError`.  The sum at |x| goes first: it bounds the
-    partial sums, so the signed sum cannot overflow."""
+    taken at its double, `_doubles`), an array at an x-array; past the
+    double range from its peak term (`_peak_sum`).  A rel_tol outside
+    [0, 1), an ell that is NaN or <= 0, a negative max_terms (one that is
+    not an integer is a TypeError), a NaN x, an x or a value past the
+    double range, a sum that cannot converge within ``max_terms`` and, at
+    x < 0, a sum whose rounding bound eps 0F_q(ells; |x|) passes 1e-8 of the
+    value are each a `DomainError`.  The sum at |x| goes first: it bounds
+    the partial sums, so the signed sum cannot overflow."""
     if not 0.0 <= rel_tol < 1.0:
         raise DomainError(f"rel_tol must be in [0, 1), got rel_tol = {rel_tol!r}")
+    for ell in ells:
+        if not ell > 0:
+            raise DomainError(f"every ell must be positive, got ell = {ell!r}")
+    _check_max_terms(max_terms)
     x = _doubles(x, "x")
     negative = np.asarray(x) < 0
     if not negative.any():
@@ -554,64 +565,24 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
     )
 
 
-def _rescaled_sum(
-    ells, x: float, rel_tol: float = 1e-16, max_terms: int = 100_000
-) -> tuple[float, int]:
-    """The term-by-term float sum as (mantissa, exponent), the value
-    mantissa * 2**exponent, the term and the total divided by 2**RESCALE_BITS
-    before a step that would overflow: exponent 0 wherever the plain sum is
-    finite."""
-    term = total = 1.0
-    exponent = k = 0
-    while abs(term) > rel_tol * abs(total):
-        factor = x / ((k + 1) * math.prod(ell + k for ell in ells))
-        step = term * factor
-        summed = total + step
-        if math.isinf(summed):
-            if math.isinf(factor):
-                raise DomainError(f"hypergeometric series term ratio overflows at x = {x:g}")
-            term, total = math.ldexp(term, -RESCALE_BITS), math.ldexp(total, -RESCALE_BITS)
-            exponent += RESCALE_BITS
-            continue
-        term, total = step, summed
-        k += 1
-        if k >= max_terms:
-            raise DomainError("hypergeometric series did not converge")
-    return total, exponent
-
-
-def _refuse_divergent(ells, x, rel_tol, max_terms) -> None:
-    """Raise the sum's own "did not converge" error at once where the sum of
-    0F_q at x > 0, every ell > 0, certainly reaches max_terms: where the
-    term ratio at k = max_terms - 1 is still >= 1.  A first ratio past the
-    double range is left to the sum."""
-    if not (0.0 < x < math.inf and max_terms >= 1):
-        return
-    if not (2 * rel_tol * max_terms < 1 and all(ell > 0 for ell in ells)):
-        return
-    if math.isinf(x / math.prod(ells)):
-        return
-    if x / (max_terms * math.prod(ell + max_terms - 1 for ell in ells)) >= 1:
-        raise DomainError("hypergeometric series did not converge")
-
-
 def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
     """0F_q at x, a float64 scalar or array, as (mantissa, exponent), the
     value mantissa * 2**exponent, which need not fit a double; x = +inf sums
-    to inf.  The one place that tells a scalar from an array, and the one
-    that refuses a sum that cannot converge, before any loop
-    (`_refuse_divergent` at the largest finite x, the first to diverge, and
-    at the x of each entry summed again): a scalar is summed by
-    `_rescaled_sum` as a Python float, an array in place, each entry
-    stopping at its own term, bit-equal to its scalar sum, and an entry
-    whose plain sum overflows by `_rescaled_sum`."""
+    to inf.  The one place that tells a scalar from an array: a scalar is
+    summed as a Python float, an array in place, each entry stopping at its
+    own term, bit-equal to its scalar sum.  Every other x whose plain sum
+    overflows is summed by `_peak_sum`, which alone judges such a sum."""
     if not np.ndim(x):
-        x = float(x)
-        _refuse_divergent(ells, x, rel_tol, max_terms)
-        return (math.inf, 0) if x == math.inf else _rescaled_sum(ells, x, rel_tol, max_terms)
-    finite = x[np.isfinite(x)]
-    if finite.size:
-        _refuse_divergent(ells, float(finite.max()), rel_tol, max_terms)
+        x, term, total, k = float(x), 1.0, 1.0, 0
+        while abs(term) > rel_tol * abs(total):
+            term *= x / ((k + 1) * math.prod(ell + k for ell in ells))
+            total += term
+            k += 1
+            if k >= max_terms and math.isfinite(total):  # an overflow is _peak_sum's to judge
+                raise DomainError("hypergeometric series did not converge")
+        if math.isfinite(total) or x == math.inf:
+            return total, 0
+        return tuple(a.item() for a in _peak_sum(ells, np.array([x]), rel_tol, max_terms))
     term, total, exponent = np.ones(x.shape), np.ones(x.shape), np.zeros(x.shape, dtype=int)
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # as the float sum: inf, no warning
@@ -621,11 +592,49 @@ def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
             k += 1
             if k >= max_terms:
                 raise DomainError("hypergeometric series did not converge")
-    for i in np.flatnonzero(np.isinf(total) & (x != math.inf)):
-        xi = float(x.flat[i])
-        _refuse_divergent(ells, xi, rel_tol, max_terms)
-        total.flat[i], exponent.flat[i] = _rescaled_sum(ells, xi, rel_tol, max_terms)
+    over = np.isinf(total) & (x != math.inf)
+    if over.any():
+        total[over], exponent[over] = _peak_sum(ells, x[over], rel_tol, max_terms)
     return total, exponent
+
+
+def _peak_sum(ells, x, rel_tol: float, max_terms: int):
+    """0F_q at each entry of the 1-D x, every ell > 0, as (mantissa,
+    exponent) arrays, summed from its largest term t_p: t_{k+1} = t_k x /
+    d_k, d_k = (k + 1) prod(ell + k), and p is the first k with x < d_k, at
+    most x^(1/(q+1)) + 1 as d_k >= (k + 1) k^q.  t_p is the running product
+    of the p ratios below it, np.frexp taking out a power of two after
+    every 1,000 mantissas (each >= 1/2, so no product leaves the range), and
+    every other term is taken as its ratio to t_p, <= 1.  The sum stops at
+    the first k > p whose term is <= rel_tol times the sum so far, by k =
+    2p + 1100 at the latest: past 2p + 1 each ratio is under 1/2, so by
+    then the term's ratio to t_p has underflowed to 0.  A first ratio past
+    the double range, and a stop at or past max_terms (p >= max_terms among
+    them, decided at once), are the plain sum's errors; each x is summed
+    once, in array order, so the first failing entry's error is raised."""
+    ells, values = np.asarray(ells, dtype=float), {}
+    for xi in dict.fromkeys(x.tolist()):
+        if math.isinf(xi / math.prod(ells.tolist())):  # a Python float: no warning
+            raise DomainError(f"hypergeometric series term ratio overflows at x = {xi:g}")
+        k = np.arange(min(2 * int(xi ** (1 / (len(ells) + 1))) + 1110, max_terms + 1), dtype=float)
+        with np.errstate(over="ignore"):  # inf past the double range: a term ratio of 0
+            d = (k + 1.0) * np.prod(ells[:, None] + k, axis=0)
+        p = int(np.searchsorted(d, xi, side="right"))
+        if p >= max_terms:
+            raise DomainError("hypergeometric series did not converge")
+        above = np.cumprod(xi / d[p : min(2 * p + 1100, max_terms - 1)])  # t_{p+1}/t_p, ...
+        sums = np.cumprod(d[:p][::-1] / xi)[::-1].sum() + 1.0 + np.cumsum(above)
+        stop = np.flatnonzero(above <= rel_tol * sums)
+        if not stop.size:  # at k = max_terms or later
+            raise DomainError("hypergeometric series did not converge")
+        ratios, shifts = np.frexp(xi / d[:p])
+        mantissa, exponent = 1.0, int(shifts.sum())
+        for chunk in np.split(ratios, range(1000, p, 1000)):
+            mantissa, shift = np.frexp(mantissa * chunk.prod())
+            exponent += int(shift)
+        values[xi] = sums[stop[0]] * mantissa, exponent
+    mantissa, exponent = np.array([values[xi] for xi in x.tolist()]).T
+    return mantissa, exponent.astype(int)
 
 
 def _ldexp(mantissa, exponent, what: str):
@@ -661,6 +670,6 @@ def _bg_normalization_scaled(ells, z):
     2**exponent; inf where prod(ells) |z|^2 passes the double range."""
     with np.errstate(over="ignore"):  # x = inf, which sums to inf
         x = math.prod(ells) * np.hypot(z.real, z.imag) ** 2  # hypot: bit-equal to abs(complex)
-    mantissa, exponent = _hyper_0f_scaled(ells, x)  # exponent: a multiple of RESCALE_BITS, even
-    return np.sqrt(mantissa), exponent // 2
+    mantissa, exponent = _hyper_0f_scaled(ells, x)
+    return np.sqrt(np.ldexp(mantissa, exponent & 1)), exponent >> 1
 

@@ -434,6 +434,53 @@ def hyper_0f_unscaled(ells, x, rel_tol=1e-16):
     return total
 
 
+def rescaled_sum(ells, x: float, rel_tol=1e-16, max_terms=100_000) -> tuple[float, int]:
+    """0F_q(ells; x) summed term by term from k = 0 as (mantissa, exponent),
+    the value mantissa * 2**exponent: the term and the total are divided by
+    2**RESCALE_BITS before a step that would overflow, so the exponent is 0
+    wherever the plain sum is finite.  A term ratio past the double range,
+    and a sum still going at max_terms terms, are the library's errors."""
+    term = total = 1.0
+    exponent = k = 0
+    while abs(term) > rel_tol * abs(total):
+        factor = x / ((k + 1) * math.prod(ell + k for ell in ells))
+        step = term * factor
+        summed = total + step
+        if math.isinf(summed):
+            if math.isinf(factor):
+                raise DomainError(f"hypergeometric series term ratio overflows at x = {x:g}")
+            term, total = math.ldexp(term, -RESCALE_BITS), math.ldexp(total, -RESCALE_BITS)
+            exponent += RESCALE_BITS
+            continue
+        term, total = step, summed
+        k += 1
+        if k >= max_terms:
+            raise DomainError("hypergeometric series did not converge")
+    return total, exponent
+
+
+def hyper_0f_by_rescaling(ells, x, rel_tol=1e-16, max_terms=100_000):
+    """0F_q at a float64 scalar or 1-D array x as (mantissa, exponent), the
+    way the library summed it before it summed from the peak term: an array
+    as one masked float loop (each entry stopping at its own term), then
+    every entry whose plain sum overflows by `rescaled_sum`, in array order;
+    x = +inf sums to inf."""
+    if not np.ndim(x):
+        return (math.inf, 0) if x == math.inf else rescaled_sum(ells, float(x), rel_tol, max_terms)
+    term, total, exponent = np.ones(x.shape), np.ones(x.shape), np.zeros(x.shape, dtype=int)
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (going := np.abs(term) > rel_tol * np.abs(total)).any():
+            term *= x / ((k + 1) * math.prod(ell + k for ell in ells))
+            np.add(total, term, out=total, where=going)
+            k += 1
+            if k >= max_terms:
+                raise DomainError("hypergeometric series did not converge")
+    for i in np.flatnonzero(np.isinf(total) & (x != math.inf)):
+        total[i], exponent[i] = rescaled_sum(ells, float(x[i]), rel_tol, max_terms)
+    return total, exponent
+
+
 def gauss_rule_from_moments_direct(moments, k):
     """Classical alternative route to a k-node rule from 2k moments:
     orthogonal-polynomial coefficients from the Hankel linear system,

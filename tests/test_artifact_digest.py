@@ -3,6 +3,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import shlex
 import sys
 import warnings
@@ -88,7 +89,7 @@ def test_a_checkout_against_itself_differs_nowhere(capsys):
 
 def test_a_changed_field_exit_code_or_stderr_is_named(monkeypatch):
     # the first command gains a field, the second exits 3, the third writes to stderr
-    real, calls = artifact_digest.CLI_MAIN, []
+    real, calls, rho_hat = artifact_digest.CLI_MAIN, [], []
 
     def changed(argv):
         calls.append(argv)
@@ -97,6 +98,7 @@ def test_a_changed_field_exit_code_or_stderr_is_named(monkeypatch):
             code = real(argv)
         payload = json.loads(out.getvalue())
         if len(calls) == 1:
+            rho_hat.append(payload["rho_hat"])
             payload["rho_hat"] += 1.0
         print(json.dumps(payload, indent=2))
         if len(calls) == 3:
@@ -104,6 +106,57 @@ def test_a_changed_field_exit_code_or_stderr_is_named(monkeypatch):
         return 3 if len(calls) == 2 else code
 
     monkeypatch.setattr(artifact_digest, "CLI_MAIN", changed)
-    differ, fields = artifact_digest.compare(ROOT, "growth", 1, cycles=1)
+    differ, fields, moves = artifact_digest.compare(ROOT, "growth", 1, cycles=1)
     assert differ == [shlex.join(calls[1]), shlex.join(calls[2])]
     assert fields == {"rho_hat": 1}
+    assert moves == {"rho_hat": 1.0 / max(abs(rho_hat[0]), abs(rho_hat[0] + 1.0))}
+
+
+@pytest.mark.parametrize("mine, theirs, move", [
+    (2.0, 2.0, 0.0),
+    (2.0, 2.5, 0.2),
+    (-4, 2, 1.5),
+    ([1.0, 8.0, 0.0], [1.0, 10.0, 0.0], 0.2),
+    ([], [], 0.0),
+    ([{"re": 3.0, "im": 4.0}], [{"re": 3.0, "im": 5.0}], 1.0 / math.sqrt(34.0)),
+    ([[1.0], [4.0]], [[1.0], [5.0]], 0.2),
+    ([1.0, 2.0], [1.0], None),
+    ([1.0, "x"], [1.0, "y"], None),
+    (1.0, None, None),
+    (True, False, None),
+    ({"re": 1.0, "im": None}, {"re": 1.0, "im": 2.0}, None),
+    ({"re": 1.0, "im": 2.0, "x": 0}, {"re": 1.0, "im": 2.0, "x": 1}, None),
+    ("a", "b", None),
+])
+def test_relative_move_of_numbers_arrays_and_complex_entries(mine, theirs, move):
+    assert artifact_digest.relative_move(mine, theirs) == pytest.approx(move, rel=1e-15)
+    assert artifact_digest.relative_move(theirs, mine) == pytest.approx(move, rel=1e-15)
+
+
+def test_a_moved_numeric_field_prints_its_largest_relative_move(monkeypatch, capsys):
+    # norm_hypergeometric moves by 1e-13 relative in one cs-bg command,
+    # and kind changes in another: only the numeric field gets a figure
+    real, calls = artifact_digest.CLI_MAIN, []
+
+    def changed(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = real(argv)
+        text = out.getvalue()
+        payload = json.loads(text) if text.startswith("{") else None
+        if payload and isinstance(payload.get("norm_hypergeometric"), float):
+            calls.append(argv)
+            if len(calls) == 1:
+                payload["norm_hypergeometric"] *= 1.0 + 1e-13
+            elif len(calls) == 2:
+                payload["kind"] = "other"
+            text = json.dumps(payload)
+        sys.stdout.write(text)
+        return code
+
+    monkeypatch.setattr(artifact_digest, "CLI_MAIN", changed)
+    differ, fields, moves = artifact_digest.compare(ROOT, "states", 1, cycles=1)
+    assert len(calls) >= 2 and differ == []
+    assert fields == {"kind": 1, "norm_hypergeometric": 1}
+    assert moves["kind"] is None
+    assert moves["norm_hypergeometric"] == pytest.approx(1e-13, rel=1e-3)

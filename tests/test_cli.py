@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ import polywh
 import polywh.cli as cli
 from polywh import AlgebraParams, StateKind, bg_state, moments_for
 from polywh.cli import json_text, main, state_from_payload
-from polywh.coherent import _ratio_sup
+from polywh.coherent import _bg_normalization_scaled, _ratio_sup
 from polywh.errors import DomainError
 
 from oracles import json_text_by_dicts, schwarz_grid_by_list
@@ -451,6 +452,25 @@ def test_schwarz_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["max_excess"] <= 1e-10
+
+
+def test_schwarz_past_the_double_range_of_its_bound(capsys, monkeypatch):
+    # |N|^2 = e^{|z|^2} passes the double range on most of this grid (x up to
+    # 80,000 at its corners); summed again from k = 0 with rescaling, this
+    # command took 47.9 s in-process
+    monkeypatch.delenv("POLYWH_TAIL_TOL", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "schwarz", "--kappa", "0", "--grid-radius", "200",
+                             "--grid-points", "41", "--w", "0.5")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    assert json.loads(out)["max_excess"] == -0.11750309741540477
+    corners = np.array([200 + 200j, -200 + 200j, 200 - 200j, -200 - 200j])
+    mantissa, exponent = _bg_normalization_scaled((), corners)
+    half_x = np.hypot(corners.real, corners.imag) ** 2 / 2  # log |N| = x / 2 at kappa = 0
+    log_n = np.log(mantissa) + exponent * math.log(2.0)
+    assert (np.abs(log_n - half_x) <= 1e-13 * half_x).all(), log_n - half_x
+    assert elapsed < 15.0
 
 
 @pytest.mark.parametrize("points", [1, 9, 41])

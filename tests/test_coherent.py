@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -47,6 +49,7 @@ from oracles import (
     bg_eigen_residual_dense,
     dense_lowering,
     glauber_overlap,
+    hyper_0f_by_rescaling,
     hyper_0f_unscaled,
     inverse_square_factorial_sum,
     nilpotent_exponential_by_vectors,
@@ -926,11 +929,13 @@ def test_hyper_0f_on_an_array_stops_each_entry_at_its_own_term():
         hyper_0f((1,), np.array([0.5, 1e6]), max_terms=50)
 
 
-def _hyper_outcome(ells, x, max_terms):
+def _scaled_outcome(sum_, ells, x, max_terms):
+    """sum_(ells, x) as (mantissas, exponents) lists, or its DomainError's text."""
     try:
-        return np.asarray(hyper_0f(ells, x, max_terms=max_terms)).tolist()
+        mantissa, exponent = sum_(ells, x, 1e-16, max_terms)
     except DomainError as exc:
         return str(exc)
+    return np.ravel(mantissa).tolist(), np.ravel(exponent).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -941,16 +946,49 @@ def _hyper_outcome(ells, x, max_terms):
                           st.sampled_from([0.0, math.inf])), min_size=1, max_size=4),
     max_terms=st.integers(min_value=1, max_value=300),
 )
+@example(ells=[], xs=[900.0, 1e6, 5e3], max_terms=100_000)
+@example(ells=[2, 3], xs=[2.4e7, 3.0], max_terms=100_000)
+@example(ells=[1, 1, 1], xs=[1.2e9, 1.4e9, 2.0], max_terms=250)
 def test_a_sum_refused_at_once_is_the_one_the_loop_refuses(ells, xs, max_terms):
-    # the same value or error with and without the up-front divergence test,
-    # for arrays and for each scalar
-    def outcomes():
-        return [_hyper_outcome(ells, x, max_terms) for x in (np.array(xs), *map(np.float64, xs))]
+    # for the array and for each scalar, the outcome of the reference loop
+    # (`hyper_0f_by_rescaling`: from k = 0, rescaled by 2**-512 where it
+    # would overflow): the same error, the same value where its exponent is
+    # 0, and within 2e-13 relative past the double range
+    for x in (np.array(xs), *map(np.float64, xs)):
+        got, ref = (_scaled_outcome(sum_, ells, x, max_terms)
+                    for sum_ in (coherent._hyper_0f_scaled, hyper_0f_by_rescaling))
+        assert type(got) is type(ref) and (isinstance(ref, tuple) or got == ref), (x, got, ref)
+        if isinstance(ref, tuple):
+            for mantissa, exponent, ref_mantissa, ref_exponent in zip(*got, *ref):
+                if ref_exponent == 0:
+                    assert (mantissa, exponent) == (ref_mantissa, 0), x
+                else:
+                    assert abs(math.ldexp(mantissa / ref_mantissa, exponent - ref_exponent)
+                               - 1.0) <= 2e-13, x
 
-    with_test = outcomes()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coherent, "_refuse_divergent", lambda *args: None)
-        assert outcomes() == with_test
+
+@contextlib.contextmanager
+def _line_budget(limit: int):
+    """Fail the test once more than ``limit`` lines of `polywh.coherent` run
+    (its generator expressions included): a work bound that a sum of 0F_q
+    refused at once meets and a loop over max_terms terms does not."""
+    lines, outer = 0, sys.gettrace()
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if frame.f_code.co_filename != coherent.__file__:
+            return None
+        if event == "line":
+            lines += 1
+            if lines > limit:
+                raise AssertionError(f"more than {limit} lines of polywh.coherent ran")
+        return trace
+
+    sys.settrace(trace)
+    try:
+        yield
+    finally:
+        sys.settrace(outer)
 
 
 def _outcome(call, arg):
@@ -994,39 +1032,60 @@ def test_an_exact_or_numpy_argument_is_taken_at_its_double(x):
             assert type(got) is type(expected) and got == expected, (form, got, expected)
 
 
-def test_an_exact_x_that_cannot_converge_is_refused_before_any_loop(monkeypatch):
-    # summed exactly, 10**9 took 0.1 s and Fraction(1, 3) * 10**300 2.6 s to say so
-    def no_loop(*args):
-        raise AssertionError("a sum loop started")
-
-    monkeypatch.setattr(coherent, "_rescaled_sum", no_loop)
-    for ells, x in [((), 10**9), ((2,), Fraction(1, 3) * 10**300), ((2,), 2 * 10**200),
-                    ((2,), np.array([1, 2 * 10**200], dtype=object))]:
-        with pytest.raises(DomainError, match="^hypergeometric series did not converge$"):
-            hyper_0f(ells, x)
+def test_an_exact_x_that_cannot_converge_is_refused_before_any_loop():
+    # summed exactly, 10**9 took 0.1 s and Fraction(1, 3) * 10**300 2.6 s to say so;
+    # a loop over the 100,000 terms of max_terms would pass the line budget
+    with _line_budget(2_000):
+        for ells, x in [((), 10**9), ((2,), Fraction(1, 3) * 10**300), ((2,), 2 * 10**200),
+                        ((2,), np.array([1, 2 * 10**200], dtype=object))]:
+            with pytest.raises(DomainError, match="^hypergeometric series did not converge$"):
+                hyper_0f(ells, x)
 
 
-def test_a_sum_that_cannot_converge_is_refused_before_its_loop(monkeypatch):
+def test_a_sum_that_cannot_converge_is_refused_before_its_loop():
     # x = 2e200 at ells (2,): the terms still grow at the 100,000th, and pass
-    # the double range long before it, where the loop would rescale
-    monkeypatch.setattr(coherent, "RESCALE_BITS", None)  # so a rescale fails the test
-    for x in (2e200, np.array([1.0, 2e200, math.inf])):
-        with pytest.raises(DomainError, match="^hypergeometric series did not converge$"):
-            hyper_0f((2,), x)
+    # the double range long before it, where a loop from k = 0 would go on
+    with _line_budget(2_000):
+        for x in (2e200, np.array([1.0, 2e200, math.inf])):
+            with pytest.raises(DomainError, match="^hypergeometric series did not converge$"):
+                hyper_0f((2,), x)
 
 
-def test_each_entry_summed_again_is_refused_at_its_own_x(monkeypatch):
-    # at ells (0.5,) the first term ratio at x = 1.7e308 overflows, so the
-    # test at the largest finite x says nothing; 2e200 cannot converge, and
-    # each entry whose plain sum overflows meets its own test, in array order
-    monkeypatch.setattr(coherent, "RESCALE_BITS", None)  # so a rescale fails the test
-    for xs, message in (([2e200, 1.7e308], "series did not converge"),
-                        ([1.7e308, 2e200], "series term ratio overflows at x = 1.7e\\+308")):
-        with pytest.raises(DomainError, match=f"^hypergeometric {message}$"):
-            hyper_0f((0.5,), np.array(xs))
-    for x, message in ((2e200, "did not converge"), (1.7e308, "term ratio overflows")):
-        with pytest.raises(DomainError, match=message):
-            hyper_0f((0.5,), x)
+def test_each_entry_summed_again_is_refused_at_its_own_x():
+    # at ells (0.5,) the first term ratio at x = 1.7e308 overflows, and
+    # 2e200 cannot converge: each entry whose plain sum overflows is judged
+    # at its own x, in array order, and at once
+    with _line_budget(2_000):
+        for xs, message in (([2e200, 1.7e308], "series did not converge"),
+                            ([1.7e308, 2e200], "series term ratio overflows at x = 1.7e\\+308")):
+            with pytest.raises(DomainError, match=f"^hypergeometric {message}$"):
+                hyper_0f((0.5,), np.array(xs))
+        for x, message in ((2e200, "did not converge"), (1.7e308, "term ratio overflows")):
+            with pytest.raises(DomainError, match=message):
+                hyper_0f((0.5,), x)
+        for x in (-math.inf, np.array([1.0, -math.inf])):  # the sum at |x| = inf is inf
+            with pytest.raises(DomainError, match="^hypergeometric series term ratio overflows "
+                                                  "at x = -inf$"):
+                hyper_0f((), x)
+
+
+@pytest.mark.parametrize("ells, max_terms, error, message", [
+    ((0,), 100, DomainError, "every ell must be positive, got ell = 0"),
+    ((2, -1), 100, DomainError, "every ell must be positive, got ell = -1"),
+    ((-0.5,), 100, DomainError, "every ell must be positive, got ell = -0.5"),
+    ((math.nan,), 100, DomainError, "every ell must be positive, got ell = nan"),
+    ((2,), 2.5, TypeError, "max_terms must be an integer, got max_terms = 2.5"),
+    ((2,), -1, DomainError, "max_terms must be at least 0, got max_terms = -1"),
+])
+def test_hyper_0f_refuses_an_ell_or_a_max_terms_by_name(ells, max_terms, error, message):
+    # an ell of 0 or -1 was a bare ZeroDivisionError, a NaN ell summed to nan,
+    # and max_terms 2.5 or -1 ended in "did not converge"
+    for x in (1.0, np.array([1.0, 900.0])):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            hyper_0f(ells, x, max_terms=max_terms)
+    if "max_terms" in message:  # in the words of the state constructors
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            bg_state(OSC, 1.0, max_terms=max_terms)
 
 
 def test_bg_normalization_past_the_double_range_of_its_square():

@@ -18,8 +18,12 @@ program, streams and runner of the checkout at ROOT, and under each digest
 line the tool names every command whose exit code or stderr differs
 between the two and counts, per top-level field of the JSON artifacts, the
 commands whose field differs (as parsed JSON: present on one side only, or
-unequal).  A difference is reported, not a fault: it leaves the exit code
-as it is.
+unequal).  Where every such difference of a field is one of numbers (two
+numbers, or two arrays of as many numbers or {re, im} objects), it also
+prints the field's largest relative move over those commands, |a - b| /
+max(|a|, |b|) taken entry by entry, so that a change can bound how far a
+field moved.  A difference is reported, not a fault: it leaves the exit
+code as it is.
 """
 
 from __future__ import annotations
@@ -116,14 +120,36 @@ def _fields(out: str) -> dict:
     return payload if isinstance(payload, dict) else {"(stdout)": out} if out else {}
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def relative_move(mine, theirs) -> float | None:
+    """The largest |a - b| / max(|a|, |b|) (0 where a == b) between two
+    parsed JSON values that hold numbers: two numbers, two {re, im} objects
+    of numbers, or two arrays of as many such values; None for any other
+    pair."""
+    if isinstance(mine, list) and isinstance(theirs, list):
+        moves = [relative_move(a, b) for a, b in zip(mine, theirs)]
+        return None if len(mine) != len(theirs) or None in moves else max(moves, default=0.0)
+    if all(isinstance(v, dict) and v.keys() == {"re", "im"} and all(map(_number, v.values()))
+           for v in (mine, theirs)):
+        mine, theirs = complex(mine["re"], mine["im"]), complex(theirs["re"], theirs["im"])
+    elif not (_number(mine) and _number(theirs)):
+        return None
+    return 0.0 if mine == theirs else abs(mine - theirs) / max(abs(mine), abs(theirs))
+
+
 def compare(root: Path, workload: str, seed: int,
-            cycles: int) -> tuple[list[str], dict[str, int]]:
+            cycles: int) -> tuple[list[str], dict[str, int], dict[str, float | None]]:
     """(the commands whose exit code or stderr differ, {field: count of
-    the commands whose artifact field differs}) between this checkout and
-    the one at root, over the first `cycles` cycles of one stream.  Streams
-    that differ between the two checkouts are a RuntimeError."""
+    the commands whose artifact field differs}, {field: its largest
+    `relative_move` over those commands, None where one of them is not a
+    move of numbers}) between this checkout and the one at root, over the
+    first `cycles` cycles of one stream.  Streams that differ between the
+    two checkouts are a RuntimeError."""
     worker = [sys.executable, "-c", _WORKER, str(root), workload, str(seed), str(cycles)]
-    differ, fields = [], collections.Counter()
+    differ, fields, moves = [], collections.Counter(), {}
     with subprocess.Popen(worker, stdout=subprocess.PIPE, text=True) as theirs:
         for ours, line in itertools.zip_longest(outcomes(workload, seed, cycles), theirs.stdout):
             their = None if line is None else json.loads(line)
@@ -135,11 +161,14 @@ def compare(root: Path, workload: str, seed: int,
             if (code, err) != (their_code, their_err):
                 differ.append(shlex.join(argv))
             mine, other = _fields(out), _fields(their_out)
-            fields.update(key for key in mine.keys() | other.keys()
-                          if key not in mine or key not in other or mine[key] != other[key])
+            for key in mine.keys() | other.keys():
+                if key not in mine or key not in other or mine[key] != other[key]:
+                    fields[key] += 1
+                    move, largest = relative_move(mine.get(key), other.get(key)), moves.get(key, 0)
+                    moves[key] = None if None in (move, largest) else max(move, largest)
     if theirs.returncode:
         raise RuntimeError(f"the worker at {root} exited with code {theirs.returncode}")
-    return differ, dict(sorted(fields.items()))
+    return differ, dict(sorted(fields.items())), moves
 
 
 def main(argv=None) -> int:
@@ -156,10 +185,13 @@ def main(argv=None) -> int:
             exits = " ".join(f"{code}:{n}" for code, n in codes.items())
             print(f"{workload} seed {seed}: {count} commands, exits {exits}, sha256 {hexdigest}")
             if args.against is not None:
-                differ, fields = compare(args.against, workload, seed, args.cycles)
+                differ, fields, moves = compare(args.against, workload, seed, args.cycles)
                 for command in differ:
                     print(f"  exit code or stderr differ: {command}")
-                counts = ", ".join(f"{key} {n}" for key, n in fields.items()) or "none"
+                counts = ", ".join(
+                    f"{key} {n}" + ("" if moves[key] is None
+                                    else f" (largest relative move {moves[key]:.3g})")
+                    for key, n in fields.items()) or "none"
                 print(f"  against {args.against}: {len(differ)} commands differ in exit code "
                       f"or stderr; artifact fields that differ (commands): {counts}")
             first_fault = first_fault or fault
