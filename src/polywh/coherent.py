@@ -5,8 +5,10 @@
 
 with c_0 = 1 unless normalized.  A state outside its existence domain, or
 one whose coefficients do not fit in a double, is a `DomainError`, never a
-number; this module alone decides whether a series state exists (`_state`),
-and one function reads the perelomov closed form (`_law_verdict`).  The
+number; this module alone decides whether a series state exists (`_state`).
+One function holds the closed form of both families' terms on the infinite
+ladder (`_term_law`); the existence verdict (`_law_verdict`) and the
+series' second block (`_series`, by `_law_cut`) read it.  The
 hypergeometric normalization is summed in float64 alone, an int or a
 Fraction argument at its double.
 """
@@ -98,8 +100,15 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
     finite ladder (no tail_tol) is one block; else the blocks double, each
     from the last one's carry, until every row meets its tail cut
     (`_tail_cut`; bound inf where uncut), zero past it: block lo..hi - 1 ends
-    at hi = min(max(2 lo, 64), stop).  Row i's |c_n|^2 and running norm are
-    scaled by the exact 2**-exponents[i] (Blue 1978, ACM TOMS 4).  A
+    at hi = min(max(2 lo, 64), stop), save that for one z with a term law
+    (`_term_law`) the block from 64 ends at the law's cut (`_law_cut`) taken
+    in, 2 steps on at least.  Numpy's cumprod and cumsum run left to right,
+    so where a block ends changes no coefficient and no cut, but for a
+    complex block of one step (`_series_moduli`) and for the rows already
+    cut: such a row is carried as 0 * step, -0.0 where the step's real part
+    is negative, and one longer block would write +0.0, so several rows
+    keep the doubling.  Row i's |c_n|^2 and running norm are scaled by the
+    exact 2**-exponents[i] (Blue 1978, ACM TOMS 4).  A
     coefficient past the double range is a `DomainError`.  Where phi = 0 and
     every z is real and >= 0 the blocks are float64, the real parts of the
     complex ones.  The perelomov x (`_perelomov_x`) screens the cut's
@@ -120,6 +129,12 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
                 (0.0 < xs) & (xs < 1.0), tol2 * (1.0 - xs) * (1.0 + 1e-12), tol2)[:, None]
         while lo < stop and math.inf in bounds:
             hi = min(max(2 * lo, 64), stop) if cut_rows else stop
+            if lo == 64 and rows == 1 and hi < stop and not _cut_by(
+                    blocks[-1][0], norm2[0, 0], exponents[0], None if xs is None else xs[0],
+                    tol2, hi):  # one z, not surely cut by the doubling's second block
+                law = _term_law(kind, params, float(radii[0]))
+                if law is not None:
+                    hi = min(max(_law_cut(law, tail_tol, stop) + 1, lo + 2), stop)
             steps = _steps(kind, params, zs[:, None], lo, hi)
             block = np.cumprod(np.concatenate((blocks[-1][:, -1:], steps), axis=1), axis=1)
             block = block[:, 1:]
@@ -151,6 +166,24 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
             norm2, lo = norms[:, -1:].copy(), hi
             del steps, block, abs2, norms  # not held while the next block is built
     return np.concatenate(blocks, axis=1), bounds, exponents
+
+
+def _cut_by(first, norm2, exponent, x, tol2, hi):
+    """Whether one series past its first block, ``first`` = c_1 .. c_63,
+    norm2 its squared norm to c_63 scaled by 2**-exponent and x its
+    `_perelomov_x`, surely meets its tail cut by n = hi - 1: every later
+    |c_{m+1}/c_m|^2 is at most q^2 = |c_63/c_62|^2, or x where the ratios
+    rise toward it (perelomov, kappa > 1; elsewhere they fall), so the
+    rule passes where |c_63|^2 q^(2 (hi - 64)) / (1 - q^2) <= tol^2 S."""
+    last = abs(complex(first[-1]))
+    q2 = (last / abs(complex(first[-2]))) ** 2
+    if x is not None:
+        q2 = max(q2, float(x))
+    if not 0.0 < q2 < 1.0:
+        return False
+    log_last = 2.0 * math.log(last) - exponent * math.log(2.0)
+    return (log_last + (hi - 64) * math.log(q2) - math.log1p(-q2)
+            <= math.log(tol2) + math.log(norm2))
 
 
 def _tail_cut(under, abs2, norms, lo, ratio_sup, tol2):
@@ -208,50 +241,151 @@ def _perelomov_x(kind, params, radius):
     return q * q
 
 
+def _term_law(kind, params, radius):
+    """The closed form of the terms of an infinite-ladder series at |z| =
+    radius, as (terms, log_sup2, peak), or None where no law applies:
+    terms(n) = (log|c_n|^2, the sum of the moduli of the lgamma values it
+    takes, for a rounding margin), log_sup2(n) = log q^2, q = `_ratio_sup`
+    at n, in float, and peak the first n with log_sup2(n) <= 0, the index
+    of the largest term.  Perelomov where its x (`_perelomov_x`) has 0 < x
+    < 1 (Perelomov 1986): |c_n|^2 = x^n (a)_n / n!, a = 1/kappa, its peak
+    in closed form.  Barut-girardello, and perelomov at kappa = 0 (the same
+    series): |c_n|^2 = |z|^2n / F(n)!, F(n)! = n! prod_i kappa_i^n (a_i)_n
+    over the kappa_i > 0, a_i = 1/kappa_i, its peak where F(n + 1) = |z|^2,
+    by Newton steps on log F(n + 1), concave in n, so each lands at or below
+    the root.  None also where a shape, its lgamma or the peak index leaves
+    the double range: the series alone decides there."""
+    x = _perelomov_x(kind, params, radius)
+    if x is not None:
+        if not 0.0 < x < 1.0:
+            return None
+        a = 1.0 / float(params.kappas[0])
+        try:
+            log_x, base = math.log(x), math.lgamma(a)
+            peak = max(math.ceil((a * x - 1.0) / (1.0 - x)), 0)
+        except OverflowError:  # a or the peak index past the double range
+            return None
+
+        def terms(n):
+            top = math.lgamma(a + n)
+            return n * log_x + top - base - math.lgamma(n + 1.0), abs(top) + abs(base)
+
+        def log_sup2(n):
+            ratio = (a + n) / (n + 1.0)
+            return log_x + math.log(ratio) if ratio > 1.0 else log_x
+
+        return terms, log_sup2, peak
+    if kind is StateKind.PERELOMOV and params.kappas != (0,) or not radius > 0.0:
+        return None
+    try:
+        kappas = [kappa.numerator / kappa.denominator for kappa in params.kappas if kappa]
+        shapes = [1.0 / kappa for kappa in kappas]
+        bases = [math.lgamma(shape) for shape in shapes]
+        log_z2 = 2.0 * math.log(radius)
+        offset = log_z2 - sum(map(math.log, kappas))  # log(|z|^2 / prod kappa_i)
+        guess = math.exp(offset / (len(kappas) + 1)) - 1.0  # F(n + 1) ~ (n + 1)^(r+1) prod kappa_i
+    except (OverflowError, ZeroDivisionError):  # a kappa_i or the peak past the double range
+        return None
+    shift, spread = sum(bases), sum(map(abs, bases))
+    if not math.isfinite(spread + offset):
+        return None
+
+    def terms(n):
+        low = math.lgamma(n + 1.0)
+        value, size = n * offset + shift - low, spread + low
+        for shape in shapes:
+            top = math.lgamma(n + shape)
+            value -= top
+            size += abs(top)
+        return value, size
+
+    def log_sup2(n):  # log(|z|^2 / F(n + 1))
+        value = log_z2 - math.log1p(n)
+        for kappa in kappas:
+            value -= math.log1p(kappa * n)
+        return value
+
+    def newton(n):  # a Newton step on log F(n + 1) = log |z|^2
+        slope = 1.0 / (n + 1.0)
+        for kappa in kappas:
+            slope += kappa / (1.0 + kappa * n)
+        return n + log_sup2(n) / slope
+
+    peak = math.ceil(max(newton(max(guess, 0.0)), 0.0))
+    while log_sup2(peak) > 0.0:
+        peak = max(math.ceil(newton(peak)), peak + 1)
+    return terms, log_sup2, peak
+
+
+def _law_cut(law, tol, stop):
+    """The first n past the law's peak (`_term_law`) at which `_tail_cut`
+    would pass on the law with the largest term for the norm, g(n) = log
+    |c_n|^2 - log(1 - q^2) - 2 log tol - log|c_peak|^2 <= 0, else stop
+    where that n is past it.  The largest term is a lower bound on the
+    norm, so n falls at or past the float series' cut, up to the law's
+    rounding.  g falls past the peak; the search keeps lo < n <= hi, g(lo)
+    > 0 >= g(hi), and takes Newton steps with the slope log q^2, from where
+    a Gaussian of the peak's curvature puts the cut, or bisects where a
+    step leaves the bracket."""
+    terms, log_sup2, peak = law
+    top = terms(peak)[0] + 2.0 * math.log(tol)
+    curvature = log_sup2(peak) - log_sup2(peak + 1)
+    n = peak + (math.ceil(math.sqrt(-4.0 * math.log(tol) / curvature)) if curvature > 0.0 else 1)
+    lo, hi = peak, math.inf
+    while hi - lo > 1 and lo < stop:
+        n = min(n, stop)
+        slope = log_sup2(n)
+        gap = terms(n)[0] - math.log1p(-math.exp(slope)) - top if slope < 0.0 else math.inf
+        if gap > 0.0:  # n doubles where q >= 1
+            lo = n
+            n += math.ceil(min(gap / -slope, stop)) if gap < math.inf else n
+        else:
+            hi = n
+            n -= max(math.floor(min(gap / slope, n)), 1)
+        if not lo < n < hi:  # only past a step down: hi is finite
+            n = (lo + hi) // 2
+    return min(hi, stop)
+
+
 def _law_verdict(kind, params, radius, max_terms, tol):
     """Whether the perelomov series at |z| = radius is cut at tail tolerance
-    tol within max_terms terms, read off its closed form (Perelomov 1986)
-    where its x (`_perelomov_x`) has 0 < x < 1: |c_n|^2 = x^n (a)_n / n!,
-    a = 1/kappa, unimodal with its peak at index ``peak``, within margin(n)
-    in log of the float series, lgamma's cancellation included (`e3017a5`,
-    `741a52b`).  True where the law meets the cut with every |c_n|^2, n <=
-    max_terms, a double; False where it fits so but misses the cut's
-    necessary bound tol^2 S_inf (1 - x) at n = 1 and at max_terms, and so
-    everywhere between; None where there is no law (another series, x
-    outside (0, 1), a or the peak index past the double range) or it cannot
-    decide.  The cut is certain where `_tail_cut` passes at n = max_terms on
-    the law, margin included, with q = `_ratio_sup` at max_terms < 1 and
-    S >= |c_0|^2 = 1: |c_n|^2 / (1 - q^2) only falls with n past the peak,
-    so the series is cut by then."""
+    tol within max_terms terms, read off its closed form (`_term_law`) where
+    its x (`_perelomov_x`) has 0 < x < 1: unimodal with its peak at index
+    ``peak``, within margin(n) in log of the float series, lgamma's
+    cancellation included (`e3017a5`, `741a52b`).  True where the law meets
+    the cut with every |c_n|^2, n <= max_terms, a double; False where it
+    fits so but misses the cut's necessary bound tol^2 S_inf (1 - x) at n =
+    1 and at max_terms, and so everywhere between; None where there is no
+    law (another series, x outside (0, 1), a or the peak index past the
+    double range) or it cannot decide.  The cut is certain where
+    `_tail_cut` passes at n = max_terms on the law, margin included, with q
+    = `_ratio_sup` at max_terms < 1 and S >= |c_0|^2 = 1: |c_n|^2 / (1 -
+    q^2) only falls with n past the peak, so the series is cut by then."""
     x = _perelomov_x(kind, params, radius)
-    if x is None or not 0.0 < x < 1.0:
+    law = None if x is None else _term_law(kind, params, radius)
+    if law is None:
         return None
+    terms, _, peak = law
     a, eps = 1.0 / float(params.kappas[0]), sys.float_info.epsilon
-    try:
-        log_x, base = math.log(x), math.lgamma(a)
-        peak = max(math.ceil((a * x - 1.0) / (1.0 - x)), 0)
-    except OverflowError:  # a or the peak index past the double range: the series decides
-        return None
     near_rim = 8.0 * (a + 1.0) * eps / (1.0 - x)
 
-    def log_abs2(n):
-        return n * log_x + math.lgamma(a + n) - base - math.lgamma(n + 1.0)
-
-    def margin(n):
-        return 1e-6 + 1e-12 * n + near_rim + 4.0 * eps * (abs(math.lgamma(a + n)) + abs(base))
+    def term(n):  # log|c_n|^2 and its margin
+        value, size = terms(n)
+        return value, 1e-6 + 1e-12 * n + near_rim + 4.0 * eps * size
 
     top = min(peak, max_terms)
-    highest = max(log_abs2(n) + margin(n) for n in {max(top - 1, 0), top, min(top + 1, max_terms)})
+    highest = max(value + margin for value, margin in
+                  map(term, {max(top - 1, 0), top, min(top + 1, max_terms)}))
     if not highest < 2.0 * (math.log(sys.float_info.max) - 1.0):
         return None
     log_room = 2.0 * math.log(tol) + (1.0 - a) * math.log1p(-x)
-    if all(log_abs2(n) > log_room + margin(n) for n in (max_terms, 1)):
+    if all(value > log_room + margin for value, margin in map(term, (max_terms, 1))):
         return False
     if max_terms < max(peak, 1):
         return None
     q = _ratio_sup(kind, params, radius)(max_terms)
-    if q >= 1.0 or (log_abs2(max_terms) - math.log1p(-q * q) + margin(max_terms)
-                    > 2.0 * math.log(tol)):
+    value, margin = term(max_terms)
+    if q >= 1.0 or value - math.log1p(-q * q) + margin > 2.0 * math.log(tol):
         return None
     return True
 

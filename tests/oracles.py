@@ -261,6 +261,25 @@ def perelomov_series_by_doubling(params: AlgebraParams, z, tail_tol=1e-14, max_t
     return np.concatenate(blocks, axis=1)[0], bound
 
 
+def log_term_modulus(kind, kappas, radius: float, n: int, dps: int = 30) -> float:
+    """log|c_n|^2 of an infinite-ladder series at |z| = radius from mpmath's
+    loggamma at ``dps`` digits, the kappas exact: log F(n)! = log n! +
+    sum over kappa_i > 0 of n log kappa_i + log Gamma(n + 1/kappa_i) - log
+    Gamma(1/kappa_i), and |c_n|^2 = |z|^2n F(n)! / n!^2 (perelomov) or
+    |z|^2n / F(n)! (barut-girardello)."""
+    with mpmath.workdps(dps):
+        log_factorial = mpmath.loggamma(n + 1)
+        for kappa in map(Fraction, kappas):
+            if kappa:
+                shape = mpmath.mpf(kappa.denominator) / kappa.numerator
+                log_factorial += (n * mpmath.log(mpmath.mpf(kappa.numerator) / kappa.denominator)
+                                  + mpmath.loggamma(n + shape) - mpmath.loggamma(shape))
+        power = 2 * n * mpmath.log(mpmath.mpf(radius))
+        if StateKind(kind) is StateKind.PERELOMOV:
+            return float(power + log_factorial - 2 * mpmath.loggamma(n + 1))
+        return float(power - log_factorial)
+
+
 def verify_identity_by_states(params: AlgebraParams, kind, measure) -> float:
     """Max deviation of sum_j w_j |c_n(sqrt(t_j))|^2 from 1 over the matched
     levels, one full coherent state per node, summed in node order."""

@@ -34,6 +34,7 @@ from polywh import (
     perelomov_via_exponential,
     schwarz_check,
     solve_measure,
+    structure_function,
     time_evolve,
 )
 from polywh.algebra import ladder_table
@@ -52,6 +53,7 @@ from oracles import (
     hyper_0f_by_rescaling,
     hyper_0f_unscaled,
     inverse_square_factorial_sum,
+    log_term_modulus,
     nilpotent_exponential_by_vectors,
     nilpotent_exponential_dense,
     perelomov_log_partial_norms,
@@ -220,6 +222,15 @@ def _series_cases(draw):
 @settings(max_examples=80, deadline=None)
 @example(case=(StateKind.PERELOMOV, AlgebraParams(["14/25"]),
                [0.9993 / math.sqrt(0.56), 0.5j], MAX_SERIES_TERMS + 1, 1e-14))
+# two rows, one cut long before the other: its later blocks carry 0 * step,
+# -0.0 where the step's real part is negative; one long block would write +0.0
+@example(case=(StateKind.PERELOMOV, AlgebraParams([0]),
+               [-1.6645873461885696 + 3.637189707302727j, 7], MAX_SERIES_TERMS + 1, 1e-14))
+# one z by the rims: the second block ends at the law's cut (_law_cut)
+@example(case=(StateKind.PERELOMOV, AlgebraParams(["1/6"]), [math.sqrt(0.99 * 6)],
+               MAX_SERIES_TERMS + 1, 1e-14))
+@example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams([0], 0.3), [30.0j],
+               MAX_SERIES_TERMS + 1, 1e-14))  # its squared norm past the double range
 @example(case=(StateKind.PERELOMOV, AlgebraParams(["14/25"]),
                [0.9993 / math.sqrt(0.56), 0.0, 1.0], MAX_SERIES_TERMS + 1, 1e-14))
 @given(case=_series_cases())
@@ -343,8 +354,8 @@ def test_a_shape_past_the_double_range_has_no_closed_form(exponent):
 
 
 def test_only_the_closed_form_reads_lgamma():
-    # one copy of the perelomov law: no second predictor may rebuild it; the
-    # one other reader is the growth kernel's rising factorial (a)_n
+    # one copy of the term law of both families: no second predictor may
+    # rebuild it; the one other reader is the growth kernel's rising factorial
     readers = {
         (path.name, getattr(top, "name", None))
         for path in sorted(Path(polywh.__file__).parent.glob("*.py"))
@@ -354,7 +365,7 @@ def test_only_the_closed_form_reads_lgamma():
         or (isinstance(node, ast.Name) and node.id == "lgamma")
         or (isinstance(node, ast.alias) and node.name.endswith("lgamma"))
     }
-    assert readers == {("coherent.py", "_law_verdict"), ("bargmann.py", "_log_rising")}
+    assert readers == {("coherent.py", "_term_law"), ("bargmann.py", "_log_rising")}
 
 
 def _functions(path):
@@ -369,19 +380,22 @@ def _names(node):
 
 
 def test_only_the_verdict_reads_the_closed_form():
-    # the law decides whether a state exists and nothing else: it lives in
-    # _law_verdict alone, which the two existence questions ask; the series
-    # reads x alone, for its candidate screen, and its blocks just double
+    # the verdict decides whether a state exists: the two existence questions
+    # ask it; the series never does, it reads the term law (_term_law) to
+    # size its second block and x for its candidate screen, and the law has
+    # no other reader than the verdict and the series
     package = sorted(Path(polywh.__file__).parent.glob("*.py"))
-    callers = {
-        (path.name, name)
-        for path in package
-        for name, function in _functions(path).items()
-        if name != "_law_verdict" and "_law_verdict" in _names(function)
-    }
-    assert callers == {("coherent.py", "_state"), ("coherent.py", "_require_state")}
+
+    def callers(name):
+        return {(path.name, caller) for path in package
+                for caller, function in _functions(path).items()
+                if caller != name and name in _names(function)}
+
+    assert callers("_law_verdict") == {("coherent.py", "_state"), ("coherent.py", "_require_state")}
+    assert callers("_term_law") == {("coherent.py", "_law_verdict"), ("coherent.py", "_series")}
     series = _functions(Path(coherent.__file__))["_series"]
-    assert _names(series) & {"_perelomov_x", "_law_verdict"} == {"_perelomov_x"}
+    assert _names(series) & {"_perelomov_x", "_law_verdict", "_term_law"} == {
+        "_perelomov_x", "_term_law"}
     gone = {"_cut_bound", "PREDICTED_FROM", "CUT_SLACK", "_perelomov_law"}
     assert not {name for path in package for name in _names(ast.parse(path.read_text()))} & gone
 
@@ -465,14 +479,130 @@ def test_a_certain_cap_builds_no_term(monkeypatch, kappa, modulus, max_terms):
         perelomov_series_by_doubling(params, modulus * 1j, max_terms=max_terms)
 
 
-def test_the_blocks_double_up_to_the_cut(monkeypatch):
-    # block lo..hi - 1 ends at hi = min(max(2 lo, 64), stop): the cut at
-    # 45,053 falls in the block from 32,768, so 65,535 steps are computed
+@pytest.mark.parametrize("kappa, z, kept, estimate", [
+    ("14/25", 1.3353, 45_053, 50_017),  # doubling: 11 blocks, 65,535 steps
+    ("1/6", 1.0907270269460956 - 2.1817288806391186j, 9_696, 10_517),  # 9 blocks, 16,383 steps
+], ids=["14/25", "1/6"])
+def test_the_second_block_ends_at_the_law_cut(monkeypatch, kappa, z, kept, estimate):
+    # one z uncut by n = 64: block 64..hi - 1 ends at hi = estimate + 1, the
+    # law's cut estimate (_law_cut) taken in, where the series is cut
     spans = _count_steps(monkeypatch)
-    state = perelomov_state(AlgebraParams(["14/25"]), 1.3353)
-    assert len(state) == 45_053
-    assert spans == [63] + [64 << k for k in range(10)]
-    assert sum(spans) == 65_535
+    state = perelomov_state(AlgebraParams([kappa]), z)
+    assert len(state) == kept
+    assert spans == [63, estimate + 1 - 64]
+
+
+_SHAPES = st.one_of(st.fractions(min_value="1/29", max_value=2, max_denominator=29),
+                    st.builds(Fraction, st.just(1), st.integers(min_value=1, max_value=9)))
+
+
+@st.composite
+def _law_cases(draw):
+    """(kind, params, z) of an infinite-ladder series with a term law:
+    perelomov at kappa = p/q <= 2 or 1/ell with |z| sqrt(kappa) up to
+    1 - 1e-4, or at kappa = 0 with |z| <= 12; barut-girardello with r <= 3
+    such kappas or 0 and |z| <= 40."""
+    kind = draw(st.sampled_from(list(StateKind)))
+    if kind is StateKind.PERELOMOV:
+        kappa = draw(st.one_of(_SHAPES, st.just(Fraction(0))))
+        near = st.sampled_from([0.99, 0.999, 1 - 1e-4])
+        rho = draw(st.one_of(st.floats(min_value=1e-3, max_value=1 - 1e-4), near))
+        kappas, modulus = [kappa], rho / math.sqrt(kappa) if kappa else 12.0 * rho
+    else:
+        kappas = draw(st.lists(st.one_of(_SHAPES, st.just(Fraction(0))), min_size=1, max_size=3))
+        modulus = draw(st.floats(min_value=1e-3, max_value=40.0))
+    angle = draw(st.sampled_from([0.0, 1.0, -2.5]))
+    phi = draw(st.sampled_from([0.0, 0.3]))
+    return kind, AlgebraParams(kappas, phi), modulus * complex(math.cos(angle), math.sin(angle))
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=(StateKind.PERELOMOV, AlgebraParams(["1/6"]), 2.4391855927594954), n=10**5)
+@example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams(["1/3", "2", 0]), 40.0), n=10**5)
+@given(case=_law_cases(), n=st.one_of(st.integers(min_value=0, max_value=200),
+                                      st.integers(min_value=0, max_value=10**5)))
+def test_the_term_law_is_mpmath_loggamma(case, n):
+    # log|c_n|^2 within a few roundings of each lgamma, of the value and of
+    # n log|z|^2; the peak is the first n with |c_{n+1}/c_n| <= 1, up to a
+    # ratio within 1e-12 of 1, the ratio exact in Fractions
+    kind, params, z = case
+    radius = abs(z)
+    terms, log_sup2, peak = coherent._term_law(kind, params, radius)
+    value, size = terms(n)
+    exact = log_term_modulus(kind, params.kappas, radius, n)
+    eps = sys.float_info.epsilon
+    assert abs(value - exact) <= 8 * eps * (size + abs(exact) + n * (1 + abs(math.log(radius**2))))
+    square = Fraction(radius) ** 2
+
+    def ratio(m):  # |c_{m+1} / c_m|^2
+        f = structure_function(params, m + 1)
+        return square * f / (m + 1) ** 2 if kind is StateKind.PERELOMOV else square / f
+
+    assert ratio(peak) <= 1 + Fraction(1, 10**12)
+    assert peak == 0 or ratio(peak - 1) > 1 - Fraction(1, 10**12)
+
+
+@contextlib.contextmanager
+def _step_calls():
+    """The spans hi - lo of every `_steps` call made inside the block."""
+    spans, steps = [], coherent._steps
+
+    def spy(kind, params, z, lo, hi):
+        spans.append(hi - lo)
+        return steps(kind, params, z, lo, hi)
+
+    coherent._steps = spy
+    try:
+        yield spans
+    finally:
+        coherent._steps = steps
+
+
+@settings(max_examples=120, deadline=None)
+@example(case=(StateKind.PERELOMOV, AlgebraParams(["14/25"]), 0.9999 / math.sqrt(0.56)))
+@example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams([0], 0.3), 30.0j))
+@example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams([0]), 40.0))  # c_n overflows
+@given(case=_law_cases())
+def test_a_state_takes_at_most_three_blocks_and_is_the_doubling_series(case):
+    # the law's cut (_law_cut) ends the second block at or past the cut, so
+    # a third block is never needed on these draws but allowed; the state,
+    # its cut and its bound, or its refusal, are the doubling series'
+    kind, params, z = case
+    build = perelomov_state if kind is StateKind.PERELOMOV else bg_state
+    try:
+        blocks, (bound,), _ = series_unfiltered(kind, params, [z], MAX_SERIES_TERMS + 1, 1e-14)
+        if bound == math.inf:
+            raise DomainError(
+                f"series did not reach tail tolerance 1e-14 within {MAX_SERIES_TERMS} terms")
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc)) + "$"), _step_calls():
+            build(params, z)
+        return
+    with _step_calls() as spans:
+        state = build(params, z)
+    assert len(spans) <= 3
+    assert state.coeffs.tobytes() == np.concatenate(blocks, axis=1)[0].tobytes()
+    assert state.cutoff_meta.tail_bound == bound
+
+
+def test_the_law_cut_is_the_first_n_its_rule_passes():
+    # g(n) = log|c_n|^2 - log(1 - q^2) - 2 log tol - log|c_peak|^2 on the law
+    # itself: g(cut) <= 0 < g(cut - 1), and the cut is capped at stop
+    for kind, kappas, radius in [(StateKind.PERELOMOV, ["1/6"], 2.4391855927594954),
+                                 (StateKind.PERELOMOV, ["3/2"], 0.8),
+                                 (StateKind.PERELOMOV, [0], 8.0),
+                                 (StateKind.BARUT_GIRARDELLO, [0], 30.0),
+                                 (StateKind.BARUT_GIRARDELLO, ["1/2", "2/3"], 30.0)]:
+        law = coherent._term_law(kind, AlgebraParams(kappas), radius)
+        terms, log_sup2, peak = law
+        top = terms(peak)[0] + 2 * math.log(1e-14)
+
+        def g(n):
+            return terms(n)[0] - math.log1p(-math.exp(log_sup2(n))) - top
+
+        cut = coherent._law_cut(law, 1e-14, MAX_SERIES_TERMS + 1)
+        assert peak < cut and g(cut) <= 0 and (cut - 1 == peak or g(cut - 1) > 0)
+        assert coherent._law_cut(law, 1e-14, cut - 1) == cut - 1
 
 
 def test_via_exponential_d2():
