@@ -208,6 +208,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _l2_norm(v: np.ndarray) -> float:
+    """The l2 norm of a float64 or complex128 vector: one numpy sum of the
+    squares of its float64 parts (real and imaginary interleaved), with no
+    BLAS call, so the same bits whatever the BLAS thread count; the dot of
+    ``np.linalg.norm`` is split across OpenBLAS threads from 10,001
+    entries on.  A sum past the double range is inf, with no warning."""
+    import numpy as np
+
+    parts = np.ascontiguousarray(v).view(np.float64)
+    return math.sqrt(np.einsum("i,i->", parts, parts))
+
+
 class LadderTable(_Frozen):
     """F(n) and G(n) for n = 0, ..., size-1, as read-only float64 arrays."""
 

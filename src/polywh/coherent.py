@@ -27,6 +27,7 @@ from .algebra import (
     AlgebraParams,
     LadderRep,
     _freeze,
+    _l2_norm,
     _ladder_rows,
     _phases,
     classify,
@@ -428,16 +429,15 @@ def _steps(kind, params, z, lo, hi):
 
 
 def _scaled_norm(v) -> tuple[float, int]:
-    """The l2 norm of v as (mantissa, exponent): ``np.linalg.norm(v)`` and 0
-    where that is finite, else the norm of v * 2**-exponent, the power of two
-    that brings every real and imaginary part under 1 (Blue 1978).  A
-    non-finite entry gives a non-finite mantissa."""
-    with np.errstate(over="ignore"):  # a sum of squares past the double range: rescaled
-        norm = float(np.linalg.norm(v))
-        if math.isfinite(norm):
-            return norm, 0
-        exponent = math.frexp(float(np.max(np.maximum(np.abs(v.real), np.abs(v.imag)))))[1]
-        return float(np.linalg.norm(v * 2.0**-exponent)), exponent
+    """The l2 norm of v as (mantissa, exponent): `_l2_norm(v)` and 0 where
+    that is finite, else the norm of v * 2**-exponent, the power of two that
+    brings every real and imaginary part under 1 (Blue 1978).  A non-finite
+    entry gives a non-finite mantissa."""
+    norm = _l2_norm(v)
+    if math.isfinite(norm):
+        return norm, 0
+    exponent = math.frexp(float(np.max(np.maximum(np.abs(v.real), np.abs(v.imag)))))[1]
+    return _l2_norm(v * 2.0**-exponent), exponent
 
 
 def _finish(kind, params, z, coeffs, normalize, meta) -> CoherentState:
@@ -612,7 +612,7 @@ def check_bg_eigen(state: CoherentState, rep: LadderRep) -> float:
     resid = rep.band[: length - 1] * c[1:] - state.z * c[:-1]
     if exact:
         resid = np.append(resid, -state.z * c[-1])  # lowering kills the top level
-    return float(np.linalg.norm(resid) / norm)
+    return _l2_norm(resid) / norm
 
 
 def time_evolve(state: CoherentState, t: float) -> CoherentState:
@@ -667,7 +667,9 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
     double range from its peak term (`_peak_sum`).  A rel_tol outside
     [0, 1), an ell that is NaN or <= 0, a negative max_terms (one that is
     not an integer is a TypeError), a NaN x, an x or a value past the
-    double range, a sum that cannot converge within ``max_terms`` and, at
+    double range, an x != 0 where the product of the ells underflows to 0
+    (its first term ratio overflows; at x = 0 the sum is 1), a sum that
+    cannot converge within ``max_terms`` and, at
     x < 0, a sum whose rounding bound eps 0F_q(ells; |x|) passes 1e-8 of the
     value are each a `DomainError`.  The sum at |x| goes first: it bounds
     the partial sums, so the signed sum cannot overflow."""
@@ -678,6 +680,12 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
             raise DomainError(f"every ell must be positive, got ell = {ell!r}")
     _check_max_terms(max_terms)
     x = _doubles(x, "x")
+    if math.prod(ells) == 0:  # positive ells whose product underflows: t_1 = x / 0
+        nonzero = np.flatnonzero(x)
+        if nonzero.size:
+            raise DomainError("hypergeometric series term ratio overflows at "
+                              f"x = {np.ravel(x)[nonzero[0]]:g}")
+        return np.ones(x.shape) if isinstance(x, np.ndarray) else 1.0
     negative = np.asarray(x) < 0
     if not negative.any():
         return _ldexp(*_hyper_0f_scaled(ells, x, rel_tol, max_terms), "hypergeometric sum")

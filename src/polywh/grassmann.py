@@ -12,7 +12,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraParams, LadderRep, _freeze, build_rep, classify, ladder_table
+from .algebra import (
+    AlgebraParams,
+    LadderRep,
+    _freeze,
+    _l2_norm,
+    build_rep,
+    classify,
+    ladder_table,
+)
 from .errors import DomainError
 
 __all__ = [
@@ -167,4 +175,4 @@ def complex_z_bg_residual(params: AlgebraParams, z) -> float:
     band = build_rep(params).band
     c = z ** np.arange(dim.d) * ladder_table(params, dim.d).kernel(params.phi)
     resid = np.append(band * c[1:], 0.0) - z * c  # lowering @ c - z c
-    return float(np.linalg.norm(resid) / np.linalg.norm(c))
+    return _l2_norm(resid) / _l2_norm(c)

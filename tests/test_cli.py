@@ -464,7 +464,8 @@ def test_schwarz_past_the_double_range_of_its_bound(capsys, monkeypatch):
                              "--grid-points", "41", "--w", "0.5")
     elapsed = time.perf_counter() - start
     assert code == 0 and err == ""
-    assert json.loads(out)["max_excess"] == -0.11750309741540477
+    # -0.11750309741540477 while the state's norm was BLAS's dot (re . re + im . im)
+    assert json.loads(out)["max_excess"] == -0.11750309741540466
     corners = np.array([200 + 200j, -200 + 200j, 200 - 200j, -200 - 200j])
     mantissa, exponent = _bg_normalization_scaled((), corners)
     half_x = np.hypot(corners.real, corners.imag) ** 2 / 2  # log |N| = x / 2 at kappa = 0
@@ -1140,6 +1141,26 @@ def test_the_exit_code_contract_holds_with_warnings_as_errors(capsys, argv, code
         result = run_cli(capsys, *argv.split())
     assert result[:2] == (code, "")
     assert named in result[2] and "nan" not in result[2]
+
+
+def test_an_artifact_is_the_same_on_one_and_two_blas_threads():
+    # 10,046 coefficients: np.linalg.norm's dot, which OpenBLAS splits across
+    # threads from 10,001 entries on, summed this norm to another last bit on
+    # two threads, and with it every normalized coefficient
+    argv = ["cs-perelomov", "--kappa", "1/5", "--z", "0.19346390978783098+2.2188966654245887i",
+            "--phi", "-0.615712", "--normalize"]
+    src = str(Path(polywh.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env.pop("POLYWH_TAIL_TOL", None)
+        done = subprocess.run([sys.executable, "-m", "polywh", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.append(done.stdout)
+    assert '"n_terms": 10046' in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1199,6 +1199,30 @@ def test_each_entry_summed_again_is_refused_at_its_own_x():
                 hyper_0f((), x)
 
 
+@pytest.mark.parametrize("ells", [(1e-200, 1e-200), (1e-170, 3.0, 1e-170), (1e-160, 1e-160, 1e-10)])
+@pytest.mark.parametrize("x, value, message", [
+    (1.0, None, "x = 1"),
+    (-2.5, None, "x = -2.5"),
+    (np.array([0.0, 2.0, -3.0]), None, "x = 2"),
+    (0.0, 1.0, None),
+    (np.zeros(3), np.ones(3), None),
+])
+def test_hyper_0f_names_an_ell_product_that_underflows(ells, x, value, message):
+    # every ell is positive but their product is 0 in float: the first term
+    # ratio x / prod(ells) overflows wherever x != 0 (it was a bare
+    # ZeroDivisionError, and a divide-by-zero warning in an array); the sum
+    # at x = 0 is 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            result = hyper_0f(ells, x)
+            assert type(result) is type(value) and np.array_equal(result, value)
+            return
+        with pytest.raises(DomainError, match="^hypergeometric series term ratio overflows at "
+                                              f"{re.escape(message)}$"):
+            hyper_0f(ells, x)
+
+
 @pytest.mark.parametrize("ells, max_terms, error, message", [
     ((0,), 100, DomainError, "every ell must be positive, got ell = 0"),
     ((2, -1), 100, DomainError, "every ell must be positive, got ell = -1"),
