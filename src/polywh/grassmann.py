@@ -12,15 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (
-    AlgebraParams,
-    LadderRep,
-    _freeze,
-    _l2_norm,
-    build_rep,
-    classify,
-    ladder_table,
-)
+from .algebra import AlgebraParams, LadderRep, _freeze, _l2_norm, build_rep, classify, ladder_table
 from .errors import DomainError
 
 __all__ = [
