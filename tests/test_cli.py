@@ -464,7 +464,6 @@ def test_schwarz_past_the_double_range_of_its_bound(capsys, monkeypatch):
                              "--grid-points", "41", "--w", "0.5")
     elapsed = time.perf_counter() - start
     assert code == 0 and err == ""
-    # -0.11750309741540477 while the state's norm was BLAS's dot (re . re + im . im)
     assert json.loads(out)["max_excess"] == -0.11750309741540466
     corners = np.array([200 + 200j, -200 + 200j, 200 - 200j, -200 - 200j])
     mantissa, exponent = _bg_normalization_scaled((), corners)
