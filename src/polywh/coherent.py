@@ -331,7 +331,8 @@ def _law_cut(law, tol, stop):
     terms, log_sup2, peak = law
     top = terms(peak)[0] + 2.0 * math.log(tol)
     curvature = log_sup2(peak) - log_sup2(peak + 1)
-    n = peak + (math.ceil(math.sqrt(-4.0 * math.log(tol) / curvature)) if curvature > 0.0 else 1)
+    width = math.sqrt(max(-4.0 * math.log(tol), 0.0) / curvature) if curvature > 0.0 else 0.0
+    n = peak + max(math.ceil(width), 1)  # a tol >= 1 starts one past the peak
     lo, hi = peak, math.inf
     while hi - lo > 1 and lo < stop:
         n = min(n, stop)
@@ -680,7 +681,7 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
             raise DomainError(f"every ell must be positive, got ell = {ell!r}")
     _check_max_terms(max_terms)
     x = _doubles(x, "x")
-    if math.prod(ells) == 0:  # positive ells whose product underflows: t_1 = x / 0
+    if math.prod(map(float, ells)) == 0:  # positive ells whose product underflows: t_1 = x / 0
         nonzero = np.flatnonzero(x)
         if nonzero.size:
             raise DomainError("hypergeometric series term ratio overflows at "

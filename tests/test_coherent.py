@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import itertools
 import math
 import re
 import sys
@@ -233,6 +234,9 @@ def _series_cases(draw):
                MAX_SERIES_TERMS + 1, 1e-14))  # its squared norm past the double range
 @example(case=(StateKind.PERELOMOV, AlgebraParams(["14/25"]),
                [0.9993 / math.sqrt(0.56), 0.0, 1.0], MAX_SERIES_TERMS + 1, 1e-14))
+# a tail_tol >= 1, uncut by n = 64: the law's cut search starts past the peak
+@example(case=(StateKind.PERELOMOV, AlgebraParams(["1/6"]), [2.4], MAX_SERIES_TERMS + 1, 2.0))
+@example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams([0]), [10.0], MAX_SERIES_TERMS + 1, 2.0))
 @given(case=_series_cases())
 def test_the_tail_prefilter_leaves_every_series_as_the_full_scan(case):
     # the oracle takes the complex steps, so a float64 series (phi = 0, every
@@ -587,22 +591,27 @@ def test_a_state_takes_at_most_three_blocks_and_is_the_doubling_series(case):
 
 def test_the_law_cut_is_the_first_n_its_rule_passes():
     # g(n) = log|c_n|^2 - log(1 - q^2) - 2 log tol - log|c_peak|^2 on the law
-    # itself: g(cut) <= 0 < g(cut - 1), and the cut is capped at stop
-    for kind, kappas, radius in [(StateKind.PERELOMOV, ["1/6"], 2.4391855927594954),
-                                 (StateKind.PERELOMOV, ["3/2"], 0.8),
-                                 (StateKind.PERELOMOV, [0], 8.0),
-                                 (StateKind.BARUT_GIRARDELLO, [0], 30.0),
-                                 (StateKind.BARUT_GIRARDELLO, ["1/2", "2/3"], 30.0)]:
+    # itself: g(cut) <= 0 < g(cut - 1), and the cut is capped at stop; a
+    # tol >= 1 (a tail_tol may be) too
+    for (kind, kappas, radius), tol in itertools.product(
+            [(StateKind.PERELOMOV, ["1/6"], 2.4391855927594954),
+             (StateKind.PERELOMOV, ["1/6"], 2.4),
+             (StateKind.PERELOMOV, ["3/2"], 0.8),
+             (StateKind.PERELOMOV, [0], 8.0),
+             (StateKind.BARUT_GIRARDELLO, [0], 10.0),
+             (StateKind.BARUT_GIRARDELLO, [0], 30.0),
+             (StateKind.BARUT_GIRARDELLO, ["1/2", "2/3"], 30.0)],
+            [1e-14, 1.0, 2.0]):
         law = coherent._term_law(kind, AlgebraParams(kappas), radius)
         terms, log_sup2, peak = law
-        top = terms(peak)[0] + 2 * math.log(1e-14)
+        top = terms(peak)[0] + 2 * math.log(tol)
 
         def g(n):
             return terms(n)[0] - math.log1p(-math.exp(log_sup2(n))) - top
 
-        cut = coherent._law_cut(law, 1e-14, MAX_SERIES_TERMS + 1)
+        cut = coherent._law_cut(law, tol, MAX_SERIES_TERMS + 1)
         assert peak < cut and g(cut) <= 0 and (cut - 1 == peak or g(cut - 1) > 0)
-        assert coherent._law_cut(law, 1e-14, cut - 1) == cut - 1
+        assert coherent._law_cut(law, tol, cut - 1) == cut - 1
 
 
 def test_via_exponential_d2():
@@ -1199,7 +1208,8 @@ def test_each_entry_summed_again_is_refused_at_its_own_x():
                 hyper_0f((), x)
 
 
-@pytest.mark.parametrize("ells", [(1e-200, 1e-200), (1e-170, 3.0, 1e-170), (1e-160, 1e-160, 1e-10)])
+@pytest.mark.parametrize("ells", [(1e-200, 1e-200), (1e-170, 3.0, 1e-170), (1e-160, 1e-160, 1e-10),
+                                  (Fraction(1, 10**200), Fraction(1, 10**200))])
 @pytest.mark.parametrize("x, value, message", [
     (1.0, None, "x = 1"),
     (-2.5, None, "x = -2.5"),
@@ -1208,10 +1218,10 @@ def test_each_entry_summed_again_is_refused_at_its_own_x():
     (np.zeros(3), np.ones(3), None),
 ])
 def test_hyper_0f_names_an_ell_product_that_underflows(ells, x, value, message):
-    # every ell is positive but their product is 0 in float: the first term
-    # ratio x / prod(ells) overflows wherever x != 0 (it was a bare
-    # ZeroDivisionError, and a divide-by-zero warning in an array); the sum
-    # at x = 0 is 1
+    # every ell is positive but their product is 0 in float, also where the
+    # exact product of Fractions is not: the first term ratio x / prod(ells)
+    # overflows wherever x != 0 (it was a bare ZeroDivisionError, and a
+    # divide-by-zero warning in an array); the sum at x = 0 is 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if message is None:
