@@ -130,9 +130,7 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
                 (0.0 < xs) & (xs < 1.0), tol2 * (1.0 - xs) * (1.0 + 1e-12), tol2)[:, None]
         while lo < stop and math.inf in bounds:
             hi = min(max(2 * lo, 64), stop) if cut_rows else stop
-            if lo == 64 and rows == 1 and hi < stop and not _cut_by(
-                    blocks[-1][0], norm2[0, 0], exponents[0], None if xs is None else xs[0],
-                    tol2, hi):  # one z, not surely cut by the doubling's second block
+            if lo == 64 and rows == 1 and hi < stop:  # one z, uncut by its first block
                 law = _term_law(kind, params, float(radii[0]))
                 if law is not None:
                     hi = min(max(_law_cut(law, tail_tol, stop) + 1, lo + 2), stop)
@@ -167,24 +165,6 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
             norm2, lo = norms[:, -1:].copy(), hi
             del steps, block, abs2, norms  # not held while the next block is built
     return np.concatenate(blocks, axis=1), bounds, exponents
-
-
-def _cut_by(first, norm2, exponent, x, tol2, hi):
-    """Whether one series past its first block, ``first`` = c_1 .. c_63,
-    norm2 its squared norm to c_63 scaled by 2**-exponent and x its
-    `_perelomov_x`, surely meets its tail cut by n = hi - 1: every later
-    |c_{m+1}/c_m|^2 is at most q^2 = |c_63/c_62|^2, or x where the ratios
-    rise toward it (perelomov, kappa > 1; elsewhere they fall), so the
-    rule passes where |c_63|^2 q^(2 (hi - 64)) / (1 - q^2) <= tol^2 S."""
-    last = abs(complex(first[-1]))
-    q2 = (last / abs(complex(first[-2]))) ** 2
-    if x is not None:
-        q2 = max(q2, float(x))
-    if not 0.0 < q2 < 1.0:
-        return False
-    log_last = 2.0 * math.log(last) - exponent * math.log(2.0)
-    return (log_last + (hi - 64) * math.log(q2) - math.log1p(-q2)
-            <= math.log(tol2) + math.log(norm2))
 
 
 def _tail_cut(under, abs2, norms, lo, ratio_sup, tol2):
@@ -326,13 +306,14 @@ def _law_cut(law, tol, stop):
     norm, so n falls at or past the float series' cut, up to the law's
     rounding.  g falls past the peak; the search keeps lo < n <= hi, g(lo)
     > 0 >= g(hi), and takes Newton steps with the slope log q^2, from where
-    a Gaussian of the peak's curvature puts the cut, or bisects where a
+    a Gaussian of the peak's curvature puts the cut (one past the peak at
+    least: a tol >= 1 puts it at or before the peak), or bisects where a
     step leaves the bracket."""
     terms, log_sup2, peak = law
     top = terms(peak)[0] + 2.0 * math.log(tol)
     curvature = log_sup2(peak) - log_sup2(peak + 1)
     width = math.sqrt(max(-4.0 * math.log(tol), 0.0) / curvature) if curvature > 0.0 else 0.0
-    n = peak + max(math.ceil(width), 1)  # a tol >= 1 starts one past the peak
+    n = peak + max(math.ceil(width), 1)
     lo, hi = peak, math.inf
     while hi - lo > 1 and lo < stop:
         n = min(n, stop)
