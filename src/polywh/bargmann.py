@@ -5,8 +5,10 @@ sqrt(F(n)!), bounded by the normalization |N(z)| (Cauchy-Schwarz against
 the kernel).  Coefficient sequences are kept as log-moduli: F(n)! passes
 the double range near n = 170, its log never.  Order and type are fitted
 at SAMPLE indices of the top half of a series (`_fit`); the kernel's come
-from `math.lgamma` at those indices alone (`kernel_growth`), so growth
-builds and keeps no kernel table.
+from the closed form of log F(n)! that the series share, the
+barut-girardello term law at |z| = 1 (`coherent._term_law`), at those
+indices alone (`kernel_growth`), so growth builds and keeps no kernel
+table.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .algebra import (
     ladder_table,
     reciprocal_ells,
 )
-from .coherent import _bg_normalization_scaled
+from .coherent import StateKind, _bg_normalization_scaled, _term_law
 from .errors import DomainError
 
 __all__ = [
@@ -194,38 +196,23 @@ def estimate_growth(series: EntireSeries) -> GrowthEstimate:
 def kernel_growth(params: AlgebraParams, n_max: int) -> GrowthEstimate:
     """`estimate_growth` of `EntireSeries.bg_kernel(params, n_max)`, from the
     kernel at its SAMPLE fit indices alone, in closed form: -log of the
-    kernel is 1/2 log F(n)!, and F(n)! = n! prod over kappa_i > 0 of
-    kappa_i^n (a_i)_n, a_i = 1/kappa_i, so log F(n)! is the sum of
-    `_log_rising` over a = 1 and the a_i.  Time and memory do not depend on
-    n_max.  A non-integer n_max is a TypeError and a negative one a
-    ValueError; a finite ladder, a kappa_i or 1/kappa_i past the double
-    range, an n_max past 2**53 (where the indices stop being exact doubles)
-    and the refusals of `estimate_growth` are `DomainError`s."""
+    kernel is 1/2 log F(n)! = -1/2 log|c_n|^2 of the barut-girardello series
+    at |z| = 1, read off its term law (`coherent._term_law`), which is None
+    there only where a kappa_i or 1/kappa_i leaves the double range.  Time
+    and memory do not depend on n_max.  A non-integer n_max is a TypeError
+    and a negative one a ValueError; a finite ladder, a kappa_i or 1/kappa_i
+    past the double range, an n_max past 2**53 (where the indices stop
+    being exact doubles) and the refusals of `estimate_growth` are
+    `DomainError`s."""
     _check_kernel(params, n_max)
-    try:  # float(kappa) raises past the double range, where float(1 / kappa) can give 0.0
-        inverses = [1.0] + [float(1 / k) for k in params.kappas if k and math.isfinite(float(k))]
-    except OverflowError:
+    law = _term_law(StateKind.BARUT_GIRARDELLO, params, 1.0)
+    if law is None:
         raise DomainError(f"kappa = {','.join(map(str, params.kappas))}: a kappa_i or "
-                          "1/kappa_i passes the double range") from None
+                          "1/kappa_i passes the double range")
     if n_max > 2**53:
         raise DomainError(f"n_max = {n_max} passes 2**53, where the indices are not exact doubles")
-    n = _sample(n_max)
-    return _fit(n, 0.5 * sum(_log_rising(a, n) for a in inverses))
-
-
-def _log_rising(a: float, n: list[int]) -> np.ndarray:
-    """log((a)_n / a^n) = sum over k < n of log(1 + k/a) at each n, (a)_n the
-    rising factorial: lgamma(a + n) - lgamma(a) - n log a for a < 32, else
-    the difference of Stirling's series (DLMF 5.11.1), (a + n - 1/2)
-    log1p(n/a) - n + w(a + n) - w(a), which keeps out the lgamma
-    difference's cancellation where a >> n.  Here w(x) = lgamma(x) - (x -
-    1/2) log x + x - log(2 pi)/2 is taken to three terms of its asymptotic
-    series in r = 1/x, within 2e-14 for x >= 32."""
-    k = np.array(n, dtype=float)
-    if a < 32:
-        return np.array([math.lgamma(a + i) for i in n]) - math.lgamma(a) - k * math.log(a)
-    w = [r * (1 / 12 - r * r * (1 / 360 - r * r / 1260)) for r in (1 / (a + k), 1 / a)]
-    return (a + k - 0.5) * np.log1p(k / a) - k + w[0] - w[1]
+    n, terms = _sample(n_max), law[0]
+    return _fit(n, np.array([-0.5 * terms(i)[0] for i in n]))
 
 
 def _sample(n_max: int) -> list[int]:

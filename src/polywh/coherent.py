@@ -7,8 +7,10 @@ with c_0 = 1 unless normalized.  A state outside its existence domain, or
 one whose coefficients do not fit in a double, is a `DomainError`, never a
 number; this module alone decides whether a series state exists (`_state`).
 One function holds the closed form of both families' terms on the infinite
-ladder (`_term_law`); the existence verdict (`_law_verdict`) and the
-series' second block (`_series`, by `_law_cut`) read it.  The
+ladder, one formula with the package's only closed form of log F(n)!
+(`_term_law`); the existence verdict (`_law_verdict`), the series' second
+block (`_series`, by `_law_cut`) and the growth kernel
+(`bargmann.kernel_growth`) read it.  The
 hypergeometric normalization is summed in float64 alone, an int or a
 Fraction argument at its double.
 """
@@ -224,77 +226,85 @@ def _perelomov_x(kind, params, radius):
 
 def _term_law(kind, params, radius):
     """The closed form of the terms of an infinite-ladder series at |z| =
-    radius, as (terms, log_sup2, peak), or None where no law applies:
-    terms(n) = (log|c_n|^2, the sum of the moduli of the lgamma values it
-    takes, for a rounding margin), log_sup2(n) = log q^2, q = `_ratio_sup`
-    at n, in float, and peak the first n with log_sup2(n) <= 0, the index
-    of the largest term.  Perelomov where its x (`_perelomov_x`) has 0 < x
-    < 1 (Perelomov 1986): |c_n|^2 = x^n (a)_n / n!, a = 1/kappa, its peak
-    in closed form.  Barut-girardello, and perelomov at kappa = 0 (the same
-    series): |c_n|^2 = |z|^2n / F(n)!, F(n)! = n! prod_i kappa_i^n (a_i)_n
-    over the kappa_i > 0, a_i = 1/kappa_i, its peak where F(n + 1) = |z|^2,
-    by Newton steps on log F(n + 1), concave in n, so each lands at or below
-    the root.  None also where a shape, its lgamma or the peak index leaves
-    the double range: the series alone decides there."""
+    radius, as (terms, log_sup2, peak), or None where no law applies.  One
+    formula holds for both families, with s = +1 for perelomov, s = -1 for
+    barut-girardello and a_i = 1/kappa_i over the kappa_i > 0:
+
+        log|c_n|^2 = n log|z|^2 - log n! + s sum_i R(a_i, n),
+
+    as |c_n|^2 = |z|^2n F(n)! / n!^2 or |z|^2n / F(n)!, and F(n)! = n!
+    prod_i kappa_i^n (a_i)_n (Perelomov 1986: x^n (a)_n / n!, x = kappa
+    |z|^2).  R(a, n) = log((a)_n / a^n), (a)_n the rising factorial, is
+    lgamma(a + n) - lgamma(a) - n log a for a < 32, else the difference of
+    Stirling's series (DLMF 5.11.1), (a + n - 1/2) log1p(n/a) - n + w(a +
+    n) - w(a), which keeps out the lgamma difference's cancellation where a
+    >> n; w(x) = lgamma(x) - (x - 1/2) log x + x - log(2 pi)/2 is taken to
+    three terms of its asymptotic series in 1/x, within 2e-14 for x >= 32.
+    terms(n) = (log|c_n|^2, the sum of the moduli of its addends, for a
+    rounding margin); log_sup2(n) = log|z|^2 - log1p(n) + s sum_i
+    log1p(kappa_i n) = log q^2, q = `_ratio_sup` at n, in float, floored at
+    log x on the perelomov disk; peak the first n with log_sup2(n) <= 0, the
+    index of the largest term.  log_sup2 is convex and falling where it is
+    positive, so each Newton step on it lands at or below the peak; they
+    start from (a x - 1)/(1 - x) on the disk, the peak up to rounding, and
+    else one step from the power law F(n + 1) ~ (n + 1)^(r+1) prod kappa_i.
+    The law holds for perelomov where its x (`_perelomov_x`) has 0 < x < 1
+    or at kappa = 0, and for barut-girardello at |z| > 0.  None also where a
+    kappa_i or a_i leaves the double range, or the search for the peak
+    passes 2**53: the series alone decides there."""
     x = _perelomov_x(kind, params, radius)
-    if x is not None:
-        if not 0.0 < x < 1.0:
-            return None
-        a = 1.0 / float(params.kappas[0])
-        try:
-            log_x, base = math.log(x), math.lgamma(a)
-            peak = max(math.ceil((a * x - 1.0) / (1.0 - x)), 0)
-        except OverflowError:  # a or the peak index past the double range
-            return None
-
-        def terms(n):
-            top = math.lgamma(a + n)
-            return n * log_x + top - base - math.lgamma(n + 1.0), abs(top) + abs(base)
-
-        def log_sup2(n):
-            ratio = (a + n) / (n + 1.0)
-            return log_x + math.log(ratio) if ratio > 1.0 else log_x
-
-        return terms, log_sup2, peak
-    if kind is StateKind.PERELOMOV and params.kappas != (0,) or not radius > 0.0:
+    if x is None and kind is StateKind.PERELOMOV and params.kappas != (0,) or not radius > 0.0:
         return None
-    try:
-        kappas = [kappa.numerator / kappa.denominator for kappa in params.kappas if kappa]
-        shapes = [1.0 / kappa for kappa in kappas]
-        bases = [math.lgamma(shape) for shape in shapes]
-        log_z2 = 2.0 * math.log(radius)
-        offset = log_z2 - sum(map(math.log, kappas))  # log(|z|^2 / prod kappa_i)
-        guess = math.exp(offset / (len(kappas) + 1)) - 1.0  # F(n + 1) ~ (n + 1)^(r+1) prod kappa_i
-    except (OverflowError, ZeroDivisionError):  # a kappa_i or the peak past the double range
+    if x is not None and not 0.0 < x < 1.0:
         return None
-    shift, spread = sum(bases), sum(map(abs, bases))
-    if not math.isfinite(spread + offset):
-        return None
+    sign = 1.0 if kind is StateKind.PERELOMOV else -1.0
+    floor = -math.inf if x is None else math.log(x)
+    log_z2 = 2.0 * math.log(radius)
+
+    def w(r):  # w(x) at r = 1/x
+        return r * (1 / 12 - r * r * (1 / 360 - r * r / 1260))
 
     def terms(n):
-        low = math.lgamma(n + 1.0)
-        value, size = n * offset + shift - low, spread + low
-        for shape in shapes:
-            top = math.lgamma(n + shape)
-            value -= top
-            size += abs(top)
+        drift, low = n * log_z2, math.lgamma(n + 1.0)
+        value, size = drift - low, abs(drift) + low
+        for a, base, log_a in shapes:
+            if a < 32.0:
+                top, power = math.lgamma(a + n), n * log_a
+                value += sign * (top - base - power)
+                size += abs(top) + abs(base) + abs(power)
+            else:  # Stirling's series: no lgamma difference to cancel
+                head = (a + n - 0.5) * math.log1p(n / a)
+                value += sign * (head - n + w(1 / (a + n)) - base)
+                size += head + n
         return value, size
 
-    def log_sup2(n):  # log(|z|^2 / F(n + 1))
+    def log_sup2(n):
         value = log_z2 - math.log1p(n)
         for kappa in kappas:
-            value -= math.log1p(kappa * n)
-        return value
+            value += sign * math.log1p(kappa * n)
+        return value if value > floor else floor
 
-    def newton(n):  # a Newton step on log F(n + 1) = log |z|^2
+    def newton(n):  # a Newton step on log_sup2(n) = 0
         slope = 1.0 / (n + 1.0)
         for kappa in kappas:
-            slope += kappa / (1.0 + kappa * n)
+            slope -= sign * kappa / (1.0 + kappa * n)
         return n + log_sup2(n) / slope
 
-    peak = math.ceil(max(newton(max(guess, 0.0)), 0.0))
-    while log_sup2(peak) > 0.0:
-        peak = max(math.ceil(newton(peak)), peak + 1)
+    try:  # the kappa_i, and each a_i with lgamma(a_i) (w(a_i) from 32 on) and log a_i
+        kappas = [kappa.numerator / kappa.denominator for kappa in params.kappas if kappa]
+        shapes = [(a, math.lgamma(a) if a < 32.0 else w(1 / a), math.log(a)) for a in
+                  (kappa.denominator / kappa.numerator for kappa in params.kappas if kappa)]
+        if x is None:  # F(n + 1) ~ (n + 1)^(r+1) / prod a_i = |z|^2, then a step down
+            guess = math.exp((log_z2 + sum(s[2] for s in shapes)) / (len(shapes) + 1)) - 1.0
+            peak = math.ceil(max(newton(max(guess, 0.0)), 0.0))
+        else:
+            peak = max(math.ceil((shapes[0][0] * x - 1.0) / (1.0 - x)), 0)
+        while log_sup2(peak) > 0.0:
+            if peak > 2**53:
+                return None
+            peak = max(math.ceil(newton(peak)), peak + 1)
+    except (OverflowError, ZeroDivisionError):  # past the double range, or a flat slope
+        return None
     return terms, log_sup2, peak
 
 
@@ -304,11 +314,12 @@ def _law_cut(law, tol, stop):
     |c_n|^2 - log(1 - q^2) - 2 log tol - log|c_peak|^2 <= 0, else stop
     where that n is past it.  The largest term is a lower bound on the
     norm, so n falls at or past the float series' cut, up to the law's
-    rounding.  g falls past the peak; the search keeps lo < n <= hi, g(lo)
-    > 0 >= g(hi), and takes Newton steps with the slope log q^2, from where
-    a Gaussian of the peak's curvature puts the cut (one past the peak at
-    least: a tol >= 1 puts it at or before the peak), or bisects where a
-    step leaves the bracket."""
+    rounding, a few eps of the moduli of its addends at every shape (no
+    lgamma difference cancels, `_term_law`).  g falls past the peak; the
+    search keeps lo < n <= hi, g(lo) > 0 >= g(hi), and takes Newton steps
+    with the slope log q^2, from where a Gaussian of the peak's curvature
+    puts the cut (one past the peak at least: a tol >= 1 puts it at or
+    before the peak), or bisects where a step leaves the bracket."""
     terms, log_sup2, peak = law
     top = terms(peak)[0] + 2.0 * math.log(tol)
     curvature = log_sup2(peak) - log_sup2(peak + 1)
@@ -334,16 +345,17 @@ def _law_verdict(kind, params, radius, max_terms, tol):
     """Whether the perelomov series at |z| = radius is cut at tail tolerance
     tol within max_terms terms, read off its closed form (`_term_law`) where
     its x (`_perelomov_x`) has 0 < x < 1: unimodal with its peak at index
-    ``peak``, within margin(n) in log of the float series, lgamma's
-    cancellation included (`e3017a5`, `741a52b`).  True where the law meets
-    the cut with every |c_n|^2, n <= max_terms, a double; False where it
-    fits so but misses the cut's necessary bound tol^2 S_inf (1 - x) at n =
-    1 and at max_terms, and so everywhere between; None where there is no
-    law (another series, x outside (0, 1), a or the peak index past the
-    double range) or it cannot decide.  The cut is certain where
-    `_tail_cut` passes at n = max_terms on the law, margin included, with q
-    = `_ratio_sup` at max_terms < 1 and S >= |c_0|^2 = 1: |c_n|^2 / (1 -
-    q^2) only falls with n past the peak, so the series is cut by then."""
+    ``peak``, within margin(n) in log of the float series, the law's own
+    rounding included (4 eps times the moduli of its addends).  True where
+    the law meets the cut with every |c_n|^2, n <= max_terms, a double;
+    False where it fits so but misses the cut's necessary bound tol^2 S_inf
+    (1 - x) at n = 1 and at max_terms, and so everywhere between; None
+    where there is no law (another series, x outside (0, 1), a or the peak
+    index past the double range) or it cannot decide.  The cut is certain
+    where `_tail_cut` passes at n = max_terms on the law, margin included,
+    with q = `_ratio_sup` at max_terms < 1 and S >= |c_0|^2 = 1: |c_n|^2 /
+    (1 - q^2) only falls with n past the peak, so the series is cut by
+    then."""
     x = _perelomov_x(kind, params, radius)
     law = None if x is None else _term_law(kind, params, radius)
     if law is None:
@@ -649,8 +661,9 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
     double range from its peak term (`_peak_sum`).  A rel_tol outside
     [0, 1), an ell that is NaN or <= 0, a negative max_terms (one that is
     not an integer is a TypeError), a NaN x, an x or a value past the
-    double range, an x != 0 where the product of the ells underflows to 0
-    (its first term ratio overflows; at x = 0 the sum is 1), a sum that
+    double range, an x whose first term ratio x / prod(ells) overflows (the
+    first in array order, with its sign; every x != 0 where the product
+    underflows to 0, and at x = 0 the sum is 1), a sum that
     cannot converge within ``max_terms`` and, at
     x < 0, a sum whose rounding bound eps 0F_q(ells; |x|) passes 1e-8 of the
     value are each a `DomainError`.  The sum at |x| goes first: it bounds
@@ -662,11 +675,15 @@ def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
             raise DomainError(f"every ell must be positive, got ell = {ell!r}")
     _check_max_terms(max_terms)
     x = _doubles(x, "x")
-    if math.prod(map(float, ells)) == 0:  # positive ells whose product underflows: t_1 = x / 0
-        nonzero = np.flatnonzero(x)
-        if nonzero.size:
-            raise DomainError("hypergeometric series term ratio overflows at "
-                              f"x = {np.ravel(x)[nonzero[0]]:g}")
+    product, flat = math.prod(map(float, ells)), np.ravel(x)  # 0 where positive ells underflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf, or nan at 0 / 0
+        over = np.isinf(np.abs(flat) / product) & ((flat != math.inf) | (product == 0))
+    over = np.flatnonzero(over)
+    if over.size:  # x = +inf sums to inf where product > 0; an earlier x's error goes first
+        if product:  # else every earlier x is 0
+            _hyper_0f_scaled(ells, np.abs(flat[: over[0]]), rel_tol, max_terms)
+        raise DomainError(f"hypergeometric series term ratio overflows at x = {flat[over[0]]:g}")
+    if product == 0:  # every x is 0
         return np.ones(x.shape) if isinstance(x, np.ndarray) else 1.0
     negative = np.asarray(x) < 0
     if not negative.any():

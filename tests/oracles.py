@@ -89,6 +89,23 @@ def growth_sample(n_max) -> list[int]:
     return [lo + k * (n_max - lo) // 31 for k in range(32)]
 
 
+def log_rising(a: float, n: list[int]) -> np.ndarray:
+    """log((a)_n / a^n) = sum over k < n of log(1 + k/a) at each n, (a)_n the
+    rising factorial: lgamma(a + n) - lgamma(a) - n log a for a < 32, else
+    the difference of Stirling's series (DLMF 5.11.1), (a + n - 1/2)
+    log1p(n/a) - n + w(a + n) - w(a), which keeps out the lgamma
+    difference's cancellation where a >> n.  Here w(x) = lgamma(x) - (x -
+    1/2) log x + x - log(2 pi)/2 is taken to three terms of its asymptotic
+    series in r = 1/x, within 2e-14 for x >= 32.  The growth kernel's
+    reference: 1/2 log F(n)! is 1/2 the sum of this over a = 1 and the
+    1/kappa_i."""
+    k = np.array(n, dtype=float)
+    if a < 32:
+        return np.array([math.lgamma(a + i) for i in n]) - math.lgamma(a) - k * math.log(a)
+    w = [r * (1 / 12 - r * r * (1 / 360 - r * r / 1260)) for r in (1 / (a + k), 1 / a)]
+    return (a + k - 0.5) * np.log1p(k / a) - k + w[0] - w[1]
+
+
 def growth_by_column_stack(series) -> GrowthEstimate:
     """`bargmann.estimate_growth` from its defining model, a `column_stack`
     design in n itself at the `growth_sample` indices, columns 1, n,
@@ -263,10 +280,13 @@ def perelomov_series_by_doubling(params: AlgebraParams, z, tail_tol=1e-14, max_t
 
 def log_term_modulus(kind, kappas, radius: float, n: int, dps: int = 30) -> float:
     """log|c_n|^2 of an infinite-ladder series at |z| = radius from mpmath's
-    loggamma at ``dps`` digits, the kappas exact: log F(n)! = log n! +
-    sum over kappa_i > 0 of n log kappa_i + log Gamma(n + 1/kappa_i) - log
-    Gamma(1/kappa_i), and |c_n|^2 = |z|^2n F(n)! / n!^2 (perelomov) or
-    |z|^2n / F(n)! (barut-girardello)."""
+    loggamma at ``dps`` digits more than the digit count of the largest
+    shape 1/kappa_i, the kappas exact: log F(n)! = log n! + sum over kappa_i
+    > 0 of n log kappa_i + log Gamma(n + 1/kappa_i) - log Gamma(1/kappa_i),
+    a difference that cancels those digits, and |c_n|^2 = |z|^2n F(n)! /
+    n!^2 (perelomov) or |z|^2n / F(n)! (barut-girardello)."""
+    shapes = [1 / kappa for kappa in map(Fraction, kappas) if kappa]
+    dps += max((len(str(shape.numerator // shape.denominator)) for shape in shapes), default=0)
     with mpmath.workdps(dps):
         log_factorial = mpmath.loggamma(n + 1)
         for kappa in map(Fraction, kappas):

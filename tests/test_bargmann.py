@@ -33,6 +33,7 @@ from oracles import (
     growth_fit_to_40_digits,
     growth_sample,
     log_factorial_by_concatenate,
+    log_rising,
 )
 
 
@@ -404,6 +405,29 @@ def test_the_lgamma_sample_meets_the_cold_kernel(kappas, n_max):
     np.testing.assert_allclose(y, cold, rtol=1e-8, atol=0)
     assert kernel_growth(params, n_max).rho_hat == pytest.approx(
         estimate_growth(EntireSeries.bg_kernel(params, n_max)).rho_hat, rel=1e-8)
+
+
+_LARGE_SHAPE = st.one_of(  # 1/kappa >= 32: Stirling's series
+    st.integers(min_value=32, max_value=10**6).map(lambda ell: Fraction(1, ell)),
+    st.integers(min_value=2, max_value=300).map(lambda k: Fraction(1, 10**k)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kappas=st.lists(st.one_of(_GROWTH_KAPPA, _LARGE_SHAPE), min_size=1, max_size=3),
+       n_max=st.integers(min_value=bargmann.MIN_COEFFS - 1, max_value=60_000))
+def test_the_sample_is_half_the_sum_of_the_rising_factorials(kappas, n_max):
+    # 1/2 log F(n)! = 1/2 (log n! + sum_i log((a_i)_n / a_i^n)), a_i = 1/kappa_i,
+    # from the term law: bit for bit the reference's where every a_i < 32,
+    # else within 1e-13 relative (math.log1p against np.log1p)
+    params = AlgebraParams(kappas)
+    n, y = _kernel_sample(params, n_max)
+    shapes = [1.0] + [float(1 / kappa) for kappa in kappas if kappa]
+    ref = 0.5 * sum(log_rising(a, n) for a in shapes)
+    if max(shapes) < 32:
+        assert y.tobytes() == ref.tobytes()
+    else:
+        np.testing.assert_allclose(y, ref, rtol=1e-13, atol=0)
 
 
 def test_kernel_growth_refusals_name_their_cause():

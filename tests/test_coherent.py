@@ -345,9 +345,11 @@ def test_a_certain_cut_is_a_state(kappa, rho, phi, tail_tol, max_terms):
 
 @pytest.mark.parametrize("exponent", [306, 310, 400])
 def test_a_shape_past_the_double_range_has_no_closed_form(exponent):
-    # lgamma(1/kappa), 1/kappa or float(kappa) itself leaves the double range:
-    # the law raised OverflowError or ZeroDivisionError there
+    # 1/kappa or float(kappa) itself leaves the double range: no law there;
+    # at 1/kappa = 10^306 the law (Stirling's series) holds, but its margin
+    # near the rim, 8 (a + 1) eps / (1 - x), leaves no verdict
     params = AlgebraParams([Fraction(1, 10**exponent)])
+    assert (coherent._term_law(StateKind.PERELOMOV, params, 1.0) is None) == (exponent > 306)
     verdict = coherent._law_verdict(StateKind.PERELOMOV, params, 1.0, MAX_SERIES_TERMS, 1e-14)
     assert verdict is None
     if exponent == 306:  # its ladder rows still fit in doubles: the series decides
@@ -357,9 +359,17 @@ def test_a_shape_past_the_double_range_has_no_closed_form(exponent):
         assert state.cutoff_meta.tail_bound == bound
 
 
+def test_the_peak_search_gives_up_past_2_53():
+    # kappa = 1/10^153 by the rim: the peak lies near 10^168, where a
+    # Newton step no longer moves n in float, so each step took n + 1
+    params = AlgebraParams([Fraction(1, 10**153)])
+    radius = 0.9999999999999971 / math.sqrt(params.kappas[0])
+    assert coherent._term_law(StateKind.PERELOMOV, params, radius) is None
+
+
 def test_only_the_closed_form_reads_lgamma():
-    # one copy of the term law of both families: no second predictor may
-    # rebuild it; the one other reader is the growth kernel's rising factorial
+    # one closed form of log F(n)! for the package: the term law of both
+    # families, which the growth kernel reads too; no second copy may rebuild it
     readers = {
         (path.name, getattr(top, "name", None))
         for path in sorted(Path(polywh.__file__).parent.glob("*.py"))
@@ -369,7 +379,7 @@ def test_only_the_closed_form_reads_lgamma():
         or (isinstance(node, ast.Name) and node.id == "lgamma")
         or (isinstance(node, ast.alias) and node.name.endswith("lgamma"))
     }
-    assert readers == {("coherent.py", "_term_law"), ("bargmann.py", "_log_rising")}
+    assert readers == {("coherent.py", "_term_law")}
 
 
 def _functions(path):
@@ -387,7 +397,7 @@ def test_only_the_verdict_reads_the_closed_form():
     # the verdict decides whether a state exists: the two existence questions
     # ask it; the series never does, it reads the term law (_term_law) to
     # size its second block and x for its candidate screen, and the law has
-    # no other reader than the verdict and the series
+    # no other reader than the verdict, the series and the growth kernel
     package = sorted(Path(polywh.__file__).parent.glob("*.py"))
 
     def callers(name):
@@ -396,7 +406,8 @@ def test_only_the_verdict_reads_the_closed_form():
                 if caller != name and name in _names(function)}
 
     assert callers("_law_verdict") == {("coherent.py", "_state"), ("coherent.py", "_require_state")}
-    assert callers("_term_law") == {("coherent.py", "_law_verdict"), ("coherent.py", "_series")}
+    assert callers("_term_law") == {("coherent.py", "_law_verdict"), ("coherent.py", "_series"),
+                                    ("bargmann.py", "kernel_growth")}
     series = _functions(Path(coherent.__file__))["_series"]
     assert _names(series) & {"_perelomov_x", "_law_verdict", "_term_law"} == {
         "_perelomov_x", "_term_law"}
@@ -483,37 +494,50 @@ def test_a_certain_cap_builds_no_term(monkeypatch, kappa, modulus, max_terms):
         perelomov_series_by_doubling(params, modulus * 1j, max_terms=max_terms)
 
 
-@pytest.mark.parametrize("kappa, z, kept, estimate", [
-    ("14/25", 1.3353, 45_053, 50_017),  # doubling: 11 blocks, 65,535 steps
-    ("1/6", 1.0907270269460956 - 2.1817288806391186j, 9_696, 10_517),  # 9 blocks, 16,383 steps
-], ids=["14/25", "1/6"])
-def test_the_second_block_ends_at_the_law_cut(monkeypatch, kappa, z, kept, estimate):
+@pytest.mark.parametrize("build, kappa, z, kept, estimate", [
+    (perelomov_state, "14/25", 1.3353, 45_053, 50_017),  # doubling: 11 blocks, 65,535 steps
+    (perelomov_state, "1/6", 1.0907270269460956 - 2.1817288806391186j, 9_696, 10_517),  # 9 blocks
+    # kappa = 1/10^30: the shape 10^30 goes through Stirling's series; an
+    # lgamma difference cancelled there, and the blocks were [63, 199937]
+    # and [63, 349, 413]
+    (bg_state, Fraction(1, 10**30), 10.0, 230, 234),
+    (perelomov_state, Fraction(1, 10**30), 20.0, 642, 650),
+], ids=["14/25", "1/6", "bg 1/10^30", "perelomov 1/10^30"])
+def test_the_second_block_ends_at_the_law_cut(monkeypatch, build, kappa, z, kept, estimate):
     # one z uncut by n = 64: block 64..hi - 1 ends at hi = estimate + 1, the
     # law's cut estimate (_law_cut) taken in, where the series is cut
     spans = _count_steps(monkeypatch)
-    state = perelomov_state(AlgebraParams([kappa]), z)
+    state = build(AlgebraParams([kappa]), z)
     assert len(state) == kept
     assert spans == [63, estimate + 1 - 64]
 
 
 _SHAPES = st.one_of(st.fractions(min_value="1/29", max_value=2, max_denominator=29),
                     st.builds(Fraction, st.just(1), st.integers(min_value=1, max_value=9)))
+# kappa = 1/10^k: a shape 1/kappa of up to 301 digits, where an lgamma difference cancels
+_SMALL = st.integers(min_value=2, max_value=300).map(lambda k: Fraction(1, 10**k))
 
 
 @st.composite
 def _law_cases(draw):
     """(kind, params, z) of an infinite-ladder series with a term law:
     perelomov at kappa = p/q <= 2 or 1/ell with |z| sqrt(kappa) up to
-    1 - 1e-4, or at kappa = 0 with |z| <= 12; barut-girardello with r <= 3
-    such kappas or 0 and |z| <= 40."""
+    1 - 1e-4, at kappa = 0 with |z| <= 12, or at kappa = 1/10^k with |z| <=
+    min(40, 1/sqrt(kappa)) (1 - 1e-4); barut-girardello with r <= 3 such
+    kappas or 0 and |z| <= 40."""
     kind = draw(st.sampled_from(list(StateKind)))
     if kind is StateKind.PERELOMOV:
-        kappa = draw(st.one_of(_SHAPES, st.just(Fraction(0))))
+        kappa = draw(st.one_of(_SHAPES, st.just(Fraction(0)), _SMALL))
         near = st.sampled_from([0.99, 0.999, 1 - 1e-4])
         rho = draw(st.one_of(st.floats(min_value=1e-3, max_value=1 - 1e-4), near))
-        kappas, modulus = [kappa], rho / math.sqrt(kappa) if kappa else 12.0 * rho
+        if kappa >= Fraction(1, 29):
+            modulus = rho / math.sqrt(kappa)
+        else:
+            modulus = rho * (min(40.0, 1 / math.sqrt(kappa)) if kappa else 12.0)
+        kappas = [kappa]
     else:
-        kappas = draw(st.lists(st.one_of(_SHAPES, st.just(Fraction(0))), min_size=1, max_size=3))
+        kappas = draw(st.lists(st.one_of(_SHAPES, st.just(Fraction(0)), _SMALL),
+                               min_size=1, max_size=3))
         modulus = draw(st.floats(min_value=1e-3, max_value=40.0))
     angle = draw(st.sampled_from([0.0, 1.0, -2.5]))
     phi = draw(st.sampled_from([0.0, 0.3]))
@@ -523,6 +547,8 @@ def _law_cases(draw):
 @settings(max_examples=150, deadline=None)
 @example(case=(StateKind.PERELOMOV, AlgebraParams(["1/6"]), 2.4391855927594954), n=10**5)
 @example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams(["1/3", "2", 0]), 40.0), n=10**5)
+@example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams([Fraction(1, 10**300)]), 10.0), n=10**5)
+@example(case=(StateKind.PERELOMOV, AlgebraParams([Fraction(1, 10**30)]), 20.0), n=587)
 @given(case=_law_cases(), n=st.one_of(st.integers(min_value=0, max_value=200),
                                       st.integers(min_value=0, max_value=10**5)))
 def test_the_term_law_is_mpmath_loggamma(case, n):
@@ -536,6 +562,9 @@ def test_the_term_law_is_mpmath_loggamma(case, n):
     exact = log_term_modulus(kind, params.kappas, radius, n)
     eps = sys.float_info.epsilon
     assert abs(value - exact) <= 8 * eps * (size + abs(exact) + n * (1 + abs(math.log(radius**2))))
+    # and within 1e-13 of the size of log n! and n log|z|^2, at any shape
+    scale = abs(exact) + math.lgamma(n + 1) + n * abs(math.log(radius**2))
+    assert abs(value - exact) <= 1e-13 * scale
     square = Fraction(radius) ** 2
 
     def ratio(m):  # |c_{m+1} / c_m|^2
@@ -566,11 +595,13 @@ def _step_calls():
 @example(case=(StateKind.PERELOMOV, AlgebraParams(["14/25"]), 0.9999 / math.sqrt(0.56)))
 @example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams([0], 0.3), 30.0j))
 @example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams([0]), 40.0))  # c_n overflows
+@example(case=(StateKind.BARUT_GIRARDELLO, AlgebraParams([Fraction(1, 10**70)]), 30.0))
 @given(case=_law_cases())
 def test_a_state_takes_at_most_three_blocks_and_is_the_doubling_series(case):
-    # the law's cut (_law_cut) ends the second block at or past the cut, so
-    # a third block is never needed on these draws but allowed; the state,
-    # its cut and its bound, or its refusal, are the doubling series'
+    # the law's cut (_law_cut) ends the second block at or past the cut, at
+    # any shape, kappa = 1/10^k included, so a third block is never needed
+    # on these draws but allowed; the state, its cut and its bound, or its
+    # refusal, are the doubling series'
     kind, params, z = case
     build = perelomov_state if kind is StateKind.PERELOMOV else bg_state
     try:
@@ -585,6 +616,8 @@ def test_a_state_takes_at_most_three_blocks_and_is_the_doubling_series(case):
     with _step_calls() as spans:
         state = build(params, z)
     assert len(spans) <= 3
+    law = coherent._term_law(kind, params, abs(z))
+    assert coherent._law_cut(law, 1e-14, MAX_SERIES_TERMS + 1) + 1 >= len(state)
     assert state.coeffs.tobytes() == np.concatenate(blocks, axis=1)[0].tobytes()
     assert state.cutoff_meta.tail_bound == bound
 
@@ -1230,6 +1263,22 @@ def test_hyper_0f_names_an_ell_product_that_underflows(ells, x, value, message):
             return
         with pytest.raises(DomainError, match="^hypergeometric series term ratio overflows at "
                                               f"{re.escape(message)}$"):
+            hyper_0f(ells, x)
+
+
+@pytest.mark.parametrize("ells, x, named", [
+    ((5e-324,), -2.5, "-2.5"),  # the sum at |x| goes first; it named x = 2.5
+    ((5e-324,), np.array([0.0, 2.0, -3.0]), "2"),  # and x = 3, a later entry
+    ((5e-324,), np.array([[0.0, -3.0], [2.0, 0.0]]), "-3"),
+    ((0.5,), np.array([1.0, -1.7e308, 2e200]), "-1.7e+308"),
+])
+def test_hyper_0f_names_the_first_x_whose_ratio_overflows(ells, x, named):
+    # the first term ratio x / prod(ells) passes the double range: the first
+    # such x in array order is named with its sign, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^hypergeometric series term ratio overflows at "
+                                              f"x = {re.escape(named)}$"):
             hyper_0f(ells, x)
 
 

@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
@@ -45,3 +47,14 @@ def test_the_table_totals_the_modules(tmp_path, capsys):
     assert src_lines.main([str(tmp_path)]) == 0
     last = capsys.readouterr().out.splitlines()[-1].split()
     assert last == ["total", "22", "5", "9", "2", "6"]
+
+
+def test_the_default_package_is_the_checkouts_from_any_directory(tmp_path):
+    # the package next to the tool, not src/polywh under the working directory
+    run = subprocess.run([sys.executable, str(TOOL)], cwd=tmp_path, capture_output=True,
+                         text=True, check=False)
+    assert run.returncode == 0, run.stderr
+    rows = run.stdout.splitlines()
+    assert "coherent.py" in {row.split()[0] for row in rows}
+    total = src_lines.table(TOOL.parents[1] / "src" / "polywh")[-1][1]
+    assert rows[-1].split() == ["total", *map(str, total.values())]

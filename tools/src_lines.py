@@ -1,6 +1,6 @@
 """Line counts of a Python package, by kind, per module.
 
-    python3 tools/src_lines.py [PACKAGE]      (default src/polywh)
+    python3 tools/src_lines.py [PACKAGE]      (default: the checkout's src/polywh)
 
 Prints one row per module under PACKAGE (its `*.py` files, recursively,
 sorted by path) and a total row.  The columns split each module's physical
@@ -69,7 +69,8 @@ def table(package: Path) -> list[tuple[str, dict[str, int]]]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("package", nargs="?", default="src/polywh", type=Path)
+    default = Path(__file__).resolve().parent.parent / "src" / "polywh"
+    parser.add_argument("package", nargs="?", default=default, type=Path)
     package = parser.parse_args(argv).package
     if not package.is_dir():
         parser.error(f"no package directory {package}")
