@@ -205,7 +205,7 @@ def kernel_growth(params: AlgebraParams, n_max: int) -> GrowthEstimate:
     being exact doubles) and the refusals of `estimate_growth` are
     `DomainError`s."""
     _check_kernel(params, n_max)
-    law = _term_law(StateKind.BARUT_GIRARDELLO, params, 1.0)
+    law = _term_law(StateKind.BARUT_GIRARDELLO, params, 1.0, None)
     if law is None:
         raise DomainError(f"kappa = {','.join(map(str, params.kappas))}: a kappa_i or "
                           "1/kappa_i passes the double range")

@@ -4,9 +4,9 @@ One subcommand per computation, JSON by default (CSV for tables), byte
 for byte the same for the same configuration.  `build_parser` alone names,
 converts, validates and defaults each option; a ``--config`` file's lines
 are read as ``--key=value`` flags ahead of the command line's, which win.
-A command line is read by its subcommand's own parser; the top-level parser
-reads it only where it names no subcommand or leaves tokens over, so every
-usage error and help text is the one ``_PARSER.parse_args`` prints.
+A well-formed command line, a subcommand and its ``--flag=value`` and bare
+flags, is read straight off that subcommand's actions; ``_PARSER.parse_args``
+reads any other, so every usage error and help text is the one it prints.
 `json_text` is one ``json.dumps`` of the payload with each ndarray's text
 spliced in, written from orjson dumps of its floats, 1,024 at a time: a
 complex one as {"re", "im"} objects, a real one as numbers, a 2-D one as a
@@ -704,18 +704,55 @@ def _complete(args: argparse.Namespace) -> None:
             parser.error(f"environment variable {TAIL_TOL_ENV}: invalid float value: {env!r}")
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """What ``_PARSER.parse_args(argv)`` gives, read by the subcommand's own
-    parser alone: the top-level parser would scan every token once more
-    before handing them to it.  Where argv names no subcommand or leaves
-    tokens over, the top-level parser reads it, so that the usage and error
-    printed are its own."""
+def _read(argv: list) -> argparse.Namespace | None:
+    """The namespace ``_PARSER.parse_args(argv)`` gives, read off the
+    actions of argv's subcommand, where each token after the command is
+    ``--flag=value`` for a flag that takes a value (the value converted by
+    its type and within its choices) or a bare flag that takes none (its
+    const): a flag given twice keeps its last value, as in argparse, and an
+    action not named takes its default.  None for anything else: no
+    subcommand, an unknown or abbreviated flag, -h or --help (the one
+    action without a default), a positional or ``--``, a value missing or
+    one given to a flag that takes none, a value its type or choices
+    refuse, or two flags of one exclusive group (--kappa and --ell)."""
     parser = _SUBPARSERS.get(argv[0]) if argv else None
-    if parser is not None:
-        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return _PARSER.parse_args(argv)
+    if parser is None:
+        return None
+    values = {}
+    for token in argv[1:]:
+        flag, eq, text = token.partition("=")
+        action = parser._option_string_actions.get(flag)
+        if (action is None or action.default is argparse.SUPPRESS  # help has no default
+                or bool(eq) == (action.nargs == 0)):  # a value missing, or one not taken
+            return None
+        value = action.const
+        if eq:
+            if text == "--":  # argparse drops it and reads no value
+                return None
+            try:
+                value = action.type(text) if action.type else text
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+    for group in parser._mutually_exclusive_groups:
+        if sum(action.dest in values for action in group._group_actions) > 1:
+            return None
+    args = argparse.Namespace(command=argv[0])
+    for action in parser._actions:
+        if action.default is not argparse.SUPPRESS:
+            setattr(args, action.dest, values.get(action.dest, action.default))
+    return args
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """What ``_PARSER.parse_args(argv)`` gives: a well-formed command line
+    read off its subcommand's actions (`_read`), any other by
+    ``_PARSER.parse_args``, so that the usage, error or help it prints is
+    argparse's own."""
+    args = _read(argv)
+    return _PARSER.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -8,9 +8,9 @@ one whose coefficients do not fit in a double, is a `DomainError`, never a
 number; this module alone decides whether a series state exists (`_state`).
 One function holds the closed form of both families' terms on the infinite
 ladder, one formula with the package's only closed form of log F(n)!
-(`_term_law`); the existence verdict (`_law_verdict`), the series' second
-block (`_series`, by `_law_cut`) and the growth kernel
-(`bargmann.kernel_growth`) read it.  The
+(`_term_law`); a state takes it once (`_state`), for its existence
+verdict (`_law_verdict`) and its series' second block (`_series`, by
+`_law_cut`), and the growth kernel (`bargmann.kernel_growth`) reads it.  The
 hypergeometric normalization is summed in float64 alone, an int or a
 Fraction argument at its double.
 """
@@ -18,6 +18,7 @@ Fraction argument at its double.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import sys
@@ -97,16 +98,17 @@ class CoherentState:
         return _ldexp(norm, exponent, what)
 
 
-def _series(kind, params, zs, stop: int, tail_tol: float | None):
+def _series(kind, params, zs, stop: int, tail_tol: float | None, xs, law=None):
     """c_0 = 1, c_n = c_{n-1} step(n) (`_steps`), n < stop, one row per z of
-    zs, as (coefficient rows, tail bound per row, exponent per row).  A
-    finite ladder (no tail_tol) is one block; else the blocks double, each
-    from the last one's carry, until every row meets its tail cut
-    (`_tail_cut`; bound inf where uncut), zero past it: block lo..hi - 1 ends
-    at hi = min(max(2 lo, 64), stop), save that for one z with a term law
-    (`_term_law`) the block from 64 ends at the law's cut (`_law_cut`) taken
-    in, 2 steps on at least.  Numpy's cumprod and cumsum run left to right,
-    so where a block ends changes no coefficient and no cut, but for a
+    zs, as (coefficient rows, tail bound per row, exponent per row); xs is
+    the perelomov x (`_perelomov_x`) at each |z|, or None.  A finite ladder
+    (no tail_tol) is one block; else the blocks double, each from the last
+    one's carry, until every row meets its tail cut (`_tail_cut`; bound inf
+    where uncut), zero past it: block lo..hi - 1 ends at hi = min(max(2 lo,
+    64), stop), save that for one z whose ``law()`` gives a term law
+    (`_term_law`) the block from 64 ends at the law's cut (`_law_cut`)
+    taken in, 2 steps on at least.  Numpy's cumprod and cumsum run left to
+    right, so where a block ends changes no coefficient and no cut, but for a
     complex block of one step (`_series_moduli`) and for the rows already
     cut: such a row is carried as 0 * step, -0.0 where the step's real part
     is negative, and one longer block would write +0.0, so several rows
@@ -114,8 +116,8 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
     exact 2**-exponents[i] (Blue 1978, ACM TOMS 4).  A
     coefficient past the double range is a `DomainError`.  Where phi = 0 and
     every z is real and >= 0 the blocks are float64, the real parts of the
-    complex ones.  The perelomov x (`_perelomov_x`) screens the cut's
-    candidates, which changes neither the cut nor its bound (`e3017a5`).
+    complex ones.  The perelomov x screens the cut's candidates, which
+    changes neither the cut nor its bound (`e3017a5`).
     """
     zs = np.asarray(zs, dtype=complex)
     if params.phi == 0.0 and not zs.imag.any() and not np.signbit(zs.real).any():
@@ -127,15 +129,12 @@ def _series(kind, params, zs, stop: int, tail_tol: float | None):
     with np.errstate(over="ignore", invalid="ignore"):  # refused, rescaled or no x below
         if cut_rows:
             tol2 = tail_tol * tail_tol
-            xs = _perelomov_x(kind, params, radii)
             room = tol2 if xs is None else np.where(
-                (0.0 < xs) & (xs < 1.0), tol2 * (1.0 - xs) * (1.0 + 1e-12), tol2)[:, None]
+                (0.0 < xs) & (xs < 1.0), tol2 * (1.0 - xs) * (1.0 + 1e-12), tol2).reshape(-1, 1)
         while lo < stop and math.inf in bounds:
             hi = min(max(2 * lo, 64), stop) if cut_rows else stop
-            if lo == 64 and rows == 1 and hi < stop:  # one z, uncut by its first block
-                law = _term_law(kind, params, float(radii[0]))
-                if law is not None:
-                    hi = min(max(_law_cut(law, tail_tol, stop) + 1, lo + 2), stop)
+            if lo == 64 and law and hi < stop and (found := law()):  # one z, uncut so far
+                hi = min(max(_law_cut(found, tail_tol, stop) + 1, lo + 2), stop)
             steps = _steps(kind, params, zs[:, None], lo, hi)
             block = np.cumprod(np.concatenate((blocks[-1][:, -1:], steps), axis=1), axis=1)
             block = block[:, 1:]
@@ -224,11 +223,12 @@ def _perelomov_x(kind, params, radius):
     return q * q
 
 
-def _term_law(kind, params, radius):
+def _term_law(kind, params, radius, x):
     """The closed form of the terms of an infinite-ladder series at |z| =
-    radius, as (terms, log_sup2, peak), or None where no law applies.  One
-    formula holds for both families, with s = +1 for perelomov, s = -1 for
-    barut-girardello and a_i = 1/kappa_i over the kappa_i > 0:
+    radius, x its perelomov x (`_perelomov_x`) or None, as (terms, log_sup2,
+    peak), or None where no law applies.  One formula holds for both
+    families, with s = +1 for perelomov, s = -1 for barut-girardello and a_i
+    = 1/kappa_i over the kappa_i > 0:
 
         log|c_n|^2 = n log|z|^2 - log n! + s sum_i R(a_i, n),
 
@@ -248,11 +248,10 @@ def _term_law(kind, params, radius):
     positive, so each Newton step on it lands at or below the peak; they
     start from (a x - 1)/(1 - x) on the disk, the peak up to rounding, and
     else one step from the power law F(n + 1) ~ (n + 1)^(r+1) prod kappa_i.
-    The law holds for perelomov where its x (`_perelomov_x`) has 0 < x < 1
-    or at kappa = 0, and for barut-girardello at |z| > 0.  None also where a
-    kappa_i or a_i leaves the double range, or the search for the peak
-    passes 2**53: the series alone decides there."""
-    x = _perelomov_x(kind, params, radius)
+    The law holds for perelomov where its x has 0 < x < 1 or at kappa = 0,
+    and for barut-girardello at |z| > 0.  None also where a kappa_i or a_i
+    leaves the double range, or the search for the peak passes 2**53: the
+    series alone decides there."""
     if x is None and kind is StateKind.PERELOMOV and params.kappas != (0,) or not radius > 0.0:
         return None
     if x is not None and not 0.0 < x < 1.0:
@@ -341,12 +340,13 @@ def _law_cut(law, tol, stop):
     return min(hi, stop)
 
 
-def _law_verdict(kind, params, radius, max_terms, tol):
+def _law_verdict(params, radius, x, law, max_terms, tol):
     """Whether the perelomov series at |z| = radius is cut at tail tolerance
-    tol within max_terms terms, read off its closed form (`_term_law`) where
-    its x (`_perelomov_x`) has 0 < x < 1: unimodal with its peak at index
-    ``peak``, within margin(n) in log of the float series, the law's own
-    rounding included (4 eps times the moduli of its addends).  True where
+    tol within max_terms terms, read off its closed form ``law()``
+    (`_term_law`) where its x (`_perelomov_x`) has 0 < x < 1: unimodal with
+    its peak at index ``peak``, within margin(n) in log of the float series,
+    the law's own rounding included (4 eps times the moduli of its
+    addends).  True where
     the law meets the cut with every |c_n|^2, n <= max_terms, a double;
     False where it fits so but misses the cut's necessary bound tol^2 S_inf
     (1 - x) at n = 1 and at max_terms, and so everywhere between; None
@@ -356,8 +356,7 @@ def _law_verdict(kind, params, radius, max_terms, tol):
     with q = `_ratio_sup` at max_terms < 1 and S >= |c_0|^2 = 1: |c_n|^2 /
     (1 - q^2) only falls with n past the peak, so the series is cut by
     then."""
-    x = _perelomov_x(kind, params, radius)
-    law = None if x is None else _term_law(kind, params, radius)
+    law = None if x is None else law()
     if law is None:
         return None
     terms, _, peak = law
@@ -378,7 +377,7 @@ def _law_verdict(kind, params, radius, max_terms, tol):
         return False
     if max_terms < max(peak, 1):
         return None
-    q = _ratio_sup(kind, params, radius)(max_terms)
+    q = _ratio_sup(StateKind.PERELOMOV, params, radius)(max_terms)
     value, margin = term(max_terms)
     if q >= 1.0 or value - math.log1p(-q * q) + margin > 2.0 * math.log(tol):
         return None
@@ -397,7 +396,8 @@ def _series_moduli(kind, params, zs, levels: int) -> np.ndarray:
     last = levels - 1  # where the last block starts if it is one step long
     one_step = last == 1 or (tail_tol is not None and last >= 64 and not last & (last - 1))
     stop = levels + (one_step and levels != dim.d)
-    coeffs, _, exponents = _series(kind, params, zs, stop, tail_tol)
+    xs = _perelomov_x(kind, params, np.abs(zs))
+    coeffs, _, exponents = _series(kind, params, zs, stop, tail_tol, xs)
     coeffs, moduli = coeffs[:, :levels], np.zeros((len(zs), levels))
     moduli[:, : coeffs.shape[1]] = np.abs(coeffs * np.ldexp(1.0, -exponents // 2)[:, None]) ** 2
     if exponents.any():  # a modulus past the double range is a DomainError
@@ -467,19 +467,23 @@ def _state(kind, params, z, normalize, tail_tol, max_terms) -> CoherentState:
     refusal of a state that does not exist is made here, before any term is
     built: of its inputs (`_checked_inputs`), of its family
     (`_require_family`), outside the perelomov disk (`_perelomov_x`) and by
-    the closed form's verdict (`_law_verdict`)."""
+    the closed form's verdict (`_law_verdict`).  Its x and, where first
+    asked, its term law (`_term_law`) are each taken once, for the verdict
+    and the series both."""
     z = _checked_inputs(z, tail_tol, max_terms)
     dim = _require_family(kind, params)
-    x = _perelomov_x(kind, params, abs(z))
+    radius = abs(z)
+    x = _perelomov_x(kind, params, radius)
     if x is not None and x >= 1.0:
         raise DomainError(
             "z lies outside the existence disk: need |z| < 1/sqrt(kappa_1) = "
-            f"{1.0 / math.sqrt(float(params.kappas[0])):.6g}, got |z| = {abs(z):.6g}"
+            f"{1.0 / math.sqrt(float(params.kappas[0])):.6g}, got |z| = {radius:.6g}"
         )
     stop, tol = (dim.d, None) if dim.is_finite else (max_terms + 1, tail_tol)
+    law = functools.cache(lambda: _term_law(kind, params, radius, x))  # built where first asked
     bound = math.inf
-    if tol is None or _law_verdict(kind, params, abs(z), max_terms, tol) is not False:
-        (coeffs,), (bound,), _ = _series(kind, params, [z], stop, tol)
+    if tol is None or _law_verdict(params, radius, x, law, max_terms, tol) is not False:
+        (coeffs,), (bound,), _ = _series(kind, params, [z], stop, tol, x, law)
     if tol is not None and bound == math.inf:
         raise DomainError(f"series did not reach tail tolerance {tol:g} within {max_terms} terms")
     coeffs = coeffs.astype(complex, copy=False)  # imaginary +0.0
@@ -491,7 +495,9 @@ def _require_state(kind, params, radius: float) -> None:
     """Return where the state at z = radius exists at the default tail
     tolerance and term cap: where `_law_verdict` certifies it, else where
     its constructor builds it.  Else the constructor's `DomainError`."""
-    if not _law_verdict(kind, params, radius, MAX_SERIES_TERMS, DEFAULT_TAIL_TOL):
+    x = _perelomov_x(kind, params, radius)
+    law = lambda: _term_law(kind, params, radius, x)  # noqa: E731
+    if not _law_verdict(params, radius, x, law, MAX_SERIES_TERMS, DEFAULT_TAIL_TOL):
         (perelomov_state if kind is StateKind.PERELOMOV else bg_state)(params, radius)
 
 
@@ -725,9 +731,10 @@ def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
             return total, 0
         return tuple(a.item() for a in _peak_sum(ells, np.array([x]), rel_tol, max_terms))
     term, total, exponent = np.ones(x.shape), np.ones(x.shape), np.zeros(x.shape, dtype=int)
-    k = 0
+    k, going = 0, np.ones(x.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # as the float sum: inf, no warning
-        while (going := np.abs(term) > rel_tol * np.abs(total)).any():
+        # an entry once stopped stays stopped: its term goes on multiplying, unadded
+        while (going := going & (np.abs(term) > rel_tol * np.abs(total))).any():
             term *= x / ((k + 1) * math.prod(ell + k for ell in ells))
             np.add(total, term, out=total, where=going)
             k += 1

@@ -945,8 +945,8 @@ def test_every_value_option_takes_a_value_starting_with_minus(value, capsys):
                 assert getattr(args, action.dest) != action.default, argv
 
 
-# the dispatch: its subcommand's parser reads a command line, the top-level one
-# only a line that names no subcommand or leaves tokens over
+# the dispatch: a well-formed command line is read off its subcommand's
+# actions, any other by the top-level parser
 _DISPATCH = [
     ([], 2),
     (["-h"], 0),
@@ -973,6 +973,11 @@ _DISPATCH = [
     (["spectrum", "--config", "good.cfg", "--nmax", "2"], 0),
     (["spectrum", "--kappa", "1/2", "--config", "bad.cfg"], 2),
     (["spectrum", "--kappa", "1/2", "--config", "unknown.cfg"], 2),
+    (["cs-bg", "--kappa", "1/2", "--normalize=1"], 2),
+    (["spectrum", "--kappa="], 2),
+    (["spectrum", "--kappa", "1/2", "--format=xml"], 2),
+    (["spectrum", "--ell", "2", "--config", "good.cfg"], 2),  # the config's kappa
+    (["spectrum", "--kappa", "1/2", "--output=--"], 0),  # argparse reads no value: stdout
 ]
 
 
@@ -1003,8 +1008,8 @@ _VALUES = {  # valid values of each option, by dest
 
 @st.composite
 def _valid_argv(draw):
-    """A subcommand and some of its options, each given as two tokens or as
-    --flag=value, at most one of --kappa and --ell."""
+    """A subcommand and some of its options, each given once or twice, as
+    two tokens or as --flag=value, at most one of --kappa and --ell."""
     command = draw(st.sampled_from(sorted(_subcommand_actions())))
     argv, algebra = [command], set()
     for action in draw(st.lists(st.sampled_from(_subcommand_actions()[command]), max_size=6)):
@@ -1013,19 +1018,33 @@ def _valid_argv(draw):
             if len(algebra) > 1:
                 continue
         flag = action.option_strings[0]
-        if action.nargs == 0:
-            argv.append(flag)
-        else:
-            value = draw(st.sampled_from(_VALUES[action.dest]))
-            argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            if action.nargs == 0:
+                argv.append(flag)
+            else:
+                value = draw(st.sampled_from(_VALUES[action.dest]))
+                argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
     return argv
 
 
 @settings(max_examples=300, deadline=None)
 @given(argv=_valid_argv())
-def test_the_subcommand_parser_reads_what_the_top_level_parser_reads(argv):
+def test_the_reader_reads_what_the_top_level_parser_reads(argv):
     argv = cli._join_flag_values(argv)
     assert vars(cli._parse(argv)) == vars(cli._PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("workload", streams.WORKLOADS)
+def test_every_benchmark_command_line_is_read_off_its_subcommands_actions(monkeypatch, workload):
+    # the first cycle of seed 1: no command line reaches argparse's parse
+    lines = [cli._join_flag_values(argv) for argv in next(streams.cycles(workload, 1))]
+    parsed = [vars(cli._PARSER.parse_args(argv)) for argv in lines]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read a command line")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [vars(cli._parse(argv)) for argv in lines] == parsed
 
 
 def _config(tmp_path, text):

@@ -183,6 +183,19 @@ def test_batched_moduli_are_the_constructors_bit_for_bit(case):
         assert np.array_equal(row, np.pad(amp2, (0, levels - len(amp2))))
 
 
+def _law(kind, params, radius):
+    """The term law at |z| = radius, taken with its x as a state takes it."""
+    return coherent._term_law(kind, params, radius, coherent._perelomov_x(kind, params, radius))
+
+
+def _series_as_a_state_calls_it(kind, params, zs, stop, tail_tol):
+    """`_series` with the x of each z and, for one z, its term law."""
+    radii = np.abs(np.asarray(zs, dtype=complex))
+    law = (lambda: _law(kind, params, float(radii[0]))) if len(zs) == 1 else None
+    xs = coherent._perelomov_x(kind, params, radii)
+    return _series(kind, params, zs, stop, tail_tol, xs, law)
+
+
 @st.composite
 def _series_cases(draw):
     """(kind, params, zs, stop, tail_tol) for `_series`: perelomov at kappa
@@ -241,7 +254,7 @@ def _series_cases(draw):
 def test_the_tail_prefilter_leaves_every_series_as_the_full_scan(case):
     # the oracle takes the complex steps, so a float64 series (phi = 0, every
     # z real and >= 0) is checked against the complex one bit for bit
-    coeffs, bounds, exponents = _series(*case)
+    coeffs, bounds, exponents = _series_as_a_state_calls_it(*case)
     ref_blocks, ref_bounds, ref_exponents = series_unfiltered(*case)
     ref = np.concatenate(ref_blocks, axis=1)
     if coeffs.dtype == float:
@@ -305,7 +318,14 @@ def test_the_state_and_its_refusal_are_the_doubling_series(kappa, rho, angle, ph
 
 def _certified(params, radius, tail_tol, max_terms):
     """Whether the closed form certifies the perelomov state at |z| = radius."""
-    return coherent._law_verdict(StateKind.PERELOMOV, params, radius, max_terms, tail_tol) is True
+    return _verdict(params, radius, max_terms, tail_tol) is True
+
+
+def _verdict(params, radius, max_terms, tail_tol):
+    """`_law_verdict` on the perelomov series at |z| = radius."""
+    x = coherent._perelomov_x(StateKind.PERELOMOV, params, radius)
+    law = lambda: _law(StateKind.PERELOMOV, params, radius)  # noqa: E731
+    return coherent._law_verdict(params, radius, x, law, max_terms, tail_tol)
 
 
 @settings(max_examples=300, deadline=None)
@@ -349,8 +369,8 @@ def test_a_shape_past_the_double_range_has_no_closed_form(exponent):
     # at 1/kappa = 10^306 the law (Stirling's series) holds, but its margin
     # near the rim, 8 (a + 1) eps / (1 - x), leaves no verdict
     params = AlgebraParams([Fraction(1, 10**exponent)])
-    assert (coherent._term_law(StateKind.PERELOMOV, params, 1.0) is None) == (exponent > 306)
-    verdict = coherent._law_verdict(StateKind.PERELOMOV, params, 1.0, MAX_SERIES_TERMS, 1e-14)
+    assert (_law(StateKind.PERELOMOV, params, 1.0) is None) == (exponent > 306)
+    verdict = _verdict(params, 1.0, MAX_SERIES_TERMS, 1e-14)
     assert verdict is None
     if exponent == 306:  # its ladder rows still fit in doubles: the series decides
         coeffs, bound = perelomov_series_by_doubling(params, 1.0)
@@ -364,7 +384,7 @@ def test_the_peak_search_gives_up_past_2_53():
     # Newton step no longer moves n in float, so each step took n + 1
     params = AlgebraParams([Fraction(1, 10**153)])
     radius = 0.9999999999999971 / math.sqrt(params.kappas[0])
-    assert coherent._term_law(StateKind.PERELOMOV, params, radius) is None
+    assert _law(StateKind.PERELOMOV, params, radius) is None
 
 
 def test_only_the_closed_form_reads_lgamma():
@@ -395,9 +415,10 @@ def _names(node):
 
 def test_only_the_verdict_reads_the_closed_form():
     # the verdict decides whether a state exists: the two existence questions
-    # ask it; the series never does, it reads the term law (_term_law) to
-    # size its second block and x for its candidate screen, and the law has
-    # no other reader than the verdict, the series and the growth kernel
+    # ask it; the series never does.  A state takes its x and its term law
+    # (_term_law) once and hands them to the verdict and to the series, which
+    # sizes its second block by the law and screens its candidates by x; the
+    # law has no other reader than the two questions and the growth kernel
     package = sorted(Path(polywh.__file__).parent.glob("*.py"))
 
     def callers(name):
@@ -406,13 +427,39 @@ def test_only_the_verdict_reads_the_closed_form():
                 if caller != name and name in _names(function)}
 
     assert callers("_law_verdict") == {("coherent.py", "_state"), ("coherent.py", "_require_state")}
-    assert callers("_term_law") == {("coherent.py", "_law_verdict"), ("coherent.py", "_series"),
+    assert callers("_term_law") == {("coherent.py", "_state"), ("coherent.py", "_require_state"),
                                     ("bargmann.py", "kernel_growth")}
-    series = _functions(Path(coherent.__file__))["_series"]
-    assert _names(series) & {"_perelomov_x", "_law_verdict", "_term_law"} == {
-        "_perelomov_x", "_term_law"}
+    assert callers("_perelomov_x") == {
+        ("coherent.py", "_state"), ("coherent.py", "_require_state"), ("coherent.py", "_series_moduli")}
+    functions = _functions(Path(coherent.__file__))
+    assert not _names(functions["_series"]) & {"_perelomov_x", "_law_verdict", "_term_law"}
+    assert not _names(functions["_law_verdict"]) & {"_perelomov_x", "_term_law"}
     gone = {"_cut_bound", "PREDICTED_FROM", "CUT_SLACK", "_perelomov_law"}
     assert not {name for path in package for name in _names(ast.parse(path.read_text()))} & gone
+
+
+@pytest.mark.parametrize("build, kappa, z, laws", [
+    (perelomov_state, "14/25", 1.3353, 1),  # the verdict and the series (uncut at n = 64)
+    (bg_state, "1/2", 30.0, 1),  # the series alone, uncut at n = 64
+    (bg_state, "1/2", 0.5, 0),  # cut in its first block: no law is built
+])
+def test_a_state_takes_its_x_and_its_term_law_once(monkeypatch, build, kappa, z, laws):
+    calls = []
+
+    def counted(name):
+        real = getattr(coherent, name)
+
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+
+        return spy
+
+    for name in ("_perelomov_x", "_term_law"):
+        monkeypatch.setattr(coherent, name, counted(name))
+    state = build(AlgebraParams([kappa]), z)
+    assert (len(state) > 64) == bool(laws)
+    assert sorted(calls) == ["_perelomov_x"] + ["_term_law"] * laws
 
 
 def test_only_coherent_decides_whether_a_series_exists():
@@ -557,7 +604,7 @@ def test_the_term_law_is_mpmath_loggamma(case, n):
     # ratio within 1e-12 of 1, the ratio exact in Fractions
     kind, params, z = case
     radius = abs(z)
-    terms, log_sup2, peak = coherent._term_law(kind, params, radius)
+    terms, log_sup2, peak = _law(kind, params, radius)
     value, size = terms(n)
     exact = log_term_modulus(kind, params.kappas, radius, n)
     eps = sys.float_info.epsilon
@@ -616,7 +663,7 @@ def test_a_state_takes_at_most_three_blocks_and_is_the_doubling_series(case):
     with _step_calls() as spans:
         state = build(params, z)
     assert len(spans) <= 3
-    law = coherent._term_law(kind, params, abs(z))
+    law = _law(kind, params, abs(z))
     assert coherent._law_cut(law, 1e-14, MAX_SERIES_TERMS + 1) + 1 >= len(state)
     assert state.coeffs.tobytes() == np.concatenate(blocks, axis=1)[0].tobytes()
     assert state.cutoff_meta.tail_bound == bound
@@ -635,7 +682,7 @@ def test_the_law_cut_is_the_first_n_its_rule_passes():
              (StateKind.BARUT_GIRARDELLO, [0], 30.0),
              (StateKind.BARUT_GIRARDELLO, ["1/2", "2/3"], 30.0)],
             [1e-14, 1.0, 2.0]):
-        law = coherent._term_law(kind, AlgebraParams(kappas), radius)
+        law = _law(kind, AlgebraParams(kappas), radius)
         terms, log_sup2, peak = law
         top = terms(peak)[0] + 2 * math.log(tol)
 
@@ -1099,6 +1146,30 @@ def test_hyper_0f_on_an_array_stops_each_entry_at_its_own_term():
     assert hyper_0f((2, 3), np.zeros((2, 1))).tolist() == [[1.0], [1.0]]
     with pytest.raises(DomainError):
         hyper_0f((1,), np.array([0.5, 1e6]), max_terms=50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ells=st.lists(st.one_of(st.integers(min_value=1, max_value=9),
+                            st.floats(min_value=0.05, max_value=9)), max_size=3),
+    xs=st.lists(st.one_of(st.floats(min_value=0, max_value=1e4), st.floats(-50, 0)),
+                min_size=1, max_size=4),
+    rel_tol=st.one_of(st.floats(min_value=0, max_value=1, exclude_max=True),
+                      st.sampled_from([0.0, 0.3])),
+)
+# at a large rel_tol the first entry stops before its peak; its term, still
+# multiplied, passed rel_tol times the sum again and the entry went on adding
+@example(ells=[], xs=[117.04113489885552, 227.7935404], rel_tol=0.3)
+def test_every_array_entry_is_its_scalar_sum_at_any_rel_tol(ells, xs, rel_tol):
+    scalars = []
+    for x in xs:
+        try:
+            scalars.append(hyper_0f(ells, x, rel_tol=rel_tol))
+        except DomainError:
+            with pytest.raises(DomainError):
+                hyper_0f(ells, np.array(xs), rel_tol=rel_tol)
+            return
+    assert hyper_0f(ells, np.array(xs), rel_tol=rel_tol).tolist() == scalars
 
 
 def _scaled_outcome(sum_, ells, x, max_terms):
