@@ -16,7 +16,7 @@ _HOMES = {
     "errors": ("DomainError",),
     "coherent": ("StateKind", "CutoffMeta", "CoherentState", "perelomov_state",
                  "perelomov_via_exponential", "bg_state", "check_bg_eigen", "time_evolve",
-                 "overlap", "hyper_0f", "bg_normalization"),
+                 "overlap", "bg_normalization"),
     "grassmann": ("GrassmannElement", "GrassmannState", "bg_grassmann_state",
                   "check_bg_grassmann_eigen", "complex_z_bg_residual"),
     "measure": ("MomentSequence", "DiscreteMeasure", "moments_for", "solve_measure",

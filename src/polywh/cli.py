@@ -64,11 +64,11 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"cannot parse rational {text!r}: {exc}") from None
 
 
-def parse_kappas(text: str) -> list[Fraction]:
-    return [parse_rational(tok) for tok in text.split(",") if tok.strip()]
+def parse_kappas(text: str) -> tuple[Fraction, ...]:
+    return tuple(parse_rational(tok) for tok in text.split(",") if tok.strip())
 
 
-def parse_ells(text: str) -> list[int]:
+def parse_ells(text: str) -> tuple[int, ...]:
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -81,7 +81,7 @@ def parse_ells(text: str) -> list[int]:
         if value < 1:
             raise argparse.ArgumentTypeError(f"ell values must be positive, got {value}")
         out.append(value)
-    return out
+    return tuple(out)
 
 
 def parse_complex(text: str) -> complex:
@@ -686,10 +686,15 @@ def _join_flag_values(argv):
 
 def _complete(args: argparse.Namespace) -> None:
     """What a config line may supply, checked once config and command line
-    are both read: one of --kappa and --ell, truncate's --window and --s,
-    and a --tail-tol, else $POLYWH_TAIL_TOL, else coherent.DEFAULT_TAIL_TOL.
-    A failure is the subcommand's usage error (SystemExit 2)."""
+    are both read: a value for every flag given (argparse reads ``--flag --``
+    and ``--flag=--`` as the list of no values), a nonempty --output and
+    --config, one of --kappa and --ell, truncate's --window and --s, and a
+    --tail-tol, else $POLYWH_TAIL_TOL, else coherent.DEFAULT_TAIL_TOL.  A
+    failure is the subcommand's usage error (SystemExit 2)."""
     parser = _SUBPARSERS[args.command]
+    for action in parser._actions:  # no type returns a list; only --output and --config take ""
+        if getattr(args, action.dest, None) in ([], ""):
+            parser.error(f"argument {action.option_strings[0]}: expected one argument")
     if not (args.kappa or args.ell):
         parser.error("one of the arguments --kappa --ell is required")
     required = ("--window", "--s") if args.command == "truncate" else ()

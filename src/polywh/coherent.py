@@ -11,8 +11,8 @@ ladder, one formula with the package's only closed form of log F(n)!
 (`_term_law`); a state takes it once (`_state`), for its existence
 verdict (`_law_verdict`) and its series' second block (`_series`, by
 `_law_cut`), and the growth kernel (`bargmann.kernel_growth`) reads it.  The
-hypergeometric normalization is summed in float64 alone, an int or a
-Fraction argument at its double.
+hypergeometric normalization (`bg_normalization`) is summed in float64
+alone, an int or a Fraction z at its double.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "check_bg_eigen",
     "time_evolve",
     "overlap",
-    "hyper_0f",
     "bg_normalization",
 ]
 
@@ -513,16 +512,11 @@ def _checked_inputs(z, tail_tol: float, max_terms: int) -> complex:
     if not floor <= tail_tol < math.inf:
         raise DomainError(f"tail_tol must be finite and positive, at least 2**-511 = {floor:.6g}, "
                           f"got tail_tol = {tail_tol!r}")
-    _check_max_terms(max_terms)
-    return z
-
-
-def _check_max_terms(max_terms) -> None:
-    """Refuse a max_terms that is not an integer (TypeError), or is negative."""
     if not isinstance(max_terms, numbers.Integral):
         raise TypeError(f"max_terms must be an integer, got max_terms = {max_terms!r}")
     if max_terms < 0:
         raise DomainError(f"max_terms must be at least 0, got max_terms = {max_terms}")
+    return z
 
 
 def perelomov_state(
@@ -645,71 +639,19 @@ def overlap(s1: CoherentState, s2: CoherentState, *, unchecked: bool = False) ->
     return complex(np.vdot(s1.coeffs[:length], s2.coeffs[:length]))
 
 
-def _doubles(value, name: str, dtype=float):
-    """value as a Python float (a complex for dtype complex) where it has no
-    dimension, else as a float64 (complex128) array: an int or a Fraction is
-    taken at its double.  A NaN, or a value past the double range, is a
-    `DomainError` naming ``name``."""
+def _doubles(value, name: str):
+    """value as a Python complex where it has no dimension, else as a
+    complex128 array: an int or a Fraction is taken at its double.  A NaN
+    part, or a value past the double range, is a `DomainError` naming
+    ``name``."""
     try:
-        value = np.asarray(value, dtype=dtype) if np.ndim(value) else dtype(value)
+        value = np.asarray(value, dtype=complex) if np.ndim(value) else complex(value)
     except OverflowError:
         raise DomainError(f"{name} must lie within the double range, "
                           f"|{name}| <= {sys.float_info.max:.6g}") from None
     if np.isnan(value).any() if isinstance(value, np.ndarray) else value != value:
         raise DomainError(f"{name} must not be NaN")
     return value
-
-
-def hyper_0f(ells, x, *, rel_tol: float = 1e-16, max_terms: int = 100_000):
-    """0F_q(ell_1, ..., ell_q; x) summed term by term in float64 to the
-    relative term ``rel_tol``: a float at a scalar x (an int or a Fraction
-    taken at its double, `_doubles`), an array at an x-array; past the
-    double range from its peak term (`_peak_sum`).  A rel_tol outside
-    [0, 1), an ell that is NaN or <= 0, a negative max_terms (one that is
-    not an integer is a TypeError), a NaN x, an x or a value past the
-    double range, an x whose first term ratio x / prod(ells) overflows (the
-    first in array order, with its sign; every x != 0 where the product
-    underflows to 0, and at x = 0 the sum is 1), a sum that
-    cannot converge within ``max_terms`` and, at
-    x < 0, a sum whose rounding bound eps 0F_q(ells; |x|) passes 1e-8 of the
-    value are each a `DomainError`.  The sum at |x| goes first: it bounds
-    the partial sums, so the signed sum cannot overflow."""
-    if not 0.0 <= rel_tol < 1.0:
-        raise DomainError(f"rel_tol must be in [0, 1), got rel_tol = {rel_tol!r}")
-    for ell in ells:
-        if not ell > 0:
-            raise DomainError(f"every ell must be positive, got ell = {ell!r}")
-    _check_max_terms(max_terms)
-    x = _doubles(x, "x")
-    product, flat = math.prod(map(float, ells)), np.ravel(x)  # 0 where positive ells underflow
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf, or nan at 0 / 0
-        over = np.isinf(np.abs(flat) / product) & ((flat != math.inf) | (product == 0))
-    over = np.flatnonzero(over)
-    if over.size:  # x = +inf sums to inf where product > 0; an earlier x's error goes first
-        if product:  # else every earlier x is 0
-            _hyper_0f_scaled(ells, np.abs(flat[: over[0]]), rel_tol, max_terms)
-        raise DomainError(f"hypergeometric series term ratio overflows at x = {flat[over[0]]:g}")
-    if product == 0:  # every x is 0
-        return np.ones(x.shape) if isinstance(x, np.ndarray) else 1.0
-    negative = np.asarray(x) < 0
-    if not negative.any():
-        return _ldexp(*_hyper_0f_scaled(ells, x, rel_tol, max_terms), "hypergeometric sum")
-    x_negative = np.asarray(x)[negative]
-    moduli, exponent = _hyper_0f_scaled(ells, -x_negative, rel_tol, max_terms)
-    if exponent.any():
-        i, detail = np.flatnonzero(exponent)[0], "past the double range"
-    else:
-        value = _ldexp(*_hyper_0f_scaled(ells, x, rel_tol, max_terms), "hypergeometric sum")
-        signed = np.asarray(value)[negative]
-        lost = np.flatnonzero(np.finfo(float).eps * moduli > 1e-8 * np.abs(signed))
-        if not lost.size:
-            return value
-        i = lost[0]
-        detail = f"to {moduli[i]:.3g} against a value of {signed[i]:.3g}"
-    raise DomainError(
-        f"hypergeometric sum at x = {x_negative[i]:g} is lost to cancellation: "
-        f"its term moduli sum {detail}"
-    )
 
 
 def _hyper_0f_scaled(ells, x, rel_tol: float = 1e-16, max_terms: int = 100_000):
@@ -808,7 +750,7 @@ def bg_normalization(params: AlgebraParams, z):
     a NaN z or one past the double range, or an |N| past it (|N|^2 may pass
     it) are a `DomainError`."""
     ells = reciprocal_ells(params)
-    z = _doubles(z, "z", complex)
+    z = _doubles(z, "z")
     return _ldexp(*_bg_normalization_scaled(ells, z), "normalization |N(z)|")
 
 

@@ -426,6 +426,8 @@ def test_build_rep_window_errors():
         build_rep(AlgebraParams(["-1/3"]), window=5)
     with pytest.raises(ValueError):
         build_rep(AlgebraParams([0]))
+    with pytest.raises(ValueError, match="^window must be a positive integer$"):
+        build_rep(AlgebraParams([0]), window=0)
 
 
 def test_commutator_identity_finite_exact_on_full_matrix():

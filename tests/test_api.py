@@ -38,7 +38,6 @@ SIGNATURES = {
     "time_evolve": "(state: 'CoherentState', t: 'float') -> 'CoherentState'",
     "overlap": (
         "(s1: 'CoherentState', s2: 'CoherentState', *, unchecked: 'bool' = False) -> 'complex'"),
-    "hyper_0f": "(ells, x, *, rel_tol: 'float' = 1e-16, max_terms: 'int' = 100000)",
     "bg_normalization": "(params: 'AlgebraParams', z)",
     "GrassmannElement": "(dim: 'int', comps: 'tuple[complex, ...]') -> None",
     "GrassmannState": "(params: 'AlgebraParams', kernel: 'np.ndarray') -> None",
@@ -83,5 +82,5 @@ def test_every_exported_name_keeps_its_signature():
 
 def test_every_exported_function_has_a_docstring():
     functions = [name for name in polywh.__all__ if inspect.isfunction(getattr(polywh, name))]
-    assert len(functions) == 26
+    assert len(functions) == 25  # hyper_0f left the API; bg_normalization sums 0F_q
     assert [name for name in functions if not (getattr(polywh, name).__doc__ or "").strip()] == []

@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -876,7 +877,7 @@ print(json.dumps([before, submodule, sorted(set(polywh.__all__) - set(dir(polywh
     assert (before, submodule, undir, home, bound) == ([], "polywh.grassmann", [], True, True)
     assert (had_cli, cli) == (False, "polywh.cli")
     assert missing == "module 'polywh' has no attribute 'no_such_name'"
-    assert len(polywh.__all__) == len(set(polywh.__all__)) == 39
+    assert len(polywh.__all__) == len(set(polywh.__all__)) == 38  # hyper_0f left the API
 
 
 def test_repeated_main_calls_share_no_options(capsys, monkeypatch):
@@ -977,7 +978,7 @@ _DISPATCH = [
     (["spectrum", "--kappa="], 2),
     (["spectrum", "--kappa", "1/2", "--format=xml"], 2),
     (["spectrum", "--ell", "2", "--config", "good.cfg"], 2),  # the config's kappa
-    (["spectrum", "--kappa", "1/2", "--output=--"], 0),  # argparse reads no value: stdout
+    (["spectrum", "--kappa", "1/2", "--output=--"], 2),  # argparse reads no value (_complete)
 ]
 
 
@@ -1128,6 +1129,28 @@ def test_usage_errors_exit_2_and_name_the_flag(capsys, monkeypatch, argv, tail_t
         result = run_cli(capsys, *argv)
     assert result[:2] == (2, "")
     assert named in result[2]
+
+
+_BASE = {"truncate": {"--kappa": "1/2", "--window": "4", "--s": "2"}}  # else --kappa 1/2
+
+
+@pytest.mark.parametrize("form", ["--F --", "--F=--", "--F="])
+def test_a_flag_without_a_value_is_a_usage_error(capsys, monkeypatch, tmp_path, form):
+    # argparse reads --F -- and --F=-- as the list of no values: --output
+    # and --format were dropped, --z, --nmax and --kind died on the list
+    monkeypatch.chdir(tmp_path)
+    for command, actions in _subcommand_actions().items():
+        for action in actions:
+            flag = action.option_strings[0]
+            if action.nargs == 0 or form == "--F=" and flag not in ("--output", "--config"):
+                continue
+            base = dict(_BASE.get(command, {"--kappa": "1/2"}))
+            base.pop("--kappa" if flag == "--ell" else flag, None)  # --ell excludes --kappa
+            argv = [command, *itertools.chain(*base.items()), *form.replace("--F", flag).split()]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert f"error: argument {flag}: expected one argument" in err, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 _DISK = "z lies outside the existence disk: need |z| < 1/sqrt(kappa_1) = 1.41421, got |z| = 1.41421"

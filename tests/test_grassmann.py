@@ -127,6 +127,13 @@ def test_bg_grassmann_requires_order_for_infinite():
         bg_grassmann_state(AlgebraParams(["1/2"]))
 
 
+def test_check_bg_grassmann_eigen_refuses_another_window():
+    params = AlgebraParams(["1/2"])
+    state = bg_grassmann_state(params, dim=4)
+    with pytest.raises(ValueError, match="^window 5 does not match the state dim 4$"):
+        check_bg_grassmann_eigen(state, build_rep(params, window=5))
+
+
 def test_bg_grassmann_dim_fixed_on_finite_ladder():
     with pytest.raises(ValueError):
         bg_grassmann_state(AlgebraParams(["-1/3"]), dim=5)

@@ -515,6 +515,22 @@ def _count_chain_passes(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("perturb, message", [
+    (lambda nodes, weights: (-nodes, weights), "solved rule has a nonpositive node or weight"),
+    (lambda nodes, weights: (nodes * (1.0 + 1e-6), weights),
+     "the solved rule reproduces the supplied moments only to relative error"),
+])
+def test_a_rule_off_its_moments_is_refused(monkeypatch, perturb, message):
+    # no input is known to reach either refusal: the rule is perturbed
+    # after `_gauss_rule`
+    gauss_rule = polywh.measure._gauss_rule
+    monkeypatch.setattr(polywh.measure, "_gauss_rule",
+                        lambda alpha, beta: perturb(*gauss_rule(alpha, beta)))
+    moments = moments_for(AlgebraParams([0]), StateKind.BARUT_GIRARDELLO, count=8)
+    with pytest.raises(DomainError, match=f"^numerically unstable recurrence: {message} "):
+        solve_measure(moments)
+
+
 @pytest.mark.parametrize("kappas, kind, count", [
     (["0"], "barut-girardello", 16),  # Exp(1): the barut-girardello law at kappa = 0 too
     (["0"], "perelomov", 9),
